@@ -1,9 +1,10 @@
 //! The precomputed analysis every lint reads.
 //!
-//! Building the context does all of the expensive work once — CDG
-//! construction, cycle and candidate enumeration, sharing analysis,
-//! and the purely static theorem classification — so individual lints
-//! are cheap projections over shared data.
+//! Building the context does all of the expensive work once — the
+//! routing-property pass, CDG construction, cycle and candidate
+//! enumeration, sharing analysis, and the purely static theorem
+//! classification — so individual lints are cheap projections over
+//! shared data.
 
 use worm_core::conditions::{eight_conditions, EightConditions};
 use wormcdg::sharing::{self, SharingAnalysis};
@@ -83,7 +84,9 @@ pub struct LintContext<'a> {
     pub net: &'a Network,
     /// The routing table under analysis.
     pub table: &'a TableRouting,
-    /// Definition 7–9 + minimality + Corollary 1 property report.
+    /// Definition 7–9 + minimality + Corollary 1 property report, with
+    /// the counts and witnesses the `W003`, `W005`, `W101`–`W105` and
+    /// `W209` lints project (one pass over the table).
     pub properties: PropertyReport,
     /// The channel dependency graph.
     pub cdg: Cdg,
@@ -138,7 +141,10 @@ impl<'a> LintContext<'a> {
         max_candidates: usize,
         engine: SccEngineKind,
     ) -> Self {
-        let props = properties::analyze(net, table);
+        let props = {
+            let _span = wormtrace::span("properties.analyze");
+            properties::analyze(net, table)
+        };
         let mut builder = CdgBuilder::with_engine(net, engine);
         builder.add_table(table);
         let scc_acyclic = builder.is_acyclic();

@@ -104,21 +104,8 @@ impl Lint for DownUpCertificate {
         Severity::Allow
     }
     fn check(&self, ctx: &LintContext<'_>, severity: Severity) -> Vec<Diagnostic> {
-        if !ctx.scc_acyclic {
-            return Vec::new();
-        }
-        let mut multi_hop = 0usize;
-        for (_, path) in ctx.table.iter() {
-            let idx: Vec<usize> = path.nodes(ctx.net).iter().map(|n| n.index()).collect();
-            if idx.len() > 2 {
-                multi_hop += 1;
-            }
-            let turn = idx.windows(2).take_while(|w| w[0] > w[1]).count();
-            if !idx[turn..].windows(2).all(|w| w[0] < w[1]) {
-                return Vec::new();
-            }
-        }
-        if multi_hop == 0 {
+        let multi_hop = ctx.properties.multi_hop_paths;
+        if !ctx.scc_acyclic || !ctx.properties.down_up || multi_hop == 0 {
             return Vec::new();
         }
         vec![Diagnostic::new(

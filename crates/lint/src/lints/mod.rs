@@ -17,7 +17,7 @@ pub mod structure;
 pub mod theorems;
 
 use crate::lint::Lint;
-use wormnet::Network;
+use wormnet::{Network, NodeId};
 use wormroute::Path;
 
 /// Every built-in lint, in code order.
@@ -50,13 +50,18 @@ pub fn default_lints() -> Vec<Box<dyn Lint>> {
 }
 
 /// `src->dst` in node names — the `pair:` entity convention.
-pub(crate) fn pair_ref(net: &Network, (s, d): (wormnet::NodeId, wormnet::NodeId)) -> String {
+pub(crate) fn pair_ref(net: &Network, (s, d): (NodeId, NodeId)) -> String {
     format!("{}->{}", net.node_name(s), net.node_name(d))
 }
 
 /// A path's node walk in node names (`a->b->c`).
 pub(crate) fn walk(net: &Network, path: &Path) -> String {
-    path.nodes(net)
+    walk_nodes(net, &path.nodes(net))
+}
+
+/// A node walk in node names (`a->b->c`).
+pub(crate) fn walk_nodes(net: &Network, nodes: &[NodeId]) -> String {
+    nodes
         .iter()
         .map(|&n| net.node_name(n).to_string())
         .collect::<Vec<_>>()

@@ -1,14 +1,16 @@
 //! `W1xx`: routing-function properties (Definitions 7–9, minimality,
 //! Corollary 1's `R : N × N → C` form).
 //!
-//! The boolean predicates live in `wormroute::properties`; the lints
-//! here re-walk the table to extract *witnesses* — the first concrete
-//! violation in deterministic table order — alongside the totals.
+//! Every lint here projects [`LintContext::properties`]: the one
+//! property pass over the table records each count next to its first
+//! (or worst) witness, and the lints only render them.
+
+use wormroute::properties::{Detour, Site};
 
 use crate::context::LintContext;
 use crate::diagnostic::{Diagnostic, Severity};
 use crate::lint::Lint;
-use crate::lints::{pair_ref, walk};
+use crate::lints::{pair_ref, walk, walk_nodes};
 
 /// `W101`: paths longer than the shortest path for their pair.
 pub struct NonMinimalRoute;
@@ -30,29 +32,15 @@ impl Lint for NonMinimalRoute {
         Severity::Warn
     }
     fn check(&self, ctx: &LintContext<'_>, severity: Severity) -> Vec<Diagnostic> {
-        let mut count = 0usize;
-        let mut worst: Option<((wormnet::NodeId, wormnet::NodeId), usize, usize)> = None;
-        // The table iterates grouped by source, so one BFS per source
-        // serves every pair it originates (vs. one BFS per pair).
-        let mut cached: Option<(wormnet::NodeId, Vec<Option<usize>>)> = None;
-        for (&pair, path) in ctx.table.iter() {
-            if cached.as_ref().map(|(s, _)| *s) != Some(pair.0) {
-                cached = Some((pair.0, ctx.net.distances_from(pair.0)));
-            }
-            let (_, from_src) = cached.as_ref().expect("cache was just refreshed");
-            let Some(dist) = from_src[pair.1.index()] else {
-                continue; // W003 reports disconnection
-            };
-            if path.len() > dist {
-                count += 1;
-                if worst.is_none_or(|(_, len, d)| path.len() - dist > len - d) {
-                    worst = Some((pair, path.len(), dist));
-                }
-            }
-        }
-        let Some((pair, len, dist)) = worst else {
+        let Some(Detour {
+            pair,
+            len,
+            distance: dist,
+        }) = ctx.properties.worst_detour
+        else {
             return Vec::new();
         };
+        let count = ctx.properties.nonminimal_pairs;
         vec![Diagnostic::new(
             self.code(),
             self.name(),
@@ -94,49 +82,31 @@ impl Lint for SuffixClosureViolation {
         Severity::Warn
     }
     fn check(&self, ctx: &LintContext<'_>, severity: Severity) -> Vec<Diagnostic> {
-        let mut count = 0usize;
-        let mut first: Option<Diagnostic> = None;
-        for (&(src, dst), path) in ctx.table.iter() {
-            let nodes = path.nodes(ctx.net);
-            let interior = nodes.iter().enumerate().take(nodes.len() - 1).skip(1);
-            for (pos, &v) in interior {
-                if v == dst {
-                    continue; // the suffix from dst is empty
-                }
-                let suffix = path.suffix_from_pos(pos).expect("interior position");
-                let registered = ctx.table.path(v, dst);
-                if registered == Some(&suffix) {
-                    continue;
-                }
-                count += 1;
-                if first.is_none() {
-                    first = Some(
-                        Diagnostic::new(self.code(), self.name(), severity, String::new())
-                            .entity("pair", pair_ref(ctx.net, (src, dst)))
-                            .entity("node", ctx.net.node_name(v))
-                            .fact("pair", pair_ref(ctx.net, (src, dst)))
-                            .fact("via", ctx.net.node_name(v))
-                            .fact("path", walk(ctx.net, path))
-                            .fact("expected_suffix", walk(ctx.net, &suffix))
-                            .fact(
-                                "registered",
-                                registered
-                                    .map(|p| walk(ctx.net, p))
-                                    .unwrap_or_else(|| "unrouted".to_string()),
-                            ),
-                    );
-                }
-            }
-        }
-        let Some(mut d) = first else {
+        let Some(Site { pair, pos, node }) = ctx.properties.first_suffix_violation else {
             return Vec::new();
         };
-        d.message = format!(
-            "routing is not suffix-closed: {count} violation(s); e.g. the path for {} passes {} but {} is routed differently",
-            d.witness["pair"], d.witness["via"], d.witness["via"],
-        );
-        d = d.fact("violations", count);
-        vec![d]
+        let path = ctx
+            .table
+            .path(pair.0, pair.1)
+            .expect("witness pairs are routed");
+        let (pair_name, via) = (pair_ref(ctx.net, pair), ctx.net.node_name(node));
+        vec![Diagnostic::new(
+            self.code(),
+            self.name(),
+            severity,
+            format!(
+                "routing is not suffix-closed: {} violation(s); e.g. the path for {pair_name} passes {via} but {via} is routed differently",
+                ctx.properties.suffix_violations,
+            ),
+        )
+        .entity("pair", &pair_name)
+        .entity("node", via)
+        .fact("pair", &pair_name)
+        .fact("via", via)
+        .fact("path", walk(ctx.net, path))
+        .fact("expected_suffix", walk_nodes(ctx.net, &path.nodes(ctx.net)[pos..]))
+        .fact("registered", registered(ctx, node, pair.1))
+        .fact("violations", ctx.properties.suffix_violations)]
     }
 }
 
@@ -162,61 +132,40 @@ impl Lint for PrefixClosureViolation {
         Severity::Warn
     }
     fn check(&self, ctx: &LintContext<'_>, severity: Severity) -> Vec<Diagnostic> {
-        let mut count = 0usize;
-        let mut first: Option<Diagnostic> = None;
-        for (&(src, dst), path) in ctx.table.iter() {
-            let nodes = path.nodes(ctx.net);
-            for (i, &v) in nodes[1..nodes.len() - 1].iter().enumerate() {
-                if v == src {
-                    continue; // prefix to the source is empty
-                }
-                // Only the first occurrence of v is constrained.
-                if nodes.iter().position(|&n| n == v) != Some(i + 1) {
-                    continue;
-                }
-                let prefix = path.prefix_to(ctx.net, v);
-                let registered = ctx.table.path(src, v);
-                if let (Some(prefix), Some(registered)) = (&prefix, registered) {
-                    if registered == prefix {
-                        continue;
-                    }
-                }
-                count += 1;
-                if first.is_none() {
-                    first = Some(
-                        Diagnostic::new(self.code(), self.name(), severity, String::new())
-                            .entity("pair", pair_ref(ctx.net, (src, dst)))
-                            .entity("node", ctx.net.node_name(v))
-                            .fact("pair", pair_ref(ctx.net, (src, dst)))
-                            .fact("via", ctx.net.node_name(v))
-                            .fact("path", walk(ctx.net, path))
-                            .fact(
-                                "expected_prefix",
-                                prefix
-                                    .as_ref()
-                                    .map(|p| walk(ctx.net, p))
-                                    .unwrap_or_else(|| "?".to_string()),
-                            )
-                            .fact(
-                                "registered",
-                                registered
-                                    .map(|p| walk(ctx.net, p))
-                                    .unwrap_or_else(|| "unrouted".to_string()),
-                            ),
-                    );
-                }
-            }
-        }
-        let Some(mut d) = first else {
+        let Some(Site { pair, pos, node }) = ctx.properties.first_prefix_violation else {
             return Vec::new();
         };
-        d.message = format!(
-            "routing is not prefix-closed: {count} violation(s); e.g. the path for {} reaches {} off the registered route",
-            d.witness["pair"], d.witness["via"],
-        );
-        d = d.fact("violations", count);
-        vec![d]
+        let path = ctx
+            .table
+            .path(pair.0, pair.1)
+            .expect("witness pairs are routed");
+        let (pair_name, via) = (pair_ref(ctx.net, pair), ctx.net.node_name(node));
+        vec![Diagnostic::new(
+            self.code(),
+            self.name(),
+            severity,
+            format!(
+                "routing is not prefix-closed: {} violation(s); e.g. the path for {pair_name} reaches {via} off the registered route",
+                ctx.properties.prefix_violations,
+            ),
+        )
+        .entity("pair", &pair_name)
+        .entity("node", via)
+        .fact("pair", &pair_name)
+        .fact("via", via)
+        .fact("path", walk(ctx.net, path))
+        .fact("expected_prefix", walk_nodes(ctx.net, &path.nodes(ctx.net)[..=pos]))
+        .fact("registered", registered(ctx, pair.0, node))
+        .fact("violations", ctx.properties.prefix_violations)]
     }
+}
+
+/// The registered path for `(src, dst)` as a node walk, or `unrouted`.
+fn registered(ctx: &LintContext<'_>, src: wormnet::NodeId, dst: wormnet::NodeId) -> String {
+    ctx.table
+        .path(src, dst)
+        .map(|p| walk(ctx.net, p))
+        .unwrap_or_else(|| "unrouted".to_string())
 }
 
 /// `W104`: a routed path visits some node twice.
@@ -239,40 +188,29 @@ impl Lint for NodeRevisit {
         Severity::Warn
     }
     fn check(&self, ctx: &LintContext<'_>, severity: Severity) -> Vec<Diagnostic> {
-        let mut count = 0usize;
-        let mut first: Option<Diagnostic> = None;
-        for (&pair, path) in ctx.table.iter() {
-            if path.is_node_simple(ctx.net) {
-                continue;
-            }
-            count += 1;
-            if first.is_none() {
-                let nodes = path.nodes(ctx.net);
-                let revisited = nodes
-                    .iter()
-                    .enumerate()
-                    .find(|(i, n)| nodes[..*i].contains(n))
-                    .map(|(_, &n)| n)
-                    .expect("non-simple walk has a repeat");
-                first = Some(
-                    Diagnostic::new(self.code(), self.name(), severity, String::new())
-                        .entity("pair", pair_ref(ctx.net, pair))
-                        .entity("node", ctx.net.node_name(revisited))
-                        .fact("pair", pair_ref(ctx.net, pair))
-                        .fact("path", walk(ctx.net, path))
-                        .fact("revisited_node", ctx.net.node_name(revisited)),
-                );
-            }
-        }
-        let Some(mut d) = first else {
+        let Some(Site { pair, node, .. }) = ctx.properties.first_revisit else {
             return Vec::new();
         };
-        d.message = format!(
-            "{count} routed path(s) revisit a node; e.g. {} passes {} twice",
-            d.witness["pair"], d.witness["revisited_node"],
-        );
-        d = d.fact("revisiting_paths", count);
-        vec![d]
+        let path = ctx
+            .table
+            .path(pair.0, pair.1)
+            .expect("witness pairs are routed");
+        let (pair_name, revisited) = (pair_ref(ctx.net, pair), ctx.net.node_name(node));
+        vec![Diagnostic::new(
+            self.code(),
+            self.name(),
+            severity,
+            format!(
+                "{} routed path(s) revisit a node; e.g. {pair_name} passes {revisited} twice",
+                ctx.properties.revisiting_paths,
+            ),
+        )
+        .entity("pair", &pair_name)
+        .entity("node", revisited)
+        .fact("pair", &pair_name)
+        .fact("path", walk(ctx.net, path))
+        .fact("revisited_node", revisited)
+        .fact("revisiting_paths", ctx.properties.revisiting_paths)]
     }
 }
 

@@ -2,6 +2,8 @@
 
 use std::collections::BTreeSet;
 
+use wormroute::properties::DeadTail;
+
 use crate::context::LintContext;
 use crate::diagnostic::{Diagnostic, Severity};
 use crate::lint::Lint;
@@ -103,8 +105,8 @@ impl Lint for UnroutablePairs {
     }
     fn check(&self, ctx: &LintContext<'_>, severity: Severity) -> Vec<Diagnostic> {
         let mut out = Vec::new();
-        let nodes: Vec<_> = ctx.net.nodes().collect();
         if !ctx.net.is_strongly_connected() {
+            let nodes: Vec<_> = ctx.net.nodes().collect();
             let dist = ctx.net.all_pairs_distances();
             let witness = nodes
                 .iter()
@@ -123,23 +125,19 @@ impl Lint for UnroutablePairs {
             }
             out.push(d);
         }
-        let missing: Vec<(wormnet::NodeId, wormnet::NodeId)> = nodes
-            .iter()
-            .flat_map(|&u| nodes.iter().map(move |&v| (u, v)))
-            .filter(|&(u, v)| u != v && ctx.table.path(u, v).is_none())
-            .collect();
-        if !missing.is_empty() {
+        let props = &ctx.properties;
+        if props.unrouted_pairs > 0 {
             let mut d = Diagnostic::new(
                 self.code(),
                 self.name(),
                 severity,
                 format!(
                     "routing table is not total: {} unrouted pair(s)",
-                    missing.len()
+                    props.unrouted_pairs
                 ),
             )
-            .fact("unrouted_pairs", missing.len());
-            for &pair in missing.iter().take(3) {
+            .fact("unrouted_pairs", props.unrouted_pairs);
+            for &pair in &props.first_unrouted {
                 d = d.entity("pair", pair_ref(ctx.net, pair));
             }
             out.push(d);
@@ -236,30 +234,27 @@ impl Lint for DeadPathTail {
         Severity::Deny
     }
     fn check(&self, ctx: &LintContext<'_>, severity: Severity) -> Vec<Diagnostic> {
-        let mut out = Vec::new();
-        for (&(src, dst), path) in ctx.table.iter() {
-            let nodes = path.nodes(ctx.net);
-            let Some(first) = nodes[..nodes.len() - 1].iter().position(|&n| n == dst) else {
-                continue;
-            };
-            let dead = nodes.len() - 1 - first;
-            out.push(
+        ctx.properties
+            .dead_tails
+            .iter()
+            .map(|&DeadTail { pair, first_arrival: first }| {
+                let path = ctx.table.path(pair.0, pair.1).expect("dead tails are routed");
+                let dead = path.len() - first;
                 Diagnostic::new(
                     self.code(),
                     self.name(),
                     severity,
                     format!(
                         "path for {} passes through its destination at hop {first} and continues for {dead} dead channel(s)",
-                        pair_ref(ctx.net, (src, dst)),
+                        pair_ref(ctx.net, pair),
                     ),
                 )
-                .entity("pair", pair_ref(ctx.net, (src, dst)))
+                .entity("pair", pair_ref(ctx.net, pair))
                 .fact("path", walk(ctx.net, path))
                 .fact("first_arrival_hop", first)
-                .fact("dead_channels", dead),
-            );
-        }
-        out
+                .fact("dead_channels", dead)
+            })
+            .collect()
     }
 }
 

@@ -98,11 +98,16 @@ impl Path {
     /// The node walk visited by the path (length `len() + 1`).
     pub fn nodes(&self, net: &Network) -> Vec<NodeId> {
         let mut nodes = Vec::with_capacity(self.channels.len() + 1);
-        nodes.push(self.src(net));
-        for &c in &self.channels {
-            nodes.push(net.channel(c).dst());
-        }
+        self.nodes_into(net, &mut nodes);
         nodes
+    }
+
+    /// Overwrite `out` with the node walk — [`Path::nodes`] into a
+    /// caller-owned buffer, for passes that walk many paths.
+    pub fn nodes_into(&self, net: &Network, out: &mut Vec<NodeId>) {
+        out.clear();
+        out.push(self.src(net));
+        out.extend(self.channels.iter().map(|&c| net.channel(c).dst()));
     }
 
     /// Whether the path visits every node at most once (no revisits) —
@@ -113,39 +118,9 @@ impl Path {
         nodes.windows(2).all(|w| w[0] != w[1])
     }
 
-    /// Position of the first occurrence of `node` along the node walk,
-    /// if the path visits it.
-    pub fn find_node(&self, net: &Network, node: NodeId) -> Option<usize> {
-        self.nodes(net).iter().position(|&n| n == node)
-    }
-
     /// Whether `channel` appears on the path.
     pub fn contains(&self, channel: ChannelId) -> bool {
         self.channels.contains(&channel)
-    }
-
-    /// The prefix of the path whose node walk ends at the first
-    /// occurrence of `node`; `None` if the path does not visit `node`
-    /// strictly after its source.
-    pub fn prefix_to(&self, net: &Network, node: NodeId) -> Option<Path> {
-        let pos = self.find_node(net, node)?;
-        if pos == 0 {
-            return None;
-        }
-        Some(Path {
-            channels: self.channels[..pos].to_vec(),
-        })
-    }
-
-    /// The suffix of the path starting at the occurrence of `node` at
-    /// walk position `pos` (as returned by node-walk indexing).
-    pub fn suffix_from_pos(&self, pos: usize) -> Option<Path> {
-        if pos >= self.channels.len() {
-            return None;
-        }
-        Some(Path {
-            channels: self.channels[pos..].to_vec(),
-        })
     }
 
     /// Render as `n0 -> n1 -> ...` for reports.
@@ -234,17 +209,15 @@ mod tests {
     }
 
     #[test]
-    fn prefix_and_suffix() {
+    fn nodes_into_reuses_the_buffer() {
         let (net, n) = square();
-        let p = Path::from_nodes(&net, &[n[0], n[1], n[2], n[3]]).unwrap();
-        let pre = p.prefix_to(&net, n[2]).unwrap();
-        assert_eq!(pre.nodes(&net), vec![n[0], n[1], n[2]]);
-        assert!(p.prefix_to(&net, n[0]).is_none());
-
-        let pos = p.find_node(&net, n[1]).unwrap();
-        let suf = p.suffix_from_pos(pos).unwrap();
-        assert_eq!(suf.nodes(&net), vec![n[1], n[2], n[3]]);
-        assert!(p.suffix_from_pos(3).is_none());
+        let long = Path::from_nodes(&net, &[n[0], n[1], n[2], n[3]]).unwrap();
+        let short = Path::from_nodes(&net, &[n[2], n[1]]).unwrap();
+        let mut buf = Vec::new();
+        long.nodes_into(&net, &mut buf);
+        assert_eq!(buf, long.nodes(&net));
+        short.nodes_into(&net, &mut buf);
+        assert_eq!(buf, vec![n[2], n[1]]);
     }
 
     #[test]
