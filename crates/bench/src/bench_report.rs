@@ -26,8 +26,8 @@ use crate::scenarios::{
     SearchScenario, SimScenario, TopologyScenario,
 };
 use worm_core::classify::{classify_algorithm, AlgorithmVerdict, ClassifyOptions};
-use wormcdg::{Cdg, CdgBuilder};
-use wormnet::graph::SccEngineKind;
+use wormcdg::Cdg;
+use wormnet::graph::tarjan_scc;
 use wormsearch::{explore, SearchResult, Verdict};
 use wormsim::runner::{EngineKind, Runner};
 
@@ -316,20 +316,13 @@ fn algorithm_verdict_label(v: &AlgorithmVerdict) -> &'static str {
     }
 }
 
-/// Measure one cluster-scale topology scenario: batch CDG build,
-/// incremental construction under *both* SCC engines, bounded cycle
+/// Measure one cluster-scale topology scenario: batch CDG build, the
+/// Kahn acyclicity decision (`acyclic_ms`), the largest strongly
+/// connected component (`cdg_largest_scc`, from Tarjan), bounded cycle
 /// streaming, whole-algorithm classification, and the wormlint static
-/// verdict. Structural keys (`channels`, `cdg_edges`, `cycles_found`,
-/// the per-engine `scc_*` work counters, both verdicts) are exactly
+/// verdict. Structural keys (`channels`, `cdg_edges`,
+/// `cdg_largest_scc`, `cycles_found`, both verdicts) are exactly
 /// reproducible; `*_ms` keys are timings.
-///
-/// Per-engine keys use the engine's stable short name (`pk`,
-/// `hkmst`): `incscc_<engine>_ms` is the streaming-construction time,
-/// and `scc_<engine>_{violations,edge_visits,merges,compactions}`
-/// re-export the engine's `graph.scc.*` wormtrace counters, captured
-/// by installing a scoped [`wormtrace::MemoryRecorder`] around the
-/// run. The legacy `incscc_ms` key stays as the default engine's
-/// (HKMST) timing so older tooling keeps working.
 fn run_topo_scenario(report: &mut BenchReport, s: &TopologyScenario) {
     let name = s.name.as_str();
     report.insert(
@@ -348,51 +341,17 @@ fn run_topo_scenario(report: &mut BenchReport, s: &TopologyScenario) {
     );
     report.insert(name, "cdg_edges", BenchValue::Int(cdg.edge_count() as u64));
 
-    for kind in SccEngineKind::ALL {
-        let rec = std::sync::Arc::new(wormtrace::MemoryRecorder::new());
-        wormtrace::install(rec.clone());
-        let start = Instant::now();
-        let mut builder = CdgBuilder::with_engine(&s.net, kind);
-        builder.add_table(&s.table);
-        let incscc_ms = start.elapsed().as_secs_f64() * 1e3;
-        wormtrace::uninstall();
-        let counters = rec.snapshot().counters;
-        let scc_counter = |key: &str| BenchValue::Int(counters.get(key).copied().unwrap_or(0));
-        let engine = kind.name();
-        report.insert(
-            name,
-            &format!("incscc_{engine}_ms"),
-            BenchValue::Float(incscc_ms.round()),
-        );
-        if kind == SccEngineKind::default() {
-            report.insert(name, "incscc_ms", BenchValue::Float(incscc_ms.round()));
-        }
-        report.insert(
-            name,
-            &format!("scc_{engine}_violations"),
-            scc_counter("graph.scc.order_violations"),
-        );
-        report.insert(
-            name,
-            &format!("scc_{engine}_edge_visits"),
-            scc_counter("graph.scc.edge_visits"),
-        );
-        report.insert(
-            name,
-            &format!("scc_{engine}_merges"),
-            scc_counter("graph.scc.merges"),
-        );
-        report.insert(
-            name,
-            &format!("scc_{engine}_compactions"),
-            scc_counter("graph.scc.compactions"),
-        );
-        assert_eq!(
-            builder.is_acyclic(),
-            cdg.is_acyclic(),
-            "{name}: incremental ({engine}) and batch acyclicity disagree"
-        );
-    }
+    let start = Instant::now();
+    let acyclic = cdg.is_acyclic();
+    let acyclic_ms = start.elapsed().as_secs_f64() * 1e3;
+    report.insert(name, "acyclic_ms", BenchValue::Float(acyclic_ms.round()));
+    let largest_scc = tarjan_scc(&cdg).iter().map(Vec::len).max().unwrap_or(0);
+    report.insert(name, "cdg_largest_scc", BenchValue::Int(largest_scc as u64));
+    assert_eq!(
+        acyclic,
+        largest_scc <= 1,
+        "{name}: Kahn and Tarjan disagree on acyclicity"
+    );
 
     let (cycles, _complete) = cdg.cycles_streamed(TOPO_MAX_CYCLES);
     report.insert(name, "cycles_found", BenchValue::Int(cycles.len() as u64));

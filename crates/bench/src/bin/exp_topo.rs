@@ -12,14 +12,11 @@
 //!   certified `free-acyclic` (W209), also without virtual channels;
 //! * a 41×40 dragonfly with every lane collapsed to 0 — **refuted**:
 //!   the engine is a node function, so by Corollary 1 its cyclic CDG
-//!   is a real deadlock, caught online by the incremental SCC pass.
+//!   is a real deadlock, found by the same batch acyclicity pass.
 //!
-//! Each row reports the batch CDG build, the streaming incremental
-//! construction under *both* SCC engines (`pk` = Pearce–Kelly oracle,
-//! `hkmst` = balanced two-way default — the engine that makes the
-//! full-scale no-VC refutation feasible online), a bounded
-//! cycle-streaming probe, `worm_core::classify`, and the `wormlint`
-//! verdict.
+//! Each row reports the batch CDG build, the Kahn acyclicity decision
+//! over the finished graph (`acyclic_ms`), a bounded cycle-streaming
+//! probe, `worm_core::classify`, and the `wormlint` verdict.
 //!
 //! Run with: `cargo run --release -p wormbench --bin exp_topo`
 //! (`--smoke` swaps in the downscaled instances CI exercises;
@@ -45,18 +42,17 @@ fn main() {
     );
     println!();
     let report = run_topo_suite(smoke);
-    let widths = [22, 10, 10, 9, 9, 9, 12, 9, 14, 14];
+    let widths = [22, 10, 10, 9, 11, 12, 9, 14, 14];
     header(&[
         ("scenario", widths[0]),
         ("channels", widths[1]),
         ("cdg_edges", widths[2]),
         ("build_ms", widths[3]),
-        ("pk_ms", widths[4]),
-        ("hkmst_ms", widths[5]),
-        ("cycles<=8", widths[6]),
-        ("cls_ms", widths[7]),
-        ("classify", widths[8]),
-        ("wormlint", widths[9]),
+        ("acyclic_ms", widths[4]),
+        ("cycles<=8", widths[5]),
+        ("cls_ms", widths[6]),
+        ("classify", widths[7]),
+        ("wormlint", widths[8]),
     ]);
     for (name, values) in &report.entries {
         row(&[
@@ -64,12 +60,11 @@ fn main() {
             cell(get(values, "channels"), widths[1]),
             cell(get(values, "cdg_edges"), widths[2]),
             cell(get(values, "cdg_build_ms"), widths[3]),
-            cell(get(values, "incscc_pk_ms"), widths[4]),
-            cell(get(values, "incscc_hkmst_ms"), widths[5]),
-            cell(get(values, "cycles_found"), widths[6]),
-            cell(get(values, "classify_ms"), widths[7]),
-            cell(get(values, "verdict"), widths[8]),
-            cell(get(values, "lint_verdict"), widths[9]),
+            cell(get(values, "acyclic_ms"), widths[4]),
+            cell(get(values, "cycles_found"), widths[5]),
+            cell(get(values, "classify_ms"), widths[6]),
+            cell(get(values, "verdict"), widths[7]),
+            cell(get(values, "lint_verdict"), widths[8]),
         ]);
     }
     println!();

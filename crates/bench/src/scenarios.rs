@@ -120,8 +120,8 @@ pub fn search_scenarios() -> Vec<SearchScenario> {
 
 /// One named cluster-scale static-verification workload: a topology
 /// with its production routing engine, measured end to end (CDG
-/// build, incremental SCC, bounded cycle streaming, classification,
-/// and the wormlint verdict).
+/// build, the batch acyclicity decision, bounded cycle streaming,
+/// classification, and the wormlint verdict).
 #[derive(Clone, Debug)]
 pub struct TopologyScenario {
     /// Stable scenario name (used as the JSON baseline key).
@@ -179,13 +179,10 @@ pub fn large_topology_scenarios(smoke: bool) -> Vec<TopologyScenario> {
 
     // The cautionary tale: a dragonfly with every lane collapsed to 0.
     // The engine is still a node function, so by Corollary 1 its cyclic
-    // CDG is a *real* deadlock, and the pipeline must say so. This now
-    // runs at the same (41, 40) scale as the minimal-routing instance:
-    // the HKMST balanced two-way SCC engine absorbs the deeply cyclic
-    // CDG online (Pearce–Kelly's complete double searches degrade
-    // toward quadratic here and forced a (25, 24) downscale until
-    // ROADMAP item 1 landed — see docs/PERFORMANCE.md for the measured
-    // counter gap between the two engines on this workload).
+    // CDG is a *real* deadlock, and the pipeline must say so. It runs
+    // at the same (41, 40) scale as the minimal-routing instance: its
+    // 65,600 channels form one strongly connected component, which one
+    // batch Kahn pass rejects in linear time.
     let df = Dragonfly::with_lanes(groups, routers, &[0], &[0]);
     let table = dragonfly_minimal(&df).expect("dragonfly routes");
     out.push(TopologyScenario {

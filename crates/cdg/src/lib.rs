@@ -11,14 +11,15 @@
 //!   with every edge annotated by its *witnesses*: the (src, dst)
 //!   message pairs whose path induces the dependency.
 //! * The **Dally–Seitz check**: [`Cdg::is_acyclic`] and
-//!   [`Cdg::numbering`], which produce the strictly-increasing channel
-//!   numbering certificate when the CDG is acyclic.
+//!   [`Cdg::numbering`], one batch Kahn pass over the finished graph,
+//!   which produce the strictly-increasing channel numbering
+//!   certificate when the CDG is acyclic.
+//! * [`check_numbering`] — the certificate's independent checker: it
+//!   walks the routing table's paths, not the CDG, and names the first
+//!   dependency whose number does not strictly increase.
 //! * [`Cdg::cycles`] — enumeration of every elementary cycle, each a
 //!   [`CdgCycle`] — with streamed/bounded variants
 //!   ([`Cdg::cycles_streamed`]) for cluster-scale graphs.
-//! * [`CdgBuilder`] — incremental construction with *online*
-//!   acyclicity via Pearce–Kelly incremental SCCs, so a ~10^6-channel
-//!   fabric is certified (or refuted) while its table streams past.
 //! * [`deadlock_candidates`] — for a cycle, every *static* deadlock
 //!   configuration candidate (Definition 6): an assignment of
 //!   messages to contiguous channel segments of the cycle such that
@@ -47,15 +48,15 @@
 #![forbid(unsafe_code)]
 #![deny(missing_docs)]
 
-mod builder;
 mod candidates;
 mod graph;
+mod numbering;
 
 pub mod adaptive;
 pub mod sharing;
 
-pub use builder::CdgBuilder;
 pub use candidates::{
     all_candidates, deadlock_candidates, enumerate_candidates, DeadlockCandidate, Segment,
 };
 pub use graph::{Cdg, CdgCycle, MsgPair};
+pub use numbering::{check_numbering, NumberingError};

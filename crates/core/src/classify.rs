@@ -10,8 +10,7 @@
 //! the paper's headline phenomenon.
 
 use wormcdg::sharing::{self, SharingAnalysis};
-use wormcdg::{enumerate_candidates, Cdg, CdgBuilder, CdgCycle, DeadlockCandidate};
-use wormnet::graph::SccEngineKind;
+use wormcdg::{enumerate_candidates, Cdg, CdgCycle, DeadlockCandidate};
 use wormnet::Network;
 use wormroute::{properties, TableRouting};
 use wormsearch::{explore, explore_parallel, explore_until, SearchConfig, Verdict};
@@ -157,11 +156,6 @@ pub struct ClassifyOptions {
     /// candidate that the search refutes is downgraded to
     /// [`CycleClass::DecidedBySearch`] with `reachable = false`.
     pub verify_theorems_with_search: bool,
-    /// Which incremental-SCC engine streams the CDG and decides the
-    /// acyclicity fast path (HKMST by default; Pearce–Kelly is the
-    /// second oracle). The verdict — and the certificate numbering —
-    /// is engine-independent; only the construction cost differs.
-    pub scc_engine: SccEngineKind,
 }
 
 impl Default for ClassifyOptions {
@@ -173,7 +167,6 @@ impl Default for ClassifyOptions {
             search_max_states: 2_000_000,
             search_threads: 1,
             verify_theorems_with_search: false,
-            scc_engine: SccEngineKind::default(),
         }
     }
 }
@@ -458,19 +451,11 @@ pub fn classify_algorithm(
 ) -> AlgorithmVerdict {
     let _span = wormtrace::span("classify.algorithm");
     wormtrace::counter("classify.algorithms", 1);
-    // Stream the table through the selected incremental-SCC engine:
-    // the acyclic fast path is decided online, and the finished CDG is
-    // identical to what `Cdg::build` would have produced (so the
-    // certificate numbering stays byte-identical across engines).
-    let mut builder = CdgBuilder::with_engine(net, opts.scc_engine);
-    builder.add_table(table);
-    let engine_acyclic = builder.is_acyclic();
-    let cdg = builder.finish();
-    if engine_acyclic {
+    // Dally–Seitz: one Kahn pass over the finished CDG both decides
+    // acyclicity and yields the numbering certificate.
+    let cdg = Cdg::build(net, table);
+    if let Some(numbering) = cdg.numbering() {
         wormtrace::counter("classify.acyclic", 1);
-        let numbering = cdg
-            .numbering()
-            .expect("engine-certified acyclic CDG must have a topological numbering");
         return AlgorithmVerdict::DeadlockFreeAcyclic { numbering };
     }
     // Stream a bounded prefix of the elementary cycles: a reachable

@@ -5,8 +5,7 @@
 //! `model_exact = true` maps onto
 //! [`ClassifyOptions::verify_theorems_with_search`].
 
-use wormnet::graph::SccEngineKind;
-use wormspec::ast::{SccName, Verify, VerifyEngine};
+use wormspec::ast::{Verify, VerifyEngine};
 use wormspec::diag::{codes, SpecError};
 
 use crate::classify::ClassifyOptions;
@@ -41,10 +40,6 @@ pub fn options_from_spec(verify: Option<&Verify>) -> Result<ClassifyOptions, Spe
     if let Some(m) = &v.model_exact {
         opts.verify_theorems_with_search = m.value;
     }
-    opts.scc_engine = match v.scc.as_ref().map(|s| s.value) {
-        Some(SccName::PearceKelly) => SccEngineKind::PearceKelly,
-        Some(SccName::Hkmst) | None => SccEngineKind::Hkmst,
-    };
     Ok(opts)
 }
 
@@ -80,7 +75,6 @@ mod tests {
                max_states = 5000\n\
                threads = 2\n\
                model_exact = true\n\
-               scc = pearce_kelly\n\
              }\n",
         );
         assert_eq!(o.max_cycles, 100);
@@ -88,6 +82,5 @@ mod tests {
         assert_eq!(o.search_max_states, 5000);
         assert_eq!(o.search_threads, 2);
         assert!(o.verify_theorems_with_search);
-        assert_eq!(o.scc_engine, SccEngineKind::PearceKelly);
     }
 }

@@ -8,9 +8,8 @@
 
 use worm_core::conditions::{eight_conditions, EightConditions};
 use wormcdg::sharing::{self, SharingAnalysis};
-use wormcdg::{enumerate_candidates, Cdg, CdgBuilder, CdgCycle, DeadlockCandidate};
+use wormcdg::{enumerate_candidates, Cdg, CdgCycle, DeadlockCandidate};
 use wormexist::{ExistOptions, ExistenceReport};
-use wormnet::graph::SccEngineKind;
 use wormnet::Network;
 use wormroute::properties::{self, PropertyReport};
 use wormroute::TableRouting;
@@ -90,14 +89,10 @@ pub struct LintContext<'a> {
     pub properties: PropertyReport,
     /// The channel dependency graph.
     pub cdg: Cdg,
-    /// Whether the incremental-SCC engine certified the CDG acyclic
-    /// while it streamed the table — the fact the `W208`/`W209`
-    /// certificates and the overall verdict rest on. Always equals
-    /// [`Cdg::is_acyclic`] (both engines are differentially pinned to
-    /// the batch Tarjan answer).
-    pub scc_acyclic: bool,
-    /// Which incremental-SCC engine built the context.
-    pub scc_engine: SccEngineKind,
+    /// Whether the CDG is acyclic ([`Cdg::is_acyclic`], decided once
+    /// here) — the fact `W105`, the `W208`/`W209` certificates and the
+    /// overall verdict rest on.
+    pub acyclic: bool,
     /// Elementary CDG cycles with candidate analyses (the first
     /// `max_cycles` in streamed order when the budget ran out).
     pub cycles: Vec<CycleAnalysis>,
@@ -112,45 +107,23 @@ pub struct LintContext<'a> {
 }
 
 impl<'a> LintContext<'a> {
-    /// Build the context on the default SCC engine, enumerating at
-    /// most `max_cycles` elementary cycles and `max_candidates`
-    /// candidates per cycle.
+    /// Build the context, enumerating at most `max_cycles` elementary
+    /// cycles and `max_candidates` candidates per cycle. The CDG's
+    /// acyclicity gates cycle enumeration and lands in
+    /// [`LintContext::acyclic`].
     pub fn build(
         net: &'a Network,
         table: &'a TableRouting,
         max_cycles: usize,
         max_candidates: usize,
     ) -> Self {
-        Self::build_with_engine(
-            net,
-            table,
-            max_cycles,
-            max_candidates,
-            SccEngineKind::default(),
-        )
-    }
-
-    /// Build the context, streaming the CDG through the selected
-    /// incremental-SCC engine. The engine's online verdict gates cycle
-    /// enumeration (and lands in [`LintContext::scc_acyclic`]); the
-    /// finished [`Cdg`] is identical either way.
-    pub fn build_with_engine(
-        net: &'a Network,
-        table: &'a TableRouting,
-        max_cycles: usize,
-        max_candidates: usize,
-        engine: SccEngineKind,
-    ) -> Self {
         let props = {
             let _span = wormtrace::span("properties.analyze");
             properties::analyze(net, table)
         };
-        let mut builder = CdgBuilder::with_engine(net, engine);
-        builder.add_table(table);
-        let scc_acyclic = builder.is_acyclic();
-        let cdg = builder.finish();
-        debug_assert_eq!(scc_acyclic, cdg.is_acyclic());
-        let (cycles, cycles_complete) = if scc_acyclic {
+        let cdg = Cdg::build(net, table);
+        let acyclic = cdg.is_acyclic();
+        let (cycles, cycles_complete) = if acyclic {
             (Vec::new(), true)
         } else {
             let (raw, complete) = cdg.cycles_streamed(max_cycles);
@@ -166,8 +139,7 @@ impl<'a> LintContext<'a> {
             table,
             properties: props,
             cdg,
-            scc_acyclic,
-            scc_engine: engine,
+            acyclic,
             cycles,
             cycles_complete,
             existence,
@@ -179,7 +151,7 @@ impl<'a> LintContext<'a> {
     /// assistance: Corollary 1, or a theorem-certified reachable
     /// candidate on a cyclic CDG.
     pub fn statically_deadlockable(&self) -> bool {
-        !self.scc_acyclic
+        !self.acyclic
             && (self.properties.node_function
                 || self
                     .candidates()

@@ -45,9 +45,7 @@ impl Lint for VcMonotoneCertificate {
         Severity::Allow
     }
     fn check(&self, ctx: &LintContext<'_>, severity: Severity) -> Vec<Diagnostic> {
-        // Acyclicity as certified online by the selected SCC engine
-        // (HKMST or Pearce–Kelly — identical by differential test).
-        if !ctx.scc_acyclic {
+        if !ctx.acyclic {
             return Vec::new();
         }
         let mut multi_hop = 0usize;
@@ -105,7 +103,7 @@ impl Lint for DownUpCertificate {
     }
     fn check(&self, ctx: &LintContext<'_>, severity: Severity) -> Vec<Diagnostic> {
         let multi_hop = ctx.properties.multi_hop_paths;
-        if !ctx.scc_acyclic || !ctx.properties.down_up || multi_hop == 0 {
+        if !ctx.acyclic || !ctx.properties.down_up || multi_hop == 0 {
             return Vec::new();
         }
         vec![Diagnostic::new(

@@ -237,7 +237,7 @@ impl Lint for NodeFunctionForm {
         if !ctx.properties.node_function {
             return Vec::new();
         }
-        let cyclic = !ctx.cdg.is_acyclic();
+        let cyclic = !ctx.acyclic;
         vec![Diagnostic::new(
             self.code(),
             self.name(),

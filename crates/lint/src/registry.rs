@@ -23,11 +23,6 @@ pub struct LintConfig {
     pub max_cycles: usize,
     /// Budget for candidate enumeration per cycle.
     pub max_candidates: usize,
-    /// Which incremental-SCC engine streams the CDG and decides the
-    /// acyclicity the `W208`/`W209` certificates and the verdict rest
-    /// on. Diagnostics are engine-independent (differentially tested);
-    /// only the construction cost differs.
-    pub scc_engine: wormnet::graph::SccEngineKind,
 }
 
 impl Default for LintConfig {
@@ -37,7 +32,6 @@ impl Default for LintConfig {
             deny_warnings: false,
             max_cycles: 10_000,
             max_candidates: 10_000,
-            scc_engine: wormnet::graph::SccEngineKind::default(),
         }
     }
 }
@@ -199,13 +193,7 @@ impl Registry {
     pub fn run(&self, net: &Network, table: &TableRouting, config: &LintConfig) -> LintReport {
         let _span = wormtrace::span("lint.run");
         wormtrace::counter("lint.runs", 1);
-        let ctx = LintContext::build_with_engine(
-            net,
-            table,
-            config.max_cycles,
-            config.max_candidates,
-            config.scc_engine,
-        );
+        let ctx = LintContext::build(net, table, config.max_cycles, config.max_candidates);
         let mut diagnostics = Vec::new();
         for lint in &self.lints {
             let severity = config.severity_for(lint.as_ref());
@@ -249,7 +237,7 @@ impl Default for Registry {
 
 /// Fold the per-candidate theorem classifications into one verdict.
 fn verdict(ctx: &LintContext<'_>) -> StaticVerdict {
-    if ctx.scc_acyclic {
+    if ctx.acyclic {
         return StaticVerdict::FreeAcyclic;
     }
     // Corollary 1: a node-function algorithm admits no false resource

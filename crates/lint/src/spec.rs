@@ -4,19 +4,10 @@
 //! lint codes, so `lint { W999 = allow }` is an `E014` resolution
 //! error instead of a silently ignored key.
 
-use wormnet::graph::SccEngineKind;
-use wormspec::ast::{SccName, SeverityName, Verify};
+use wormspec::ast::{SeverityName, Verify};
 use wormspec::diag::{codes, SpecError};
 
 use crate::{LintConfig, Registry, Severity};
-
-/// Map a spec SCC name onto the engine selector.
-pub fn scc_engine(name: Option<SccName>) -> SccEngineKind {
-    match name {
-        Some(SccName::PearceKelly) => SccEngineKind::PearceKelly,
-        Some(SccName::Hkmst) | None => SccEngineKind::Hkmst,
-    }
-}
 
 fn severity(name: SeverityName) -> Severity {
     match name {
@@ -63,7 +54,6 @@ pub fn config_from_spec(verify: Option<&Verify>) -> Result<LintConfig, SpecError
         config.max_candidates = usize::try_from(m.value)
             .map_err(|_| SpecError::new(codes::RANGE, "`max_candidates` out of range", m.span))?;
     }
-    config.scc_engine = scc_engine(v.scc.as_ref().map(|s| s.value));
     Ok(config)
 }
 
@@ -88,18 +78,16 @@ mod tests {
             assert_eq!(c.overrides, rust.overrides);
             assert_eq!(c.deny_warnings, rust.deny_warnings);
             assert_eq!(c.max_cycles, rust.max_cycles);
-            assert_eq!(c.scc_engine, rust.scc_engine);
         }
     }
 
     #[test]
-    fn overrides_budgets_and_engine_resolve() {
+    fn overrides_and_budgets_resolve() {
         let c = resolve(
             "wormspec/1\n\
              topology { kind = ring nodes = 4 }\n\
              routing { engine = clockwise_ring }\n\
              verify {\n\
-               scc = pearce_kelly\n\
                max_cycles = 500\n\
                deny_warnings = true\n\
                lint { W101 = allow W201 = deny }\n\
@@ -110,7 +98,6 @@ mod tests {
         assert_eq!(c.overrides.get("W201"), Some(&Severity::Deny));
         assert_eq!(c.max_cycles, 500);
         assert!(c.deny_warnings);
-        assert_eq!(c.scc_engine, SccEngineKind::PearceKelly);
     }
 
     #[test]

@@ -3,16 +3,15 @@
 //!
 //! Everything operates on the minimal [`Digraph`] trait so the same
 //! code serves node graphs, channel graphs and dependency graphs.
-//! Implementations are deliberately simple and allocation-friendly —
-//! the graphs in this reproduction are small (tens to a few thousand
-//! vertices) and clarity beats micro-optimisation; hot paths that do
-//! matter (cycle enumeration on dense CDGs) use the standard
-//! asymptotically good algorithms (Tarjan, Johnson).
+//! The graphs range from the paper's figures (tens of vertices) to the
+//! cluster-scale fabrics' dependency graphs (~10^5 channels and
+//! ~10^6 edges), and every caller holds the whole graph before it asks
+//! a question, so each question has one batch algorithm: Kahn for
+//! acyclicity and the Dally–Seitz order, Tarjan for strongly connected
+//! components and Johnson for elementary cycles, all linear in the
+//! graph size per answer (Johnson per cycle).
 
 mod cycles;
-mod engine;
-mod hkmst;
-mod incremental;
 mod paths;
 mod scc;
 mod topo;
@@ -20,9 +19,6 @@ mod topo;
 pub use cycles::{
     elementary_cycles, elementary_cycles_bounded, elementary_cycles_prefix, elementary_cycles_visit,
 };
-pub use engine::{SccEngine, SccEngineKind};
-pub use hkmst::HkmstScc;
-pub use incremental::IncrementalScc;
 pub use paths::{bfs_distances, bfs_path, reachable_from};
 pub use scc::tarjan_scc;
 pub use topo::{is_acyclic, topological_order};

@@ -5,8 +5,8 @@
 
 use proptest::prelude::*;
 use wormnet::graph::{
-    bfs_distances, bfs_path, elementary_cycles, is_acyclic, tarjan_scc, topological_order, AdjList,
-    Digraph,
+    bfs_distances, bfs_path, elementary_cycles, is_acyclic, reachable_from, tarjan_scc,
+    topological_order, AdjList, Digraph,
 };
 use wormnet::topology::{ring_unidirectional, Hypercube, Mesh, Torus};
 
@@ -61,6 +61,27 @@ proptest! {
     fn johnson_matches_brute_force((n, edges) in arb_graph()) {
         let g = AdjList::from_edges(n, &edges);
         prop_assert_eq!(elementary_cycles(&g), brute_force_cycles(n, &edges));
+    }
+
+    /// Kahn and Tarjan against brute force: the graph is acyclic iff
+    /// the brute-force enumeration finds no cycle, and two vertices
+    /// share a Tarjan component iff each reaches the other.
+    #[test]
+    fn kahn_and_tarjan_match_brute_force((n, edges) in arb_graph()) {
+        let g = AdjList::from_edges(n, &edges);
+        prop_assert_eq!(is_acyclic(&g), brute_force_cycles(n, &edges).is_empty());
+        let reach: Vec<Vec<bool>> = (0..n).map(|v| reachable_from(&g, v)).collect();
+        let mut comp_of = vec![usize::MAX; n];
+        for (i, c) in tarjan_scc(&g).iter().enumerate() {
+            for &v in c {
+                comp_of[v] = i;
+            }
+        }
+        for u in 0..n {
+            for v in 0..n {
+                prop_assert_eq!(comp_of[u] == comp_of[v], reach[u][v] && reach[v][u]);
+            }
+        }
     }
 
     /// Acyclicity, topological order, SCC structure, and cycle

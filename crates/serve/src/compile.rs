@@ -45,7 +45,7 @@ pub struct CompiledJob {
     pub plan: FaultPlan,
     /// Lint registry configuration.
     pub lint_config: LintConfig,
-    /// Classifier options (search fallback, budgets, SCC engine).
+    /// Classifier options (search fallback, budgets).
     pub classify_options: ClassifyOptions,
     /// Existence-engine budgets (the two-sided routability verdict).
     pub exist_options: ExistOptions,

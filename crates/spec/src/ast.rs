@@ -519,25 +519,6 @@ impl VerifyEngine {
     }
 }
 
-/// Incremental-SCC engine selection.
-#[derive(Clone, Copy, Debug, Eq, PartialEq, Hash)]
-pub enum SccName {
-    /// Haeupler–Kavitha–Mathew–Sen–Tarjan balanced two-way engine.
-    Hkmst,
-    /// Pearce–Kelly online topological ordering.
-    PearceKelly,
-}
-
-impl SccName {
-    /// The keyword spelled in specs.
-    pub fn keyword(self) -> &'static str {
-        match self {
-            SccName::Hkmst => "hkmst",
-            SccName::PearceKelly => "pearce_kelly",
-        }
-    }
-}
-
 /// Lint severity names for `verify.lint` overrides.
 #[derive(Clone, Copy, Debug, Eq, PartialEq, Hash)]
 pub enum SeverityName {
@@ -574,8 +555,6 @@ pub struct LintOverride {
 pub struct Verify {
     /// `engine = static|search|sim|full` (default `static`).
     pub engine: Option<Spanned<VerifyEngine>>,
-    /// `scc = hkmst|pearce_kelly` (default `hkmst`).
-    pub scc: Option<Spanned<SccName>>,
     /// `max_cycles = N` — elementary-cycle enumeration budget.
     pub max_cycles: Option<Spanned<u64>>,
     /// `max_candidates = N` — candidate enumeration budget per cycle.

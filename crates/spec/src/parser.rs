@@ -766,31 +766,6 @@ impl Parser {
                     }
                     v.engine = Some(Spanned::new(e, id.span));
                 }
-                "scc" => {
-                    self.expect_tok(Tok::Eq, "`=` after `scc`")?;
-                    let id = self.ident("`hkmst` or `pearce_kelly`")?;
-                    let s = match id.value.as_str() {
-                        "hkmst" => SccName::Hkmst,
-                        "pearce_kelly" => SccName::PearceKelly,
-                        other => {
-                            return Err(self.error(
-                                codes::ENUM,
-                                format!(
-                                    "unknown SCC engine `{other}` (known: hkmst, pearce_kelly)"
-                                ),
-                                id.span,
-                            ));
-                        }
-                    };
-                    if v.scc.is_some() {
-                        return Err(self.error(
-                            codes::DUPLICATE_KEY,
-                            "key `scc` assigned twice",
-                            key.span,
-                        ));
-                    }
-                    v.scc = Some(Spanned::new(s, id.span));
-                }
                 "max_cycles" => set!(v.max_cycles, self.int("the cycle budget")),
                 "max_candidates" => set!(v.max_candidates, self.int("the candidate budget")),
                 "max_states" => set!(v.max_states, self.int("the state budget")),
@@ -973,6 +948,19 @@ mod tests {
     }
 
     #[test]
+    fn the_retired_scc_key_is_an_unknown_verify_key() {
+        let src = "wormspec/1\n\
+                   topology { kind = ring nodes = 4 }\n\
+                   routing { engine = clockwise_ring }\n\
+                   verify { engine = full scc = hkmst }\n";
+        let err = parse(src).unwrap_err();
+        assert_eq!(err.code, codes::UNKNOWN_KEY);
+        assert_eq!(err.message, "unknown verify key `scc`");
+        let lo = src.find("scc").unwrap();
+        assert_eq!(err.span, Span::new(lo, lo + "scc".len()));
+    }
+
+    #[test]
     fn version_gate() {
         let err =
             parse("wormspec/2\ntopology { kind = mesh }\nrouting { engine = x }\n").unwrap_err();
@@ -999,7 +987,6 @@ mod tests {
              }\n\
              verify {\n\
                engine = search\n\
-               scc = pearce_kelly\n\
                max_states = 100000\n\
                stall_budget = 2 cycles\n\
                lint { W101 = allow, W004 = deny }\n\
@@ -1011,7 +998,6 @@ mod tests {
         assert!(f.random.is_some());
         let v = spec.verify.as_ref().unwrap();
         assert_eq!(v.engine.as_ref().unwrap().value, VerifyEngine::Search);
-        assert_eq!(v.scc.as_ref().unwrap().value, SccName::PearceKelly);
         assert_eq!(v.lint.len(), 2);
         assert_eq!(spec.traffic.as_ref().unwrap().messages.len(), 1);
         assert_eq!(spec.traffic.as_ref().unwrap().pauses.len(), 1);

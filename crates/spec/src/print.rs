@@ -261,9 +261,6 @@ fn print_verify(out: &mut String, v: &Verify) {
     if let Some(e) = &v.engine {
         out.push_str(&format!("  engine = {}\n", e.value.keyword()));
     }
-    if let Some(s) = &v.scc {
-        out.push_str(&format!("  scc = {}\n", s.value.keyword()));
-    }
     if let Some(n) = &v.max_cycles {
         out.push_str(&format!("  max_cycles = {}\n", n.value));
     }
@@ -335,7 +332,7 @@ mod tests {
                random(seed = 9, outages = 1, stalls = 1, horizon = 50 cycles)\n\
              }\n\
              verify {\n\
-               engine = full scc = hkmst max_states = 1000\n\
+               engine = full max_states = 1000\n\
                model_exact = true lint { W101 = allow W004 = deny }\n\
              }\n";
         let ast = parse(src).unwrap();

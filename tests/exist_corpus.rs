@@ -6,7 +6,8 @@
 //! * **exists** ⇒ the witness schedule materialises into a total
 //!   routing of the reachable demands which the *existing* pipeline
 //!   re-certifies deadlock-free: acyclic CDG, `classify_algorithm` =
-//!   `DeadlockFreeAcyclic`, and `wormlint` = `free-acyclic`.
+//!   `DeadlockFreeAcyclic` with a numbering that passes the
+//!   independent [`check_numbering`], and `wormlint` = `free-acyclic`.
 //! * **impossible** ⇒ the obstruction witness is checkable in
 //!   isolation ([`wormexist::check_obstruction`]) *and* the verdict is
 //!   refuted empirically: every total routing the differential fuzzer
@@ -17,7 +18,7 @@
 //! The fuzzed sweep reuses `wormserve::specgen` (the same seeds the
 //! `spec-gate` fuzzes) so disagreements reproduce exactly by seed.
 
-use cyclic_wormhole::cdg::Cdg;
+use cyclic_wormhole::cdg::{check_numbering, Cdg};
 use cyclic_wormhole::core::classify::{classify_algorithm, AlgorithmVerdict, ClassifyOptions};
 use cyclic_wormhole::net::Network;
 use cyclic_wormhole::route::algorithms::random_table;
@@ -59,10 +60,12 @@ fn assert_witness_recertified(name: &str, net: &Network) {
     let cdg = Cdg::build(net, &table);
     assert!(cdg.is_acyclic(), "{name}: witness CDG must be acyclic");
     let verdict = classify_algorithm(net, &table, &ClassifyOptions::default());
-    assert!(
-        matches!(verdict, AlgorithmVerdict::DeadlockFreeAcyclic { .. }),
-        "{name}: classifier rejected the witness: {verdict:?}"
-    );
+    let AlgorithmVerdict::DeadlockFreeAcyclic { numbering } = &verdict else {
+        panic!("{name}: classifier rejected the witness: {verdict:?}");
+    };
+    if let Err(e) = check_numbering(net, &table, numbering) {
+        panic!("{name}: the witness's numbering certificate fails its check: {e:?}");
+    }
     let lint = Registry::with_default_lints().run(net, &table, &LintConfig::default());
     assert_eq!(
         lint.verdict,

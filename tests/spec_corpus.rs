@@ -20,7 +20,10 @@
 use std::collections::BTreeSet;
 use std::path::PathBuf;
 
+use worm_core::classify::{classify_algorithm, AlgorithmVerdict};
+use worm_core::spec::options_from_spec;
 use wormbench::lintcorpus::corpus;
+use wormcdg::check_numbering;
 use wormlint::{reports_to_json, LintConfig, LintReport, Registry};
 use wormnet::spec::build_topology;
 use wormroute::spec::table_from_spec;
@@ -61,8 +64,14 @@ fn maybe_regenerate() {
     }
 }
 
-/// Build a committed spec through the resolution seams and lint it.
-fn lint_from_wspec(name: &str, registry: &Registry, config: &LintConfig) -> LintReport {
+/// A committed spec, parsed and built through the resolution seams.
+struct Built {
+    spec: wormspec::Spec,
+    topo: wormnet::spec::BuiltTopology,
+    table: wormroute::TableRouting,
+}
+
+fn build_wspec(name: &str) -> Built {
     let path = spec_path(name);
     let source = std::fs::read_to_string(&path).unwrap_or_else(|e| {
         panic!(
@@ -76,7 +85,13 @@ fn lint_from_wspec(name: &str, registry: &Registry, config: &LintConfig) -> Lint
         .unwrap_or_else(|e| panic!("{}", e.render(&source, &path.display().to_string())));
     let table = table_from_spec(&spec.routing, &topo)
         .unwrap_or_else(|e| panic!("{}", e.render(&source, &path.display().to_string())));
-    registry.run(topo.network(), &table, config)
+    Built { spec, topo, table }
+}
+
+/// Build a committed spec through the resolution seams and lint it.
+fn lint_from_wspec(name: &str, registry: &Registry, config: &LintConfig) -> LintReport {
+    let b = build_wspec(name);
+    registry.run(b.topo.network(), &b.table, config)
 }
 
 #[test]
@@ -98,6 +113,29 @@ fn wspec_corpus_reproduces_the_golden_lint_report() {
         "the .wspec corpus no longer reproduces LINT_corpus.json — the \
          spec-driven build diverged from the hard-coded constructions"
     );
+}
+
+/// Every `DeadlockFreeAcyclic` verdict the classifier reaches on the
+/// corpus, under each spec's own verify options, carries a numbering
+/// that the independent path-walking checker accepts.
+#[test]
+fn every_acyclic_corpus_verdict_passes_the_numbering_check() {
+    let mut acyclic = 0;
+    for target in corpus() {
+        let b = build_wspec(&target.name);
+        let opts = options_from_spec(b.spec.verify.as_ref()).expect("verify options resolve");
+        let net = b.topo.network();
+        if let AlgorithmVerdict::DeadlockFreeAcyclic { numbering } =
+            classify_algorithm(net, &b.table, &opts)
+        {
+            if let Err(e) = check_numbering(net, &b.table, &numbering) {
+                panic!("{}: {e:?}", target.name);
+            }
+            acyclic += 1;
+        }
+    }
+    // The five `free-acyclic` targets of LINT_corpus.json.
+    assert_eq!(acyclic, 5, "acyclic corpus verdicts");
 }
 
 #[test]

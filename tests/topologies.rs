@@ -16,8 +16,8 @@
 //!    10^5 bar) earns a certified `free-acyclic` verdict with the
 //!    W209 down/up numbering certificate even in a debug build.
 
+use cyclic_wormhole::cdg::check_numbering;
 use cyclic_wormhole::core::classify::{classify_algorithm, AlgorithmVerdict, ClassifyOptions};
-use cyclic_wormhole::net::graph::SccEngineKind;
 use cyclic_wormhole::net::topology::{complete, Dragonfly, FatTree, FatTreeTier};
 use cyclic_wormhole::net::Network;
 use cyclic_wormhole::route::algorithms::{dragonfly_minimal, fattree_updown, fullmesh_vcfree};
@@ -118,9 +118,9 @@ const MAX_CYCLES: usize = 8;
 const MAX_CANDIDATES: usize = 256;
 
 /// Classifier and lint registry agree with each scenario's expected
-/// verdict on the downscaled (CI smoke) instances under *both*
-/// incremental-SCC engines, and each family carries its Dally–Seitz
-/// numbering certificate regardless of engine.
+/// verdict on the downscaled (CI smoke) instances, each family carries
+/// its Dally–Seitz numbering certificate, and the classifier's
+/// numbering passes the independent path-walking check.
 #[test]
 fn downscaled_scenarios_certify_expected_verdicts() {
     let registry = Registry::with_default_lints();
@@ -133,101 +133,72 @@ fn downscaled_scenarios_certify_expected_verdicts() {
     let scenarios = large_topology_scenarios(true);
     assert_eq!(scenarios.len(), expected_certificate.len());
     for s in &scenarios {
-        for engine in SccEngineKind::ALL {
-            let opts = ClassifyOptions {
-                max_cycles: MAX_CYCLES,
-                max_candidates: MAX_CANDIDATES,
-                use_search: false,
-                scc_engine: engine,
-                ..ClassifyOptions::default()
-            };
-            let verdict = classify_algorithm(&s.net, &s.table, &opts);
+        let opts = ClassifyOptions {
+            max_cycles: MAX_CYCLES,
+            max_candidates: MAX_CANDIDATES,
+            use_search: false,
+            ..ClassifyOptions::default()
+        };
+        let verdict = classify_algorithm(&s.net, &s.table, &opts);
+        assert_eq!(classify_label(&verdict), s.expected_verdict, "{}", s.name);
+        if let AlgorithmVerdict::DeadlockFreeAcyclic { numbering } = &verdict {
             assert_eq!(
-                classify_label(&verdict),
-                s.expected_verdict,
-                "{} ({})",
-                s.name,
-                engine.name()
+                check_numbering(&s.net, &s.table, numbering),
+                Ok(()),
+                "{}",
+                s.name
             );
+        }
 
-            let config = LintConfig {
-                max_cycles: MAX_CYCLES,
-                max_candidates: MAX_CANDIDATES,
-                scc_engine: engine,
-                ..LintConfig::default()
-            };
-            let report = registry.run(&s.net, &s.table, &config);
-            assert_eq!(
-                report.verdict.name(),
-                s.expected_verdict,
-                "{} ({})",
-                s.name,
-                engine.name()
+        let config = LintConfig {
+            max_cycles: MAX_CYCLES,
+            max_candidates: MAX_CANDIDATES,
+            ..LintConfig::default()
+        };
+        let report = registry.run(&s.net, &s.table, &config);
+        assert_eq!(report.verdict.name(), s.expected_verdict, "{}", s.name);
+
+        let (_, cert) = expected_certificate
+            .iter()
+            .find(|(name, _)| *name == s.name)
+            .expect("unexpected scenario name");
+        if let Some(code) = cert {
+            assert!(
+                report.diagnostics.iter().any(|d| &d.code == code),
+                "{}: missing numbering certificate {code}",
+                s.name
             );
-
-            let (_, cert) = expected_certificate
-                .iter()
-                .find(|(name, _)| *name == s.name)
-                .expect("unexpected scenario name");
-            if let Some(code) = cert {
-                assert!(
-                    report.diagnostics.iter().any(|d| &d.code == code),
-                    "{} ({}): missing numbering certificate {code}",
-                    s.name,
-                    engine.name()
-                );
-            }
         }
     }
 }
 
-/// On the downscaled no-VC dragonfly the *refutation witness* — the
-/// classifier's full cycle/candidate structure and the rendered lint
-/// report, witnesses included — must be byte-identical across the two
-/// SCC engines: the engine choice may change construction cost, never
-/// what is reported.
+/// On the downscaled no-VC dragonfly the classifier refutes the table
+/// from the cycles the lint context analyses: both stream the same CDG
+/// cycles, in the same order.
 #[test]
-fn downscaled_novc_refutation_witness_identical_across_engines() {
+fn downscaled_novc_refutation_witness_matches_lint() {
     let scenarios = large_topology_scenarios(true);
     let novc = scenarios
         .iter()
         .find(|s| s.name == "topo_dragonfly_novc")
         .expect("novc scenario present");
 
-    let per_engine: Vec<(String, String)> = SccEngineKind::ALL
-        .iter()
-        .map(|&engine| {
-            let opts = ClassifyOptions {
-                max_cycles: MAX_CYCLES,
-                max_candidates: MAX_CANDIDATES,
-                use_search: false,
-                scc_engine: engine,
-                ..ClassifyOptions::default()
-            };
-            let verdict = classify_algorithm(&novc.net, &novc.table, &opts);
-            assert!(
-                matches!(verdict, AlgorithmVerdict::Deadlockable { .. }),
-                "novc must be refuted ({})",
-                engine.name()
-            );
-            let config = LintConfig {
-                max_cycles: MAX_CYCLES,
-                max_candidates: MAX_CANDIDATES,
-                scc_engine: engine,
-                ..LintConfig::default()
-            };
-            let report = Registry::with_default_lints().run(&novc.net, &novc.table, &config);
-            assert_eq!(report.verdict, StaticVerdict::Deadlockable);
-            (format!("{verdict:?}"), report.render())
-        })
-        .collect();
+    let opts = ClassifyOptions {
+        max_cycles: MAX_CYCLES,
+        max_candidates: MAX_CANDIDATES,
+        use_search: false,
+        ..ClassifyOptions::default()
+    };
+    let verdict = classify_algorithm(&novc.net, &novc.table, &opts);
+    let AlgorithmVerdict::Deadlockable { cycles } = &verdict else {
+        panic!("novc must be refuted, got {verdict:?}");
+    };
+    let ctx = LintContext::build(&novc.net, &novc.table, MAX_CYCLES, MAX_CANDIDATES);
+    let classified: Vec<_> = cycles.iter().map(|cy| &cy.cycle).collect();
+    let linted: Vec<_> = ctx.cycles.iter().map(|cy| &cy.cycle).collect();
     assert_eq!(
-        per_engine[0].0, per_engine[1].0,
-        "classifier refutation witness differs between engines"
-    );
-    assert_eq!(
-        per_engine[0].1, per_engine[1].1,
-        "rendered lint report differs between engines"
+        classified, linted,
+        "classifier and lint refute from different cycles"
     );
 }
 
@@ -243,45 +214,30 @@ fn downscaled_search_agrees_with_static_verdicts() {
         .iter()
         .find(|s| s.name == "topo_dragonfly_novc")
         .expect("novc scenario present");
-    // The static certificate must be search-confirmed under either SCC
-    // engine (the lint context streams the CDG through the selected
-    // engine; the candidates it surfaces must deadlock for real).
-    for engine in SccEngineKind::ALL {
-        let ctx = LintContext::build_with_engine(
-            &novc.net,
-            &novc.table,
-            MAX_CYCLES,
-            MAX_CANDIDATES,
-            engine,
-        );
-        assert!(!ctx.scc_acyclic, "novc CDG is cyclic ({})", engine.name());
-        let mut confirmed = 0;
-        for (_, ca) in ctx.candidates() {
-            if ca.class.reachable() != Some(true) || confirmed > 0 {
-                continue;
-            }
-            let specs: Vec<MessageSpec> = ca
-                .candidate
-                .segments
-                .iter()
-                .map(|seg| MessageSpec::new(seg.msg.0, seg.msg.1, seg.channels.len()))
-                .collect();
-            let sim = Sim::new(&novc.net, &novc.table, specs, Some(1)).expect("certificate routes");
-            let result = explore(&sim, &SearchConfig::default());
-            assert!(
-                result.verdict.is_deadlock(),
-                "novc certificate not search-confirmed ({})",
-                engine.name()
-            );
-            confirmed += 1;
+    // The static certificate must be search-confirmed: the candidates
+    // the lint context surfaces must deadlock for real.
+    let ctx = LintContext::build(&novc.net, &novc.table, MAX_CYCLES, MAX_CANDIDATES);
+    assert!(!ctx.acyclic, "novc CDG is cyclic");
+    let mut confirmed = 0;
+    for (_, ca) in ctx.candidates() {
+        if ca.class.reachable() != Some(true) || confirmed > 0 {
+            continue;
         }
-        assert_eq!(
-            confirmed,
-            1,
-            "no reachable-deadlock certificate found ({})",
-            engine.name()
+        let specs: Vec<MessageSpec> = ca
+            .candidate
+            .segments
+            .iter()
+            .map(|seg| MessageSpec::new(seg.msg.0, seg.msg.1, seg.channels.len()))
+            .collect();
+        let sim = Sim::new(&novc.net, &novc.table, specs, Some(1)).expect("certificate routes");
+        let result = explore(&sim, &SearchConfig::default());
+        assert!(
+            result.verdict.is_deadlock(),
+            "novc certificate not search-confirmed"
         );
+        confirmed += 1;
     }
+    assert_eq!(confirmed, 1, "no reachable-deadlock certificate found");
 
     // The certified-free dragonfly under the same adversarial shape:
     // four minimal-length messages chasing each other through distinct
