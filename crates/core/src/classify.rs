@@ -9,14 +9,16 @@
 //! unreachable is deadlock-free *despite* its cyclic dependencies —
 //! the paper's headline phenomenon.
 
-use wormcdg::sharing::{self, SharingAnalysis};
+use std::borrow::Borrow;
+
 use wormcdg::{enumerate_candidates, Cdg, CdgCycle, DeadlockCandidate};
 use wormnet::Network;
 use wormroute::{properties, TableRouting};
 use wormsearch::{explore, explore_parallel, explore_until, SearchConfig, Verdict};
 use wormsim::{MessageId, MessageSpec, Sim};
 
-use crate::conditions::{eight_conditions, EightConditions};
+use crate::analysis::{Analysis, CandidateAnalysis, StaticClass};
+use crate::conditions::EightConditions;
 
 /// Why a candidate was classified the way it was.
 #[derive(Clone, Debug)]
@@ -207,117 +209,83 @@ fn record_provenance(verdict: &CandidateVerdict) {
     }
 }
 
-/// Classify one candidate configuration of one cycle.
-pub fn classify_candidate(
+/// Decide one analysed candidate: its theorem class, confirmed by
+/// search when [`ClassifyOptions::verify_theorems_with_search`] asks,
+/// or the search fallback where the theorems say nothing.
+fn decide(
     net: &Network,
     table: &TableRouting,
-    cycle: &CdgCycle,
-    candidate: DeadlockCandidate,
-    minimal: bool,
+    ca: &CandidateAnalysis,
     opts: &ClassifyOptions,
 ) -> CandidateVerdict {
-    let verdict = classify_candidate_inner(net, table, cycle, candidate, minimal, opts);
-    record_provenance(&verdict);
-    verdict
+    let verdict = |class: CycleClass, reachable: Option<bool>| CandidateVerdict {
+        candidate: ca.candidate.clone(),
+        class,
+        reachable,
+    };
+    // A theorem's "reachable", optionally confirmed by search.
+    let confirm = |class: CycleClass| -> CandidateVerdict {
+        if opts.verify_theorems_with_search
+            && search_candidate(net, table, &ca.candidate, opts) == Some(false)
+        {
+            wormtrace::counter("classify.theorem_downgraded", 1);
+            return verdict(
+                CycleClass::DecidedBySearch {
+                    reachable: false,
+                    states: 0,
+                },
+                Some(false),
+            );
+        }
+        verdict(class, Some(true))
+    };
+    let decided = match &ca.class {
+        StaticClass::NoOutsideSharing => confirm(CycleClass::NoOutsideSharing),
+        StaticClass::TwoSharers => confirm(CycleClass::TwoSharers),
+        StaticClass::MinimalAllShare => confirm(CycleClass::MinimalAllShare),
+        StaticClass::ThreeSharers(ec) if ec.unreachable() => {
+            verdict(CycleClass::ThreeSharers(ec.clone()), Some(false))
+        }
+        StaticClass::ThreeSharers(ec) => confirm(CycleClass::ThreeSharers(ec.clone())),
+        // Fallback: exhaustive search over the candidate's messages at
+        // their adversarial minimum lengths (just long enough to hold
+        // their segments — Section 3's worst case).
+        StaticClass::OutOfScope if opts.use_search => {
+            wormtrace::counter("classify.search_fallback", 1);
+            let reachable = search_candidate(net, table, &ca.candidate, opts);
+            let class = match reachable {
+                Some(r) => CycleClass::DecidedBySearch {
+                    reachable: r,
+                    states: 0,
+                },
+                None => CycleClass::Unknown,
+            };
+            verdict(class, reachable)
+        }
+        StaticClass::OutOfScope => verdict(CycleClass::Unknown, None),
+    };
+    record_provenance(&decided);
+    decided
 }
 
-fn classify_candidate_inner(
+/// Decide a cycle's candidates in enumeration order, stopping at the
+/// first reachable one: one reachable deadlock settles the cycle.
+fn decide_until_reachable<C: Borrow<CandidateAnalysis>>(
     net: &Network,
     table: &TableRouting,
-    cycle: &CdgCycle,
-    candidate: DeadlockCandidate,
-    minimal: bool,
+    candidates: impl IntoIterator<Item = C>,
     opts: &ClassifyOptions,
-) -> CandidateVerdict {
-    // Optionally confirm a theorem's "reachable" verdict by search
-    // (see ClassifyOptions::verify_theorems_with_search).
-    let confirm = |candidate: DeadlockCandidate, class: CycleClass| -> CandidateVerdict {
-        if opts.verify_theorems_with_search {
-            if let Some(false) = search_candidate(net, table, &candidate, opts) {
-                wormtrace::counter("classify.theorem_downgraded", 1);
-                return CandidateVerdict {
-                    candidate,
-                    class: CycleClass::DecidedBySearch {
-                        reachable: false,
-                        states: 0,
-                    },
-                    reachable: Some(false),
-                };
-            }
-        }
-        CandidateVerdict {
-            candidate,
-            class,
-            reachable: Some(true),
-        }
-    };
-
-    let analysis: SharingAnalysis = sharing::analyze(net, table, cycle, &candidate);
-    let outside: Vec<_> = analysis.outside().cloned().collect();
-
-    // Theorem 2 / Corollaries 1–3: no sharing outside the cycle means
-    // every message can reach its blocking position independently —
-    // the deadlock is reachable.
-    if outside.is_empty() {
-        return confirm(candidate, CycleClass::NoOutsideSharing);
-    }
-
-    if outside.len() == 1 {
-        let shared = &outside[0];
-        let mut users = shared.users.clone();
-        users.sort_unstable();
-        users.dedup();
-
-        // Theorem 4: exactly two sharers → reachable.
-        if users.len() == 2 {
-            return confirm(candidate, CycleClass::TwoSharers);
-        }
-        // Theorem 3: minimal routing and every configuration message
-        // shares the single channel → reachable.
-        if minimal && users.len() == candidate.segments.len() {
-            return confirm(candidate, CycleClass::MinimalAllShare);
-        }
-        // Theorem 5: exactly three sharers → eight conditions.
-        if users.len() == 3 {
-            if let Ok(ec) = eight_conditions(net, table, cycle, &candidate, shared) {
-                let unreachable = ec.unreachable();
-                if unreachable {
-                    return CandidateVerdict {
-                        candidate,
-                        class: CycleClass::ThreeSharers(ec),
-                        reachable: Some(false),
-                    };
-                }
-                return confirm(candidate, CycleClass::ThreeSharers(ec));
-            }
+) -> Vec<CandidateVerdict> {
+    let mut verdicts = Vec::new();
+    for ca in candidates {
+        let v = decide(net, table, ca.borrow(), opts);
+        let reachable = v.reachable == Some(true);
+        verdicts.push(v);
+        if reachable {
+            break;
         }
     }
-
-    // Fallback: exhaustive search over the candidate's messages at
-    // their adversarial minimum lengths (just long enough to hold
-    // their segments — Section 3's worst case).
-    if opts.use_search {
-        wormtrace::counter("classify.search_fallback", 1);
-        let reachable = search_candidate(net, table, &candidate, opts);
-        let class = match reachable {
-            Some(r) => CycleClass::DecidedBySearch {
-                reachable: r,
-                states: 0,
-            },
-            None => CycleClass::Unknown,
-        };
-        return CandidateVerdict {
-            candidate,
-            class,
-            reachable,
-        };
-    }
-
-    CandidateVerdict {
-        candidate,
-        class: CycleClass::Unknown,
-        reachable: None,
-    }
+    verdicts
 }
 
 /// Exhaustive search for any deadlock among the candidate's messages
@@ -356,7 +324,7 @@ fn search_candidate(
 /// routing messages from an empty network produce **exactly this
 /// configuration** (every segment's channels owned by its message)?
 ///
-/// This is stricter than [`classify_candidate`]'s search fallback,
+/// This is stricter than [`classify_algorithm`]'s search fallback,
 /// which asks whether *any* deadlock is reachable with the candidate's
 /// message set. A `Some(false)` here certifies the candidate is an
 /// unreachable configuration in the paper's exact sense; `None` means
@@ -402,22 +370,11 @@ pub fn candidate_reachable(
     }
 }
 
-/// Classify one CDG cycle by classifying each of its candidates.
-pub fn classify_cycle(
-    net: &Network,
-    table: &TableRouting,
-    cdg: &Cdg,
-    cycle: CdgCycle,
-    opts: &ClassifyOptions,
-) -> CycleVerdict {
-    let minimal = properties::is_minimal(net, table);
-    classify_cycle_with_minimal(net, table, cdg, cycle, minimal, opts)
-}
-
-/// [`classify_cycle`] with the (table-wide, hence hoistable) minimality
-/// predicate precomputed — classifying many cycles of one algorithm
-/// must not redo the all-pairs shortest-path comparison per cycle.
-fn classify_cycle_with_minimal(
+/// Classify one CDG cycle by classifying its candidates in
+/// enumeration order. `minimal` is the table's minimality, hoisted out
+/// of the per-cycle loop. Candidates are analysed one at a time, so
+/// none past the first reachable one is analysed at all.
+fn classify_cycle(
     net: &Network,
     table: &TableRouting,
     cdg: &Cdg,
@@ -426,34 +383,54 @@ fn classify_cycle_with_minimal(
     opts: &ClassifyOptions,
 ) -> CycleVerdict {
     let (candidates, enumeration_complete) = enumerate_candidates(cdg, &cycle, opts.max_candidates);
-    let mut verdicts = Vec::with_capacity(candidates.len());
-    for cand in candidates {
-        let v = classify_candidate(net, table, &cycle, cand, minimal, opts);
-        let reachable = v.reachable == Some(true);
-        verdicts.push(v);
-        if reachable {
-            // One reachable deadlock settles the cycle.
-            break;
-        }
-    }
+    let analyses = candidates
+        .into_iter()
+        .map(|c| CandidateAnalysis::new(net, table, &cycle, c, minimal));
+    let candidates = decide_until_reachable(net, table, analyses, opts);
     CycleVerdict {
         cycle,
-        candidates: verdicts,
+        candidates,
         enumeration_complete,
     }
 }
 
+/// Fold per-cycle verdicts into the algorithm's verdict.
+fn fold(cycles: Vec<CycleVerdict>, enumeration_complete: bool) -> AlgorithmVerdict {
+    if cycles.iter().any(|v| v.reachable() == Some(true)) {
+        AlgorithmVerdict::Deadlockable { cycles }
+    } else if enumeration_complete && cycles.iter().all(|v| v.reachable() == Some(false)) {
+        AlgorithmVerdict::DeadlockFreeWithCycles { cycles }
+    } else {
+        AlgorithmVerdict::Unknown { cycles }
+    }
+}
+
 /// Classify a whole routing algorithm.
+///
+/// This builds only what the verdict needs: the CDG and one Kahn pass,
+/// and on a cyclic CDG the minimality predicate, a bounded prefix of
+/// the cycles, and each cycle's candidates up to its first reachable
+/// one. [`Analysis::classify`] reaches the same verdict from a full
+/// [`Analysis`].
 pub fn classify_algorithm(
     net: &Network,
     table: &TableRouting,
     opts: &ClassifyOptions,
 ) -> AlgorithmVerdict {
     let _span = wormtrace::span("classify.algorithm");
+    classify_cdg(net, table, &Cdg::build(net, table), opts)
+}
+
+/// [`classify_algorithm`] over the already built CDG of `table`.
+pub(crate) fn classify_cdg(
+    net: &Network,
+    table: &TableRouting,
+    cdg: &Cdg,
+    opts: &ClassifyOptions,
+) -> AlgorithmVerdict {
     wormtrace::counter("classify.algorithms", 1);
     // Dally–Seitz: one Kahn pass over the finished CDG both decides
     // acyclicity and yields the numbering certificate.
-    let cdg = Cdg::build(net, table);
     if let Some(numbering) = cdg.numbering() {
         wormtrace::counter("classify.acyclic", 1);
         return AlgorithmVerdict::DeadlockFreeAcyclic { numbering };
@@ -464,17 +441,46 @@ pub fn classify_algorithm(
     // to have been complete.
     let (cycles, enumeration_complete) = cdg.cycles_streamed(opts.max_cycles);
     let minimal = properties::is_minimal(net, table);
-    let verdicts: Vec<CycleVerdict> = cycles
+    let verdicts = cycles
         .into_iter()
-        .map(|cycle| classify_cycle_with_minimal(net, table, &cdg, cycle, minimal, opts))
+        .map(|cycle| classify_cycle(net, table, cdg, cycle, minimal, opts))
         .collect();
+    fold(verdicts, enumeration_complete)
+}
 
-    if verdicts.iter().any(|v| v.reachable() == Some(true)) {
-        AlgorithmVerdict::Deadlockable { cycles: verdicts }
-    } else if enumeration_complete && verdicts.iter().all(|v| v.reachable() == Some(false)) {
-        AlgorithmVerdict::DeadlockFreeWithCycles { cycles: verdicts }
-    } else {
-        AlgorithmVerdict::Unknown { cycles: verdicts }
+impl Analysis<'_> {
+    /// The classifier's verdict, read from this analysis: the same
+    /// candidates in the same order as [`classify_algorithm`], the same
+    /// stop at each cycle's first reachable candidate, the same search
+    /// fallback and `classify.*` counters — without rebuilding the CDG,
+    /// the cycles or any candidate.
+    ///
+    /// Panics if `opts` carries enumeration budgets other than the ones
+    /// the analysis was built with.
+    pub fn classify(&self, opts: &ClassifyOptions) -> AlgorithmVerdict {
+        assert_eq!(
+            self.budgets,
+            (opts.max_cycles, opts.max_candidates),
+            "classify budgets must match the analysis budgets"
+        );
+        let _span = wormtrace::span("classify.algorithm");
+        wormtrace::counter("classify.algorithms", 1);
+        if let Some(numbering) = &self.numbering {
+            wormtrace::counter("classify.acyclic", 1);
+            return AlgorithmVerdict::DeadlockFreeAcyclic {
+                numbering: numbering.clone(),
+            };
+        }
+        let verdicts = self
+            .cycles
+            .iter()
+            .map(|cy| CycleVerdict {
+                cycle: cy.cycle.clone(),
+                candidates: decide_until_reachable(self.net, self.table, &cy.candidates, opts),
+                enumeration_complete: cy.enumeration_complete,
+            })
+            .collect();
+        fold(verdicts, self.cycles_complete)
     }
 }
 

@@ -31,7 +31,7 @@ use wormexist::{ExistOptions, ExistenceReport};
 use wormnet::{ChannelId, Network};
 use wormroute::TableRouting;
 
-use crate::classify::{classify_algorithm, AlgorithmVerdict, ClassifyOptions};
+use crate::classify::{classify_cdg, AlgorithmVerdict, ClassifyOptions};
 
 /// The outcome of re-running the classification pipeline on a
 /// degraded topology.
@@ -79,21 +79,42 @@ impl DegradedClassification {
 /// pairs, and the full Theorems 2–5 + search pipeline re-runs on it.
 /// An empty `down` reproduces [`classify_algorithm`] on the healthy
 /// table exactly.
+///
+/// [`classify_algorithm`]: crate::classify::classify_algorithm
 pub fn classify_degraded(
     net: &Network,
     table: &TableRouting,
     down: &[ChannelId],
     opts: &ClassifyOptions,
 ) -> DegradedClassification {
+    classify_degraded_from(
+        net,
+        table,
+        &Cdg::build(net, table),
+        down,
+        opts,
+        &ExistOptions::default(),
+    )
+}
+
+/// [`classify_degraded`] against the already built CDG of the healthy
+/// `table`, deciding the degraded fabric's existence under `exist`.
+/// The degraded CDG is built once and classified in place.
+pub fn classify_degraded_from(
+    net: &Network,
+    table: &TableRouting,
+    healthy: &Cdg,
+    down: &[ChannelId],
+    opts: &ClassifyOptions,
+    exist: &ExistOptions,
+) -> DegradedClassification {
     let _span = wormtrace::span("classify.degraded");
     let mut down: Vec<ChannelId> = down.to_vec();
     down.sort_unstable();
     down.dedup();
 
-    let baseline = Cdg::build(net, table);
-    let masked = baseline.masked(&down);
+    let masked = healthy.masked(&down);
     let degraded_table = table.without_channels(&down);
-    let degraded = Cdg::build(net, &degraded_table);
     let unroutable_pairs = table.len() - degraded_table.len();
     wormtrace::counter("classify.degraded.runs", 1);
     wormtrace::counter(
@@ -101,15 +122,22 @@ pub fn classify_degraded(
         unroutable_pairs as u64,
     );
 
-    let verdict = classify_algorithm(net, &degraded_table, opts);
-    let existence = wormexist::analyze_masked(net, &down, &ExistOptions::default());
+    let (verdict, degraded_edges) = {
+        let _span = wormtrace::span("classify.algorithm");
+        let degraded = Cdg::build(net, &degraded_table);
+        (
+            classify_cdg(net, &degraded_table, &degraded, opts),
+            degraded.edge_count(),
+        )
+    };
+    let existence = wormexist::analyze_masked(net, &down, exist);
     DegradedClassification {
         down,
         table: degraded_table,
         unroutable_pairs,
-        baseline_edges: baseline.edge_count(),
+        baseline_edges: healthy.edge_count(),
         masked_edges: masked.edge_count(),
-        degraded_edges: degraded.edge_count(),
+        degraded_edges,
         verdict,
         existence,
     }

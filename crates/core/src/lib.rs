@@ -19,10 +19,14 @@
 //! * [`conditions`] — Theorem 5's eight conditions deciding whether a
 //!   cycle whose shared channel is used by exactly three messages is
 //!   an unreachable configuration.
-//! * [`classify`] — the overall pipeline: CDG → cycles → static
-//!   deadlock candidates → shared-channel analysis → Theorems 2–5 →
-//!   exhaustive-search fallback; producing a per-cycle and whole-
-//!   algorithm deadlock verdict with provenance.
+//! * [`analysis`] — the static analysis of one `(network, table)`,
+//!   built once: CDG → Kahn numbering or cycles → static deadlock
+//!   candidates → shared-channel analysis → Theorems 2–5, plus the
+//!   routing properties and the fabric's existence report.
+//! * [`classify`] — the overall pipeline: the static analysis, then
+//!   the exhaustive-search fallback where the theorems say nothing;
+//!   producing a per-cycle and whole-algorithm deadlock verdict with
+//!   provenance.
 //! * [`degraded`] — the same pipeline re-run on a degraded topology
 //!   (failed channels drop the pairs routed through them), reporting
 //!   whether the healthy verdict survives the fault.
@@ -42,6 +46,7 @@
 #![forbid(unsafe_code)]
 #![deny(missing_docs)]
 
+pub mod analysis;
 pub mod classify;
 pub mod conditions;
 pub mod degraded;
@@ -51,10 +56,10 @@ pub mod spec;
 pub mod symmetry;
 pub mod validate;
 
+pub use analysis::{Analysis, CandidateAnalysis, CycleAnalysis, StaticClass};
 pub use classify::{
-    candidate_reachable, classify_algorithm, classify_cycle, AlgorithmVerdict, CycleClass,
-    CycleVerdict,
+    candidate_reachable, classify_algorithm, AlgorithmVerdict, CycleClass, CycleVerdict,
 };
-pub use degraded::{classify_degraded, DegradedClassification};
+pub use degraded::{classify_degraded, classify_degraded_from, DegradedClassification};
 pub use family::{CycleConstruction, CycleMessageSpec, SharedCycleSpec};
 pub use symmetry::{family_canonicalizer, invariant_rotations, rotation_permutations};

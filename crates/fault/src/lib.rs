@@ -52,7 +52,7 @@ pub mod spec;
 
 pub use injector::{FaultInjector, FaultReport, RetryPolicy};
 pub use plan::{FaultEvent, FaultPlan};
-pub use reverify::{reverify, FaultRoutability, ReverifyReport};
+pub use reverify::{reverify, reverify_from, FaultRoutability, ReverifyReport};
 pub use runner::{FaultOutcome, FaultRunner};
 
 #[cfg(test)]

@@ -7,10 +7,11 @@
 //! classifying the healthy algorithm, extracting the plan's permanent
 //! channel losses, and re-running the complete Theorems 2–5 + search
 //! pipeline on the degraded routing relation
-//! ([`worm_core::classify_degraded`]). Transient outages contribute
-//! nothing here — a channel that comes back up leaves the static
-//! dependency structure untouched — so a purely transient plan always
-//! reports the baseline verdict verbatim.
+//! ([`worm_core::classify_degraded`]); [`reverify_from`] starts from a
+//! healthy verdict and CDG the caller already has. Transient outages
+//! contribute nothing here — a channel that comes back up leaves the
+//! static dependency structure untouched — so a purely transient plan
+//! always reports the baseline verdict verbatim.
 //!
 //! Since the existence engine landed, the degraded classification also
 //! carries `wormexist`'s two-sided verdict for the damaged fabric, so
@@ -20,8 +21,9 @@
 //! hardware")? [`FaultRoutability`] names the cases.
 
 use worm_core::classify::{classify_algorithm, AlgorithmVerdict, ClassifyOptions};
-use worm_core::degraded::{classify_degraded, DegradedClassification};
-use wormexist::ExistenceVerdict;
+use worm_core::degraded::{classify_degraded_from, DegradedClassification};
+use wormcdg::Cdg;
+use wormexist::{ExistOptions, ExistenceVerdict};
 use wormnet::Network;
 use wormroute::TableRouting;
 
@@ -87,10 +89,32 @@ pub fn reverify(
     plan: &FaultPlan,
     opts: &ClassifyOptions,
 ) -> ReverifyReport {
+    reverify_from(
+        net,
+        table,
+        &Cdg::build(net, table),
+        classify_algorithm(net, table, opts),
+        plan,
+        opts,
+        &ExistOptions::default(),
+    )
+}
+
+/// [`reverify`] from an already classified healthy fabric: `healthy`
+/// is the CDG of `table` and `baseline` its verdict under `opts`. The
+/// degraded fabric's existence is decided under `exist`.
+pub fn reverify_from(
+    net: &Network,
+    table: &TableRouting,
+    healthy: &Cdg,
+    baseline: AlgorithmVerdict,
+    plan: &FaultPlan,
+    opts: &ClassifyOptions,
+    exist: &ExistOptions,
+) -> ReverifyReport {
     let _span = wormtrace::span("fault.reverify");
     wormtrace::counter("fault.reverify_runs", 1);
-    let baseline = classify_algorithm(net, table, opts);
-    let degraded = classify_degraded(net, table, &plan.permanent_down(), opts);
+    let degraded = classify_degraded_from(net, table, healthy, &plan.permanent_down(), opts, exist);
     let verdict_survives = baseline.is_deadlock_free() == degraded.is_deadlock_free();
     let routability = if degraded.is_deadlock_free() == Some(true) {
         FaultRoutability::RoutingSurvives

@@ -14,6 +14,10 @@
 //! suffix-closure, the two-sharer Theorem 4 certificate, the Theorem 5
 //! eight-condition scorecard, …).
 //!
+//! A lint selects [`Finding`]s — references into the spec's one static
+//! analysis, the [`LintContext`] — and renders a finding into a
+//! [`Diagnostic`] only on request. [`Registry::run`] renders every
+//! finding; [`Registry::summarize`] counts them and renders nothing.
 //! Reports render human-readable and as sorted-key `wormlint/1` JSON
 //! (see `docs/LINTS.md` for the full catalog and schema).
 //!
@@ -26,7 +30,8 @@
 //!   closures, Corollary 1's `R : N × N → C` form);
 //! * `W2xx` — CDG and theorem analysis (cycle census, Theorem 2/3/4
 //!   reachable-deadlock certificates, Theorem 5 scorecards,
-//!   out-of-scope cycles).
+//!   out-of-scope cycles, Dally–Seitz numbering certificates);
+//! * `W3xx` — existence of any deadlock-free routing for the network.
 //!
 //! The analysis is purely static — no simulation or search runs — and
 //! deterministic: the same spec always produces byte-identical output.
@@ -49,7 +54,6 @@
 #![forbid(unsafe_code)]
 #![deny(missing_docs)]
 
-pub mod context;
 pub mod diagnostic;
 pub mod json;
 pub mod lint;
@@ -57,8 +61,14 @@ pub mod lints;
 pub mod registry;
 pub mod spec;
 
-pub use context::{CandidateAnalysis, CycleAnalysis, LintContext, StaticClass};
 pub use diagnostic::{Diagnostic, Severity};
 pub use json::{reports_to_json, SCHEMA};
-pub use lint::Lint;
-pub use registry::{LintConfig, LintReport, Registry, StaticVerdict};
+pub use lint::{Finding, Lint};
+pub use registry::{LintConfig, LintReport, LintSummary, Registry, StaticVerdict};
+pub use worm_core::analysis::{CandidateAnalysis, CycleAnalysis, StaticClass};
+
+/// Everything the lints read: the spec's one static
+/// [`Analysis`](worm_core::analysis::Analysis) — properties, CDG,
+/// cycles, candidates with their theorem classes, and the fabric's
+/// existence report.
+pub type LintContext<'a> = worm_core::analysis::Analysis<'a>;

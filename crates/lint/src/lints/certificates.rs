@@ -21,9 +21,10 @@
 //! multi-hop path exists (a table of single hops has no dependencies
 //! and needs no certificate).
 
-use crate::context::LintContext;
 use crate::diagnostic::{Diagnostic, Severity};
-use crate::lint::Lint;
+use crate::lint::{Finding, Lint};
+use crate::lints::spec_if;
+use crate::LintContext;
 
 /// `W208`: strictly increasing virtual-channel lanes along every path.
 pub struct VcMonotoneCertificate;
@@ -44,19 +45,14 @@ impl Lint for VcMonotoneCertificate {
     fn default_severity(&self) -> Severity {
         Severity::Allow
     }
-    fn check(&self, ctx: &LintContext<'_>, severity: Severity) -> Vec<Diagnostic> {
-        if !ctx.acyclic {
+    /// `Measure(lane)`: the highest lane the climbing paths reach.
+    fn findings<'c>(&self, ctx: &'c LintContext<'_>) -> Vec<Finding<'c>> {
+        if !ctx.is_acyclic() || ctx.properties.multi_hop_paths == 0 {
             return Vec::new();
         }
-        let mut multi_hop = 0usize;
         let mut max_lane = 0u8;
         for (_, path) in ctx.table.iter() {
-            let chans = path.channels();
-            if chans.len() < 2 {
-                continue;
-            }
-            multi_hop += 1;
-            for w in chans.windows(2) {
+            for w in path.channels().windows(2) {
                 let (a, b) = (ctx.net.channel(w[0]).vc(), ctx.net.channel(w[1]).vc());
                 if a >= b {
                     return Vec::new();
@@ -64,10 +60,19 @@ impl Lint for VcMonotoneCertificate {
                 max_lane = max_lane.max(b);
             }
         }
-        if multi_hop == 0 {
-            return Vec::new();
-        }
-        vec![Diagnostic::new(
+        vec![Finding::Measure(usize::from(max_lane))]
+    }
+    fn render(
+        &self,
+        ctx: &LintContext<'_>,
+        finding: &Finding<'_>,
+        severity: Severity,
+    ) -> Diagnostic {
+        let &Finding::Measure(max_lane) = finding else {
+            unreachable!("W208 selects the top lane")
+        };
+        let multi_hop = ctx.properties.multi_hop_paths;
+        Diagnostic::new(
             self.code(),
             self.name(),
             severity,
@@ -77,7 +82,7 @@ impl Lint for VcMonotoneCertificate {
         )
         .fact("multi_hop_paths", multi_hop)
         .fact("max_lane", max_lane)
-        .fact("numbering", "(vc lane, channel id), lexicographic")]
+        .fact("numbering", "(vc lane, channel id), lexicographic")
     }
 }
 
@@ -101,12 +106,12 @@ impl Lint for DownUpCertificate {
     fn default_severity(&self) -> Severity {
         Severity::Allow
     }
-    fn check(&self, ctx: &LintContext<'_>, severity: Severity) -> Vec<Diagnostic> {
+    fn findings<'c>(&self, ctx: &'c LintContext<'_>) -> Vec<Finding<'c>> {
+        spec_if(ctx.is_acyclic() && ctx.properties.down_up && ctx.properties.multi_hop_paths > 0)
+    }
+    fn render(&self, ctx: &LintContext<'_>, _: &Finding<'_>, severity: Severity) -> Diagnostic {
         let multi_hop = ctx.properties.multi_hop_paths;
-        if !ctx.acyclic || !ctx.properties.down_up || multi_hop == 0 {
-            return Vec::new();
-        }
-        vec![Diagnostic::new(
+        Diagnostic::new(
             self.code(),
             self.name(),
             severity,
@@ -118,7 +123,7 @@ impl Lint for DownUpCertificate {
         .fact(
             "numbering",
             "descending channels by falling source index, then ascending channels by rising source index",
-        )]
+        )
     }
 }
 

@@ -11,9 +11,11 @@
 
 use wormexist::{ExistenceVerdict, ObstructionKind};
 
-use crate::context::LintContext;
 use crate::diagnostic::{Diagnostic, Severity};
-use crate::lint::Lint;
+use crate::lint::{Finding, Lint};
+use crate::lints::spec_if;
+use crate::registry::{verdict, StaticVerdict};
+use crate::LintContext;
 
 /// Most obstruction channels listed as entities before truncating.
 const MAX_WITNESS_CHANNELS: usize = 8;
@@ -37,15 +39,14 @@ impl Lint for ExistenceWitness {
     fn default_severity(&self) -> Severity {
         Severity::Allow
     }
-    fn check(&self, ctx: &LintContext<'_>, severity: Severity) -> Vec<Diagnostic> {
+    fn findings<'c>(&self, ctx: &'c LintContext<'_>) -> Vec<Finding<'c>> {
         let report = &ctx.existence;
-        if report.verdict != ExistenceVerdict::Exists {
-            return Vec::new();
-        }
-        let Some(witness) = &report.witness else {
-            return Vec::new();
-        };
-        vec![Diagnostic::new(
+        spec_if(report.verdict == ExistenceVerdict::Exists && report.witness.is_some())
+    }
+    fn render(&self, ctx: &LintContext<'_>, _: &Finding<'_>, severity: Severity) -> Diagnostic {
+        let report = &ctx.existence;
+        let witness = report.witness.as_ref().expect("W301 fires on a witness");
+        Diagnostic::new(
             self.code(),
             self.name(),
             severity,
@@ -59,7 +60,7 @@ impl Lint for ExistenceWitness {
         .fact("demands", report.demands)
         .fact("kind", report.kind_name())
         .fact("sccs", report.sccs)
-        .fact("witness_channels", witness.order.len())]
+        .fact("witness_channels", witness.order.len())
     }
 }
 
@@ -82,11 +83,15 @@ impl Lint for ExistenceObstruction {
     fn default_severity(&self) -> Severity {
         Severity::Warn
     }
-    fn check(&self, ctx: &LintContext<'_>, severity: Severity) -> Vec<Diagnostic> {
-        let report = &ctx.existence;
-        let Some(obs) = &report.obstruction else {
-            return Vec::new();
-        };
+    fn findings<'c>(&self, ctx: &'c LintContext<'_>) -> Vec<Finding<'c>> {
+        spec_if(ctx.existence.obstruction.is_some())
+    }
+    fn render(&self, ctx: &LintContext<'_>, _: &Finding<'_>, severity: Severity) -> Diagnostic {
+        let obs = ctx
+            .existence
+            .obstruction
+            .as_ref()
+            .expect("W302 fires on an obstruction");
         let why = match &obs.kind {
             ObstructionKind::Deficiency { required } => format!(
                 "its {}-node strongly connected component has only {} internal channel(s); one-way gossip needs {required}",
@@ -121,7 +126,7 @@ impl Lint for ExistenceObstruction {
         for &c in listed.iter().take(MAX_WITNESS_CHANNELS) {
             d = d.entity("channel", ctx.net.channel(c));
         }
-        vec![d]
+        d
     }
 }
 
@@ -144,11 +149,14 @@ impl Lint for DeadlockableButRoutable {
     fn default_severity(&self) -> Severity {
         Severity::Warn
     }
-    fn check(&self, ctx: &LintContext<'_>, severity: Severity) -> Vec<Diagnostic> {
-        if ctx.existence.verdict != ExistenceVerdict::Exists || !ctx.statically_deadlockable() {
-            return Vec::new();
-        }
-        vec![Diagnostic::new(
+    fn findings<'c>(&self, ctx: &'c LintContext<'_>) -> Vec<Finding<'c>> {
+        spec_if(
+            ctx.existence.verdict == ExistenceVerdict::Exists
+                && verdict(ctx) == StaticVerdict::Deadlockable,
+        )
+    }
+    fn render(&self, ctx: &LintContext<'_>, _: &Finding<'_>, severity: Severity) -> Diagnostic {
+        Diagnostic::new(
             self.code(),
             self.name(),
             severity,
@@ -159,7 +167,7 @@ impl Lint for DeadlockableButRoutable {
             ),
         )
         .fact("demands", ctx.existence.demands)
-        .fact("kind", ctx.existence.kind_name())]
+        .fact("kind", ctx.existence.kind_name())
     }
 }
 
@@ -182,12 +190,12 @@ impl Lint for ExistenceUndecided {
     fn default_severity(&self) -> Severity {
         Severity::Allow
     }
-    fn check(&self, ctx: &LintContext<'_>, severity: Severity) -> Vec<Diagnostic> {
+    fn findings<'c>(&self, ctx: &'c LintContext<'_>) -> Vec<Finding<'c>> {
+        spec_if(ctx.existence.verdict == ExistenceVerdict::Unknown)
+    }
+    fn render(&self, ctx: &LintContext<'_>, _: &Finding<'_>, severity: Severity) -> Diagnostic {
         let report = &ctx.existence;
-        if report.verdict != ExistenceVerdict::Unknown {
-            return Vec::new();
-        }
-        vec![Diagnostic::new(
+        Diagnostic::new(
             self.code(),
             self.name(),
             severity,
@@ -198,7 +206,7 @@ impl Lint for ExistenceUndecided {
         )
         .fact("components", report.components)
         .fact("demands", report.demands)
-        .fact("sccs", report.sccs)]
+        .fact("sccs", report.sccs)
     }
 }
 

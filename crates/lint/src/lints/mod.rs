@@ -16,7 +16,7 @@ pub mod routing;
 pub mod structure;
 pub mod theorems;
 
-use crate::lint::Lint;
+use crate::lint::{Finding, Lint};
 use wormnet::{Network, NodeId};
 use wormroute::Path;
 
@@ -47,6 +47,15 @@ pub fn default_lints() -> Vec<Box<dyn Lint>> {
         Box::new(existence::DeadlockableButRoutable),
         Box::new(existence::ExistenceUndecided),
     ]
+}
+
+/// The one spec-wide finding of a lint that fires at most once.
+pub(crate) fn spec_if<'c>(fires: bool) -> Vec<Finding<'c>> {
+    if fires {
+        vec![Finding::Spec]
+    } else {
+        Vec::new()
+    }
 }
 
 /// `src->dst` in node names — the `pair:` entity convention.

@@ -1,16 +1,17 @@
 //! `W1xx`: routing-function properties (Definitions 7–9, minimality,
 //! Corollary 1's `R : N × N → C` form).
 //!
-//! Every lint here projects [`LintContext::properties`]: the one
+//! Every lint here projects the context's `properties`: the one
 //! property pass over the table records each count next to its first
-//! (or worst) witness, and the lints only render them.
+//! (or worst) witness, so each lint's finding is the spec itself and
+//! rendering reads the witness.
 
 use wormroute::properties::{Detour, Site};
 
-use crate::context::LintContext;
 use crate::diagnostic::{Diagnostic, Severity};
-use crate::lint::Lint;
-use crate::lints::{pair_ref, walk, walk_nodes};
+use crate::lint::{Finding, Lint};
+use crate::lints::{pair_ref, spec_if, walk, walk_nodes};
+use crate::LintContext;
 
 /// `W101`: paths longer than the shortest path for their pair.
 pub struct NonMinimalRoute;
@@ -31,17 +32,17 @@ impl Lint for NonMinimalRoute {
     fn default_severity(&self) -> Severity {
         Severity::Warn
     }
-    fn check(&self, ctx: &LintContext<'_>, severity: Severity) -> Vec<Diagnostic> {
-        let Some(Detour {
+    fn findings<'c>(&self, ctx: &'c LintContext<'_>) -> Vec<Finding<'c>> {
+        spec_if(ctx.properties.worst_detour.is_some())
+    }
+    fn render(&self, ctx: &LintContext<'_>, _: &Finding<'_>, severity: Severity) -> Diagnostic {
+        let Detour {
             pair,
             len,
             distance: dist,
-        }) = ctx.properties.worst_detour
-        else {
-            return Vec::new();
-        };
+        } = ctx.properties.worst_detour.expect("W101 fires on a detour");
         let count = ctx.properties.nonminimal_pairs;
-        vec![Diagnostic::new(
+        Diagnostic::new(
             self.code(),
             self.name(),
             severity,
@@ -56,7 +57,7 @@ impl Lint for NonMinimalRoute {
         .fact("worst_pair", pair_ref(ctx.net, pair))
         .fact("worst_path", walk(ctx.net, ctx.table.path(pair.0, pair.1).expect("routed")))
         .fact("worst_path_len", len)
-        .fact("worst_distance", dist)]
+        .fact("worst_distance", dist)
     }
 }
 
@@ -81,16 +82,20 @@ impl Lint for SuffixClosureViolation {
     fn default_severity(&self) -> Severity {
         Severity::Warn
     }
-    fn check(&self, ctx: &LintContext<'_>, severity: Severity) -> Vec<Diagnostic> {
-        let Some(Site { pair, pos, node }) = ctx.properties.first_suffix_violation else {
-            return Vec::new();
-        };
+    fn findings<'c>(&self, ctx: &'c LintContext<'_>) -> Vec<Finding<'c>> {
+        spec_if(ctx.properties.first_suffix_violation.is_some())
+    }
+    fn render(&self, ctx: &LintContext<'_>, _: &Finding<'_>, severity: Severity) -> Diagnostic {
+        let Site { pair, pos, node } = ctx
+            .properties
+            .first_suffix_violation
+            .expect("W102 fires on a violation");
         let path = ctx
             .table
             .path(pair.0, pair.1)
             .expect("witness pairs are routed");
         let (pair_name, via) = (pair_ref(ctx.net, pair), ctx.net.node_name(node));
-        vec![Diagnostic::new(
+        Diagnostic::new(
             self.code(),
             self.name(),
             severity,
@@ -106,7 +111,7 @@ impl Lint for SuffixClosureViolation {
         .fact("path", walk(ctx.net, path))
         .fact("expected_suffix", walk_nodes(ctx.net, &path.nodes(ctx.net)[pos..]))
         .fact("registered", registered(ctx, node, pair.1))
-        .fact("violations", ctx.properties.suffix_violations)]
+        .fact("violations", ctx.properties.suffix_violations)
     }
 }
 
@@ -131,16 +136,20 @@ impl Lint for PrefixClosureViolation {
     fn default_severity(&self) -> Severity {
         Severity::Warn
     }
-    fn check(&self, ctx: &LintContext<'_>, severity: Severity) -> Vec<Diagnostic> {
-        let Some(Site { pair, pos, node }) = ctx.properties.first_prefix_violation else {
-            return Vec::new();
-        };
+    fn findings<'c>(&self, ctx: &'c LintContext<'_>) -> Vec<Finding<'c>> {
+        spec_if(ctx.properties.first_prefix_violation.is_some())
+    }
+    fn render(&self, ctx: &LintContext<'_>, _: &Finding<'_>, severity: Severity) -> Diagnostic {
+        let Site { pair, pos, node } = ctx
+            .properties
+            .first_prefix_violation
+            .expect("W103 fires on a violation");
         let path = ctx
             .table
             .path(pair.0, pair.1)
             .expect("witness pairs are routed");
         let (pair_name, via) = (pair_ref(ctx.net, pair), ctx.net.node_name(node));
-        vec![Diagnostic::new(
+        Diagnostic::new(
             self.code(),
             self.name(),
             severity,
@@ -156,7 +165,7 @@ impl Lint for PrefixClosureViolation {
         .fact("path", walk(ctx.net, path))
         .fact("expected_prefix", walk_nodes(ctx.net, &path.nodes(ctx.net)[..=pos]))
         .fact("registered", registered(ctx, pair.0, node))
-        .fact("violations", ctx.properties.prefix_violations)]
+        .fact("violations", ctx.properties.prefix_violations)
     }
 }
 
@@ -187,16 +196,20 @@ impl Lint for NodeRevisit {
     fn default_severity(&self) -> Severity {
         Severity::Warn
     }
-    fn check(&self, ctx: &LintContext<'_>, severity: Severity) -> Vec<Diagnostic> {
-        let Some(Site { pair, node, .. }) = ctx.properties.first_revisit else {
-            return Vec::new();
-        };
+    fn findings<'c>(&self, ctx: &'c LintContext<'_>) -> Vec<Finding<'c>> {
+        spec_if(ctx.properties.first_revisit.is_some())
+    }
+    fn render(&self, ctx: &LintContext<'_>, _: &Finding<'_>, severity: Severity) -> Diagnostic {
+        let Site { pair, node, .. } = ctx
+            .properties
+            .first_revisit
+            .expect("W104 fires on a revisit");
         let path = ctx
             .table
             .path(pair.0, pair.1)
             .expect("witness pairs are routed");
         let (pair_name, revisited) = (pair_ref(ctx.net, pair), ctx.net.node_name(node));
-        vec![Diagnostic::new(
+        Diagnostic::new(
             self.code(),
             self.name(),
             severity,
@@ -210,7 +223,7 @@ impl Lint for NodeRevisit {
         .fact("pair", &pair_name)
         .fact("path", walk(ctx.net, path))
         .fact("revisited_node", revisited)
-        .fact("revisiting_paths", ctx.properties.revisiting_paths)]
+        .fact("revisiting_paths", ctx.properties.revisiting_paths)
     }
 }
 
@@ -233,12 +246,12 @@ impl Lint for NodeFunctionForm {
     fn default_severity(&self) -> Severity {
         Severity::Allow
     }
-    fn check(&self, ctx: &LintContext<'_>, severity: Severity) -> Vec<Diagnostic> {
-        if !ctx.properties.node_function {
-            return Vec::new();
-        }
-        let cyclic = !ctx.acyclic;
-        vec![Diagnostic::new(
+    fn findings<'c>(&self, ctx: &'c LintContext<'_>) -> Vec<Finding<'c>> {
+        spec_if(ctx.properties.node_function)
+    }
+    fn render(&self, ctx: &LintContext<'_>, _: &Finding<'_>, severity: Severity) -> Diagnostic {
+        let cyclic = !ctx.is_acyclic();
+        Diagnostic::new(
             self.code(),
             self.name(),
             severity,
@@ -249,7 +262,7 @@ impl Lint for NodeFunctionForm {
             },
         )
         .fact("cdg_cyclic", cyclic)
-        .fact("suffix_closed", ctx.properties.suffix_closed)]
+        .fact("suffix_closed", ctx.properties.suffix_closed)
     }
 }
 

@@ -4,10 +4,10 @@ use std::collections::BTreeSet;
 
 use wormroute::properties::DeadTail;
 
-use crate::context::LintContext;
 use crate::diagnostic::{Diagnostic, Severity};
-use crate::lint::Lint;
+use crate::lint::{Finding, Lint};
 use crate::lints::{pair_ref, walk};
+use crate::LintContext;
 
 /// `W001`: a channel whose endpoints coincide.
 pub struct SelfLoopChannel;
@@ -28,21 +28,31 @@ impl Lint for SelfLoopChannel {
     fn default_severity(&self) -> Severity {
         Severity::Deny
     }
-    fn check(&self, ctx: &LintContext<'_>, severity: Severity) -> Vec<Diagnostic> {
+    fn findings<'c>(&self, ctx: &'c LintContext<'_>) -> Vec<Finding<'c>> {
         ctx.net
             .channels()
             .filter(|c| c.src() == c.dst())
-            .map(|c| {
-                Diagnostic::new(
-                    self.code(),
-                    self.name(),
-                    severity,
-                    format!("channel {c} is a self-loop"),
-                )
-                .entity("channel", c)
-                .entity("node", ctx.net.node_name(c.src()))
-            })
+            .map(|c| Finding::Channel(c.id()))
             .collect()
+    }
+    fn render(
+        &self,
+        ctx: &LintContext<'_>,
+        finding: &Finding<'_>,
+        severity: Severity,
+    ) -> Diagnostic {
+        let &Finding::Channel(id) = finding else {
+            unreachable!("W001 selects channels")
+        };
+        let c = ctx.net.channel(id);
+        Diagnostic::new(
+            self.code(),
+            self.name(),
+            severity,
+            format!("channel {c} is a self-loop"),
+        )
+        .entity("channel", c)
+        .entity("node", ctx.net.node_name(c.src()))
     }
 }
 
@@ -65,21 +75,31 @@ impl Lint for DuplicateChannel {
     fn default_severity(&self) -> Severity {
         Severity::Deny
     }
-    fn check(&self, ctx: &LintContext<'_>, severity: Severity) -> Vec<Diagnostic> {
+    fn findings<'c>(&self, ctx: &'c LintContext<'_>) -> Vec<Finding<'c>> {
         let mut seen = BTreeSet::new();
         ctx.net
             .channels()
             .filter(|c| !seen.insert((c.src(), c.dst(), c.vc())))
-            .map(|c| {
-                Diagnostic::new(
-                    self.code(),
-                    self.name(),
-                    severity,
-                    format!("channel {c} duplicates an earlier channel on the same link and lane"),
-                )
-                .entity("channel", c)
-            })
+            .map(|c| Finding::Channel(c.id()))
             .collect()
+    }
+    fn render(
+        &self,
+        ctx: &LintContext<'_>,
+        finding: &Finding<'_>,
+        severity: Severity,
+    ) -> Diagnostic {
+        let &Finding::Channel(id) = finding else {
+            unreachable!("W002 selects channels")
+        };
+        let c = ctx.net.channel(id);
+        Diagnostic::new(
+            self.code(),
+            self.name(),
+            severity,
+            format!("channel {c} duplicates an earlier channel on the same link and lane"),
+        )
+        .entity("channel", c)
     }
 }
 
@@ -103,46 +123,60 @@ impl Lint for UnroutablePairs {
     fn default_severity(&self) -> Severity {
         Severity::Deny
     }
-    fn check(&self, ctx: &LintContext<'_>, severity: Severity) -> Vec<Diagnostic> {
+    /// `Spec` = the network is not strongly connected; `Measure(n)` =
+    /// the table leaves `n` ordered pairs unrouted.
+    fn findings<'c>(&self, ctx: &'c LintContext<'_>) -> Vec<Finding<'c>> {
         let mut out = Vec::new();
         if !ctx.net.is_strongly_connected() {
-            let nodes: Vec<_> = ctx.net.nodes().collect();
-            let dist = ctx.net.all_pairs_distances();
-            let witness = nodes
-                .iter()
-                .flat_map(|&u| nodes.iter().map(move |&v| (u, v)))
-                .find(|&(u, v)| u != v && dist[u.index()][v.index()].is_none());
-            let mut d = Diagnostic::new(
-                self.code(),
-                self.name(),
-                severity,
-                "network is not strongly connected".to_string(),
-            );
-            if let Some(pair) = witness {
-                d = d
-                    .entity("pair", pair_ref(ctx.net, pair))
-                    .fact("unreachable_pair", pair_ref(ctx.net, pair));
-            }
-            out.push(d);
+            out.push(Finding::Spec);
         }
-        let props = &ctx.properties;
-        if props.unrouted_pairs > 0 {
-            let mut d = Diagnostic::new(
-                self.code(),
-                self.name(),
-                severity,
-                format!(
-                    "routing table is not total: {} unrouted pair(s)",
-                    props.unrouted_pairs
-                ),
-            )
-            .fact("unrouted_pairs", props.unrouted_pairs);
-            for &pair in &props.first_unrouted {
-                d = d.entity("pair", pair_ref(ctx.net, pair));
-            }
-            out.push(d);
+        if ctx.properties.unrouted_pairs > 0 {
+            out.push(Finding::Measure(ctx.properties.unrouted_pairs));
         }
         out
+    }
+    fn render(
+        &self,
+        ctx: &LintContext<'_>,
+        finding: &Finding<'_>,
+        severity: Severity,
+    ) -> Diagnostic {
+        match *finding {
+            Finding::Spec => {
+                let nodes: Vec<_> = ctx.net.nodes().collect();
+                let dist = ctx.net.all_pairs_distances();
+                let witness = nodes
+                    .iter()
+                    .flat_map(|&u| nodes.iter().map(move |&v| (u, v)))
+                    .find(|&(u, v)| u != v && dist[u.index()][v.index()].is_none());
+                let mut d = Diagnostic::new(
+                    self.code(),
+                    self.name(),
+                    severity,
+                    "network is not strongly connected".to_string(),
+                );
+                if let Some(pair) = witness {
+                    d = d
+                        .entity("pair", pair_ref(ctx.net, pair))
+                        .fact("unreachable_pair", pair_ref(ctx.net, pair));
+                }
+                d
+            }
+            Finding::Measure(unrouted) => {
+                let mut d = Diagnostic::new(
+                    self.code(),
+                    self.name(),
+                    severity,
+                    format!("routing table is not total: {unrouted} unrouted pair(s)"),
+                )
+                .fact("unrouted_pairs", unrouted);
+                for &pair in &ctx.properties.first_unrouted {
+                    d = d.entity("pair", pair_ref(ctx.net, pair));
+                }
+                d
+            }
+            _ => unreachable!("W003 selects the spec and its unrouted-pair count"),
+        }
     }
 }
 
@@ -165,9 +199,9 @@ impl Lint for DeadChannel {
     fn default_severity(&self) -> Severity {
         Severity::Warn
     }
-    fn check(&self, ctx: &LintContext<'_>, severity: Severity) -> Vec<Diagnostic> {
+    fn findings<'c>(&self, ctx: &'c LintContext<'_>) -> Vec<Finding<'c>> {
         // Past this many dead channels, collapse into one summary
-        // diagnostic: a deliberately partial table (e.g. switch-only
+        // finding: a deliberately partial table (e.g. switch-only
         // fat-tree routing) would otherwise drown the report.
         const PER_CHANNEL_LIMIT: usize = 16;
         let mut used = vec![false; ctx.net.channel_count()];
@@ -179,37 +213,52 @@ impl Lint for DeadChannel {
         let dead: Vec<_> = ctx
             .net
             .channels()
-            .filter(|c| !used[c.id().index()])
+            .map(|c| c.id())
+            .filter(|c| !used[c.index()])
             .collect();
         if dead.len() <= PER_CHANNEL_LIMIT {
-            return dead
-                .into_iter()
-                .map(|c| {
-                    Diagnostic::new(
-                        self.code(),
-                        self.name(),
-                        severity,
-                        format!("channel {c} is used by no routed path"),
-                    )
-                    .entity("channel", c)
-                })
-                .collect();
+            dead.into_iter().map(Finding::Channel).collect()
+        } else {
+            vec![Finding::Channels(dead)]
         }
-        let mut d = Diagnostic::new(
-            self.code(),
-            self.name(),
-            severity,
-            format!(
-                "{} of {} channels are used by no routed path",
-                dead.len(),
-                ctx.net.channel_count(),
-            ),
-        )
-        .fact("dead_channels", dead.len());
-        for (i, c) in dead.iter().take(3).enumerate() {
-            d = d.entity("channel", c).fact(format!("example_{i}"), c);
+    }
+    fn render(
+        &self,
+        ctx: &LintContext<'_>,
+        finding: &Finding<'_>,
+        severity: Severity,
+    ) -> Diagnostic {
+        match finding {
+            &Finding::Channel(id) => {
+                let c = ctx.net.channel(id);
+                Diagnostic::new(
+                    self.code(),
+                    self.name(),
+                    severity,
+                    format!("channel {c} is used by no routed path"),
+                )
+                .entity("channel", c)
+            }
+            Finding::Channels(dead) => {
+                let mut d = Diagnostic::new(
+                    self.code(),
+                    self.name(),
+                    severity,
+                    format!(
+                        "{} of {} channels are used by no routed path",
+                        dead.len(),
+                        ctx.net.channel_count(),
+                    ),
+                )
+                .fact("dead_channels", dead.len());
+                for (i, &id) in dead.iter().take(3).enumerate() {
+                    let c = ctx.net.channel(id);
+                    d = d.entity("channel", c).fact(format!("example_{i}"), c);
+                }
+                d
+            }
+            _ => unreachable!("W004 selects dead channels"),
         }
-        vec![d]
     }
 }
 
@@ -233,28 +282,44 @@ impl Lint for DeadPathTail {
     fn default_severity(&self) -> Severity {
         Severity::Deny
     }
-    fn check(&self, ctx: &LintContext<'_>, severity: Severity) -> Vec<Diagnostic> {
+    fn findings<'c>(&self, ctx: &'c LintContext<'_>) -> Vec<Finding<'c>> {
         ctx.properties
             .dead_tails
             .iter()
-            .map(|&DeadTail { pair, first_arrival: first }| {
-                let path = ctx.table.path(pair.0, pair.1).expect("dead tails are routed");
-                let dead = path.len() - first;
-                Diagnostic::new(
-                    self.code(),
-                    self.name(),
-                    severity,
-                    format!(
-                        "path for {} passes through its destination at hop {first} and continues for {dead} dead channel(s)",
-                        pair_ref(ctx.net, pair),
-                    ),
-                )
-                .entity("pair", pair_ref(ctx.net, pair))
-                .fact("path", walk(ctx.net, path))
-                .fact("first_arrival_hop", first)
-                .fact("dead_channels", dead)
-            })
+            .map(Finding::DeadTail)
             .collect()
+    }
+    fn render(
+        &self,
+        ctx: &LintContext<'_>,
+        finding: &Finding<'_>,
+        severity: Severity,
+    ) -> Diagnostic {
+        let &Finding::DeadTail(&DeadTail {
+            pair,
+            first_arrival: first,
+        }) = finding
+        else {
+            unreachable!("W005 selects dead tails")
+        };
+        let path = ctx
+            .table
+            .path(pair.0, pair.1)
+            .expect("dead tails are routed");
+        let dead = path.len() - first;
+        Diagnostic::new(
+            self.code(),
+            self.name(),
+            severity,
+            format!(
+                "path for {} passes through its destination at hop {first} and continues for {dead} dead channel(s)",
+                pair_ref(ctx.net, pair),
+            ),
+        )
+        .entity("pair", pair_ref(ctx.net, pair))
+        .fact("path", walk(ctx.net, path))
+        .fact("first_arrival_hop", first)
+        .fact("dead_channels", dead)
     }
 }
 

@@ -1,16 +1,16 @@
 //! `W2xx`: CDG cycles and the Section 5 theorems.
 //!
-//! These lints project the [`crate::context::StaticClass`]
-//! classification (computed once in the context) into diagnostics:
+//! These lints select candidates by their [`StaticClass`] (computed
+//! once in the analysis) and render them into diagnostics:
 //! reachable-deadlock *certificates* for Theorems 2–4 and Theorem 5's
 //! failing scorecards, false-resource-cycle scorecards when all eight
 //! conditions hold, and honest `out-of-scope` findings where the
 //! theorems say nothing and only exhaustive search can decide.
 
-use crate::context::{CandidateAnalysis, CycleAnalysis, LintContext, StaticClass};
 use crate::diagnostic::{Diagnostic, Severity};
-use crate::lint::Lint;
+use crate::lint::{Finding, Lint};
 use crate::lints::pair_ref;
+use crate::{CandidateAnalysis, CycleAnalysis, LintContext, StaticClass};
 use wormcdg::sharing::{self, SharedChannel};
 use wormcdg::CdgCycle;
 
@@ -63,6 +63,26 @@ fn sharer_facts(
     d
 }
 
+/// Every candidate whose theorem class satisfies `keep`, in cycle and
+/// enumeration order.
+fn candidates_where<'c>(
+    ctx: &'c LintContext<'_>,
+    keep: impl Fn(&StaticClass) -> bool,
+) -> Vec<Finding<'c>> {
+    ctx.candidates()
+        .filter(|(_, ca)| keep(&ca.class))
+        .map(|(cy, ca)| Finding::Candidate(cy, ca))
+        .collect()
+}
+
+/// The cycle and candidate of a candidate finding.
+fn candidate<'f>(finding: &Finding<'f>) -> (&'f CycleAnalysis, &'f CandidateAnalysis) {
+    match *finding {
+        Finding::Candidate(cy, ca) => (cy, ca),
+        _ => unreachable!("a candidate lint renders candidate findings"),
+    }
+}
+
 /// Shared base for per-candidate certificate diagnostics.
 fn candidate_diag(
     lint: &dyn Lint,
@@ -97,45 +117,46 @@ impl Lint for CdgCycleCensus {
     fn default_severity(&self) -> Severity {
         Severity::Allow
     }
-    fn check(&self, ctx: &LintContext<'_>, severity: Severity) -> Vec<Diagnostic> {
-        ctx.cycles
+    fn findings<'c>(&self, ctx: &'c LintContext<'_>) -> Vec<Finding<'c>> {
+        ctx.cycles.iter().map(Finding::Cycle).collect()
+    }
+    fn render(&self, _: &LintContext<'_>, finding: &Finding<'_>, severity: Severity) -> Diagnostic {
+        let Finding::Cycle(cy) = finding else {
+            unreachable!("W201 selects cycles")
+        };
+        let mut reachable = 0usize;
+        let mut unreachable = 0usize;
+        let mut open = 0usize;
+        for ca in &cy.candidates {
+            match ca.class.reachable() {
+                Some(true) => reachable += 1,
+                Some(false) => unreachable += 1,
+                None => open += 1,
+            }
+        }
+        let inside_only = cy
+            .candidates
             .iter()
-            .map(|cy| {
-                let mut reachable = 0usize;
-                let mut unreachable = 0usize;
-                let mut open = 0usize;
-                for ca in &cy.candidates {
-                    match ca.class.reachable() {
-                        Some(true) => reachable += 1,
-                        Some(false) => unreachable += 1,
-                        None => open += 1,
-                    }
-                }
-                let inside_only = cy
-                    .candidates
-                    .iter()
-                    .filter(|ca| ca.sharing.outside().count() == 0)
-                    .count();
-                Diagnostic::new(
-                    self.code(),
-                    self.name(),
-                    severity,
-                    format!(
-                        "cycle of {} channels: {} candidate configuration(s) ({reachable} reachable, {unreachable} unreachable, {open} undecided by theorems)",
-                        cy.cycle.len(),
-                        cy.candidates.len(),
-                    ),
-                )
-                .entity("cycle", cycle_ref(&cy.cycle))
-                .fact("length", cy.cycle.len())
-                .fact("candidates", cy.candidates.len())
-                .fact("enumeration_complete", cy.enumeration_complete)
-                .fact("theorem_reachable", reachable)
-                .fact("theorem_unreachable", unreachable)
-                .fact("theorem_open", open)
-                .fact("candidates_sharing_inside_only", inside_only)
-            })
-            .collect()
+            .filter(|ca| ca.sharing.outside().count() == 0)
+            .count();
+        Diagnostic::new(
+            self.code(),
+            self.name(),
+            severity,
+            format!(
+                "cycle of {} channels: {} candidate configuration(s) ({reachable} reachable, {unreachable} unreachable, {open} undecided by theorems)",
+                cy.cycle.len(),
+                cy.candidates.len(),
+            ),
+        )
+        .entity("cycle", cycle_ref(&cy.cycle))
+        .fact("length", cy.cycle.len())
+        .fact("candidates", cy.candidates.len())
+        .fact("enumeration_complete", cy.enumeration_complete)
+        .fact("theorem_reachable", reachable)
+        .fact("theorem_unreachable", unreachable)
+        .fact("theorem_open", open)
+        .fact("candidates_sharing_inside_only", inside_only)
     }
 }
 
@@ -158,36 +179,40 @@ impl Lint for Theorem2NoOutsideSharing {
     fn default_severity(&self) -> Severity {
         Severity::Warn
     }
-    fn check(&self, ctx: &LintContext<'_>, severity: Severity) -> Vec<Diagnostic> {
-        ctx.candidates()
-            .filter(|(_, ca)| matches!(ca.class, StaticClass::NoOutsideSharing))
-            .map(|(cy, ca)| {
-                let inside: Vec<String> = ca
-                    .sharing
-                    .inside()
-                    .map(|s| ctx.net.channel(s.channel).to_string())
-                    .collect();
-                candidate_diag(
-                    self,
-                    ctx,
-                    cy,
-                    ca,
-                    severity,
-                    format!(
-                        "reachable deadlock (Theorem 2): {}-message configuration shares no channel outside the cycle",
-                        ca.candidate.segments.len(),
-                    ),
-                )
-                .fact(
-                    "inside_shared_channels",
-                    if inside.is_empty() {
-                        "none".to_string()
-                    } else {
-                        inside.join(", ")
-                    },
-                )
-            })
-            .collect()
+    fn findings<'c>(&self, ctx: &'c LintContext<'_>) -> Vec<Finding<'c>> {
+        candidates_where(ctx, |class| matches!(class, StaticClass::NoOutsideSharing))
+    }
+    fn render(
+        &self,
+        ctx: &LintContext<'_>,
+        finding: &Finding<'_>,
+        severity: Severity,
+    ) -> Diagnostic {
+        let (cy, ca) = candidate(finding);
+        let inside: Vec<String> = ca
+            .sharing
+            .inside()
+            .map(|s| ctx.net.channel(s.channel).to_string())
+            .collect();
+        candidate_diag(
+            self,
+            ctx,
+            cy,
+            ca,
+            severity,
+            format!(
+                "reachable deadlock (Theorem 2): {}-message configuration shares no channel outside the cycle",
+                ca.candidate.segments.len(),
+            ),
+        )
+        .fact(
+            "inside_shared_channels",
+            if inside.is_empty() {
+                "none".to_string()
+            } else {
+                inside.join(", ")
+            },
+        )
     }
 }
 
@@ -210,25 +235,29 @@ impl Lint for Theorem4TwoSharers {
     fn default_severity(&self) -> Severity {
         Severity::Warn
     }
-    fn check(&self, ctx: &LintContext<'_>, severity: Severity) -> Vec<Diagnostic> {
-        ctx.candidates()
-            .filter(|(_, ca)| matches!(ca.class, StaticClass::TwoSharers))
-            .map(|(cy, ca)| {
-                let shared = single_outside(ca).expect("TwoSharers has one outside channel");
-                let d = candidate_diag(
-                    self,
-                    ctx,
-                    cy,
-                    ca,
-                    severity,
-                    format!(
-                        "reachable deadlock (Theorem 4): two messages share outside channel {}",
-                        ctx.net.channel(shared.channel),
-                    ),
-                );
-                sharer_facts(ctx, &cy.cycle, shared, d)
-            })
-            .collect()
+    fn findings<'c>(&self, ctx: &'c LintContext<'_>) -> Vec<Finding<'c>> {
+        candidates_where(ctx, |class| matches!(class, StaticClass::TwoSharers))
+    }
+    fn render(
+        &self,
+        ctx: &LintContext<'_>,
+        finding: &Finding<'_>,
+        severity: Severity,
+    ) -> Diagnostic {
+        let (cy, ca) = candidate(finding);
+        let shared = single_outside(ca).expect("TwoSharers has one outside channel");
+        let d = candidate_diag(
+            self,
+            ctx,
+            cy,
+            ca,
+            severity,
+            format!(
+                "reachable deadlock (Theorem 4): two messages share outside channel {}",
+                ctx.net.channel(shared.channel),
+            ),
+        );
+        sharer_facts(ctx, &cy.cycle, shared, d)
     }
 }
 
@@ -252,8 +281,19 @@ impl Lint for Theorem5Unreachable {
     fn default_severity(&self) -> Severity {
         Severity::Allow
     }
-    fn check(&self, ctx: &LintContext<'_>, severity: Severity) -> Vec<Diagnostic> {
-        scorecards(self, ctx, severity, true)
+    fn findings<'c>(&self, ctx: &'c LintContext<'_>) -> Vec<Finding<'c>> {
+        candidates_where(
+            ctx,
+            |class| matches!(class, StaticClass::ThreeSharers(ec) if ec.unreachable()),
+        )
+    }
+    fn render(
+        &self,
+        ctx: &LintContext<'_>,
+        finding: &Finding<'_>,
+        severity: Severity,
+    ) -> Diagnostic {
+        scorecard(self, ctx, finding, severity)
     }
 }
 
@@ -277,52 +317,60 @@ impl Lint for Theorem5Reachable {
     fn default_severity(&self) -> Severity {
         Severity::Warn
     }
-    fn check(&self, ctx: &LintContext<'_>, severity: Severity) -> Vec<Diagnostic> {
-        scorecards(self, ctx, severity, false)
+    fn findings<'c>(&self, ctx: &'c LintContext<'_>) -> Vec<Finding<'c>> {
+        candidates_where(
+            ctx,
+            |class| matches!(class, StaticClass::ThreeSharers(ec) if !ec.unreachable()),
+        )
+    }
+    fn render(
+        &self,
+        ctx: &LintContext<'_>,
+        finding: &Finding<'_>,
+        severity: Severity,
+    ) -> Diagnostic {
+        scorecard(self, ctx, finding, severity)
     }
 }
 
-/// Emit Theorem 5 scorecard diagnostics for candidates whose
-/// `unreachable()` verdict matches `want_unreachable`.
-fn scorecards(
+/// Render a Theorem 5 scorecard: all eight conditions holding (`W204`)
+/// or some violated (`W205`).
+fn scorecard(
     lint: &dyn Lint,
     ctx: &LintContext<'_>,
+    finding: &Finding<'_>,
     severity: Severity,
-    want_unreachable: bool,
-) -> Vec<Diagnostic> {
-    ctx.candidates()
-        .filter_map(|(cy, ca)| match &ca.class {
-            StaticClass::ThreeSharers(ec) if ec.unreachable() == want_unreachable => {
-                Some((cy, ca, ec))
-            }
-            _ => None,
-        })
-        .map(|(cy, ca, ec)| {
-            let shared = single_outside(ca).expect("ThreeSharers has one outside channel");
-            let message = if want_unreachable {
-                "false resource cycle (Theorem 5): all eight conditions hold, the configuration is unreachable".to_string()
-            } else {
-                format!(
-                    "reachable deadlock (Theorem 5): condition(s) {} violated",
-                    ec.failing()
-                        .iter()
-                        .map(|c| c.to_string())
-                        .collect::<Vec<_>>()
-                        .join(","),
-                )
-            };
-            let mut d = candidate_diag(lint, ctx, cy, ca, severity, message);
-            d = sharer_facts(ctx, &cy.cycle, shared, d);
-            d = d
-                .fact("m_x", pair_ref(ctx.net, ec.x))
-                .fact("m_y", pair_ref(ctx.net, ec.y))
-                .fact("m_z", pair_ref(ctx.net, ec.z));
-            for (i, ok) in ec.conditions.iter().enumerate() {
-                d = d.fact(format!("condition_{}", i + 1), if *ok { "holds" } else { "violated" });
-            }
-            d
-        })
-        .collect()
+) -> Diagnostic {
+    let (cy, ca) = candidate(finding);
+    let StaticClass::ThreeSharers(ec) = &ca.class else {
+        unreachable!("{} selects Theorem 5 candidates", lint.code())
+    };
+    let shared = single_outside(ca).expect("ThreeSharers has one outside channel");
+    let message = if ec.unreachable() {
+        "false resource cycle (Theorem 5): all eight conditions hold, the configuration is unreachable".to_string()
+    } else {
+        format!(
+            "reachable deadlock (Theorem 5): condition(s) {} violated",
+            ec.failing()
+                .iter()
+                .map(|c| c.to_string())
+                .collect::<Vec<_>>()
+                .join(","),
+        )
+    };
+    let mut d = candidate_diag(lint, ctx, cy, ca, severity, message);
+    d = sharer_facts(ctx, &cy.cycle, shared, d);
+    d = d
+        .fact("m_x", pair_ref(ctx.net, ec.x))
+        .fact("m_y", pair_ref(ctx.net, ec.y))
+        .fact("m_z", pair_ref(ctx.net, ec.z));
+    for (i, ok) in ec.conditions.iter().enumerate() {
+        d = d.fact(
+            format!("condition_{}", i + 1),
+            if *ok { "holds" } else { "violated" },
+        );
+    }
+    d
 }
 
 /// `W206`: Theorem 3 certificates — minimal routing, everyone shares.
@@ -344,26 +392,30 @@ impl Lint for Theorem3MinimalAllShare {
     fn default_severity(&self) -> Severity {
         Severity::Warn
     }
-    fn check(&self, ctx: &LintContext<'_>, severity: Severity) -> Vec<Diagnostic> {
-        ctx.candidates()
-            .filter(|(_, ca)| matches!(ca.class, StaticClass::MinimalAllShare))
-            .map(|(cy, ca)| {
-                let shared = single_outside(ca).expect("MinimalAllShare has one outside channel");
-                let d = candidate_diag(
-                    self,
-                    ctx,
-                    cy,
-                    ca,
-                    severity,
-                    format!(
-                        "reachable deadlock (Theorem 3): minimal routing, all {} messages share {}",
-                        ca.candidate.segments.len(),
-                        ctx.net.channel(shared.channel),
-                    ),
-                );
-                sharer_facts(ctx, &cy.cycle, shared, d)
-            })
-            .collect()
+    fn findings<'c>(&self, ctx: &'c LintContext<'_>) -> Vec<Finding<'c>> {
+        candidates_where(ctx, |class| matches!(class, StaticClass::MinimalAllShare))
+    }
+    fn render(
+        &self,
+        ctx: &LintContext<'_>,
+        finding: &Finding<'_>,
+        severity: Severity,
+    ) -> Diagnostic {
+        let (cy, ca) = candidate(finding);
+        let shared = single_outside(ca).expect("MinimalAllShare has one outside channel");
+        let d = candidate_diag(
+            self,
+            ctx,
+            cy,
+            ca,
+            severity,
+            format!(
+                "reachable deadlock (Theorem 3): minimal routing, all {} messages share {}",
+                ca.candidate.segments.len(),
+                ctx.net.channel(shared.channel),
+            ),
+        );
+        sharer_facts(ctx, &cy.cycle, shared, d)
     }
 }
 
@@ -386,39 +438,52 @@ impl Lint for OutOfScopeCycle {
     fn default_severity(&self) -> Severity {
         Severity::Warn
     }
-    fn check(&self, ctx: &LintContext<'_>, severity: Severity) -> Vec<Diagnostic> {
+    /// `Spec` = the cycle budget ran out; `Cycle` = a cycle's
+    /// candidate budget ran out; `Candidate` = an out-of-scope
+    /// candidate.
+    fn findings<'c>(&self, ctx: &'c LintContext<'_>) -> Vec<Finding<'c>> {
         let mut out = Vec::new();
         if !ctx.cycles_complete {
-            out.push(
-                Diagnostic::new(
-                    self.code(),
-                    self.name(),
-                    severity,
-                    format!(
-                        "CDG cycle enumeration budget exceeded after {} cycle(s): the spec cannot be certified free statically",
-                        ctx.cycles.len(),
-                    ),
-                )
-                .fact("cycles_enumerated", ctx.cycles.len()),
-            );
+            out.push(Finding::Spec);
         }
         for cy in &ctx.cycles {
             if !cy.enumeration_complete {
-                out.push(
-                    Diagnostic::new(
-                        self.code(),
-                        self.name(),
-                        severity,
-                        "candidate enumeration budget exceeded: the cycle cannot be certified free"
-                            .to_string(),
-                    )
-                    .entity("cycle", cycle_ref(&cy.cycle)),
-                );
+                out.push(Finding::Cycle(cy));
             }
             for ca in &cy.candidates {
-                if !matches!(ca.class, StaticClass::OutOfScope) {
-                    continue;
+                if matches!(ca.class, StaticClass::OutOfScope) {
+                    out.push(Finding::Candidate(cy, ca));
                 }
+            }
+        }
+        out
+    }
+    fn render(
+        &self,
+        ctx: &LintContext<'_>,
+        finding: &Finding<'_>,
+        severity: Severity,
+    ) -> Diagnostic {
+        match *finding {
+            Finding::Spec => Diagnostic::new(
+                self.code(),
+                self.name(),
+                severity,
+                format!(
+                    "CDG cycle enumeration budget exceeded after {} cycle(s): the spec cannot be certified free statically",
+                    ctx.cycles.len(),
+                ),
+            )
+            .fact("cycles_enumerated", ctx.cycles.len()),
+            Finding::Cycle(cy) => Diagnostic::new(
+                self.code(),
+                self.name(),
+                severity,
+                "candidate enumeration budget exceeded: the cycle cannot be certified free"
+                    .to_string(),
+            )
+            .entity("cycle", cycle_ref(&cy.cycle)),
+            Finding::Candidate(cy, ca) => {
                 let outside: Vec<_> = ca.sharing.outside().collect();
                 let sharers = outside
                     .iter()
@@ -430,24 +495,22 @@ impl Lint for OutOfScopeCycle {
                     })
                     .max()
                     .unwrap_or(0);
-                out.push(
-                    candidate_diag(
-                        self,
-                        ctx,
-                        cy,
-                        ca,
-                        severity,
-                        format!(
-                            "Theorems 2-5 do not apply ({} outside shared channel(s), up to {sharers} sharers): verdict requires exhaustive search",
-                            outside.len(),
-                        ),
-                    )
-                    .fact("outside_shared_channels", outside.len())
-                    .fact("max_sharers", sharers),
-                );
+                candidate_diag(
+                    self,
+                    ctx,
+                    cy,
+                    ca,
+                    severity,
+                    format!(
+                        "Theorems 2-5 do not apply ({} outside shared channel(s), up to {sharers} sharers): verdict requires exhaustive search",
+                        outside.len(),
+                    ),
+                )
+                .fact("outside_shared_channels", outside.len())
+                .fact("max_sharers", sharers)
             }
+            _ => unreachable!("W207 selects budgets and out-of-scope candidates"),
         }
-        out
     }
 }
 

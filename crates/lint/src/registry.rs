@@ -2,10 +2,11 @@
 
 use std::collections::BTreeMap;
 
-use crate::context::LintContext;
 use crate::diagnostic::{Diagnostic, Severity};
 use crate::lint::Lint;
 use crate::lints::default_lints;
+use crate::LintContext;
+use wormexist::ExistOptions;
 use wormnet::Network;
 use wormroute::TableRouting;
 
@@ -133,6 +134,18 @@ impl LintReport {
         counts
     }
 
+    /// The counts and verdict of this report, as
+    /// [`Registry::summarize`] computes them without rendering.
+    pub fn summary(&self) -> LintSummary {
+        LintSummary {
+            counts: self.counts_by_code(),
+            allow: self.allow_count(),
+            warn: self.warn_count(),
+            deny: self.deny_count(),
+            verdict: self.verdict,
+        }
+    }
+
     /// Render the full human-readable report.
     pub fn render(&self) -> String {
         use std::fmt::Write as _;
@@ -149,6 +162,39 @@ impl LintReport {
             self.allow_count(),
         );
         out
+    }
+}
+
+/// What a lint run found, without the diagnostics' text: the count of
+/// findings per code and per severity, and the static verdict.
+#[derive(Clone, Debug, PartialEq, Eq)]
+pub struct LintSummary {
+    /// Findings per lint code; codes without findings are absent.
+    pub counts: BTreeMap<&'static str, usize>,
+    /// Findings at [`Severity::Allow`].
+    pub allow: usize,
+    /// Findings at [`Severity::Warn`].
+    pub warn: usize,
+    /// Findings at [`Severity::Deny`].
+    pub deny: usize,
+    /// The static deadlock-freedom verdict.
+    pub verdict: StaticVerdict,
+}
+
+/// Publish a run's counters: one run, its findings, and its findings
+/// per severity.
+fn publish(summary: &LintSummary) {
+    wormtrace::counter("lint.runs", 1);
+    let total = summary.allow + summary.warn + summary.deny;
+    wormtrace::counter("lint.diagnostics", total as u64);
+    for (name, n) in [
+        ("lint.allow", summary.allow),
+        ("lint.warn", summary.warn),
+        ("lint.deny", summary.deny),
+    ] {
+        if n > 0 {
+            wormtrace::counter(name, n as u64);
+        }
     }
 }
 
@@ -186,46 +232,71 @@ impl Registry {
         &self.lints
     }
 
-    /// Run every registered lint over a spec.
+    /// Run every registered lint over a spec and render every finding.
     ///
-    /// Diagnostics are re-sorted by `(code, entities, message)` so the
-    /// report is deterministic regardless of lint registration order.
+    /// The context is built with the existence engine's default
+    /// budgets. Diagnostics are sorted by `(code, entities, message)`
+    /// so the report is deterministic regardless of lint registration
+    /// order.
     pub fn run(&self, net: &Network, table: &TableRouting, config: &LintConfig) -> LintReport {
         let _span = wormtrace::span("lint.run");
-        wormtrace::counter("lint.runs", 1);
-        let ctx = LintContext::build(net, table, config.max_cycles, config.max_candidates);
+        let ctx = LintContext::build(
+            net,
+            table,
+            config.max_cycles,
+            config.max_candidates,
+            &ExistOptions::default(),
+        );
         let mut diagnostics = Vec::new();
         for lint in &self.lints {
             let severity = config.severity_for(lint.as_ref());
-            let found = lint.check(&ctx, severity);
-            debug_assert!(
-                found.iter().all(|d| d.code == lint.code()
-                    && d.lint == lint.name()
-                    && d.severity == severity),
-                "lint {} emitted a mislabelled diagnostic",
-                lint.code()
-            );
-            diagnostics.extend(found);
+            for finding in lint.findings(&ctx) {
+                let d = lint.render(&ctx, &finding, severity);
+                debug_assert!(
+                    d.code == lint.code() && d.lint == lint.name() && d.severity == severity,
+                    "lint {} rendered a mislabelled diagnostic",
+                    lint.code()
+                );
+                diagnostics.push(d);
+            }
         }
         diagnostics.sort_by(|a, b| {
             (a.code, &a.entities, &a.message).cmp(&(b.code, &b.entities, &b.message))
         });
-        let verdict = verdict(&ctx);
-        wormtrace::counter("lint.diagnostics", diagnostics.len() as u64);
-        for d in &diagnostics {
-            wormtrace::counter(
-                match d.severity {
-                    Severity::Allow => "lint.allow",
-                    Severity::Warn => "lint.warn",
-                    Severity::Deny => "lint.deny",
-                },
-                1,
-            );
-        }
-        LintReport {
+        let report = LintReport {
             diagnostics,
-            verdict,
+            verdict: verdict(&ctx),
+        };
+        publish(&report.summary());
+        report
+    }
+
+    /// Count every registered lint's findings over an already built
+    /// context, rendering nothing. Equals `run(..).summary()` over a
+    /// context with the same budgets and existence options.
+    pub fn summarize(&self, ctx: &LintContext<'_>, config: &LintConfig) -> LintSummary {
+        let _span = wormtrace::span("lint.run");
+        let mut summary = LintSummary {
+            counts: BTreeMap::new(),
+            allow: 0,
+            warn: 0,
+            deny: 0,
+            verdict: verdict(ctx),
+        };
+        for lint in &self.lints {
+            let n = lint.findings(ctx).len();
+            if n == 0 {
+                continue;
+            }
+            summary.counts.insert(lint.code(), n);
+            *match config.severity_for(lint.as_ref()) {
+                Severity::Allow => &mut summary.allow,
+                Severity::Warn => &mut summary.warn,
+                Severity::Deny => &mut summary.deny,
+            } += n;
         }
+        publish(&summary);
+        summary
     }
 }
 
@@ -236,8 +307,8 @@ impl Default for Registry {
 }
 
 /// Fold the per-candidate theorem classifications into one verdict.
-fn verdict(ctx: &LintContext<'_>) -> StaticVerdict {
-    if ctx.acyclic {
+pub(crate) fn verdict(ctx: &LintContext<'_>) -> StaticVerdict {
+    if ctx.is_acyclic() {
         return StaticVerdict::FreeAcyclic;
     }
     // Corollary 1: a node-function algorithm admits no false resource

@@ -24,10 +24,11 @@
 //! run over; with an empty resolved traffic list they degrade to
 //! `{"skipped":"no messages"}`.
 
-use worm_core::classify::{classify_algorithm, AlgorithmVerdict};
+use worm_core::analysis::Analysis;
+use worm_core::classify::AlgorithmVerdict;
 use wormexist::ExistenceReport;
-use wormfault::{reverify, FaultOutcome, FaultRunner, RetryPolicy};
-use wormlint::{LintReport, Registry};
+use wormfault::{reverify_from, FaultOutcome, FaultRunner, RetryPolicy};
+use wormlint::{LintSummary, Registry};
 use wormsearch::{explore, Verdict as SearchVerdict};
 use wormsim::runner::{ArbitrationPolicy, Outcome, Runner};
 use wormsim::Sim;
@@ -91,18 +92,18 @@ fn classifier_cycle_count(v: &AlgorithmVerdict) -> usize {
     }
 }
 
-fn lint_block(report: &LintReport) -> String {
-    let counts: Vec<(&str, String)> = report
-        .counts_by_code()
-        .into_iter()
-        .map(|(code, n)| (code, n.to_string()))
+fn lint_block(summary: &LintSummary) -> String {
+    let counts: Vec<(&str, String)> = summary
+        .counts
+        .iter()
+        .map(|(&code, n)| (code, n.to_string()))
         .collect();
     obj(&[
-        ("allow", report.allow_count().to_string()),
+        ("allow", summary.allow.to_string()),
         ("counts", obj(&counts)),
-        ("deny", report.deny_count().to_string()),
-        ("verdict", format!("\"{}\"", report.verdict.name())),
-        ("warn", report.warn_count().to_string()),
+        ("deny", summary.deny.to_string()),
+        ("verdict", format!("\"{}\"", summary.verdict.name())),
+        ("warn", summary.warn.to_string()),
     ])
 }
 
@@ -250,8 +251,18 @@ fn existence_block(report: &ExistenceReport) -> String {
     ])
 }
 
-fn faults_block(job: &CompiledJob) -> String {
-    let report = reverify(job.network(), &job.table, &job.plan, &job.classify_options);
+/// The degraded re-verification of the job's healthy analysis, whose
+/// verdict under the job's options is `baseline`.
+fn faults_block(job: &CompiledJob, analysis: &Analysis<'_>, baseline: AlgorithmVerdict) -> String {
+    let report = reverify_from(
+        job.network(),
+        &job.table,
+        &analysis.cdg,
+        baseline,
+        &job.plan,
+        &job.classify_options,
+        &job.exist_options,
+    );
     obj(&[
         (
             "baseline",
@@ -274,25 +285,35 @@ fn faults_block(job: &CompiledJob) -> String {
 /// Run the verdict engines selected by the spec and render the
 /// `wormserve/1` document.
 ///
+/// The static analysis is built once: the lint block counts its
+/// findings, the classifier block walks its candidates, the existence
+/// block reads its existence report (decided under the job's budgets),
+/// and the faults block starts from its CDG and the classifier's
+/// verdict.
+///
 /// The output is a single line of JSON with sorted keys and **no
 /// timings and no job name** — it depends only on the canonical spec,
 /// which is what makes byte-identical cache replay sound.
 pub fn verdict_json(job: &CompiledJob) -> String {
-    let registry = Registry::with_default_lints();
-    let lint_report = registry.run(job.network(), &job.table, &job.lint_config);
-    let classifier = classify_algorithm(job.network(), &job.table, &job.classify_options);
-
-    let existence = wormexist::analyze(job.network(), &job.exist_options);
+    let analysis = Analysis::build(
+        job.network(),
+        &job.table,
+        job.lint_config.max_cycles,
+        job.lint_config.max_candidates,
+        &job.exist_options,
+    );
+    let lint = Registry::with_default_lints().summarize(&analysis, &job.lint_config);
+    let classifier = analysis.classify(&job.classify_options);
 
     let mut fields: Vec<(&str, String)> = vec![
         ("classifier", classifier_block(&classifier)),
         ("engine", format!("\"{}\"", engine_name(job.engine))),
-        ("existence", existence_block(&existence)),
+        ("existence", existence_block(&analysis.existence)),
     ];
     if job.spec.faults.is_some() {
-        fields.push(("faults", faults_block(job)));
+        fields.push(("faults", faults_block(job, &analysis, classifier)));
     }
-    fields.push(("lint", lint_block(&lint_report)));
+    fields.push(("lint", lint_block(&lint)));
     fields.push(("schema", format!("\"{SCHEMA}\"")));
     if matches!(job.engine, VerifyEngine::Search | VerifyEngine::Full) {
         fields.push(("search", search_block(job)));

@@ -17,8 +17,18 @@
 //!    budgets: the paper's router can differ from this crate's
 //!    conservative one by one stall on boundary geometries, see
 //!    `verify_theorems_with_search` in `worm_core::classify`).
+//!
+//! The corpus and random-table loops also hold the service's fast
+//! path to the standalone one, which stays its oracle: the lint
+//! summary counted without rendering equals the one read off the
+//! rendered `Registry::run`, and the classifier view over a shared
+//! analysis equals standalone `classify_algorithm` — verdict, cycles,
+//! every visited candidate's class and reachability, and where each
+//! cycle stops — under the static options, with the search fallback,
+//! and in model-exact mode.
 
 use cyclic_wormhole::core::classify::{classify_algorithm, AlgorithmVerdict, ClassifyOptions};
+use cyclic_wormhole::exist::ExistOptions;
 use cyclic_wormhole::net::topology::Mesh;
 use cyclic_wormhole::net::Network;
 use cyclic_wormhole::route::algorithms::random_table;
@@ -52,6 +62,52 @@ fn compatible(lint: StaticVerdict, classifier: &AlgorithmVerdict) -> bool {
     }
 }
 
+/// The static, search-assisted and model-exact classifier options, with
+/// the lint configuration's enumeration budgets.
+fn classify_presets() -> [ClassifyOptions; 3] {
+    [
+        ClassifyOptions {
+            use_search: false,
+            ..ClassifyOptions::default()
+        },
+        ClassifyOptions::default(),
+        ClassifyOptions::model_exact(),
+    ]
+}
+
+/// The unrendered lint summary and the classifier view over one shared
+/// analysis equal what the standalone entry points produce.
+fn assert_fast_path_matches_oracle(
+    name: &str,
+    net: &Network,
+    table: &TableRouting,
+    presets: &[ClassifyOptions],
+) {
+    let registry = Registry::with_default_lints();
+    let config = LintConfig::default();
+    let analysis = LintContext::build(
+        net,
+        table,
+        config.max_cycles,
+        config.max_candidates,
+        &ExistOptions::default(),
+    );
+    assert_eq!(
+        registry.summarize(&analysis, &config),
+        registry.run(net, table, &config).summary(),
+        "{name}: counted and rendered lint summaries differ"
+    );
+    for opts in presets {
+        // The verdicts' debug form spells out every visited candidate
+        // with its class and reachability, cycle by cycle.
+        assert_eq!(
+            format!("{:?}", analysis.classify(opts)),
+            format!("{:?}", classify_algorithm(net, table, opts)),
+            "{name}: classifier view differs from classify_algorithm under {opts:?}"
+        );
+    }
+}
+
 /// Search the candidate's own message set (minimum lengths) for any
 /// deadlock, sweeping stall budgets `0..=2`.
 fn certificate_confirmed(
@@ -81,7 +137,8 @@ fn certificate_confirmed(
     })
 }
 
-/// 1a. Corpus-wide verdict compatibility with the classifier.
+/// 1a. Corpus-wide verdict compatibility with the classifier, and the
+/// fast path against its oracle.
 ///
 /// The exhaustive-search fallback makes classification of the larger
 /// `G(k)` instances expensive in debug builds, so those are compared
@@ -92,8 +149,9 @@ fn corpus_lint_verdicts_agree_with_classifier() {
     let config = LintConfig::default();
     for t in corpus() {
         let report = t.run(&registry, &config);
+        let searchable = !t.name.starts_with('g') && t.name != "fig1";
         let opts = ClassifyOptions {
-            use_search: !t.name.starts_with('g') && t.name != "fig1",
+            use_search: searchable,
             ..ClassifyOptions::default()
         };
         let classifier = classify_algorithm(&t.net, &t.table, &opts);
@@ -103,6 +161,13 @@ fn corpus_lint_verdicts_agree_with_classifier() {
             t.name,
             report.verdict
         );
+        let presets = classify_presets();
+        let presets = if searchable {
+            &presets[..]
+        } else {
+            &presets[..1]
+        };
+        assert_fast_path_matches_oracle(&t.name, &t.net, &t.table, presets);
     }
 }
 
@@ -188,7 +253,7 @@ fn lint_verdicts_agree_with_search_on_scenarios() {
 fn deadlock_certificates_are_search_confirmed() {
     let mut confirmed = 0;
     for t in corpus() {
-        let ctx = LintContext::build(&t.net, &t.table, 10_000, 10_000);
+        let ctx = LintContext::build(&t.net, &t.table, 10_000, 10_000, &ExistOptions::default());
         for (_, ca) in ctx.candidates() {
             if ca.class.reachable() != Some(true) {
                 continue;
@@ -256,5 +321,10 @@ proptest! {
         let has_cycle_diag = report.diagnostics.iter().any(|d| d.code.starts_with("W2"));
         let cyclic = !matches!(classifier, AlgorithmVerdict::DeadlockFreeAcyclic { .. });
         prop_assert_eq!(has_cycle_diag, cyclic, "seed {}", seed);
+
+        // Model-exact mode searches every theorem-reachable candidate,
+        // minutes of debug-build search over random tables; the corpus
+        // loop covers it.
+        assert_fast_path_matches_oracle(&format!("seed {seed}"), net, &table, &classify_presets()[..2]);
     }
 }

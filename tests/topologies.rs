@@ -18,6 +18,7 @@
 
 use cyclic_wormhole::cdg::check_numbering;
 use cyclic_wormhole::core::classify::{classify_algorithm, AlgorithmVerdict, ClassifyOptions};
+use cyclic_wormhole::exist::ExistOptions;
 use cyclic_wormhole::net::topology::{complete, Dragonfly, FatTree, FatTreeTier};
 use cyclic_wormhole::net::Network;
 use cyclic_wormhole::route::algorithms::{dragonfly_minimal, fattree_updown, fullmesh_vcfree};
@@ -193,7 +194,13 @@ fn downscaled_novc_refutation_witness_matches_lint() {
     let AlgorithmVerdict::Deadlockable { cycles } = &verdict else {
         panic!("novc must be refuted, got {verdict:?}");
     };
-    let ctx = LintContext::build(&novc.net, &novc.table, MAX_CYCLES, MAX_CANDIDATES);
+    let ctx = LintContext::build(
+        &novc.net,
+        &novc.table,
+        MAX_CYCLES,
+        MAX_CANDIDATES,
+        &ExistOptions::default(),
+    );
     let classified: Vec<_> = cycles.iter().map(|cy| &cy.cycle).collect();
     let linted: Vec<_> = ctx.cycles.iter().map(|cy| &cy.cycle).collect();
     assert_eq!(
@@ -216,8 +223,14 @@ fn downscaled_search_agrees_with_static_verdicts() {
         .expect("novc scenario present");
     // The static certificate must be search-confirmed: the candidates
     // the lint context surfaces must deadlock for real.
-    let ctx = LintContext::build(&novc.net, &novc.table, MAX_CYCLES, MAX_CANDIDATES);
-    assert!(!ctx.acyclic, "novc CDG is cyclic");
+    let ctx = LintContext::build(
+        &novc.net,
+        &novc.table,
+        MAX_CYCLES,
+        MAX_CANDIDATES,
+        &ExistOptions::default(),
+    );
+    assert!(!ctx.is_acyclic(), "novc CDG is cyclic");
     let mut confirmed = 0;
     for (_, ca) in ctx.candidates() {
         if ca.class.reachable() != Some(true) || confirmed > 0 {
