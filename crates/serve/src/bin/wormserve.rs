@@ -6,14 +6,16 @@
 //!
 //! Options:
 //!   --cache DIR     content-addressed result cache directory
-//!   --workers N     worker threads (default 2)
-//!   --queue N       queue depth before submit blocks (default 64)
+//!   --workers N     worker threads, at least 1 (default 2)
+//!   --queue N       queue depth before submit blocks, at least 1 (default 64)
 //!   --trace         attach a wormtrace report per computed job
 //!   --hash-only     print each spec's canonical hash and exit
 //! ```
 //!
-//! Exit status is nonzero when any job fails to compile, or when any
-//! fuzz seed produces a lint/classifier/search contradiction.
+//! Exit status is 2 for a malformed command line (an unknown option, a
+//! missing or malformed value, a `--workers` or `--queue` of 0), and
+//! nonzero when any job fails to compile, or when any fuzz seed
+//! produces a lint/classifier/search contradiction.
 
 use std::path::PathBuf;
 use std::process::ExitCode;
@@ -21,6 +23,7 @@ use std::process::ExitCode;
 use wormserve::specgen::differential;
 use wormserve::{compile, Server, ServerConfig};
 
+#[derive(Debug, PartialEq)]
 struct Cli {
     cache: Option<PathBuf>,
     workers: usize,
@@ -32,15 +35,20 @@ struct Cli {
     files: Vec<PathBuf>,
 }
 
+const USAGE: &str =
+    "usage: wormserve [--cache DIR] [--workers N] [--queue N] [--trace] [--hash-only] SPEC...\n\
+                     \u{20}      wormserve --fuzz N [--seed S]";
+
 fn usage() -> ! {
-    eprintln!(
-        "usage: wormserve [--cache DIR] [--workers N] [--queue N] [--trace] [--hash-only] SPEC...\n\
-         \u{20}      wormserve --fuzz N [--seed S]"
-    );
+    eprintln!("{USAGE}");
     std::process::exit(2)
 }
 
-fn parse_cli() -> Cli {
+/// Parse the arguments after the program name. A flag that needs a
+/// value and lacks one, a malformed number, a `--workers` or `--queue`
+/// of 0, and an unknown option are errors; nothing is replaced by a
+/// default.
+fn parse_cli(args: impl IntoIterator<Item = String>) -> Result<Cli, String> {
     let mut cli = Cli {
         cache: None,
         workers: 2,
@@ -51,31 +59,31 @@ fn parse_cli() -> Cli {
         seed: 0,
         files: Vec::new(),
     };
-    let mut args = std::env::args().skip(1);
+    let mut args = args.into_iter();
     while let Some(arg) = args.next() {
-        let mut value = |name: &str| {
-            args.next().unwrap_or_else(|| {
-                eprintln!("{name} needs a value");
-                usage()
-            })
+        let mut value = |name: &str| args.next().ok_or_else(|| format!("{name} needs a value"));
+        let number = |name: &str, text: String| {
+            text.parse::<u64>()
+                .map_err(|_| format!("{name} needs a whole number, not `{text}`"))
+        };
+        let at_least_one = |name: &str, text: String| match number(name, text)? {
+            0 => Err(format!("{name} must be at least 1")),
+            n => usize::try_from(n).map_err(|_| format!("{name} is out of range")),
         };
         match arg.as_str() {
-            "--cache" => cli.cache = Some(PathBuf::from(value("--cache"))),
-            "--workers" => cli.workers = value("--workers").parse().unwrap_or_else(|_| usage()),
-            "--queue" => cli.queue = value("--queue").parse().unwrap_or_else(|_| usage()),
+            "--cache" => cli.cache = Some(PathBuf::from(value("--cache")?)),
+            "--workers" => cli.workers = at_least_one("--workers", value("--workers")?)?,
+            "--queue" => cli.queue = at_least_one("--queue", value("--queue")?)?,
             "--trace" => cli.trace = true,
             "--hash-only" => cli.hash_only = true,
-            "--fuzz" => cli.fuzz = Some(value("--fuzz").parse().unwrap_or_else(|_| usage())),
-            "--seed" => cli.seed = value("--seed").parse().unwrap_or_else(|_| usage()),
-            "--help" | "-h" => usage(),
-            _ if arg.starts_with('-') => {
-                eprintln!("unknown option {arg}");
-                usage()
-            }
+            "--fuzz" => cli.fuzz = Some(number("--fuzz", value("--fuzz")?)?),
+            "--seed" => cli.seed = number("--seed", value("--seed")?)?,
+            "--help" | "-h" => return Err(String::new()),
+            _ if arg.starts_with('-') => return Err(format!("unknown option {arg}")),
             _ => cli.files.push(PathBuf::from(arg)),
         }
     }
-    cli
+    Ok(cli)
 }
 
 fn run_fuzz(count: u64, base_seed: u64) -> ExitCode {
@@ -107,7 +115,12 @@ fn run_fuzz(count: u64, base_seed: u64) -> ExitCode {
 }
 
 fn main() -> ExitCode {
-    let cli = parse_cli();
+    let cli = parse_cli(std::env::args().skip(1)).unwrap_or_else(|message| {
+        if !message.is_empty() {
+            eprintln!("{message}");
+        }
+        usage()
+    });
     if let Some(count) = cli.fuzz {
         return run_fuzz(count, cli.seed);
     }
@@ -176,5 +189,54 @@ fn main() -> ExitCode {
         ExitCode::FAILURE
     } else {
         ExitCode::SUCCESS
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    fn parse(args: &[&str]) -> Result<Cli, String> {
+        parse_cli(args.iter().map(|a| a.to_string()))
+    }
+
+    #[test]
+    fn defaults_and_values() {
+        let cli = parse(&["a.wspec", "--workers", "4", "--queue", "8", "--cache", "d"]).unwrap();
+        assert_eq!(cli.workers, 4);
+        assert_eq!(cli.queue, 8);
+        assert_eq!(cli.cache, Some(PathBuf::from("d")));
+        assert_eq!(cli.files, vec![PathBuf::from("a.wspec")]);
+        let cli = parse(&["--fuzz", "40", "--seed", "7", "--trace"]).unwrap();
+        assert_eq!((cli.fuzz, cli.seed, cli.trace), (Some(40), 7, true));
+        let cli = parse(&[]).unwrap();
+        assert_eq!((cli.workers, cli.queue, cli.hash_only), (2, 64, false));
+    }
+
+    #[test]
+    fn zero_workers_or_queue_is_rejected() {
+        assert_eq!(
+            parse(&["--workers", "0", "a.wspec"]).unwrap_err(),
+            "--workers must be at least 1"
+        );
+        assert_eq!(
+            parse(&["--queue", "0", "a.wspec"]).unwrap_err(),
+            "--queue must be at least 1"
+        );
+    }
+
+    #[test]
+    fn malformed_missing_and_unknown_flags_are_rejected() {
+        assert_eq!(
+            parse(&["--workers", "two"]).unwrap_err(),
+            "--workers needs a whole number, not `two`"
+        );
+        assert_eq!(
+            parse(&["--seed", "-1"]).unwrap_err(),
+            "--seed needs a whole number, not `-1`"
+        );
+        assert_eq!(parse(&["--queue"]).unwrap_err(), "--queue needs a value");
+        assert_eq!(parse(&["--fast"]).unwrap_err(), "unknown option --fast");
+        assert_eq!(parse(&["--help"]).unwrap_err(), "");
     }
 }

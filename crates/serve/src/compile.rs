@@ -1,11 +1,18 @@
 //! Compile a `wormspec/1` source into a runnable verification job.
 //!
-//! Compilation chains the per-crate resolution seams in dependency
-//! order — topology, routing, traffic, faults, then the verify
-//! configuration objects — so a [`CompiledJob`] holds everything the
-//! verdict engines need and no spec-shaped data survives past this
-//! point. The canonical text and content hash are computed here too:
-//! they are what the result cache keys on.
+//! Compilation has two steps, so that a cache hit pays only for the
+//! first:
+//!
+//! 1. [`key`] parses the source, renders its canonical text once and
+//!    hashes it. The [`SpecKey`] is everything a cache lookup needs.
+//! 2. [`resolve`] chains the per-crate resolution seams in dependency
+//!    order — topology, routing, traffic, faults, then the verify
+//!    configuration objects — so a [`CompiledJob`] holds everything the
+//!    verdict engines need and no spec-shaped data survives past this
+//!    point.
+//!
+//! [`compile`] runs both. The server looks the key up between them and
+//! resolves only on a miss.
 
 use worm_core::classify::ClassifyOptions;
 use wormexist::ExistOptions;
@@ -23,12 +30,19 @@ use wormspec::diag::{codes, SpecError};
 /// `verify { ... }`.
 pub const DEFAULT_HORIZON: u64 = 10_000;
 
+/// A parsed spec and its cache key.
+#[derive(Debug)]
+pub struct SpecKey {
+    /// The parsed (canonical-by-construction) AST.
+    pub spec: Spec,
+    /// The 16-hex-digit content hash of the canonical text.
+    pub hash: String,
+}
+
 /// A fully resolved job: the parsed spec plus every engine input.
 pub struct CompiledJob {
     /// The parsed (canonical-by-construction) AST.
     pub spec: Spec,
-    /// The canonical text (`wormspec::canonical`).
-    pub canonical: String,
     /// The 16-hex-digit content hash of the canonical text.
     pub hash: String,
     /// The built topology (keeps the typed builder alive for engines
@@ -78,14 +92,26 @@ impl CompiledJob {
     }
 }
 
-/// Parse and resolve `source` into a [`CompiledJob`].
+/// Parse and resolve `source` into a [`CompiledJob`]: [`key`], then
+/// [`resolve`].
 ///
 /// Every failure is a [`SpecError`] with a span into `source`, whether
 /// it came from the parser or from a downstream resolution seam.
 pub fn compile(source: &str) -> Result<CompiledJob, SpecError> {
+    resolve(key(source)?)
+}
+
+/// Parse `source` and hash its canonical text, rendered once.
+pub fn key(source: &str) -> Result<SpecKey, SpecError> {
     let spec = wormspec::parse(source)?;
-    let canonical = wormspec::canonical(&spec);
-    let hash = wormspec::content_hash_hex(&spec);
+    let hash = wormspec::hash_hex(&wormspec::canonical(&spec));
+    Ok(SpecKey { spec, hash })
+}
+
+/// Resolve a parsed spec through every resolution seam into a
+/// [`CompiledJob`]. Errors carry spans into the source `key` parsed.
+pub fn resolve(key: SpecKey) -> Result<CompiledJob, SpecError> {
+    let SpecKey { spec, hash } = key;
     let topology = wormnet::spec::build_topology(&spec.topology)?;
     let table = wormroute::spec::table_from_spec(&spec.routing, &topology)?;
     let (messages, skew) = match &spec.traffic {
@@ -128,7 +154,6 @@ pub fn compile(source: &str) -> Result<CompiledJob, SpecError> {
         .unwrap_or_default();
     Ok(CompiledJob {
         spec,
-        canonical,
         hash,
         topology,
         table,
@@ -176,7 +201,25 @@ mod tests {
         )
         .unwrap();
         assert_eq!(a.hash, b.hash);
-        assert_eq!(a.canonical, b.canonical);
+        assert_eq!(a.hash, wormspec::content_hash_hex(&b.spec));
+    }
+
+    #[test]
+    fn the_key_is_the_compiled_hash_and_errors_split_by_step() {
+        let ring =
+            "wormspec/1\ntopology { kind = ring nodes = 4 }\nrouting { engine = clockwise_ring }\n";
+        assert_eq!(key(ring).unwrap().hash, compile(ring).unwrap().hash);
+
+        // A parse error stops at the key; a resolution error only shows
+        // in `resolve`, after a key was computed.
+        assert_eq!(
+            key("wormspec/1\nnope { }\n").unwrap_err().code,
+            codes::UNKNOWN_SECTION
+        );
+        let unresolvable = "wormspec/1\ntopology { kind = ring nodes = 4 }\nrouting { engine = table path \"r0\" -> \"r99\" = [c0] }\n";
+        let k = key(unresolvable).unwrap();
+        assert_eq!(k.hash.len(), 16);
+        assert_eq!(resolve(k).unwrap_err().code, codes::RESOLVE);
     }
 
     #[test]

@@ -6,21 +6,25 @@
 //!
 //! The pieces, in data-flow order:
 //!
-//! - [`compile`] — parse + resolve a source through every per-crate
-//!   seam (`wormnet::spec`, `wormroute::spec`, `wormsim::spec`,
+//! - [`key`] — parse a source, render its canonical text once and hash
+//!   it into a [`SpecKey`]: all a cache lookup needs;
+//! - [`resolve`] — resolve a key through every per-crate seam
+//!   (`wormnet::spec`, `wormroute::spec`, `wormsim::spec`,
 //!   `wormfault::spec`, `wormlint::spec`, `worm_core::spec`,
-//!   `wormsearch::spec`) into a [`CompiledJob`];
+//!   `wormexist::spec`, `wormsearch::spec`) into a [`CompiledJob`];
+//!   [`compile()`] is `key` then `resolve`;
 //! - [`verdict_json`] — run the engines the spec selected and render
 //!   the sorted-key, timing-free `wormserve/1` document;
 //! - [`JobQueue`] — a bounded blocking MPMC queue (backpressure);
 //! - [`ResultCache`] — content-addressed verdict storage keyed by the
 //!   canonical spec hash, hit = byte-identical replay;
-//! - [`Server`] — the worker pool gluing the above together, with
-//!   graceful drain on [`Server::shutdown`];
-//! - [`lift`] — the inverse seam: express an in-memory network and
+//! - [`Server`] — the worker pool gluing the above together: each job
+//!   is keyed, looked up, and resolved and verified only on a miss,
+//!   with graceful drain on [`Server::shutdown`];
+//! - [`lift()`] — the inverse seam: express an in-memory network and
 //!   routing table as an explicit spec (how the lint corpus became
 //!   committed `.wspec` files);
-//! - [`specgen`](crate::specgen) — seeded spec generation and the
+//! - [`specgen`] — seeded spec generation and the
 //!   lint/classifier/search three-way differential fuzzer.
 //!
 //! `docs/SERVICE.md` is the operator-facing guide to all of this;
@@ -38,7 +42,7 @@ pub mod specgen;
 pub mod verdict;
 
 pub use cache::ResultCache;
-pub use compile::{compile, CompiledJob};
+pub use compile::{compile, key, resolve, CompiledJob, SpecKey};
 pub use lift::lift;
 pub use queue::JobQueue;
 pub use server::{JobResult, Server, ServerConfig};

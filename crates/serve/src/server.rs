@@ -4,9 +4,11 @@
 //! Submission is multi-producer (`Server::submit` clones are cheap and
 //! thread-safe via the shared queue) and blocks when the queue is at
 //! capacity — a client can never race the pool into unbounded memory.
-//! Each worker compiles a job, consults the content-addressed cache,
-//! and either replays the stored verdict byte-for-byte (a *hit*: no
-//! engine runs) or computes, stores, and returns a fresh one.
+//! Each worker computes a job's key (parse, canonical text, hash),
+//! consults the content-addressed cache, and either replays the stored
+//! verdict byte-for-byte (a *hit*: nothing is resolved and no engine
+//! runs) or resolves the spec, computes, stores, and returns a fresh
+//! verdict.
 //! [`Server::shutdown`] closes the queue, lets every worker drain what
 //! was already accepted, joins the pool, and hands back all results in
 //! submission order.
@@ -15,10 +17,11 @@ use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex};
 use std::thread::JoinHandle;
 
+use wormspec::SpecError;
 use wormtrace::MemoryRecorder;
 
 use crate::cache::ResultCache;
-use crate::compile::compile;
+use crate::compile::{key, resolve};
 use crate::queue::JobQueue;
 use crate::verdict::verdict_json;
 
@@ -73,29 +76,32 @@ pub struct JobResult {
 static TRACE_LOCK: Mutex<()> = Mutex::new(());
 
 fn run_job(job: &Job, cache: Option<&ResultCache>, attach_traces: bool) -> JobResult {
-    let compiled = match compile(&job.source) {
-        Ok(compiled) => compiled,
-        Err(e) => {
-            return JobResult {
-                name: job.name.clone(),
-                hash: None,
-                verdict: Err(e.render(&job.source, &job.name)),
-                cached: false,
-                trace: None,
-            }
-        }
+    let rejected = |e: SpecError| JobResult {
+        name: job.name.clone(),
+        hash: None,
+        verdict: Err(e.render(&job.source, &job.name)),
+        cached: false,
+        trace: None,
     };
-    if let Some(cache) = cache {
-        if let Some(stored) = cache.lookup(&compiled.hash) {
-            return JobResult {
-                name: job.name.clone(),
-                hash: Some(compiled.hash),
-                verdict: Ok(stored),
-                cached: true,
-                trace: None,
-            };
-        }
+    let key = match key(&job.source) {
+        Ok(key) => key,
+        Err(e) => return rejected(e),
+    };
+    // Entries are stored only for specs this build resolved and
+    // verified, so a hit needs no resolution.
+    if let Some(stored) = cache.and_then(|c| c.lookup(&key.hash)) {
+        return JobResult {
+            name: job.name.clone(),
+            hash: Some(key.hash),
+            verdict: Ok(stored),
+            cached: true,
+            trace: None,
+        };
     }
+    let compiled = match resolve(key) {
+        Ok(compiled) => compiled,
+        Err(e) => return rejected(e),
+    };
     let (verdict, trace) = if attach_traces {
         let _guard = TRACE_LOCK.lock().expect("trace lock poisoned");
         let recorder = Arc::new(MemoryRecorder::default());

@@ -41,7 +41,14 @@ pub fn content_hash(spec: &Spec) -> u64 {
 /// The content hash as 16 lowercase hex digits (cache file names,
 /// verdict identity).
 pub fn content_hash_hex(spec: &Spec) -> String {
-    format!("{:016x}", content_hash(spec))
+    hash_hex(&canonical(spec))
+}
+
+/// The content hash of an already rendered canonical text, as 16
+/// lowercase hex digits: FNV-1a over its bytes. A caller that needs
+/// the text too renders it once and hashes it here.
+pub fn hash_hex(canonical: &str) -> String {
+    format!("{:016x}", fnv1a(canonical.as_bytes()))
 }
 
 #[cfg(test)]
@@ -101,6 +108,7 @@ mod tests {
         )
         .unwrap();
         let hex = content_hash_hex(&a);
+        assert_eq!(hex, hash_hex(&canonical(&a)));
         assert_eq!(hex.len(), 16);
         assert!(hex
             .chars()

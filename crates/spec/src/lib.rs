@@ -27,18 +27,21 @@
 //! The pipeline inside this crate is deliberately small and fully
 //! hand-rolled (no dependencies — parser generators included):
 //!
-//! * [`lexer`] — tokens with byte [`diag::Span`]s; comments (`#`) and
-//!   whitespace vanish here.
+//! * [`lexer`] — tokens with byte [`diag::Span`]s, borrowed from the
+//!   source (only a string literal with an escape is copied); comments
+//!   (`#`) and whitespace vanish here.
 //! * [`parser`] — recursive descent into the typed [`ast`]. Quantities
 //!   carry units (`cycles`, `flits`, `lanes`) checked at parse time;
 //!   enumerations, references (`c3`, `m0`, `W101`), duplicate keys and
 //!   sections are all validated with stable error codes.
 //! * [`diag`] — [`diag::SpecError`] with stable `E`-codes and rendered
 //!   line/column + caret-snippet diagnostics.
-//! * [`print`] — the `to_spec` pretty-printer; its output is the
-//!   **canonical form**, with `parse(print(ast)) == ast`.
+//! * [`print`](mod@print) — the `to_spec` pretty-printer, writing into one
+//!   buffer; its output is the **canonical form**, with
+//!   `parse(print(ast)) == ast`.
 //! * [`canon`] — the FNV-1a 64-bit [`content_hash`] over the canonical
-//!   form, keying the `wormserve` result cache.
+//!   form, keying the `wormserve` result cache; [`hash_hex`] hashes a
+//!   canonical text already rendered.
 //!
 //! Resolution — turning an AST into a live `Network`, `TableRouting`,
 //! `FaultPlan`, and so on — deliberately lives *downstream*: each
@@ -60,7 +63,7 @@ pub mod parser;
 pub mod print;
 
 pub use ast::Spec;
-pub use canon::{canonical, content_hash, content_hash_hex, fnv1a};
+pub use canon::{canonical, content_hash, content_hash_hex, fnv1a, hash_hex};
 pub use diag::{Span, SpecError};
 pub use parser::parse;
 pub use print::to_spec;

@@ -12,26 +12,33 @@ use crate::lexer::{lex, Tok, Token};
 
 /// Parse a `wormspec/1` document.
 pub fn parse(source: &str) -> Result<Spec, SpecError> {
-    let tokens = lex(source)?;
-    Parser { tokens, pos: 0 }.spec()
+    let mut rest = lex(source)?.into_iter();
+    let cur = rest.next().expect("the token stream ends with `Eof`");
+    Parser { cur, rest }.spec()
 }
 
-struct Parser {
-    tokens: Vec<Token>,
-    pos: usize,
+/// The parser moves through the token stream without copying tokens:
+/// it looks at `cur` and moves it out when it consumes it. Strings are
+/// copied out of the source only into the AST.
+struct Parser<'a> {
+    /// The lookahead token.
+    cur: Token<'a>,
+    /// The tokens after it.
+    rest: std::vec::IntoIter<Token<'a>>,
 }
 
-impl Parser {
-    fn peek(&self) -> &Token {
-        &self.tokens[self.pos]
+impl<'a> Parser<'a> {
+    fn peek(&self) -> &Token<'a> {
+        &self.cur
     }
 
-    fn next(&mut self) -> Token {
-        let t = self.tokens[self.pos].clone();
-        if self.pos + 1 < self.tokens.len() {
-            self.pos += 1;
-        }
-        t
+    /// Consume the lookahead. At the end of input `Eof` stays current.
+    fn next(&mut self) -> Token<'a> {
+        let following = self.rest.next().unwrap_or(Token {
+            tok: Tok::Eof,
+            span: self.cur.span,
+        });
+        std::mem::replace(&mut self.cur, following)
     }
 
     fn error(&self, code: &'static str, msg: impl Into<String>, span: Span) -> SpecError {
@@ -47,7 +54,7 @@ impl Parser {
         )
     }
 
-    fn expect_tok(&mut self, tok: Tok, expected: &str) -> Result<Span, SpecError> {
+    fn expect_tok(&mut self, tok: Tok<'a>, expected: &str) -> Result<Span, SpecError> {
         if self.peek().tok == tok {
             Ok(self.next().span)
         } else {
@@ -55,32 +62,33 @@ impl Parser {
         }
     }
 
+    /// Whether the lookahead is the identifier `kw`.
+    fn at_keyword(&self, kw: &str) -> bool {
+        matches!(self.peek().tok, Tok::Ident(s) if s == kw)
+    }
+
     /// Any identifier.
-    fn ident(&mut self, expected: &str) -> Result<Spanned<String>, SpecError> {
-        match &self.peek().tok {
-            Tok::Ident(s) => {
-                let s = s.clone();
-                let span = self.next().span;
-                Ok(Spanned::new(s, span))
-            }
+    fn ident(&mut self, expected: &str) -> Result<Spanned<&'a str>, SpecError> {
+        match self.peek().tok {
+            Tok::Ident(s) => Ok(Spanned::new(s, self.next().span)),
             _ => Err(self.unexpected(expected)),
         }
     }
 
     /// A specific keyword identifier.
     fn keyword(&mut self, kw: &str) -> Result<Span, SpecError> {
-        match &self.peek().tok {
-            Tok::Ident(s) if s == kw => Ok(self.next().span),
-            _ => Err(self.unexpected(&format!("`{kw}`"))),
+        if self.at_keyword(kw) {
+            Ok(self.next().span)
+        } else {
+            Err(self.unexpected(&format!("`{kw}`")))
         }
     }
 
     fn string(&mut self, expected: &str) -> Result<Spanned<String>, SpecError> {
-        match &self.peek().tok {
+        match &mut self.cur.tok {
             Tok::Str(s) => {
-                let s = s.clone();
-                let span = self.next().span;
-                Ok(Spanned::new(s, span))
+                let s = std::mem::take(s).into_owned();
+                Ok(Spanned::new(s, self.next().span))
             }
             _ => Err(self.unexpected(expected)),
         }
@@ -88,58 +96,49 @@ impl Parser {
 
     fn int(&mut self, expected: &str) -> Result<Spanned<u64>, SpecError> {
         match self.peek().tok {
-            Tok::Int(n) => {
-                let span = self.next().span;
-                Ok(Spanned::new(n, span))
-            }
+            Tok::Int(n) => Ok(Spanned::new(n, self.next().span)),
             _ => Err(self.unexpected(expected)),
         }
     }
 
     /// `N <unit>` with the unit *required* to match.
     fn quantity(&mut self, unit: Unit) -> Result<Spanned<Quantity>, SpecError> {
-        let n = self.int(&format!("a quantity in {}", unit.keyword()))?;
-        match &self.peek().tok {
-            Tok::Ident(s) => {
-                if let Some(found) = Unit::from_keyword(s) {
-                    let uspan = self.next().span;
-                    if found != unit {
-                        return Err(self.error(
-                            codes::UNIT,
-                            format!(
-                                "wrong unit: expected `{}`, found `{}`",
-                                unit.keyword(),
-                                found.keyword()
-                            ),
-                            uspan,
-                        ));
-                    }
-                    Ok(Spanned::new(Quantity::new(n.value, unit), n.span.to(uspan)))
-                } else {
-                    Err(self.error(
-                        codes::UNIT,
-                        format!(
-                            "missing unit: this quantity is measured in `{}`",
-                            unit.keyword()
-                        ),
-                        n.span,
-                    ))
-                }
-            }
-            _ => Err(self.error(
+        let Tok::Int(value) = self.peek().tok else {
+            return Err(self.unexpected(&format!("a quantity in {}", unit.keyword())));
+        };
+        let span = self.next().span;
+        let found = match self.peek().tok {
+            Tok::Ident(s) => Unit::from_keyword(s),
+            _ => None,
+        };
+        let Some(found) = found else {
+            return Err(self.error(
                 codes::UNIT,
                 format!(
                     "missing unit: this quantity is measured in `{}`",
                     unit.keyword()
                 ),
-                n.span,
-            )),
+                span,
+            ));
+        };
+        let uspan = self.next().span;
+        if found != unit {
+            return Err(self.error(
+                codes::UNIT,
+                format!(
+                    "wrong unit: expected `{}`, found `{}`",
+                    unit.keyword(),
+                    found.keyword()
+                ),
+                uspan,
+            ));
         }
+        Ok(Spanned::new(Quantity::new(value, unit), span.to(uspan)))
     }
 
     fn bool_value(&mut self) -> Result<Spanned<bool>, SpecError> {
         let id = self.ident("`true` or `false`")?;
-        match id.value.as_str() {
+        match id.value {
             "true" => Ok(Spanned::new(true, id.span)),
             "false" => Ok(Spanned::new(false, id.span)),
             other => Err(self.error(
@@ -173,25 +172,25 @@ impl Parser {
 
     /// A prefixed reference like `c3` (channels) or `m0` (messages).
     fn reference(&mut self, prefix: char, what: &str) -> Result<Spanned<u64>, SpecError> {
-        let id = self.ident(&format!("a {what} reference like `{prefix}0`"))?;
-        let rest = id.value.strip_prefix(prefix).ok_or_else(|| {
+        let Tok::Ident(id) = self.peek().tok else {
+            return Err(self.unexpected(&format!("a {what} reference like `{prefix}0`")));
+        };
+        let span = self.next().span;
+        let Some(digits) = id.strip_prefix(prefix) else {
+            return Err(self.error(
+                codes::REF,
+                format!("expected a {what} reference like `{prefix}0`, found `{id}`"),
+                span,
+            ));
+        };
+        let n: u64 = digits.parse().map_err(|_| {
             self.error(
                 codes::REF,
-                format!(
-                    "expected a {what} reference like `{prefix}0`, found `{}`",
-                    id.value
-                ),
-                id.span,
+                format!("malformed {what} reference `{id}`"),
+                span,
             )
         })?;
-        let n: u64 = rest.parse().map_err(|_| {
-            self.error(
-                codes::REF,
-                format!("malformed {what} reference `{}`", id.value),
-                id.span,
-            )
-        })?;
-        Ok(Spanned::new(n, id.span))
+        Ok(Spanned::new(n, span))
     }
 
     /// `[c0, c4, c7]`
@@ -199,7 +198,7 @@ impl Parser {
         let lo = self.expect_tok(Tok::LBracket, "`[`")?;
         let mut items = Vec::new();
         loop {
-            match &self.peek().tok {
+            match self.peek().tok {
                 Tok::RBracket => break,
                 Tok::Ident(_) => {
                     items.push(self.reference('c', "channel")?.value);
@@ -253,7 +252,7 @@ impl Parser {
                     $slot = Some($parse?);
                 }};
             }
-            match name.value.as_str() {
+            match name.value {
                 "topology" => fill!(topology, self.topology()),
                 "routing" => fill!(routing, self.routing()),
                 "traffic" => fill!(traffic, self.traffic()),
@@ -299,7 +298,7 @@ impl Parser {
                 Tok::Ident(_) => self.ident("a topology key or declaration")?,
                 _ => return Err(self.unexpected("a topology key, `node`, `channel`, or `}`")),
             };
-            match key.value.as_str() {
+            match key.value {
                 "node" => {
                     let name = self.string("the node name as a string")?;
                     t.decls.push(Decl::Node(NodeDecl { name }));
@@ -312,15 +311,15 @@ impl Parser {
                     let mut cap = Spanned::new(Quantity::new(1, Unit::Flits), src.span);
                     let mut label = None;
                     // Optional modifiers, fixed order: lane, cap, label.
-                    if matches!(&self.peek().tok, Tok::Ident(s) if s == "lane") {
+                    if self.at_keyword("lane") {
                         self.next();
                         lane = self.int("the lane index")?;
                     }
-                    if matches!(&self.peek().tok, Tok::Ident(s) if s == "cap") {
+                    if self.at_keyword("cap") {
                         self.next();
                         cap = self.quantity(Unit::Flits)?;
                     }
-                    if matches!(&self.peek().tok, Tok::Ident(s) if s == "label") {
+                    if self.at_keyword("label") {
                         self.next();
                         label = Some(self.string("the channel label as a string")?);
                     }
@@ -346,10 +345,10 @@ impl Parser {
                             $slot = Some($value?);
                         }};
                     }
-                    match key.value.as_str() {
+                    match key.value {
                         "kind" => {
                             let id = self.ident("a topology kind")?;
-                            let k = TopologyKind::from_keyword(&id.value).ok_or_else(|| {
+                            let k = TopologyKind::from_keyword(id.value).ok_or_else(|| {
                                 self.error(
                                     codes::ENUM,
                                     format!("unknown topology kind `{}`", id.value),
@@ -370,7 +369,7 @@ impl Parser {
                         "nodes" => set!(t.nodes, self.int("the node count")),
                         "direction" => {
                             let id = self.ident("`unidirectional` or `bidirectional`")?;
-                            let d = match id.value.as_str() {
+                            let d = match id.value {
                                 "unidirectional" => RingDirection::Unidirectional,
                                 "bidirectional" => RingDirection::Bidirectional,
                                 other => {
@@ -430,7 +429,7 @@ impl Parser {
                 Tok::Ident(_) => self.ident("a routing key")?,
                 _ => return Err(self.unexpected("`engine`, `path`, or `}`")),
             };
-            match key.value.as_str() {
+            match key.value {
                 "engine" => {
                     self.expect_tok(Tok::Eq, "`=` after `engine`")?;
                     let id = self.ident("a routing engine name")?;
@@ -441,7 +440,7 @@ impl Parser {
                             key.span,
                         ));
                     }
-                    engine = Some(id);
+                    engine = Some(Spanned::new(id.value.to_string(), id.span));
                 }
                 "path" => {
                     let src = self.string("the source node name")?;
@@ -494,14 +493,14 @@ impl Parser {
                     $slot = Some($value?);
                 }};
             }
-            match key.value.as_str() {
+            match key.value {
                 "message" => {
                     let src = self.string("the source node name")?;
                     self.expect_tok(Tok::Arrow, "`->` between message endpoints")?;
                     let dst = self.string("the destination node name")?;
                     self.keyword("length")?;
                     let length = self.quantity(Unit::Flits)?;
-                    let at = if matches!(&self.peek().tok, Tok::Ident(s) if s == "at") {
+                    let at = if self.at_keyword("at") {
                         self.next();
                         Some(self.quantity(Unit::Cycles)?)
                     } else {
@@ -529,7 +528,7 @@ impl Parser {
                 "pattern" => {
                     self.expect_tok(Tok::Eq, "`=` after `pattern`")?;
                     let id = self.ident("a traffic pattern")?;
-                    let p = PatternKind::from_keyword(&id.value).ok_or_else(|| {
+                    let p = PatternKind::from_keyword(id.value).ok_or_else(|| {
                         self.error(
                             codes::ENUM,
                             format!("unknown traffic pattern `{}`", id.value),
@@ -547,17 +546,11 @@ impl Parser {
                 }
                 "rate" => {
                     self.expect_tok(Tok::Eq, "`=` after `rate`")?;
-                    let d = match &self.peek().tok {
+                    let d = match self.peek().tok {
                         Tok::Decimal(text) => {
-                            let text = text.clone();
-                            let span = self.next().span;
-                            Spanned::new(Decimal(text), span)
+                            Spanned::new(Decimal(text.to_string()), self.next().span)
                         }
-                        Tok::Int(n) => {
-                            let n = *n;
-                            let span = self.next().span;
-                            Spanned::new(Decimal(n.to_string()), span)
-                        }
+                        Tok::Int(n) => Spanned::new(Decimal(n.to_string()), self.next().span),
                         _ => return Err(self.unexpected("an injection rate like `0.05`")),
                     };
                     if t.rate.is_some() {
@@ -619,7 +612,7 @@ impl Parser {
                 Tok::Ident(_) => self.ident("a fault declaration")?,
                 _ => return Err(self.unexpected("a fault declaration or `}`")),
             };
-            match key.value.as_str() {
+            match key.value {
                 "down" | "up" => {
                     let channel = self.reference('c', "channel")?;
                     self.expect_tok(Tok::At, "`@` before the time")?;
@@ -743,11 +736,11 @@ impl Parser {
                     $slot = Some($value?);
                 }};
             }
-            match key.value.as_str() {
+            match key.value {
                 "engine" => {
                     self.expect_tok(Tok::Eq, "`=` after `engine`")?;
                     let id = self.ident("a verify engine")?;
-                    let e = VerifyEngine::from_keyword(&id.value).ok_or_else(|| {
+                    let e = VerifyEngine::from_keyword(id.value).ok_or_else(|| {
                         self.error(
                             codes::ENUM,
                             format!(
@@ -807,7 +800,7 @@ impl Parser {
                                 }
                                 self.expect_tok(Tok::Eq, "`=` after the lint code")?;
                                 let sev = self.ident("`allow`, `warn`, or `deny`")?;
-                                let severity = match sev.value.as_str() {
+                                let severity = match sev.value {
                                     "allow" => SeverityName::Allow,
                                     "warn" => SeverityName::Warn,
                                     "deny" => SeverityName::Deny,
@@ -820,7 +813,7 @@ impl Parser {
                                     }
                                 };
                                 v.lint.push(LintOverride {
-                                    code,
+                                    code: Spanned::new(code.value.to_string(), code.span),
                                     severity: Spanned::new(severity, sev.span),
                                 });
                                 if self.peek().tok == Tok::Comma {

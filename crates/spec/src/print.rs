@@ -15,7 +15,8 @@ use crate::ast::*;
 
 /// Render a spec in canonical `wormspec/1` form.
 pub fn to_spec(spec: &Spec) -> String {
-    let mut out = String::from("wormspec/1\n");
+    let mut out = Out(String::new());
+    out.str("wormspec/1\n");
     print_topology(&mut out, &spec.topology);
     print_routing(&mut out, &spec.routing);
     if let Some(t) = &spec.traffic {
@@ -27,279 +28,295 @@ pub fn to_spec(spec: &Spec) -> String {
     if let Some(v) = &spec.verify {
         print_verify(&mut out, v);
     }
-    out
+    out.0
 }
 
-/// Quote a string with the lexer's escape set.
-fn quoted(s: &str) -> String {
-    let mut out = String::with_capacity(s.len() + 2);
-    out.push('"');
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\t' => out.push_str("\\t"),
-            _ => out.push(c),
+/// The canonical text under construction. Every piece is appended in
+/// place, so printing allocates nothing but this one buffer.
+struct Out(String);
+
+impl Out {
+    fn str(&mut self, s: &str) -> &mut Self {
+        self.0.push_str(s);
+        self
+    }
+
+    /// An unsigned integer in decimal.
+    fn int(&mut self, mut n: u64) -> &mut Self {
+        let mut digits = [0u8; 20];
+        let mut i = digits.len();
+        loop {
+            i -= 1;
+            digits[i] = b'0' + (n % 10) as u8;
+            n /= 10;
+            if n == 0 {
+                break;
+            }
+        }
+        self.str(std::str::from_utf8(&digits[i..]).expect("ASCII digits"))
+    }
+
+    /// A string quoted with the lexer's escape set.
+    fn quoted(&mut self, s: &str) -> &mut Self {
+        self.0.push('"');
+        let mut from = 0;
+        for (i, b) in s.bytes().enumerate() {
+            let escape = match b {
+                b'"' => "\\\"",
+                b'\\' => "\\\\",
+                b'\n' => "\\n",
+                b'\t' => "\\t",
+                _ => continue,
+            };
+            self.0.push_str(&s[from..i]);
+            self.0.push_str(escape);
+            from = i + 1;
+        }
+        self.0.push_str(&s[from..]);
+        self.0.push('"');
+        self
+    }
+
+    /// `N unit`.
+    fn quantity(&mut self, q: Quantity) -> &mut Self {
+        self.int(q.value).str(" ").str(q.unit.keyword())
+    }
+
+    /// `[a, b, c]`, each item written `{prefix}{n}`.
+    fn list(&mut self, prefix: &str, items: &[u64]) -> &mut Self {
+        self.str("[");
+        for (i, &n) in items.iter().enumerate() {
+            if i > 0 {
+                self.str(", ");
+            }
+            self.str(prefix).int(n);
+        }
+        self.str("]")
+    }
+
+    /// `  key = ` — the start of a key line.
+    fn key(&mut self, key: &str) -> &mut Self {
+        self.str("  ").str(key).str(" = ")
+    }
+
+    fn word_key(&mut self, key: &str, value: Option<&str>) {
+        if let Some(v) = value {
+            self.key(key).str(v).str("\n");
         }
     }
-    out.push('"');
-    out
+
+    fn int_key(&mut self, key: &str, value: Option<&Spanned<u64>>) {
+        if let Some(v) = value {
+            self.key(key).int(v.value).str("\n");
+        }
+    }
+
+    fn bool_key(&mut self, key: &str, value: Option<&Spanned<bool>>) {
+        self.word_key(key, value.map(|v| if v.value { "true" } else { "false" }));
+    }
+
+    fn quantity_key(&mut self, key: &str, value: Option<&Spanned<Quantity>>) {
+        if let Some(v) = value {
+            self.key(key).quantity(v.value).str("\n");
+        }
+    }
+
+    fn list_key(&mut self, key: &str, value: Option<&Spanned<Vec<u64>>>) {
+        if let Some(v) = value {
+            self.key(key).list("", &v.value).str("\n");
+        }
+    }
 }
 
-fn quantity(q: &Quantity) -> String {
-    format!("{} {}", q.value, q.unit.keyword())
-}
-
-fn int_list(items: &[u64]) -> String {
-    let body: Vec<String> = items.iter().map(|n| n.to_string()).collect();
-    format!("[{}]", body.join(", "))
-}
-
-fn channel_list(items: &[u64]) -> String {
-    let body: Vec<String> = items.iter().map(|n| format!("c{n}")).collect();
-    format!("[{}]", body.join(", "))
-}
-
-fn print_topology(out: &mut String, t: &Topology) {
-    out.push_str("topology {\n");
-    out.push_str(&format!("  kind = {}\n", t.kind.value.keyword()));
-    if let Some(d) = &t.dims {
-        out.push_str(&format!("  dims = {}\n", int_list(&d.value)));
-    }
-    if let Some(v) = &t.vcs {
-        out.push_str(&format!("  vcs = {}\n", quantity(&v.value)));
-    }
-    if let Some(n) = &t.nodes {
-        out.push_str(&format!("  nodes = {}\n", n.value));
-    }
-    if let Some(d) = &t.direction {
-        out.push_str(&format!("  direction = {}\n", d.value.keyword()));
-    }
-    if let Some(g) = &t.groups {
-        out.push_str(&format!("  groups = {}\n", g.value));
-    }
-    if let Some(r) = &t.routers {
-        out.push_str(&format!("  routers = {}\n", r.value));
-    }
-    if let Some(l) = &t.local_lanes {
-        out.push_str(&format!("  local_lanes = {}\n", int_list(&l.value)));
-    }
-    if let Some(g) = &t.global_lanes {
-        out.push_str(&format!("  global_lanes = {}\n", int_list(&g.value)));
-    }
-    if let Some(v) = &t.valiant {
-        out.push_str(&format!("  valiant = {}\n", v.value));
-    }
-    if let Some(k) = &t.k {
-        out.push_str(&format!("  k = {}\n", k.value));
-    }
-    if let Some(d) = &t.dim {
-        out.push_str(&format!("  dim = {}\n", d.value));
-    }
+fn print_topology(out: &mut Out, t: &Topology) {
+    out.str("topology {\n");
+    out.word_key("kind", Some(t.kind.value.keyword()));
+    out.list_key("dims", t.dims.as_ref());
+    out.quantity_key("vcs", t.vcs.as_ref());
+    out.int_key("nodes", t.nodes.as_ref());
+    out.word_key("direction", t.direction.as_ref().map(|d| d.value.keyword()));
+    out.int_key("groups", t.groups.as_ref());
+    out.int_key("routers", t.routers.as_ref());
+    out.list_key("local_lanes", t.local_lanes.as_ref());
+    out.list_key("global_lanes", t.global_lanes.as_ref());
+    out.bool_key("valiant", t.valiant.as_ref());
+    out.int_key("k", t.k.as_ref());
+    out.int_key("dim", t.dim.as_ref());
     for decl in &t.decls {
         match decl {
             Decl::Node(n) => {
-                out.push_str(&format!("  node {}\n", quoted(&n.name.value)));
+                out.str("  node ").quoted(&n.name.value).str("\n");
             }
             Decl::Channel(c) => {
-                out.push_str(&format!(
-                    "  channel {} -> {}",
-                    quoted(&c.src.value),
-                    quoted(&c.dst.value)
-                ));
+                out.str("  channel ")
+                    .quoted(&c.src.value)
+                    .str(" -> ")
+                    .quoted(&c.dst.value);
                 // Defaults (lane 0, cap 1 flits) are elided: written and
                 // omitted defaults already parse to the same AST, so the
                 // canonical form is the short one.
                 if c.lane.value != 0 {
-                    out.push_str(&format!(" lane {}", c.lane.value));
+                    out.str(" lane ").int(c.lane.value);
                 }
                 if c.cap.value != Quantity::new(1, Unit::Flits) {
-                    out.push_str(&format!(" cap {}", quantity(&c.cap.value)));
+                    out.str(" cap ").quantity(c.cap.value);
                 }
                 if let Some(l) = &c.label {
-                    out.push_str(&format!(" label {}", quoted(&l.value)));
+                    out.str(" label ").quoted(&l.value);
                 }
-                out.push('\n');
+                out.str("\n");
             }
         }
     }
-    out.push_str("}\n");
+    out.str("}\n");
 }
 
-fn print_routing(out: &mut String, r: &Routing) {
-    out.push_str("routing {\n");
-    out.push_str(&format!("  engine = {}\n", r.engine.value));
+fn print_routing(out: &mut Out, r: &Routing) {
+    out.str("routing {\n");
+    out.word_key("engine", Some(&r.engine.value));
     for p in &r.paths {
-        out.push_str(&format!(
-            "  path {} -> {} = {}\n",
-            quoted(&p.src.value),
-            quoted(&p.dst.value),
-            channel_list(&p.channels.value)
-        ));
+        out.str("  path ")
+            .quoted(&p.src.value)
+            .str(" -> ")
+            .quoted(&p.dst.value)
+            .str(" = ")
+            .list("c", &p.channels.value)
+            .str("\n");
     }
-    out.push_str("}\n");
+    out.str("}\n");
 }
 
-fn print_traffic(out: &mut String, t: &Traffic) {
-    out.push_str("traffic {\n");
-    out.push_str(&format!("  pattern = {}\n", t.pattern.value.keyword()));
-    if let Some(r) = &t.rate {
-        out.push_str(&format!("  rate = {}\n", r.value.0));
-    }
-    if let Some(h) = &t.horizon {
-        out.push_str(&format!("  horizon = {}\n", quantity(&h.value)));
-    }
-    if let Some(l) = &t.length {
-        out.push_str(&format!("  length = {}\n", quantity(&l.value)));
-    }
-    if let Some(m) = &t.max_length {
-        out.push_str(&format!("  max_length = {}\n", quantity(&m.value)));
-    }
-    if let Some(s) = &t.seed {
-        out.push_str(&format!("  seed = {}\n", s.value));
-    }
+fn print_traffic(out: &mut Out, t: &Traffic) {
+    out.str("traffic {\n");
+    out.word_key("pattern", Some(t.pattern.value.keyword()));
+    out.word_key("rate", t.rate.as_ref().map(|r| r.value.0.as_str()));
+    out.quantity_key("horizon", t.horizon.as_ref());
+    out.quantity_key("length", t.length.as_ref());
+    out.quantity_key("max_length", t.max_length.as_ref());
+    out.int_key("seed", t.seed.as_ref());
     if let Some(h) = &t.hotspot {
-        out.push_str(&format!("  hotspot = {}\n", quoted(&h.value)));
+        out.key("hotspot").quoted(&h.value).str("\n");
     }
     for m in &t.messages {
-        out.push_str(&format!(
-            "  message {} -> {} length {}",
-            quoted(&m.src.value),
-            quoted(&m.dst.value),
-            quantity(&m.length.value)
-        ));
+        out.str("  message ")
+            .quoted(&m.src.value)
+            .str(" -> ")
+            .quoted(&m.dst.value)
+            .str(" length ")
+            .quantity(m.length.value);
         if let Some(at) = &m.at {
-            out.push_str(&format!(" at {}", quantity(&at.value)));
+            out.str(" at ").quantity(at.value);
         }
-        out.push('\n');
+        out.str("\n");
     }
     for p in &t.pauses {
-        out.push_str(&format!(
-            "  pause {} period {} offset {}\n",
-            quoted(&p.node.value),
-            quantity(&p.period.value),
-            quantity(&p.offset.value)
-        ));
+        out.str("  pause ")
+            .quoted(&p.node.value)
+            .str(" period ")
+            .quantity(p.period.value)
+            .str(" offset ")
+            .quantity(p.offset.value)
+            .str("\n");
     }
-    out.push_str("}\n");
+    out.str("}\n");
 }
 
-fn print_faults(out: &mut String, f: &Faults) {
-    out.push_str("faults {\n");
+fn print_faults(out: &mut Out, f: &Faults) {
+    out.str("faults {\n");
     for e in &f.events {
         match e {
             FaultDecl::Down { channel, at } => {
-                out.push_str(&format!(
-                    "  down c{} @ {}\n",
-                    channel.value,
-                    quantity(&at.value)
-                ));
+                out.str("  down c")
+                    .int(channel.value)
+                    .str(" @ ")
+                    .quantity(at.value);
             }
             FaultDecl::Up { channel, at } => {
-                out.push_str(&format!(
-                    "  up c{} @ {}\n",
-                    channel.value,
-                    quantity(&at.value)
-                ));
+                out.str("  up c")
+                    .int(channel.value)
+                    .str(" @ ")
+                    .quantity(at.value);
             }
             FaultDecl::Outage {
                 channel,
                 from,
                 until,
             } => {
-                out.push_str(&format!(
-                    "  outage c{} @ {}..{} cycles\n",
-                    channel.value, from.value, until.value
-                ));
+                out.str("  outage c")
+                    .int(channel.value)
+                    .str(" @ ")
+                    .int(from.value)
+                    .str("..")
+                    .int(until.value)
+                    .str(" cycles");
             }
             FaultDecl::Stall { node, at, dur } => {
-                out.push_str(&format!(
-                    "  stall {} @ {} for {}\n",
-                    quoted(&node.value),
-                    quantity(&at.value),
-                    quantity(&dur.value)
-                ));
+                out.str("  stall ")
+                    .quoted(&node.value)
+                    .str(" @ ")
+                    .quantity(at.value)
+                    .str(" for ")
+                    .quantity(dur.value);
             }
             FaultDecl::Drop { msg, at } => {
-                out.push_str(&format!(
-                    "  drop m{} @ {}\n",
-                    msg.value,
-                    quantity(&at.value)
-                ));
+                out.str("  drop m")
+                    .int(msg.value)
+                    .str(" @ ")
+                    .quantity(at.value);
             }
             FaultDecl::Corrupt { msg, at } => {
-                out.push_str(&format!(
-                    "  corrupt m{} @ {}\n",
-                    msg.value,
-                    quantity(&at.value)
-                ));
+                out.str("  corrupt m")
+                    .int(msg.value)
+                    .str(" @ ")
+                    .quantity(at.value);
             }
             FaultDecl::Delay { msg, by } => {
-                out.push_str(&format!(
-                    "  delay m{} by {}\n",
-                    msg.value,
-                    quantity(&by.value)
-                ));
+                out.str("  delay m")
+                    .int(msg.value)
+                    .str(" by ")
+                    .quantity(by.value);
             }
         }
+        out.str("\n");
     }
     if let Some(r) = &f.random {
-        out.push_str(&format!(
-            "  random(seed = {}, outages = {}, stalls = {}, horizon = {})\n",
-            r.seed.value,
-            r.outages.value,
-            r.stalls.value,
-            quantity(&r.horizon.value)
-        ));
+        out.str("  random(seed = ")
+            .int(r.seed.value)
+            .str(", outages = ")
+            .int(r.outages.value)
+            .str(", stalls = ")
+            .int(r.stalls.value)
+            .str(", horizon = ")
+            .quantity(r.horizon.value)
+            .str(")\n");
     }
-    out.push_str("}\n");
+    out.str("}\n");
 }
 
-fn print_verify(out: &mut String, v: &Verify) {
-    out.push_str("verify {\n");
-    if let Some(e) = &v.engine {
-        out.push_str(&format!("  engine = {}\n", e.value.keyword()));
-    }
-    if let Some(n) = &v.max_cycles {
-        out.push_str(&format!("  max_cycles = {}\n", n.value));
-    }
-    if let Some(n) = &v.max_candidates {
-        out.push_str(&format!("  max_candidates = {}\n", n.value));
-    }
-    if let Some(n) = &v.max_states {
-        out.push_str(&format!("  max_states = {}\n", n.value));
-    }
-    if let Some(n) = &v.threads {
-        out.push_str(&format!("  threads = {}\n", n.value));
-    }
-    if let Some(q) = &v.stall_budget {
-        out.push_str(&format!("  stall_budget = {}\n", quantity(&q.value)));
-    }
-    if let Some(b) = &v.model_exact {
-        out.push_str(&format!("  model_exact = {}\n", b.value));
-    }
-    if let Some(b) = &v.deny_warnings {
-        out.push_str(&format!("  deny_warnings = {}\n", b.value));
-    }
-    if let Some(q) = &v.capacity {
-        out.push_str(&format!("  capacity = {}\n", quantity(&q.value)));
-    }
-    if let Some(q) = &v.horizon {
-        out.push_str(&format!("  horizon = {}\n", quantity(&q.value)));
-    }
+fn print_verify(out: &mut Out, v: &Verify) {
+    out.str("verify {\n");
+    out.word_key("engine", v.engine.as_ref().map(|e| e.value.keyword()));
+    out.int_key("max_cycles", v.max_cycles.as_ref());
+    out.int_key("max_candidates", v.max_candidates.as_ref());
+    out.int_key("max_states", v.max_states.as_ref());
+    out.int_key("threads", v.threads.as_ref());
+    out.quantity_key("stall_budget", v.stall_budget.as_ref());
+    out.bool_key("model_exact", v.model_exact.as_ref());
+    out.bool_key("deny_warnings", v.deny_warnings.as_ref());
+    out.quantity_key("capacity", v.capacity.as_ref());
+    out.quantity_key("horizon", v.horizon.as_ref());
     if !v.lint.is_empty() {
-        out.push_str("  lint {\n");
+        out.str("  lint {\n");
         for o in &v.lint {
-            out.push_str(&format!(
-                "    {} = {}\n",
-                o.code.value,
-                o.severity.value.keyword()
-            ));
+            out.str("    ")
+                .str(&o.code.value)
+                .str(" = ")
+                .str(o.severity.value.keyword())
+                .str("\n");
         }
-        out.push_str("  }\n");
+        out.str("  }\n");
     }
-    out.push_str("}\n");
+    out.str("}\n");
 }
 
 #[cfg(test)]
@@ -359,11 +376,15 @@ mod tests {
     fn strings_round_trip_through_escapes() {
         let ast = parse(
             "wormspec/1\n\
-             topology { kind = explicit node \"a\\\"b\\\\c\" }\n\
+             topology { kind = explicit node \"a\\\"b\\\\c\" node \"d\\te\\nf\" }\n\
              routing { engine = table }\n",
         )
         .unwrap();
         let printed = to_spec(&ast);
+        assert!(
+            printed.contains("  node \"a\\\"b\\\\c\"\n  node \"d\\te\\nf\"\n"),
+            "{printed}"
+        );
         assert_eq!(parse(&printed).unwrap(), ast);
     }
 

@@ -1,8 +1,10 @@
-//! The PR's acceptance contract, end to end: the committed Figure 1
-//! spec round-trips through the language, verifies through `wormserve`
-//! to the same classifier verdict as the hard-coded Rust construction,
-//! and a whitespace/comment-perturbed resubmission is served from the
-//! cache **bit-identically**.
+//! The service's acceptance contract, end to end: the committed Figure 1
+//! spec round-trips through the language and verifies through
+//! `wormserve` to the same classifier verdict as the hard-coded Rust
+//! construction; a whitespace/comment-perturbed resubmission of every
+//! corpus spec is served from the cache **bit-identically**, equal to
+//! what the full path computes; and a spec that fails resolution is
+//! answered with its error and never cached.
 //!
 //! Also pins the `wormserve/1` document's structural promises: sorted
 //! keys at every object level and no environment-dependent fields.
@@ -12,7 +14,7 @@ use std::path::PathBuf;
 use cyclic_wormhole::core::classify::{classify_algorithm, ClassifyOptions};
 use cyclic_wormhole::core::paper::fig1;
 use cyclic_wormhole::serve::verdict::classifier_name;
-use cyclic_wormhole::serve::{compile, verdict_json, Server, ServerConfig};
+use cyclic_wormhole::serve::{compile, verdict_json, ResultCache, Server, ServerConfig};
 
 fn fig1_source() -> String {
     let path = PathBuf::from(env!("CARGO_MANIFEST_DIR")).join("corpus/fig1.wspec");
@@ -127,47 +129,108 @@ fn fig1_verdict_matches_the_hard_coded_pipeline() {
     assert_eq!(classifier_name(&spec_verdict), "deadlock-free-with-cycles");
 }
 
+/// Every committed corpus spec: `(name, source)`, sorted by name.
+fn corpus_sources() -> Vec<(String, String)> {
+    let dir = PathBuf::from(env!("CARGO_MANIFEST_DIR")).join("corpus");
+    let mut specs: Vec<(String, String)> = std::fs::read_dir(&dir)
+        .expect("corpus/ exists")
+        .map(|e| e.expect("dir entry").path())
+        .filter(|p| p.extension().is_some_and(|x| x == "wspec"))
+        .map(|p| {
+            let name = p.file_stem().unwrap().to_string_lossy().into_owned();
+            (
+                name,
+                std::fs::read_to_string(&p).expect("corpus spec reads"),
+            )
+        })
+        .collect();
+    specs.sort();
+    assert_eq!(specs.len(), 20, "corpus size");
+    specs
+}
+
+fn cached_server(dir: &std::path::Path, workers: usize) -> Server {
+    Server::start(ServerConfig {
+        workers,
+        queue_depth: 8,
+        cache_dir: Some(dir.to_path_buf()),
+        attach_traces: false,
+    })
+    .unwrap()
+}
+
+/// A hit skips resolution, so it must equal what the full path computes
+/// for the resubmitted text: checked on every corpus spec.
 #[test]
 fn perturbed_resubmission_hits_the_cache_bit_identically() {
     let dir = tmpdir("acceptance");
-    let source = fig1_source();
+    let corpus = corpus_sources();
 
-    let server = Server::start(ServerConfig {
-        workers: 2,
-        queue_depth: 8,
-        cache_dir: Some(dir.clone()),
-        attach_traces: false,
-    })
-    .unwrap();
-    assert!(server.submit("fig1", source.clone()));
+    let server = cached_server(&dir, 2);
+    for (name, source) in &corpus {
+        assert!(server.submit(name.clone(), source.clone()));
+    }
     let first = server.shutdown();
-    assert!(!first[0].cached, "first submission must compute");
-    let first_verdict = first[0].verdict.as_ref().unwrap().clone();
-    let first_hash = first[0].hash.clone().unwrap();
+    for r in &first {
+        assert!(!r.cached, "{}: first submission must compute", r.name);
+    }
 
     // Resubmit with a different surface syntax: same canonical hash,
     // so the verdict replays from disk byte-for-byte.
-    let rewritten = perturbed(&source);
-    assert_ne!(rewritten, source);
-    let server = Server::start(ServerConfig {
-        workers: 1,
-        queue_depth: 8,
-        cache_dir: Some(dir.clone()),
-        attach_traces: false,
-    })
-    .unwrap();
-    assert!(server.submit("fig1-rewrite", rewritten));
+    let server = cached_server(&dir, 1);
+    let mut rewrites = Vec::new();
+    for (name, source) in &corpus {
+        let rewritten = perturbed(source);
+        assert_ne!(&rewritten, source);
+        assert!(server.submit(format!("{name}-rewrite"), rewritten.clone()));
+        rewrites.push(rewritten);
+    }
     let second = server.shutdown();
-    assert!(
-        second[0].cached,
-        "perturbed resubmission must hit the cache"
-    );
-    assert_eq!(second[0].hash.as_deref(), Some(first_hash.as_str()));
-    assert_eq!(
-        second[0].verdict.as_ref().unwrap(),
-        &first_verdict,
-        "cache replay must be bit-identical"
-    );
+    for ((computed, hit), rewritten) in first.iter().zip(&second).zip(&rewrites) {
+        let name = &computed.name;
+        assert!(
+            hit.cached,
+            "{name}: perturbed resubmission must hit the cache"
+        );
+        assert_eq!(hit.hash, computed.hash, "{name}");
+        let stored = hit.verdict.as_ref().unwrap();
+        assert_eq!(
+            stored,
+            computed.verdict.as_ref().unwrap(),
+            "{name}: cache replay must be bit-identical"
+        );
+        let full_path = verdict_json(&compile(rewritten).expect("rewrite compiles"));
+        assert_eq!(
+            stored, &full_path,
+            "{name}: the hit differs from the full path"
+        );
+    }
+    let _ = std::fs::remove_dir_all(dir);
+}
+
+/// A spec that parses but fails in a resolution seam has a key, yet is
+/// answered with its error, never a verdict, and is never stored.
+#[test]
+fn resolution_errors_are_never_cached() {
+    let dir = tmpdir("unresolvable");
+    let source = "wormspec/1\n\
+                  topology { kind = ring nodes = 4 }\n\
+                  routing { engine = table path \"r0\" -> \"r99\" = [c0] }\n";
+    let server = cached_server(&dir, 1);
+    assert!(server.submit("unresolvable", source));
+    assert!(server.submit("unresolvable", source));
+    let results = server.shutdown();
+    let expected = compile(source)
+        .expect_err("the spec names an unknown node")
+        .render(source, "unresolvable");
+    assert!(expected.contains("error[E014]"), "{expected}");
+    for r in &results {
+        assert_eq!(r.verdict.as_ref().unwrap_err(), &expected);
+        assert_eq!(r.hash, None);
+        assert!(!r.cached);
+    }
+    let cache = ResultCache::open(&dir).unwrap();
+    assert!(cache.is_empty(), "an error must never be stored");
     let _ = std::fs::remove_dir_all(dir);
 }
 

@@ -8,11 +8,18 @@
 //! 2. **Hash stability** — the content hash is taken over the
 //!    canonical text, so comments, whitespace, key order, and
 //!    spelled-out defaults never change it; different scenarios do.
+//! 3. **Resolution sees only the canonical text** — compiling a source
+//!    and compiling its canonical text agree on success, hash, error
+//!    code and message. This is what lets a `wormserve` cache hit skip
+//!    resolution: a hash that once resolved always resolves.
 //!
 //! Random specs come from `wormserve::specgen` (seeded, deterministic)
 //! so the properties range over every topology family and section the
 //! generator can emit.
 
+use std::path::PathBuf;
+
+use cyclic_wormhole::serve::compile;
 use cyclic_wormhole::serve::specgen::generate;
 use proptest::prelude::*;
 
@@ -125,4 +132,51 @@ fn different_scenarios_hash_differently() {
     assert_ne!(ha, hb);
     assert_ne!(ha, hc);
     assert_ne!(hb, hc);
+}
+
+/// What compiling a source decides, spans aside: the hash, or the error
+/// code and message.
+fn outcome(source: &str) -> Result<String, (&'static str, String)> {
+    compile(source)
+        .map(|job| job.hash)
+        .map_err(|e| (e.code, e.message))
+}
+
+#[test]
+fn compiling_the_canonical_text_decides_the_same() {
+    let corpus = PathBuf::from(env!("CARGO_MANIFEST_DIR")).join("corpus");
+    let mut sources: Vec<(String, String)> = std::fs::read_dir(&corpus)
+        .expect("corpus/ exists")
+        .map(|e| e.expect("dir entry").path())
+        .filter(|p| p.extension().is_some_and(|x| x == "wspec"))
+        .map(|p| {
+            let source = std::fs::read_to_string(&p).expect("corpus spec reads");
+            (p.display().to_string(), source)
+        })
+        .collect();
+    assert_eq!(sources.len(), 20, "corpus size");
+    sources.extend((0..500).map(|seed| (format!("specgen seed {seed}"), generate(seed))));
+    // Specs that parse but fail in a resolution seam, formatted unlike
+    // their canonical text.
+    let ring = "wormspec/1\ntopology {\n    nodes = 4 # four routers\n    kind = ring\n}\n";
+    for rest in [
+        "routing { engine = table path \"r0\" -> \"r99\" = [c0] }\n",
+        "routing { engine = table path \"r0\" -> \"r1\" = [c0, c99] }\n",
+        "routing { engine = dimension_order }\n",
+        "routing { engine = zigzag }\n",
+        "routing { engine = clockwise_ring }\nfaults { down c99 @ 1 cycles }\n",
+        "routing { engine = clockwise_ring }\nverify { lint { W999 = deny } }\n",
+        "routing { engine = clockwise_ring }\nverify { capacity = 0 flits }\n",
+    ] {
+        sources.push((format!("unresolvable: {rest}"), format!("{ring}{rest}")));
+    }
+    let mut failures = 0;
+    for (name, source) in &sources {
+        let spec = wormspec::parse(source).unwrap_or_else(|e| panic!("{}", e.render(source, name)));
+        let canonical = wormspec::canonical(&spec);
+        let decided = outcome(source);
+        failures += usize::from(decided.is_err());
+        assert_eq!(decided, outcome(&canonical), "{name}");
+    }
+    assert!(failures >= 7, "the unresolvable specs must fail");
 }
