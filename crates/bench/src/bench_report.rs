@@ -22,8 +22,8 @@ use std::fmt;
 use std::time::Instant;
 
 use crate::scenarios::{
-    exist_scenarios, large_topology_scenarios, search_scenarios, sim_scenarios, ExistScenario,
-    SearchScenario, SimScenario, TopologyScenario,
+    exist_scenarios, large_topology_scenarios, search_scenarios, sim_scenarios,
+    stall_search_scenarios, ExistScenario, SearchScenario, SimScenario, TopologyScenario,
 };
 use worm_core::classify::{classify_algorithm, AlgorithmVerdict, ClassifyOptions};
 use wormcdg::Cdg;
@@ -216,15 +216,17 @@ fn run_search_scenario(report: &mut BenchReport, s: &SearchScenario, smoke: bool
     }
 }
 
-/// Run the search suite headlessly. `smoke` caps every search at a
-/// small state budget so CI can validate the harness in seconds; full
-/// runs explore each scenario to completion. The cluster-scale
+/// Run the search suite headlessly: the stall-0 scenarios, then
+/// Section 6's `g{k}_stall{k}` / `g{k}_stall{k+1}` searches. `smoke`
+/// caps every search at a small state budget so CI can validate the
+/// harness in seconds; full runs explore each scenario to completion.
+/// The cluster-scale
 /// topology workloads (`topo_*` entries) ride along: smoke runs
 /// measure the downscaled instances, full runs the 10^5-channel ones.
 pub fn run_search_suite(smoke: bool) -> BenchReport {
     let mut report = BenchReport::new("search");
-    for s in search_scenarios() {
-        run_search_scenario(&mut report, &s, smoke);
+    for s in search_scenarios().iter().chain(&stall_search_scenarios()) {
+        run_search_scenario(&mut report, s, smoke);
     }
     for s in exist_scenarios(smoke) {
         run_exist_scenario(&mut report, &s);
@@ -598,6 +600,14 @@ mod tests {
         assert!(fig1.contains_key("states"));
         assert!(fig1.contains_key("canon_states"));
         assert!(fig1.contains_key("reduction"));
+        for k in 1..=5 {
+            for name in [format!("g{k}_stall{k}"), format!("g{k}_stall{}", k + 1)] {
+                let entry = &search.entries[&name];
+                let keys: Vec<&String> = entry.keys().collect();
+                let g: Vec<&String> = search.entries[&format!("g{k}")].keys().collect();
+                assert_eq!(keys, g, "{name} must carry the g{k} key set");
+            }
+        }
         for name in [
             "topo_dragonfly_min",
             "topo_fattree_updown",

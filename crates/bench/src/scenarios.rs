@@ -118,6 +118,28 @@ pub fn search_scenarios() -> Vec<SearchScenario> {
     out
 }
 
+/// Section 6's adversarial searches: `G(k)` at stall budgets `k`
+/// (`g{k}_stall{k}`, which must stay deadlock-free) and `k + 1`
+/// (`g{k}_stall{k+1}`, which must deadlock), for `k = 1..=5` — the
+/// searches the service's `paper_full` jobs spend most of their time
+/// in. Kept apart from [`search_scenarios`] so the Criterion suite and
+/// the lint cross-checks, which iterate that list, keep their cost.
+pub fn stall_search_scenarios() -> Vec<SearchScenario> {
+    let mut out = Vec::new();
+    for k in 1..=5u32 {
+        let c = generalized::generalized(k as usize);
+        for budget in [k, k + 1] {
+            out.push(SearchScenario::from_construction(
+                format!("g{k}_stall{budget}"),
+                &c,
+                generalized::minimum_length_specs(&c),
+                budget,
+            ));
+        }
+    }
+    out
+}
+
 /// One named cluster-scale static-verification workload: a topology
 /// with its production routing engine, measured end to end (CDG
 /// build, the batch acyclicity decision, bounded cycle streaming,
@@ -295,6 +317,19 @@ mod tests {
         names.sort_unstable();
         names.dedup();
         assert_eq!(names.len(), scenarios.len(), "duplicate scenario name");
+    }
+
+    #[test]
+    fn stall_scenarios_pair_each_family_instance_with_k_and_k_plus_one() {
+        let names: Vec<(String, u32)> = stall_search_scenarios()
+            .into_iter()
+            .map(|s| (s.name, s.stall_budget))
+            .collect();
+        assert_eq!(names.len(), 10);
+        for k in 1..=5u32 {
+            assert!(names.contains(&(format!("g{k}_stall{k}"), k)));
+            assert!(names.contains(&(format!("g{k}_stall{}", k + 1), k + 1)));
+        }
     }
 
     #[test]

@@ -37,15 +37,18 @@
 
 use std::fmt;
 
-use wormsim::{ChannelOcc, MessageId, PackedState, Sim, SimState, StateCodec};
+use wormsim::{ChannelOcc, MessageId, Sim, SimState, StateCodec};
 
 /// Reusable buffers for canonical-key computation.
 ///
-/// Each search thread owns one; [`Canonicalizer::canonical_key`]
+/// Each search thread owns one; [`Canonicalizer::canonical_words`]
 /// implementations use it to avoid per-state allocation.
 #[derive(Debug)]
 pub struct CanonScratch {
     permuted: SimState,
+    /// The words of the smallest key so far (the returned key).
+    best: Vec<u64>,
+    /// The words of the candidate being compared.
     buf: Vec<u64>,
 }
 
@@ -54,14 +57,9 @@ impl CanonScratch {
     pub fn new() -> Self {
         CanonScratch {
             permuted: SimState::new(0, 0),
+            best: Vec::new(),
             buf: Vec::new(),
         }
-    }
-
-    /// Split into the permuted-state buffer and the pack-word buffer
-    /// (borrowed simultaneously, as `canonical_key` needs both).
-    pub fn parts(&mut self) -> (&mut SimState, &mut Vec<u64>) {
-        (&mut self.permuted, &mut self.buf)
     }
 }
 
@@ -81,18 +79,19 @@ impl Default for CanonScratch {
 /// for the group it is given). See the [module docs](self) for why this
 /// preserves verdicts.
 pub trait Canonicalizer: fmt::Debug + Send + Sync {
-    /// The canonical packed key of `state`'s symmetry orbit.
+    /// The words of the canonical packed key of `state`'s symmetry
+    /// orbit, written into `scratch` and borrowed from it.
     ///
     /// Must agree with `codec.pack(state, budget)` up to orbit choice:
-    /// the returned key is the packed encoding of *some* orbit member
-    /// at the same budget.
-    fn canonical_key(
+    /// the returned words are the packed encoding of *some* orbit
+    /// member at the same budget.
+    fn canonical_words<'s>(
         &self,
         codec: &StateCodec,
         state: &SimState,
         budget: u32,
-        scratch: &mut CanonScratch,
-    ) -> PackedState;
+        scratch: &'s mut CanonScratch,
+    ) -> &'s [u64];
 
     /// Whether this canonicalizer never merges states (the engines
     /// then skip it entirely and keep exact-key behaviour).
@@ -112,14 +111,15 @@ pub trait Canonicalizer: fmt::Debug + Send + Sync {
 pub struct IdentityCanonicalizer;
 
 impl Canonicalizer for IdentityCanonicalizer {
-    fn canonical_key(
+    fn canonical_words<'s>(
         &self,
         codec: &StateCodec,
         state: &SimState,
         budget: u32,
-        scratch: &mut CanonScratch,
-    ) -> PackedState {
-        codec.pack_into(state, budget, &mut scratch.buf)
+        scratch: &'s mut CanonScratch,
+    ) -> &'s [u64] {
+        codec.pack_words(state, budget, &mut scratch.best);
+        &scratch.best
     }
 
     fn is_identity(&self) -> bool {
@@ -324,20 +324,26 @@ impl SymmetryCanonicalizer {
 }
 
 impl Canonicalizer for SymmetryCanonicalizer {
-    fn canonical_key(
+    fn canonical_words<'s>(
         &self,
         codec: &StateCodec,
         state: &SimState,
         budget: u32,
-        scratch: &mut CanonScratch,
-    ) -> PackedState {
-        let (permuted, buf) = scratch.parts();
-        let mut best = codec.pack_into(state, budget, buf);
+        scratch: &'s mut CanonScratch,
+    ) -> &'s [u64] {
+        let CanonScratch {
+            permuted,
+            best,
+            buf,
+        } = scratch;
+        codec.pack_words(state, budget, best);
         for perm in &self.perms {
             perm.apply_into(state, permuted);
-            let candidate = codec.pack_into(permuted, budget, buf);
-            if candidate < best {
-                best = candidate;
+            codec.pack_words(permuted, budget, buf);
+            // All keys of one codec share a width, so the words compare
+            // exactly as the `PackedState` keys do.
+            if buf < best {
+                std::mem::swap(buf, best);
             }
         }
         best
@@ -353,7 +359,7 @@ mod tests {
     use super::*;
     use wormnet::topology::ring_unidirectional;
     use wormroute::algorithms::clockwise_ring;
-    use wormsim::{Decisions, MessageSpec};
+    use wormsim::{Decisions, MessageSpec, PackedState};
 
     fn symmetric_ring() -> Sim {
         let (net, nodes) = ring_unidirectional(4);
@@ -426,13 +432,23 @@ mod tests {
         }
     }
 
+    /// The canonical key of `state` as a [`PackedState`].
+    fn canonical_key(
+        canon: &dyn Canonicalizer,
+        codec: &StateCodec,
+        state: &SimState,
+        budget: u32,
+    ) -> PackedState {
+        let mut scratch = CanonScratch::new();
+        PackedState::from_words(canon.canonical_words(codec, state, budget, &mut scratch))
+    }
+
     #[test]
     fn canonical_key_is_orbit_invariant() {
         let sim = symmetric_ring();
         let codec = StateCodec::new(&sim, 0);
         let canon =
             SymmetryCanonicalizer::new(&sim, (1..4).map(|r| rotation(r, 4)).collect()).unwrap();
-        let mut scratch = CanonScratch::new();
 
         // A state and its rotation must share a canonical key.
         let mut state = sim.initial_state();
@@ -447,11 +463,11 @@ mod tests {
         rotation(1, 4).apply_into(&state, &mut rotated);
         assert_ne!(codec.pack(&state, 0), codec.pack(&rotated, 0));
         assert_eq!(
-            canon.canonical_key(&codec, &state, 0, &mut scratch),
-            canon.canonical_key(&codec, &rotated, 0, &mut scratch),
+            canonical_key(&canon, &codec, &state, 0),
+            canonical_key(&canon, &codec, &rotated, 0),
         );
         // The canonical key is a genuine orbit member's packed key.
-        let key = canon.canonical_key(&codec, &state, 0, &mut scratch);
+        let key = canonical_key(&canon, &codec, &state, 0);
         let members: Vec<PackedState> = (0..4)
             .map(|r| {
                 if r == 0 {
@@ -470,10 +486,9 @@ mod tests {
     fn identity_canonicalizer_matches_plain_pack() {
         let sim = symmetric_ring();
         let codec = StateCodec::new(&sim, 1);
-        let mut scratch = CanonScratch::new();
         let state = sim.initial_state();
         assert_eq!(
-            IdentityCanonicalizer.canonical_key(&codec, &state, 1, &mut scratch),
+            canonical_key(&IdentityCanonicalizer, &codec, &state, 1),
             codec.pack(&state, 1)
         );
         assert!(IdentityCanonicalizer.is_identity());

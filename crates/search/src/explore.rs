@@ -1,21 +1,18 @@
 //! The state-space exploration itself.
 
-use std::collections::{BTreeMap, HashSet};
 use std::sync::Arc;
 use std::time::Instant;
 
 use wormnet::ChannelId;
 use wormsim::{
-    Decisions, MessageId, PackedBuildHasher, PackedState, Sim, SimState, StateArena, StateCodec,
-    TranspositionCache,
+    Decisions, MessageId, Sim, SimState, StateArena, StateCodec, StepScratch, StepTally,
 };
 
-use crate::canon::{CanonScratch, Canonicalizer};
+use crate::canon::{CanonScratch, Canonicalizer, IdentityCanonicalizer};
+use crate::options::{ChoiceBuf, Options};
 use crate::parallel::explore_parallel;
 use crate::verdict::{SearchMetrics, SearchResult, Verdict, Witness};
-
-/// Slots in the transposition cache fronting the visited set.
-const TCACHE_SLOTS: usize = 1 << 16;
+use crate::visited::VisitedSet;
 
 /// Search parameters.
 #[derive(Clone, Debug)]
@@ -89,23 +86,142 @@ impl SearchConfig {
     }
 }
 
-/// Key a state for the visited set: canonical orbit key when a
-/// canonicalizer is active, plain packed key otherwise. Either way the
-/// pack-word buffer in `scratch` is reused, not reallocated.
+/// The visited-set key words of a state: its canonical orbit key when
+/// a canonicalizer is active, its plain packed key otherwise, written
+/// into `scratch` and borrowed from it.
 #[inline]
-pub(crate) fn state_key(
+pub(crate) fn key_words<'s>(
     canon: Option<&dyn Canonicalizer>,
     codec: &StateCodec,
     state: &SimState,
     budget: u32,
-    scratch: &mut CanonScratch,
-) -> PackedState {
-    match canon {
-        Some(c) => c.canonical_key(codec, state, budget, scratch),
-        None => {
-            let (_, buf) = scratch.parts();
-            codec.pack_into(state, budget, buf)
+    scratch: &'s mut CanonScratch,
+) -> &'s [u64] {
+    canon
+        .unwrap_or(&IdentityCanonicalizer)
+        .canonical_words(codec, state, budget, scratch)
+}
+
+/// A depth-first search's verdict plus its counts.
+struct Dfs {
+    verdict: Verdict,
+    states: usize,
+    metrics: SearchMetrics,
+    /// The `sim.*` counters of every step taken.
+    tally: StepTally,
+}
+
+/// One stack frame: a state, its stall budget, its options and the
+/// next option to try. The option being explored below a frame is
+/// `options[next - 1]`, which is how a witness is read off the stack.
+struct Frame {
+    state: SimState,
+    budget: u32,
+    options: Options,
+    next: usize,
+}
+
+/// The depth-first search shared by [`explore`] and [`explore_until`]:
+/// every new state is checked against `goal`, which returns the goal's
+/// members when it is one.
+///
+/// Per explored edge it copies the parent into a pooled state, steps
+/// it through [`Sim::step_with`] with the option's borrowed buffers,
+/// and probes the flat visited set with the key words in `keys`: once
+/// the pools are warm, only a new state's key copy and its options
+/// touch memory that grows.
+fn depth_first(
+    sim: &Sim,
+    config: &SearchConfig,
+    canon: Option<&dyn Canonicalizer>,
+    mut goal: impl FnMut(&SimState, &mut StepScratch) -> Option<Vec<MessageId>>,
+) -> Dfs {
+    let codec = StateCodec::new(sim, config.stall_budget);
+    let dead = sim.channel_mask(&config.dead_channels);
+    let mut keys = CanonScratch::new();
+    let mut step = StepScratch::new();
+    let mut choice = ChoiceBuf::default();
+    let mut arena = StateArena::new();
+    let mut pool: Vec<Options> = Vec::new();
+    let mut metrics = SearchMetrics {
+        threads: 1,
+        ..SearchMetrics::default()
+    };
+    let mut tally = StepTally::default();
+
+    let initial = sim.initial_state();
+    let root = key_words(canon, &codec, &initial, config.stall_budget, &mut keys);
+    let mut visited = VisitedSet::new(root.len());
+    visited.insert(root);
+    let mut options = Options::default();
+    options.fill(sim, &initial, config.stall_budget, &dead);
+    let mut stack = vec![Frame {
+        state: initial,
+        budget: config.stall_budget,
+        options,
+        next: 0,
+    }];
+
+    let verdict = loop {
+        let Some(frame) = stack.last_mut() else {
+            break Verdict::DeadlockFree;
+        };
+        if frame.next >= frame.options.len() {
+            let done = stack.pop().expect("a frame is on the stack");
+            arena.give(done.state);
+            pool.push(done.options);
+            continue;
         }
+        let i = frame.next;
+        frame.next += 1;
+        let mut state = arena.take_clone(&frame.state);
+        let option = frame.options.choice(i, &mut choice, &dead);
+        tally.absorb(sim.step_with(&mut state, option, &mut step));
+        if !step.report().moved {
+            // Nothing happened: a pure self-loop (possibly burning
+            // stall budget) — always dominated, skip.
+            arena.give(state);
+            continue;
+        }
+        let budget = frame.budget - frame.options.stall_count(i);
+        metrics.dedup_lookups += 1;
+        if !visited.insert(key_words(canon, &codec, &state, budget, &mut keys)) {
+            metrics.dedup_hits += 1;
+            arena.give(state);
+            continue;
+        }
+        if visited.len() > config.max_states {
+            break Verdict::Inconclusive {
+                states_visited: visited.len(),
+            };
+        }
+        if let Some(members) = goal(&state, &mut step) {
+            let decisions = stack
+                .iter()
+                .map(|f| f.options.decisions(f.next - 1, &config.dead_channels))
+                .collect();
+            break Verdict::DeadlockReachable(Witness { decisions, members });
+        }
+        if sim.all_delivered(&state) {
+            // Terminal success state: no deadlock beyond here.
+            arena.give(state);
+            continue;
+        }
+        let mut options = pool.pop().unwrap_or_default();
+        options.fill(sim, &state, budget, &dead);
+        stack.push(Frame {
+            state,
+            budget,
+            options,
+            next: 0,
+        });
+        metrics.frontier_peak = metrics.frontier_peak.max(stack.len());
+    };
+    Dfs {
+        verdict,
+        states: visited.len(),
+        metrics,
+        tally,
     }
 }
 
@@ -117,120 +233,15 @@ pub(crate) fn state_key(
 /// for this message set.
 pub fn explore(sim: &Sim, config: &SearchConfig) -> SearchResult {
     let start = Instant::now();
-    let codec = StateCodec::new(sim, config.stall_budget);
-    let canon = config.effective_canon();
-    let mut scratch = CanonScratch::new();
-    let mut arena = StateArena::new();
-    let mut cache = TranspositionCache::new(TCACHE_SLOTS);
-    let mut metrics = SearchMetrics {
-        threads: 1,
-        ..SearchMetrics::default()
-    };
-
-    let initial = sim.initial_state();
-    let mut visited: HashSet<PackedState, PackedBuildHasher> = HashSet::default();
-    let root_key = state_key(canon, &codec, &initial, config.stall_budget, &mut scratch);
-    cache.insert(root_key.clone());
-    visited.insert(root_key);
-
-    struct Frame {
-        state: SimState,
-        budget: u32,
-        options: Vec<Decisions>,
-        next: usize,
-    }
-
-    let mut stack = vec![Frame {
-        options: decision_options(sim, &initial, config.stall_budget, &config.dead_channels),
-        state: initial,
-        budget: config.stall_budget,
-        next: 0,
-    }];
-    let mut path: Vec<Decisions> = Vec::new();
-
-    let finish = |metrics: &mut SearchMetrics, verdict: Verdict, states: usize| {
-        metrics.elapsed = start.elapsed();
-        metrics.finish(states);
-        metrics.publish("search.explore", states);
-        SearchResult::new(verdict, states).with_metrics(metrics.clone())
-    };
-
-    while let Some(frame) = stack.last_mut() {
-        if frame.next >= frame.options.len() {
-            if let Some(done) = stack.pop() {
-                arena.give(done.state);
-            }
-            path.pop();
-            continue;
-        }
-        let decision = frame.options[frame.next].clone();
-        frame.next += 1;
-
-        let mut state = arena.take_clone(&frame.state);
-        let report = sim.step(&mut state, &decision);
-        if !report.moved {
-            // Nothing happened: a pure self-loop (possibly burning
-            // stall budget) — always dominated, skip.
-            arena.give(state);
-            continue;
-        }
-        let budget = frame.budget - decision.stalls.len() as u32;
-        metrics.dedup_lookups += 1;
-        // The lossy cache fronts the visited set: a hit proves the key
-        // was inserted before, without probing the big table.
-        let key = state_key(canon, &codec, &state, budget, &mut scratch);
-        if cache.contains(&key) {
-            metrics.dedup_hits += 1;
-            arena.give(state);
-            continue;
-        }
-        if !visited.insert(key.clone()) {
-            metrics.dedup_hits += 1;
-            cache.insert(key);
-            arena.give(state);
-            continue;
-        }
-        cache.insert(key);
-        if visited.len() > config.max_states {
-            let states = visited.len();
-            return finish(
-                &mut metrics,
-                Verdict::Inconclusive {
-                    states_visited: states,
-                },
-                states,
-            );
-        }
-        path.push(decision);
-        if let Some(members) = sim.find_deadlock(&state) {
-            let states = visited.len();
-            return finish(
-                &mut metrics,
-                Verdict::DeadlockReachable(Witness {
-                    decisions: path,
-                    members,
-                }),
-                states,
-            );
-        }
-        if sim.all_delivered(&state) {
-            // Terminal success state: no deadlock beyond here.
-            arena.give(state);
-            path.pop();
-            continue;
-        }
-        let options = decision_options(sim, &state, budget, &config.dead_channels);
-        stack.push(Frame {
-            state,
-            budget,
-            options,
-            next: 0,
-        });
-        metrics.frontier_peak = metrics.frontier_peak.max(stack.len());
-    }
-
-    let states = visited.len();
-    finish(&mut metrics, Verdict::DeadlockFree, states)
+    let dfs = depth_first(sim, config, config.effective_canon(), |state, step| {
+        sim.find_deadlock_with(state, step)
+    });
+    dfs.tally.publish();
+    let mut metrics = dfs.metrics;
+    metrics.elapsed = start.elapsed();
+    metrics.finish(dfs.states);
+    metrics.publish("search.explore", dfs.states);
+    SearchResult::new(dfs.verdict, dfs.states).with_metrics(metrics)
 }
 
 /// Exhaustively search for a state satisfying `target` instead of a
@@ -251,10 +262,7 @@ pub fn explore_until(
     config: &SearchConfig,
     mut target: impl FnMut(&Sim, &SimState) -> bool,
 ) -> SearchResult {
-    let codec = StateCodec::new(sim, config.stall_budget);
-
-    let initial = sim.initial_state();
-    if target(sim, &initial) {
+    if target(sim, &sim.initial_state()) {
         return SearchResult::new(
             Verdict::DeadlockReachable(Witness {
                 decisions: Vec::new(),
@@ -263,72 +271,11 @@ pub fn explore_until(
             1,
         );
     }
-    let mut visited: HashSet<PackedState> = HashSet::new();
-    visited.insert(codec.pack(&initial, config.stall_budget));
-
-    struct Frame {
-        state: SimState,
-        budget: u32,
-        options: Vec<Decisions>,
-        next: usize,
-    }
-    let mut stack = vec![Frame {
-        options: decision_options(sim, &initial, config.stall_budget, &config.dead_channels),
-        state: initial,
-        budget: config.stall_budget,
-        next: 0,
-    }];
-    let mut path: Vec<Decisions> = Vec::new();
-
-    while let Some(frame) = stack.last_mut() {
-        if frame.next >= frame.options.len() {
-            stack.pop();
-            path.pop();
-            continue;
-        }
-        let decision = frame.options[frame.next].clone();
-        frame.next += 1;
-        let mut state = frame.state.clone();
-        let report = sim.step(&mut state, &decision);
-        if !report.moved {
-            continue;
-        }
-        let budget = frame.budget - decision.stalls.len() as u32;
-        if !visited.insert(codec.pack(&state, budget)) {
-            continue;
-        }
-        if visited.len() > config.max_states {
-            let states = visited.len();
-            return SearchResult::new(
-                Verdict::Inconclusive {
-                    states_visited: states,
-                },
-                states,
-            );
-        }
-        path.push(decision);
-        if target(sim, &state) {
-            return SearchResult::new(
-                Verdict::DeadlockReachable(Witness {
-                    decisions: path,
-                    members: sim.find_deadlock(&state).unwrap_or_default(),
-                }),
-                visited.len(),
-            );
-        }
-        if sim.all_delivered(&state) {
-            path.pop();
-            continue;
-        }
-        let options = decision_options(sim, &state, budget, &config.dead_channels);
-        stack.push(Frame {
-            state,
-            budget,
-            options,
-            next: 0,
-        });
-    }
-    SearchResult::new(Verdict::DeadlockFree, visited.len())
+    let dfs = depth_first(sim, config, None, |state, step| {
+        target(sim, state).then(|| sim.find_deadlock_with(state, step).unwrap_or_default())
+    });
+    dfs.tally.publish();
+    SearchResult::new(dfs.verdict, dfs.states)
 }
 
 /// Like [`explore`], but breadth-first, so a returned witness is a
@@ -338,10 +285,17 @@ pub fn explore_until(
 pub fn explore_shortest(sim: &Sim, config: &SearchConfig) -> SearchResult {
     use std::collections::VecDeque;
     let codec = StateCodec::new(sim, config.stall_budget);
+    let dead = sim.channel_mask(&config.dead_channels);
+    let mut words = Vec::new();
+    let mut step = StepScratch::new();
+    let mut choice = ChoiceBuf::default();
+    let mut options = Options::default();
+    let mut tally = StepTally::default();
 
     let initial = sim.initial_state();
-    let mut visited: HashSet<PackedState> = HashSet::new();
-    visited.insert(codec.pack(&initial, config.stall_budget));
+    codec.pack_words(&initial, config.stall_budget, &mut words);
+    let mut visited = VisitedSet::new(words.len());
+    visited.insert(&words);
 
     // Each queue entry keeps the decision history from the root; state
     // spaces here are small enough that sharing via Vec clones is
@@ -349,43 +303,43 @@ pub fn explore_shortest(sim: &Sim, config: &SearchConfig) -> SearchResult {
     let mut queue: VecDeque<(SimState, u32, Vec<Decisions>)> = VecDeque::new();
     queue.push_back((initial, config.stall_budget, Vec::new()));
 
-    while let Some((state, budget, history)) = queue.pop_front() {
-        for decision in decision_options(sim, &state, budget, &config.dead_channels) {
+    let verdict = 'search: loop {
+        let Some((state, budget, history)) = queue.pop_front() else {
+            break Verdict::DeadlockFree;
+        };
+        options.fill(sim, &state, budget, &dead);
+        for i in 0..options.len() {
             let mut next = state.clone();
-            let report = sim.step(&mut next, &decision);
-            if !report.moved {
+            let option = options.choice(i, &mut choice, &dead);
+            tally.absorb(sim.step_with(&mut next, option, &mut step));
+            if !step.report().moved {
                 continue;
             }
-            let next_budget = budget - decision.stalls.len() as u32;
-            if !visited.insert(codec.pack(&next, next_budget)) {
+            let next_budget = budget - options.stall_count(i);
+            codec.pack_words(&next, next_budget, &mut words);
+            if !visited.insert(&words) {
                 continue;
             }
             if visited.len() > config.max_states {
-                let states = visited.len();
-                return SearchResult::new(
-                    Verdict::Inconclusive {
-                        states_visited: states,
-                    },
-                    states,
-                );
+                break 'search Verdict::Inconclusive {
+                    states_visited: visited.len(),
+                };
             }
             let mut next_history = history.clone();
-            next_history.push(decision);
-            if let Some(members) = sim.find_deadlock(&next) {
-                return SearchResult::new(
-                    Verdict::DeadlockReachable(Witness {
-                        decisions: next_history,
-                        members,
-                    }),
-                    visited.len(),
-                );
+            next_history.push(options.decisions(i, &config.dead_channels));
+            if let Some(members) = sim.find_deadlock_with(&next, &mut step) {
+                break 'search Verdict::DeadlockReachable(Witness {
+                    decisions: next_history,
+                    members,
+                });
             }
             if !sim.all_delivered(&next) {
                 queue.push_back((next, next_budget, next_history));
             }
         }
-    }
-    SearchResult::new(Verdict::DeadlockFree, visited.len())
+    };
+    tally.publish();
+    SearchResult::new(verdict, visited.len())
 }
 
 /// Smallest stall budget (up to `max_budget`) with which the adversary
@@ -475,128 +429,130 @@ pub fn render_witness(sim: &Sim, net: &wormnet::Network, witness: &Witness) -> S
     grid.render(net)
 }
 
-/// All decision combinations worth exploring from `state` (shared with
-/// the parallel engine in [`crate::parallel`]). `dead` channels are
-/// never acquirable and are frozen in every emitted decision.
-pub(crate) fn decision_options(
-    sim: &Sim,
-    state: &SimState,
-    budget: u32,
-    dead: &[ChannelId],
-) -> Vec<Decisions> {
-    // Messages that could actually inject now: pending, and their
-    // first channel is empty, unowned, and alive (others are no-ops —
-    // a dead first channel means the message can never start).
-    let injectable: Vec<MessageId> = sim
-        .pending(state)
-        .into_iter()
-        .filter(|&m| {
-            let c0 = sim.path(m)[0];
-            state.channels[c0.index()].is_none() && !dead.contains(&c0)
-        })
-        .collect();
-    // Messages an adversary could usefully stall: in flight.
-    let stallable: Vec<MessageId> = sim
-        .messages()
-        .filter(|&m| state.is_started(m) && !state.is_delivered(m, sim.length(m)))
-        .collect();
-
-    assert!(
-        injectable.len() <= 16 && stallable.len() <= 16,
-        "search is meant for small scenarios"
-    );
-
-    let mut out = Vec::new();
-    for inject in subsets(&injectable) {
-        let stall_subsets: Vec<Vec<MessageId>> = if budget == 0 {
-            vec![Vec::new()]
-        } else {
-            subsets(&stallable)
-                .into_iter()
-                .filter(|s| s.len() as u32 <= budget)
-                .collect()
-        };
-        for stalls in stall_subsets {
-            let requests = sim.header_requests_frozen(state, &inject, &stalls, dead);
-            let conflicts: Vec<(ChannelId, Vec<MessageId>)> = requests
-                .into_iter()
-                .filter(|(_, reqs)| reqs.len() >= 2)
-                .collect();
-            WinnerExpansion {
-                conflicts: &conflicts,
-                inject: &inject,
-                stalls: &stalls,
-                dead,
-            }
-            .expand(0, &mut BTreeMap::new(), &mut out);
-        }
-    }
-    out
-}
-
-/// The fixed inputs of one winner-assignment expansion: the conflicted
-/// channels plus the inject/stall/frozen sets every emitted
-/// [`Decisions`] copies verbatim. Bundling them keeps the recursion
-/// signature down to what actually varies per call.
-struct WinnerExpansion<'a> {
-    conflicts: &'a [(ChannelId, Vec<MessageId>)],
-    inject: &'a [MessageId],
-    stalls: &'a [MessageId],
-    dead: &'a [ChannelId],
-}
-
-impl WinnerExpansion<'_> {
-    /// Enumerate every winner assignment for `conflicts[idx..]` on top
-    /// of the choices in `chosen`, pushing one [`Decisions`] per
-    /// complete assignment.
-    fn expand(
-        &self,
-        idx: usize,
-        chosen: &mut BTreeMap<ChannelId, MessageId>,
-        out: &mut Vec<Decisions>,
-    ) {
-        if idx == self.conflicts.len() {
-            out.push(Decisions {
-                inject: self.inject.to_vec(),
-                stalls: self.stalls.to_vec(),
-                winners: chosen.clone(),
-                // Channel-level skew is subsumed by message stalls for
-                // reachability purposes, so the search only freezes the
-                // permanently-dead channels of a degraded network (the
-                // set is constant, so state deduplication is unaffected).
-                frozen: self.dead.to_vec(),
-            });
-            return;
-        }
-        let (chan, reqs) = &self.conflicts[idx];
-        for &m in reqs {
-            chosen.insert(*chan, m);
-            self.expand(idx + 1, chosen, out);
-        }
-        chosen.remove(chan);
-    }
-}
-
-/// All subsets of a small slice (including the empty set).
-fn subsets(items: &[MessageId]) -> Vec<Vec<MessageId>> {
-    let n = items.len();
-    (0..(1usize << n))
-        .map(|mask| {
-            (0..n)
-                .filter(|i| mask & (1 << i) != 0)
-                .map(|i| items[i])
-                .collect()
-        })
-        .collect()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::collections::BTreeMap;
     use wormnet::topology::{line, ring_unidirectional};
     use wormnet::NodeId;
     use wormroute::algorithms::{clockwise_ring, shortest_path_table};
     use wormsim::MessageSpec;
+
+    /// The enumeration [`Options`] replaced, kept as its oracle: all
+    /// decision combinations worth exploring from `state`. `dead`
+    /// channels are never acquirable and are frozen in every emitted
+    /// decision.
+    fn decision_options(
+        sim: &Sim,
+        state: &SimState,
+        budget: u32,
+        dead: &[ChannelId],
+    ) -> Vec<Decisions> {
+        // Messages that could actually inject now: pending, and their
+        // first channel is empty, unowned, and alive (others are no-ops —
+        // a dead first channel means the message can never start).
+        let injectable: Vec<MessageId> = sim
+            .pending(state)
+            .into_iter()
+            .filter(|&m| {
+                let c0 = sim.path(m)[0];
+                state.channels[c0.index()].is_none() && !dead.contains(&c0)
+            })
+            .collect();
+        // Messages an adversary could usefully stall: in flight.
+        let stallable: Vec<MessageId> = sim
+            .messages()
+            .filter(|&m| state.is_started(m) && !state.is_delivered(m, sim.length(m)))
+            .collect();
+
+        assert!(
+            injectable.len() <= 16 && stallable.len() <= 16,
+            "search is meant for small scenarios"
+        );
+
+        let mut out = Vec::new();
+        for inject in subsets(&injectable) {
+            let stall_subsets: Vec<Vec<MessageId>> = if budget == 0 {
+                vec![Vec::new()]
+            } else {
+                subsets(&stallable)
+                    .into_iter()
+                    .filter(|s| s.len() as u32 <= budget)
+                    .collect()
+            };
+            for stalls in stall_subsets {
+                let requests = sim.header_requests_frozen(state, &inject, &stalls, dead);
+                let conflicts: Vec<(ChannelId, Vec<MessageId>)> = requests
+                    .into_iter()
+                    .filter(|(_, reqs)| reqs.len() >= 2)
+                    .collect();
+                WinnerExpansion {
+                    conflicts: &conflicts,
+                    inject: &inject,
+                    stalls: &stalls,
+                    dead,
+                }
+                .expand(0, &mut BTreeMap::new(), &mut out);
+            }
+        }
+        out
+    }
+
+    /// The fixed inputs of one winner-assignment expansion: the conflicted
+    /// channels plus the inject/stall/frozen sets every emitted
+    /// [`Decisions`] copies verbatim. Bundling them keeps the recursion
+    /// signature down to what actually varies per call.
+    struct WinnerExpansion<'a> {
+        conflicts: &'a [(ChannelId, Vec<MessageId>)],
+        inject: &'a [MessageId],
+        stalls: &'a [MessageId],
+        dead: &'a [ChannelId],
+    }
+
+    impl WinnerExpansion<'_> {
+        /// Enumerate every winner assignment for `conflicts[idx..]` on top
+        /// of the choices in `chosen`, pushing one [`Decisions`] per
+        /// complete assignment.
+        fn expand(
+            &self,
+            idx: usize,
+            chosen: &mut BTreeMap<ChannelId, MessageId>,
+            out: &mut Vec<Decisions>,
+        ) {
+            if idx == self.conflicts.len() {
+                out.push(Decisions {
+                    inject: self.inject.to_vec(),
+                    stalls: self.stalls.to_vec(),
+                    winners: chosen.clone(),
+                    // Channel-level skew is subsumed by message stalls for
+                    // reachability purposes, so the search only freezes the
+                    // permanently-dead channels of a degraded network (the
+                    // set is constant, so state deduplication is unaffected).
+                    frozen: self.dead.to_vec(),
+                });
+                return;
+            }
+            let (chan, reqs) = &self.conflicts[idx];
+            for &m in reqs {
+                chosen.insert(*chan, m);
+                self.expand(idx + 1, chosen, out);
+            }
+            chosen.remove(chan);
+        }
+    }
+
+    /// All subsets of a small slice (including the empty set).
+    fn subsets(items: &[MessageId]) -> Vec<Vec<MessageId>> {
+        let n = items.len();
+        (0..(1usize << n))
+            .map(|mask| {
+                (0..n)
+                    .filter(|i| mask & (1 << i) != 0)
+                    .map(|i| items[i])
+                    .collect()
+            })
+            .collect()
+    }
 
     #[test]
     fn line_traffic_is_deadlock_free() {
@@ -815,6 +771,64 @@ mod tests {
         assert_eq!(subs.len(), 8);
         assert!(subs.iter().any(|s| s.is_empty()));
         assert!(subs.iter().any(|s| s.len() == 3));
+    }
+
+    /// Sweep the reachable `(state, budget)` pairs of `sim` and check,
+    /// at each, that [`Options`] lists exactly the oracle's decisions in
+    /// the oracle's order, and that stepping each option through its
+    /// borrowed [`StepChoice`] lands where [`Sim::step`] lands.
+    fn options_match_oracle(sim: &Sim, budget: u32, dead: &[ChannelId]) -> usize {
+        use std::collections::HashSet;
+        let mask = sim.channel_mask(dead);
+        let (mut options, mut choice, mut step) =
+            (Options::default(), ChoiceBuf::default(), StepScratch::new());
+        let mut seen = HashSet::new();
+        let mut queue = vec![(sim.initial_state(), budget)];
+        while let Some((state, budget)) = queue.pop() {
+            if !seen.insert((state.clone(), budget)) || seen.len() > 3_000 {
+                continue;
+            }
+            let oracle = decision_options(sim, &state, budget, dead);
+            options.fill(sim, &state, budget, &mask);
+            assert_eq!(options.len(), oracle.len());
+            for (i, d) in oracle.iter().enumerate() {
+                assert_eq!(&options.decisions(i, dead), d, "option {i}");
+                assert_eq!(options.stall_count(i) as usize, d.stalls.len());
+                let mut want = state.clone();
+                let report = sim.step(&mut want, d);
+                let mut got = state.clone();
+                sim.step_with(&mut got, options.choice(i, &mut choice, &mask), &mut step);
+                assert_eq!((&got, step.report()), (&want, &report), "option {i}");
+                if report.moved && !sim.all_delivered(&want) {
+                    queue.push((want, budget - d.stalls.len() as u32));
+                }
+            }
+        }
+        seen.len()
+    }
+
+    #[test]
+    fn options_enumerate_the_oracle_decisions_in_order() {
+        let (net, nodes) = ring_unidirectional(4);
+        let table = clockwise_ring(&net, &nodes).unwrap();
+        let specs: Vec<MessageSpec> = (0..4)
+            .map(|i| MessageSpec::new(nodes[i], nodes[(i + 2) % 4], 2))
+            .collect();
+        let sim = Sim::new(&net, &table, specs, None).unwrap();
+        assert!(options_match_oracle(&sim, 2, &[]) > 100);
+        let dead = vec![sim.path(MessageId::from_index(1))[1]];
+        assert!(options_match_oracle(&sim, 1, &dead) > 10);
+
+        // Two messages contending for every channel of a line.
+        let (net, _) = line(4);
+        let table = shortest_path_table(&net).unwrap();
+        let specs = vec![
+            MessageSpec::new(NodeId::from_index(0), NodeId::from_index(3), 3),
+            MessageSpec::new(NodeId::from_index(0), NodeId::from_index(3), 2),
+            MessageSpec::new(NodeId::from_index(1), NodeId::from_index(3), 2),
+        ];
+        let sim = Sim::new(&net, &table, specs, None).unwrap();
+        assert!(options_match_oracle(&sim, 1, &[]) > 10);
     }
 
     #[test]

@@ -77,8 +77,10 @@
 #![deny(missing_docs)]
 
 mod explore;
+mod options;
 mod parallel;
 mod verdict;
+mod visited;
 
 pub mod adaptive;
 pub mod canon;

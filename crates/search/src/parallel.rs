@@ -43,10 +43,14 @@ use std::sync::{Arc, Barrier, Mutex};
 use std::time::Instant;
 
 use wormnet::ChannelId;
-use wormsim::{Decisions, PackedBuildHasher, PackedState, Sim, SimState, StateArena, StateCodec};
+use wormsim::{
+    Decisions, PackedBuildHasher, PackedState, Sim, SimState, StateArena, StateCodec, StepScratch,
+    StepTally,
+};
 
 use crate::canon::{CanonScratch, Canonicalizer};
-use crate::explore::{decision_options, state_key, SearchConfig};
+use crate::explore::{key_words, SearchConfig};
+use crate::options::{ChoiceBuf, Options};
 use crate::verdict::{SearchMetrics, SearchResult, Verdict, Witness};
 
 /// A state space the parallel engine can sweep: states, canonical
@@ -82,6 +86,9 @@ pub(crate) trait Space: Sync {
     /// Hand back a state that will never be used again, so the space
     /// can pool its buffers.
     fn recycle(&self, _state: Self::State, _scratch: &mut Self::Scratch) {}
+    /// A worker is done: take back its scratch (the oblivious space
+    /// publishes the `sim.*` counters the worker's steps summed).
+    fn retire(&self, _scratch: Self::Scratch) {}
     /// Whether keys are symmetry-orbit representatives rather than
     /// exact encodings. Disables the same-layer parent min-merge: with
     /// orbit keys, a min-merged edge could splice together decisions
@@ -95,9 +102,9 @@ pub(crate) trait Space: Sync {
     }
 }
 
-/// A per-worker lossy membership cache fronting the sharded visited
-/// set (the transposition-cache idea from [`wormsim::TranspositionCache`],
-/// generalized over key types and made layer-aware).
+/// A per-worker lossy, direct-mapped membership cache fronting the
+/// sharded visited set: a hit means the key is definitely visited, a
+/// miss means nothing, and a colliding key simply overwrites its slot.
 ///
 /// Entries carry the BFS depth of the visited-set record; a hit is
 /// honoured only while draining a layer at or past that depth, i.e.
@@ -396,11 +403,12 @@ pub(crate) fn search_parallel<S: Space>(
                     }
                     barrier.wait();
                     if stop.load(Ordering::SeqCst) != RUNNING {
-                        return;
+                        break;
                     }
                     parity = 1 - parity;
                     depth += 1;
                 }
+                space.retire(scratch);
             });
         }
     });
@@ -470,14 +478,21 @@ struct ObliviousSpace<'a> {
     codec: StateCodec,
     budget: u32,
     dead: Vec<ChannelId>,
+    /// `dead` as a per-channel mask.
+    dead_mask: Vec<bool>,
     canon: Option<Arc<dyn Canonicalizer>>,
 }
 
-/// Per-worker buffers for [`ObliviousSpace`]: a state pool plus
-/// canonical-key scratch.
+/// Per-worker buffers for [`ObliviousSpace`]: a state pool,
+/// canonical-key scratch, the enumerator's and the stepping core's
+/// buffers, and the worker's summed `sim.*` counters.
 struct ObliviousScratch {
     arena: StateArena,
     canon: CanonScratch,
+    options: Options,
+    choice: ChoiceBuf,
+    step: StepScratch,
+    tally: StepTally,
 }
 
 impl Space for ObliviousSpace<'_> {
@@ -490,6 +505,10 @@ impl Space for ObliviousSpace<'_> {
         ObliviousScratch {
             arena: StateArena::new(),
             canon: CanonScratch::new(),
+            options: Options::default(),
+            choice: ChoiceBuf::default(),
+            step: StepScratch::new(),
+            tally: StepTally::default(),
         }
     }
 
@@ -498,13 +517,13 @@ impl Space for ObliviousSpace<'_> {
     }
 
     fn key(&self, (state, budget): &Self::State, scratch: &mut ObliviousScratch) -> PackedState {
-        state_key(
+        PackedState::from_words(key_words(
             self.canon.as_deref(),
             &self.codec,
             state,
             *budget,
             &mut scratch.canon,
-        )
+        ))
     }
 
     fn successors(
@@ -513,17 +532,29 @@ impl Space for ObliviousSpace<'_> {
         out: &mut Vec<(Decisions, Self::State)>,
         scratch: &mut ObliviousScratch,
     ) {
-        for decision in decision_options(self.sim, state, *budget, &self.dead) {
-            let mut next = scratch.arena.take_clone(state);
-            let report = self.sim.step(&mut next, &decision);
-            if !report.moved {
+        let ObliviousScratch {
+            arena,
+            options,
+            choice,
+            step,
+            tally,
+            ..
+        } = scratch;
+        options.fill(self.sim, state, *budget, &self.dead_mask);
+        for i in 0..options.len() {
+            let mut next = arena.take_clone(state);
+            let option = options.choice(i, choice, &self.dead_mask);
+            tally.absorb(self.sim.step_with(&mut next, option, step));
+            if !step.report().moved {
                 // Pure self-loop (possibly burning stall budget):
                 // always dominated, skip — mirrors the sequential DFS.
-                scratch.arena.give(next);
+                arena.give(next);
                 continue;
             }
-            let next_budget = *budget - decision.stalls.len() as u32;
-            out.push((decision, (next, next_budget)));
+            // The min-merge orders parent edges by `Decisions`, so each
+            // successor carries today's decision value.
+            let next_budget = *budget - options.stall_count(i);
+            out.push((options.decisions(i, &self.dead), (next, next_budget)));
         }
     }
 
@@ -537,6 +568,10 @@ impl Space for ObliviousSpace<'_> {
 
     fn recycle(&self, (state, _): Self::State, scratch: &mut ObliviousScratch) {
         scratch.arena.give(state);
+    }
+
+    fn retire(&self, scratch: ObliviousScratch) {
+        scratch.tally.publish();
     }
 
     fn canonicalized(&self) -> bool {
@@ -555,6 +590,7 @@ pub fn explore_parallel(sim: &Sim, config: &SearchConfig, threads: usize) -> Sea
         codec: StateCodec::new(sim, config.stall_budget),
         budget: config.stall_budget,
         dead: config.dead_channels.clone(),
+        dead_mask: sim.channel_mask(&config.dead_channels),
         canon: config.canon.clone().filter(|c| !c.is_identity()),
     };
     let outcome = search_parallel(&space, config.max_states, threads);

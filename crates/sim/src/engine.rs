@@ -51,6 +51,99 @@ pub struct StepReport {
     pub delivered: Vec<MessageId>,
 }
 
+/// One cycle's decisions in the borrowed form the stepping core
+/// consumes ([`Sim::step_with`]). [`Sim::step`] lends a [`Decisions`]
+/// this way; the exhaustive search lends each enumerated option
+/// straight from its own buffers, so stepping allocates nothing.
+#[derive(Clone, Copy, Debug, Default)]
+pub struct StepChoice<'a> {
+    /// Pending messages attempting header injection.
+    pub inject: &'a [MessageId],
+    /// Messages frozen this cycle.
+    pub stalls: &'a [MessageId],
+    /// Arbitration winners for contended channels.
+    pub winners: &'a [(ChannelId, MessageId)],
+    /// Per-channel frozen mask, indexed by channel; empty means no
+    /// channel is frozen.
+    pub frozen: &'a [bool],
+}
+
+/// The `sim.*` trace counters of one or more steps.
+///
+/// [`Sim::step`] publishes each step's tally as it goes. A search
+/// steps through [`Sim::step_with`] once per explored edge, so it sums
+/// the tallies instead and publishes them once when it finishes: the
+/// totals are the same, without five recorder calls per edge.
+#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
+pub struct StepTally {
+    /// Steps taken (`sim.cycles`).
+    pub cycles: u64,
+    /// Flit movements (`sim.flits_moved`).
+    pub flits_moved: u64,
+    /// Messages whose tail was consumed (`sim.delivered`).
+    pub delivered: u64,
+    /// Stalled messages, summed over steps (`sim.stall_injections`).
+    pub stall_injections: u64,
+    /// Channels requested by two or more headers (`sim.arb_conflicts`).
+    pub arb_conflicts: u64,
+}
+
+impl StepTally {
+    /// Add another tally (usually one step's) to this one.
+    #[inline]
+    pub fn absorb(&mut self, other: StepTally) {
+        self.cycles += other.cycles;
+        self.flits_moved += other.flits_moved;
+        self.delivered += other.delivered;
+        self.stall_injections += other.stall_injections;
+        self.arb_conflicts += other.arb_conflicts;
+    }
+
+    /// Publish the tally as the `sim.*` counters of the installed
+    /// [`wormtrace`] recorder (nothing when tracing is off or no step
+    /// was taken).
+    pub fn publish(&self) {
+        if self.cycles == 0 || !wormtrace::enabled() {
+            return;
+        }
+        wormtrace::counter("sim.cycles", self.cycles);
+        wormtrace::counter("sim.flits_moved", self.flits_moved);
+        wormtrace::counter("sim.delivered", self.delivered);
+        wormtrace::counter("sim.stall_injections", self.stall_injections);
+        wormtrace::counter("sim.arb_conflicts", self.arb_conflicts);
+    }
+}
+
+/// Reusable buffers of the stepping core and of deadlock detection, so
+/// a caller stepping millions of states touches the allocator only
+/// while the buffers warm up.
+#[derive(Clone, Debug, Default)]
+pub struct StepScratch {
+    /// Header requests `(channel, message)`; sorted before granting.
+    requests: Vec<(ChannelId, MessageId)>,
+    /// Per-message granted channel.
+    grants: Vec<Option<ChannelId>>,
+    /// Per-message wait-for edge (deadlock detection).
+    waits: Vec<Option<MessageId>>,
+    /// Per-message walk colour and the walk (deadlock detection).
+    color: Vec<u8>,
+    walk: Vec<usize>,
+    /// The last step's report.
+    report: StepReport,
+}
+
+impl StepScratch {
+    /// Empty buffers (sized on first use).
+    pub fn new() -> Self {
+        StepScratch::default()
+    }
+
+    /// The report of the last [`Sim::step_with`] call.
+    pub fn report(&self) -> &StepReport {
+        &self.report
+    }
+}
+
 /// Side effects of advancing one message for one cycle, beyond the
 /// flit movements already recorded in [`StepReport`]. The event engine
 /// uses these to update its incremental caches (worm head/tail
@@ -76,6 +169,7 @@ pub(crate) trait FrozenQ {
 }
 
 /// All-channels-live freeze view (the common case: no skew model).
+#[derive(Clone, Copy)]
 pub(crate) struct NoFreeze;
 
 impl FrozenQ for NoFreeze {
@@ -246,6 +340,30 @@ impl Sim {
             .collect()
     }
 
+    /// The channel `m`'s header would acquire this cycle if it asked:
+    /// the first channel while `m` is pending, the next path channel
+    /// while its header is in flight — but only when that channel is
+    /// empty, unowned and not `frozen` at the start of the cycle
+    /// (atomic buffer allocation). `None` for a delivered message, a
+    /// header on its final channel, or a channel it cannot take now.
+    /// `frozen` is a per-channel mask; empty means nothing is frozen.
+    #[inline]
+    pub fn request_of(&self, state: &SimState, m: MessageId, frozen: &[bool]) -> Option<ChannelId> {
+        let mi = m.index();
+        let target = if state.injected[mi] == 0 {
+            self.paths[mi][0]
+        } else if state.consumed[mi] > 0 {
+            return None;
+        } else {
+            let path = &self.paths[mi];
+            let h = self.head_index(state, m)?;
+            *path.get(h + 1)?
+        };
+        let ti = target.index();
+        (state.channels[ti].is_none() && !frozen.get(ti).copied().unwrap_or(false))
+            .then_some(target)
+    }
+
     /// Header-acquisition requests this cycle: channel → requesting
     /// messages (in id order). Includes injection attempts. Only
     /// channels that are empty and unowned at the start of the cycle
@@ -269,26 +387,58 @@ impl Sim {
         stalls: &[MessageId],
         frozen: &[ChannelId],
     ) -> BTreeMap<ChannelId, Vec<MessageId>> {
+        let mask = self.channel_mask(frozen);
+        let mut pairs = Vec::new();
+        self.collect_requests(
+            state,
+            &StepChoice {
+                inject,
+                stalls,
+                frozen: &mask,
+                ..StepChoice::default()
+            },
+            &mut pairs,
+        );
         let mut requests: BTreeMap<ChannelId, Vec<MessageId>> = BTreeMap::new();
-        for m in self.messages() {
-            if stalls.contains(&m) || state.is_delivered(m, self.length(m)) {
-                continue;
-            }
-            let target = if state.injected[m.index()] == 0 {
-                if !inject.contains(&m) {
-                    continue;
-                }
-                Some(self.paths[m.index()][0])
-            } else {
-                self.header_target(state, m)
-            };
-            if let Some(t) = target {
-                if state.channels[t.index()].is_none() && !frozen.contains(&t) {
-                    requests.entry(t).or_default().push(m);
-                }
-            }
+        for (t, m) in pairs {
+            requests.entry(t).or_default().push(m);
         }
         requests
+    }
+
+    /// The per-channel mask of `channels`, as [`StepChoice::frozen`]
+    /// takes it (empty when `channels` is).
+    pub fn channel_mask(&self, channels: &[ChannelId]) -> Vec<bool> {
+        let mut mask = Vec::new();
+        if !channels.is_empty() {
+            mask.resize(self.channel_count, false);
+            for &c in channels {
+                mask[c.index()] = true;
+            }
+        }
+        mask
+    }
+
+    /// Fill `requests` with this cycle's header requests, in
+    /// message-id order: every message neither stalled nor pending
+    /// without an injection attempt asks for [`Sim::request_of`].
+    fn collect_requests(
+        &self,
+        state: &SimState,
+        choice: &StepChoice<'_>,
+        requests: &mut Vec<(ChannelId, MessageId)>,
+    ) {
+        requests.clear();
+        for m in self.messages() {
+            if choice.stalls.contains(&m)
+                || (state.injected[m.index()] == 0 && !choice.inject.contains(&m))
+            {
+                continue;
+            }
+            if let Some(t) = self.request_of(state, m, choice.frozen) {
+                requests.push((t, m));
+            }
+        }
     }
 
     /// Advance one cycle.
@@ -298,64 +448,111 @@ impl Sim {
     /// the lowest requesting message id. A winner entry naming a
     /// non-requesting message is a caller bug and panics.
     pub fn step(&self, state: &mut SimState, decisions: &Decisions) -> StepReport {
-        let requests = self.header_requests_frozen(
+        let winners: Vec<(ChannelId, MessageId)> =
+            decisions.winners.iter().map(|(&c, &m)| (c, m)).collect();
+        let frozen = self.channel_mask(&decisions.frozen);
+        let mut scratch = StepScratch::new();
+        let tally = self.step_with(
             state,
-            &decisions.inject,
-            &decisions.stalls,
-            &decisions.frozen,
+            StepChoice {
+                inject: &decisions.inject,
+                stalls: &decisions.stalls,
+                winners: &winners,
+                frozen: &frozen,
+            },
+            &mut scratch,
         );
-        let mut frozen_mask = vec![false; self.channel_count];
-        for &c in &decisions.frozen {
-            frozen_mask[c.index()] = true;
-        }
-        let mut grants: BTreeMap<MessageId, ChannelId> = BTreeMap::new();
-        for (&chan, reqs) in &requests {
-            let winner = if reqs.len() == 1 {
-                reqs[0]
+        // Structured instrumentation (docs/TRACING.md, `sim.*`): one
+        // relaxed atomic load when tracing is off. The searches step
+        // through `step_with` and publish their summed tallies once.
+        tally.publish();
+        scratch.report
+    }
+
+    /// The stepping core: advance one cycle under `choice`, reusing
+    /// `scratch`'s buffers (the report lands in
+    /// [`StepScratch::report`]).
+    ///
+    /// Requests and grants are resolved in place: each requesting
+    /// header is one `(channel, message)` pair, and after sorting, a
+    /// channel's requesters sit together in id order. A channel with one
+    /// requester grants it; a contended one goes to its `choice.winners`
+    /// entry, or to the lowest requesting id when it has none. A winner
+    /// entry naming a non-requesting message panics. With no frozen
+    /// channel the flit moves run through the `NoFreeze` instance.
+    pub fn step_with(
+        &self,
+        state: &mut SimState,
+        choice: StepChoice<'_>,
+        scratch: &mut StepScratch,
+    ) -> StepTally {
+        self.collect_requests(state, &choice, &mut scratch.requests);
+        scratch.requests.sort_unstable();
+        let grants = &mut scratch.grants;
+        grants.clear();
+        grants.resize(self.specs.len(), None);
+        let mut conflicts = 0;
+        for group in scratch.requests.chunk_by(|a, b| a.0 == b.0) {
+            let chan = group[0].0;
+            let winner = if group.len() == 1 {
+                group[0].1
             } else {
-                match decisions.winners.get(&chan) {
-                    Some(&w) => {
+                conflicts += 1;
+                match choice.winners.iter().find(|&&(c, _)| c == chan) {
+                    Some(&(_, w)) => {
                         assert!(
-                            reqs.contains(&w),
+                            group.iter().any(|&(_, m)| m == w),
                             "arbitration winner {w} does not request {chan}"
                         );
                         w
                     }
-                    None => reqs[0],
+                    None => group[0].1,
                 }
             };
-            grants.insert(winner, chan);
+            grants[winner.index()] = Some(chan);
         }
 
-        let mut report = StepReport::default();
+        let report = &mut scratch.report;
+        report.moved = false;
+        report.flits_moved = 0;
+        report.delivered.clear();
+        if choice.frozen.is_empty() {
+            self.advance_all(state, choice.stalls, grants, NoFreeze, report);
+        } else {
+            self.advance_all(state, choice.stalls, grants, choice.frozen, report);
+        }
+        StepTally {
+            cycles: 1,
+            flits_moved: report.flits_moved as u64,
+            delivered: report.delivered.len() as u64,
+            stall_injections: choice.stalls.len() as u64,
+            arb_conflicts: conflicts,
+        }
+    }
+
+    /// Advance every message that is neither stalled nor delivered.
+    fn advance_all<F: FrozenQ + Copy>(
+        &self,
+        state: &mut SimState,
+        stalls: &[MessageId],
+        grants: &[Option<ChannelId>],
+        frozen: F,
+        report: &mut StepReport,
+    ) {
         for m in self.messages() {
-            if decisions.stalls.contains(&m) || state.is_delivered(m, self.length(m)) {
+            if stalls.contains(&m) || state.is_delivered(m, self.length(m)) {
                 continue;
             }
             self.advance_message(
                 state,
                 m,
-                grants.get(&m).copied(),
-                frozen_mask.as_slice(),
+                grants[m.index()],
+                frozen,
                 None,
-                &mut report,
+                report,
                 &mut NoBusy,
             );
         }
-
-        // Structured instrumentation (docs/TRACING.md, `sim.*`): one
-        // relaxed atomic load when tracing is off, so the search hot
-        // path — which calls `step` once per explored edge — pays
-        // nothing measurable.
-        if wormtrace::enabled() {
-            wormtrace::counter("sim.cycles", 1);
-            wormtrace::counter("sim.flits_moved", report.flits_moved as u64);
-            wormtrace::counter("sim.delivered", report.delivered.len() as u64);
-            wormtrace::counter("sim.stall_injections", decisions.stalls.len() as u64);
-            let conflicts = requests.values().filter(|reqs| reqs.len() >= 2).count();
-            wormtrace::counter("sim.arb_conflicts", conflicts as u64);
-        }
-        report
     }
 
     /// Move one message's flits for this cycle. `grant` is the channel
@@ -547,20 +744,25 @@ impl Sim {
     /// and an owner inside the cycle never releases, so such a cycle
     /// is a permanent deadlock — no timeout heuristics required.
     pub fn find_deadlock(&self, state: &SimState) -> Option<Vec<MessageId>> {
-        let n = self.specs.len();
+        self.find_deadlock_with(state, &mut StepScratch::new())
+    }
+
+    /// [`Sim::find_deadlock`] on `scratch`'s buffers: allocates only
+    /// to return a cycle it found.
+    pub fn find_deadlock_with(
+        &self,
+        state: &SimState,
+        scratch: &mut StepScratch,
+    ) -> Option<Vec<MessageId>> {
         // waits[m] = owner of the channel m's header needs, if owned
         // by a different message.
-        let mut waits: Vec<Option<MessageId>> = vec![None; n];
-        for m in self.messages() {
-            if let Some(t) = self.header_target(state, m) {
-                if let Some(occ) = state.channels[t.index()] {
-                    if occ.msg != m {
-                        waits[m.index()] = Some(occ.msg);
-                    }
-                }
-            }
-        }
-        deadlock_in_waits(&waits)
+        let waits = &mut scratch.waits;
+        waits.clear();
+        waits.extend(self.messages().map(|m| {
+            let occ = state.channels[self.header_target(state, m)?.index()]?;
+            (occ.msg != m).then_some(occ.msg)
+        }));
+        deadlock_in_waits_with(waits, &mut scratch.color, &mut scratch.walk)
     }
 
     /// Debug invariant checker used by tests and property tests:
@@ -631,13 +833,23 @@ impl Sim {
 ///
 /// color: 0 = unvisited, 1 = on current walk, 2 = done.
 pub(crate) fn deadlock_in_waits(waits: &[Option<MessageId>]) -> Option<Vec<MessageId>> {
+    deadlock_in_waits_with(waits, &mut Vec::new(), &mut Vec::new())
+}
+
+/// [`deadlock_in_waits`] on reusable `color` and `walk` buffers.
+fn deadlock_in_waits_with(
+    waits: &[Option<MessageId>],
+    color: &mut Vec<u8>,
+    walk: &mut Vec<usize>,
+) -> Option<Vec<MessageId>> {
     let n = waits.len();
-    let mut color = vec![0u8; n];
+    color.clear();
+    color.resize(n, 0);
     for start in 0..n {
         if color[start] != 0 {
             continue;
         }
-        let mut walk = Vec::new();
+        walk.clear();
         let mut v = start;
         loop {
             if color[v] == 1 {
@@ -660,7 +872,7 @@ pub(crate) fn deadlock_in_waits(waits: &[Option<MessageId>]) -> Option<Vec<Messa
                 None => break,
             }
         }
-        for &x in &walk {
+        for &x in walk.iter() {
             color[x] = 2;
         }
     }

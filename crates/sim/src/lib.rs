@@ -73,8 +73,8 @@ pub mod trace;
 pub mod traffic;
 
 pub use arena::StateArena;
-pub use engine::{Decisions, Sim, StepReport};
+pub use engine::{Decisions, Sim, StepChoice, StepReport, StepScratch, StepTally};
 pub use error::SimError;
 pub use message::{MessageId, MessageSpec};
-pub use packed::{PackedBuildHasher, PackedState, StateCodec, TranspositionCache};
+pub use packed::{PackedBuildHasher, PackedState, StateCodec};
 pub use state::{ChannelOcc, SimState};

@@ -15,16 +15,18 @@
 //! * `injected`/`consumed` counters per message;
 //! * the remaining stall budget.
 //!
-//! Typical paper scenarios (≤ 6 messages, ≤ 20 relevant channels,
-//! lengths ≤ 8) fit in 2–3 words, so keys usually stay inline —
-//! [`PackedState`] stores up to [`INLINE_WORDS`] words without heap
-//! allocation and spills to a boxed slice beyond that.
+//! Every paper construction but Figure 2 and Figure 3 (e) packs to
+//! 4–10 words. The sequential searches never build a key value: they
+//! probe a flat visited set with the words [`StateCodec::pack_words`]
+//! writes into a reused buffer. A [`PackedState`] (the parallel
+//! engine's key) stores up to [`INLINE_WORDS`] words inline and spills
+//! to a boxed slice beyond that.
 //!
 //! Keys are [`Ord`]: the parallel search uses the lexicographic order
 //! on packed words to pick a canonical witness among equally-shallow
 //! deadlock states, independent of thread scheduling.
 
-use std::hash::{BuildHasher, Hash, Hasher};
+use std::hash::{BuildHasher, Hasher};
 
 use crate::engine::Sim;
 use crate::state::{ChannelOcc, SimState};
@@ -53,8 +55,9 @@ pub enum PackedState {
 
 impl PackedState {
     /// Build a key by copying from a word slice (the slice can be a
-    /// reused scratch buffer; only the spill case allocates).
-    fn from_word_slice(words: &[u64]) -> Self {
+    /// reused scratch buffer; only the spill case allocates), e.g. the
+    /// words [`StateCodec::pack_words`] wrote.
+    pub fn from_words(words: &[u64]) -> Self {
         if words.len() <= INLINE_WORDS {
             let mut inline = [0u64; INLINE_WORDS];
             inline[..words.len()].copy_from_slice(words);
@@ -228,38 +231,41 @@ impl StateCodec {
     /// Pack `(state, budget)` into its canonical key.
     pub fn pack(&self, state: &SimState, budget: u32) -> PackedState {
         let mut buf = Vec::with_capacity(self.words);
-        self.pack_into(state, budget, &mut buf)
+        self.pack_words(state, budget, &mut buf);
+        PackedState::from_words(&buf)
     }
 
-    /// [`StateCodec::pack`] into a reusable scratch buffer.
+    /// The words of [`StateCodec::pack`]'s key, written into `buf`
+    /// (cleared and refilled, so a caller packing millions of states
+    /// reuses one allocation) with no key built — what a visited set
+    /// probes with.
     ///
-    /// Produces exactly the same key as `pack`; `buf` is cleared and
-    /// refilled, so a caller packing millions of states can amortize
-    /// the word-buffer allocation down to zero (the returned key still
-    /// copies the words, inline for typical scenarios).
-    pub fn pack_into(&self, state: &SimState, budget: u32, buf: &mut Vec<u64>) -> PackedState {
+    /// The layout is LSB-first, so a channel's `owner`, `lo` and `hi`
+    /// fields pushed as one value of their summed width land on the
+    /// same bits as three separate pushes; likewise a message's
+    /// `injected` and `consumed`.
+    pub fn pack_words(&self, state: &SimState, budget: u32, buf: &mut Vec<u64>) {
         let empty = self.message_count as u64;
+        let (msg, flit) = (self.msg_bits, self.flit_bits);
         let mut w = BitWriter::new(buf);
         w.push(budget as u64, self.budget_bits);
         for &ci in &self.relevant {
-            match state.channels[ci as usize] {
-                None => {
-                    w.push(empty, self.msg_bits);
-                    w.push(0, self.flit_bits);
-                    w.push(0, self.flit_bits);
-                }
+            let group = match state.channels[ci as usize] {
+                None => empty,
                 Some(occ) => {
-                    w.push(occ.msg.index() as u64, self.msg_bits);
-                    w.push(occ.lo as u64, self.flit_bits);
-                    w.push(occ.hi as u64, self.flit_bits);
+                    occ.msg.index() as u64
+                        | (occ.lo as u64) << msg
+                        | (occ.hi as u64) << (msg + flit)
                 }
-            }
+            };
+            w.push(group, msg + 2 * flit);
         }
         for i in 0..self.message_count {
-            w.push(state.injected[i] as u64, self.flit_bits);
-            w.push(state.consumed[i] as u64, self.flit_bits);
+            w.push(
+                state.injected[i] as u64 | (state.consumed[i] as u64) << flit,
+                2 * flit,
+            );
         }
-        PackedState::from_word_slice(buf)
     }
 
     /// Invert [`StateCodec::pack`]: reconstruct the state and budget.
@@ -359,6 +365,17 @@ impl Hasher for PackedHasher {
     }
 }
 
+/// The [`PackedHasher`] hash of a key's words, for tables that store
+/// the words themselves rather than [`PackedState`] values.
+#[inline]
+pub fn hash_words(words: &[u64]) -> u64 {
+    let mut h = PackedHasher::default();
+    for &w in words {
+        h.add(w);
+    }
+    h.hash
+}
+
 /// [`BuildHasher`] for [`PackedHasher`]; plug into `HashSet`/`HashMap`
 /// holding [`PackedState`] keys.
 #[derive(Clone, Copy, Debug, Default)]
@@ -370,99 +387,6 @@ impl BuildHasher for PackedBuildHasher {
     #[inline]
     fn build_hasher(&self) -> PackedHasher {
         PackedHasher::default()
-    }
-}
-
-/// Hash a packed key with the fast [`PackedHasher`].
-#[inline]
-fn fx_hash(key: &PackedState) -> u64 {
-    let mut h = PackedHasher::default();
-    key.hash(&mut h);
-    h.finish()
-}
-
-/// A lossy, direct-mapped membership cache over [`PackedState`] keys.
-///
-/// The exhaustive searches keep their ground-truth visited set in a
-/// (possibly lock-sharded) hash table; this transposition-style cache
-/// sits *in front* of it, answering the common "seen this key already"
-/// probe without touching the big table. It is deliberately one-way:
-/// a hit means the key is **definitely** in the set the caller fed via
-/// [`TranspositionCache::insert`]; a miss means nothing. Collisions
-/// simply overwrite (direct-mapped, power-of-two slots), so the cache
-/// never grows and never needs eviction bookkeeping.
-///
-/// ```
-/// use wormsim::packed::TranspositionCache;
-/// use wormsim::{MessageSpec, Sim, StateCodec};
-/// use wormnet::topology::line;
-/// use wormroute::algorithms::shortest_path_table;
-///
-/// let (net, nodes) = line(3);
-/// let table = shortest_path_table(&net).unwrap();
-/// let sim = Sim::new(&net, &table, vec![MessageSpec::new(nodes[0], nodes[2], 2)], Some(1)).unwrap();
-/// let codec = StateCodec::new(&sim, 0);
-/// let key = codec.pack(&sim.initial_state(), 0);
-///
-/// let mut cache = TranspositionCache::new(1024);
-/// assert!(!cache.contains(&key)); // cold
-/// cache.insert(key.clone());
-/// assert!(cache.contains(&key)); // warm
-/// assert_eq!(cache.hits(), 1);
-/// assert_eq!(cache.lookups(), 2);
-/// ```
-#[derive(Clone, Debug)]
-pub struct TranspositionCache {
-    slots: Vec<Option<PackedState>>,
-    mask: u64,
-    hits: u64,
-    lookups: u64,
-}
-
-impl TranspositionCache {
-    /// Create a cache with at least `capacity` slots (rounded up to a
-    /// power of two, minimum 64).
-    pub fn new(capacity: usize) -> Self {
-        let slots = capacity.next_power_of_two().max(64);
-        TranspositionCache {
-            slots: vec![None; slots],
-            mask: slots as u64 - 1,
-            hits: 0,
-            lookups: 0,
-        }
-    }
-
-    #[inline]
-    fn slot_of(&self, key: &PackedState) -> usize {
-        (fx_hash(key) & self.mask) as usize
-    }
-
-    /// Whether `key` is cached (counted as a lookup; hits counted too).
-    #[inline]
-    pub fn contains(&mut self, key: &PackedState) -> bool {
-        self.lookups += 1;
-        let hit = self.slots[self.slot_of(key)].as_ref() == Some(key);
-        if hit {
-            self.hits += 1;
-        }
-        hit
-    }
-
-    /// Remember `key`, evicting whatever shared its slot.
-    #[inline]
-    pub fn insert(&mut self, key: PackedState) {
-        let slot = self.slot_of(&key);
-        self.slots[slot] = Some(key);
-    }
-
-    /// Number of probes answered positively so far.
-    pub fn hits(&self) -> u64 {
-        self.hits
-    }
-
-    /// Total number of probes so far.
-    pub fn lookups(&self) -> u64 {
-        self.lookups
     }
 }
 
@@ -504,23 +428,56 @@ mod tests {
         }
     }
 
-    #[test]
-    fn pack_into_matches_pack_and_reuses_buffer() {
-        let sim = ring_sim();
-        let codec = StateCodec::new(&sim, 2);
-        let mut state = sim.initial_state();
-        let inject_all = Decisions {
-            inject: sim.messages().collect(),
-            ..Decisions::default()
-        };
-        let idle = Decisions::default();
+    /// The field-at-a-time layout grouped packing must reproduce: one
+    /// push per field, owner/`lo`/`hi` per relevant channel, then
+    /// `injected`/`consumed` per message.
+    fn pack_field_by_field(codec: &StateCodec, state: &SimState, budget: u32) -> Vec<u64> {
         let mut buf = Vec::new();
-        for cycle in 0..5 {
-            let via_buf = codec.pack_into(&state, 2, &mut buf);
-            assert_eq!(via_buf, codec.pack(&state, 2), "cycle {cycle}");
-            sim.step(&mut state, if cycle == 0 { &inject_all } else { &idle });
+        let mut w = BitWriter::new(&mut buf);
+        w.push(budget as u64, codec.budget_bits);
+        for &ci in &codec.relevant {
+            let (owner, lo, hi) = match state.channels[ci as usize] {
+                None => (codec.message_count as u64, 0, 0),
+                Some(occ) => (occ.msg.index() as u64, occ.lo as u64, occ.hi as u64),
+            };
+            w.push(owner, codec.msg_bits);
+            w.push(lo, codec.flit_bits);
+            w.push(hi, codec.flit_bits);
         }
-        assert!(buf.capacity() >= codec.packed_words());
+        for i in 0..codec.message_count {
+            w.push(state.injected[i] as u64, codec.flit_bits);
+            w.push(state.consumed[i] as u64, codec.flit_bits);
+        }
+        buf
+    }
+
+    #[test]
+    fn pack_words_match_the_field_by_field_layout_and_reuse_the_buffer() {
+        // A ring whose words straddle field groups, and the 16-ring
+        // whose keys spill past the inline words.
+        let (net, nodes) = ring_unidirectional(16);
+        let table = clockwise_ring(&net, &nodes).unwrap();
+        let specs: Vec<MessageSpec> = (0..8)
+            .map(|i| MessageSpec::new(nodes[2 * i], nodes[(2 * i + 7) % 16], 9))
+            .collect();
+        let wide = Sim::new(&net, &table, specs, None).unwrap();
+        for sim in [ring_sim(), wide] {
+            let codec = StateCodec::new(&sim, 2);
+            let mut state = sim.initial_state();
+            let inject_all = Decisions {
+                inject: sim.messages().collect(),
+                ..Decisions::default()
+            };
+            let idle = Decisions::default();
+            let mut buf = Vec::new();
+            for cycle in 0..8 {
+                codec.pack_words(&state, 2, &mut buf);
+                assert_eq!(buf, pack_field_by_field(&codec, &state, 2), "cycle {cycle}");
+                assert_eq!(PackedState::from_words(&buf), codec.pack(&state, 2));
+                sim.step(&mut state, if cycle == 0 { &inject_all } else { &idle });
+            }
+            assert_eq!(buf.len(), codec.packed_words());
+        }
     }
 
     #[test]
@@ -529,6 +486,7 @@ mod tests {
         let codec = StateCodec::new(&sim, 3);
         let a = codec.pack(&sim.initial_state(), 3);
         let b = codec.pack(&sim.initial_state(), 2);
+        let fx_hash = |k: &PackedState| PackedBuildHasher.hash_one(k);
         assert_eq!(fx_hash(&a), fx_hash(&a));
         assert_ne!(fx_hash(&a), fx_hash(&b), "distinct keys should separate");
 
@@ -537,32 +495,6 @@ mod tests {
         set.insert(a.clone());
         assert!(set.contains(&a));
         assert!(!set.contains(&b));
-    }
-
-    #[test]
-    fn transposition_cache_never_false_positives() {
-        let sim = ring_sim();
-        let codec = StateCodec::new(&sim, 0);
-        let mut cache = TranspositionCache::new(8);
-        let mut truth = std::collections::HashSet::new();
-
-        // Walk a few states; every cache hit must be in the truth set.
-        let mut state = sim.initial_state();
-        let inject_all = Decisions {
-            inject: sim.messages().collect(),
-            ..Decisions::default()
-        };
-        let idle = Decisions::default();
-        for cycle in 0..12 {
-            let key = codec.pack(&state, 0);
-            if cache.contains(&key) {
-                assert!(truth.contains(&key), "cycle {cycle}: false positive");
-            }
-            cache.insert(key.clone());
-            truth.insert(key);
-            sim.step(&mut state, if cycle == 0 { &inject_all } else { &idle });
-        }
-        assert!(cache.lookups() >= 12);
     }
 
     #[test]
