@@ -318,19 +318,31 @@ fn algorithm_verdict_label(v: &AlgorithmVerdict) -> &'static str {
     }
 }
 
-/// Measure one cluster-scale topology scenario: batch CDG build, the
-/// Kahn acyclicity decision (`acyclic_ms`), the largest strongly
-/// connected component (`cdg_largest_scc`, from Tarjan), bounded cycle
-/// streaming, whole-algorithm classification, and the wormlint static
-/// verdict. Structural keys (`channels`, `cdg_edges`,
-/// `cdg_largest_scc`, `cycles_found`, both verdicts) are exactly
-/// reproducible; `*_ms` keys are timings.
+/// Measure one cluster-scale topology scenario: the routing table's
+/// build time (`table_build_ms`) and data size (`table_bytes`), batch
+/// CDG build and its data size (`cdg_bytes`), the Kahn acyclicity
+/// decision (`acyclic_ms`), the largest strongly connected component
+/// (`cdg_largest_scc`, from Tarjan), bounded cycle streaming,
+/// whole-algorithm classification, and the wormlint static verdict.
+/// Structural keys (`channels`, `table_bytes`, `cdg_edges`,
+/// `cdg_bytes`, `cdg_largest_scc`, `cycles_found`, both verdicts) are
+/// exactly reproducible; `*_ms` keys are timings.
 fn run_topo_scenario(report: &mut BenchReport, s: &TopologyScenario) {
     let name = s.name.as_str();
     report.insert(
         name,
         "channels",
         BenchValue::Int(s.net.channel_count() as u64),
+    );
+    report.insert(
+        name,
+        "table_build_ms",
+        BenchValue::Float(s.table_build_ms.round()),
+    );
+    report.insert(
+        name,
+        "table_bytes",
+        BenchValue::Int(s.table.data_bytes() as u64),
     );
 
     let start = Instant::now();
@@ -342,6 +354,7 @@ fn run_topo_scenario(report: &mut BenchReport, s: &TopologyScenario) {
         BenchValue::Float(cdg_build_ms.round()),
     );
     report.insert(name, "cdg_edges", BenchValue::Int(cdg.edge_count() as u64));
+    report.insert(name, "cdg_bytes", BenchValue::Int(cdg.data_bytes() as u64));
 
     let start = Instant::now();
     let acyclic = cdg.is_acyclic();
@@ -617,7 +630,10 @@ mod tests {
             let entry = &search.entries[name];
             for key in [
                 "channels",
+                "table_build_ms",
+                "table_bytes",
                 "cdg_edges",
+                "cdg_bytes",
                 "cycles_found",
                 "verdict",
                 "lint_verdict",

@@ -152,10 +152,21 @@ pub struct TopologyScenario {
     pub net: Network,
     /// Its routing table.
     pub table: TableRouting,
+    /// Wall-clock milliseconds the routing engine took to build
+    /// `table`.
+    pub table_build_ms: f64,
     /// The verdict the static pipeline must reach on this instance
     /// (`"free-acyclic"` for the production engines, `"deadlockable"`
     /// for the no-VC misconfiguration).
     pub expected_verdict: &'static str,
+}
+
+/// Run `build` and return its value with the wall-clock milliseconds
+/// it took.
+fn timed<T>(build: impl FnOnce() -> T) -> (T, f64) {
+    let start = std::time::Instant::now();
+    let value = build();
+    (value, start.elapsed().as_secs_f64() * 1e3)
 }
 
 /// The cluster-scale workloads: dragonfly minimal routing, k-ary
@@ -173,29 +184,33 @@ pub fn large_topology_scenarios(smoke: bool) -> Vec<TopologyScenario> {
     let mut out = Vec::new();
 
     let df = Dragonfly::new(groups, routers);
-    let table = dragonfly_minimal(&df).expect("dragonfly routes");
+    let (table, table_build_ms) = timed(|| dragonfly_minimal(&df).expect("dragonfly routes"));
     out.push(TopologyScenario {
         name: "topo_dragonfly_min".into(),
         net: df.into_network(),
         table,
+        table_build_ms,
         expected_verdict: "free-acyclic",
     });
 
     let ft = FatTree::new(k);
-    let table = fattree_updown(&ft).expect("fat-tree routes");
+    let (table, table_build_ms) = timed(|| fattree_updown(&ft).expect("fat-tree routes"));
     out.push(TopologyScenario {
         name: "topo_fattree_updown".into(),
         net: ft.into_network(),
         table,
+        table_build_ms,
         expected_verdict: "free-acyclic",
     });
 
     let (net, nodes) = complete(n);
-    let table = fullmesh_vcfree(&net, &nodes).expect("full mesh routes");
+    let (table, table_build_ms) =
+        timed(|| fullmesh_vcfree(&net, &nodes).expect("full mesh routes"));
     out.push(TopologyScenario {
         name: "topo_fullmesh_vcfree".into(),
         net,
         table,
+        table_build_ms,
         expected_verdict: "free-acyclic",
     });
 
@@ -206,11 +221,12 @@ pub fn large_topology_scenarios(smoke: bool) -> Vec<TopologyScenario> {
     // 65,600 channels form one strongly connected component, which one
     // batch Kahn pass rejects in linear time.
     let df = Dragonfly::with_lanes(groups, routers, &[0], &[0]);
-    let table = dragonfly_minimal(&df).expect("dragonfly routes");
+    let (table, table_build_ms) = timed(|| dragonfly_minimal(&df).expect("dragonfly routes"));
     out.push(TopologyScenario {
         name: "topo_dragonfly_novc".into(),
         net: df.into_network(),
         table,
+        table_build_ms,
         expected_verdict: "deadlockable",
     });
 

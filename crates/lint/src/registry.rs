@@ -20,9 +20,11 @@ pub struct LintConfig {
     /// Promote every effective `Warn` to `Deny` (applied after
     /// `overrides`).
     pub deny_warnings: bool,
-    /// Budget for elementary-cycle enumeration.
+    /// Budget for elementary-cycle enumeration: at most this many
+    /// cycles are enumerated.
     pub max_cycles: usize,
-    /// Budget for candidate enumeration per cycle.
+    /// Budget for candidate enumeration per cycle: an incomplete cycle
+    /// holds `max_candidates + 1` candidates.
     pub max_candidates: usize,
 }
 

@@ -252,7 +252,37 @@ fn cases() -> Vec<(&'static str, String)> {
             ring("traffic {\n  pattern = explicit\n  message \"r0\" -> \"r2\" length 3 flits\n}\nfaults { drop m5 @ 1 cycles }\n"),
         ),
         ("e014_unknown_lint_code", ring("verify { lint { W999 = deny } }\n")),
+        // E014 from the explicit table's path checks.
+        (
+            "e014_path_repeats_two_channels",
+            triangle("  path \"a\" -> \"c\" = [c2, c0, c1, c3, c2, c0]\n"),
+        ),
+        (
+            "e014_path_channels_not_adjacent",
+            triangle("  path \"a\" -> \"c\" = [c2, c1]\n"),
+        ),
+        (
+            "e014_duplicate_path_pair",
+            triangle("  path \"a\" -> \"b\" = [c2]\n  path \"b\" -> \"c\" = [c0]\n  path \"a\" -> \"b\" = [c2]\n"),
+        ),
+        (
+            "e014_path_source_mismatch",
+            triangle("  path \"a\" -> \"c\" = [c0]\n"),
+        ),
+        (
+            "e014_path_destination_mismatch",
+            triangle("  path \"a\" -> \"c\" = [c2]\n"),
+        ),
     ]
+}
+
+/// Three explicit nodes with channels `c0: b → c`, `c1: c → b`,
+/// `c2: a → b` and `c3: b → a`, and a `table` routing section holding
+/// `paths`.
+fn triangle(paths: &str) -> String {
+    format!(
+        "{HEADER}topology {{\n  kind = explicit\n  node \"a\"\n  node \"b\"\n  node \"c\"\n  channel \"b\" -> \"c\"\n  channel \"c\" -> \"b\"\n  channel \"a\" -> \"b\"\n  channel \"b\" -> \"a\"\n}}\nrouting {{\n  engine = table\n{paths}}}\n"
+    )
 }
 
 /// The snapshot text of one failing case.
