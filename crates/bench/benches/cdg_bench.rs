@@ -5,7 +5,7 @@
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use std::hint::black_box;
-use wormcdg::{enumerate_candidates, Cdg};
+use wormcdg::{enumerate_candidates, Cdg, Witnesses};
 use wormnet::topology::{ring_unidirectional, Mesh};
 use wormroute::algorithms::{clockwise_ring, dimension_order};
 
@@ -48,10 +48,10 @@ fn bench_candidates(c: &mut Criterion) {
     for n in [4usize, 5, 6] {
         let (net, nodes) = ring_unidirectional(n);
         let table = clockwise_ring(&net, &nodes).expect("routes");
-        let cdg = Cdg::build(&net, &table);
-        let cycle = cdg.cycles().remove(0);
+        let cycle = Cdg::build(&net, &table).cycles().remove(0);
+        let witnesses = Witnesses::of_cycles(&table, [&cycle]);
         group.bench_with_input(BenchmarkId::from_parameter(n), &n, |b, _| {
-            b.iter(|| enumerate_candidates(black_box(&cdg), black_box(&cycle), 1_000_000));
+            b.iter(|| enumerate_candidates(black_box(&witnesses), black_box(&cycle), 1_000_000));
         });
     }
     group.finish();

@@ -27,7 +27,7 @@ fn main() {
         cdg.edge_count(),
         cdg.cycles().len()
     );
-    let cands = deadlock_candidates(&cdg, &c.cycle(), 1000).expect("bounded");
+    let cands = deadlock_candidates(&c.table, &c.cycle(), 1000).expect("bounded");
     println!(
         "static deadlock candidates on the cycle: {} (segments hold {:?} channels)",
         cands.len(),

@@ -8,8 +8,10 @@
 //! This crate provides:
 //!
 //! * [`Cdg`] — CDG construction from a [`wormroute::TableRouting`],
-//!   with every edge annotated by its *witnesses*: the (src, dst)
-//!   message pairs whose path induces the dependency.
+//!   as compressed sparse rows of each channel's distinct successors.
+//! * [`Witnesses`] — the *witnesses* of chosen edges: the (src, dst)
+//!   message pairs whose path induces each dependency, gathered on
+//!   demand by one scan of the table.
 //! * The **Dally–Seitz check**: [`Cdg::is_acyclic`] and
 //!   [`Cdg::numbering`], one batch Kahn pass over the finished graph,
 //!   which produce the strictly-increasing channel numbering
@@ -51,6 +53,7 @@
 mod candidates;
 mod graph;
 mod numbering;
+mod witnesses;
 
 pub mod adaptive;
 pub mod sharing;
@@ -60,3 +63,4 @@ pub use candidates::{
 };
 pub use graph::{Cdg, CdgCycle, MsgPair};
 pub use numbering::{check_numbering, NumberingError};
+pub use witnesses::Witnesses;

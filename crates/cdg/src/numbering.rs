@@ -49,7 +49,7 @@ pub fn check_numbering(
             found: numbering.len(),
         });
     }
-    for (&pair, path) in table.iter() {
+    for (pair, path) in table.iter() {
         for w in path.channels().windows(2) {
             if numbering[w[0].index()] >= numbering[w[1].index()] {
                 return Err(NumberingError::NotIncreasing {
@@ -78,7 +78,7 @@ mod tests {
         let mut numbering = cdg.numbering().expect("dateline CDG is acyclic");
         assert_eq!(check_numbering(&net, &table, &numbering), Ok(()));
 
-        let (&(c1, c2), _) = cdg.edges().next().expect("the ring has dependencies");
+        let (c1, c2) = cdg.edges().next().expect("the ring has dependencies");
         numbering.swap(c1.index(), c2.index());
         assert!(matches!(
             check_numbering(&net, &table, &numbering),
@@ -93,7 +93,7 @@ mod tests {
         // All channels numbered alike: the first multi-hop path in
         // table order is the first violation.
         let flat = vec![0; net.channel_count()];
-        let (&pair, path) = table
+        let (pair, path) = table
             .iter()
             .find(|(_, p)| p.channels().len() >= 2)
             .expect("some path has two hops");

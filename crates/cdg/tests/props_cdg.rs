@@ -4,16 +4,17 @@
 
 use proptest::prelude::*;
 use rand::SeedableRng;
-use wormcdg::{check_numbering, enumerate_candidates, Cdg};
+use wormcdg::{check_numbering, enumerate_candidates, Cdg, Witnesses};
 use wormnet::topology::{ring_unidirectional, Mesh};
 use wormroute::algorithms::{clockwise_ring, random_table, random_tree_routing};
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(64))]
 
-    /// Witness completeness: the CDG has an edge for *every*
-    /// consecutive channel pair of *every* path, annotated with that
-    /// path's message — and nothing else.
+    /// Witness completeness and exactness: the CDG has an edge for
+    /// *every* consecutive channel pair of *every* path and nothing
+    /// else, and the witnesses gathered for all of its edges list
+    /// exactly the messages whose path holds that pair, in table order.
     #[test]
     fn witnesses_are_complete_and_exact(seed in 0u64..500) {
         let mesh = Mesh::new(&[3, 2]);
@@ -21,20 +22,22 @@ proptest! {
         let mut rng = rand::rngs::StdRng::seed_from_u64(seed);
         let table = random_table(net, &mut rng, 1).expect("routes");
         let cdg = Cdg::build(net, &table);
+        let witnesses = Witnesses::gather(&table, cdg.edges());
 
-        // Forward direction: every window is witnessed.
-        let mut expected_edges = std::collections::BTreeSet::new();
-        for (&pair, path) in table.iter() {
+        // Forward direction: every window is an edge and witnessed.
+        let mut expected: std::collections::BTreeMap<_, Vec<_>> = Default::default();
+        for (pair, path) in table.iter() {
             for w in path.channels().windows(2) {
-                expected_edges.insert((w[0], w[1]));
-                prop_assert!(cdg.witnesses(w[0], w[1]).contains(&pair));
+                expected.entry((w[0], w[1])).or_default().push(pair);
+                prop_assert!(cdg.has_edge(w[0], w[1]));
+                prop_assert!(witnesses.get(w[0], w[1]).contains(&pair));
             }
         }
-        // Reverse: no edge without a window.
-        prop_assert_eq!(cdg.edge_count(), expected_edges.len());
-        for (&(a, b), wits) in cdg.edges() {
-            prop_assert!(expected_edges.contains(&(a, b)));
-            prop_assert!(!wits.is_empty());
+        // Reverse: no edge without a window, and no other witness.
+        prop_assert_eq!(cdg.edge_count(), expected.len());
+        prop_assert!(cdg.edges().eq(expected.keys().copied()));
+        for ((a, b), pairs) in &expected {
+            prop_assert_eq!(witnesses.get(*a, *b), pairs.as_slice());
         }
     }
 
@@ -53,7 +56,7 @@ proptest! {
             Some(mut numbering) => {
                 prop_assert!(cdg.is_acyclic());
                 prop_assert_eq!(check_numbering(net, &table, &numbering), Ok(()));
-                if let Some((&(a, b), _)) = cdg.edges().nth(seed as usize % cdg.edge_count().max(1)) {
+                if let Some((a, b)) = cdg.edges().nth(seed as usize % cdg.edge_count().max(1)) {
                     numbering.swap(a.index(), b.index());
                     prop_assert!(check_numbering(net, &table, &numbering).is_err());
                 }
@@ -71,10 +74,11 @@ proptest! {
         let table = clockwise_ring(&net, &nodes).expect("routes");
         let cdg = Cdg::build(&net, &table);
         let cycle = cdg.cycles().remove(0);
-        let (cands, complete) = enumerate_candidates(&cdg, &cycle, 1_000_000);
+        let witnesses = Witnesses::of_cycles(&table, [&cycle]);
+        let (cands, complete) = enumerate_candidates(&witnesses, &cycle, 1_000_000);
         prop_assert!(complete);
         prop_assert!(!cands.is_empty());
-        let (again, _) = enumerate_candidates(&cdg, &cycle, 1_000_000);
+        let (again, _) = enumerate_candidates(&witnesses, &cycle, 1_000_000);
         prop_assert_eq!(&cands, &again, "deterministic enumeration");
         for cand in &cands {
             let total: usize = cand.segments.iter().map(|s| s.channels.len()).sum();
@@ -85,7 +89,7 @@ proptest! {
                 let cur = &cand.segments[i];
                 let next = &cand.segments[(i + 1) % k];
                 let last = *cur.channels.last().unwrap();
-                prop_assert!(cdg.witnesses(last, next.channels[0]).contains(&cur.msg));
+                prop_assert!(witnesses.get(last, next.channels[0]).contains(&cur.msg));
             }
             // Each message owns exactly one segment.
             let mut msgs: Vec<_> = cand.messages();

@@ -35,7 +35,7 @@
 //! (and on randomized family instances in the test suite) its verdict
 //! matches the exhaustive search, which is ground truth.
 
-use wormcdg::sharing::{self, MessageGeometry, SharedChannel};
+use wormcdg::sharing::{CycleIndex, MessageGeometry, SharedChannel};
 use wormcdg::{CdgCycle, DeadlockCandidate, MsgPair};
 use wormnet::Network;
 use wormroute::TableRouting;
@@ -116,9 +116,18 @@ pub fn eight_conditions(
     candidate: &DeadlockCandidate,
     shared: &SharedChannel,
 ) -> Result<EightConditions, ConditionsError> {
-    let mut sharers: Vec<MsgPair> = shared.users.clone();
-    sharers.sort_unstable();
-    sharers.dedup();
+    eight_conditions_in(table, &CycleIndex::of(net, cycle), candidate, shared)
+}
+
+/// [`eight_conditions`] over the cycle `cycle` holds.
+pub(crate) fn eight_conditions_in(
+    table: &TableRouting,
+    cycle: &CycleIndex,
+    candidate: &DeadlockCandidate,
+    shared: &SharedChannel,
+) -> Result<EightConditions, ConditionsError> {
+    // The users of a shared channel are distinct candidate messages.
+    let sharers: &[MsgPair] = &shared.users;
     if sharers.len() != 3 {
         return Err(ConditionsError::NotThreeSharers(sharers.len()));
     }
@@ -127,12 +136,7 @@ pub fn eight_conditions(
     let geoms: Vec<(MsgPair, MessageGeometry)> = candidate
         .segments
         .iter()
-        .map(|s| {
-            (
-                s.msg,
-                sharing::geometry(net, table, cycle, s.msg, Some(shared.channel)),
-            )
-        })
+        .map(|s| (s.msg, cycle.geometry(table, s.msg, Some(shared.channel))))
         .collect();
     let geom = |m: MsgPair| -> &MessageGeometry {
         &geoms

@@ -29,7 +29,7 @@
 
 use wormcdg::{Cdg, CdgCycle, DeadlockCandidate, Segment};
 use wormnet::{ChannelId, Network, NodeId};
-use wormroute::{Path, TableRouting};
+use wormroute::{Path, TableBuilder, TableRouting};
 use wormsim::MessageSpec;
 
 /// Parameters of one cycle message.
@@ -194,7 +194,7 @@ impl SharedCycleSpec {
 
         // Access paths and message node-walks.
         let mut built: Vec<BuiltMessage> = Vec::with_capacity(k);
-        let mut table = TableRouting::new();
+        let mut special: Vec<Path> = Vec::with_capacity(k);
         for (i, m) in self.messages.iter().enumerate() {
             let entry_pos = starts[i];
             let entry = ring_nodes[entry_pos];
@@ -246,18 +246,22 @@ impl SharedCycleSpec {
                 entry_pos,
                 spec: m.clone(),
             });
-            let path =
-                Path::from_nodes(&net, &full_walk).expect("construction produces connected walks");
-            table
-                .insert(&net, pair_src, dst, path)
-                .expect("distinct special pairs");
+            special.push(
+                Path::from_nodes(&net, &full_walk).expect("construction produces connected walks"),
+            );
         }
 
+        let mut table = TableBuilder::new(&net);
+        for (b, path) in built.iter().zip(special) {
+            table
+                .insert(b.pair.0, b.pair.1, path)
+                .expect("special pairs are valid");
+        }
         // Default routing u -> N* -> v for every remaining pair.
         let nodes: Vec<NodeId> = net.nodes().collect();
         for &u in &nodes {
             for &v in &nodes {
-                if u == v || table.path(u, v).is_some() {
+                if u == v || built.iter().any(|b| b.pair == (u, v)) {
                     continue;
                 }
                 let walk = if u == nstar {
@@ -269,9 +273,10 @@ impl SharedCycleSpec {
                 };
                 let path =
                     Path::from_nodes(&net, &walk).expect("star links make defaults connected");
-                table.insert(&net, u, v, path).expect("pair not yet routed");
+                table.insert(u, v, path).expect("default paths are valid");
             }
         }
+        let table = table.finish().expect("distinct special pairs");
         debug_assert!(table.is_total(&net));
 
         CycleConstruction {
@@ -486,9 +491,8 @@ mod tests {
     #[test]
     fn canonical_candidate_matches_enumeration() {
         let c = fig1_spec().build();
-        let cdg = c.cdg();
         let cycle = c.cycle();
-        let cands = wormcdg::deadlock_candidates(&cdg, &cycle, 10_000).unwrap();
+        let cands = wormcdg::deadlock_candidates(&c.table, &cycle, 10_000).unwrap();
         // reach == 1 everywhere: the candidate is unique and equals
         // the canonical segment partition (up to rotation of segment
         // order).
@@ -571,8 +575,7 @@ mod tests {
             ],
         };
         let c = spec.build();
-        let cdg = c.cdg();
-        let cands = wormcdg::deadlock_candidates(&cdg, &c.cycle(), 10_000).unwrap();
+        let cands = wormcdg::deadlock_candidates(&c.table, &c.cycle(), 10_000).unwrap();
         // Overlapping reach means some edges have two witnesses, so
         // multiple owner assignments exist.
         assert!(!cands.is_empty());

@@ -59,7 +59,7 @@ mod tests {
     #[test]
     fn static_deadlock_candidate_exists() {
         let c = cyclic_dependency();
-        let cands = wormcdg::deadlock_candidates(&c.cdg(), &c.cycle(), 1000).unwrap();
+        let cands = wormcdg::deadlock_candidates(&c.table, &c.cycle(), 1000).unwrap();
         assert_eq!(cands.len(), 1, "the canonical configuration");
         assert_eq!(cands[0].segments.len(), 4);
         let mut held: Vec<usize> = cands[0].segments.iter().map(|s| s.channels.len()).collect();

@@ -34,7 +34,7 @@ mod tests {
     fn cdg_is_cyclic_with_candidates() {
         let c = two_message_deadlock();
         assert!(!c.cdg().is_acyclic());
-        let cands = wormcdg::deadlock_candidates(&c.cdg(), &c.cycle(), 1000).unwrap();
+        let cands = wormcdg::deadlock_candidates(&c.table, &c.cycle(), 1000).unwrap();
         assert!(!cands.is_empty());
     }
 

@@ -495,7 +495,7 @@ mod tests {
         }
         let table = witness_table(net, witness).expect("witness materialises");
         assert_eq!(table.len(), report.demands, "one path per reachable pair");
-        for (&(src, _), path) in table.iter() {
+        for ((src, _), path) in table.iter() {
             assert!(path.is_node_simple(net), "witness paths are node-simple");
             assert_eq!(path.src(net), src);
             for w in path.channels().windows(2) {

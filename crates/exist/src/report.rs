@@ -244,27 +244,21 @@ pub fn witness_table(net: &Network, witness: &Witness) -> Result<TableRouting, R
             &mut prov,
         );
     }
-    let mut table = TableRouting::new();
-    for s in 0..n {
-        for t in 0..n {
-            if s == t || !game.covered(s, t) {
-                continue;
-            }
-            let mut rev = Vec::new();
-            let mut cur = t;
-            while cur != s {
-                let pos = prov[cur * n + s];
-                debug_assert_ne!(pos, u32::MAX, "covered pair must have provenance");
-                let c = witness.order[pos as usize];
-                rev.push(c);
-                cur = net.channel(c).src().index();
-            }
-            rev.reverse();
-            let src = NodeId::from_index(s);
-            let channels = splice_loops(net, src, rev);
-            let path = Path::from_channels(net, channels)?;
-            table.insert(net, src, NodeId::from_index(t), path)?;
+    TableRouting::from_paths_with(net, |net, src, dst| {
+        let (s, t) = (src.index(), dst.index());
+        if !game.covered(s, t) {
+            return None;
         }
-    }
-    Ok(table)
+        let mut rev = Vec::new();
+        let mut cur = t;
+        while cur != s {
+            let pos = prov[cur * n + s];
+            debug_assert_ne!(pos, u32::MAX, "covered pair must have provenance");
+            let c = witness.order[pos as usize];
+            rev.push(c);
+            cur = net.channel(c).src().index();
+        }
+        rev.reverse();
+        Some(Path::from_channels(net, splice_loops(net, src, rev)))
+    })
 }

@@ -194,15 +194,16 @@ mod tests {
             lane0.push(net.add_channel_vc(nodes[i], nodes[j], 0));
             net.add_channel_vc(nodes[i], nodes[j], 1);
         }
-        let mut table = TableRouting::new();
+        let mut table = wormroute::TableBuilder::new(&net);
         for (s, &src) in nodes.iter().enumerate() {
             for hops in 1..4 {
                 let dst = nodes[(s + hops) % 4];
                 let chans: Vec<_> = (0..hops).map(|h| lane0[(s + h) % 4]).collect();
                 let path = wormroute::Path::from_channels(&net, chans).unwrap();
-                table.insert(&net, src, dst, path).unwrap();
+                table.insert(src, dst, path).unwrap();
             }
         }
+        let table = table.finish().unwrap();
         let r = reverify(&net, &table, &FaultPlan::new(), &ClassifyOptions::default());
         assert_eq!(r.degraded.is_deadlock_free(), Some(false));
         assert_eq!(r.routability, FaultRoutability::ReroutableDamage);

@@ -264,15 +264,16 @@ mod tests {
             lane0.push(net.add_channel_vc(nodes[i], nodes[j], 0));
             net.add_channel_vc(nodes[i], nodes[j], 1);
         }
-        let mut table = wormroute::TableRouting::new();
+        let mut table = wormroute::TableBuilder::new(&net);
         for (s, &src) in nodes.iter().enumerate() {
             for hops in 1..4 {
                 let dst = nodes[(s + hops) % 4];
                 let chans: Vec<_> = (0..hops).map(|h| lane0[(s + h) % 4]).collect();
                 let path = wormroute::Path::from_channels(&net, chans).unwrap();
-                table.insert(&net, src, dst, path).unwrap();
+                table.insert(src, dst, path).unwrap();
             }
         }
+        let table = table.finish().unwrap();
         let report = Registry::with_default_lints().run(&net, &table, &LintConfig::default());
         assert_eq!(report.verdict, StaticVerdict::Deadlockable);
         let c: Vec<_> = report.diagnostics.iter().map(|d| d.code).collect();

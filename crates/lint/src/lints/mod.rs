@@ -18,7 +18,7 @@ pub mod theorems;
 
 use crate::lint::{Finding, Lint};
 use wormnet::{Network, NodeId};
-use wormroute::Path;
+use wormroute::PathRef;
 
 /// Every built-in lint, in code order.
 pub fn default_lints() -> Vec<Box<dyn Lint>> {
@@ -64,7 +64,7 @@ pub(crate) fn pair_ref(net: &Network, (s, d): (NodeId, NodeId)) -> String {
 }
 
 /// A path's node walk in node names (`a->b->c`).
-pub(crate) fn walk(net: &Network, path: &Path) -> String {
+pub(crate) fn walk(net: &Network, path: PathRef<'_>) -> String {
     walk_nodes(net, &path.nodes(net))
 }
 

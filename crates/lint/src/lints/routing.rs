@@ -271,7 +271,7 @@ mod tests {
     use crate::registry::{LintConfig, Registry, StaticVerdict};
     use wormnet::topology::ring_unidirectional;
     use wormroute::algorithms::clockwise_ring;
-    use wormroute::{Path, TableRouting};
+    use wormroute::{Path, TableBuilder};
 
     #[test]
     fn clockwise_ring_gets_node_function_form_and_no_property_warnings() {
@@ -292,15 +292,15 @@ mod tests {
     fn suffix_and_prefix_witnesses_are_concrete() {
         use wormnet::topology::line;
         let (net, nodes) = line(4);
-        let mut table = TableRouting::new();
+        let mut table = TableBuilder::new(&net);
         table
             .insert(
-                &net,
                 nodes[0],
                 nodes[3],
                 Path::from_nodes(&net, &[nodes[0], nodes[1], nodes[2], nodes[3]]).unwrap(),
             )
             .unwrap();
+        let table = table.finish().unwrap();
         let report = Registry::with_default_lints().run(&net, &table, &LintConfig::default());
         let w102 = report
             .diagnostics
@@ -322,16 +322,16 @@ mod tests {
     fn nonminimal_detour_measured() {
         use wormnet::topology::line;
         let (net, nodes) = line(4);
-        let mut table = TableRouting::new();
+        let mut table = TableBuilder::new(&net);
         // (1,0) the long way round: 1-2-1-0 (3 channels, distance 1).
         table
             .insert(
-                &net,
                 nodes[1],
                 nodes[0],
                 Path::from_nodes(&net, &[nodes[1], nodes[2], nodes[1], nodes[0]]).unwrap(),
             )
             .unwrap();
+        let table = table.finish().unwrap();
         let report = Registry::with_default_lints().run(&net, &table, &LintConfig::default());
         let w101 = report
             .diagnostics

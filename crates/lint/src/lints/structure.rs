@@ -328,7 +328,7 @@ mod tests {
     use crate::registry::{LintConfig, Registry};
     use wormnet::topology::line;
     use wormnet::Network;
-    use wormroute::{Path, TableRouting};
+    use wormroute::{Path, TableBuilder, TableRouting};
 
     fn run(net: &Network, table: &TableRouting) -> Vec<crate::Diagnostic> {
         Registry::with_default_lints()
@@ -357,15 +357,15 @@ mod tests {
     #[test]
     fn missing_pairs_summarized() {
         let (net, nodes) = line(3);
-        let mut table = TableRouting::new();
+        let mut table = TableBuilder::new(&net);
         table
             .insert(
-                &net,
                 nodes[0],
                 nodes[1],
                 Path::from_nodes(&net, &[nodes[0], nodes[1]]).unwrap(),
             )
             .unwrap();
+        let table = table.finish().unwrap();
         let diags = run(&net, &table);
         let w3 = diags.iter().find(|d| d.code == "W003").expect("W003");
         assert_eq!(w3.witness["unrouted_pairs"], "5");
@@ -376,15 +376,15 @@ mod tests {
     fn dead_channel_detected() {
         let (net, nodes) = line(3);
         // Route only 0->1; every other channel is dead.
-        let mut table = TableRouting::new();
+        let mut table = TableBuilder::new(&net);
         table
             .insert(
-                &net,
                 nodes[0],
                 nodes[1],
                 Path::from_nodes(&net, &[nodes[0], nodes[1]]).unwrap(),
             )
             .unwrap();
+        let table = table.finish().unwrap();
         let dead = run(&net, &table)
             .iter()
             .filter(|d| d.code == "W004")
@@ -395,16 +395,16 @@ mod tests {
     #[test]
     fn dead_tail_detected() {
         let (net, nodes) = line(3);
-        let mut table = TableRouting::new();
+        let mut table = TableBuilder::new(&net);
         // 0 -> 1 -> 2 -> 1: arrives at node 1 (hop 1), then wanders on.
         table
             .insert(
-                &net,
                 nodes[0],
                 nodes[1],
                 Path::from_nodes(&net, &[nodes[0], nodes[1], nodes[2], nodes[1]]).unwrap(),
             )
             .unwrap();
+        let table = table.finish().unwrap();
         let diags = run(&net, &table);
         let w5 = diags.iter().find(|d| d.code == "W005").expect("W005");
         assert_eq!(w5.witness["first_arrival_hop"], "1");

@@ -11,7 +11,7 @@ use crate::diagnostic::{Diagnostic, Severity};
 use crate::lint::{Finding, Lint};
 use crate::lints::pair_ref;
 use crate::{CandidateAnalysis, CycleAnalysis, LintContext, StaticClass};
-use wormcdg::sharing::{self, SharedChannel};
+use wormcdg::sharing::{CycleIndex, SharedChannel};
 use wormcdg::CdgCycle;
 
 /// Render a cycle as a `cycle:` entity (`c4->c5->c6`).
@@ -40,15 +40,16 @@ fn sharer_facts(
     shared: &SharedChannel,
     mut d: Diagnostic,
 ) -> Diagnostic {
+    // The users are distinct; the facts list them in pair order.
     let mut users = shared.users.clone();
     users.sort_unstable();
-    users.dedup();
     d = d
         .entity("channel", ctx.net.channel(shared.channel))
         .fact("shared_channel", ctx.net.channel(shared.channel))
         .fact("sharers", users.len());
+    let index = CycleIndex::of(ctx.net, cycle);
     for (i, &m) in users.iter().enumerate() {
-        let g = sharing::geometry(ctx.net, ctx.table, cycle, m, Some(shared.channel));
+        let g = index.geometry(ctx.table, m, Some(shared.channel));
         d = d.fact(
             format!("sharer_{i}"),
             format!(

@@ -422,7 +422,7 @@ mod tests {
         adaptive.validate(mesh.network()).unwrap();
         assert!((adaptive.mean_options() - 1.0).abs() < 1e-9);
         // Each option matches the table's path step.
-        for (&(s, d), path) in table.iter() {
+        for ((s, d), path) in table.iter() {
             assert_eq!(adaptive.injection_options(s, d), &path.channels()[..1]);
         }
     }

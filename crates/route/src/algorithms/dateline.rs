@@ -138,7 +138,7 @@ mod tests {
         let t = Torus::new(&[4, 4], 2);
         let table = dateline_torus(&t).unwrap();
         assert!(table.is_total(t.network()));
-        for (&(s, d), p) in table.iter() {
+        for ((s, d), p) in table.iter() {
             assert_eq!(p.len(), t.ring_distance(s, d), "{s} -> {d}");
         }
     }

@@ -142,7 +142,7 @@ mod tests {
     use crate::properties;
 
     /// The VC lanes of a routed path, in hop order.
-    fn lanes_of(net: &Network, p: &Path) -> Vec<u8> {
+    fn lanes_of(net: &Network, p: crate::PathRef<'_>) -> Vec<u8> {
         p.channels().iter().map(|&c| net.channel(c).vc()).collect()
     }
 
@@ -194,7 +194,7 @@ mod tests {
         assert!(table.is_total(net));
         assert!(table.compile(net).is_ok());
         let mut saw_five_hops = false;
-        for (&(s, d), p) in table.iter() {
+        for ((s, d), p) in table.iter() {
             let lanes = lanes_of(net, p);
             assert!(lanes.windows(2).all(|w| w[0] < w[1]), "{s} -> {d}");
             saw_five_hops |= lanes == vec![0, 1, 2, 3, 4];

@@ -55,7 +55,7 @@ mod tests {
     fn path_lengths_equal_hamming() {
         let cube = Hypercube::new(4);
         let table = ecube(&cube).unwrap();
-        for (&(s, d), p) in table.iter() {
+        for ((s, d), p) in table.iter() {
             assert_eq!(p.len(), cube.hamming(s, d));
         }
     }

@@ -71,7 +71,7 @@ mod tests {
     fn paths_descend_then_ascend_in_node_index() {
         let ft = FatTree::new(6);
         let table = fattree_updown(&ft).unwrap();
-        for (&(s, d), p) in table.iter() {
+        for ((s, d), p) in table.iter() {
             let idx: Vec<usize> = p.nodes(ft.network()).iter().map(|n| n.index()).collect();
             let turn = idx.windows(2).take_while(|w| w[0] > w[1]).count();
             assert!(

@@ -99,7 +99,7 @@ mod tests {
         assert!(table.is_total(&net));
         assert!(table.compile(&net).is_ok());
         let mut detours = 0;
-        for (&(s, d), p) in table.iter() {
+        for ((s, d), p) in table.iter() {
             let idx: Vec<usize> = p.nodes(&net).iter().map(|n| n.index()).collect();
             match idx.as_slice() {
                 [_, _] => {}

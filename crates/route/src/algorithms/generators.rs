@@ -162,7 +162,7 @@ mod tests {
         let mut rng = rand::rngs::StdRng::seed_from_u64(7);
         let table = random_table(&net, &mut rng, 2).unwrap();
         assert!(table.is_total(&net));
-        for (&(s, d), p) in table.iter() {
+        for ((s, d), p) in table.iter() {
             let shortest = net.hop_distance(s, d).unwrap();
             assert!(p.len() <= shortest + 2, "{s}->{d} too long");
             assert!(p.is_node_simple(&net));

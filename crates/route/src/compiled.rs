@@ -41,7 +41,7 @@ impl CompiledRouting {
         let mut inject: BTreeMap<(NodeId, NodeId), ChannelId> = BTreeMap::new();
         let mut forward: BTreeMap<(ChannelId, NodeId), ChannelId> = BTreeMap::new();
 
-        for (&(src, dst), path) in table.iter() {
+        for ((src, dst), path) in table.iter() {
             let chans = path.channels();
             // Injection step. A table has one path per pair so a
             // conflict here is impossible, but we keep the check for
@@ -125,6 +125,7 @@ impl CompiledRouting {
 mod tests {
     use super::*;
     use crate::path::Path;
+    use crate::table::TableBuilder;
     use wormnet::topology::ring_unidirectional;
     use wormnet::Network;
 
@@ -173,7 +174,6 @@ mod tests {
         net.add_channel(c, d);
         net.add_channel(d, a);
 
-        let mut table = TableRouting::new();
         // (a,d): a->b->c->d ; (a,... ) hmm need same input channel a->b
         // toward d twice with different continuations, so use a second
         // source routing through a->b: impossible (only a injects on
@@ -192,26 +192,31 @@ mod tests {
         let e = net.add_node("e");
         net.add_channel(e, b);
         net.add_channel(a, c); // unused filler for connectivity realism
+                               // A third source f with f->a, for the conflict below.
+        let f = net.add_node("f");
+        net.add_channel(f, a);
 
-        table
-            .insert(&net, a, d, Path::from_nodes(&net, &[a, b, c, d]).unwrap())
-            .unwrap();
-        table
-            .insert(&net, e, d, Path::from_nodes(&net, &[e, b, d]).unwrap())
-            .unwrap();
+        let paths = [
+            (a, d, Path::from_nodes(&net, &[a, b, c, d]).unwrap()),
+            (e, d, Path::from_nodes(&net, &[e, b, d]).unwrap()),
+            (f, d, Path::from_nodes(&net, &[f, a, b, d]).unwrap()),
+        ];
+        let table = |count: usize| {
+            let mut builder = TableBuilder::new(&net);
+            for (s, t, p) in paths.iter().take(count) {
+                builder.insert(*s, *t, p.clone()).unwrap();
+            }
+            builder.finish().unwrap()
+        };
         // (a,d) says: after arriving at b over a->b, go b->c.
         // (e,d) says: after arriving at b over e->b, go b->d.
         // Different *input* channels, so still consistent:
-        assert!(table.compile(&net).is_ok());
+        assert!(table(2).compile(&net).is_ok());
 
         // Now force a true conflict: two destinations is fine, we need
-        // same (input, dst). Add f with f->a, route (f,d) = f->a->b->d:
-        // input a->b toward d now maps to both b->c and b->d.
-        let f = net.add_node("f");
-        net.add_channel(f, a);
-        table
-            .insert(&net, f, d, Path::from_nodes(&net, &[f, a, b, d]).unwrap())
-            .unwrap();
+        // same (input, dst). Route (f,d) = f->a->b->d: input a->b toward
+        // d now maps to both b->c and b->d.
+        let table = table(3);
         let err = table.compile(&net).unwrap_err();
         let ab = net.find_channel(a, b).unwrap();
         match err {

@@ -2,11 +2,14 @@
 //!
 //! This crate implements the routing layer of the paper's model:
 //!
-//! * [`Path`] — a channel path through a [`wormnet::Network`].
+//! * [`Path`] — a channel path through a [`wormnet::Network`], and
+//!   [`PathRef`], a borrowed view of one.
 //! * [`TableRouting`] — Definition 3's routing *algorithm*
 //!   `R(src, dst) = path`: one explicit path per ordered node pair.
 //!   This is the natural representation for oblivious routing, where
-//!   every message has a single, fully determined path.
+//!   every message has a single, fully determined path. The paths sit
+//!   in one flat row-per-source layout and are handed out as
+//!   [`PathRef`] views; [`TableBuilder`] takes pairs in any order.
 //! * [`CompiledRouting`] — Definition 2's routing *function*
 //!   `R : C × N → C` (input channel × destination → output channel),
 //!   compiled from a table. Compilation fails with a
@@ -52,5 +55,5 @@ pub mod spec;
 
 pub use compiled::{CompiledRouting, RoutingStep};
 pub use error::{FunctionConflict, RouteError};
-pub use path::Path;
-pub use table::TableRouting;
+pub use path::{Path, PathRef};
+pub use table::{Duplicate, Paths, TableBuilder, TableRouting};

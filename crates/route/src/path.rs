@@ -66,6 +66,14 @@ impl Path {
         Self::from_channels(net, channels)
     }
 
+    /// A borrowed view of the path, with the same read methods.
+    #[inline]
+    pub fn view(&self) -> PathRef<'_> {
+        PathRef {
+            channels: &self.channels,
+        }
+    }
+
     /// The channels of the path in order.
     #[inline]
     pub fn channels(&self) -> &[ChannelId] {
@@ -86,25 +94,99 @@ impl Path {
 
     /// Source node (origin of the first channel).
     pub fn src(&self, net: &Network) -> NodeId {
-        net.channel(self.channels[0]).src()
+        self.view().src(net)
     }
 
     /// Destination node (target of the last channel).
     pub fn dst(&self, net: &Network) -> NodeId {
-        net.channel(*self.channels.last().expect("paths are non-empty"))
-            .dst()
+        self.view().dst(net)
     }
 
     /// The node walk visited by the path (length `len() + 1`).
     pub fn nodes(&self, net: &Network) -> Vec<NodeId> {
-        let mut nodes = Vec::with_capacity(self.channels.len() + 1);
-        self.nodes_into(net, &mut nodes);
-        nodes
+        self.view().nodes(net)
     }
 
     /// Overwrite `out` with the node walk — [`Path::nodes`] into a
     /// caller-owned buffer, for passes that walk many paths.
     pub fn nodes_into(&self, net: &Network, out: &mut Vec<NodeId>) {
+        self.view().nodes_into(net, out)
+    }
+
+    /// Whether the path visits every node at most once (no revisits) —
+    /// part of Definition 9's coherence requirement.
+    pub fn is_node_simple(&self, net: &Network) -> bool {
+        self.view().is_node_simple(net)
+    }
+
+    /// Whether `channel` appears on the path.
+    pub fn contains(&self, channel: ChannelId) -> bool {
+        self.view().contains(channel)
+    }
+
+    /// Render as `n0 -> n1 -> ...` for reports.
+    pub fn describe(&self, net: &Network) -> String {
+        self.view().describe(net)
+    }
+}
+
+/// A borrowed path: the channels of one [`TableRouting`] entry or of a
+/// [`Path`], with `Path`'s read methods. It is `Copy`, so a table hands
+/// out views of its one channel array without allocating.
+///
+/// [`TableRouting`]: crate::TableRouting
+#[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
+pub struct PathRef<'a> {
+    channels: &'a [ChannelId],
+}
+
+impl<'a> PathRef<'a> {
+    /// View `channels` as a path. They must be non-empty and form a
+    /// connected walk without a repeated channel.
+    pub(crate) fn new(channels: &'a [ChannelId]) -> Self {
+        debug_assert!(!channels.is_empty(), "paths are non-empty");
+        PathRef { channels }
+    }
+
+    /// The channels of the path in order.
+    #[inline]
+    pub fn channels(self) -> &'a [ChannelId] {
+        self.channels
+    }
+
+    /// Number of channels (hops).
+    #[inline]
+    pub fn len(self) -> usize {
+        self.channels.len()
+    }
+
+    /// Paths are never empty; provided for clippy-idiomatic callers.
+    #[inline]
+    pub fn is_empty(self) -> bool {
+        false
+    }
+
+    /// Source node (origin of the first channel).
+    pub fn src(self, net: &Network) -> NodeId {
+        net.channel(self.channels[0]).src()
+    }
+
+    /// Destination node (target of the last channel).
+    pub fn dst(self, net: &Network) -> NodeId {
+        net.channel(*self.channels.last().expect("paths are non-empty"))
+            .dst()
+    }
+
+    /// The node walk visited by the path (length `len() + 1`).
+    pub fn nodes(self, net: &Network) -> Vec<NodeId> {
+        let mut nodes = Vec::with_capacity(self.channels.len() + 1);
+        self.nodes_into(net, &mut nodes);
+        nodes
+    }
+
+    /// Overwrite `out` with the node walk — [`PathRef::nodes`] into a
+    /// caller-owned buffer, for passes that walk many paths.
+    pub fn nodes_into(self, net: &Network, out: &mut Vec<NodeId>) {
         out.clear();
         out.push(self.src(net));
         out.extend(self.channels.iter().map(|&c| net.channel(c).dst()));
@@ -112,24 +194,31 @@ impl Path {
 
     /// Whether the path visits every node at most once (no revisits) —
     /// part of Definition 9's coherence requirement.
-    pub fn is_node_simple(&self, net: &Network) -> bool {
+    pub fn is_node_simple(self, net: &Network) -> bool {
         let mut nodes = self.nodes(net);
         nodes.sort_unstable();
         nodes.windows(2).all(|w| w[0] != w[1])
     }
 
     /// Whether `channel` appears on the path.
-    pub fn contains(&self, channel: ChannelId) -> bool {
+    pub fn contains(self, channel: ChannelId) -> bool {
         self.channels.contains(&channel)
     }
 
     /// Render as `n0 -> n1 -> ...` for reports.
-    pub fn describe(&self, net: &Network) -> String {
+    pub fn describe(self, net: &Network) -> String {
         self.nodes(net)
             .iter()
             .map(|&n| net.node_name(n).to_string())
             .collect::<Vec<_>>()
             .join(" -> ")
+    }
+
+    /// An owned copy of the path.
+    pub fn to_path(self) -> Path {
+        Path {
+            channels: self.channels.to_vec(),
+        }
     }
 }
 

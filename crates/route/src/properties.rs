@@ -17,11 +17,11 @@ use std::collections::BTreeMap;
 
 use wormnet::{ChannelId, Network, NodeId};
 
-use crate::path::Path;
+use crate::path::PathRef;
 use crate::table::TableRouting;
 
-/// Largest `n × n` per-pair array the pass allocates (the
-/// cluster-scale fabrics); above it, lookups go through maps.
+/// Largest `n × n` per-pair array the node-function test allocates
+/// (the cluster-scale fabrics); above it, its choices go in a map.
 const DENSE_CELL_LIMIT: usize = 1 << 24;
 
 /// How many unrouted pairs [`PropertyReport::first_unrouted`] keeps.
@@ -122,7 +122,7 @@ pub fn is_minimal(net: &Network, table: &TableRouting) -> bool {
     let mut distances = Distances::new(net);
     table
         .iter()
-        .all(|(&(src, dst), path)| distances.get(src, dst) == path.len())
+        .all(|((src, dst), path)| distances.get(src, dst) == path.len())
 }
 
 /// Definition 7: the algorithm is **prefix-closed** if whenever the
@@ -176,17 +176,17 @@ pub fn is_coherent(net: &Network, table: &TableRouting) -> bool {
 /// Each path's node walk is built once, into a reused buffer, and
 /// first occurrences are marked with a per-path stamp. Prefix and
 /// suffix closure compare channel slices in place against the
-/// registered paths, found through a dense pair index; one BFS per
+/// registered paths, looked up in the table itself; one BFS per
 /// source serves minimality and the worst detour.
 pub fn analyze(net: &Network, table: &TableRouting) -> PropertyReport {
     analyze_with(net, table, DENSE_CELL_LIMIT)
 }
 
 /// [`analyze`] with the dense-array cap as a parameter, so tests can
-/// force the map fallbacks.
+/// force the map fallback.
 fn analyze_with(net: &Network, table: &TableRouting, dense_limit: usize) -> PropertyReport {
     let n = net.node_count();
-    let registered = PairIndex::new(n, table, dense_limit);
+    let registered = |src: NodeId, dst: NodeId| table.path(src, dst).map(PathRef::channels);
     let mut choices = Choices::new(n, dense_limit);
     let mut distances = Distances::new(net);
     let mut unrouted = Unrouted::new(n);
@@ -205,7 +205,7 @@ fn analyze_with(net: &Network, table: &TableRouting, dense_limit: usize) -> Prop
     let mut first_revisit = None;
     let mut dead_tails = Vec::new();
 
-    for (ordinal, (&pair, path)) in table.iter().enumerate() {
+    for (ordinal, (pair, path)) in table.iter().enumerate() {
         let (src, dst) = pair;
         unrouted.skip_to(pair);
         let chans = path.channels();
@@ -241,12 +241,12 @@ fn analyze_with(net: &Network, table: &TableRouting, dense_limit: usize) -> Prop
             }
             // Only the first occurrence of v is constrained (which
             // also skips a return to the source: its prefix is empty).
-            if first && registered.get(src, v) != Some(&chans[..pos]) {
+            if first && registered(src, v) != Some(&chans[..pos]) {
                 prefix_violations += 1;
                 first_prefix_violation.get_or_insert(Site { pair, pos, node: v });
             }
             // The suffix from the destination itself is empty.
-            if v != dst && registered.get(v, dst) != Some(&chans[pos..]) {
+            if v != dst && registered(v, dst) != Some(&chans[pos..]) {
                 suffix_violations += 1;
                 first_suffix_violation.get_or_insert(Site { pair, pos, node: v });
             }
@@ -391,48 +391,6 @@ fn dense_cells(n: usize, limit: usize) -> Option<usize> {
     n.checked_mul(n).filter(|&cells| cells <= limit)
 }
 
-/// The registered path of each pair: a dense `n × n` array of table
-/// ordinals when it fits the cap, else the table's own map.
-enum PairIndex<'t> {
-    Dense {
-        n: usize,
-        slots: Vec<u32>,
-        paths: Vec<&'t [ChannelId]>,
-    },
-    Map(&'t TableRouting),
-}
-
-impl<'t> PairIndex<'t> {
-    const EMPTY: u32 = u32::MAX;
-
-    fn new(n: usize, table: &'t TableRouting, dense_limit: usize) -> Self {
-        let Some(cells) = dense_cells(n, dense_limit) else {
-            return PairIndex::Map(table);
-        };
-        // Ordinals stay below `cells <= dense_limit`, so they fit u32.
-        let mut slots = vec![Self::EMPTY; cells];
-        let paths = table
-            .iter()
-            .enumerate()
-            .map(|(i, (&(s, d), path))| {
-                slots[s.index() * n + d.index()] = i as u32;
-                path.channels()
-            })
-            .collect();
-        PairIndex::Dense { n, slots, paths }
-    }
-
-    fn get(&self, src: NodeId, dst: NodeId) -> Option<&'t [ChannelId]> {
-        match self {
-            PairIndex::Dense { n, slots, paths } => match slots[src.index() * n + dst.index()] {
-                Self::EMPTY => None,
-                i => Some(paths[i as usize]),
-            },
-            PairIndex::Map(table) => table.path(src, dst).map(Path::channels),
-        }
-    }
-}
-
 /// The channel each `(current node, destination)` has been seen to
 /// take, for Corollary 1's `R : N × N → C` test.
 enum Choices {
@@ -523,6 +481,7 @@ impl Unrouted {
 mod tests {
     use super::*;
     use crate::path::Path;
+    use crate::table::TableBuilder;
     use wormnet::topology::{line, ring_unidirectional};
     use wormnet::NodeId;
 
@@ -574,23 +533,22 @@ mod tests {
         assert!(report.minimal && report.coherent && report.total);
     }
 
+    /// A table routing each walk's endpoints over the walk.
+    fn walks(net: &Network, walks: &[&[NodeId]]) -> TableRouting {
+        let mut table = TableBuilder::new(net);
+        for walk in walks {
+            let path = Path::from_nodes(net, walk).unwrap();
+            table.insert(walk[0], *walk.last().unwrap(), path).unwrap();
+        }
+        table.finish().unwrap()
+    }
+
     #[test]
     fn nonminimal_detected() {
-        let (net, nodes) = line(4);
-        let mut table = TableRouting::new();
-        // 0 -> 1 -> 2 -> 1 ... cannot reuse channels; instead make a
-        // detour 0 -> 1 -> 2 -> 3 for dst 3 (minimal) and 0 -> 1 -> 2
-        // for dst 2 (minimal), then an actual detour for (1, 0):
-        // 1 -> 2 -> 1 reuses nothing? it reuses node 1 and channel
-        // 1->2 only once, 2->1 once: legal path, nonminimal.
-        table
-            .insert(
-                &net,
-                nodes[1],
-                nodes[0],
-                Path::from_nodes(&net, &[nodes[1], nodes[2], nodes[1], nodes[0]]).unwrap(),
-            )
-            .unwrap();
+        let (net, n) = line(4);
+        // 1 -> 2 -> 1 -> 0 revisits node 1 but uses each channel once:
+        // a legal path, and a detour for the pair (1, 0).
+        let table = walks(&net, &[&[n[1], n[2], n[1], n[0]]]);
         assert!(!is_minimal(&net, &table));
         assert!(!never_revisits_nodes(&net, &table));
         assert!(!is_coherent(&net, &table));
@@ -598,99 +556,36 @@ mod tests {
 
     #[test]
     fn prefix_violation_detected() {
-        let (net, nodes) = line(4);
-        let mut table = TableRouting::new();
-        // (0,3) goes 0-1-2-3 but (0,2) goes 0-1-2? give (0,2) nothing:
-        // missing partial path => not prefix-closed.
-        table
-            .insert(
-                &net,
-                nodes[0],
-                nodes[3],
-                Path::from_nodes(&net, &[nodes[0], nodes[1], nodes[2], nodes[3]]).unwrap(),
-            )
-            .unwrap();
-        assert!(!is_prefix_closed(&net, &table));
-        // Register the consistent prefix and it passes.
-        table
-            .insert(
-                &net,
-                nodes[0],
-                nodes[1],
-                Path::from_nodes(&net, &[nodes[0], nodes[1]]).unwrap(),
-            )
-            .unwrap();
-        table
-            .insert(
-                &net,
-                nodes[0],
-                nodes[2],
-                Path::from_nodes(&net, &[nodes[0], nodes[1], nodes[2]]).unwrap(),
-            )
-            .unwrap();
-        assert!(is_prefix_closed(&net, &table));
+        let (net, n) = line(4);
+        // (0,3) goes 0-1-2-3 but (0,1) and (0,2) are unrouted: the
+        // partial paths are missing, so the table is not prefix-closed.
+        let long: &[NodeId] = &[n[0], n[1], n[2], n[3]];
+        assert!(!is_prefix_closed(&net, &walks(&net, &[long])));
+        // Register the consistent prefixes and it passes.
+        let closed = walks(&net, &[long, &[n[0], n[1]], &[n[0], n[1], n[2]]]);
+        assert!(is_prefix_closed(&net, &closed));
     }
 
     #[test]
     fn suffix_violation_detected() {
-        let (net, nodes) = line(4);
-        let mut table = TableRouting::new();
-        table
-            .insert(
-                &net,
-                nodes[0],
-                nodes[3],
-                Path::from_nodes(&net, &[nodes[0], nodes[1], nodes[2], nodes[3]]).unwrap(),
-            )
-            .unwrap();
+        let (net, n) = line(4);
+        let long: &[NodeId] = &[n[0], n[1], n[2], n[3]];
         // Missing (1,3) and (2,3) partial paths.
-        assert!(!is_suffix_closed(&net, &table));
-        table
-            .insert(
-                &net,
-                nodes[1],
-                nodes[3],
-                Path::from_nodes(&net, &[nodes[1], nodes[2], nodes[3]]).unwrap(),
-            )
-            .unwrap();
-        table
-            .insert(
-                &net,
-                nodes[2],
-                nodes[3],
-                Path::from_nodes(&net, &[nodes[2], nodes[3]]).unwrap(),
-            )
-            .unwrap();
-        assert!(is_suffix_closed(&net, &table));
+        assert!(!is_suffix_closed(&net, &walks(&net, &[long])));
+        let closed = walks(&net, &[long, &[n[1], n[2], n[3]], &[n[2], n[3]]]);
+        assert!(is_suffix_closed(&net, &closed));
     }
 
     #[test]
     fn suffix_mismatch_detected() {
         // Square with both directions available; (0,2) routed the long
         // way 0-1-2 but (1,2) routed 1-0-3-2: suffix mismatch.
-        let (net, nodes) = ring_unidirectional(4);
+        let (mut net, n) = ring_unidirectional(4);
         // add reverse channels to allow alternate suffix
-        let mut net = net;
         for i in 0..4 {
-            net.add_channel(nodes[(i + 1) % 4], nodes[i]);
+            net.add_channel(n[(i + 1) % 4], n[i]);
         }
-        let mut table = TableRouting::new();
-        table
-            .insert(
-                &net,
-                nodes[0],
-                nodes[2],
-                Path::from_nodes(&net, &[nodes[0], nodes[1], nodes[2]]).unwrap(),
-            )
-            .unwrap();
-        table
-            .insert(
-                &net,
-                nodes[1],
-                nodes[2],
-                Path::from_nodes(&net, &[nodes[1], nodes[0], nodes[3], nodes[2]]).unwrap(),
-            )
-            .unwrap();
+        let table = walks(&net, &[&[n[0], n[1], n[2]], &[n[1], n[0], n[3], n[2]]]);
         assert!(!is_suffix_closed(&net, &table));
     }
 

@@ -7,12 +7,12 @@
 //! replays the explicit `path` declarations.
 
 use wormnet::spec::BuiltTopology;
-use wormnet::ChannelId;
-use wormspec::ast::Routing;
+use wormnet::{ChannelId, Network};
+use wormspec::ast::{PathDecl, Routing};
 use wormspec::diag::{codes, Span, SpecError};
 
 use crate::algorithms;
-use crate::{Path, RouteError, TableRouting};
+use crate::{Duplicate, Path, RouteError, TableBuilder, TableRouting};
 
 fn err(code: &'static str, msg: impl Into<String>, span: Span) -> SpecError {
     SpecError::new(code, msg, span)
@@ -165,46 +165,61 @@ pub fn table_from_spec(routing: &Routing, topo: &BuiltTopology) -> Result<TableR
 }
 
 /// Replay explicit `path` declarations into a [`TableRouting`].
+///
+/// Errors are reported in declaration order: a pair declared twice is
+/// reported at its second declaration, unless an earlier declaration
+/// fails for another reason.
 fn explicit_table(routing: &Routing, topo: &BuiltTopology) -> Result<TableRouting, SpecError> {
     let net = topo.network();
-    let mut table = TableRouting::new();
+    let mut table = TableBuilder::new(net);
+    let duplicate = |d: Duplicate| {
+        let p = &routing.paths[d.index];
+        route_err(d.into(), p.src.span.to(p.dst.span))
+    };
     for p in &routing.paths {
-        let src = net.node_by_name(&p.src.value).ok_or_else(|| {
-            err(
-                codes::RESOLVE,
-                format!("unknown node \"{}\"", p.src.value),
-                p.src.span,
-            )
-        })?;
-        let dst = net.node_by_name(&p.dst.value).ok_or_else(|| {
-            err(
-                codes::RESOLVE,
-                format!("unknown node \"{}\"", p.dst.value),
-                p.dst.span,
-            )
-        })?;
-        let mut channels = Vec::with_capacity(p.channels.value.len());
-        for &c in &p.channels.value {
-            let idx = usize::try_from(c)
-                .map_err(|_| err(codes::RANGE, "channel index out of range", p.channels.span))?;
-            if idx >= net.channel_count() {
-                return Err(err(
-                    codes::RESOLVE,
-                    format!(
-                        "channel c{idx} does not exist (the topology has {} channels)",
-                        net.channel_count()
-                    ),
-                    p.channels.span,
-                ));
-            }
-            channels.push(ChannelId::from_index(idx));
+        if let Err(e) = declare(net, &mut table, p) {
+            return Err(table.finish().err().map_or(e, duplicate));
         }
-        let path = Path::from_channels(net, channels).map_err(|e| route_err(e, p.channels.span))?;
-        table
-            .insert(net, src, dst, path)
-            .map_err(|e| route_err(e, p.src.span.to(p.dst.span)))?;
     }
-    Ok(table)
+    table.finish().map_err(duplicate)
+}
+
+/// Resolve one `path` declaration and register it in `table`.
+fn declare(net: &Network, table: &mut TableBuilder<'_>, p: &PathDecl) -> Result<(), SpecError> {
+    let src = net.node_by_name(&p.src.value).ok_or_else(|| {
+        err(
+            codes::RESOLVE,
+            format!("unknown node \"{}\"", p.src.value),
+            p.src.span,
+        )
+    })?;
+    let dst = net.node_by_name(&p.dst.value).ok_or_else(|| {
+        err(
+            codes::RESOLVE,
+            format!("unknown node \"{}\"", p.dst.value),
+            p.dst.span,
+        )
+    })?;
+    let mut channels = Vec::with_capacity(p.channels.value.len());
+    for &c in &p.channels.value {
+        let idx = usize::try_from(c)
+            .map_err(|_| err(codes::RANGE, "channel index out of range", p.channels.span))?;
+        if idx >= net.channel_count() {
+            return Err(err(
+                codes::RESOLVE,
+                format!(
+                    "channel c{idx} does not exist (the topology has {} channels)",
+                    net.channel_count()
+                ),
+                p.channels.span,
+            ));
+        }
+        channels.push(ChannelId::from_index(idx));
+    }
+    let path = Path::from_channels(net, channels).map_err(|e| route_err(e, p.channels.span))?;
+    table
+        .insert(src, dst, path)
+        .map_err(|e| route_err(e, p.src.span.to(p.dst.span)))
 }
 
 #[cfg(test)]

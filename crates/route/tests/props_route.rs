@@ -2,12 +2,15 @@
 //! reproduce their tables, and the Definition 7–9 predicates relate to
 //! each other the way the theory says they must.
 
+use std::collections::BTreeMap;
+
 use proptest::prelude::*;
-use rand::SeedableRng;
+use rand::seq::SliceRandom;
+use rand::{RngExt, SeedableRng};
 use wormnet::topology::{complete, Mesh};
 use wormnet::NodeId;
 use wormroute::algorithms::{random_table, random_tree_routing, shortest_path_table};
-use wormroute::{properties, RoutingStep};
+use wormroute::{properties, Path, PathRef, RoutingStep, TableBuilder, TableRouting};
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(64))]
@@ -22,7 +25,7 @@ proptest! {
         // In-tree routing always compiles (it is a node function).
         let table = random_tree_routing(net, &mut rng).expect("routes");
         let compiled = table.compile(net).expect("node functions compile");
-        for (&(s, d), path) in table.iter() {
+        for ((s, d), path) in table.iter() {
             let mut walked = Vec::new();
             let mut cur = compiled.inject(s, d).expect("routed pair");
             walked.push(cur);
@@ -52,7 +55,7 @@ proptest! {
             prop_assert!(properties::is_suffix_closed(&net, &table));
         }
         // Minimality bound: no path shorter than the hop distance.
-        for (&(s, d), p) in table.iter() {
+        for ((s, d), p) in table.iter() {
             prop_assert!(p.len() >= net.hop_distance(s, d).unwrap());
         }
     }
@@ -79,14 +82,14 @@ proptest! {
         let net = mesh.network();
         let mut rng = rand::rngs::StdRng::seed_from_u64(seed);
         let table = random_table(net, &mut rng, 1).expect("routes");
-        for (&(s, d), p) in table.iter() {
+        for ((s, d), p) in table.iter() {
             let nodes = p.nodes(net);
             prop_assert_eq!(nodes[0], s);
             prop_assert_eq!(*nodes.last().unwrap(), d);
             prop_assert_eq!(nodes.len(), p.len() + 1);
             let rebuilt = wormroute::Path::from_channels(net, p.channels().to_vec())
                 .expect("valid channels");
-            prop_assert_eq!(&rebuilt, p);
+            prop_assert_eq!(rebuilt.view(), p);
             // Every interior node splits the channels into a prefix
             // ending at it and a suffix leaving it.
             let chans = p.channels();
@@ -126,5 +129,40 @@ proptest! {
                 }
             }
         }
+    }
+
+    /// The flat table against an ordered-map oracle: a random partial
+    /// table, inserted in random order, answers `path`, `iter` and
+    /// `len` like a `BTreeMap<(NodeId, NodeId), Path>`, and rebuilding
+    /// it from node walks gives the same table.
+    #[test]
+    fn flat_table_matches_a_map_oracle(seed in 0u64..500, keep in 0u64..9) {
+        let (net, _) = complete(6);
+        let mut rng = rand::rngs::StdRng::seed_from_u64(seed);
+        let full = random_table(&net, &mut rng, 1).expect("routes");
+        let mut chosen: Vec<((NodeId, NodeId), Path)> = full
+            .iter()
+            .filter(|_| rng.random_range(0..8u64) < keep)
+            .map(|(pair, p)| (pair, p.to_path()))
+            .collect();
+        chosen.shuffle(&mut rng);
+        let oracle: BTreeMap<(NodeId, NodeId), Path> = chosen.iter().cloned().collect();
+        let mut builder = TableBuilder::new(&net);
+        for ((s, d), p) in chosen {
+            builder.insert(s, d, p).expect("valid pair");
+        }
+        let table = builder.finish().expect("distinct pairs");
+        prop_assert_eq!(table.len(), oracle.len());
+        prop_assert!(table.iter().map(|(k, p)| (k, p.to_path())).eq(oracle.clone()));
+        for s in net.nodes() {
+            for d in net.nodes() {
+                prop_assert_eq!(table.path(s, d).map(PathRef::to_path), oracle.get(&(s, d)).cloned());
+            }
+        }
+        let walks = TableRouting::from_node_paths(&net, |s, d| {
+            oracle.get(&(s, d)).map(|p| p.nodes(&net))
+        })
+        .expect("valid walks");
+        prop_assert_eq!(&walks, &table);
     }
 }

@@ -39,11 +39,10 @@ pub fn lift(net: &Network, table: &TableRouting) -> Spec {
             label: channel.label().map(dummy_str),
         }));
     }
-    let mut pairs: Vec<_> = table.iter().collect();
-    pairs.sort_by_key(|(&(src, dst), _)| (src.index(), dst.index()));
-    let paths = pairs
-        .into_iter()
-        .map(|(&(src, dst), path)| PathDecl {
+    // The table iterates in `(src, dst)` order.
+    let paths = table
+        .iter()
+        .map(|((src, dst), path)| PathDecl {
             src: dummy_str(net.node_name(src)),
             dst: dummy_str(net.node_name(dst)),
             channels: Spanned::dummy(path.channels().iter().map(|c| c.index() as u64).collect()),

@@ -52,7 +52,7 @@ fn main() {
         cdg.is_acyclic()
     );
     println!("cycle: {}", cycle.describe(&c.net));
-    let cands = deadlock_candidates(&cdg, &cycle, 1000).expect("bounded");
+    let cands = deadlock_candidates(&c.table, &cycle, 1000).expect("bounded");
     println!("\nstatic deadlock configuration (Definition 6):");
     println!("  {}", cands[0].describe(&c.net));
 

@@ -26,7 +26,7 @@ use cyclic_wormhole::route::algorithms::{
     random_table, random_tree_routing, west_first, xy_mesh,
 };
 use cyclic_wormhole::route::properties::{self, DeadTail, PropertyReport, Site};
-use cyclic_wormhole::route::{Path, TableRouting};
+use cyclic_wormhole::route::{Path, TableBuilder, TableRouting};
 use proptest::prelude::*;
 use rand::rngs::StdRng;
 use rand::seq::SliceRandom;
@@ -78,13 +78,13 @@ mod reference {
     fn is_minimal(net: &Network, table: &TableRouting) -> bool {
         table
             .iter()
-            .all(|(&(src, dst), path)| net.distances_from(src)[dst.index()] == Some(path.len()))
+            .all(|((src, dst), path)| net.distances_from(src)[dst.index()] == Some(path.len()))
     }
 
     /// First occurrences of interior nodes only; a missing registered
     /// prefix is a violation.
     fn is_prefix_closed(net: &Network, table: &TableRouting) -> bool {
-        table.iter().all(|(&(src, _dst), path)| {
+        table.iter().all(|((src, _dst), path)| {
             let nodes = path.nodes(net);
             nodes[1..nodes.len() - 1].iter().enumerate().all(|(i, &v)| {
                 if v == src {
@@ -101,7 +101,7 @@ mod reference {
     }
 
     fn is_suffix_closed(net: &Network, table: &TableRouting) -> bool {
-        table.iter().all(|(&(_src, dst), path)| {
+        table.iter().all(|((_src, dst), path)| {
             let nodes = path.nodes(net);
             (1..nodes.len() - 1).all(|pos| {
                 let v = nodes[pos];
@@ -120,7 +120,7 @@ mod reference {
 
     fn is_node_function(net: &Network, table: &TableRouting) -> bool {
         let mut choice: BTreeMap<(NodeId, NodeId), ChannelId> = BTreeMap::new();
-        for (&(_, dst), path) in table.iter() {
+        for ((_, dst), path) in table.iter() {
             let nodes = path.nodes(net);
             for (i, &c) in path.channels().iter().enumerate() {
                 match choice.get(&(nodes[i], dst)) {
@@ -152,7 +152,7 @@ mod reference {
     fn nonminimal(net: &Network, table: &TableRouting) -> (usize, Option<Detour>) {
         let mut count = 0;
         let mut worst: Option<Detour> = None;
-        for (&pair, path) in table.iter() {
+        for (pair, path) in table.iter() {
             let Some(dist) = net.distances_from(pair.0)[pair.1.index()] else {
                 continue;
             };
@@ -174,7 +174,7 @@ mod reference {
     fn prefix_violations(net: &Network, table: &TableRouting) -> (usize, Option<Site>) {
         let mut count = 0;
         let mut first = None;
-        for (&(src, dst), path) in table.iter() {
+        for ((src, dst), path) in table.iter() {
             let nodes = path.nodes(net);
             for (i, &v) in nodes[1..nodes.len() - 1].iter().enumerate() {
                 if v == src || nodes.iter().position(|&n| n == v) != Some(i + 1) {
@@ -199,7 +199,7 @@ mod reference {
     fn suffix_violations(net: &Network, table: &TableRouting) -> (usize, Option<Site>) {
         let mut count = 0;
         let mut first = None;
-        for (&(src, dst), path) in table.iter() {
+        for ((src, dst), path) in table.iter() {
             let nodes = path.nodes(net);
             for (pos, &v) in nodes.iter().enumerate().take(nodes.len() - 1).skip(1) {
                 if v == dst {
@@ -225,7 +225,7 @@ mod reference {
     fn revisits(net: &Network, table: &TableRouting) -> (usize, Option<Site>) {
         let mut count = 0;
         let mut first = None;
-        for (&pair, path) in table.iter() {
+        for (pair, path) in table.iter() {
             if path.is_node_simple(net) {
                 continue;
             }
@@ -247,7 +247,7 @@ mod reference {
     fn dead_tails(net: &Network, table: &TableRouting) -> Vec<DeadTail> {
         table
             .iter()
-            .filter_map(|(&(src, dst), path)| {
+            .filter_map(|((src, dst), path)| {
                 let nodes = path.nodes(net);
                 let first = nodes[..nodes.len() - 1].iter().position(|&n| n == dst)?;
                 Some(DeadTail {
@@ -290,8 +290,9 @@ fn assert_agrees(net: &Network, table: &TableRouting, what: &str) {
 /// through their own end node, and wander past shortest paths. Each
 /// walk registers the pair (source, last node) if it is still free.
 fn random_walk_table(net: &Network, rng: &mut StdRng, max_len: usize) -> TableRouting {
-    let mut table = TableRouting::new();
+    let mut table = TableBuilder::new(net);
     for src in net.nodes() {
+        let mut registered: Vec<NodeId> = Vec::new();
         for _ in 0..net.node_count() {
             let len = rng.random_range(1..=max_len);
             let mut chans: Vec<ChannelId> = Vec::new();
@@ -308,14 +309,15 @@ fn random_walk_table(net: &Network, rng: &mut StdRng, max_len: usize) -> TableRo
                 chans.push(c);
                 at = net.channel(c).dst();
             }
-            if at == src || table.path(src, at).is_some() {
+            if at == src || registered.contains(&at) {
                 continue;
             }
+            registered.push(at);
             let path = Path::from_channels(net, chans).expect("a channel walk");
-            table.insert(net, src, at, path).expect("fresh pair");
+            table.insert(src, at, path).expect("fresh pair");
         }
     }
-    table
+    table.finish().expect("fresh pairs")
 }
 
 /// `table` with a random eighth of the network's channels failed.
@@ -454,11 +456,14 @@ fn square() -> (Network, Vec<NodeId>) {
     (net, q)
 }
 
-fn insert(net: &Network, table: &mut TableRouting, walk: &[NodeId]) {
-    let path = Path::from_nodes(net, walk).unwrap();
-    table
-        .insert(net, walk[0], *walk.last().unwrap(), path)
-        .unwrap();
+/// A table routing each walk's endpoints over the walk.
+fn walks(net: &Network, walks: &[&[NodeId]]) -> TableRouting {
+    let mut table = TableBuilder::new(net);
+    for walk in walks {
+        let path = Path::from_nodes(net, walk).unwrap();
+        table.insert(walk[0], *walk.last().unwrap(), path).unwrap();
+    }
+    table.finish().unwrap()
 }
 
 /// Definition 7 constrains only a node's first occurrence.
@@ -477,10 +482,14 @@ fn insert(net: &Network, table: &mut TableRouting, walk: &[NodeId]) {
 #[test]
 fn node_revisit_constrains_only_the_first_occurrence() {
     let (net, q) = square();
-    let mut table = TableRouting::new();
-    insert(&net, &mut table, &[q[0], q[1]]);
-    insert(&net, &mut table, &[q[0], q[1], q[2]]);
-    insert(&net, &mut table, &[q[0], q[1], q[2], q[1], q[0], q[3]]);
+    let table = walks(
+        &net,
+        &[
+            &[q[0], q[1]],
+            &[q[0], q[1], q[2]],
+            &[q[0], q[1], q[2], q[1], q[0], q[3]],
+        ],
+    );
     let r = properties::analyze(&net, &table);
     assert_eq!(r, reference::report(&net, &table));
 
@@ -529,8 +538,7 @@ fn node_revisit_constrains_only_the_first_occurrence() {
 #[test]
 fn path_through_its_own_destination() {
     let (net, q) = square();
-    let mut table = TableRouting::new();
-    insert(&net, &mut table, &[q[0], q[1], q[2], q[1]]);
+    let table = walks(&net, &[&[q[0], q[1], q[2], q[1]]]);
     let r = properties::analyze(&net, &table);
     assert_eq!(r, reference::report(&net, &table));
 

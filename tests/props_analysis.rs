@@ -1,7 +1,7 @@
 //! Property-based tests for the analysis layers: routing properties,
 //! CDG structure, candidate validity, and search/simulation agreement.
 
-use cyclic_wormhole::cdg::{enumerate_candidates, sharing, Cdg};
+use cyclic_wormhole::cdg::{enumerate_candidates, sharing, Cdg, Witnesses};
 use cyclic_wormhole::core::family::{CycleMessageSpec, SharedCycleSpec};
 use cyclic_wormhole::net::topology::Mesh;
 use cyclic_wormhole::route::algorithms::{dimension_order, random_table};
@@ -38,9 +38,10 @@ proptest! {
         let mut rng = rand::rngs::StdRng::seed_from_u64(seed);
         let table = random_table(net, &mut rng, detour).expect("routes");
         let cdg = Cdg::build(net, &table);
+        let witnesses = Witnesses::gather(&table, cdg.edges());
 
-        for (&(c1, c2), witnesses) in cdg.edges() {
-            for &(s, d) in witnesses {
+        for (c1, c2) in cdg.edges() {
+            for &(s, d) in witnesses.get(c1, c2) {
                 let path = table.path(s, d).expect("witness routed");
                 let chans = path.channels();
                 let ok = chans.windows(2).any(|w| w[0] == c1 && w[1] == c2);
@@ -49,7 +50,7 @@ proptest! {
         }
 
         for cycle in cdg.cycles_bounded(200).into_iter().flatten() {
-            let (candidates, _) = enumerate_candidates(&cdg, &cycle, 200);
+            let (candidates, _) = enumerate_candidates(&witnesses, &cycle, 200);
             for cand in candidates {
                 // Segments tile the cycle.
                 let total: usize = cand.segments.iter().map(|s| s.channels.len()).sum();

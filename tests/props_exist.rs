@@ -57,7 +57,7 @@ fn assert_two_sided_sound(net: &Network, seed: u64) {
                 Cdg::build(net, &table).is_acyclic(),
                 "witness CDG must be acyclic"
             );
-            for (&(src, dst), path) in table.iter() {
+            for ((src, dst), path) in table.iter() {
                 assert!(path.is_node_simple(net));
                 assert_eq!(path.src(net), src);
                 assert_eq!(path.dst(net), dst);
@@ -231,7 +231,7 @@ fn witness_paths_ascend_the_schedule() {
         .map(|(i, &c)| (c, i))
         .collect();
     let table = witness_table(&net, &witness).unwrap();
-    let all: Vec<(NodeId, NodeId)> = table.iter().map(|(&p, _)| p).collect();
+    let all: Vec<(NodeId, NodeId)> = table.iter().map(|(p, _)| p).collect();
     assert_eq!(all.len(), 20, "5-node ring has 20 ordered pairs");
     for (_, path) in table.iter() {
         let positions: Vec<usize> = path.channels().iter().map(|c| pos[c]).collect();

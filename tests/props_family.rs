@@ -2,7 +2,7 @@
 //! randomly parameterized construction has the structural shape the
 //! paper's analysis relies on.
 
-use cyclic_wormhole::cdg::{enumerate_candidates, sharing};
+use cyclic_wormhole::cdg::{enumerate_candidates, sharing, Witnesses};
 use cyclic_wormhole::core::family::{CycleMessageSpec, SharedCycleSpec};
 use proptest::prelude::*;
 
@@ -47,8 +47,9 @@ proptest! {
     #[test]
     fn canonical_candidate_is_enumerated(spec in arb_spec()) {
         let c = spec.build();
-        let cdg = c.cdg();
-        let (cands, complete) = enumerate_candidates(&cdg, &c.cycle(), 100_000);
+        let cycle = c.cycle();
+        let witnesses = Witnesses::of_cycles(&c.table, [&cycle]);
+        let (cands, complete) = enumerate_candidates(&witnesses, &cycle, 100_000);
         prop_assert!(complete);
         prop_assert_eq!(cands.len(), 1, "reach-1 constructions have one candidate");
         let canonical = c.canonical_candidate();
