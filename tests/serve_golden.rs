@@ -10,8 +10,14 @@
 //!   findings and large `W202`/`W203` counts;
 //! - `fig1` under `verify { engine = search }`, where the classifier
 //!   falls back to exhaustive search;
-//! - `fig1` with its shared channel `c_s` down, under the full engine
-//!   (search, fault-aware simulation and the `faults` block);
+//! - the 13 paper constructions (Figures 1–3 and `G(1)`–`G(5)`) with
+//!   their shared channel `c_s` down from cycle 0, under the full
+//!   engine (search, fault-aware simulation and the `faults` block):
+//!   each run starves, and its `sim` block pins the timeout at the
+//!   horizon;
+//! - `fig1` with `c_s` out on cycles `0..5000`: the run delivers just
+//!   after the channel comes back, so its `sim` block pins the exact
+//!   cycle the simulation resumes at;
 //! - a spec whose existence verdict is `unknown` under
 //!   `verify { max_states = 1 }`, so its lint block must say `W304`.
 //!
@@ -26,11 +32,13 @@
 use std::fmt::Write as _;
 use std::path::PathBuf;
 
-use cyclic_wormhole::core::paper::fig1;
+use cyclic_wormhole::core::family::CycleConstruction;
+use cyclic_wormhole::core::paper::{fig1, fig2, fig3, generalized};
 use cyclic_wormhole::net::topology::ring_unidirectional;
 use cyclic_wormhole::route::algorithms::shortest_path_table;
 use cyclic_wormhole::serve::specgen::generate;
 use cyclic_wormhole::serve::{compile, lift, verdict_json};
+use cyclic_wormhole::sim::MessageSpec;
 
 fn snapshot_dir() -> PathBuf {
     PathBuf::from(env!("CARGO_MANIFEST_DIR")).join("tests/snapshots/serve")
@@ -52,12 +60,13 @@ fn budgeted_fabric(topology: &str, engine: &str) -> String {
     )
 }
 
-/// Figure 1 with its messages and `c_s` permanently down from cycle 0.
-fn fig1_cs_down() -> String {
-    let c = fig1::cyclic_dependency();
+/// A paper construction with its messages and one fault declaration
+/// on its shared channel `c_s` (`{c}` in `fault` names it), under the
+/// full engine with one-flit buffers.
+fn faulted_construction(c: &CycleConstruction, messages: &[MessageSpec], fault: &str) -> String {
     let mut s = wormspec::to_spec(&lift(&c.net, &c.table));
     s.push_str("traffic {\n  pattern = explicit\n");
-    for m in c.message_specs() {
+    for m in messages {
         let _ = writeln!(
             s,
             "  message \"{}\" -> \"{}\" length {} flits",
@@ -66,12 +75,50 @@ fn fig1_cs_down() -> String {
             m.length
         );
     }
+    let fault = fault.replace("{c}", &format!("c{}", c.cs.index()));
     let _ = write!(
         s,
-        "}}\nfaults {{\n  down c{} @ 0 cycles\n}}\nverify {{\n  engine = full\n  capacity = 1 flits\n}}\n",
-        c.cs.index()
+        "}}\nfaults {{\n  {fault}\n}}\nverify {{\n  engine = full\n  capacity = 1 flits\n}}\n"
     );
     s
+}
+
+/// The 13 paper constructions with the message sets their experiments
+/// use, each with `c_s` permanently down from cycle 0, plus Figure 1
+/// with `c_s` out on cycles `0..5000`.
+fn faulted_constructions() -> Vec<(String, String)> {
+    const DOWN: &str = "down {c} @ 0 cycles";
+    let fig1 = fig1::cyclic_dependency();
+    let fig2 = fig2::two_message_deadlock();
+    let mut out = vec![
+        (
+            "fig1_cs_down".to_string(),
+            faulted_construction(&fig1, &fig1.message_specs(), DOWN),
+        ),
+        (
+            "fig1_cs_outage".to_string(),
+            faulted_construction(&fig1, &fig1.message_specs(), "outage {c} @ 0..5000 cycles"),
+        ),
+        (
+            "fig2_cs_down".to_string(),
+            faulted_construction(&fig2, &fig2.message_specs(), DOWN),
+        ),
+    ];
+    for scenario in fig3::all_scenarios() {
+        let c = scenario.spec.build();
+        out.push((
+            format!("fig3_{}_cs_down", scenario.name),
+            faulted_construction(&c, &scenario.message_specs(&c), DOWN),
+        ));
+    }
+    for k in 1..=5 {
+        let c = generalized::generalized(k);
+        out.push((
+            format!("g{k}_cs_down"),
+            faulted_construction(&c, &generalized::minimum_length_specs(&c), DOWN),
+        ));
+    }
+    out
 }
 
 /// A 5-node unidirectional ring with back channels `r1→r0`, `r3→r2`
@@ -127,7 +174,7 @@ fn cases() -> Vec<(String, String)> {
             corpus_source("fig1")
         ),
     ));
-    cases.push(("fig1_cs_down".into(), fig1_cs_down()));
+    cases.extend(faulted_constructions());
     cases.push(("existence_undecided".into(), undecided_existence()));
     cases
 }
