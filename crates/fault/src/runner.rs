@@ -5,7 +5,7 @@
 //! delivery, not a timeout.
 
 use wormnet::Network;
-use wormsim::runner::{ArbitrationPolicy, EngineKind, Runner};
+use wormsim::runner::{ArbitrationPolicy, EngineKind, Outcome, Runner};
 use wormsim::stats::Stats;
 use wormsim::{MessageId, Sim, SimState};
 
@@ -59,7 +59,6 @@ impl FaultOutcome {
 /// A [`Runner`] with a [`FaultInjector`] attached, plus fault-aware
 /// termination.
 pub struct FaultRunner<'a> {
-    sim: &'a Sim,
     runner: Runner<'a>,
     injector: FaultInjector,
 }
@@ -76,7 +75,6 @@ impl<'a> FaultRunner<'a> {
     ) -> Self {
         let injector = FaultInjector::new(net, plan, retry, sim.message_count());
         FaultRunner {
-            sim,
             runner: Runner::new(sim, arbitration),
             injector,
         }
@@ -117,13 +115,6 @@ impl<'a> FaultRunner<'a> {
         self.injector.report()
     }
 
-    fn survivors_delivered(&self) -> bool {
-        let state = self.runner.state();
-        self.sim
-            .messages()
-            .all(|m| self.injector.is_abandoned(m) || state.is_delivered(m, self.sim.length(m)))
-    }
-
     fn success(&self) -> FaultOutcome {
         let abandoned = self.injector.report().abandoned;
         if abandoned.is_empty() {
@@ -139,28 +130,20 @@ impl<'a> FaultRunner<'a> {
     }
 
     /// Run until every surviving message is delivered, a deadlock
-    /// forms, or `max_cycles` elapse. Unless the injector is
-    /// transparent (empty plan, passive retry — kept silent so the
-    /// zero-fault trace report matches the baseline's exactly), the
-    /// whole run is wrapped in a `fault.plan` trace span.
+    /// forms, or `max_cycles` elapse, through the runner's own loop
+    /// ([`Runner::run_hooked`]): the injector is the hook, its
+    /// abandoned messages are the withdrawn ones, and a run stuck
+    /// behind a dead channel jumps from fault event to fault event.
+    /// Unless the injector is transparent (empty plan, passive retry —
+    /// kept silent so the zero-fault trace report matches the
+    /// baseline's exactly), the whole run is wrapped in a `fault.plan`
+    /// trace span.
     pub fn run(&mut self, max_cycles: u64) -> FaultOutcome {
         let _span = (!self.injector.is_transparent()).then(|| wormtrace::span("fault.plan"));
-        while self.runner.time() < max_cycles {
-            if self.survivors_delivered() {
-                return self.success();
-            }
-            self.runner.step_hooked(&mut self.injector);
-            if let Some(members) = self.sim.find_deadlock(self.runner.state()) {
-                return FaultOutcome::Deadlock {
-                    members,
-                    at_cycle: self.runner.time(),
-                };
-            }
-        }
-        if self.survivors_delivered() {
-            self.success()
-        } else {
-            FaultOutcome::Timeout { cycles: max_cycles }
+        match self.runner.run_hooked(max_cycles, &mut self.injector) {
+            Outcome::Delivered { .. } => self.success(),
+            Outcome::Deadlock { members, at_cycle } => FaultOutcome::Deadlock { members, at_cycle },
+            Outcome::Timeout { .. } => FaultOutcome::Timeout { cycles: max_cycles },
         }
     }
 }

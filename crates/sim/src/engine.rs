@@ -142,6 +142,12 @@ impl StepScratch {
     pub fn report(&self) -> &StepReport {
         &self.report
     }
+
+    /// The sorted `(channel, message)` requests of the last resolved
+    /// step ([`Sim::resolve_requests`]).
+    pub(crate) fn requests(&self) -> &[(ChannelId, MessageId)] {
+        &self.requests
+    }
 }
 
 /// Side effects of advancing one message for one cycle, beyond the
@@ -486,8 +492,34 @@ impl Sim {
         choice: StepChoice<'_>,
         scratch: &mut StepScratch,
     ) -> StepTally {
-        self.collect_requests(state, &choice, &mut scratch.requests);
+        self.resolve_requests(state, &choice, scratch);
+        self.step_resolved(state, choice, scratch)
+    }
+
+    /// Fill `scratch`'s request list with this cycle's header requests
+    /// under `choice` (its `winners` are not read), sorted by
+    /// `(channel, message)`: each channel's requesters form one group
+    /// in id order. The runner reads the groups for its request ages
+    /// and arbitration, then commits with [`Sim::step_resolved`].
+    pub(crate) fn resolve_requests(
+        &self,
+        state: &SimState,
+        choice: &StepChoice<'_>,
+        scratch: &mut StepScratch,
+    ) {
+        self.collect_requests(state, choice, &mut scratch.requests);
         scratch.requests.sort_unstable();
+    }
+
+    /// [`Sim::step_with`] after [`Sim::resolve_requests`] filled
+    /// `scratch` for this `state` and `choice`: grant and move without
+    /// collecting the requests again.
+    pub(crate) fn step_resolved(
+        &self,
+        state: &mut SimState,
+        choice: StepChoice<'_>,
+        scratch: &mut StepScratch,
+    ) -> StepTally {
         let grants = &mut scratch.grants;
         grants.clear();
         grants.resize(self.specs.len(), None);

@@ -13,8 +13,7 @@
 //! doing work proportional to what moves:
 //!
 //! * a **timer wheel** (`BTreeMap` keyed by `inject_at`) releases
-//!   pending messages at their earliest injection cycle, and lets the
-//!   run loop fast-forward over provably idle stretches;
+//!   pending messages at their earliest injection cycle;
 //! * **struct-of-arrays caches** (`head`/`tail`/`target`/`waits`,
 //!   mirroring the `SimState` SoA layout that `wormsim::packed` and
 //!   `wormsim::arena` build on) remember each worm's span and header
@@ -35,9 +34,17 @@
 //! The [`crate::hooks::DecisionHook`] seam is preserved exactly: the
 //! hook sees the same tentative `inject`/`stalls`/`frozen` sets (all
 //! released-but-pending messages, in id order) that the stepping
-//! runner builds, so `wormfault` plans apply identically. With a hook
-//! attached (or a stall plan / skew model) the core never skips
-//! cycles, because hooks observe every cycle.
+//! runner builds, so `wormfault` plans apply identically.
+//!
+//! The core steps every cycle it is given. Skipping idle cycles is the
+//! run loop's job, shared with the stepping engine
+//! ([`crate::runner::Runner`]): after a quiet cycle the loop jumps to
+//! the next cycle at which an input can differ, and a hook bounds that
+//! jump through [`crate::hooks::DecisionHook::quiet_until`], so a hook
+//! still sees every cycle on which it may act. The core reports
+//! whether each cycle was quiet; a quiet cycle leaves its caches a
+//! fixed point too (worms that could not move stay inert or parked),
+//! and its busy intervals accrue across the skipped cycles untouched.
 //!
 //! `tests/diff_sim.rs` holds the bit-identity contract against the
 //! stepping oracle on random topologies and the paper's constructions.
@@ -126,7 +133,10 @@ pub(crate) struct EventCore {
     busy_fx: Vec<(ChannelId, bool)>,
     /// Arbitration state, same semantics as the stepping runner's.
     waiting_since: Vec<Option<(ChannelId, u64)>>,
-    last_winner: BTreeMap<ChannelId, MessageId>,
+    last_winner: Vec<Option<MessageId>>,
+    /// The tentative decisions of a cycle on the hook seam (or with
+    /// stalls or freezes), reused across cycles.
+    tentative: Decisions,
     // Reusable per-cycle scratch (cleared at the end of each step).
     frozen_mask: Vec<bool>,
     stall_mask: Vec<bool>,
@@ -198,7 +208,8 @@ impl EventCore {
             busy_since: vec![0; cc],
             busy_fx: Vec::new(),
             waiting_since: vec![None; mc],
-            last_winner: BTreeMap::new(),
+            last_winner: vec![None; cc],
+            tentative: Decisions::default(),
             frozen_mask: vec![false; cc],
             stall_mask: vec![false; mc],
             inject_seen: vec![false; mc],
@@ -226,38 +237,9 @@ impl EventCore {
         }
     }
 
-    /// Whether every message has been delivered (O(1)).
-    pub(crate) fn all_delivered(&self) -> bool {
-        self.delivered_count == self.message_count
-    }
-
-    /// Nothing can move until the next wheel release: no in-flight
-    /// active worm, no released pending message, and no (possibly
-    /// undetected) deadlock among parked worms. When this holds the
-    /// run loop may fast-forward to the next wheel key.
-    pub(crate) fn quiescent(&self) -> bool {
-        self.active.is_empty()
-            && self.released.is_empty()
-            && !self.waits_dirty
-            && self.deadlock.is_none()
-    }
-
-    /// Next timer-wheel key (earliest future injection release).
-    pub(crate) fn next_release(&self) -> Option<u64> {
-        self.next_wheel
-    }
-
-    /// Account for `delta` skipped no-op cycles: busy-channel stats
-    /// and the per-cycle `sim.*` counters (which are accumulating
-    /// sums, so bulk emission is equivalent to per-cycle emission).
-    pub(crate) fn fast_forward(&self, delta: u64) {
-        if wormtrace::enabled() {
-            wormtrace::counter("sim.cycles", delta);
-            wormtrace::counter("sim.flits_moved", 0);
-            wormtrace::counter("sim.delivered", 0);
-            wormtrace::counter("sim.stall_injections", 0);
-            wormtrace::counter("sim.arb_conflicts", 0);
-        }
+    /// How many messages have been delivered (O(1)).
+    pub(crate) fn delivered_count(&self) -> usize {
+        self.delivered_count
     }
 
     /// Deadlock check, equivalent to running the stepping walk on the
@@ -456,7 +438,9 @@ impl EventCore {
         }
     }
 
-    /// One cycle, bit-identical to the stepping runner's `step_inner`.
+    /// One cycle, bit-identical to the stepping runner's `step_inner`;
+    /// whether it was quiet (no flit moved, no header request, no
+    /// stalled message).
     #[allow(clippy::too_many_arguments)]
     pub(crate) fn step(
         &mut self,
@@ -468,7 +452,7 @@ impl EventCore {
         skew: Option<&SkewModel>,
         time: u64,
         mut hook: Option<&mut dyn DecisionHook>,
-    ) {
+    ) -> bool {
         // Release newly injectable messages from the wheel, indexing
         // each under its first path channel. A message a hook already
         // injected ahead of its `inject_at` is skipped: the stepping
@@ -495,17 +479,23 @@ impl EventCore {
             self.released.sort_unstable();
         }
 
-        let stalls: Vec<MessageId> = stall_plan
-            .iter()
-            .filter(|(_, cycles)| cycles.contains(&time))
-            .map(|(&m, _)| m)
-            .collect();
-        let frozen = skew.map(|s| s.frozen_at(time)).unwrap_or_default();
+        let mut tentative = std::mem::take(&mut self.tentative);
+        tentative.stalls.clear();
+        tentative.stalls.extend(
+            stall_plan
+                .iter()
+                .filter(|(_, cycles)| cycles.contains(&time))
+                .map(|(&m, _)| m),
+        );
+        tentative.frozen.clear();
+        if let Some(skew) = skew {
+            skew.extend_frozen(time, &mut tentative.frozen);
+        }
         // The hook seam and the stall/frozen masks only matter on
         // cycles where something can actually perturb the decisions;
         // on plain cycles the tentative sets are dropped unobserved,
         // so skipping their construction is invisible.
-        let fast = hook.is_none() && stalls.is_empty() && frozen.is_empty();
+        let fast = hook.is_none() && tentative.stalls.is_empty() && tentative.frozen.is_empty();
 
         if fast {
             // -- Process stage (indexed): pending messages can only
@@ -524,26 +514,17 @@ impl EventCore {
             // builds them: all released pending messages (id order),
             // plan stalls, skew freezes. The hook adjusts these before
             // any request or arbitration is derived.
-            let mut tentative = Decisions {
-                inject: self.released.clone(),
-                stalls,
-                winners: BTreeMap::new(),
-                frozen,
-            };
+            tentative.inject.clear();
+            tentative.inject.extend_from_slice(&self.released);
+            tentative.winners.clear();
             if let Some(h) = hook.as_deref_mut() {
                 h.adjust(sim, state, time, &mut tentative);
             }
-            let Decisions {
-                inject,
-                stalls,
-                frozen,
-                ..
-            } = tentative;
 
-            for &c in &frozen {
+            for &c in &tentative.frozen {
                 self.frozen_mask[c.index()] = true;
             }
-            for &m in &stalls {
+            for &m in &tentative.stalls {
                 // The stepping engine only does `stalls.contains(m)`,
                 // so a hook naming an unknown id is tolerated there;
                 // match that.
@@ -554,7 +535,7 @@ impl EventCore {
 
             // -- Process stage: injection attempts from the adjusted
             // inject list.
-            for &m in &inject {
+            for &m in &tentative.inject {
                 let mi = m.index();
                 if mi >= self.message_count || state.injected[mi] != 0 || self.inject_seen[mi] {
                     continue;
@@ -572,14 +553,25 @@ impl EventCore {
                     self.req_lists[c0.index()].push(m);
                 }
             }
-            return self.step_tail(sim, state, stats, policy, time, hook, stalls, frozen);
         }
-        self.step_tail(sim, state, stats, policy, time, hook, stalls, frozen)
+        let quiet = self.step_tail(
+            sim,
+            state,
+            stats,
+            policy,
+            time,
+            hook,
+            &tentative.stalls,
+            &tentative.frozen,
+        );
+        self.tentative = tentative;
+        quiet
     }
 
     /// Request collection done (slow path also appends the in-flight
     /// requests here): arbitration, transmission, and bookkeeping —
-    /// shared by the fast and hook-seam paths.
+    /// shared by the fast and hook-seam paths. Returns whether the
+    /// cycle was quiet.
     #[allow(clippy::too_many_arguments)]
     fn step_tail(
         &mut self,
@@ -589,11 +581,11 @@ impl EventCore {
         policy: &ArbitrationPolicy,
         time: u64,
         hook: Option<&mut dyn DecisionHook>,
-        stalls: Vec<MessageId>,
-        frozen: Vec<ChannelId>,
-    ) {
+        stalls: &[MessageId],
+        frozen: &[ChannelId],
+    ) -> bool {
         let no_stalls = stalls.is_empty();
-        let quiet = frozen.is_empty();
+        let unfrozen = frozen.is_empty();
 
         // -- Propagate stage: waiting ages, arbitration, grants.
         // In-flight header requests come straight from the `hdr_ready`
@@ -613,7 +605,7 @@ impl EventCore {
             let ci = chan.index();
             debug_assert!(state.channels[ci].is_none());
             debug_assert!(!self.targeting[ci].is_empty());
-            if !quiet && self.frozen_mask[ci] {
+            if !unfrozen && self.frozen_mask[ci] {
                 continue;
             }
             self.reqs_buf.clear();
@@ -690,7 +682,7 @@ impl EventCore {
             let old_tail = self.tail[mi];
             let moves_before = report.flits_moved;
             let span = Some((self.head[mi], old_tail));
-            let fx = if quiet {
+            let fx = if unfrozen {
                 sim.advance_message(
                     state,
                     m,
@@ -729,7 +721,7 @@ impl EventCore {
                 // Frozen channels can only block moves, never enable
                 // them, so inertness proven on a freeze-free cycle
                 // holds on any later ungranted cycle.
-                self.inert[mi] = quiet && grant.is_none();
+                self.inert[mi] = unfrozen && grant.is_none();
             } else {
                 self.inert[mi] = false;
             }
@@ -946,12 +938,10 @@ impl EventCore {
         for &m in &report.delivered {
             stats.delivered_at[m.index()] = Some(time + 1);
         }
-        // Only RoundRobin ever reads `last_winner`, so skip the map
-        // inserts for every other policy.
+        // Only RoundRobin ever reads `last_winner`.
         if matches!(policy, ArbitrationPolicy::RoundRobin) {
-            for i in 0..self.winners_scratch.len() {
-                let (chan, w) = self.winners_scratch[i];
-                self.last_winner.insert(chan, w);
+            for &(chan, w) in &self.winners_scratch {
+                self.last_winner[chan.index()] = Some(w);
             }
         }
         if wormtrace::enabled() {
@@ -964,13 +954,14 @@ impl EventCore {
         if let Some(h) = hook {
             h.observe(sim, state, time, &report);
         }
+        let quiet = report.flits_moved == 0 && self.granted.is_empty() && stalls.is_empty();
         self.report_buf = report;
 
         // Clear the per-cycle scratch masks.
-        for &c in &frozen {
+        for &c in frozen {
             self.frozen_mask[c.index()] = false;
         }
-        for &m in &stalls {
+        for &m in stalls {
             if m.index() < self.message_count {
                 self.stall_mask[m.index()] = false;
             }
@@ -984,6 +975,7 @@ impl EventCore {
             let m = self.granted[idx];
             self.grant_of[m.index()] = None;
         }
+        quiet
     }
 }
 

@@ -19,6 +19,21 @@
 //! never mutates anything leaves the runner's behaviour bit-identical
 //! to the hook-free path (`tests/fault_conformance.rs` holds this
 //! contract down to trace reports).
+//!
+//! **Skipped cycles.** [`crate::runner::Runner::run`] and
+//! [`crate::runner::Runner::run_hooked`] jump over cycles in which
+//! nothing can change. After a *quiet* cycle `t` — one that moved no
+//! flit, made no header request and stalled no message — the state
+//! and the arbitration memory are exactly what they were before it,
+//! so every later cycle repeats `t` until one of its inputs differs.
+//! The runner knows its own inputs (the next `inject_at`, the next
+//! stall-plan cycle, the horizon); the hook names its own through
+//! [`DecisionHook::quiet_until`]: the first cycle after `t` at which
+//! its `adjust` may decide differently or have any other effect. The
+//! runner calls neither `adjust` nor `observe` for the cycles it skips.
+//! The default answer is `t + 1`, so a hook that does not override it
+//! sees every cycle. [`crate::runner::Runner::step`] and
+//! [`crate::runner::Runner::step_hooked`] never skip.
 
 use crate::engine::{Decisions, Sim, StepReport};
 use crate::state::SimState;
@@ -41,6 +56,25 @@ pub trait DecisionHook {
     /// (e.g. counting failed injection attempts).
     fn observe(&mut self, sim: &Sim, state: &SimState, time: u64, report: &StepReport) {
         let _ = (sim, state, time, report);
+    }
+
+    /// Called after the quiet cycle `time` was adjusted and observed:
+    /// the earliest cycle after `time` at which this hook's `adjust`
+    /// may change the decisions it made for `time` (given the same
+    /// state and tentative sets), or do anything else observable — a
+    /// counter, a report entry, bookkeeping its `observe` would score.
+    /// The runner may skip every cycle before it without calling the
+    /// hook. Default: `time + 1`, no cycle is skipped.
+    fn quiet_until(&self, time: u64) -> u64 {
+        time + 1
+    }
+
+    /// How many messages this hook has withdrawn from the run: messages
+    /// that never started and that it will never let inject (a retry
+    /// policy that gave up on them). The run counts as delivered once
+    /// every other message is. Default: none.
+    fn withdrawn(&self) -> usize {
+        0
     }
 }
 

@@ -6,12 +6,27 @@
 //! "when multiple messages arrive simultaneously and request the same
 //! output channel, and one of these messages can lead to a deadlock,
 //! that message is assumed to acquire the channel."
+//!
+//! **One run loop, one skip.** [`Runner::run`] and
+//! [`Runner::run_hooked`] drive both engines through the same loop.
+//! After a quiet cycle — no flit moved, no header request was made, no
+//! message was stalled — nothing in the runner has changed, neither
+//! the state nor the arbitration memory, so every following cycle
+//! repeats it until an input differs. The loop jumps straight to the
+//! earliest such cycle: the next `inject_at`, the next stall-plan
+//! cycle, the hook's [`DecisionHook::quiet_until`], or the horizon. A
+//! pausing skew model freezes a different set every period and blocks
+//! the skip. The skipped cycles are added to [`Stats`] (cycles, busy
+//! channels) and to the `sim.*` counters in one step, so outcomes,
+//! final states, statistics and trace counters are those of stepping
+//! every cycle. [`Runner::step`] and [`Runner::step_hooked`] never skip:
+//! they are the oracle `tests/sim_skip.rs` holds the loop to.
 
 use std::collections::BTreeMap;
 
 use wormnet::ChannelId;
 
-use crate::engine::{Decisions, Sim};
+use crate::engine::{Decisions, Sim, StepChoice, StepScratch, StepTally};
 use crate::event::EventCore;
 use crate::hooks::DecisionHook;
 use crate::message::MessageId;
@@ -98,33 +113,71 @@ pub struct Runner<'a> {
     time: u64,
     policy: ArbitrationPolicy,
     stall_plan: StallPlan,
+    /// Every cycle the stall plan names, ascending and deduplicated.
+    stall_cycles: Vec<u64>,
+    /// Every message's `inject_at`, ascending and deduplicated.
+    inject_times: Vec<u64>,
+    /// A skew model in which some router pauses (see
+    /// [`Runner::with_skew`]).
     skew: Option<SkewModel>,
     stats: Stats,
     /// First cycle each message requested its current target
     /// (for OldestFirst).
     waiting_since: Vec<Option<(ChannelId, u64)>>,
     /// Per-channel last winner (for RoundRobin).
-    last_winner: BTreeMap<ChannelId, MessageId>,
+    last_winner: Vec<Option<MessageId>>,
     /// Selected engine; `event` is `Some` iff it is [`EngineKind::Event`]
     /// (the event core keeps its own arbitration state).
     engine: EngineKind,
     event: Option<Box<EventCore>>,
+    /// The stepping engine's per-cycle buffers.
+    buf: StepBuffers,
+}
+
+/// Buffers the stepping engine reuses every cycle, so a warm cycle
+/// allocates nothing.
+#[derive(Default)]
+struct StepBuffers {
+    /// The cycle's tentative, then hook-adjusted, decisions (`winners`
+    /// stays empty: arbitration lands in `winners` below).
+    decisions: Decisions,
+    /// Per-channel mask of `decisions.frozen`; all false between
+    /// cycles.
+    frozen_mask: Vec<bool>,
+    /// Requesters of the contested channel being arbitrated.
+    contenders: Vec<MessageId>,
+    /// Arbitration winners of this cycle's contested channels.
+    winners: Vec<(ChannelId, MessageId)>,
+    /// Winners still pending: their headers enter the network this
+    /// cycle.
+    starting: Vec<MessageId>,
+    /// The core's request, grant, report and deadlock-walk buffers.
+    scratch: StepScratch,
 }
 
 impl<'a> Runner<'a> {
     /// New runner with the given policy.
     pub fn new(sim: &'a Sim, policy: ArbitrationPolicy) -> Self {
+        let mut inject_times: Vec<u64> = sim.messages().map(|m| sim.spec(m).inject_at).collect();
+        inject_times.sort_unstable();
+        inject_times.dedup();
         Runner {
             state: sim.initial_state(),
             time: 0,
             policy,
             stall_plan: StallPlan::new(),
+            stall_cycles: Vec::new(),
+            inject_times,
             skew: None,
             stats: Stats::new(sim.message_count(), sim.channel_count()),
             waiting_since: vec![None; sim.message_count()],
-            last_winner: BTreeMap::new(),
+            last_winner: vec![None; sim.channel_count()],
             engine: EngineKind::Stepping,
             event: None,
+            buf: StepBuffers {
+                frozen_mask: vec![false; sim.channel_count()],
+                ..StepBuffers::default()
+            },
             sim,
         }
     }
@@ -151,14 +204,19 @@ impl<'a> Runner<'a> {
 
     /// Attach a stall plan.
     pub fn with_stalls(mut self, plan: StallPlan) -> Self {
+        self.stall_cycles = plan.values().flatten().copied().collect();
+        self.stall_cycles.sort_unstable();
+        self.stall_cycles.dedup();
         self.stall_plan = plan;
         self
     }
 
     /// Attach a clock-skew model: each cycle, queues hosted by paused
-    /// routers neither transmit nor accept flits.
+    /// routers neither transmit nor accept flits. A model in which no
+    /// router pauses freezes nothing, so it is dropped and the run is
+    /// exactly a run without a model.
     pub fn with_skew(mut self, skew: SkewModel) -> Self {
-        self.skew = Some(skew);
+        self.skew = skew.pauses().then_some(skew);
         self
     }
 
@@ -177,14 +235,17 @@ impl<'a> Runner<'a> {
         &self.stats
     }
 
-    /// Run until delivery, deadlock, or `max_cycles`.
+    /// Run until delivery, deadlock, or `max_cycles`, skipping the
+    /// cycles in which nothing can change (see the module docs).
     pub fn run(&mut self, max_cycles: u64) -> Outcome {
         self.run_inner(max_cycles, None)
     }
 
-    /// [`Runner::run`] with a [`DecisionHook`] adjusting every cycle's
-    /// decisions (see [`crate::hooks`]). A no-op hook reproduces
-    /// [`Runner::run`] bit for bit.
+    /// [`Runner::run`] with a [`DecisionHook`] adjusting every stepped
+    /// cycle's decisions (see [`crate::hooks`]). A no-op hook
+    /// reproduces [`Runner::run`] bit for bit. The run counts as
+    /// delivered once every message the hook has not withdrawn
+    /// ([`DecisionHook::withdrawn`]) is.
     pub fn run_hooked(&mut self, max_cycles: u64, hook: &mut dyn DecisionHook) -> Outcome {
         self.run_inner(max_cycles, Some(hook))
     }
@@ -198,42 +259,30 @@ impl<'a> Runner<'a> {
     }
 
     fn run_loop(&mut self, max_cycles: u64, mut hook: Option<&mut dyn DecisionHook>) -> Outcome {
-        // The event engine may fast-forward over provably idle cycles,
-        // but only when nothing observes individual cycles: no hook
-        // (fault injectors key liveness flips off per-cycle `adjust`
-        // calls), no stall plan, no skew model.
-        let can_skip = self.event.is_some()
-            && hook.is_none()
-            && self.stall_plan.is_empty()
-            && self.skew.is_none();
+        // Whether the last stepped cycle was quiet: it moved no flit,
+        // made no header request and stalled no message.
+        let mut quiet = false;
         while self.time < max_cycles {
-            if let Some(ev) = self.event.as_ref() {
-                if ev.all_delivered() {
-                    return Outcome::Delivered { cycles: self.time };
-                }
-                if can_skip && ev.quiescent() {
-                    // Nothing can move before the next wheel release:
-                    // jump straight there (or to the budget).
-                    let target = ev.next_release().unwrap_or(max_cycles).min(max_cycles);
-                    if target > self.time {
-                        let delta = target - self.time;
-                        let ev = self.event.as_mut().expect("event core");
-                        ev.fast_forward(delta);
-                        self.time = target;
-                        self.stats.cycles = self.time;
-                        continue;
-                    }
-                }
-            } else if self.sim.all_delivered(&self.state) {
+            if self.delivered_all(hook.as_deref()) {
                 return Outcome::Delivered { cycles: self.time };
             }
-            match hook {
+            if quiet {
+                quiet = false;
+                let target = self.next_change(hook.as_deref()).min(max_cycles);
+                if target > self.time {
+                    self.skip_to(target);
+                    continue;
+                }
+            }
+            quiet = match hook {
                 Some(ref mut h) => self.step_inner(Some(&mut **h)),
                 None => self.step_inner(None),
-            }
+            };
             let deadlock = match self.event.as_mut() {
                 Some(ev) => ev.check_deadlock(),
-                None => self.sim.find_deadlock(&self.state),
+                None => self
+                    .sim
+                    .find_deadlock_with(&self.state, &mut self.buf.scratch),
             };
             if let Some(members) = deadlock {
                 return Outcome::Deadlock {
@@ -242,11 +291,67 @@ impl<'a> Runner<'a> {
                 };
             }
         }
-        if self.sim.all_delivered(&self.state) {
+        if self.delivered_all(hook.as_deref()) {
             Outcome::Delivered { cycles: self.time }
         } else {
             Outcome::Timeout { cycles: self.time }
         }
+    }
+
+    /// Whether every message `hook` has not withdrawn is delivered.
+    fn delivered_all(&self, hook: Option<&dyn DecisionHook>) -> bool {
+        let delivered = match self.event.as_ref() {
+            Some(ev) => ev.delivered_count(),
+            None => self
+                .sim
+                .messages()
+                .filter(|&m| self.state.is_delivered(m, self.sim.length(m)))
+                .count(),
+        };
+        delivered + hook.map_or(0, |h| h.withdrawn()) == self.sim.message_count()
+    }
+
+    /// After the quiet cycle `self.time - 1`: the first cycle at which
+    /// one of its inputs can differ — the next `inject_at`, the next
+    /// stall-plan cycle, or the hook's [`DecisionHook::quiet_until`].
+    /// A pausing skew model freezes a different set every period, so
+    /// it allows no skip.
+    fn next_change(&self, hook: Option<&dyn DecisionHook>) -> u64 {
+        if self.skew.is_some() {
+            return self.time;
+        }
+        let next = |times: &[u64]| {
+            times
+                .get(times.partition_point(|&t| t < self.time))
+                .copied()
+                .unwrap_or(u64::MAX)
+        };
+        let hook = hook.map_or(u64::MAX, |h| h.quiet_until(self.time - 1));
+        next(&self.inject_times)
+            .min(next(&self.stall_cycles))
+            .min(hook)
+    }
+
+    /// Account for the cycles `self.time..target` without stepping
+    /// them: each would repeat the quiet cycle before them, so they
+    /// only add cycles, busy-channel cycles and `sim.cycles`.
+    fn skip_to(&mut self, target: u64) {
+        let skipped = target - self.time;
+        self.time = target;
+        self.stats.cycles = target;
+        // The event core accrues busy intervals on its own.
+        if self.event.is_none() {
+            for (busy, occ) in self.stats.channel_busy.iter_mut().zip(&self.state.channels) {
+                if occ.is_some_and(|o| !o.is_empty()) {
+                    *busy += skipped;
+                }
+            }
+        }
+        StepTally {
+            cycles: skipped,
+            ..StepTally::default()
+        }
+        .publish();
     }
 
     /// Advance one cycle under the policy.
@@ -271,12 +376,12 @@ impl<'a> Runner<'a> {
         }
     }
 
-    fn step_inner(&mut self, hook: Option<&mut dyn DecisionHook>) {
-        if self.event.is_some() {
+    /// Step one cycle on the selected engine; whether it was quiet.
+    fn step_inner(&mut self, hook: Option<&mut dyn DecisionHook>) -> bool {
+        if let Some(mut ev) = self.event.take() {
             // Take/put-back so the core can borrow the runner's other
             // fields mutably without aliasing.
-            let mut ev = self.event.take().expect("event core");
-            ev.step(
+            let quiet = ev.step(
                 self.sim,
                 &mut self.state,
                 &mut self.stats,
@@ -288,114 +393,149 @@ impl<'a> Runner<'a> {
             );
             self.event = Some(ev);
             self.time += 1;
-            return;
+            return quiet;
         }
         let sim = self.sim;
         let cycle = self.time;
-        // Messages released by their inject_at times.
-        let inject: Vec<MessageId> = sim
-            .pending(&self.state)
-            .into_iter()
-            .filter(|&m| sim.spec(m).inject_at <= self.time)
-            .collect();
-        let stalls: Vec<MessageId> = self
-            .stall_plan
-            .iter()
-            .filter(|(_, cycles)| cycles.contains(&self.time))
-            .map(|(&m, _)| m)
-            .collect();
-        let frozen = self
-            .skew
-            .as_ref()
-            .map(|s| s.frozen_at(self.time))
-            .unwrap_or_default();
+        let Runner {
+            state,
+            stats,
+            policy,
+            stall_plan,
+            skew,
+            waiting_since,
+            last_winner,
+            buf,
+            ..
+        } = self;
+        let StepBuffers {
+            decisions,
+            frozen_mask,
+            contenders,
+            winners,
+            starting,
+            scratch,
+        } = buf;
 
+        // Tentative decisions: the released pending messages (id
+        // order), the plan's stalls, the skew model's freezes.
+        decisions.inject.clear();
+        decisions.inject.extend(
+            sim.messages()
+                .filter(|&m| !state.is_started(m) && sim.spec(m).inject_at <= cycle),
+        );
+        decisions.stalls.clear();
+        decisions.stalls.extend(
+            stall_plan
+                .iter()
+                .filter(|(_, cycles)| cycles.contains(&cycle))
+                .map(|(&m, _)| m),
+        );
+        decisions.frozen.clear();
+        if let Some(skew) = skew {
+            skew.extend_frozen(cycle, &mut decisions.frozen);
+        }
+        decisions.winners.clear();
         // Let the hook adjust the tentative decision sets before any
         // request or arbitration is derived from them — a hook that
         // removes a message's request after a winner was chosen would
         // trip the engine's bogus-winner panic.
-        let mut tentative = Decisions {
-            inject,
-            stalls,
-            winners: BTreeMap::new(),
-            frozen,
-        };
         let mut hook = hook;
-        if let Some(h) = hook.as_deref_mut() {
-            h.adjust(sim, &self.state, self.time, &mut tentative);
+        if let Some(h) = hook.as_mut() {
+            h.adjust(sim, state, cycle, decisions);
         }
-        let Decisions {
-            inject,
-            stalls,
-            frozen,
-            ..
-        } = tentative;
+        for &c in &decisions.frozen {
+            frozen_mask[c.index()] = true;
+        }
+        let choice = StepChoice {
+            inject: &decisions.inject,
+            stalls: &decisions.stalls,
+            winners: &[],
+            frozen: if decisions.frozen.is_empty() {
+                &[]
+            } else {
+                frozen_mask.as_slice()
+            },
+        };
 
-        // Track request ages for OldestFirst.
-        let requests = sim.header_requests_frozen(&self.state, &inject, &stalls, &frozen);
-        for (&chan, reqs) in &requests {
-            for &m in reqs {
-                match self.waiting_since[m.index()] {
+        // One pass over the sorted requests, one group per channel:
+        // request ages (OldestFirst), then arbitration of the
+        // contested channels.
+        sim.resolve_requests(state, &choice, scratch);
+        winners.clear();
+        starting.clear();
+        for group in scratch.requests().chunk_by(|a, b| a.0 == b.0) {
+            let chan = group[0].0;
+            for &(_, m) in group {
+                match waiting_since[m.index()] {
                     Some((c, _)) if c == chan => {}
-                    _ => self.waiting_since[m.index()] = Some((chan, self.time)),
+                    _ => waiting_since[m.index()] = Some((chan, cycle)),
                 }
             }
-        }
-
-        let mut winners = BTreeMap::new();
-        for (&chan, reqs) in &requests {
-            if reqs.len() > 1 {
-                winners.insert(chan, self.pick_winner(chan, reqs));
+            let winner = if let [(_, only)] = group {
+                *only
+            } else {
+                contenders.clear();
+                contenders.extend(group.iter().map(|&(_, m)| m));
+                let w = pick_winner(
+                    policy,
+                    sim,
+                    waiting_since,
+                    last_winner,
+                    cycle,
+                    chan,
+                    contenders,
+                    &mut |m| sim.head_index(state, m),
+                );
+                winners.push((chan, w));
+                w
+            };
+            if !state.is_started(winner) {
+                starting.push(winner);
             }
         }
-
-        let decisions = Decisions {
-            inject,
-            stalls,
-            winners,
-            frozen,
-        };
-        let before_started: Vec<bool> = sim.messages().map(|m| self.state.is_started(m)).collect();
-        let report = sim.step(&mut self.state, &decisions);
+        let requested = !scratch.requests().is_empty();
+        let tally = sim.step_resolved(
+            state,
+            StepChoice {
+                winners: winners.as_slice(),
+                ..choice
+            },
+            scratch,
+        );
+        // Structured instrumentation (docs/TRACING.md, `sim.*`): one
+        // relaxed atomic load when tracing is off.
+        tally.publish();
+        for &c in &decisions.frozen {
+            frozen_mask[c.index()] = false;
+        }
         self.time += 1;
+        let now = self.time;
 
         // Stats.
-        self.stats.cycles = self.time;
-        self.stats.flit_moves += report.flits_moved as u64;
-        for m in sim.messages() {
-            if !before_started[m.index()] && self.state.is_started(m) {
-                self.stats.injected_at[m.index()] = Some(self.time);
-            }
+        stats.cycles = now;
+        stats.flit_moves += tally.flits_moved;
+        for &m in starting.iter() {
+            debug_assert!(state.is_started(m), "{m}: granted injection must start");
+            stats.injected_at[m.index()] = Some(now);
         }
-        for m in &report.delivered {
-            self.stats.delivered_at[m.index()] = Some(self.time);
+        for m in &scratch.report().delivered {
+            stats.delivered_at[m.index()] = Some(now);
         }
-        for (ci, occ) in self.state.channels.iter().enumerate() {
-            if occ.map(|o| !o.is_empty()).unwrap_or(false) {
-                self.stats.channel_busy[ci] += 1;
+        for (busy, occ) in stats.channel_busy.iter_mut().zip(&state.channels) {
+            if occ.is_some_and(|o| !o.is_empty()) {
+                *busy += 1;
             }
         }
         // Remember winners for round-robin rotation.
-        for (&chan, &w) in &decisions.winners {
-            self.last_winner.insert(chan, w);
+        for &(chan, w) in winners.iter() {
+            last_winner[chan.index()] = Some(w);
         }
         if let Some(h) = hook {
             // Same `time` value `adjust` saw for this cycle.
-            h.observe(sim, &self.state, cycle, &report);
+            h.observe(sim, state, cycle, scratch.report());
         }
-    }
-
-    fn pick_winner(&self, chan: ChannelId, reqs: &[MessageId]) -> MessageId {
-        pick_winner(
-            &self.policy,
-            self.sim,
-            &self.waiting_since,
-            &self.last_winner,
-            self.time,
-            chan,
-            reqs,
-            &mut |m| self.sim.head_index(&self.state, m),
-        )
+        tally.flits_moved == 0 && !requested && tally.stall_injections == 0
     }
 }
 
@@ -408,7 +548,7 @@ pub(crate) fn pick_winner(
     policy: &ArbitrationPolicy,
     sim: &Sim,
     waiting_since: &[Option<(ChannelId, u64)>],
-    last_winner: &BTreeMap<ChannelId, MessageId>,
+    last_winner: &[Option<MessageId>],
     time: u64,
     chan: ChannelId,
     reqs: &[MessageId],
@@ -418,8 +558,8 @@ pub(crate) fn pick_winner(
         ArbitrationPolicy::LowestId => reqs[0],
         ArbitrationPolicy::RoundRobin => {
             // Next requester after the previous winner, in id order.
-            match last_winner.get(&chan) {
-                Some(&last) => reqs.iter().copied().find(|&m| m > last).unwrap_or(reqs[0]),
+            match last_winner[chan.index()] {
+                Some(last) => reqs.iter().copied().find(|&m| m > last).unwrap_or(reqs[0]),
                 None => reqs[0],
             }
         }
@@ -678,6 +818,33 @@ mod tests {
         assert_eq!(stats.delivered_count(), 0);
         assert!(stats.injected_at.iter().all(Option::is_some));
         assert!(stats.mean_utilization() > 0.0);
+    }
+
+    #[test]
+    fn a_skew_model_without_pauses_is_no_model() {
+        let (net, _) = line(4);
+        let table = shortest_path_table(&net).unwrap();
+        let sim = Sim::new(
+            &net,
+            &table,
+            vec![
+                MessageSpec::new(NodeId::from_index(0), NodeId::from_index(3), 3),
+                MessageSpec::new(NodeId::from_index(1), NodeId::from_index(3), 2).at(300),
+            ],
+            Some(1),
+        )
+        .unwrap();
+        for engine in [EngineKind::Stepping, EngineKind::Event] {
+            let mut plain = Runner::new(&sim, ArbitrationPolicy::OldestFirst).with_engine(engine);
+            let mut none = Runner::new(&sim, ArbitrationPolicy::OldestFirst)
+                .with_engine(engine)
+                .with_skew(SkewModel::none(&net));
+            assert!(none.skew.is_none(), "a model that never pauses is dropped");
+            assert_eq!(plain.run(1_000), none.run(1_000));
+            assert_eq!(plain.time(), none.time());
+            assert_eq!(plain.state(), none.state());
+            assert_eq!(plain.stats(), none.stats());
+        }
     }
 
     #[test]
