@@ -319,8 +319,8 @@ fn algorithm_verdict_label(v: &AlgorithmVerdict) -> &'static str {
 }
 
 /// Measure one cluster-scale topology scenario: the routing table's
-/// build time (`table_build_ms`) and data size (`table_bytes`), batch
-/// CDG build and its data size (`cdg_bytes`), the Kahn acyclicity
+/// build time (`table_build_ms`) and data size (`table_bytes`), the
+/// routing-property pass (`properties_ms`), batch CDG build and its data size (`cdg_bytes`), the Kahn acyclicity
 /// decision (`acyclic_ms`), the largest strongly connected component
 /// (`cdg_largest_scc`, from Tarjan), bounded cycle streaming,
 /// whole-algorithm classification, and the wormlint static verdict.
@@ -343,6 +343,15 @@ fn run_topo_scenario(report: &mut BenchReport, s: &TopologyScenario) {
         name,
         "table_bytes",
         BenchValue::Int(s.table.data_bytes() as u64),
+    );
+
+    let start = Instant::now();
+    std::hint::black_box(wormroute::properties::analyze(&s.net, &s.table));
+    let properties_ms = start.elapsed().as_secs_f64() * 1e3;
+    report.insert(
+        name,
+        "properties_ms",
+        BenchValue::Float(properties_ms.round()),
     );
 
     let start = Instant::now();
@@ -627,6 +636,7 @@ mod tests {
                 "channels",
                 "table_build_ms",
                 "table_bytes",
+                "properties_ms",
                 "cdg_edges",
                 "cdg_bytes",
                 "cycles_found",

@@ -474,16 +474,16 @@ mod tests {
         // cycles whose candidates share channels inside and outside.
         let (net, nodes) = ring_bidirectional(6);
         let n = nodes.len();
-        let table = TableRouting::from_node_paths(&net, |s, d| {
+        let table = TableRouting::build(&net, |path, s, d| {
             let (si, di) = (s.index(), d.index());
             let step = if (di + n - si) % n <= 3 { 1 } else { n - 1 };
-            let mut walk = vec![s];
+            path.node(s);
             let mut i = si;
             while i != di {
                 i = (i + step) % n;
-                walk.push(nodes[i]);
+                path.node(nodes[i]);
             }
-            Some(walk)
+            Some(())
         })
         .unwrap();
         let cycles = Cdg::build(&net, &table).cycles();

@@ -632,23 +632,23 @@ mod tests {
         // direction too.
         let (net, nodes) = ring_bidirectional(5);
         let n = nodes.len();
-        let table = TableRouting::from_node_paths(&net, |s, d| {
+        let table = TableRouting::build(&net, |path, s, d| {
             let (si, di) = (s.index(), d.index());
             let cw = (di + n - si) % n;
-            let mut walk = vec![s];
+            path.node(s);
             let mut i = si;
             if cw <= 2 {
                 while i != di {
                     i = (i + 1) % n;
-                    walk.push(nodes[i]);
+                    path.node(nodes[i]);
                 }
             } else {
                 while i != di {
                     i = (i + n - 1) % n;
-                    walk.push(nodes[i]);
+                    path.node(nodes[i]);
                 }
             }
-            Some(walk)
+            Some(())
         })
         .unwrap();
         let cdg = Cdg::build(&net, &table);

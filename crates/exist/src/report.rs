@@ -3,7 +3,7 @@
 //! table the existing pipeline can re-certify.
 
 use wormnet::{ChannelId, Network, NodeId};
-use wormroute::{Path, RouteError, TableRouting};
+use wormroute::{RouteError, TableRouting};
 
 use crate::reach::ReachGame;
 
@@ -205,10 +205,17 @@ impl ExistenceReport {
 /// the channels between the two visits are spliced out. The surviving
 /// channels are a subsequence of the input, so a walk whose channels
 /// strictly ascend in a schedule stays ascending.
-fn splice_loops(net: &Network, src: NodeId, walk: Vec<ChannelId>) -> Vec<ChannelId> {
-    let mut nodes: Vec<NodeId> = vec![src];
-    let mut path: Vec<ChannelId> = Vec::with_capacity(walk.len());
-    for c in walk {
+fn splice_loops(
+    net: &Network,
+    src: NodeId,
+    walk: &[ChannelId],
+    nodes: &mut Vec<NodeId>,
+    path: &mut Vec<ChannelId>,
+) {
+    nodes.clear();
+    nodes.push(src);
+    path.clear();
+    for &c in walk {
         let next = net.channel(c).dst();
         if let Some(pos) = nodes.iter().position(|&v| v == next) {
             nodes.truncate(pos + 1);
@@ -218,7 +225,6 @@ fn splice_loops(net: &Network, src: NodeId, walk: Vec<ChannelId>) -> Vec<Channel
             path.push(c);
         }
     }
-    path
 }
 
 /// Materialise a witness into a complete routing table over every
@@ -244,12 +250,14 @@ pub fn witness_table(net: &Network, witness: &Witness) -> Result<TableRouting, R
             &mut prov,
         );
     }
-    TableRouting::from_paths_with(net, |net, src, dst| {
+    // Per-pair buffers, reused across the table.
+    let (mut rev, mut nodes, mut spliced) = (Vec::new(), Vec::new(), Vec::new());
+    TableRouting::build(net, |path, src, dst| {
         let (s, t) = (src.index(), dst.index());
         if !game.covered(s, t) {
             return None;
         }
-        let mut rev = Vec::new();
+        rev.clear();
         let mut cur = t;
         while cur != s {
             let pos = prov[cur * n + s];
@@ -259,6 +267,10 @@ pub fn witness_table(net: &Network, witness: &Witness) -> Result<TableRouting, R
             cur = net.channel(c).src().index();
         }
         rev.reverse();
-        Some(Path::from_channels(net, splice_loops(net, src, rev)))
+        splice_loops(net, src, &rev, &mut nodes, &mut spliced);
+        for &c in &spliced {
+            path.channel(c);
+        }
+        Some(())
     })
 }

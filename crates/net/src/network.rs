@@ -2,6 +2,7 @@
 //! multigraph of nodes and channels (Definition 1 of the paper).
 
 use std::collections::HashMap;
+use std::sync::OnceLock;
 
 use crate::channel::{Channel, ChannelId};
 use crate::error::NetError;
@@ -33,6 +34,9 @@ struct NodeInfo {
 /// no channel removal, so `NodeId`/`ChannelId` indices stay dense and
 /// stable, which every downstream table (simulator buffers, CDG
 /// vertices) relies on.
+///
+/// [`Network::find_channel_vc`] reads one `(src, dst, vc) → channel`
+/// index, built on the first lookup after the last channel is added.
 #[derive(Clone, Debug, Default)]
 pub struct Network {
     nodes: Vec<NodeInfo>,
@@ -40,6 +44,7 @@ pub struct Network {
     out: Vec<Vec<ChannelId>>,
     inn: Vec<Vec<ChannelId>>,
     by_name: HashMap<String, NodeId>,
+    lanes: OnceLock<LaneIndex>,
 }
 
 impl Network {
@@ -146,6 +151,7 @@ impl Network {
         });
         self.out[src.index()].push(id);
         self.inn[dst.index()].push(id);
+        self.lanes.take();
         id
     }
 
@@ -190,20 +196,15 @@ impl Network {
     }
 
     /// The channel from `src` to `dst` on a specific VC lane, if any.
+    /// When parallel channels share the lane, it is the first one in
+    /// `src`'s out-list (the smallest id).
+    ///
+    /// One probe of the network's lane index, which the first lookup
+    /// after the last [`Network::add_channel_full`] builds.
     pub fn find_channel_vc(&self, src: NodeId, dst: NodeId, vc: u8) -> Option<ChannelId> {
-        self.out[src.index()]
-            .iter()
-            .copied()
-            .find(|&c| self.channels[c.index()].dst == dst && self.channels[c.index()].vc == vc)
-    }
-
-    /// All parallel channels from `src` to `dst` (every VC lane).
-    pub fn channels_between(&self, src: NodeId, dst: NodeId) -> Vec<ChannelId> {
-        self.out[src.index()]
-            .iter()
-            .copied()
-            .filter(|&c| self.channels[c.index()].dst == dst)
-            .collect()
+        self.lanes
+            .get_or_init(|| LaneIndex::build(&self.channels))
+            .get(&self.channels, src, dst, vc)
     }
 
     /// Find a channel by its label.
@@ -291,6 +292,77 @@ impl Network {
             );
         }
         s
+    }
+}
+
+/// The `(src, dst, vc) → channel` index behind
+/// [`Network::find_channel_vc`]: an open-addressing table of channel
+/// ids with linear probing, two slots (8 bytes) per channel. Channels
+/// are inserted in id order and a lane already present keeps its
+/// channel, so a lookup returns the first match of a scan of `src`'s
+/// out-list, which lists channels in id order.
+#[derive(Clone, Debug, Default)]
+struct LaneIndex {
+    slots: Box<[u32]>,
+}
+
+impl LaneIndex {
+    const EMPTY: u32 = u32::MAX;
+
+    fn build(channels: &[Channel]) -> Self {
+        let mut index = LaneIndex {
+            slots: vec![Self::EMPTY; 2 * channels.len()].into_boxed_slice(),
+        };
+        for c in channels {
+            let mut i = index.home(c.src, c.dst, c.vc);
+            loop {
+                match index.slots[i] {
+                    Self::EMPTY => {
+                        index.slots[i] = c.id.0;
+                        break;
+                    }
+                    held if Self::holds(&channels[held as usize], c.src, c.dst, c.vc) => break,
+                    _ => i = index.next(i),
+                }
+            }
+        }
+        index
+    }
+
+    fn get(&self, channels: &[Channel], src: NodeId, dst: NodeId, vc: u8) -> Option<ChannelId> {
+        if self.slots.is_empty() {
+            return None;
+        }
+        let mut i = self.home(src, dst, vc);
+        loop {
+            match self.slots[i] {
+                Self::EMPTY => return None,
+                held if Self::holds(&channels[held as usize], src, dst, vc) => {
+                    return Some(ChannelId(held))
+                }
+                _ => i = self.next(i),
+            }
+        }
+    }
+
+    fn holds(c: &Channel, src: NodeId, dst: NodeId, vc: u8) -> bool {
+        c.src == src && c.dst == dst && c.vc == vc
+    }
+
+    /// The lane's first slot: a multiplicative hash of the key, whose
+    /// high half is mapped onto the slots.
+    fn home(&self, src: NodeId, dst: NodeId, vc: u8) -> usize {
+        let key = u64::from(src.0) << 40 ^ u64::from(dst.0) << 8 ^ u64::from(vc);
+        let h = key.wrapping_mul(0x9E37_79B9_7F4A_7C15) >> 32;
+        ((h * self.slots.len() as u64) >> 32) as usize
+    }
+
+    fn next(&self, i: usize) -> usize {
+        if i + 1 == self.slots.len() {
+            0
+        } else {
+            i + 1
+        }
     }
 }
 
@@ -393,10 +465,13 @@ mod tests {
         let b = net.add_node("b");
         let c0 = net.add_channel_vc(a, b, 0);
         let c1 = net.add_channel_vc(a, b, 1);
-        net.add_bidi(b, a);
+        let (ab, _) = net.add_bidi(a, b);
         assert_ne!(c0, c1);
-        assert_eq!(net.channels_between(a, b).len(), 3); // vc0, vc1, and bidi's a->b
+        // vc0, vc1, and the bidi's a->b on lane 0 again: the first wins.
+        assert_eq!(net.out_channels(a), &[c0, c1, ab]);
+        assert_eq!(net.find_channel_vc(a, b, 0), Some(c0));
         assert_eq!(net.find_channel_vc(a, b, 1), Some(c1));
+        assert_eq!(net.find_channel_vc(a, b, 2), None);
     }
 
     #[test]

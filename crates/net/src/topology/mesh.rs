@@ -2,7 +2,7 @@
 
 use crate::{Network, NodeId};
 
-use super::{coords_to_index, index_to_coords};
+use super::{coords_to_index, index_to_coords, stride};
 
 /// An n-dimensional mesh with per-dimension extents and bidirectional
 /// links between coordinate neighbours.
@@ -15,6 +15,8 @@ pub struct Mesh {
     net: Network,
     dims: Vec<usize>,
     vcs: u8,
+    /// Every node's coordinates, node after node.
+    coords: Vec<u32>,
 }
 
 impl Mesh {
@@ -35,8 +37,10 @@ impl Mesh {
 
         let mut net = Network::new();
         let mut nodes = Vec::with_capacity(n);
+        let mut table = Vec::with_capacity(n * dims.len());
         for idx in 0..n {
             let coords = index_to_coords(idx, dims);
+            table.extend(coords.iter().map(|&c| c as u32));
             let name = format!(
                 "m({})",
                 coords
@@ -65,6 +69,7 @@ impl Mesh {
             net,
             dims: dims.to_vec(),
             vcs,
+            coords: table,
         }
     }
 
@@ -95,7 +100,31 @@ impl Mesh {
 
     /// Coordinates of a node.
     pub fn coords(&self, node: NodeId) -> Vec<usize> {
-        index_to_coords(node.index(), &self.dims)
+        let d = self.dims.len();
+        self.coords[node.index() * d..(node.index() + 1) * d]
+            .iter()
+            .map(|&c| c as usize)
+            .collect()
+    }
+
+    /// Coordinate `dim` of a node ([`Mesh::coords`] without the
+    /// allocation).
+    pub fn coord(&self, node: NodeId, dim: usize) -> usize {
+        self.coords[node.index() * self.dims.len() + dim] as usize
+    }
+
+    /// The nodes a message passes moving from `node` along dimension
+    /// `dim` until its coordinate there is `goal`, one hop at a time
+    /// (the last one is at `goal`; none when it already is).
+    ///
+    /// # Panics
+    /// Panics when `goal` is off the mesh.
+    pub fn toward(&self, node: NodeId, dim: usize, goal: usize) -> impl Iterator<Item = NodeId> {
+        assert!(goal < self.dims[dim], "coordinate {goal} off the mesh");
+        let s = stride(&self.dims, dim);
+        let (i, c) = (node.index(), self.coord(node, dim));
+        (1..=c.abs_diff(goal))
+            .map(move |k| NodeId::from_index(if goal > c { i + k * s } else { i - k * s }))
     }
 
     /// Manhattan distance between two nodes — the minimal hop count in
@@ -112,6 +141,33 @@ impl Mesh {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn coord_and_toward_agree_with_coords() {
+        let mesh = Mesh::new(&[3, 4, 2]);
+        for v in mesh.network().nodes() {
+            let coords = mesh.coords(v);
+            for (dim, &c) in coords.iter().enumerate() {
+                assert_eq!(mesh.coord(v, dim), c);
+                for goal in 0..mesh.dims()[dim] {
+                    let line: Vec<NodeId> = mesh.toward(v, dim, goal).collect();
+                    let expected: Vec<NodeId> = if goal >= c {
+                        (c + 1..=goal).collect::<Vec<_>>()
+                    } else {
+                        (goal..c).rev().collect()
+                    }
+                    .into_iter()
+                    .map(|x| {
+                        let mut at = coords.clone();
+                        at[dim] = x;
+                        mesh.node(&at)
+                    })
+                    .collect();
+                    assert_eq!(line, expected);
+                }
+            }
+        }
+    }
 
     #[test]
     fn two_by_two() {

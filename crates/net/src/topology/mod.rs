@@ -41,6 +41,12 @@ pub(crate) fn coords_to_index(coords: &[usize], dims: &[usize]) -> usize {
     idx
 }
 
+/// The index distance between neighbours along dimension `dim`: the
+/// product of the extents below it.
+pub(crate) fn stride(dims: &[usize], dim: usize) -> usize {
+    dims[..dim].iter().product()
+}
+
 /// Convert a dense node index back to mixed-radix coordinates.
 pub(crate) fn index_to_coords(mut idx: usize, dims: &[usize]) -> Vec<usize> {
     let mut coords = Vec::with_capacity(dims.len());

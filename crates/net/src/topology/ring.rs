@@ -89,7 +89,13 @@ mod tests {
     fn vc_ring_has_parallel_lanes() {
         let (net, nodes) = ring_with_vcs(4, 2);
         assert_eq!(net.channel_count(), 8);
-        assert_eq!(net.channels_between(nodes[0], nodes[1]).len(), 2);
+        let lanes: Vec<u8> = net
+            .out_channels(nodes[0])
+            .iter()
+            .filter(|&&c| net.channel(c).dst() == nodes[1])
+            .map(|&c| net.channel(c).vc())
+            .collect();
+        assert_eq!(lanes, [0, 1]);
         assert!(net.find_channel_vc(nodes[0], nodes[1], 1).is_some());
         assert!(net.is_strongly_connected());
     }

@@ -2,7 +2,7 @@
 
 use crate::{Network, NodeId};
 
-use super::{coords_to_index, index_to_coords};
+use super::{coords_to_index, index_to_coords, stride};
 
 /// An n-dimensional torus (mesh with wraparound links), with `vcs`
 /// virtual-channel lanes per directed link.
@@ -14,6 +14,8 @@ pub struct Torus {
     net: Network,
     dims: Vec<usize>,
     vcs: u8,
+    /// Every node's coordinates, node after node.
+    coords: Vec<u32>,
 }
 
 impl Torus {
@@ -33,8 +35,10 @@ impl Torus {
 
         let mut net = Network::new();
         let mut nodes = Vec::with_capacity(n);
+        let mut table = Vec::with_capacity(n * dims.len());
         for idx in 0..n {
             let coords = index_to_coords(idx, dims);
+            table.extend(coords.iter().map(|&c| c as u32));
             let name = format!(
                 "t({})",
                 coords
@@ -61,6 +65,7 @@ impl Torus {
             net,
             dims: dims.to_vec(),
             vcs,
+            coords: table,
         }
     }
 
@@ -91,7 +96,53 @@ impl Torus {
 
     /// Coordinates of a node.
     pub fn coords(&self, node: NodeId) -> Vec<usize> {
-        index_to_coords(node.index(), &self.dims)
+        let d = self.dims.len();
+        self.coords[node.index() * d..(node.index() + 1) * d]
+            .iter()
+            .map(|&c| c as usize)
+            .collect()
+    }
+
+    /// Coordinate `dim` of a node ([`Torus::coords`] without the
+    /// allocation).
+    pub fn coord(&self, node: NodeId, dim: usize) -> usize {
+        self.coords[node.index() * self.dims.len() + dim] as usize
+    }
+
+    /// The hops a message takes from `node` around dimension `dim`'s
+    /// ring, toward the higher coordinate when `up`, until its
+    /// coordinate there is `goal`: each hop's next node, and whether
+    /// the hop is the ring's wraparound link (the dateline).
+    ///
+    /// # Panics
+    /// Panics when `goal` is off the torus.
+    pub fn toward(
+        &self,
+        node: NodeId,
+        dim: usize,
+        goal: usize,
+        up: bool,
+    ) -> impl Iterator<Item = (NodeId, bool)> {
+        let k = self.dims[dim];
+        assert!(goal < k, "coordinate {goal} off the torus");
+        let s = stride(&self.dims, dim);
+        let c = self.coord(node, dim);
+        let base = node.index() - c * s;
+        let hops = if up {
+            (goal + k - c) % k
+        } else {
+            (c + k - goal) % k
+        };
+        (0..hops).map(move |h| {
+            let from = if up { (c + h) % k } else { (c + k - h) % k };
+            let to = if up {
+                (from + 1) % k
+            } else {
+                (from + k - 1) % k
+            };
+            let wraps = if up { from == k - 1 } else { from == 0 };
+            (NodeId::from_index(base + to * s), wraps)
+        })
     }
 
     /// Minimal hop distance on the torus (wraparound-aware Manhattan).
@@ -111,6 +162,34 @@ impl Torus {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn coord_and_toward_agree_with_coords() {
+        let t = Torus::new(&[3, 4, 5], 1);
+        for v in t.network().nodes() {
+            let coords = t.coords(v);
+            for (dim, &c) in coords.iter().enumerate() {
+                assert_eq!(t.coord(v, dim), c);
+                let k = t.dims()[dim];
+                for (goal, up) in (0..k).flat_map(|g| [(g, false), (g, true)]) {
+                    let mut at = coords.clone();
+                    let mut expected = Vec::new();
+                    while at[dim] != goal {
+                        let from = at[dim];
+                        at[dim] = if up {
+                            (from + 1) % k
+                        } else {
+                            (from + k - 1) % k
+                        };
+                        let wraps = if up { from == k - 1 } else { from == 0 };
+                        expected.push((t.node(&at), wraps));
+                    }
+                    let hops: Vec<(NodeId, bool)> = t.toward(v, dim, goal, up).collect();
+                    assert_eq!(hops, expected, "{v} dim {dim} to {goal} up {up}");
+                }
+            }
+        }
+    }
 
     #[test]
     fn three_ring_torus() {

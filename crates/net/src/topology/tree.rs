@@ -73,20 +73,16 @@ impl KaryTree {
     }
 
     /// Lowest common ancestor of two nodes.
-    pub fn lca(&self, a: NodeId, b: NodeId) -> NodeId {
-        let mut aa: Vec<NodeId> = std::iter::once(a).chain(self.ancestors(a)).collect();
-        let bb: Vec<NodeId> = std::iter::once(b).chain(self.ancestors(b)).collect();
-        aa.reverse();
-        let bb: Vec<NodeId> = bb.into_iter().rev().collect();
-        let mut lca = aa[0];
-        for (x, y) in aa.iter().zip(&bb) {
-            if x == y {
-                lca = *x;
-            } else {
-                break;
-            }
+    ///
+    /// Nodes are numbered level by level, so of two distinct nodes the
+    /// larger index is at least as deep and cannot be an ancestor of
+    /// the other: it climbs until the two meet.
+    pub fn lca(&self, mut a: NodeId, mut b: NodeId) -> NodeId {
+        while a != b {
+            let deeper = if a > b { &mut a } else { &mut b };
+            *deeper = self.parent(*deeper).expect("the root is a common ancestor");
         }
-        lca
+        a
     }
 }
 

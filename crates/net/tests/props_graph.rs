@@ -1,14 +1,53 @@
 //! Property-based tests for the graph algorithms and topology
 //! builders: our Johnson/Tarjan/BFS implementations against brute
-//! force and against each other, and structural invariants of the
-//! generated topologies.
+//! force and against each other, structural invariants of the
+//! generated topologies, and the network's lane index against a scan
+//! of the out-lists.
 
 use proptest::prelude::*;
 use wormnet::graph::{
     bfs_distances, bfs_path, elementary_cycles, is_acyclic, reachable_from, tarjan_scc,
     topological_order, AdjList, Digraph,
 };
-use wormnet::topology::{ring_unidirectional, Hypercube, Mesh, Torus};
+use wormnet::topology::{
+    complete, line, ring_bidirectional, ring_unidirectional, ring_with_vcs, star, Dragonfly,
+    FatTree, Hypercube, KaryTree, Mesh, Torus,
+};
+use wormnet::{ChannelId, Network, NodeId};
+
+/// The first channel in `src`'s out-list that runs to `dst` on lane
+/// `vc`: the scan `Network::find_channel_vc` must reproduce.
+fn scan(net: &Network, src: NodeId, dst: NodeId, vc: u8) -> Option<ChannelId> {
+    net.out_channels(src).iter().copied().find(|&c| {
+        let ch = net.channel(c);
+        ch.dst() == dst && ch.vc() == vc
+    })
+}
+
+/// The first `(src, dst, vc)` whose lookup differs from the scan, over
+/// every ordered node pair (self-pairs included) and every lane up to
+/// one past the largest in use, plus lane 255: absent lanes included.
+fn lane_mismatch(net: &Network) -> Option<(NodeId, NodeId, u8)> {
+    let top = net.channels().map(|c| c.vc()).max().unwrap_or(0);
+    let lanes: Vec<u8> = (0..=top.saturating_add(1)).chain([u8::MAX]).collect();
+    net.nodes()
+        .flat_map(|s| net.nodes().map(move |d| (s, d)))
+        .flat_map(|(s, d)| lanes.iter().map(move |&vc| (s, d, vc)))
+        .find(|&(s, d, vc)| net.find_channel_vc(s, d, vc) != scan(net, s, d, vc))
+}
+
+/// Random multigraphs: parallel lanes and repeated `(src, dst, vc)`
+/// channels.
+fn arb_multigraph() -> impl Strategy<Value = (usize, Vec<(usize, usize, u8)>)> {
+    (2usize..7).prop_flat_map(|n| {
+        let channels = prop::collection::vec((0..n, 0..n, 0u8..3), 0..40).prop_map(|cs| {
+            cs.into_iter()
+                .filter(|(u, v, _)| u != v)
+                .collect::<Vec<_>>()
+        });
+        (Just(n), channels)
+    })
+}
 
 fn arb_graph() -> impl Strategy<Value = (usize, Vec<(usize, usize)>)> {
     (2usize..7).prop_flat_map(|n| {
@@ -181,9 +220,59 @@ proptest! {
 
     /// Every builder yields a strongly connected Definition-1 network.
     #[test]
+    /// The lane index returns the scan's channel, the first in
+    /// out-list order among parallel channels on one lane, and stays
+    /// right when channels are added after a lookup.
+    #[test]
+    fn lane_index_matches_the_out_list_scan((n, channels) in arb_multigraph(), split in 0usize..40) {
+        let mut net = Network::new();
+        let nodes = net.add_nodes("v", n);
+        let split = split.min(channels.len());
+        for &(u, v, vc) in &channels[..split] {
+            net.add_channel_vc(nodes[u], nodes[v], vc);
+        }
+        prop_assert_eq!(lane_mismatch(&net), None);
+        for &(u, v, vc) in &channels[split..] {
+            net.add_channel_vc(nodes[u], nodes[v], vc);
+        }
+        prop_assert_eq!(lane_mismatch(&net), None);
+        prop_assert_eq!(lane_mismatch(&net.clone()), None);
+    }
+
+    #[test]
     fn builders_are_strongly_connected(n in 2usize..8) {
         let (ring, _) = ring_unidirectional(n);
         prop_assert!(ring.is_strongly_connected());
         prop_assert!(ring.validate().is_ok());
+    }
+}
+
+/// Every topology builder's lane index agrees with the scan.
+#[test]
+fn lane_index_matches_the_scan_on_every_builder() {
+    let nets: Vec<(&str, Network)> = vec![
+        ("ring_unidirectional", ring_unidirectional(5).0),
+        ("ring_bidirectional", ring_bidirectional(5).0),
+        ("ring_with_vcs", ring_with_vcs(5, 3).0),
+        ("line", line(4).0),
+        ("star", star(4).0),
+        ("complete", complete(5).0),
+        ("mesh", Mesh::with_vcs(&[3, 2, 2], 2).into_network()),
+        ("torus", Torus::new(&[3, 4], 2).into_network()),
+        ("hypercube", Hypercube::new(3).into_network()),
+        ("kary tree", KaryTree::new(3, 2).into_network()),
+        ("fat tree", FatTree::new(4).into_network()),
+        ("dragonfly", Dragonfly::new(4, 3).into_network()),
+        (
+            "valiant dragonfly",
+            Dragonfly::new_valiant(3, 2).into_network(),
+        ),
+        (
+            "single-lane dragonfly",
+            Dragonfly::with_lanes(3, 2, &[0], &[0]).into_network(),
+        ),
+    ];
+    for (name, net) in &nets {
+        assert_eq!(lane_mismatch(net), None, "{name}");
     }
 }

@@ -8,10 +8,10 @@
 //! dependency graph (asserted in `wormcdg`'s tests).
 
 use wormnet::topology::Torus;
-use wormnet::{ChannelId, Network, NodeId};
+use wormnet::{Network, NodeId};
 
+use super::position_map;
 use crate::error::RouteError;
-use crate::path::Path;
 use crate::table::TableRouting;
 
 /// Dateline routing on a unidirectional ring built by
@@ -19,11 +19,9 @@ use crate::table::TableRouting;
 /// `nodes` must be the ring-ordered node list that builder returned.
 pub fn dateline_ring(net: &Network, nodes: &[NodeId]) -> Result<TableRouting, RouteError> {
     let n = nodes.len();
-    TableRouting::from_paths_with(net, |net, s, d| {
-        let si = nodes.iter().position(|&x| x == s)?;
-        let di = nodes.iter().position(|&x| x == d)?;
-        let mut chans: Vec<ChannelId> = Vec::new();
-        let mut i = si;
+    let index_of = position_map(net, nodes);
+    TableRouting::build(net, |path, s, d| {
+        let (mut i, di) = (index_of[s.index()]?, index_of[d.index()]?);
         let mut crossed = false;
         while i != di {
             let j = (i + 1) % n;
@@ -31,17 +29,10 @@ pub fn dateline_ring(net: &Network, nodes: &[NodeId]) -> Result<TableRouting, Ro
             if i == n - 1 {
                 crossed = true;
             }
-            let lane = if crossed { 0 } else { 1 };
-            let Some(c) = net.find_channel_vc(nodes[i], nodes[j], lane) else {
-                return Some(Err(RouteError::MissingChannel {
-                    from: nodes[i],
-                    to: nodes[j],
-                }));
-            };
-            chans.push(c);
+            path.lane(nodes[i], nodes[j], if crossed { 0 } else { 1 });
             i = j;
         }
-        Some(Path::from_channels(net, chans))
+        Some(())
     })
 }
 
@@ -52,40 +43,21 @@ pub fn dateline_ring(net: &Network, nodes: &[NodeId]) -> Result<TableRouting, Ro
 /// dimension/direction has its own dateline at the wrap link.
 pub fn dateline_torus(torus: &Torus) -> Result<TableRouting, RouteError> {
     assert!(torus.vcs() >= 2, "dateline routing needs two VC lanes");
-    let dims = torus.dims().to_vec();
-    let net = torus.network();
-    TableRouting::from_paths_with(net, |net, s, d| {
-        let mut cur = torus.coords(s);
-        let goal = torus.coords(d);
-        let mut chans: Vec<ChannelId> = Vec::new();
-        for (dim, &k) in dims.iter().enumerate() {
-            if cur[dim] == goal[dim] {
-                continue;
-            }
-            let forward = (goal[dim] + k - cur[dim]) % k; // hops in + direction
+    TableRouting::build(torus.network(), |path, s, d| {
+        let mut cur = s;
+        for (dim, &k) in torus.dims().iter().enumerate() {
+            let (c, goal) = (torus.coord(cur, dim), torus.coord(d, dim));
+            let forward = (goal + k - c) % k; // hops in + direction
             let go_positive = forward <= k - forward; // ties toward +
+                                                      // Dateline: the wrap hop in either direction.
             let mut crossed = false;
-            while cur[dim] != goal[dim] {
-                let from = torus.node(&cur);
-                let next_coord = if go_positive {
-                    (cur[dim] + 1) % k
-                } else {
-                    (cur[dim] + k - 1) % k
-                };
-                // Dateline: the wrap hop in either direction.
-                if (go_positive && cur[dim] == k - 1) || (!go_positive && cur[dim] == 0) {
-                    crossed = true;
-                }
-                cur[dim] = next_coord;
-                let to = torus.node(&cur);
-                let lane = if crossed { 0 } else { 1 };
-                let Some(c) = net.find_channel_vc(from, to, lane) else {
-                    return Some(Err(RouteError::MissingChannel { from, to }));
-                };
-                chans.push(c);
+            for (next, wraps) in torus.toward(cur, dim, goal, go_positive) {
+                crossed |= wraps;
+                path.lane(cur, next, if crossed { 0 } else { 1 });
+                cur = next;
             }
         }
-        Some(Path::from_channels(net, chans))
+        Some(())
     })
 }
 

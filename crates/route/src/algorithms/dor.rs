@@ -14,22 +14,16 @@ use crate::table::TableRouting;
 
 /// Dimension-order routing for an n-dimensional mesh.
 pub fn dimension_order(mesh: &Mesh) -> Result<TableRouting, RouteError> {
-    let dims = mesh.dims().to_vec();
-    TableRouting::from_node_paths(mesh.network(), |s, d| {
-        let mut cur = mesh.coords(s);
-        let goal = mesh.coords(d);
-        let mut walk = vec![s];
-        for dim in 0..dims.len() {
-            while cur[dim] != goal[dim] {
-                if cur[dim] < goal[dim] {
-                    cur[dim] += 1;
-                } else {
-                    cur[dim] -= 1;
-                }
-                walk.push(mesh.node(&cur));
+    TableRouting::build(mesh.network(), |path, s, d| {
+        let mut cur = s;
+        path.node(cur);
+        for dim in 0..mesh.dims().len() {
+            for v in mesh.toward(cur, dim, mesh.coord(d, dim)) {
+                path.node(v);
+                cur = v;
             }
         }
-        Some(walk)
+        Some(())
     })
 }
 

@@ -19,25 +19,48 @@
 //! corpus.
 
 use wormnet::topology::Dragonfly;
-use wormnet::{ChannelId, Network, NodeId};
+use wormnet::NodeId;
 
 use crate::error::RouteError;
-use crate::path::Path;
 use crate::table::TableRouting;
 
-/// Append the `from -> to` channel on `lane` to the hop list.
-fn hop(
-    net: &Network,
-    chans: &mut Vec<ChannelId>,
-    from: NodeId,
-    to: NodeId,
-    lane: u8,
-) -> Result<(), RouteError> {
-    let c = net
-        .find_channel_vc(from, to, lane)
-        .ok_or(RouteError::MissingChannel { from, to })?;
-    chans.push(c);
-    Ok(())
+/// Every router's group and every group pair's gateway, computed once
+/// per table so that no pair pays the builder's index arithmetic.
+struct Groups {
+    groups: usize,
+    of: Vec<usize>,
+    gateways: Vec<NodeId>,
+}
+
+impl Groups {
+    fn new(df: &Dragonfly) -> Self {
+        let g = df.groups();
+        Groups {
+            groups: g,
+            of: df.network().nodes().map(|v| df.coords(v).0).collect(),
+            gateways: (0..g * g)
+                .map(|i| {
+                    let (from, to) = (i / g, i % g);
+                    if from == to {
+                        NodeId::from_index(0)
+                    } else {
+                        df.gateway(from, to)
+                    }
+                })
+                .collect(),
+        }
+    }
+
+    /// The router's group.
+    fn of(&self, v: NodeId) -> usize {
+        self.of[v.index()]
+    }
+
+    /// The router of group `from` hosting the global link to `to`.
+    fn gateway(&self, from: usize, to: usize) -> NodeId {
+        debug_assert_ne!(from, to);
+        self.gateways[from * self.groups + to]
+    }
 }
 
 /// The `i`-th lane of `lanes`, clamped to the last entry — single-lane
@@ -59,27 +82,23 @@ fn lane(lanes: &[u8], i: usize) -> u8 {
 /// is distinct, the direct group-to-group link is the unique shortest
 /// route, and the table is minimal in the hop-distance sense too.
 pub fn dragonfly_minimal(df: &Dragonfly) -> Result<TableRouting, RouteError> {
-    TableRouting::from_paths_with(df.network(), |net, s, d| {
-        let (gs, _) = df.coords(s);
-        let (gd, _) = df.coords(d);
-        let mut chans = Vec::new();
-        let r = (|| {
-            if gs == gd {
-                hop(net, &mut chans, s, d, lane(df.local_lanes(), 0))?;
-            } else {
-                let out = df.gateway(gs, gd);
-                let inn = df.gateway(gd, gs);
-                if s != out {
-                    hop(net, &mut chans, s, out, lane(df.local_lanes(), 0))?;
-                }
-                hop(net, &mut chans, out, inn, lane(df.global_lanes(), 0))?;
-                if inn != d {
-                    hop(net, &mut chans, inn, d, lane(df.local_lanes(), 1))?;
-                }
+    let groups = Groups::new(df);
+    TableRouting::build(df.network(), |path, s, d| {
+        let (gs, gd) = (groups.of(s), groups.of(d));
+        if gs == gd {
+            path.lane(s, d, lane(df.local_lanes(), 0));
+        } else {
+            let out = groups.gateway(gs, gd);
+            let inn = groups.gateway(gd, gs);
+            if s != out {
+                path.lane(s, out, lane(df.local_lanes(), 0));
             }
-            Path::from_channels(net, chans)
-        })();
-        Some(r)
+            path.lane(out, inn, lane(df.global_lanes(), 0));
+            if inn != d {
+                path.lane(inn, d, lane(df.local_lanes(), 1));
+            }
+        }
+        Some(())
     })
 }
 
@@ -98,41 +117,38 @@ pub fn dragonfly_valiant(df: &Dragonfly) -> Result<TableRouting, RouteError> {
         df.groups() >= 3,
         "valiant routing needs a third group to detour through"
     );
-    TableRouting::from_paths_with(df.network(), |net, s, d| {
-        let (gs, _) = df.coords(s);
-        let (gd, _) = df.coords(d);
-        let mut chans = Vec::new();
-        let r = (|| {
-            if gs == gd {
-                hop(net, &mut chans, s, d, lane(df.local_lanes(), 0))?;
-                return Path::from_channels(net, chans);
+    let groups = Groups::new(df);
+    TableRouting::build(df.network(), |path, s, d| {
+        let (gs, gd) = (groups.of(s), groups.of(d));
+        if gs == gd {
+            path.lane(s, d, lane(df.local_lanes(), 0));
+            return Some(());
+        }
+        let mut gm = (gs + gd) % df.groups();
+        while gm == gs || gm == gd {
+            gm = (gm + 1) % df.groups();
+        }
+        let walk = [
+            s,
+            groups.gateway(gs, gm),
+            groups.gateway(gm, gs),
+            groups.gateway(gm, gd),
+            groups.gateway(gd, gm),
+            d,
+        ];
+        let lanes = [
+            lane(df.local_lanes(), 0),
+            lane(df.global_lanes(), 0),
+            lane(df.local_lanes(), 1),
+            lane(df.global_lanes(), 1),
+            lane(df.local_lanes(), 2),
+        ];
+        for (i, w) in walk.windows(2).enumerate() {
+            if w[0] != w[1] {
+                path.lane(w[0], w[1], lanes[i]);
             }
-            let mut gm = (gs + gd) % df.groups();
-            while gm == gs || gm == gd {
-                gm = (gm + 1) % df.groups();
-            }
-            let waypoints = [
-                df.gateway(gs, gm),
-                df.gateway(gm, gs),
-                df.gateway(gm, gd),
-                df.gateway(gd, gm),
-            ];
-            let lanes = [
-                lane(df.local_lanes(), 0),
-                lane(df.global_lanes(), 0),
-                lane(df.local_lanes(), 1),
-                lane(df.global_lanes(), 1),
-                lane(df.local_lanes(), 2),
-            ];
-            let walk = [s, waypoints[0], waypoints[1], waypoints[2], waypoints[3], d];
-            for (i, w) in walk.windows(2).enumerate() {
-                if w[0] != w[1] {
-                    hop(net, &mut chans, w[0], w[1], lanes[i])?;
-                }
-            }
-            Path::from_channels(net, chans)
-        })();
-        Some(r)
+        }
+        Some(())
     })
 }
 
@@ -140,6 +156,7 @@ pub fn dragonfly_valiant(df: &Dragonfly) -> Result<TableRouting, RouteError> {
 mod tests {
     use super::*;
     use crate::properties;
+    use wormnet::Network;
 
     /// The VC lanes of a routed path, in hop order.
     fn lanes_of(net: &Network, p: crate::PathRef<'_>) -> Vec<u8> {

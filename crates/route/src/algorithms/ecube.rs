@@ -11,19 +11,19 @@ use crate::table::TableRouting;
 
 /// E-cube (bit-fixing) routing for a hypercube.
 pub fn ecube(cube: &Hypercube) -> Result<TableRouting, RouteError> {
-    TableRouting::from_node_paths(cube.network(), |s, d| {
+    TableRouting::build(cube.network(), |path, s, d| {
         let mut cur = cube.address(s);
         let goal = cube.address(d);
-        let mut walk = vec![s];
+        path.node(s);
         for bit in 0..cube.dim() {
             let mask = 1usize << bit;
             if (cur ^ goal) & mask != 0 {
                 cur ^= mask;
-                walk.push(cube.node(cur));
+                path.node(cube.node(cur));
             }
         }
         debug_assert_eq!(cur, goal);
-        Some(walk)
+        Some(())
     })
 }
 

@@ -35,19 +35,22 @@ use crate::table::TableRouting;
 /// forced — while spreading routes across *every* physical link.
 pub fn fattree_updown(ft: &FatTree) -> Result<TableRouting, RouteError> {
     let half = ft.half();
-    TableRouting::from_node_paths(ft.network(), |s, d| {
-        if ft.tier(s) != FatTreeTier::Edge || ft.tier(d) != FatTreeTier::Edge {
-            return None;
-        }
-        let (ps, es) = ft.pod_coords(s);
-        let (pd, ed) = ft.pod_coords(d);
+    // Every edge switch's (pod, index), computed once per table.
+    let edge: Vec<Option<(usize, usize)>> = ft
+        .network()
+        .nodes()
+        .map(|v| (ft.tier(v) == FatTreeTier::Edge).then(|| ft.pod_coords(v)))
+        .collect();
+    TableRouting::build(ft.network(), |path, s, d| {
+        let ((ps, es), (pd, ed)) = (edge[s.index()]?, edge[d.index()]?);
         let a = (es + ed) % half;
         if ps == pd {
-            Some(vec![s, ft.agg(ps, a), d])
+            path.walk(&[s, ft.agg(ps, a), d]);
         } else {
             let core = ft.core(a * half + (ps + pd) % half);
-            Some(vec![s, ft.agg(ps, a), core, ft.agg(pd, a), d])
+            path.walk(&[s, ft.agg(ps, a), core, ft.agg(pd, a), d]);
         }
+        Some(())
     })
 }
 

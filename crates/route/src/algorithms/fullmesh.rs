@@ -18,12 +18,16 @@
 
 use wormnet::{Network, NodeId};
 
+use super::position_map;
 use crate::error::RouteError;
 use crate::table::TableRouting;
 
 /// Direct routing: every ordered pair uses its one-hop channel.
 pub fn fullmesh_direct(net: &Network) -> Result<TableRouting, RouteError> {
-    TableRouting::from_node_paths(net, |s, d| Some(vec![s, d]))
+    TableRouting::build(net, |path, s, d| {
+        path.walk(&[s, d]);
+        Some(())
+    })
 }
 
 /// VC-free full-mesh routing with index-descending detours.
@@ -36,14 +40,15 @@ pub fn fullmesh_direct(net: &Network) -> Result<TableRouting, RouteError> {
 /// argument only needs `m < min(s, d)`.
 pub fn fullmesh_vcfree(net: &Network, nodes: &[NodeId]) -> Result<TableRouting, RouteError> {
     let index_of = position_map(net, nodes);
-    TableRouting::from_node_paths(net, |s, d| {
+    TableRouting::build(net, |path, s, d| {
         let (si, di) = (index_of[s.index()]?, index_of[d.index()]?);
         let low = si.min(di);
         if (si + di) % 2 == 0 || low == 0 {
-            return Some(vec![s, d]);
+            path.walk(&[s, d]);
+        } else {
+            path.walk(&[s, nodes[(7 * si + 13 * di) % low], d]);
         }
-        let m = (7 * si + 13 * di) % low;
-        Some(vec![s, nodes[m], d])
+        Some(())
     })
 }
 
@@ -57,24 +62,15 @@ pub fn fullmesh_vcfree(net: &Network, nodes: &[NodeId]) -> Result<TableRouting, 
 pub fn fullmesh_ring_detour(net: &Network, nodes: &[NodeId]) -> Result<TableRouting, RouteError> {
     let n = nodes.len();
     let index_of = position_map(net, nodes);
-    TableRouting::from_node_paths(net, |s, d| {
+    TableRouting::build(net, |path, s, d| {
         let (si, di) = (index_of[s.index()]?, index_of[d.index()]?);
         if di == (si + 2) % n {
-            Some(vec![s, nodes[(si + 1) % n], d])
+            path.walk(&[s, nodes[(si + 1) % n], d]);
         } else {
-            Some(vec![s, d])
+            path.walk(&[s, d]);
         }
+        Some(())
     })
-}
-
-/// Map node ids to their position in `nodes` (None for nodes outside
-/// the slice, which the engines leave unrouted).
-fn position_map(net: &Network, nodes: &[NodeId]) -> Vec<Option<usize>> {
-    let mut map = vec![None; net.node_count()];
-    for (i, &n) in nodes.iter().enumerate() {
-        map[n.index()] = Some(i);
-    }
-    map
 }
 
 #[cfg(test)]

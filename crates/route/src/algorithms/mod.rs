@@ -39,3 +39,15 @@ pub use ringalg::clockwise_ring;
 pub use turn::{negative_first, west_first};
 pub use updown::updown_tree;
 pub use valiant::valiant_mesh;
+
+use wormnet::{Network, NodeId};
+
+/// Map node ids to their position in `nodes` (None for nodes outside
+/// the slice, which the engines leave unrouted).
+fn position_map(net: &Network, nodes: &[NodeId]) -> Vec<Option<usize>> {
+    let mut map = vec![None; net.node_count()];
+    for (i, &n) in nodes.iter().enumerate() {
+        map[n.index()] = Some(i);
+    }
+    map
+}

@@ -3,6 +3,7 @@
 
 use wormnet::{Network, NodeId};
 
+use super::position_map;
 use crate::error::RouteError;
 use crate::table::TableRouting;
 
@@ -16,15 +17,15 @@ use crate::table::TableRouting;
 /// the deadlock, validating the pipeline against a known-bad baseline.
 pub fn clockwise_ring(net: &Network, nodes: &[NodeId]) -> Result<TableRouting, RouteError> {
     let n = nodes.len();
-    TableRouting::from_node_paths(net, |s, d| {
-        let si = nodes.iter().position(|&x| x == s)?;
-        let mut walk = vec![s];
-        let mut i = si;
+    let index_of = position_map(net, nodes);
+    TableRouting::build(net, |path, s, d| {
+        let mut i = index_of[s.index()]?;
+        path.node(s);
         while nodes[i] != d {
             i = (i + 1) % n;
-            walk.push(nodes[i]);
+            path.node(nodes[i]);
         }
-        Some(walk)
+        Some(())
     })
 }
 

@@ -9,7 +9,6 @@
 //! are acyclic (asserted in `wormcdg` tests).
 
 use wormnet::topology::Mesh;
-use wormnet::NodeId;
 
 use crate::error::RouteError;
 use crate::table::TableRouting;
@@ -19,31 +18,22 @@ use crate::table::TableRouting;
 /// only uses turns the west-first model permits (no turn *into* west).
 pub fn west_first(mesh: &Mesh) -> Result<TableRouting, RouteError> {
     assert_eq!(mesh.dims().len(), 2, "west-first requires a 2-D mesh");
-    TableRouting::from_node_paths(mesh.network(), |s, d| {
-        let mut cur = mesh.coords(s);
-        let goal = mesh.coords(d);
-        let mut walk = vec![s];
-        let push = |cur: &[usize]| mesh.node(cur);
-        // 1. All west hops first.
-        while cur[0] > goal[0] {
-            cur[0] -= 1;
-            walk.push(push(&cur));
-        }
-        // 2. Then Y hops (either direction).
-        while cur[1] != goal[1] {
-            if cur[1] < goal[1] {
-                cur[1] += 1;
-            } else {
-                cur[1] -= 1;
+    TableRouting::build(mesh.network(), |path, s, d| {
+        let (gx, gy) = (mesh.coord(d, 0), mesh.coord(d, 1));
+        let mut cur = s;
+        path.node(cur);
+        let mut go = |dim: usize, goal: usize| {
+            for v in mesh.toward(cur, dim, goal) {
+                path.node(v);
+                cur = v;
             }
-            walk.push(push(&cur));
-        }
-        // 3. Then east hops.
-        while cur[0] < goal[0] {
-            cur[0] += 1;
-            walk.push(push(&cur));
-        }
-        Some(walk)
+        };
+        // 1. All west hops first, 2. then Y hops (either direction),
+        // 3. then east hops.
+        go(0, gx.min(mesh.coord(s, 0)));
+        go(1, gy);
+        go(0, gx);
+        Some(())
     })
 }
 
@@ -54,23 +44,21 @@ pub fn west_first(mesh: &Mesh) -> Result<TableRouting, RouteError> {
 /// negative-first model's prohibition.
 pub fn negative_first(mesh: &Mesh) -> Result<TableRouting, RouteError> {
     let ndim = mesh.dims().len();
-    TableRouting::from_node_paths(mesh.network(), |s, d| {
-        let mut cur = mesh.coords(s);
-        let goal = mesh.coords(d);
-        let mut walk: Vec<NodeId> = vec![s];
-        for dim in 0..ndim {
-            while cur[dim] > goal[dim] {
-                cur[dim] -= 1;
-                walk.push(mesh.node(&cur));
+    TableRouting::build(mesh.network(), |path, s, d| {
+        let mut cur = s;
+        path.node(cur);
+        // Negative hops first, then positive ones.
+        for up in [false, true] {
+            for dim in 0..ndim {
+                let (c, goal) = (mesh.coord(cur, dim), mesh.coord(d, dim));
+                let goal = if up { goal.max(c) } else { goal.min(c) };
+                for v in mesh.toward(cur, dim, goal) {
+                    path.node(v);
+                    cur = v;
+                }
             }
         }
-        for dim in 0..ndim {
-            while cur[dim] < goal[dim] {
-                cur[dim] += 1;
-                walk.push(mesh.node(&cur));
-            }
-        }
-        Some(walk)
+        Some(())
     })
 }
 

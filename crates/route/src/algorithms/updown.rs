@@ -16,25 +16,28 @@ use crate::table::TableRouting;
 
 /// Build the up*/down* table for a complete k-ary tree.
 pub fn updown_tree(tree: &KaryTree) -> Result<TableRouting, RouteError> {
-    TableRouting::from_node_paths(tree.network(), |s, d| {
+    // d's ancestors below the lca, reused across pairs.
+    let mut down = Vec::new();
+    TableRouting::build(tree.network(), |path, s, d| {
         let lca = tree.lca(s, d);
-        // Up phase: s .. lca (exclusive of lca handled below).
-        let mut walk = vec![s];
+        // Up phase: s .. lca.
         let mut cur = s;
+        path.node(cur);
         while cur != lca {
             cur = tree.parent(cur).expect("lca is an ancestor");
-            walk.push(cur);
+            path.node(cur);
         }
         // Down phase: lca .. d, via d's ancestor chain reversed.
-        let mut down = vec![d];
+        down.clear();
         let mut cur = d;
         while cur != lca {
-            cur = tree.parent(cur).expect("lca is an ancestor");
             down.push(cur);
+            cur = tree.parent(cur).expect("lca is an ancestor");
         }
-        down.pop(); // drop the lca duplicate
-        walk.extend(down.into_iter().rev());
-        Some(walk)
+        for &v in down.iter().rev() {
+            path.node(v);
+        }
+        Some(())
     })
 }
 

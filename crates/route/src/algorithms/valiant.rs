@@ -13,11 +13,10 @@
 //! contrast point for the paper's property taxonomy.
 
 use wormnet::topology::Mesh;
-use wormnet::{ChannelId, NodeId};
+use wormnet::NodeId;
 
 use crate::error::RouteError;
-use crate::path::Path;
-use crate::table::TableRouting;
+use crate::table::{PathWriter, TableRouting};
 
 /// Deterministic intermediate node per destination. Depending only on
 /// the destination keeps the algorithm in the `R : C × N → C` class
@@ -29,34 +28,15 @@ fn intermediate(mesh: &Mesh, dst: NodeId) -> NodeId {
     NodeId::from_index((h as usize) % n)
 }
 
-/// Dimension-order hops from `from` to `to` on a VC lane, appended as
-/// channels.
-fn dor_hops(
-    mesh: &Mesh,
-    from: NodeId,
-    to: NodeId,
-    lane: u8,
-    out: &mut Vec<ChannelId>,
-) -> Result<(), RouteError> {
-    let net = mesh.network();
-    let mut cur = mesh.coords(from);
-    let goal = mesh.coords(to);
+/// Dimension-order hops from `from` to `to` on a VC lane.
+fn dor_hops(mesh: &Mesh, from: NodeId, to: NodeId, lane: u8, path: &mut PathWriter<'_>) {
+    let mut cur = from;
     for dim in 0..mesh.dims().len() {
-        while cur[dim] != goal[dim] {
-            let at = mesh.node(&cur);
-            if cur[dim] < goal[dim] {
-                cur[dim] += 1;
-            } else {
-                cur[dim] -= 1;
-            }
-            let next = mesh.node(&cur);
-            let c = net
-                .find_channel_vc(at, next, lane)
-                .ok_or(RouteError::MissingChannel { from: at, to: next })?;
-            out.push(c);
+        for next in mesh.toward(cur, dim, mesh.coord(to, dim)) {
+            path.lane(cur, next, lane);
+            cur = next;
         }
     }
-    Ok(())
 }
 
 /// Build the two-phase Valiant table on a mesh with ≥ 2 VC lanes.
@@ -65,13 +45,11 @@ fn dor_hops(
 /// collapse to single-phase dimension-order on the corresponding lane.
 pub fn valiant_mesh(mesh: &Mesh) -> Result<TableRouting, RouteError> {
     assert!(mesh.vcs() >= 2, "Valiant routing needs two VC lanes");
-    TableRouting::from_paths_with(mesh.network(), |net, src, dst| {
+    TableRouting::build(mesh.network(), |path, src, dst| {
         let mid = intermediate(mesh, dst);
-        let mut chans = Vec::new();
-        let r = dor_hops(mesh, src, mid, 1, &mut chans)
-            .and_then(|()| dor_hops(mesh, mid, dst, 0, &mut chans))
-            .and_then(|()| Path::from_channels(net, chans));
-        Some(r)
+        dor_hops(mesh, src, mid, 1, path);
+        dor_hops(mesh, mid, dst, 0, path);
+        Some(())
     })
 }
 

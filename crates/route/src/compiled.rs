@@ -132,16 +132,16 @@ mod tests {
     #[test]
     fn ring_table_compiles_and_routes() {
         let (net, nodes) = ring_unidirectional(4);
-        let table = TableRouting::from_node_paths(&net, |s, d| {
+        let table = TableRouting::build(&net, |path, s, d| {
             let n = 4;
             let si = s.index();
-            let mut walk = vec![s];
+            path.node(s);
             let mut i = si;
             while nodes[i] != d {
                 i = (i + 1) % n;
-                walk.push(nodes[i]);
+                path.node(nodes[i]);
             }
-            Some(walk)
+            Some(())
         })
         .unwrap();
         let compiled = table.compile(&net).unwrap();

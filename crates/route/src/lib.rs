@@ -46,6 +46,7 @@
 mod compiled;
 mod error;
 mod path;
+mod successors;
 mod table;
 
 pub mod adaptive;
@@ -56,4 +57,4 @@ pub mod spec;
 pub use compiled::{CompiledRouting, RoutingStep};
 pub use error::{FunctionConflict, RouteError};
 pub use path::{Path, PathRef};
-pub use table::{Duplicate, Paths, TableBuilder, TableRouting};
+pub use table::{Duplicate, PathWriter, Paths, TableBuilder, TableRouting};

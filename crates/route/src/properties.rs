@@ -12,17 +12,23 @@
 //! keeps, next to each verdict, the violation count and the witness
 //! `wormlint` prints. The `is_*` predicates are views of that pass,
 //! except [`is_minimal`], which runs only the pass's BFS.
-
-use std::collections::BTreeMap;
+//!
+//! The pass does O(1) work per hop, plus one multi-source BFS per 64
+//! sources for the distances. A source-major sweep gives every
+//! sub-path that starts at the source an identity in one prefix trie
+//! per source; a destination-major sweep does the same for the
+//! sub-paths that end at the destination, in one suffix trie per
+//! destination. A sub-path is a registered table path exactly when its
+//! trie node is where some table path ends, so each Definition 7 or 8
+//! check reads one flag, with no table lookup and no slice compare.
+//! Extra memory is O(nodes + channels), one row's hops, one block of
+//! 16 columns' hops, and the distances of one batch of 64 sources; no
+//! array grows with the number of pairs or of hops in the table.
 
 use wormnet::{ChannelId, Network, NodeId};
 
-use crate::path::PathRef;
+use crate::successors::Successors;
 use crate::table::TableRouting;
-
-/// Largest `n × n` per-pair array the node-function test allocates
-/// (the cluster-scale fabrics); above it, its choices go in a map.
-const DENSE_CELL_LIMIT: usize = 1 << 24;
 
 /// How many unrouted pairs [`PropertyReport::first_unrouted`] keeps.
 const UNROUTED_EXAMPLES: usize = 3;
@@ -116,7 +122,7 @@ pub struct PropertyReport {
 /// Whether every routed path is a shortest path in the node graph
 /// ("minimal routing", paper Section 1).
 ///
-/// Runs only the per-source BFS of [`analyze`], stopping at the first
+/// Runs only the batched BFS of [`analyze`], stopping at the first
 /// detour, for callers that need minimality alone.
 pub fn is_minimal(net: &Network, table: &TableRouting) -> bool {
     let mut distances = Distances::new(net);
@@ -173,118 +179,129 @@ pub fn is_coherent(net: &Network, table: &TableRouting) -> bool {
 
 /// Evaluate every property in one pass over the table.
 ///
-/// Each path's node walk is built once, into a reused buffer, and
-/// first occurrences are marked with a per-path stamp. Prefix and
-/// suffix closure compare channel slices in place against the
-/// registered paths, looked up in the table itself; one BFS per
-/// source serves minimality and the worst detour.
+/// Source-major, in table order: each path's walk, revisits, dead
+/// tail, shape and detour, and Definition 7 against the source's
+/// prefix trie. Destination-major, a block of columns at a time:
+/// Definition 8 against the destination's suffix trie, and the
+/// `R : N × N → C` test. Both sweeps do O(1) work per hop; counts and
+/// first witnesses are those of a walk over the table in `(src, dst)`
+/// order, then along each path.
 pub fn analyze(net: &Network, table: &TableRouting) -> PropertyReport {
-    analyze_with(net, table, DENSE_CELL_LIMIT)
-}
-
-/// [`analyze`] with the dense-array cap as a parameter, so tests can
-/// force the map fallback.
-fn analyze_with(net: &Network, table: &TableRouting, dense_limit: usize) -> PropertyReport {
     let n = net.node_count();
-    let registered = |src: NodeId, dst: NodeId| table.path(src, dst).map(PathRef::channels);
-    let mut choices = Choices::new(n, dense_limit);
+    let links = Links::new(net);
     let mut distances = Distances::new(net);
     let mut unrouted = Unrouted::new(n);
+    let mut trie = Trie::default();
+    // Per hop of the current row: the prefix's trie node where
+    // Definition 7 constrains it, else `Trie::UNCHECKED`.
+    let mut checks: Vec<u32> = Vec::new();
     let mut stamp = vec![0usize; n];
-    let mut walk = Vec::new();
-    let mut node_function = true;
     let mut down_up = true;
     let mut multi_hop_paths = 0;
     let mut nonminimal_pairs = 0;
     let mut worst_detour: Option<Detour> = None;
     let mut prefix_violations = 0;
     let mut first_prefix_violation = None;
-    let mut suffix_violations = 0;
-    let mut first_suffix_violation = None;
     let mut revisiting_paths = 0;
     let mut first_revisit = None;
     let mut dead_tails = Vec::new();
 
-    for (ordinal, (pair, path)) in table.iter().enumerate() {
-        let (src, dst) = pair;
-        unrouted.skip_to(pair);
-        let chans = path.channels();
-        let len = chans.len();
-        path.nodes_into(net, &mut walk);
-        let mark = ordinal + 1;
-        let mut revisit = None;
-        let mut arrival = None;
-        let mut descending = true;
-        for (pos, &v) in walk.iter().enumerate() {
-            let first = std::mem::replace(&mut stamp[v.index()], mark) != mark;
-            if !first && revisit.is_none() {
-                revisit = Some(pos);
-            }
-            if pos > 0 {
-                let (a, b) = (walk[pos - 1].index(), v.index());
-                descending &= a > b;
-                if !descending && a >= b {
+    for s in 0..table.row_count() {
+        let row = table.row(s);
+        if row.is_empty() {
+            continue;
+        }
+        let src = NodeId::from_index(s);
+        let base = table.hops_of(row.start).start;
+        trie.reset(table.hops_of(row.end - 1).end - base);
+        checks.clear();
+        for i in row.clone() {
+            let pair = (src, table.dst_at(i));
+            let dst = pair.1;
+            unrouted.skip_to(pair);
+            let chans = table.path_at(i).channels();
+            let len = chans.len();
+            // One walk index per path, so no stamp is ever reset.
+            let mark = i + 1;
+            stamp[s] = mark;
+            let mut prev = s;
+            let mut node = Trie::ROOT;
+            let mut revisit = None;
+            let mut arrival = None;
+            let mut descending = true;
+            for (k, &c) in chans.iter().enumerate() {
+                let pos = k + 1;
+                let v = links.dst(c);
+                node = trie.child(node, c);
+                let first = std::mem::replace(&mut stamp[v.index()], mark) != mark;
+                if !first && revisit.is_none() {
+                    revisit = Some((pos, v));
+                }
+                descending &= prev > v.index();
+                if !descending && prev >= v.index() {
                     down_up = false;
                 }
-            }
-            if pos == len {
-                break; // the destination: no channel leaves it
-            }
-            if node_function {
-                node_function = choices.agree(v, dst, chans[pos]);
-            }
-            if pos == 0 {
-                continue;
-            }
-            if v == dst && arrival.is_none() {
-                arrival = Some(pos);
-            }
-            // Only the first occurrence of v is constrained (which
-            // also skips a return to the source: its prefix is empty).
-            if first && registered(src, v) != Some(&chans[..pos]) {
-                prefix_violations += 1;
-                first_prefix_violation.get_or_insert(Site { pair, pos, node: v });
-            }
-            // The suffix from the destination itself is empty.
-            if v != dst && registered(v, dst) != Some(&chans[pos..]) {
-                suffix_violations += 1;
-                first_suffix_violation.get_or_insert(Site { pair, pos, node: v });
-            }
-        }
-        if let Some(pos) = revisit {
-            revisiting_paths += 1;
-            first_revisit.get_or_insert(Site {
-                pair,
-                pos,
-                node: walk[pos],
-            });
-        }
-        if let Some(first_arrival) = arrival {
-            dead_tails.push(DeadTail {
-                pair,
-                first_arrival,
-            });
-        }
-        if len >= 2 {
-            multi_hop_paths += 1;
-        }
-        // A routed path is a walk from src to dst, so dst is reached
-        // and its distance is at most `len`.
-        let distance = distances.get(src, dst);
-        if len > distance {
-            nonminimal_pairs += 1;
-            if worst_detour.is_none_or(|w| len - distance > w.len - w.distance) {
-                worst_detour = Some(Detour {
-                    pair,
-                    len,
-                    distance,
+                prev = v.index();
+                // Only a node's first occurrence is constrained (which
+                // also skips a return to the source: its prefix is
+                // empty), and the destination ends the walk.
+                let interior = pos < len;
+                if interior && v == dst && arrival.is_none() {
+                    arrival = Some(pos);
+                }
+                checks.push(if interior && first {
+                    node
+                } else {
+                    Trie::UNCHECKED
                 });
             }
+            trie.end(node);
+            if let Some((pos, node)) = revisit {
+                revisiting_paths += 1;
+                first_revisit.get_or_insert(Site { pair, pos, node });
+            }
+            if let Some(first_arrival) = arrival {
+                dead_tails.push(DeadTail {
+                    pair,
+                    first_arrival,
+                });
+            }
+            if len >= 2 {
+                multi_hop_paths += 1;
+            }
+            // A routed path is a walk from src to dst, so dst is
+            // reached and its distance is at most `len`.
+            let distance = distances.get(src, dst);
+            if len > distance {
+                nonminimal_pairs += 1;
+                if worst_detour.is_none_or(|w| len - distance > w.len - w.distance) {
+                    worst_detour = Some(Detour {
+                        pair,
+                        len,
+                        distance,
+                    });
+                }
+            }
+        }
+        // Definition 7, now that every path of the row is in the trie:
+        // a hop's check is its prefix's trie node.
+        let violations = trie.violations(&checks);
+        prefix_violations += violations;
+        if violations > 0 && first_prefix_violation.is_none() {
+            let k = trie.first_violation(&checks);
+            let i = table.row_path_at(row.clone(), base + k);
+            let pos = base + k + 1 - table.hops_of(i).start;
+            first_prefix_violation = Some(Site {
+                pair: (src, table.dst_at(i)),
+                pos,
+                node: links.dst(table.path_at(i).channels()[pos - 1]),
+            });
         }
     }
+    let suffixes = Suffixes::sweep(&links, table, &mut trie, &mut checks);
     let (unrouted_pairs, first_unrouted) = unrouted.finish();
     let prefix_closed = prefix_violations == 0;
-    let suffix_closed = suffix_violations == 0;
+    let suffix_closed = suffixes.violations == 0;
     let node_simple = revisiting_paths == 0;
     PropertyReport {
         total: unrouted_pairs == 0,
@@ -293,7 +310,7 @@ fn analyze_with(net: &Network, table: &TableRouting, dense_limit: usize) -> Prop
         suffix_closed,
         node_simple,
         coherent: prefix_closed && suffix_closed && node_simple,
-        node_function,
+        node_function: suffixes.node_function,
         down_up,
         multi_hop_paths,
         unrouted_pairs,
@@ -302,128 +319,380 @@ fn analyze_with(net: &Network, table: &TableRouting, dense_limit: usize) -> Prop
         worst_detour,
         prefix_violations,
         first_prefix_violation,
-        suffix_violations,
-        first_suffix_violation,
+        suffix_violations: suffixes.violations,
+        first_suffix_violation: suffixes.first,
         revisiting_paths,
         first_revisit,
         dead_tails,
     }
 }
 
-/// Hop distances from one source at a time, over the node graph with
-/// parallel channels (lanes) merged. The table iterates in
-/// `(src, dst)` order, so one BFS per distinct source serves all its
-/// destinations.
+/// The destination-major half of [`analyze`]: Definition 8 and the
+/// `R : N × N → C` test, one destination at a time.
+struct Suffixes {
+    violations: usize,
+    first: Option<Site>,
+    node_function: bool,
+}
+
+impl Suffixes {
+    /// Sweep the table's columns, [`Suffixes::BLOCK`] destinations at
+    /// a time. Rows list their paths by ascending destination, so a
+    /// row's paths into a block of consecutive destinations are
+    /// contiguous: one cursor per row walks them in step with the
+    /// blocks, copying each path into its column's buffer, which then
+    /// lists the column's paths in ascending source order. Partial rows
+    /// cost no lookups, and the table is read in runs instead of one
+    /// path at a time.
+    ///
+    /// Per column, the paths enter the destination's suffix trie back
+    /// to front; then every interior position other than the
+    /// destination checks that its suffix's trie node is where a table
+    /// path ends, which makes the suffix the registered path from that
+    /// position's node.
+    fn sweep(links: &Links, table: &TableRouting, trie: &mut Trie, checks: &mut Vec<u32>) -> Self {
+        let n = links.nodes;
+        let rows = table.row_count();
+        // Per row: the first path not yet swept.
+        let mut cursor: Vec<usize> = (0..rows).map(|s| table.row(s).start).collect();
+        let mut columns: Vec<Column> = (0..Self::BLOCK).map(|_| Column::default()).collect();
+        // The channel each node takes toward the current destination,
+        // tagged with that destination.
+        let mut choice: Vec<(u32, u32)> = vec![(u32::MAX, 0); n];
+        let mut out = Suffixes {
+            violations: 0,
+            first: None,
+            node_function: true,
+        };
+        for d0 in (0..n).step_by(Self::BLOCK) {
+            let block = &mut columns[..Self::BLOCK.min(n - d0)];
+            for column in block.iter_mut() {
+                column.hops.clear();
+                column.starts.clear();
+            }
+            for (s, next) in cursor.iter_mut().enumerate() {
+                let end = table.row(s).end;
+                while *next < end {
+                    let Some(column) = block.get_mut(table.dst_at(*next).index() - d0) else {
+                        break;
+                    };
+                    column.starts.push(column.hops.len());
+                    column
+                        .hops
+                        .extend_from_slice(table.path_at(*next).channels());
+                    *next += 1;
+                }
+            }
+            for (j, column) in block.iter_mut().enumerate() {
+                if !column.hops.is_empty() {
+                    column.starts.push(column.hops.len());
+                    let dst = NodeId::from_index(d0 + j);
+                    out.column(links, dst, column, trie, checks, &mut choice);
+                }
+            }
+        }
+        out
+    }
+
+    /// Destinations per block of the column sweep.
+    const BLOCK: usize = 16;
+
+    /// Check one column: the paths to `dst`.
+    fn column(
+        &mut self,
+        links: &Links,
+        dst: NodeId,
+        column: &Column,
+        trie: &mut Trie,
+        checks: &mut Vec<u32>,
+        choice: &mut [(u32, u32)],
+    ) {
+        let hops = &column.hops;
+        let d = dst.index() as u32;
+        trie.reset(hops.len());
+        // Per hop: the suffix's trie node where Definition 8
+        // constrains it.
+        checks.clear();
+        checks.resize(hops.len(), Trie::UNCHECKED);
+        for w in column.starts.windows(2) {
+            let mut node = Trie::ROOT;
+            for at in (w[0]..w[1]).rev() {
+                let c = hops[at];
+                let v = links.src(c);
+                node = trie.child(node, c);
+                if self.node_function {
+                    let slot = &mut choice[v.index()];
+                    if slot.0 != d {
+                        *slot = (d, c.index() as u32);
+                    }
+                    self.node_function = slot.1 == c.index() as u32;
+                }
+                // The suffix from the destination itself is empty.
+                if at > w[0] && v != dst {
+                    checks[at] = node;
+                }
+            }
+            trie.end(node);
+        }
+        // A hop's check is its suffix's trie node.
+        let violations = trie.violations(checks);
+        self.violations += violations;
+        if violations > 0 {
+            let at = trie.first_violation(checks);
+            let start = column.starts[column.starts.partition_point(|&s| s <= at) - 1];
+            let src = links.src(hops[start]);
+            // The column's first violation is its first in table
+            // order; the sweep keeps the earliest pair.
+            if self.first.is_none_or(|f| (src, dst) < f.pair) {
+                self.first = Some(Site {
+                    pair: (src, dst),
+                    pos: at - start,
+                    node: links.src(hops[at]),
+                });
+            }
+        }
+    }
+}
+
+/// One column of a block: its paths' channels, path after path in
+/// ascending source order, and where each path starts (then one
+/// closing entry).
+#[derive(Default)]
+struct Column {
+    hops: Vec<ChannelId>,
+    starts: Vec<usize>,
+}
+
+/// Every channel's endpoints as two `u32` arrays: the source-major
+/// sweep reads one destination per hop, the destination-major sweep
+/// one source.
+struct Links {
+    nodes: usize,
+    srcs: Vec<u32>,
+    dsts: Vec<u32>,
+}
+
+impl Links {
+    fn new(net: &Network) -> Self {
+        let id = |v: NodeId| v.index() as u32;
+        Links {
+            nodes: net.node_count(),
+            srcs: net.channels().map(|c| id(c.src())).collect(),
+            dsts: net.channels().map(|c| id(c.dst())).collect(),
+        }
+    }
+
+    #[inline]
+    fn src(&self, c: ChannelId) -> NodeId {
+        NodeId::from_index(self.srcs[c.index()] as usize)
+    }
+
+    #[inline]
+    fn dst(&self, c: ChannelId) -> NodeId {
+        NodeId::from_index(self.dsts[c.index()] as usize)
+    }
+}
+
+/// The sub-paths of one row's (or one column's) paths, as a trie over
+/// channels: a node per distinct prefix (or suffix), numbered in order
+/// of discovery and flagged when a table path ends there, found through
+/// an open-addressing table keyed by `(parent, channel)`, so each step
+/// is O(1) expected. Slots carry the generation of the row (or column)
+/// that wrote them, so a new row clears nothing but its end flags.
+#[derive(Default)]
+struct Trie {
+    slots: Vec<Slot>,
+    /// `64 - log2(slots.len())`, for Fibonacci hashing.
+    shift: u32,
+    /// Per trie node: whether a table path ends there.
+    ends: Vec<bool>,
+    /// Tells the current row's (or column's) slots from earlier ones.
+    generation: u32,
+}
+
+/// One sub-path: `parent + 1` (0 for the root) in the key's high half,
+/// the channel in its low half, and its trie node.
+#[derive(Clone, Copy, Default)]
+struct Slot {
+    key: u64,
+    node: u32,
+    generation: u32,
+}
+
+impl Trie {
+    /// The empty sub-path.
+    const ROOT: u32 = u32::MAX;
+    /// A position no check constrains.
+    const UNCHECKED: u32 = u32::MAX;
+
+    /// Start a new trie for paths with `hops` channels in all.
+    fn reset(&mut self, hops: usize) {
+        let slots = (2 * hops).next_power_of_two().max(2);
+        if self.slots.len() < slots {
+            self.slots = vec![Slot::default(); slots];
+            self.shift = 64 - slots.trailing_zeros();
+            self.generation = 0;
+        }
+        if self.generation == u32::MAX {
+            self.slots.fill(Slot::default());
+            self.generation = 0;
+        }
+        self.generation += 1;
+        self.ends.clear();
+    }
+
+    /// The node one channel below `parent`, added if new.
+    fn child(&mut self, parent: u32, c: ChannelId) -> u32 {
+        let up = if parent == Self::ROOT {
+            0
+        } else {
+            u64::from(parent) + 1
+        };
+        self.probe(up << 32 | c.index() as u64)
+    }
+
+    /// The trie node of the slot holding `key`, claimed (with a new
+    /// node) if none does.
+    fn probe(&mut self, key: u64) -> u32 {
+        let mask = self.slots.len() - 1;
+        let mut i = (key.wrapping_mul(0x9E37_79B9_7F4A_7C15) >> self.shift) as usize;
+        loop {
+            let slot = &mut self.slots[i];
+            if slot.generation != self.generation {
+                *slot = Slot {
+                    key,
+                    node: self.ends.len() as u32,
+                    generation: self.generation,
+                };
+                self.ends.push(false);
+                return slot.node;
+            }
+            if slot.key == key {
+                return slot.node;
+            }
+            i = (i + 1) & mask;
+        }
+    }
+
+    /// Mark `node` as where a table path ends.
+    fn end(&mut self, node: u32) {
+        self.ends[node as usize] = true;
+    }
+
+    /// Whether a table path ends at `node`.
+    fn is_end(&self, node: u32) -> bool {
+        self.ends[node as usize]
+    }
+
+    /// Whether `check`, a sub-path's trie node or `UNCHECKED`, names a
+    /// sub-path that no table path registers.
+    fn violates(&self, check: u32) -> bool {
+        check != Self::UNCHECKED && !self.is_end(check)
+    }
+
+    /// How many of `checks` are violations.
+    fn violations(&self, checks: &[u32]) -> usize {
+        checks.iter().filter(|&&c| self.violates(c)).count()
+    }
+
+    /// The position of the first violation in `checks`.
+    fn first_violation(&self, checks: &[u32]) -> usize {
+        checks
+            .iter()
+            .position(|&c| self.violates(c))
+            .expect("a violation to find")
+    }
+}
+
+/// Hop distances over the node graph, with parallel channels (lanes)
+/// merged, from 64 sources at a time: one multi-source BFS per batch
+/// keeps each node's frontier and seen sets as one `u64` bit per
+/// source (Then et al., *The More the Merrier*, PVLDB 2014). The table
+/// iterates in `(src, dst)` order, so each batch is searched once.
 struct Distances {
-    /// `succ[offsets[v]..offsets[v + 1]]` are the distinct successors
-    /// of node `v`.
-    offsets: Vec<usize>,
-    succ: Vec<u32>,
-    source: Option<NodeId>,
+    succ: Successors,
+    /// The first source of the searched batch.
+    batch: Option<usize>,
+    /// `dist[i * n + v]`: the distance from the batch's `i`-th source.
     dist: Vec<u32>,
-    queue: Vec<u32>,
+    seen: Vec<u64>,
+    frontier: Vec<u64>,
+    next: Vec<u64>,
 }
 
 impl Distances {
     const UNREACHED: u32 = u32::MAX;
+    const BATCH: usize = 64;
 
     fn new(net: &Network) -> Self {
         let n = net.node_count();
-        let mut offsets = Vec::with_capacity(n + 1);
-        let mut succ = Vec::with_capacity(net.channel_count());
-        let mut row = Vec::new();
-        offsets.push(0);
-        for v in net.nodes() {
-            row.clear();
-            row.extend(
-                net.out_channels(v)
-                    .iter()
-                    .map(|&c| net.channel(c).dst().index() as u32),
-            );
-            row.sort_unstable();
-            row.dedup();
-            succ.extend_from_slice(&row);
-            offsets.push(succ.len());
-        }
         Distances {
-            offsets,
-            succ,
-            source: None,
-            dist: vec![Self::UNREACHED; n],
-            queue: Vec::with_capacity(n),
+            succ: Successors::new(net),
+            batch: None,
+            dist: Vec::new(),
+            seen: vec![0; n],
+            frontier: vec![0; n],
+            next: vec![0; n],
         }
     }
 
     /// Hop distance from `src` to `dst`; `usize::MAX` if unreachable.
     fn get(&mut self, src: NodeId, dst: NodeId) -> usize {
-        if self.source != Some(src) {
-            self.bfs(src);
+        let first = src.index() / Self::BATCH * Self::BATCH;
+        if self.batch != Some(first) {
+            self.search(first);
         }
-        match self.dist[dst.index()] {
+        let n = self.seen.len();
+        match self.dist[(src.index() - first) * n + dst.index()] {
             Self::UNREACHED => usize::MAX,
             d => d as usize,
         }
     }
 
-    fn bfs(&mut self, src: NodeId) {
-        self.source = Some(src);
-        self.dist.fill(Self::UNREACHED);
-        self.queue.clear();
-        self.dist[src.index()] = 0;
-        self.queue.push(src.index() as u32);
-        let mut head = 0;
-        while let Some(&v) = self.queue.get(head) {
-            head += 1;
-            let v = v as usize;
-            let next = self.dist[v] + 1;
-            for &w in &self.succ[self.offsets[v]..self.offsets[v + 1]] {
-                if self.dist[w as usize] == Self::UNREACHED {
-                    self.dist[w as usize] = next;
-                    self.queue.push(w);
+    /// One BFS from the sources `first..first + 64` (fewer at the end).
+    fn search(&mut self, first: usize) {
+        let n = self.seen.len();
+        let width = Self::BATCH.min(n - first);
+        self.batch = Some(first);
+        self.dist.clear();
+        self.dist.resize(width * n, Self::UNREACHED);
+        self.seen.fill(0);
+        self.frontier.fill(0);
+        for i in 0..width {
+            self.seen[first + i] = 1 << i;
+            self.frontier[first + i] = 1 << i;
+            self.dist[i * n + first + i] = 0;
+        }
+        let mut level = 0;
+        loop {
+            level += 1;
+            self.next.fill(0);
+            for v in 0..n {
+                let bits = self.frontier[v];
+                if bits != 0 {
+                    for &w in self.succ.of(NodeId::from_index(v)) {
+                        self.next[w as usize] |= bits;
+                    }
                 }
             }
-        }
-    }
-}
-
-/// `n × n`, when that many cells fit under `limit`.
-fn dense_cells(n: usize, limit: usize) -> Option<usize> {
-    n.checked_mul(n).filter(|&cells| cells <= limit)
-}
-
-/// The channel each `(current node, destination)` has been seen to
-/// take, for Corollary 1's `R : N × N → C` test.
-enum Choices {
-    Dense { n: usize, slots: Vec<u32> },
-    Map(BTreeMap<(NodeId, NodeId), ChannelId>),
-}
-
-impl Choices {
-    const EMPTY: u32 = u32::MAX;
-
-    fn new(n: usize, dense_limit: usize) -> Self {
-        match dense_cells(n, dense_limit) {
-            Some(cells) => Choices::Dense {
-                n,
-                slots: vec![Self::EMPTY; cells],
-            },
-            None => Choices::Map(BTreeMap::new()),
-        }
-    }
-
-    /// Record that a path at `at` towards `dst` takes `channel`; false
-    /// if another path there took a different channel.
-    fn agree(&mut self, at: NodeId, dst: NodeId, channel: ChannelId) -> bool {
-        match self {
-            Choices::Dense { n, slots } => {
-                let slot = &mut slots[at.index() * *n + dst.index()];
-                let cid = channel.index() as u32;
-                if *slot == Self::EMPTY {
-                    *slot = cid;
+            let mut grew = false;
+            for w in 0..n {
+                let mut new = self.next[w] & !self.seen[w];
+                self.frontier[w] = new;
+                if new == 0 {
+                    continue;
                 }
-                *slot == cid
+                grew = true;
+                self.seen[w] |= new;
+                while new != 0 {
+                    let i = new.trailing_zeros() as usize;
+                    self.dist[i * n + w] = level;
+                    new &= new - 1;
+                }
             }
-            Choices::Map(map) => *map.entry((at, dst)).or_insert(channel) == channel,
+            if !grew {
+                break;
+            }
         }
     }
 }
@@ -454,7 +723,9 @@ impl Unrouted {
     fn skip_to(&mut self, (u, v): (NodeId, NodeId)) {
         // The position of (u, v), u != v, in (src, dst) order.
         let rank = u.index() * (self.n - 1) + v.index() - usize::from(v > u);
-        self.gap(rank);
+        if rank > self.next {
+            self.gap(rank);
+        }
         self.next = rank + 1;
     }
 
@@ -489,14 +760,14 @@ mod tests {
     /// coherent (but deadlock-prone) oblivious algorithm.
     fn clockwise4() -> (Network, Vec<NodeId>, TableRouting) {
         let (net, nodes) = ring_unidirectional(4);
-        let table = TableRouting::from_node_paths(&net, |s, d| {
-            let mut walk = vec![s];
+        let table = TableRouting::build(&net, |path, s, d| {
+            path.node(s);
             let mut i = s.index();
             while nodes[i] != d {
                 i = (i + 1) % 4;
-                walk.push(nodes[i]);
+                path.node(nodes[i]);
             }
-            Some(walk)
+            Some(())
         })
         .unwrap();
         (net, nodes, table)
@@ -519,14 +790,15 @@ mod tests {
     #[test]
     fn line_shortest_paths_are_coherent_and_minimal() {
         let (net, nodes) = line(5);
-        let table = TableRouting::from_node_paths(&net, |s, d| {
+        let table = TableRouting::build(&net, |path, s, d| {
             let (si, di) = (s.index(), d.index());
             let walk: Vec<NodeId> = if si < di {
                 (si..=di).map(|i| nodes[i]).collect()
             } else {
                 (di..=si).rev().map(|i| nodes[i]).collect()
             };
-            Some(walk)
+            path.walk(&walk);
+            Some(())
         })
         .unwrap();
         let report = analyze(&net, &table);
@@ -616,30 +888,6 @@ mod tests {
         let table = dimension_order(&mesh).unwrap();
         assert!(is_node_function(mesh.network(), &table));
         assert!(is_suffix_closed(mesh.network(), &table));
-    }
-
-    #[test]
-    fn map_fallback_matches_the_dense_arrays() {
-        use crate::algorithms::{dateline_ring, dimension_order, random_table};
-        use rand::SeedableRng;
-        use wormnet::topology::{complete, ring_with_vcs, Mesh};
-
-        let mut cases = vec![clockwise4()];
-        let (net, nodes) = ring_with_vcs(5, 2);
-        let table = dateline_ring(&net, &nodes).unwrap();
-        cases.push((net, nodes, table));
-        let mesh = Mesh::new(&[3, 3]);
-        let table = dimension_order(&mesh).unwrap();
-        cases.push((mesh.network().clone(), Vec::new(), table));
-        let (net, nodes) = complete(5);
-        let mut rng = rand::rngs::StdRng::seed_from_u64(3);
-        let table = random_table(&net, &mut rng, 2).unwrap();
-        let c0 = net.find_channel(nodes[0], nodes[1]).unwrap();
-        cases.push((net.clone(), nodes.clone(), table.without_channels(&[c0])));
-        cases.push((net, nodes, table));
-        for (net, _, table) in &cases {
-            assert_eq!(analyze_with(net, table, 0), analyze(net, table));
-        }
     }
 
     #[test]

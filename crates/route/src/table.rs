@@ -82,96 +82,82 @@ impl TableRouting {
         self.rows.push(offset(self.dsts.len()));
     }
 
-    /// Close the path whose channels were just appended, as the path to
-    /// `dst`, after checking that it runs from `src` to `dst`.
-    fn end_path(&mut self, net: &Network, src: NodeId, dst: NodeId) -> Result<(), RouteError> {
-        let start = *self.starts.last().expect("starts holds the first offset") as usize;
-        check_endpoints(net, PathRef::new(&self.channels[start..]), src, dst)?;
-        self.dsts.push(dst);
-        self.starts.push(offset(self.channels.len()));
-        Ok(())
-    }
-
-    /// Build a table by calling `route` for every ordered node pair.
-    /// `route` returns the node walk for the pair (or `None` to leave
-    /// the pair unrouted — used by partial algorithms in tests).
+    /// Build a table by calling `route` for every ordered pair of
+    /// distinct nodes, in `(src, dst)` order. `route` writes the pair's
+    /// path into the table's channel array through the [`PathWriter`]
+    /// and returns `Some(())`, or returns `None` to leave the pair
+    /// unrouted (partial algorithms); a `None` discards whatever it
+    /// wrote.
     ///
-    /// Each walk becomes channels appended to the table's one channel
-    /// array and is checked there like [`Path::from_nodes`] checks it,
-    /// with a per-channel stamp reused across the table.
-    pub fn from_node_paths(
+    /// Node-walk engines write nodes and the table resolves each hop
+    /// through the network's lane index; virtual-channel engines write
+    /// channels or lanes. Each path is checked as it is written, with
+    /// one per-channel stamp reused across the table, and a bad path
+    /// fails the build with the error [`Path::from_channels`] or
+    /// [`Path::from_nodes`] gives for it, or the endpoint error of
+    /// [`TableBuilder::insert`].
+    pub fn build(
         net: &Network,
-        mut route: impl FnMut(NodeId, NodeId) -> Option<Vec<NodeId>>,
+        mut route: impl FnMut(&mut PathWriter<'_>, NodeId, NodeId) -> Option<()>,
     ) -> Result<Self, RouteError> {
         let mut table = TableRouting::with_nodes(net.node_count());
-        let mut stamp = ChannelStamp::new(net);
+        let mut path = PathWriter::new(net);
         for src in net.nodes() {
             for dst in net.nodes() {
                 if src == dst {
                     continue;
                 }
-                if let Some(walk) = route(src, dst) {
-                    table.append_walk(net, &walk, &mut stamp)?;
-                    table.end_path(net, src, dst)?;
-                }
-            }
-            table.end_row();
-        }
-        Ok(table)
-    }
-
-    /// Append the channels of a node walk, picking the VC-0 channel
-    /// between consecutive nodes, and check them as a path.
-    fn append_walk(
-        &mut self,
-        net: &Network,
-        walk: &[NodeId],
-        stamp: &mut ChannelStamp,
-    ) -> Result<(), RouteError> {
-        if walk.len() < 2 {
-            return Err(RouteError::EmptyPath);
-        }
-        let start = self.channels.len();
-        for w in walk.windows(2) {
-            let c = net
-                .find_channel(w[0], w[1])
-                .ok_or(RouteError::MissingChannel {
-                    from: w[0],
-                    to: w[1],
-                })?;
-            self.channels.push(c);
-        }
-        stamp.check(net, &self.channels[start..])
-    }
-
-    /// Build a table from a closure producing `Path` results directly
-    /// (used by virtual-channel algorithms that pick lanes per hop).
-    /// Each path's channels are appended to the table's one channel
-    /// array.
-    pub fn from_paths_with(
-        net: &Network,
-        mut route: impl FnMut(&Network, NodeId, NodeId) -> Option<Result<Path, RouteError>>,
-    ) -> Result<Self, RouteError> {
-        let mut table = TableRouting::with_nodes(net.node_count());
-        for src in net.nodes() {
-            for dst in net.nodes() {
-                if src == dst {
+                path.open();
+                if route(&mut path, src, dst).is_none() {
+                    path.discard();
                     continue;
                 }
-                if let Some(path) = route(net, src, dst) {
-                    table.channels.extend_from_slice(path?.channels());
-                    table.end_path(net, src, dst)?;
-                }
+                path.close(src, dst)?;
+                table.dsts.push(dst);
+                table.starts.push(offset(path.channels.len()));
             }
             table.end_row();
         }
+        table.channels = path.channels;
         Ok(table)
     }
 
     /// The table's path `i`.
     #[inline]
-    fn path_at(&self, i: usize) -> PathRef<'_> {
-        PathRef::new(&self.channels[self.starts[i] as usize..self.starts[i + 1] as usize])
+    pub(crate) fn path_at(&self, i: usize) -> PathRef<'_> {
+        PathRef::new(&self.channels[self.hops_of(i)])
+    }
+
+    /// The positions of path `i`'s channels in the table's one channel
+    /// array.
+    #[inline]
+    pub(crate) fn hops_of(&self, i: usize) -> std::ops::Range<usize> {
+        self.starts[i] as usize..self.starts[i + 1] as usize
+    }
+
+    /// The destination of path `i`.
+    #[inline]
+    pub(crate) fn dst_at(&self, i: usize) -> NodeId {
+        self.dsts[i]
+    }
+
+    /// The number of rows: the network's node count, or 0 for
+    /// [`TableRouting::new`].
+    pub(crate) fn row_count(&self) -> usize {
+        self.rows.len().saturating_sub(1)
+    }
+
+    /// The path of `row` (a range from [`TableRouting::row`]) holding
+    /// the table's hop `hop`.
+    pub(crate) fn row_path_at(&self, row: std::ops::Range<usize>, hop: usize) -> usize {
+        row.start + self.starts[row.start + 1..=row.end].partition_point(|&e| e as usize <= hop)
+    }
+
+    /// The indices of the paths from node `s`, by ascending
+    /// destination.
+    #[inline]
+    pub(crate) fn row(&self, s: usize) -> std::ops::Range<usize> {
+        self.rows[s] as usize..self.rows[s + 1] as usize
     }
 
     /// The index of the path for a pair, if routed.
@@ -310,42 +296,154 @@ impl<'t> Iterator for Paths<'t> {
 
 impl ExactSizeIterator for Paths<'_> {}
 
-/// A per-channel stamp, reused across one table build, that checks a
-/// channel sequence the way [`Path::from_channels`] does: consecutive
-/// channels must share an endpoint, and no channel may repeat (the
-/// smallest repeated id is reported).
-struct ChannelStamp {
+/// Writes one path at a time into a table's channel array for
+/// [`TableRouting::build`], checking it the way [`Path::from_nodes`]
+/// and [`Path::from_channels`] do: every hop resolves to a channel,
+/// consecutive channels share an endpoint, and no channel repeats.
+/// Each check costs O(1) per hop; a per-channel stamp, reused across
+/// the table, finds the repeats.
+pub struct PathWriter<'n> {
+    net: &'n Network,
+    /// The table's channel array; the open path is `channels[start..]`.
+    channels: Vec<ChannelId>,
+    start: usize,
+    /// Where the path written so far ends (a walk's first node, before
+    /// its first hop).
+    at: Option<NodeId>,
+    /// The source of the path's first channel.
+    origin: Option<NodeId>,
+    /// The first hop with no channel.
+    missing: Option<RouteError>,
+    /// The first channel that does not continue from its predecessor.
+    disconnected: Option<usize>,
+    /// The smallest repeated channel.
+    repeated: Option<ChannelId>,
     stamp: Vec<u32>,
     mark: u32,
 }
 
-impl ChannelStamp {
-    fn new(net: &Network) -> Self {
-        ChannelStamp {
+impl<'n> PathWriter<'n> {
+    fn new(net: &'n Network) -> Self {
+        PathWriter {
+            net,
+            channels: Vec::new(),
+            start: 0,
+            at: None,
+            origin: None,
+            missing: None,
+            disconnected: None,
+            repeated: None,
             stamp: vec![0; net.channel_count()],
             mark: 0,
         }
     }
 
-    fn check(&mut self, net: &Network, channels: &[ChannelId]) -> Result<(), RouteError> {
-        for (i, w) in channels.windows(2).enumerate() {
-            if net.channel(w[0]).dst() != net.channel(w[1]).src() {
-                return Err(RouteError::Disconnected { at: i });
+    /// The next node of a node walk: the walk's first call names its
+    /// source, every later one takes the VC-0 channel from the walk's
+    /// last node.
+    pub fn node(&mut self, v: NodeId) {
+        match self.at {
+            None => self.at = Some(v),
+            Some(u) => self.lane(u, v, 0),
+        }
+    }
+
+    /// Every node of a node walk, in order ([`PathWriter::node`] each).
+    pub fn walk(&mut self, nodes: &[NodeId]) {
+        for &v in nodes {
+            self.node(v);
+        }
+    }
+
+    /// The channel from `from` to `to` on VC lane `vc`.
+    pub fn lane(&mut self, from: NodeId, to: NodeId, vc: u8) {
+        if self.missing.is_some() {
+            return;
+        }
+        match self.net.find_channel_vc(from, to, vc) {
+            Some(c) => self.push(c, from, to),
+            None => self.missing = Some(RouteError::MissingChannel { from, to }),
+        }
+    }
+
+    /// The next channel.
+    pub fn channel(&mut self, c: ChannelId) {
+        if self.missing.is_some() {
+            return;
+        }
+        let ch = self.net.channel(c);
+        self.push(c, ch.src(), ch.dst());
+    }
+
+    fn push(&mut self, c: ChannelId, src: NodeId, dst: NodeId) {
+        let i = self.channels.len() - self.start;
+        if i == 0 {
+            self.origin = Some(src);
+            // A new stamp per path that has channels.
+            if self.mark == u32::MAX {
+                self.stamp.fill(0);
+                self.mark = 0;
             }
+            self.mark += 1;
+        } else if self.at != Some(src) && self.disconnected.is_none() {
+            self.disconnected = Some(i - 1);
         }
-        if self.mark == u32::MAX {
-            self.stamp.fill(0);
-            self.mark = 0;
+        if std::mem::replace(&mut self.stamp[c.index()], self.mark) == self.mark
+            && self.repeated.is_none_or(|r| c < r)
+        {
+            self.repeated = Some(c);
         }
-        self.mark += 1;
-        let mut repeated: Option<ChannelId> = None;
-        for &c in channels {
-            let seen = std::mem::replace(&mut self.stamp[c.index()], self.mark) == self.mark;
-            if seen && repeated.is_none_or(|r| c < r) {
-                repeated = Some(c);
-            }
+        self.channels.push(c);
+        self.at = Some(dst);
+    }
+
+    /// Start a new path at the end of the channel array. The error
+    /// fields are already clear: the last path ended in
+    /// [`PathWriter::discard`], which clears them, or in a
+    /// [`PathWriter::close`] that found none.
+    fn open(&mut self) {
+        self.start = self.channels.len();
+        self.at = None;
+        self.origin = None;
+    }
+
+    /// Drop the open path's channels.
+    fn discard(&mut self) {
+        self.channels.truncate(self.start);
+        self.missing = None;
+        self.disconnected = None;
+        self.repeated = None;
+    }
+
+    /// Check the open path as the path from `src` to `dst`. The errors
+    /// rank as the path constructors rank them: a missing hop, an empty
+    /// path, a disconnection, a repeated channel, then the endpoints.
+    fn close(&mut self, src: NodeId, dst: NodeId) -> Result<(), RouteError> {
+        if let Some(e) = self.missing.take() {
+            return Err(e);
         }
-        repeated.map_or(Ok(()), |c| Err(RouteError::RepeatedChannel(c)))
+        let (Some(origin), Some(at)) = (self.origin, self.at) else {
+            return Err(RouteError::EmptyPath);
+        };
+        if let Some(at) = self.disconnected {
+            return Err(RouteError::Disconnected { at });
+        }
+        if let Some(c) = self.repeated {
+            return Err(RouteError::RepeatedChannel(c));
+        }
+        if origin != src {
+            return Err(RouteError::WrongSource {
+                expected: src,
+                actual: origin,
+            });
+        }
+        if at != dst {
+            return Err(RouteError::WrongDestination {
+                expected: dst,
+                actual: at,
+            });
+        }
+        Ok(())
     }
 }
 
@@ -469,11 +567,19 @@ mod tests {
         walk
     }
 
+    /// The clockwise table of the ring.
+    fn cw_table(net: &Network, nodes: &[NodeId]) -> TableRouting {
+        TableRouting::build(net, |path, s, d| {
+            path.walk(&cw_walk(nodes, s, d));
+            Some(())
+        })
+        .unwrap()
+    }
+
     #[test]
     fn builds_total_table() {
         let (net, nodes) = ring4();
-        let table =
-            TableRouting::from_node_paths(&net, |s, d| Some(cw_walk(&nodes, s, d))).unwrap();
+        let table = cw_table(&net, &nodes);
         assert!(table.is_total(&net));
         assert_eq!(table.len(), 12);
         assert_eq!(table.path(nodes[0], nodes[3]).unwrap().len(), 3);
@@ -488,14 +594,33 @@ mod tests {
     #[test]
     fn partial_table_is_not_total() {
         let (net, nodes) = ring4();
-        let table = TableRouting::from_node_paths(&net, |s, d| {
-            (s == nodes[0]).then(|| cw_walk(&nodes, s, d))
+        let table = TableRouting::build(&net, |path, s, d| {
+            (s == nodes[0]).then(|| path.walk(&cw_walk(&nodes, s, d)))
         })
         .unwrap();
         assert!(!table.is_total(&net));
         assert_eq!(table.len(), 3);
         assert!(table.path(nodes[1], nodes[2]).is_none());
         assert_eq!(table.path(nodes[0], nodes[2]).unwrap().len(), 2);
+    }
+
+    /// A table holding only `(s, d)`, written by `write`.
+    fn single(
+        net: &Network,
+        (s, d): (NodeId, NodeId),
+        write: impl Fn(&mut PathWriter<'_>),
+    ) -> Result<TableRouting, RouteError> {
+        TableRouting::build(net, |path, a, b| ((a, b) == (s, d)).then(|| write(path)))
+    }
+
+    /// What the path constructors and the endpoint check make of a path
+    /// for `(s, d)`: the outcome a table build must report.
+    fn constructed(
+        net: &Network,
+        (s, d): (NodeId, NodeId),
+        path: Result<Path, RouteError>,
+    ) -> Result<(), RouteError> {
+        TableBuilder::new(net).insert(s, d, path?)
     }
 
     #[test]
@@ -505,25 +630,110 @@ mod tests {
         for (a, b) in [(0, 1), (1, 0), (1, 2), (2, 1)] {
             net.add_channel(n[a], n[b]);
         }
+        let pair = (n[0], n[2]);
         for walk in [
+            vec![],
             vec![n[0]],
             vec![n[0], n[2]],
             vec![n[0], n[1], n[0], n[1], n[2]],
             // Repeats c2, c3 and then c1: the smallest, c1, is named.
             vec![n[1], n[2], n[1], n[0], n[1], n[2], n[1], n[0]],
+            // A missing hop after a repeat: the missing hop is named.
+            vec![n[0], n[1], n[0], n[1], n[0], n[2]],
+            vec![n[1], n[2]],
+            vec![n[0], n[1]],
+            vec![n[0], n[1], n[2]],
         ] {
-            let (s, d) = (n[0], n[2]);
-            let expected = Path::from_nodes(&net, &walk).unwrap_err();
-            let built = TableRouting::from_node_paths(&net, |a, b| {
-                ((a, b) == (s, d)).then(|| walk.clone())
-            });
-            assert_eq!(built, Err(expected), "walk {walk:?}");
+            let expected = constructed(&net, pair, Path::from_nodes(&net, &walk));
+            let built = single(&net, pair, |path| path.walk(&walk));
+            assert_eq!(built.map(|_| ()), expected, "walk {walk:?}");
         }
         let c1 = net.find_channel(n[1], n[0]).unwrap();
         assert_eq!(
             Path::from_nodes(&net, &[n[1], n[2], n[1], n[0], n[1], n[2], n[1], n[0]]),
             Err(RouteError::RepeatedChannel(c1))
         );
+    }
+
+    #[test]
+    fn channel_errors_match_the_path_constructor() {
+        let mut net = Network::new();
+        let n = net.add_nodes("v", 3);
+        for (a, b) in [(0, 1), (1, 0), (1, 2), (2, 1)] {
+            net.add_channel(n[a], n[b]);
+        }
+        let up = net.add_channel_vc(n[1], n[2], 1);
+        let c = |a: usize, b: usize| net.find_channel(n[a], n[b]).unwrap();
+        let pair = (n[0], n[2]);
+        for chans in [
+            vec![],
+            vec![c(0, 1), c(1, 2)],
+            vec![c(0, 1), up],
+            vec![c(0, 1), c(2, 1)],
+            // Disconnected and repeated: the disconnection is named.
+            vec![c(0, 1), c(0, 1), c(1, 2)],
+            vec![c(0, 1), c(1, 2), c(2, 1), c(1, 0), c(0, 1), c(1, 2)],
+            vec![c(1, 2), c(2, 1), c(1, 2)],
+            vec![c(1, 0), c(0, 1), c(1, 2)],
+            vec![c(0, 1)],
+            vec![c(0, 1), c(1, 2), c(2, 1)],
+        ] {
+            let expected = constructed(&net, pair, Path::from_channels(&net, chans.clone()));
+            let built = single(&net, pair, |path| {
+                for &ch in &chans {
+                    path.channel(ch);
+                }
+            });
+            assert_eq!(built.map(|_| ()), expected, "channels {chans:?}");
+        }
+        // Lanes resolve like a per-hop lane selector: the first hop
+        // without a channel on its lane is named, then the channels are
+        // checked as a path.
+        for hops in [
+            vec![(0, 1, 0), (1, 2, 1)],
+            vec![(0, 1, 0), (1, 2, 2)],
+            vec![(0, 1, 1), (1, 2, 2)],
+            vec![(0, 1, 0), (2, 1, 0), (1, 2, 0)],
+            vec![(0, 1, 0), (1, 2, 0), (2, 1, 0), (1, 2, 1)],
+            vec![(1, 2, 1)],
+        ] {
+            let resolved: Result<Vec<ChannelId>, RouteError> = hops
+                .iter()
+                .map(|&(a, b, vc)| {
+                    net.find_channel_vc(n[a], n[b], vc)
+                        .ok_or(RouteError::MissingChannel {
+                            from: n[a],
+                            to: n[b],
+                        })
+                })
+                .collect();
+            let expected = constructed(
+                &net,
+                pair,
+                resolved.and_then(|chans| Path::from_channels(&net, chans)),
+            );
+            let built = single(&net, pair, |path| {
+                for &(a, b, vc) in &hops {
+                    path.lane(n[a], n[b], vc);
+                }
+            });
+            assert_eq!(built.map(|_| ()), expected, "lanes {hops:?}");
+        }
+    }
+
+    #[test]
+    fn a_discarded_path_leaves_no_channels() {
+        let (net, nodes) = ring4();
+        let table = TableRouting::build(&net, |path, s, d| {
+            path.walk(&cw_walk(&nodes, s, d));
+            (s != nodes[1]).then_some(())
+        })
+        .unwrap();
+        assert_eq!(table.len(), 9);
+        assert!(table.path(nodes[1], nodes[2]).is_none());
+        for ((s, d), path) in table.iter() {
+            assert_eq!(path.nodes(&net), cw_walk(&nodes, s, d));
+        }
     }
 
     #[test]
@@ -543,8 +753,8 @@ mod tests {
             t.insert(nodes[0], nodes[0], p01),
             Err(RouteError::TrivialPair(_))
         ));
-        let from_walks = TableRouting::from_node_paths(&net, |s, d| {
-            (s == nodes[0] && d == nodes[2]).then(|| vec![nodes[0], nodes[1]])
+        let from_walks = single(&net, (nodes[0], nodes[2]), |path| {
+            path.walk(&[nodes[0], nodes[1]])
         });
         assert!(matches!(
             from_walks,
@@ -580,8 +790,7 @@ mod tests {
     #[test]
     fn builder_sorts_pairs_into_table_order() {
         let (net, nodes) = ring4();
-        let table =
-            TableRouting::from_node_paths(&net, |s, d| Some(cw_walk(&nodes, s, d))).unwrap();
+        let table = cw_table(&net, &nodes);
         let mut pairs: Vec<_> = table.iter().map(|(pair, _)| pair).collect();
         pairs.reverse();
         let mut b = TableBuilder::new(&net);
@@ -601,8 +810,7 @@ mod tests {
     #[test]
     fn without_channels_drops_exactly_the_affected_pairs() {
         let (net, nodes) = ring4();
-        let table =
-            TableRouting::from_node_paths(&net, |s, d| Some(cw_walk(&nodes, s, d))).unwrap();
+        let table = cw_table(&net, &nodes);
         let c0 = net.find_channel(nodes[0], nodes[1]).unwrap();
         let degraded = table.without_channels(&[c0]);
         for ((src, dst), path) in table.iter() {
@@ -623,7 +831,7 @@ mod tests {
     #[test]
     fn iteration_is_deterministic() {
         let (net, nodes) = ring4();
-        let t = TableRouting::from_node_paths(&net, |s, d| Some(cw_walk(&nodes, s, d))).unwrap();
+        let t = cw_table(&net, &nodes);
         let keys1: Vec<_> = t.iter().map(|(k, _)| k).collect();
         let keys2: Vec<_> = t.iter().map(|(k, _)| k).collect();
         assert_eq!(keys1, keys2);
@@ -634,7 +842,7 @@ mod tests {
     #[test]
     fn empty_tables_are_equal_whatever_their_rows() {
         let (net, _) = ring4();
-        let built = TableRouting::from_node_paths(&net, |_, _| None).unwrap();
+        let built = TableRouting::build(&net, |_, _, _| None).unwrap();
         assert_eq!(built, TableRouting::new());
         assert!(built.is_empty() && built.iter().next().is_none());
         assert!(TableRouting::new()

@@ -159,8 +159,8 @@ proptest! {
                 prop_assert_eq!(table.path(s, d).map(PathRef::to_path), oracle.get(&(s, d)).cloned());
             }
         }
-        let walks = TableRouting::from_node_paths(&net, |s, d| {
-            oracle.get(&(s, d)).map(|p| p.nodes(&net))
+        let walks = TableRouting::build(&net, |path, s, d| {
+            oracle.get(&(s, d)).map(|p| path.walk(&p.nodes(&net)))
         })
         .expect("valid walks");
         prop_assert_eq!(&walks, &table);

@@ -26,8 +26,8 @@
 //! flit, made no header request and stalled no message — the state
 //! and the arbitration memory are exactly what they were before it,
 //! so every later cycle repeats `t` until one of its inputs differs.
-//! The runner knows its own inputs (the next `inject_at`, the next
-//! stall-plan cycle, the horizon); the hook names its own through
+//! The runner knows its own inputs (the next `inject_at`, the
+//! horizon); the hook names its own through
 //! [`DecisionHook::quiet_until`]: the first cycle after `t` at which
 //! its `adjust` may decide differently or have any other effect. The
 //! runner calls neither `adjust` nor `observe` for the cycles it skips.

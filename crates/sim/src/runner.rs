@@ -13,10 +13,10 @@
 //! message was stalled — nothing in the runner has changed, neither
 //! the state nor the arbitration memory, so every following cycle
 //! repeats it until an input differs. The loop jumps straight to the
-//! earliest such cycle: the next `inject_at`, the next stall-plan
-//! cycle, the hook's [`DecisionHook::quiet_until`], or the horizon. A
-//! pausing skew model freezes a different set every period and blocks
-//! the skip. The skipped cycles are added to [`Stats`] (cycles, busy
+//! earliest such cycle: the next `inject_at`, the hook's
+//! [`DecisionHook::quiet_until`], or the horizon. A pausing skew model
+//! freezes a different set every period, and a stall plan freezes
+//! messages at cycles of its own; either blocks the skip. The skipped cycles are added to [`Stats`] (cycles, busy
 //! channels) and to the `sim.*` counters in one step, so outcomes,
 //! final states, statistics and trace counters are those of stepping
 //! every cycle. [`Runner::step`] and [`Runner::step_hooked`] never skip:
@@ -113,8 +113,6 @@ pub struct Runner<'a> {
     time: u64,
     policy: ArbitrationPolicy,
     stall_plan: StallPlan,
-    /// Every cycle the stall plan names, ascending and deduplicated.
-    stall_cycles: Vec<u64>,
     /// Every message's `inject_at`, ascending and deduplicated.
     inject_times: Vec<u64>,
     /// A skew model in which some router pauses (see
@@ -166,7 +164,6 @@ impl<'a> Runner<'a> {
             time: 0,
             policy,
             stall_plan: StallPlan::new(),
-            stall_cycles: Vec::new(),
             inject_times,
             skew: None,
             stats: Stats::new(sim.message_count(), sim.channel_count()),
@@ -202,11 +199,9 @@ impl<'a> Runner<'a> {
         self.engine
     }
 
-    /// Attach a stall plan.
+    /// Attach a stall plan. A non-empty plan blocks the run loop's
+    /// skip (see the module docs).
     pub fn with_stalls(mut self, plan: StallPlan) -> Self {
-        self.stall_cycles = plan.values().flatten().copied().collect();
-        self.stall_cycles.sort_unstable();
-        self.stall_cycles.dedup();
         self.stall_plan = plan;
         self
     }
@@ -312,12 +307,12 @@ impl<'a> Runner<'a> {
     }
 
     /// After the quiet cycle `self.time - 1`: the first cycle at which
-    /// one of its inputs can differ — the next `inject_at`, the next
-    /// stall-plan cycle, or the hook's [`DecisionHook::quiet_until`].
-    /// A pausing skew model freezes a different set every period, so
-    /// it allows no skip.
+    /// one of its inputs can differ — the next `inject_at` or the
+    /// hook's [`DecisionHook::quiet_until`]. A pausing skew model
+    /// freezes a different set every period, and only tests attach a
+    /// stall plan, so either allows no skip.
     fn next_change(&self, hook: Option<&dyn DecisionHook>) -> u64 {
-        if self.skew.is_some() {
+        if self.skew.is_some() || !self.stall_plan.is_empty() {
             return self.time;
         }
         let next = |times: &[u64]| {
@@ -327,9 +322,7 @@ impl<'a> Runner<'a> {
                 .unwrap_or(u64::MAX)
         };
         let hook = hook.map_or(u64::MAX, |h| h.quiet_until(self.time - 1));
-        next(&self.inject_times)
-            .min(next(&self.stall_cycles))
-            .min(hook)
+        next(&self.inject_times).min(hook)
     }
 
     /// Account for the cycles `self.time..target` without stepping

@@ -86,18 +86,18 @@ fn single_lane_torus_is_deadlockable() {
     use cyclic_wormhole::net::NodeId;
     let torus = Torus::new(&[4], 1);
     let net = torus.network();
-    let table = TableRouting::from_node_paths(net, |s, d| {
+    let table = TableRouting::build(net, |path, s, d| {
         let k = 4;
         let (si, di) = (s.index(), d.index());
         let fwd = (di + k - si) % k;
         let step: isize = if fwd <= k - fwd { 1 } else { -1 };
-        let mut walk = vec![s];
+        path.node(s);
         let mut i = si as isize;
         while i as usize != di {
             i = (i + step).rem_euclid(k as isize);
-            walk.push(NodeId::from_index(i as usize));
+            path.node(NodeId::from_index(i as usize));
         }
-        Some(walk)
+        Some(())
     })
     .unwrap();
     let verdict = classify_algorithm(net, &table, &ClassifyOptions::default());

@@ -13,17 +13,20 @@
 //! channel walks (node revisits, paths through their own destination,
 //! partial tables), tables with failed channels removed, small
 //! instances of every production engine the `fabric_static` benchmark
-//! workload runs, and two hand-built tables whose answers are derived
-//! on paper.
+//! workload runs, tables on more than 64 nodes (the pass searches 64
+//! sources at a time) with partial rows, unreachable pairs across a
+//! batch boundary and suffix tries that branch, and two hand-built
+//! tables whose answers are derived on paper.
 
 use cyclic_wormhole::net::topology::{
-    complete, ring_unidirectional, ring_with_vcs, Dragonfly, FatTree, Hypercube, Mesh,
+    complete, ring_unidirectional, ring_with_vcs, Dragonfly, FatTree, Hypercube, Mesh, Torus,
 };
 use cyclic_wormhole::net::{ChannelId, Network, NodeId};
 use cyclic_wormhole::route::algorithms::{
-    clockwise_ring, dateline_ring, dimension_order, dragonfly_minimal, dragonfly_valiant, ecube,
-    fattree_updown, fullmesh_direct, fullmesh_ring_detour, fullmesh_vcfree, negative_first,
-    random_table, random_tree_routing, west_first, xy_mesh,
+    clockwise_ring, dateline_ring, dateline_torus, dimension_order, dragonfly_minimal,
+    dragonfly_valiant, ecube, fattree_updown, fullmesh_direct, fullmesh_ring_detour,
+    fullmesh_vcfree, negative_first, random_table, random_tree_routing, shortest_path_table,
+    west_first, xy_mesh,
 };
 use cyclic_wormhole::route::properties::{self, DeadTail, PropertyReport, Site};
 use cyclic_wormhole::route::{Path, TableBuilder, TableRouting};
@@ -443,6 +446,63 @@ fn fabric_engines_agree() {
         for _ in 0..4 {
             assert_agrees(net, &degrade(net, table, &mut rng), name);
         }
+    }
+}
+
+/// Tables on more than 64 nodes, with a node count that is not a
+/// multiple of 64: the pass's BFS searches 64 sources at a time.
+/// Partial rows (the fat tree, degraded tables), pairs unreachable
+/// across the first batch boundary, and suffix tries that branch (the
+/// dateline ring and torus violate Definition 8 after every dateline
+/// crossing, so suffixes from one node differ by lane).
+#[test]
+fn batch_boundaries_and_branching_tries_agree() {
+    let mut cases: Vec<(&str, Network, TableRouting)> = Vec::new();
+    let mesh = Mesh::new(&[9, 10]);
+    let t = dimension_order(&mesh).unwrap();
+    cases.push(("9x10 dimension_order", mesh.network().clone(), t));
+    let ft = FatTree::new(8);
+    let t = fattree_updown(&ft).unwrap();
+    cases.push(("k=8 fattree_updown", ft.network().clone(), t));
+    // Two stars, hubs 0 (leaves 1..63) and 64 (leaves 65..69), joined
+    // by the one-way link 0 -> 64: no node of the second batch of 64
+    // sources reaches one of the first, so those pairs are unreachable
+    // (and unrouted).
+    let mut net = Network::new();
+    let v = net.add_nodes("s", 70);
+    for (hub, leaves) in [(0, 1..64), (64, 65..70)] {
+        for leaf in leaves {
+            net.add_bidi(v[hub], v[leaf]);
+        }
+    }
+    net.add_channel(v[0], v[64]);
+    let t = shortest_path_table(&net).unwrap();
+    cases.push(("two stars, shortest paths", net.clone(), t));
+    let mut rng = StdRng::seed_from_u64(21);
+    let t = random_table(&net, &mut rng, 2).unwrap();
+    cases.push(("two stars, random detours", net, t));
+    let (net, nodes) = ring_with_vcs(9, 2);
+    let t = dateline_ring(&net, &nodes).unwrap();
+    cases.push(("9-node dateline_ring", net, t));
+    let torus = Torus::new(&[4, 3], 2);
+    let t = dateline_torus(&torus).unwrap();
+    cases.push(("4x3 dateline_torus", torus.network().clone(), t));
+    let torus = Torus::new(&[3, 5], 2);
+    let t = dateline_torus(&torus).unwrap();
+    cases.push(("3x5 dateline_torus", torus.network().clone(), t));
+
+    let mut rng = StdRng::seed_from_u64(22);
+    for (name, net, table) in &cases {
+        assert_agrees(net, table, name);
+        assert_agrees(net, &degrade(net, table, &mut rng), name);
+    }
+    let report = |i: usize| properties::analyze(&cases[i].1, &cases[i].2);
+    assert!(
+        report(2).unrouted_pairs > 0,
+        "the one-way link leaves pairs unrouted"
+    );
+    for i in [4, 5, 6] {
+        assert!(report(i).suffix_violations > 0, "{}", cases[i].0);
     }
 }
 
