@@ -2,7 +2,7 @@
 //!
 //! Every `exp_*` program calls [`init`] first thing in `main`. When
 //! the user passed `--trace <path>`, this installs a
-//! [`wormtrace::MemoryRecorder`] as the global recorder so all
+//! [`wormtrace::MemoryRecorder`] on the main thread so all
 //! `sim.*` / `search.*` / `classify.*` instrumentation points start
 //! accumulating, and returns a guard that serializes the collected
 //! [`wormtrace::TraceReport`] to `<path>` as JSON (schema

@@ -282,13 +282,19 @@ pub(crate) fn search_parallel<S: Space>(
     let layers = AtomicUsize::new(0);
     let barrier = Barrier::new(threads);
 
+    // Workers record into the caller's trace recorder, if it has one.
+    let recorder = wormtrace::current();
     std::thread::scope(|scope| {
         for w in 0..threads {
+            let recorder = recorder.clone();
             let (shards, frontiers, steals) = (&shards, &frontiers, &steals);
             let (stop, goal_seen, goals, visited) = (&stop, &goal_seen, &goals, &visited);
             let (dedup_hits, dedup_lookups) = (&dedup_hits, &dedup_lookups);
             let (frontier_peak, layers, barrier) = (&frontier_peak, &layers, &barrier);
             scope.spawn(move || {
+                if let Some(recorder) = recorder {
+                    wormtrace::install(recorder);
+                }
                 let mut parity = 0usize;
                 let mut depth = 0u32;
                 let mut succ: Vec<(S::Decision, S::State)> = Vec::new();
@@ -409,6 +415,7 @@ pub(crate) fn search_parallel<S: Space>(
                     depth += 1;
                 }
                 space.retire(scratch);
+                wormtrace::uninstall();
             });
         }
     });

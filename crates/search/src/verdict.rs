@@ -66,8 +66,8 @@ impl Verdict {
 /// sweep.
 ///
 /// This struct is the *compatibility view* of the search counters:
-/// the same numbers are published into the global [`wormtrace`]
-/// recorder (metric names `search.*`, see `docs/TRACING.md`) by
+/// the same numbers are published into the calling thread's
+/// [`wormtrace`] recorder (metric names `search.*`, see `docs/TRACING.md`) by
 /// [`SearchMetrics::publish`], which every engine calls when it
 /// finishes. Code that already consumes `result.metrics` keeps
 /// working unchanged; tooling that wants machine-readable output
@@ -119,7 +119,7 @@ impl SearchMetrics {
         };
     }
 
-    /// Publish these metrics into the globally installed
+    /// Publish these metrics into the calling thread's
     /// [`wormtrace`] recorder under the `search.*` names, recording
     /// the whole exploration as one observation of the span
     /// `engine_span` (`"search.explore"` or `"search.parallel"` — the

@@ -70,11 +70,6 @@ pub struct JobResult {
     pub trace: Option<String>,
 }
 
-/// The global trace recorder is process-wide state, so tracing workers
-/// serialize their verify-and-snapshot window through this lock; the
-/// non-tracing path never takes it.
-static TRACE_LOCK: Mutex<()> = Mutex::new(());
-
 fn run_job(job: &Job, cache: Option<&ResultCache>, attach_traces: bool) -> JobResult {
     let rejected = |e: SpecError| JobResult {
         name: job.name.clone(),
@@ -103,7 +98,8 @@ fn run_job(job: &Job, cache: Option<&ResultCache>, attach_traces: bool) -> JobRe
         Err(e) => return rejected(e),
     };
     let (verdict, trace) = if attach_traces {
-        let _guard = TRACE_LOCK.lock().expect("trace lock poisoned");
+        // The recorder is this worker thread's own: traced jobs on
+        // other workers record into theirs at the same time.
         let recorder = Arc::new(MemoryRecorder::default());
         wormtrace::install(Arc::clone(&recorder) as Arc<dyn wormtrace::Recorder>);
         let verdict = verdict_json(&compiled);
@@ -242,6 +238,52 @@ mod tests {
         let server = Server::start(ServerConfig::default()).unwrap();
         server.queue.close();
         assert!(!server.submit("late", RING));
+    }
+
+    /// `report` with every span's `total_ns` set to 0: the one part of
+    /// a trace that depends on the machine.
+    fn zero_span_totals(report: &str) -> String {
+        const KEY: &str = "\"total_ns\": ";
+        let mut out = String::with_capacity(report.len());
+        let mut rest = report;
+        while let Some(at) = rest.find(KEY) {
+            let (head, tail) = rest.split_at(at + KEY.len());
+            out.push_str(head);
+            out.push('0');
+            rest = tail.trim_start_matches(|c: char| c.is_ascii_digit());
+        }
+        out.push_str(rest);
+        out
+    }
+
+    #[test]
+    fn traced_jobs_on_four_workers_match_one_worker() {
+        let dir = std::path::Path::new(env!("CARGO_MANIFEST_DIR")).join("../../corpus");
+        let mut specs: Vec<_> = std::fs::read_dir(&dir)
+            .unwrap()
+            .map(|entry| entry.unwrap().path())
+            .filter(|path| path.extension().is_some_and(|ext| ext == "wspec"))
+            .collect();
+        specs.sort();
+        assert_eq!(specs.len(), 20);
+        let traces = |workers: usize| -> Vec<String> {
+            let server = Server::start(ServerConfig {
+                workers,
+                attach_traces: true,
+                ..ServerConfig::default()
+            })
+            .unwrap();
+            for path in &specs {
+                let source = std::fs::read_to_string(path).unwrap();
+                assert!(server.submit(path.display().to_string(), source));
+            }
+            server
+                .shutdown()
+                .iter()
+                .map(|r| zero_span_totals(r.trace.as_deref().expect("computed jobs are traced")))
+                .collect()
+        };
+        assert_eq!(traces(4), traces(1));
     }
 
     #[test]

@@ -15,11 +15,13 @@
 //! * **spans** — wall-clock durations of named regions measured by an
 //!   RAII guard ([`span`]), e.g. `search.parallel`.
 //!
-//! All three go through a global [`Recorder`] installed with
-//! [`install`]. When no recorder is installed (the default) every
-//! entry point is a single relaxed atomic load and an untaken branch —
-//! the instrumented hot paths of `wormsim` and `wormsearch` run at
-//! full speed. [`MemoryRecorder`] is the standard sink: thread-safe
+//! All three go through the calling thread's [`Recorder`], installed
+//! with [`install`]: concurrent jobs and tests each record into their
+//! own, and a caller hands its recorder to the threads it spawns
+//! through [`current`]. While no thread holds a recorder (the default)
+//! every entry point is a single relaxed atomic load and an untaken
+//! branch — the instrumented hot paths of `wormsim` and `wormsearch`
+//! run at full speed. [`MemoryRecorder`] is the standard sink: thread-safe
 //! in-memory accumulation, snapshot into a [`TraceReport`], and
 //! serialization to the `wormtrace/1` JSON schema documented in
 //! `docs/TRACING.md` (no serde — the writer is hand-rolled and
@@ -58,46 +60,85 @@ pub use recorder::{MemoryRecorder, NoopRecorder, Recorder};
 pub use report::{summarize, SpanStat, TraceReport, SCHEMA, SUMMARY_SCHEMA};
 pub use span::Span;
 
-use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::{Arc, RwLock};
+use std::cell::RefCell;
+use std::sync::atomic::{AtomicUsize, Ordering};
+use std::sync::Arc;
 
-static ENABLED: AtomicBool = AtomicBool::new(false);
-static RECORDER: RwLock<Option<Arc<dyn Recorder>>> = RwLock::new(None);
+/// Threads holding a recorder right now. While it reads zero, every
+/// entry point stops at one relaxed load of it.
+static SCOPES: AtomicUsize = AtomicUsize::new(0);
 
-/// Whether a recorder is currently installed.
+/// The calling thread's recorder. A thread that exits while holding
+/// one gives its count back here.
+struct Slot(RefCell<Option<Arc<dyn Recorder>>>);
+
+impl Drop for Slot {
+    fn drop(&mut self) {
+        if self.0.get_mut().take().is_some() {
+            SCOPES.fetch_sub(1, Ordering::Relaxed);
+        }
+    }
+}
+
+thread_local! {
+    static SLOT: Slot = const { Slot(RefCell::new(None)) };
+}
+
+/// Whether the calling thread holds a recorder.
 ///
-/// One relaxed atomic load: instrumented hot paths call this (or the
-/// free functions below, which call it first) unconditionally, so the
-/// disabled cost is a predictable branch — measured well under the
-/// 5 % budget on the search-heavy experiment binaries.
+/// While no thread holds one this is one relaxed atomic load:
+/// instrumented hot paths call this (or the free functions below,
+/// which call it first) unconditionally, so the disabled cost is a
+/// predictable branch — measured well under the 5 % budget on the
+/// search-heavy experiment binaries.
 #[inline]
 pub fn enabled() -> bool {
-    ENABLED.load(Ordering::Relaxed)
+    SCOPES.load(Ordering::Relaxed) != 0
+        && SLOT
+            .try_with(|slot| slot.0.borrow().is_some())
+            .unwrap_or(false)
 }
 
-/// Install `recorder` as the global sink, replacing any previous one.
+/// Install `recorder` as the calling thread's sink, replacing any
+/// previous one.
 ///
 /// Subsequent [`counter`]/[`gauge`]/[`gauge_max`]/[`span`] calls from
-/// any thread flow into it. Binaries install once at startup;
-/// replacing mid-run is allowed (tests use it) but events racing the
-/// swap may land in either recorder.
+/// this thread flow into it; other threads are unaffected. A caller
+/// that spawns workers hands them its recorder through [`current`].
 pub fn install(recorder: Arc<dyn Recorder>) {
-    *RECORDER.write().expect("recorder lock") = Some(recorder);
-    ENABLED.store(true, Ordering::Relaxed);
+    SLOT.with(|slot| {
+        if slot.0.borrow_mut().replace(recorder).is_none() {
+            SCOPES.fetch_add(1, Ordering::Relaxed);
+        }
+    });
 }
 
-/// Remove the global recorder, returning instrumentation to the
-/// no-op fast path.
+/// Remove the calling thread's recorder, returning its
+/// instrumentation to the no-op fast path.
 pub fn uninstall() {
-    ENABLED.store(false, Ordering::Relaxed);
-    *RECORDER.write().expect("recorder lock") = None;
+    SLOT.with(|slot| {
+        if slot.0.borrow_mut().take().is_some() {
+            SCOPES.fetch_sub(1, Ordering::Relaxed);
+        }
+    });
 }
 
-/// Run `f` with the installed recorder, if any.
-fn with_recorder(f: impl FnOnce(&dyn Recorder)) {
-    if let Some(r) = RECORDER.read().expect("recorder lock").as_ref() {
-        f(r.as_ref());
+/// The calling thread's recorder, if any: what a caller hands to the
+/// threads it spawns, each of which [`install`]s it.
+pub fn current() -> Option<Arc<dyn Recorder>> {
+    if SCOPES.load(Ordering::Relaxed) == 0 {
+        return None;
     }
+    SLOT.try_with(|slot| slot.0.borrow().clone()).ok().flatten()
+}
+
+/// Run `f` with the calling thread's recorder, if any.
+fn with_recorder(f: impl FnOnce(&dyn Recorder)) {
+    let _ = SLOT.try_with(|slot| {
+        if let Some(r) = slot.0.borrow().as_ref() {
+            f(r.as_ref());
+        }
+    });
 }
 
 /// Add `delta` to the counter `name`. No-op unless a recorder is
@@ -150,16 +191,13 @@ pub fn span_elapsed(name: &'static str, elapsed: std::time::Duration) {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use std::sync::Mutex;
-
-    /// Serializes the tests that touch the global recorder.
-    static GLOBAL: Mutex<()> = Mutex::new(());
+    use std::sync::Barrier;
 
     #[test]
     fn disabled_calls_are_noops() {
-        let _g = GLOBAL.lock().unwrap();
         uninstall();
         assert!(!enabled());
+        assert!(current().is_none());
         counter("x", 1);
         gauge("y", 2.0);
         gauge_max("z", 3.0);
@@ -170,7 +208,6 @@ mod tests {
 
     #[test]
     fn install_routes_all_instruments() {
-        let _g = GLOBAL.lock().unwrap();
         let rec = Arc::new(MemoryRecorder::new());
         install(rec.clone());
         assert!(enabled());
@@ -194,7 +231,6 @@ mod tests {
 
     #[test]
     fn install_replaces_previous_recorder() {
-        let _g = GLOBAL.lock().unwrap();
         let first = Arc::new(MemoryRecorder::new());
         let second = Arc::new(MemoryRecorder::new());
         install(first.clone());
@@ -204,5 +240,54 @@ mod tests {
         uninstall();
         assert_eq!(first.snapshot().counters["k"], 1);
         assert_eq!(second.snapshot().counters["k"], 10);
+    }
+
+    #[test]
+    fn concurrent_threads_record_into_their_own_recorders() {
+        const ROUNDS: u64 = 2_000;
+        let barrier = Barrier::new(2);
+        let totals: Vec<u64> = std::thread::scope(|scope| {
+            let workers: Vec<_> = [1u64, 10]
+                .into_iter()
+                .map(|delta| {
+                    let barrier = &barrier;
+                    scope.spawn(move || {
+                        let rec = Arc::new(MemoryRecorder::new());
+                        install(rec.clone());
+                        barrier.wait();
+                        for _ in 0..ROUNDS {
+                            counter("shared", delta);
+                        }
+                        barrier.wait();
+                        uninstall();
+                        rec.snapshot().counters["shared"]
+                    })
+                })
+                .collect();
+            workers.into_iter().map(|w| w.join().unwrap()).collect()
+        });
+        assert_eq!(totals, [ROUNDS, 10 * ROUNDS]);
+    }
+
+    #[test]
+    fn a_spawned_thread_records_into_the_recorder_handed_to_it() {
+        let rec = Arc::new(MemoryRecorder::new());
+        install(rec.clone());
+        let handed = current().expect("installed on this thread");
+        std::thread::spawn(move || {
+            assert!(!enabled(), "a new thread starts without a recorder");
+            install(handed);
+            counter("worker", 7);
+            drop(span("worker.region"));
+            uninstall();
+        })
+        .join()
+        .unwrap();
+        counter("caller", 1);
+        uninstall();
+        let report = rec.snapshot();
+        assert_eq!(report.counters["worker"], 7);
+        assert_eq!(report.counters["caller"], 1);
+        assert_eq!(report.spans["worker.region"].count, 1);
     }
 }

@@ -4,7 +4,7 @@ use std::time::Instant;
 
 /// Guard returned by [`crate::span`]: measures the wall-clock time
 /// from creation to drop and records it as one observation of the
-/// named span in the global recorder.
+/// named span in the calling thread's recorder.
 ///
 /// If no recorder was installed when the guard was created, it holds
 /// no timestamp and drop is free. The guard is deliberately
@@ -49,7 +49,7 @@ mod tests {
     fn enabled_span_measures_time() {
         let span = Span::start("s", true);
         assert!(span.start.is_some());
-        // Dropping records via the global path; with no recorder
+        // Dropping records via the thread's recorder; with none
         // installed the observation is discarded harmlessly.
         drop(span);
     }

@@ -6,9 +6,9 @@
 //! published from every `Sim::step`, so they also pin that summing
 //! loses no step, moved or not.
 //!
-//! This binary holds one test on purpose: the recorder is process
-//! global, and another test running beside it would add its own
-//! counters to the totals.
+//! The recorder is installed on the test's own thread; the parallel
+//! engine hands it to its workers (`wormtrace::current`), so their
+//! counters reach the same totals.
 
 use std::collections::BTreeMap;
 use std::sync::Arc;
