@@ -2,32 +2,26 @@
 //!
 //! Run with: `cargo bench -p wormbench --bench sim_bench`
 
-use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
+use criterion::{criterion_group, criterion_main, Criterion};
 use rand::SeedableRng;
 use std::hint::black_box;
 use wormbench::scenarios::sim_scenarios;
 use wormnet::topology::Mesh;
 use wormroute::algorithms::dimension_order;
-use wormsim::runner::{ArbitrationPolicy, EngineKind, Runner};
+use wormsim::runner::{ArbitrationPolicy, Runner};
 use wormsim::{traffic, Sim};
 
 /// Every named sim scenario (the `BENCH_sim.json` workloads: uniform
 /// meshes 4x4..32x32, fig1 under the adversary and fig1 with `c_s`
-/// down) under both
-/// engines, so Criterion and the committed baselines measure the same
+/// down), so Criterion and the committed baselines measure the same
 /// workloads.
 fn bench_sim_scenarios(c: &mut Criterion) {
     let mut group = c.benchmark_group("sim_scenarios");
     group.sample_size(10);
     for s in sim_scenarios() {
-        for (label, engine) in [
-            ("stepping", EngineKind::Stepping),
-            ("event", EngineKind::Event),
-        ] {
-            group.bench_with_input(BenchmarkId::new(&s.name, label), &engine, |b, &engine| {
-                b.iter(|| black_box(&s).run(engine, s.max_cycles, |outcome, _| outcome));
-            });
-        }
+        group.bench_function(s.name.as_str(), |b| {
+            b.iter(|| black_box(&s).run(s.max_cycles, |outcome, _| outcome));
+        });
     }
     group.finish();
 }

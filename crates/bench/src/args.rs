@@ -6,11 +6,37 @@
 //! stay consistent (same flag spelling, same error behaviour) without
 //! copy-pasted parsing loops.
 //!
-//! Malformed input is rejected, never replaced by a default: a
-//! value-taking flag given as the last argument, or with a value its
-//! parser does not accept, ends the program with exit status 2. The
-//! `parse_*` functions are the pure halves of that rule, taking the
-//! argument list explicitly.
+//! Malformed input is rejected, never replaced by a default: an
+//! argument the binary does not take ([`accept`]), a value-taking flag
+//! given as the last argument, or a value its parser does not accept
+//! ends the program with exit status 2. The `parse_*` functions are
+//! the pure halves of that rule, taking the argument list explicitly.
+
+/// Checks that every argument after the program name is one of the
+/// binary's flags: a flag from `values` followed by its value, or a
+/// switch from `switches`.
+pub fn parse_known(args: &[String], values: &[&str], switches: &[&str]) -> Result<(), String> {
+    let mut rest = args.iter().skip(1);
+    while let Some(arg) = rest.next() {
+        if values.contains(&arg.as_str()) {
+            if rest.next().is_none() {
+                return Err(format!("{arg} needs a value"));
+            }
+        } else if !switches.contains(&arg.as_str()) {
+            let taken: Vec<String> = values
+                .iter()
+                .map(|v| format!("{v} <value>"))
+                .chain(switches.iter().map(|s| s.to_string()))
+                .collect();
+            return Err(if taken.is_empty() {
+                format!("unknown argument {arg:?} (this program takes no arguments)")
+            } else {
+                format!("unknown argument {arg:?} (expected {})", taken.join(", "))
+            });
+        }
+    }
+    Ok(())
+}
 
 /// The value following `flag` in `args`: `Ok(None)` when the flag is
 /// absent, an error when it is the last argument.
@@ -44,16 +70,6 @@ pub fn parse_seed(args: &[String]) -> Result<Option<u64>, String> {
     })
 }
 
-/// `--engine stepping|event` in `args`: `Ok(None)` when absent.
-pub fn parse_engine(args: &[String]) -> Result<Option<wormsim::runner::EngineKind>, String> {
-    use wormsim::runner::EngineKind;
-    parse_flag(args, "--engine", "stepping or event", |v| match v {
-        "stepping" => Some(EngineKind::Stepping),
-        "event" => Some(EngineKind::Event),
-        _ => None,
-    })
-}
-
 fn parse_flag<T>(
     args: &[String],
     flag: &str,
@@ -77,6 +93,13 @@ fn from_argv<T>(parse: impl FnOnce(&[String]) -> Result<T, String>) -> T {
     })
 }
 
+/// Exits 2 unless every command-line argument is one of the binary's
+/// flags (see [`parse_known`]). Binaries call it first thing in
+/// `main`, so a flag they do not take is never silently ignored.
+pub fn accept(values: &[&str], switches: &[&str]) {
+    from_argv(|args| parse_known(args, values, switches))
+}
+
 /// Returns the value following `flag` on the command line, if any;
 /// exits 2 when the flag has no value.
 pub fn value_of(flag: &str) -> Option<String> {
@@ -93,12 +116,6 @@ pub fn threads(default: usize) -> usize {
     from_argv(parse_threads).unwrap_or(default)
 }
 
-/// Parses `--engine stepping|event`, falling back to `default` only
-/// when the flag is absent.
-pub fn engine(default: wormsim::runner::EngineKind) -> wormsim::runner::EngineKind {
-    from_argv(parse_engine).unwrap_or(default)
-}
-
 /// Parses `--seed N` (see [`parse_seed`]), falling back to `default`
 /// only when the flag is absent.
 pub fn seed(default: u64) -> u64 {
@@ -108,7 +125,6 @@ pub fn seed(default: u64) -> u64 {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use wormsim::runner::EngineKind;
 
     fn args(list: &[&str]) -> Vec<String> {
         std::iter::once("exp")
@@ -122,7 +138,6 @@ mod tests {
         let a = args(&["--other", "3"]);
         assert_eq!(parse_threads(&a), Ok(None));
         assert_eq!(parse_seed(&a), Ok(None));
-        assert_eq!(parse_engine(&a), Ok(None));
         assert_eq!(flag_value(&a, "--trace"), Ok(None));
     }
 
@@ -134,10 +149,6 @@ mod tests {
         assert_eq!(
             parse_seed(&args(&["--seed", "0xC0FFEE"])),
             Ok(Some(0xC0FFEE))
-        );
-        assert_eq!(
-            parse_engine(&args(&["--engine", "event"])),
-            Ok(Some(EngineKind::Event))
         );
         assert_eq!(
             flag_value(&args(&["--trace", "t.json"]), "--trace"),
@@ -154,16 +165,57 @@ mod tests {
         for bad in ["0xZZ", "seed", "1.5"] {
             assert!(parse_seed(&args(&["--seed", bad])).is_err(), "{bad}");
         }
-        assert!(parse_engine(&args(&["--engine", "fast"])).is_err());
     }
 
     #[test]
     fn flags_without_values_are_rejected() {
         assert!(parse_threads(&args(&["--threads"])).is_err());
         assert!(parse_seed(&args(&["--seed"])).is_err());
-        assert!(parse_engine(&args(&["--engine"])).is_err());
         assert!(flag_value(&args(&["--trace"]), "--trace").is_err());
         // A following flag is taken as the value, and fails to parse.
         assert!(parse_threads(&args(&["--threads", "--seed", "1"])).is_err());
+    }
+
+    #[test]
+    fn known_flags_are_accepted() {
+        let values = ["--trace", "--seed"];
+        let switches = ["--smoke"];
+        for ok in [
+            &[][..],
+            &["--seed", "0xC0FFEE"],
+            &["--trace", "t.json", "--seed", "7"],
+            &["--smoke", "--trace", "--smoke"],
+        ] {
+            assert_eq!(parse_known(&args(ok), &values, &switches), Ok(()), "{ok:?}");
+        }
+    }
+
+    #[test]
+    fn unknown_arguments_are_rejected() {
+        let values = ["--trace", "--seed"];
+        for bad in [
+            &["--engine", "event"][..],
+            &["--seed", "1", "--threads", "2"],
+            &["extra"],
+            &["--smoke"],
+            &["--seed=1"],
+        ] {
+            let err = parse_known(&args(bad), &values, &[]).unwrap_err();
+            assert!(err.contains("unknown argument"), "{bad:?}: {err}");
+            assert!(err.contains("--trace <value>, --seed <value>"), "{err}");
+        }
+        let err = parse_known(&args(&["--trace"]), &[], &[]).unwrap_err();
+        assert!(err.contains("takes no arguments"), "{err}");
+    }
+
+    #[test]
+    fn a_value_flag_needs_its_value() {
+        let err = parse_known(&args(&["--seed"]), &["--seed"], &[]).unwrap_err();
+        assert_eq!(err, "--seed needs a value");
+        // The value is consumed, even when it looks like a flag.
+        assert_eq!(
+            parse_known(&args(&["--trace", "--seed"]), &["--trace", "--seed"], &[]),
+            Ok(())
+        );
     }
 }

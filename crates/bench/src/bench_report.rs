@@ -29,7 +29,6 @@ use worm_core::classify::{classify_algorithm, AlgorithmVerdict, ClassifyOptions}
 use wormcdg::Cdg;
 use wormnet::graph::tarjan_scc;
 use wormsearch::{explore, SearchResult, Verdict};
-use wormsim::runner::EngineKind;
 
 /// Schema identifier stamped into every baseline file.
 pub const SCHEMA: &str = "wormbench/1";
@@ -417,8 +416,8 @@ fn run_topo_scenario(report: &mut BenchReport, s: &TopologyScenario) {
     );
 }
 
-/// One engine's measurement of a sim scenario: the structural values
-/// (which must match across engines) plus the timing.
+/// One measurement of a sim scenario: the structural values plus the
+/// timing.
 struct SimMeasure {
     cycles: u64,
     flit_moves: u64,
@@ -427,19 +426,18 @@ struct SimMeasure {
     cycles_per_sec: f64,
 }
 
-/// Repeat policy for timing runs. Both engines get the identical
-/// policy, so the recorded speedup compares like with like: rerun the
-/// scenario until it has consumed [`MIN_TIMING_SECS`] of wall clock or
-/// hit [`MAX_TIMING_REPS`] repetitions, and keep the *best* per-cycle
-/// rate seen. Best-of-N filters out scheduler preemption and other
+/// Repeat policy for timing runs: rerun the scenario until it has
+/// consumed [`MIN_TIMING_SECS`] of wall clock or hit
+/// [`MAX_TIMING_REPS`] repetitions, and keep the *best* per-cycle rate
+/// seen. Best-of-N filters out scheduler preemption and other
 /// one-off noise that a single run is exposed to; the structural
 /// values (cycles, flit moves, outcome) come from the first run and
 /// are deterministic anyway.
 const MIN_TIMING_SECS: f64 = 0.25;
-/// Upper bound on timing repetitions per scenario per engine.
+/// Upper bound on timing repetitions per scenario.
 const MAX_TIMING_REPS: u32 = 5;
 
-fn measure_sim(s: &SimScenario, engine: EngineKind, max_cycles: u64, smoke: bool) -> SimMeasure {
+fn measure_sim(s: &SimScenario, max_cycles: u64, smoke: bool) -> SimMeasure {
     let mut best_rate = 0.0f64;
     let mut first: Option<SimMeasure> = None;
     let mut spent = 0.0f64;
@@ -448,7 +446,7 @@ fn measure_sim(s: &SimScenario, engine: EngineKind, max_cycles: u64, smoke: bool
             break;
         }
         let start = Instant::now();
-        let (secs, measure) = s.run(engine, max_cycles, |outcome, stats| {
+        let (secs, measure) = s.run(max_cycles, |outcome, stats| {
             let secs = start.elapsed().as_secs_f64();
             let measure = SimMeasure {
                 cycles: stats.cycles,
@@ -473,101 +471,32 @@ fn measure_sim(s: &SimScenario, engine: EngineKind, max_cycles: u64, smoke: bool
     m
 }
 
-/// Run one simulator scenario into `report` under each engine in
-/// `engines`.
-///
-/// The stepping engine's measurements use the historical unprefixed
-/// keys; the event engine's timing lands under `event_cycles_per_sec`
-/// (plus `event_speedup` when both ran). Structural values are engine
-/// independent — `tests/diff_sim.rs` holds the two engines to
-/// bit-identical outcomes — so a disagreement here is a correctness
-/// bug and panics rather than silently writing mismatched baselines.
-fn run_sim_scenario(
-    report: &mut BenchReport,
-    s: &SimScenario,
-    smoke: bool,
-    engines: &[EngineKind],
-) {
+/// Run one simulator scenario into `report`: its cycles, flit moves,
+/// deliveries and outcome, and the best measured `cycles_per_sec`.
+fn run_sim_scenario(report: &mut BenchReport, s: &SimScenario, smoke: bool) {
     let max_cycles = if smoke {
         s.max_cycles.min(200)
     } else {
         s.max_cycles
     };
-    let mut stepping: Option<SimMeasure> = None;
-    for &engine in engines {
-        let m = measure_sim(s, engine, max_cycles, smoke);
-        match engine {
-            EngineKind::Stepping => {
-                report.insert(&s.name, "cycles", BenchValue::Int(m.cycles));
-                report.insert(&s.name, "flit_moves", BenchValue::Int(m.flit_moves));
-                report.insert(&s.name, "delivered", BenchValue::Int(m.delivered));
-                report.insert(&s.name, "outcome", BenchValue::Str(m.outcome.into()));
-                report.insert(
-                    &s.name,
-                    "cycles_per_sec",
-                    BenchValue::Float(m.cycles_per_sec),
-                );
-                stepping = Some(m);
-            }
-            EngineKind::Event => {
-                if let Some(oracle) = &stepping {
-                    assert_eq!(oracle.cycles, m.cycles, "{}: engine cycle mismatch", s.name);
-                    assert_eq!(
-                        oracle.flit_moves, m.flit_moves,
-                        "{}: engine flit-move mismatch",
-                        s.name
-                    );
-                    assert_eq!(
-                        oracle.delivered, m.delivered,
-                        "{}: engine delivery mismatch",
-                        s.name
-                    );
-                    assert_eq!(
-                        oracle.outcome, m.outcome,
-                        "{}: engine outcome mismatch",
-                        s.name
-                    );
-                    if m.cycles_per_sec > 0.0 {
-                        report.insert(
-                            &s.name,
-                            "event_speedup",
-                            BenchValue::Float(
-                                (m.cycles_per_sec / oracle.cycles_per_sec.max(1.0) * 100.0).round()
-                                    / 100.0,
-                            ),
-                        );
-                    }
-                } else {
-                    // Event-only run: record the structural values too.
-                    report.insert(&s.name, "cycles", BenchValue::Int(m.cycles));
-                    report.insert(&s.name, "flit_moves", BenchValue::Int(m.flit_moves));
-                    report.insert(&s.name, "delivered", BenchValue::Int(m.delivered));
-                    report.insert(&s.name, "outcome", BenchValue::Str(m.outcome.into()));
-                }
-                report.insert(
-                    &s.name,
-                    "event_cycles_per_sec",
-                    BenchValue::Float(m.cycles_per_sec),
-                );
-            }
-        }
-    }
+    let m = measure_sim(s, max_cycles, smoke);
+    report.insert(&s.name, "cycles", BenchValue::Int(m.cycles));
+    report.insert(&s.name, "flit_moves", BenchValue::Int(m.flit_moves));
+    report.insert(&s.name, "delivered", BenchValue::Int(m.delivered));
+    report.insert(&s.name, "outcome", BenchValue::Str(m.outcome.into()));
+    report.insert(
+        &s.name,
+        "cycles_per_sec",
+        BenchValue::Float(m.cycles_per_sec),
+    );
 }
 
-/// Run the simulator suite headlessly under both engines (stepping
-/// keys unprefixed, event keys `event_`-prefixed). `smoke` caps every
-/// run at a few hundred cycles.
+/// Run the simulator suite headlessly. `smoke` caps every run at a few
+/// hundred cycles.
 pub fn run_sim_suite(smoke: bool) -> BenchReport {
-    run_sim_suite_engines(smoke, &[EngineKind::Stepping, EngineKind::Event])
-}
-
-/// Like [`run_sim_suite`], restricted to the given engines (the
-/// `bench_report --engine` flag). Listing both measures stepping
-/// first so the event entry also records `event_speedup`.
-pub fn run_sim_suite_engines(smoke: bool, engines: &[EngineKind]) -> BenchReport {
     let mut report = BenchReport::new("sim");
     for s in sim_scenarios() {
-        run_sim_scenario(&mut report, &s, smoke, engines);
+        run_sim_scenario(&mut report, &s, smoke);
     }
     report
 }
@@ -673,7 +602,6 @@ mod tests {
         let sim = run_sim_suite(true);
         assert!(sim.entries.contains_key("fig1_adversarial"));
         assert!(sim.entries["fig1_adversarial"].contains_key("cycles_per_sec"));
-        assert!(sim.entries["fig1_adversarial"].contains_key("event_cycles_per_sec"));
         assert!(sim.entries.contains_key("mesh_uniform_16x16"));
         assert!(sim.entries.contains_key("mesh_uniform_32x32"));
         // The starved run: no flit ever moves, and it times out at the
@@ -682,15 +610,5 @@ mod tests {
         assert_eq!(starved["cycles"], BenchValue::Int(200));
         assert_eq!(starved["flit_moves"], BenchValue::Int(0));
         assert_eq!(starved["outcome"], BenchValue::Str("timeout".into()));
-    }
-
-    #[test]
-    fn event_only_suite_records_structural_keys() {
-        let sim = run_sim_suite_engines(true, &[EngineKind::Event]);
-        let fig1 = &sim.entries["fig1_adversarial"];
-        assert!(fig1.contains_key("cycles"));
-        assert!(fig1.contains_key("outcome"));
-        assert!(fig1.contains_key("event_cycles_per_sec"));
-        assert!(!fig1.contains_key("cycles_per_sec"));
     }
 }

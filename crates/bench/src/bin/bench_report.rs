@@ -2,15 +2,10 @@
 //! writes the committed `wormbench/1` baselines.
 //!
 //! ```text
-//! bench_report [--suite search|sim|all] [--engine stepping|event|both]
-//!              [--smoke] [--out-dir DIR]
+//! bench_report [--suite search|sim|all] [--smoke] [--out-dir DIR]
 //! ```
 //!
 //! * `--suite` — which suite(s) to run (default `all`).
-//! * `--engine` — which simulator engine(s) the sim suite measures
-//!   (default `both`: stepping keys unprefixed, event keys
-//!   `event_`-prefixed, plus `event_speedup`). The committed
-//!   `BENCH_sim.json` is always regenerated with `both`.
 //! * `--smoke` — cap every workload to a tiny budget so the whole run
 //!   finishes in seconds; used by CI to validate the harness. Smoke
 //!   results are printed but **not** written unless `--out-dir` is
@@ -23,8 +18,7 @@
 //! workflow.
 
 use wormbench::args;
-use wormbench::bench_report::{run_search_suite, run_sim_suite_engines, BenchReport};
-use wormsim::runner::EngineKind;
+use wormbench::bench_report::{run_search_suite, run_sim_suite, BenchReport};
 
 fn write_or_print(report: &BenchReport, out_dir: Option<&str>, smoke: bool) {
     let json = report.to_json();
@@ -50,6 +44,7 @@ fn write_or_print(report: &BenchReport, out_dir: Option<&str>, smoke: bool) {
 }
 
 fn main() {
+    args::accept(&["--suite", "--out-dir"], &["--smoke"]);
     let smoke = std::env::args().any(|a| a == "--smoke");
     let suite = args::value_of("--suite").unwrap_or_else(|| "all".into());
     let out_dir = args::value_of("--out-dir");
@@ -58,19 +53,10 @@ fn main() {
         eprintln!("bench_report: unknown suite {suite:?} (expected search, sim, or all)");
         std::process::exit(2);
     }
-    let engines: &[EngineKind] = match args::value_of("--engine").as_deref() {
-        None | Some("both") => &[EngineKind::Stepping, EngineKind::Event],
-        Some("stepping") => &[EngineKind::Stepping],
-        Some("event") => &[EngineKind::Event],
-        Some(other) => {
-            eprintln!("bench_report: unknown engine {other:?} (expected stepping, event, or both)");
-            std::process::exit(2);
-        }
-    };
     if suite == "search" || suite == "all" {
         write_or_print(&run_search_suite(smoke), out_dir, smoke);
     }
     if suite == "sim" || suite == "all" {
-        write_or_print(&run_sim_suite_engines(smoke, engines), out_dir, smoke);
+        write_or_print(&run_sim_suite(smoke), out_dir, smoke);
     }
 }

@@ -15,7 +15,7 @@
 //! (add `--trace <path>` to dump a wormtrace JSON report)
 
 use wormbench::report::{cell, header, row};
-use wormbench::trace;
+use wormbench::{args, trace};
 use wormcdg::adaptive::AdaptiveCdg;
 use wormnet::topology::Mesh;
 use wormroute::adaptive::{
@@ -96,6 +96,7 @@ fn analyze(name: &str, mesh: &Mesh, routing: AdaptiveRouting) {
 }
 
 fn main() {
+    args::accept(&["--trace"], &[]);
     let _trace = trace::init("exp_adaptive");
     println!("EXP-A1: adaptive routing — acyclic CDG not necessary (Duato)\n");
     header(&[

@@ -25,7 +25,7 @@
 
 use wormbench::bench_report::{run_exist_suite, BenchValue};
 use wormbench::report::{cell, header, row};
-use wormbench::trace;
+use wormbench::{args, trace};
 
 fn get(values: &std::collections::BTreeMap<String, BenchValue>, key: &str) -> String {
     match values
@@ -38,6 +38,7 @@ fn get(values: &std::collections::BTreeMap<String, BenchValue>, key: &str) -> St
 }
 
 fn main() {
+    args::accept(&["--trace"], &["--smoke"]);
     let _trace = trace::init("exp_exist");
     let smoke = std::env::args().any(|a| a == "--smoke");
     println!(

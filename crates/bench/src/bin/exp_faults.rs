@@ -19,9 +19,7 @@
 //!
 //! Run with: `cargo run --release -p wormbench --bin exp_faults`
 //! (add `--seed 0xC0FFEE` to pin the plan seed, `--trace <path>` to
-//! dump a wormtrace JSON report with the `fault.*` counters,
-//! `--engine stepping|event` to pick the simulator engine backing the
-//! dynamic sweep — outcomes are identical either way)
+//! dump a wormtrace JSON report with the `fault.*` counters)
 
 use worm_core::classify::{classify_algorithm, AlgorithmVerdict, ClassifyOptions};
 use worm_core::family::CycleConstruction;
@@ -29,7 +27,7 @@ use worm_core::paper::{fig1, fig2, fig3};
 use wormbench::report::{cell, header, row};
 use wormbench::{args, trace};
 use wormfault::{reverify, FaultOutcome, FaultPlan, FaultRunner, RetryPolicy};
-use wormsim::runner::{ArbitrationPolicy, EngineKind};
+use wormsim::runner::ArbitrationPolicy;
 use wormsim::Sim;
 
 fn verdict_str(v: &AlgorithmVerdict) -> &'static str {
@@ -81,9 +79,9 @@ fn cases() -> Vec<Case> {
 }
 
 fn main() {
+    args::accept(&["--trace", "--seed"], &[]);
     let _trace = trace::init("exp_faults");
     let seed = args::seed(0xC0FFEE);
-    let engine = args::engine(EngineKind::Stepping);
     let opts = ClassifyOptions::default();
     println!("EXP-FLT: fault sweeps over the paper's constructions (seed {seed:#x})");
 
@@ -108,8 +106,7 @@ fn main() {
                 ArbitrationPolicy::OldestFirst,
                 plan.clone(),
                 RetryPolicy::Passive,
-            )
-            .with_engine(engine);
+            );
             let outcome = fr.run(20_000);
             let report = fr.report();
             row(&[

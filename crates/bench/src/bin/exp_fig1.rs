@@ -11,12 +11,13 @@
 
 use worm_core::paper::fig1;
 use wormbench::report::{cell, header, row};
-use wormbench::trace;
+use wormbench::{args, trace};
 use wormcdg::deadlock_candidates;
 use wormsearch::{explore, min_stall_budget, render_witness, SearchConfig, Verdict};
 use wormsim::{MessageSpec, Sim};
 
 fn main() {
+    args::accept(&["--trace"], &[]);
     let _trace = trace::init("exp_fig1");
     let c = fig1::cyclic_dependency();
     let cdg = c.cdg();

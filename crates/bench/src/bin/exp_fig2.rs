@@ -11,11 +11,12 @@
 use worm_core::family::{CycleMessageSpec, SharedCycleSpec};
 use worm_core::paper::fig2;
 use wormbench::report::{cell, header, row};
-use wormbench::trace;
+use wormbench::{args, trace};
 use wormsearch::{explore, render_witness, replay, SearchConfig, Verdict};
 use wormsim::Sim;
 
 fn main() {
+    args::accept(&["--trace"], &[]);
     let _trace = trace::init("exp_fig2");
     println!("EXP-F2: Figure 2 / Theorem 4 — two sharers outside the cycle");
     let c = fig2::two_message_deadlock();

@@ -18,6 +18,7 @@ use wormsearch::{explore_parallel, SearchConfig};
 use wormsim::Sim;
 
 fn main() {
+    args::accept(&["--trace", "--threads"], &[]);
     let _trace = trace::init("exp_fig3");
     let threads = args::threads(0);
     println!("EXP-F3: Figure 3 / Theorem 5 — three messages sharing a channel\n");

@@ -17,6 +17,7 @@ use wormsearch::{explore, min_stall_budget_parallel, SearchConfig};
 use wormsim::Sim;
 
 fn main() {
+    args::accept(&["--trace", "--threads"], &[]);
     let _trace = trace::init("exp_generalized");
     let threads = args::threads(0);
     println!("EXP-G1: Section 6 — G(k) requires >= k extra delay for deadlock\n");

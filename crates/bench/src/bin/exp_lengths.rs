@@ -19,7 +19,7 @@
 use worm_core::family::{CycleMessageSpec, SharedCycleSpec};
 use worm_core::paper::fig1;
 use wormbench::report::{cell, header, row};
-use wormbench::trace;
+use wormbench::{args, trace};
 use wormsearch::{explore, SearchConfig};
 use wormsim::{MessageSpec, Sim};
 
@@ -55,6 +55,7 @@ fn verdict(c: &worm_core::family::CycleConstruction, lengths: &[usize]) -> (&'st
 }
 
 fn main() {
+    args::accept(&["--trace"], &[]);
     let _trace = trace::init("exp_lengths");
     println!("EXP-FF: length-dependent deadlock freedom (Section 1's F&F critique)\n");
 

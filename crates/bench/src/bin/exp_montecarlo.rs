@@ -14,15 +14,13 @@
 //! rate).
 //!
 //! Run with: `cargo run --release -p wormbench --bin exp_montecarlo`
-//! (add `--trace <path>` to dump a wormtrace JSON report, `--engine
-//! stepping|event` to pick the simulator engine — rates are identical
-//! either way, the event core just gets there faster)
+//! (add `--trace <path>` to dump a wormtrace JSON report)
 
 use rand::{RngExt, SeedableRng};
 use worm_core::paper::{fig1, fig2, fig3, generalized};
 use wormbench::report::{cell, header, row};
 use wormbench::{args, trace};
-use wormsim::runner::{ArbitrationPolicy, EngineKind, Outcome, Runner};
+use wormsim::runner::{ArbitrationPolicy, Outcome, Runner};
 use wormsim::{MessageSpec, Sim};
 
 const RUNS: u64 = 400;
@@ -41,7 +39,6 @@ fn deadlock_rate(
     table: &wormroute::TableRouting,
     base: &[MessageSpec],
     policy: ArbitrationPolicy,
-    engine: EngineKind,
     seed0: u64,
 ) -> (f64, u64) {
     let mut deadlocks = 0u64;
@@ -52,7 +49,7 @@ fn deadlock_rate(
             .map(|s| MessageSpec::new(s.src, s.dst, s.length).at(rng.random_range(0..HORIZON)))
             .collect();
         let sim = Sim::new(net, table, specs, Some(1)).expect("routed");
-        let mut runner = Runner::new(&sim, policy.clone()).with_engine(engine);
+        let mut runner = Runner::new(&sim, policy.clone());
         if matches!(runner.run(100_000), Outcome::Deadlock { .. }) {
             deadlocks += 1;
         }
@@ -61,8 +58,8 @@ fn deadlock_rate(
 }
 
 fn main() {
+    args::accept(&["--trace"], &[]);
     let _trace = trace::init("exp_montecarlo");
-    let engine = args::engine(EngineKind::Stepping);
     println!(
         "EXP-MC: Monte Carlo deadlock probability ({RUNS} runs, random inject times in 0..{HORIZON})\n"
     );
@@ -107,7 +104,7 @@ fn main() {
                 ArbitrationPolicy::Adversarial { favored: vec![] },
             ),
         ] {
-            let (rate, count) = deadlock_rate(&c.net, &c.table, &base, policy, engine, 0xAB5E_u64);
+            let (rate, count) = deadlock_rate(&c.net, &c.table, &base, policy, 0xAB5E_u64);
             row(&[
                 cell(name.clone(), 10),
                 cell(pname, 12),

@@ -44,6 +44,7 @@ fn budget(sim: &Sim, threads: usize) -> Option<u32> {
 }
 
 fn main() {
+    args::accept(&["--trace", "--threads"], &[]);
     let _trace = trace::init("exp_multishare");
     let threads = args::threads(1);
     println!("EXP-X1: two shared channels, two sharers each (paper: open problem)\n");

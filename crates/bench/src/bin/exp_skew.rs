@@ -9,20 +9,19 @@
 //! adversarial arbitration policy.
 //!
 //! Run with: `cargo run --release -p wormbench --bin exp_skew`
-//! (add `--trace <path>` to dump a wormtrace JSON report, `--engine
-//! stepping|event` to pick the simulator engine)
+//! (add `--trace <path>` to dump a wormtrace JSON report)
 
 use rand::SeedableRng;
 use worm_core::paper::{fig1, generalized};
 use wormbench::report::{cell, header, row};
 use wormbench::{args, trace};
-use wormsim::runner::{ArbitrationPolicy, EngineKind, Outcome, Runner};
+use wormsim::runner::{ArbitrationPolicy, Outcome, Runner};
 use wormsim::skew::SkewModel;
 use wormsim::Sim;
 
 fn main() {
+    args::accept(&["--trace"], &[]);
     let _trace = trace::init("exp_skew");
-    let engine = args::engine(EngineKind::Stepping);
     println!("EXP-G2: Figure 1 / G(k) under randomized per-router clock skew\n");
     header(&[
         ("network", 9),
@@ -48,7 +47,6 @@ fn main() {
                 let skew = SkewModel::uniform_random(&c.net, &mut rng, period);
                 let mut runner =
                     Runner::new(&sim, ArbitrationPolicy::Adversarial { favored: vec![] })
-                        .with_engine(engine)
                         .with_skew(skew);
                 match runner.run(100_000) {
                     Outcome::Delivered { .. } => {

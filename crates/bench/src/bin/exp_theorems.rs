@@ -43,6 +43,7 @@ fn verdict_name(v: &AlgorithmVerdict) -> &'static str {
 }
 
 fn main() {
+    args::accept(&["--trace", "--threads"], &[]);
     let _trace = trace::init("exp_theorems");
     let opts = ClassifyOptions {
         search_threads: args::threads(1),

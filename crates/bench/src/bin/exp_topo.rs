@@ -24,7 +24,7 @@
 
 use wormbench::bench_report::{run_topo_suite, BenchValue};
 use wormbench::report::{cell, header, row};
-use wormbench::trace;
+use wormbench::{args, trace};
 
 fn get(values: &std::collections::BTreeMap<String, BenchValue>, key: &str) -> String {
     match values.get(key).expect("topo entries carry a fixed key set") {
@@ -34,6 +34,7 @@ fn get(values: &std::collections::BTreeMap<String, BenchValue>, key: &str) -> St
 }
 
 fn main() {
+    args::accept(&["--trace"], &["--smoke"]);
     let _trace = trace::init("exp_topo");
     let smoke = std::env::args().any(|a| a == "--smoke");
     println!(

@@ -28,6 +28,7 @@ const EXPERIMENTS: [&str; 11] = [
 ];
 
 fn main() {
+    args::accept(&["--trace"], &[]);
     let summary_path = args::value_of("--trace");
     let exe = std::env::current_exe().expect("own path");
     let dir = exe.parent().expect("bin dir");

@@ -24,7 +24,7 @@ use wormnet::Network;
 use wormroute::algorithms::{dimension_order, dragonfly_minimal, fattree_updown, fullmesh_vcfree};
 use wormroute::TableRouting;
 use wormsearch::{SearchConfig, SymmetryCanonicalizer};
-use wormsim::runner::{ArbitrationPolicy, EngineKind, Outcome, Runner};
+use wormsim::runner::{ArbitrationPolicy, Outcome, Runner};
 use wormsim::stats::Stats;
 use wormsim::{traffic, MessageSpec, Sim};
 
@@ -297,20 +297,14 @@ pub struct SimScenario {
 }
 
 impl SimScenario {
-    /// Run the scenario once under `engine` for at most `max_cycles`
-    /// cycles and hand the outcome's name (`delivered`, `deadlock`,
+    /// Run the scenario once for at most `max_cycles` cycles and hand the outcome's name (`delivered`, `deadlock`,
     /// `timeout`) and the run's statistics to `read`, returning what it
     /// returns. A timer started before the call stops first thing in
     /// `read`, so reading the statistics is not timed.
-    pub fn run<R>(
-        &self,
-        engine: EngineKind,
-        max_cycles: u64,
-        read: impl FnOnce(&'static str, &Stats) -> R,
-    ) -> R {
+    pub fn run<R>(&self, max_cycles: u64, read: impl FnOnce(&'static str, &Stats) -> R) -> R {
         match &self.faults {
             None => {
-                let mut runner = Runner::new(&self.sim, self.policy.clone()).with_engine(engine);
+                let mut runner = Runner::new(&self.sim, self.policy.clone());
                 let outcome = match runner.run(max_cycles) {
                     Outcome::Delivered { .. } => "delivered",
                     Outcome::Deadlock { .. } => "deadlock",
@@ -325,8 +319,7 @@ impl SimScenario {
                     self.policy.clone(),
                     plan.clone(),
                     RetryPolicy::Passive,
-                )
-                .with_engine(engine);
+                );
                 let outcome = match runner.run(max_cycles) {
                     FaultOutcome::Delivered { .. } => "delivered",
                     FaultOutcome::DeliveredPartial { .. } => "delivered-partial",

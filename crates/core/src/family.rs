@@ -222,16 +222,15 @@ impl SharedCycleSpec {
             // Access chain: last prefix node -> hops -> entry, adding
             // channels where the star links don't already provide them
             // (N* -> first hop, and N* -> entry when d == 1, already
-            // exist as star links and are reused).
+            // exist as star links and are reused). Every other link of
+            // the chain leaves a node made for this message, so it is
+            // new exactly when it does not leave N*.
             let mut prev = *full_walk.last().expect("walk non-empty");
-            for &h in &hops {
-                if net.find_channel(prev, h).is_none() {
+            for &h in hops.iter().chain([&entry]) {
+                if prev != nstar {
                     net.add_channel(prev, h);
                 }
                 prev = h;
-            }
-            if net.find_channel(prev, entry).is_none() {
-                net.add_channel(prev, entry);
             }
             full_walk.extend(&hops);
             full_walk.push(entry);

@@ -5,7 +5,7 @@
 //! delivery, not a timeout.
 
 use wormnet::Network;
-use wormsim::runner::{ArbitrationPolicy, EngineKind, Outcome, Runner};
+use wormsim::runner::{ArbitrationPolicy, Outcome, Runner};
 use wormsim::stats::Stats;
 use wormsim::{MessageId, Sim, SimState};
 
@@ -78,16 +78,6 @@ impl<'a> FaultRunner<'a> {
             runner: Runner::new(sim, arbitration),
             injector,
         }
-    }
-
-    /// Select the engine backing the inner [`Runner`] (default:
-    /// stepping). Faults apply through the decision-hook seam, which
-    /// both engines drive identically — `tests/fault_conformance.rs`
-    /// holds that contract down to trace reports. Call before
-    /// stepping.
-    pub fn with_engine(mut self, kind: EngineKind) -> Self {
-        self.runner = self.runner.with_engine(kind);
-        self
     }
 
     /// Current cycle.

@@ -149,32 +149,4 @@ mod tests {
         assert_eq!(comps.len(), 1);
         assert_eq!(comps[0].len(), n);
     }
-
-    #[test]
-    fn matches_petgraph_on_random_graphs() {
-        use rand::{RngExt, SeedableRng};
-        let mut rng = rand::rngs::StdRng::seed_from_u64(0xC0FFEE);
-        for _ in 0..50 {
-            let n = rng.random_range(1..30);
-            let m = rng.random_range(0..80);
-            let edges: Vec<(usize, usize)> = (0..m)
-                .map(|_| (rng.random_range(0..n), rng.random_range(0..n)))
-                .filter(|(u, v)| u != v)
-                .collect();
-            let ours = normalize(tarjan_scc(&AdjList::from_edges(n, &edges)));
-
-            let mut pg = petgraph::graph::DiGraph::<(), ()>::new();
-            let idx: Vec<_> = (0..n).map(|_| pg.add_node(())).collect();
-            for &(u, v) in &edges {
-                pg.add_edge(idx[u], idx[v], ());
-            }
-            let theirs = normalize(
-                petgraph::algo::tarjan_scc(&pg)
-                    .into_iter()
-                    .map(|c| c.into_iter().map(|x| x.index()).collect())
-                    .collect(),
-            );
-            assert_eq!(ours, theirs);
-        }
-    }
 }

@@ -92,6 +92,49 @@ fn brute_force_cycles(n: usize, edges: &[(usize, usize)]) -> Vec<Vec<usize>> {
     out
 }
 
+/// The first reason Tarjan's components are not the mutual
+/// reachability classes: a vertex missing or repeated, or a pair
+/// `(u, v)` whose shared component disagrees with `u` and `v` reaching
+/// each other. Polynomial, so it also runs on graphs too large for
+/// the brute-force cycle enumeration.
+fn tarjan_mismatch(n: usize, edges: &[(usize, usize)]) -> Option<String> {
+    let g = AdjList::from_edges(n, edges);
+    let mut comp_of = vec![usize::MAX; n];
+    for (i, c) in tarjan_scc(&g).iter().enumerate() {
+        for &v in c {
+            if comp_of[v] != usize::MAX {
+                return Some(format!("vertex {v} in two components"));
+            }
+            comp_of[v] = i;
+        }
+    }
+    if let Some(v) = comp_of.iter().position(|&c| c == usize::MAX) {
+        return Some(format!("vertex {v} in no component"));
+    }
+    let reach: Vec<Vec<bool>> = (0..n).map(|v| reachable_from(&g, v)).collect();
+    (0..n)
+        .flat_map(|u| (0..n).map(move |v| (u, v)))
+        .find(|&(u, v)| (comp_of[u] == comp_of[v]) != (reach[u][v] && reach[v][u]))
+        .map(|(u, v)| format!("vertices {u} and {v}"))
+}
+
+/// Tarjan against mutual reachability on 50 seeded graphs of 1–29
+/// nodes and up to 80 edges.
+#[test]
+fn tarjan_matches_mutual_reachability_on_seeded_graphs() {
+    use rand::{RngExt, SeedableRng};
+    let mut rng = rand::rngs::StdRng::seed_from_u64(0xC0FFEE);
+    for i in 0..50 {
+        let n = rng.random_range(1..30);
+        let m = rng.random_range(0..80);
+        let edges: Vec<(usize, usize)> = (0..m)
+            .map(|_| (rng.random_range(0..n), rng.random_range(0..n)))
+            .filter(|(u, v)| u != v)
+            .collect();
+        assert_eq!(tarjan_mismatch(n, &edges), None, "graph {i}: {edges:?}");
+    }
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(128))]
 
@@ -109,18 +152,7 @@ proptest! {
     fn kahn_and_tarjan_match_brute_force((n, edges) in arb_graph()) {
         let g = AdjList::from_edges(n, &edges);
         prop_assert_eq!(is_acyclic(&g), brute_force_cycles(n, &edges).is_empty());
-        let reach: Vec<Vec<bool>> = (0..n).map(|v| reachable_from(&g, v)).collect();
-        let mut comp_of = vec![usize::MAX; n];
-        for (i, c) in tarjan_scc(&g).iter().enumerate() {
-            for &v in c {
-                comp_of[v] = i;
-            }
-        }
-        for u in 0..n {
-            for v in 0..n {
-                prop_assert_eq!(comp_of[u] == comp_of[v], reach[u][v] && reach[v][u]);
-            }
-        }
+        prop_assert_eq!(tarjan_mismatch(n, &edges), None);
     }
 
     /// Acyclicity, topological order, SCC structure, and cycle

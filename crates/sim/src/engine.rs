@@ -150,33 +150,18 @@ impl StepScratch {
     }
 }
 
-/// Side effects of advancing one message for one cycle, beyond the
-/// flit movements already recorded in [`StepReport`]. The event engine
-/// uses these to update its incremental caches (worm head/tail
-/// indices, wait-for edges, parked sets) without rescanning paths.
-#[derive(Clone, Copy, Debug, Default)]
-pub(crate) struct AdvanceFx {
-    /// The header entered the network this cycle (injection).
-    pub started: bool,
-    /// The header acquired its granted next channel this cycle.
-    pub header_moved: bool,
-    /// Path index of a channel released this cycle (tail departed).
-    pub released: Option<usize>,
-}
-
-/// Frozen-channel view for [`Sim::advance_message`]: the stepping
-/// engine (and the event engine's hook/skew path) pass the per-cycle
-/// freeze mask; the event engine's plain fast path passes [`NoFreeze`],
-/// compiling every freeze check out of that monomorphized instance of
-/// the one shared advance routine.
-pub(crate) trait FrozenQ {
+/// Frozen-channel view for [`Sim::advance_message`]: a step with a
+/// frozen channel passes its per-channel freeze mask, every other step
+/// passes [`NoFreeze`], which compiles the freeze checks out of that
+/// instance of the advance routine.
+trait FrozenQ {
     /// Is channel `ci` frozen (transmits nothing) this cycle?
     fn is_frozen(&self, ci: usize) -> bool;
 }
 
-/// All-channels-live freeze view (the common case: no skew model).
+/// All-channels-live freeze view (the common case: no frozen channel).
 #[derive(Clone, Copy)]
-pub(crate) struct NoFreeze;
+struct NoFreeze;
 
 impl FrozenQ for NoFreeze {
     #[inline(always)]
@@ -189,30 +174,6 @@ impl FrozenQ for &[bool] {
     #[inline(always)]
     fn is_frozen(&self, ci: usize) -> bool {
         self[ci]
-    }
-}
-
-/// Sink for busy (occupancy 0 <-> nonzero) transitions reported by
-/// [`Sim::advance_message`]. The stepping runner rescans channels for
-/// its busy statistics and passes [`NoBusy`]; the event engine passes
-/// its transition buffer so busy accounting is O(transitions).
-pub(crate) trait BusySink {
-    /// Channel `c` crossed into (`on`) or out of (`!on`) busy.
-    fn toggle(&mut self, c: ChannelId, on: bool);
-}
-
-/// Discard busy transitions (the stepping runner's scan recomputes).
-pub(crate) struct NoBusy;
-
-impl BusySink for NoBusy {
-    #[inline(always)]
-    fn toggle(&mut self, _c: ChannelId, _on: bool) {}
-}
-
-impl BusySink for Vec<(ChannelId, bool)> {
-    #[inline(always)]
-    fn toggle(&mut self, c: ChannelId, on: bool) {
-        self.push((c, on));
     }
 }
 
@@ -575,42 +536,25 @@ impl Sim {
             if stalls.contains(&m) || state.is_delivered(m, self.length(m)) {
                 continue;
             }
-            self.advance_message(
-                state,
-                m,
-                grants[m.index()],
-                frozen,
-                None,
-                report,
-                &mut NoBusy,
-            );
+            self.advance_message(state, m, grants[m.index()], frozen, report);
         }
     }
 
     /// Move one message's flits for this cycle. `grant` is the channel
-    /// its header may acquire (already arbitrated). `cached`, when
-    /// supplied, is the worm's `(head, tail)` path-index span; the
-    /// event engine maintains these incrementally so the per-message
-    /// path scans disappear from its hot loop. `frozen` and `busy_fx`
-    /// are compile-time views (see [`FrozenQ`] / [`BusySink`]): both
-    /// engines run this one routine, each through its own monomorphized
-    /// instance.
+    /// its header may acquire (already arbitrated); `frozen` is the
+    /// cycle's freeze view (see [`FrozenQ`]).
     #[inline]
-    #[allow(clippy::too_many_arguments)]
-    pub(crate) fn advance_message<F: FrozenQ, B: BusySink>(
+    fn advance_message<F: FrozenQ>(
         &self,
         state: &mut SimState,
         m: MessageId,
         grant: Option<ChannelId>,
         frozen: F,
-        cached: Option<(usize, usize)>,
         report: &mut StepReport,
-        busy_fx: &mut B,
-    ) -> AdvanceFx {
+    ) {
         let mi = m.index();
         let path = &self.paths[mi];
         let length = self.lengths[mi];
-        let mut fx = AdvanceFx::default();
 
         // Header injection: the worm does not exist in the network yet.
         if state.injected[mi] == 0 {
@@ -624,39 +568,21 @@ impl Sim {
                 state.injected[mi] = 1;
                 report.moved = true;
                 report.flits_moved += 1;
-                fx.started = true;
-                busy_fx.toggle(c, true);
                 // A one-flit message may have just fully injected; it
                 // still needs to traverse and be consumed, nothing more
                 // to do this cycle.
             }
-            return fx;
+            return;
         }
 
-        let (head, tail) = cached.unwrap_or_else(|| {
-            let head = self
-                .head_index(state, m)
-                // Injected and not delivered implies flits in the network.
-                .expect("in-flight message owns no channel");
-            // Lowest owned index (tail end of the worm).
-            let tail = (0..=head)
-                .find(|&i| matches!(state.channels[path[i].index()], Some(occ) if occ.msg == m))
-                .expect("head exists, so some channel is owned");
-            (head, tail)
-        });
-        #[cfg(debug_assertions)]
-        if cached.is_some() {
-            assert_eq!(Some(head), self.head_index(state, m), "{m}: stale head");
-            assert!(
-                matches!(state.channels[path[tail].index()], Some(occ) if occ.msg == m),
-                "{m}: stale tail"
-            );
-            assert!(
-                tail == 0
-                    || !matches!(state.channels[path[tail - 1].index()], Some(occ) if occ.msg == m),
-                "{m}: tail not lowest owned"
-            );
-        }
+        let head = self
+            .head_index(state, m)
+            // Injected and not delivered implies flits in the network.
+            .expect("in-flight message owns no channel");
+        // Lowest owned index (tail end of the worm).
+        let tail = (0..=head)
+            .find(|&i| matches!(state.channels[path[i].index()], Some(occ) if occ.msg == m))
+            .expect("head exists, so some channel is owned");
 
         // Process owned channels from head to tail so chained advance
         // sees whether the channel ahead freed a slot this cycle.
@@ -688,8 +614,6 @@ impl Sim {
                         lo: departing_flit,
                         hi: departing_flit + 1,
                     });
-                    fx.header_moved = true;
-                    busy_fx.toggle(t, true);
                     true
                 } else {
                     false
@@ -707,9 +631,6 @@ impl Sim {
                         lo: t_occ.lo,
                         hi: t_occ.hi + 1,
                     });
-                    if t_occ.occupancy() == 0 {
-                        busy_fx.toggle(t, true);
-                    }
                     true
                 } else {
                     false
@@ -720,13 +641,9 @@ impl Sim {
                 flits += 1;
                 let mut occ = occ;
                 occ.lo += 1;
-                if occ.is_empty() {
-                    busy_fx.toggle(c, false);
-                }
                 if occ.is_empty() && departing_flit == length - 1 {
                     // Tail passed: release the queue.
                     state.channels[c.index()] = None;
-                    fx.released = Some(i);
                 } else {
                     state.channels[c.index()] = Some(occ);
                 }
@@ -749,9 +666,6 @@ impl Sim {
                         lo: occ.lo,
                         hi: occ.hi + 1,
                     });
-                    if occ.occupancy() == 0 {
-                        busy_fx.toggle(c0, true);
-                    }
                     state.injected[mi] += 1;
                     flits += 1;
                 }
@@ -765,7 +679,6 @@ impl Sim {
         if state.is_delivered(m, length as usize) {
             report.delivered.push(m);
         }
-        fx
     }
 
     /// Exact deadlock detection: find a cycle in the wait-for graph
@@ -794,7 +707,7 @@ impl Sim {
             let occ = state.channels[self.header_target(state, m)?.index()]?;
             (occ.msg != m).then_some(occ.msg)
         }));
-        deadlock_in_waits_with(waits, &mut scratch.color, &mut scratch.walk)
+        deadlock_in_waits(waits, &mut scratch.color, &mut scratch.walk)
     }
 
     /// Debug invariant checker used by tests and property tests:
@@ -859,17 +772,11 @@ impl Sim {
 }
 
 /// Cycle detection over an explicit wait-for function (`waits[m]` =
-/// the message `m`'s header is blocked behind, if any). Shared by
-/// [`Sim::find_deadlock`] and the event engine's incrementally
-/// maintained wait edges, so both report byte-identical cycles.
+/// the message `m`'s header is blocked behind, if any), on reusable
+/// `color` and `walk` buffers.
 ///
 /// color: 0 = unvisited, 1 = on current walk, 2 = done.
-pub(crate) fn deadlock_in_waits(waits: &[Option<MessageId>]) -> Option<Vec<MessageId>> {
-    deadlock_in_waits_with(waits, &mut Vec::new(), &mut Vec::new())
-}
-
-/// [`deadlock_in_waits`] on reusable `color` and `walk` buffers.
-fn deadlock_in_waits_with(
+fn deadlock_in_waits(
     waits: &[Option<MessageId>],
     color: &mut Vec<u8>,
     walk: &mut Vec<usize>,

@@ -57,7 +57,6 @@
 
 mod engine;
 mod error;
-mod event;
 mod message;
 mod state;
 

@@ -8,7 +8,7 @@
 //! that message is assumed to acquire the channel."
 //!
 //! **One run loop, one skip.** [`Runner::run`] and
-//! [`Runner::run_hooked`] drive both engines through the same loop.
+//! [`Runner::run_hooked`] drive the engine through one loop.
 //! After a quiet cycle — no flit moved, no header request was made, no
 //! message was stalled — nothing in the runner has changed, neither
 //! the state nor the arbitration memory, so every following cycle
@@ -16,8 +16,8 @@
 //! earliest such cycle: the next `inject_at`, the hook's
 //! [`DecisionHook::quiet_until`], or the horizon. A pausing skew model
 //! freezes a different set every period, and a stall plan freezes
-//! messages at cycles of its own; either blocks the skip. The skipped cycles are added to [`Stats`] (cycles, busy
-//! channels) and to the `sim.*` counters in one step, so outcomes,
+//! messages at cycles of its own; either blocks the skip. The skipped
+//! cycles are added to [`Stats`] (cycles, busy channels) and to the `sim.*` counters in one step, so outcomes,
 //! final states, statistics and trace counters are those of stepping
 //! every cycle. [`Runner::step`] and [`Runner::step_hooked`] never skip:
 //! they are the oracle `tests/sim_skip.rs` holds the loop to.
@@ -27,30 +27,11 @@ use std::collections::BTreeMap;
 use wormnet::ChannelId;
 
 use crate::engine::{Decisions, Sim, StepChoice, StepScratch, StepTally};
-use crate::event::EventCore;
 use crate::hooks::DecisionHook;
 use crate::message::MessageId;
 use crate::skew::SkewModel;
 use crate::state::SimState;
 use crate::stats::Stats;
-
-/// Execution engine backing a [`Runner`].
-///
-/// Both engines produce bit-identical outcomes, final states,
-/// statistics, and `sim.*` trace counters (`tests/diff_sim.rs` holds
-/// the contract); they differ only in how much work each cycle costs.
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq, Hash)]
-pub enum EngineKind {
-    /// The cycle-synchronous oracle: rescans every message and channel
-    /// each cycle. Simple, obviously correct, and the reference the
-    /// event engine is differential-tested against.
-    #[default]
-    Stepping,
-    /// The event-driven core (`wormsim::event`): timer-wheel releases,
-    /// cached worm spans, parked-worm wakes, and incremental deadlock
-    /// detection. Work scales with what moves, not with topology size.
-    Event,
-}
 
 /// Arbitration policies for contended channels.
 #[derive(Clone, Debug, PartialEq, Eq)]
@@ -124,16 +105,12 @@ pub struct Runner<'a> {
     waiting_since: Vec<Option<(ChannelId, u64)>>,
     /// Per-channel last winner (for RoundRobin).
     last_winner: Vec<Option<MessageId>>,
-    /// Selected engine; `event` is `Some` iff it is [`EngineKind::Event`]
-    /// (the event core keeps its own arbitration state).
-    engine: EngineKind,
-    event: Option<Box<EventCore>>,
-    /// The stepping engine's per-cycle buffers.
+    /// The per-cycle buffers.
     buf: StepBuffers,
 }
 
-/// Buffers the stepping engine reuses every cycle, so a warm cycle
-/// allocates nothing.
+/// Buffers the runner reuses every cycle, so a warm cycle allocates
+/// nothing.
 #[derive(Default)]
 struct StepBuffers {
     /// The cycle's tentative, then hook-adjusted, decisions (`winners`
@@ -169,34 +146,12 @@ impl<'a> Runner<'a> {
             stats: Stats::new(sim.message_count(), sim.channel_count()),
             waiting_since: vec![None; sim.message_count()],
             last_winner: vec![None; sim.channel_count()],
-            engine: EngineKind::Stepping,
-            event: None,
             buf: StepBuffers {
                 frozen_mask: vec![false; sim.channel_count()],
                 ..StepBuffers::default()
             },
             sim,
         }
-    }
-
-    /// Select the execution engine (default: [`EngineKind::Stepping`]).
-    ///
-    /// # Panics
-    /// Panics if called after the runner has stepped: the event core
-    /// builds its caches from the fresh initial state.
-    pub fn with_engine(mut self, kind: EngineKind) -> Self {
-        assert_eq!(self.time, 0, "select the engine before stepping");
-        self.engine = kind;
-        self.event = match kind {
-            EngineKind::Stepping => None,
-            EngineKind::Event => Some(Box::new(EventCore::new(self.sim))),
-        };
-        self
-    }
-
-    /// The engine backing this runner.
-    pub fn engine(&self) -> EngineKind {
-        self.engine
     }
 
     /// Attach a stall plan. A non-empty plan blocks the run loop's
@@ -233,7 +188,7 @@ impl<'a> Runner<'a> {
     /// Run until delivery, deadlock, or `max_cycles`, skipping the
     /// cycles in which nothing can change (see the module docs).
     pub fn run(&mut self, max_cycles: u64) -> Outcome {
-        self.run_inner(max_cycles, None)
+        self.run_loop(max_cycles, None)
     }
 
     /// [`Runner::run`] with a [`DecisionHook`] adjusting every stepped
@@ -242,15 +197,7 @@ impl<'a> Runner<'a> {
     /// delivered once every message the hook has not withdrawn
     /// ([`DecisionHook::withdrawn`]) is.
     pub fn run_hooked(&mut self, max_cycles: u64, hook: &mut dyn DecisionHook) -> Outcome {
-        self.run_inner(max_cycles, Some(hook))
-    }
-
-    fn run_inner(&mut self, max_cycles: u64, hook: Option<&mut dyn DecisionHook>) -> Outcome {
-        let outcome = self.run_loop(max_cycles, hook);
-        if let Some(ev) = self.event.as_mut() {
-            ev.settle_busy(&mut self.stats);
-        }
-        outcome
+        self.run_loop(max_cycles, Some(hook))
     }
 
     fn run_loop(&mut self, max_cycles: u64, mut hook: Option<&mut dyn DecisionHook>) -> Outcome {
@@ -273,12 +220,9 @@ impl<'a> Runner<'a> {
                 Some(ref mut h) => self.step_inner(Some(&mut **h)),
                 None => self.step_inner(None),
             };
-            let deadlock = match self.event.as_mut() {
-                Some(ev) => ev.check_deadlock(),
-                None => self
-                    .sim
-                    .find_deadlock_with(&self.state, &mut self.buf.scratch),
-            };
+            let deadlock = self
+                .sim
+                .find_deadlock_with(&self.state, &mut self.buf.scratch);
             if let Some(members) = deadlock {
                 return Outcome::Deadlock {
                     members,
@@ -295,14 +239,11 @@ impl<'a> Runner<'a> {
 
     /// Whether every message `hook` has not withdrawn is delivered.
     fn delivered_all(&self, hook: Option<&dyn DecisionHook>) -> bool {
-        let delivered = match self.event.as_ref() {
-            Some(ev) => ev.delivered_count(),
-            None => self
-                .sim
-                .messages()
-                .filter(|&m| self.state.is_delivered(m, self.sim.length(m)))
-                .count(),
-        };
+        let delivered = self
+            .sim
+            .messages()
+            .filter(|&m| self.state.is_delivered(m, self.sim.length(m)))
+            .count();
         delivered + hook.map_or(0, |h| h.withdrawn()) == self.sim.message_count()
     }
 
@@ -332,12 +273,9 @@ impl<'a> Runner<'a> {
         let skipped = target - self.time;
         self.time = target;
         self.stats.cycles = target;
-        // The event core accrues busy intervals on its own.
-        if self.event.is_none() {
-            for (busy, occ) in self.stats.channel_busy.iter_mut().zip(&self.state.channels) {
-                if occ.is_some_and(|o| !o.is_empty()) {
-                    *busy += skipped;
-                }
+        for (busy, occ) in self.stats.channel_busy.iter_mut().zip(&self.state.channels) {
+            if occ.is_some_and(|o| !o.is_empty()) {
+                *busy += skipped;
             }
         }
         StepTally {
@@ -350,44 +288,16 @@ impl<'a> Runner<'a> {
     /// Advance one cycle under the policy.
     pub fn step(&mut self) {
         self.step_inner(None);
-        self.settle_after_step();
     }
 
     /// [`Runner::step`] with a [`DecisionHook`] adjusting this cycle's
     /// decisions before arbitration.
     pub fn step_hooked(&mut self, hook: &mut dyn DecisionHook) {
         self.step_inner(Some(hook));
-        self.settle_after_step();
     }
 
-    /// Externally observed steps must leave `stats` exact, so the
-    /// event engine settles its open busy intervals here; inside
-    /// [`Runner::run`] the settlement happens once, at exit.
-    fn settle_after_step(&mut self) {
-        if let Some(ev) = self.event.as_mut() {
-            ev.settle_busy(&mut self.stats);
-        }
-    }
-
-    /// Step one cycle on the selected engine; whether it was quiet.
+    /// Step one cycle; whether it was quiet.
     fn step_inner(&mut self, hook: Option<&mut dyn DecisionHook>) -> bool {
-        if let Some(mut ev) = self.event.take() {
-            // Take/put-back so the core can borrow the runner's other
-            // fields mutably without aliasing.
-            let quiet = ev.step(
-                self.sim,
-                &mut self.state,
-                &mut self.stats,
-                &self.policy,
-                &self.stall_plan,
-                self.skew.as_ref(),
-                self.time,
-                hook,
-            );
-            self.event = Some(ev);
-            self.time += 1;
-            return quiet;
-        }
         let sim = self.sim;
         let cycle = self.time;
         let Runner {
@@ -473,12 +383,12 @@ impl<'a> Runner<'a> {
                 let w = pick_winner(
                     policy,
                     sim,
+                    state,
                     waiting_since,
                     last_winner,
                     cycle,
                     chan,
                     contenders,
-                    &mut |m| sim.head_index(state, m),
                 );
                 winners.push((chan, w));
                 w
@@ -532,20 +442,18 @@ impl<'a> Runner<'a> {
     }
 }
 
-/// Arbitration, shared between the stepping runner and the event core
-/// so both engines pick byte-identical winners. `head_of` supplies the
-/// worm's furthest owned path index (`None` while pending) — the
-/// stepping path scans for it, the event core reads its cache.
+/// The policy's winner among `reqs`, the id-ordered requesters of the
+/// contested channel `chan` at cycle `time`.
 #[allow(clippy::too_many_arguments)]
-pub(crate) fn pick_winner(
+fn pick_winner(
     policy: &ArbitrationPolicy,
     sim: &Sim,
+    state: &SimState,
     waiting_since: &[Option<(ChannelId, u64)>],
     last_winner: &[Option<MessageId>],
     time: u64,
     chan: ChannelId,
     reqs: &[MessageId],
-    head_of: &mut dyn FnMut(MessageId) -> Option<usize>,
 ) -> MessageId {
     match policy {
         ArbitrationPolicy::LowestId => reqs[0],
@@ -575,7 +483,7 @@ pub(crate) fn pick_winner(
             reqs.iter()
                 .copied()
                 .max_by_key(|&m| {
-                    let remaining = match head_of(m) {
+                    let remaining = match sim.head_index(state, m) {
                         Some(h) => sim.path(m).len() - h,
                         None => sim.path(m).len() + 1,
                     };
@@ -827,17 +735,14 @@ mod tests {
             Some(1),
         )
         .unwrap();
-        for engine in [EngineKind::Stepping, EngineKind::Event] {
-            let mut plain = Runner::new(&sim, ArbitrationPolicy::OldestFirst).with_engine(engine);
-            let mut none = Runner::new(&sim, ArbitrationPolicy::OldestFirst)
-                .with_engine(engine)
-                .with_skew(SkewModel::none(&net));
-            assert!(none.skew.is_none(), "a model that never pauses is dropped");
-            assert_eq!(plain.run(1_000), none.run(1_000));
-            assert_eq!(plain.time(), none.time());
-            assert_eq!(plain.state(), none.state());
-            assert_eq!(plain.stats(), none.stats());
-        }
+        let mut plain = Runner::new(&sim, ArbitrationPolicy::OldestFirst);
+        let mut none =
+            Runner::new(&sim, ArbitrationPolicy::OldestFirst).with_skew(SkewModel::none(&net));
+        assert!(none.skew.is_none(), "a model that never pauses is dropped");
+        assert_eq!(plain.run(1_000), none.run(1_000));
+        assert_eq!(plain.time(), none.time());
+        assert_eq!(plain.state(), none.state());
+        assert_eq!(plain.stats(), none.stats());
     }
 
     #[test]
