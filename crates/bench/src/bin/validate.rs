@@ -6,8 +6,10 @@
 //! (pass `--thorough` for the wider sweeps)
 
 use worm_core::validate::validate_all;
+use wormbench::args;
 
 fn main() {
+    args::accept(&[], &["--thorough"]);
     let thorough = std::env::args().any(|a| a == "--thorough");
     println!(
         "re-verifying the paper's claims ({} mode)...\n",

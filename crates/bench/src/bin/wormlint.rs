@@ -25,6 +25,10 @@ use wormbench::{args, trace};
 use wormlint::{reports_to_json, LintConfig, LintReport, Registry};
 
 fn main() -> ExitCode {
+    args::accept(
+        &["--scenario", "--trace"],
+        &["--json", "--deny-warnings", "--list"],
+    );
     let _trace = trace::init("wormlint");
     let argv: Vec<String> = std::env::args().skip(1).collect();
     let json = argv.iter().any(|a| a == "--json");
