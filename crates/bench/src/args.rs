@@ -52,12 +52,6 @@ pub fn flag_value<'a>(args: &'a [String], flag: &str) -> Result<Option<&'a str>,
     }
 }
 
-/// `--threads N` in `args`: `Ok(None)` when absent. By convention `0`
-/// means "one worker per core".
-pub fn parse_threads(args: &[String]) -> Result<Option<usize>, String> {
-    parse_flag(args, "--threads", "a thread count", |v| v.parse().ok())
-}
-
 /// `--seed N` in `args`: `Ok(None)` when absent. Accepts decimal
 /// (`49374`) and `0x`-prefixed hexadecimal (`0xC0FFEE`) spellings, so
 /// seeds can be quoted exactly as EXPERIMENTS.md prints them.
@@ -106,16 +100,6 @@ pub fn value_of(flag: &str) -> Option<String> {
     from_argv(|args| Ok(flag_value(args, flag)?.map(str::to_owned)))
 }
 
-/// Parses `--threads N`, falling back to `default` only when the flag
-/// is absent.
-///
-/// Binaries whose historical behaviour is sequential (e.g.
-/// `exp_theorems`, `exp_multishare`) pass `default = 1` so their
-/// output is unchanged unless the flag is given explicitly.
-pub fn threads(default: usize) -> usize {
-    from_argv(parse_threads).unwrap_or(default)
-}
-
 /// Parses `--seed N` (see [`parse_seed`]), falling back to `default`
 /// only when the flag is absent.
 pub fn seed(default: u64) -> u64 {
@@ -136,15 +120,12 @@ mod tests {
     #[test]
     fn absent_flags_are_none() {
         let a = args(&["--other", "3"]);
-        assert_eq!(parse_threads(&a), Ok(None));
         assert_eq!(parse_seed(&a), Ok(None));
         assert_eq!(flag_value(&a, "--trace"), Ok(None));
     }
 
     #[test]
     fn well_formed_values_parse() {
-        assert_eq!(parse_threads(&args(&["--threads", "4"])), Ok(Some(4)));
-        assert_eq!(parse_threads(&args(&["--threads", "0"])), Ok(Some(0)));
         assert_eq!(parse_seed(&args(&["--seed", "49374"])), Ok(Some(49374)));
         assert_eq!(
             parse_seed(&args(&["--seed", "0xC0FFEE"])),
@@ -158,22 +139,18 @@ mod tests {
 
     #[test]
     fn malformed_values_are_rejected() {
-        for bad in ["abc", "-1", "4x", ""] {
-            let err = parse_threads(&args(&["--threads", bad])).unwrap_err();
-            assert!(err.contains("--threads"), "{err}");
-        }
-        for bad in ["0xZZ", "seed", "1.5"] {
-            assert!(parse_seed(&args(&["--seed", bad])).is_err(), "{bad}");
+        for bad in ["0xZZ", "seed", "1.5", "-1", "4x", ""] {
+            let err = parse_seed(&args(&["--seed", bad])).unwrap_err();
+            assert!(err.contains("--seed"), "{err}");
         }
     }
 
     #[test]
     fn flags_without_values_are_rejected() {
-        assert!(parse_threads(&args(&["--threads"])).is_err());
         assert!(parse_seed(&args(&["--seed"])).is_err());
         assert!(flag_value(&args(&["--trace"]), "--trace").is_err());
         // A following flag is taken as the value, and fails to parse.
-        assert!(parse_threads(&args(&["--threads", "--seed", "1"])).is_err());
+        assert!(parse_seed(&args(&["--seed", "--trace", "t.json"])).is_err());
     }
 
     #[test]

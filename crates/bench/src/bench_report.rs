@@ -1,10 +1,10 @@
 //! Headless benchmark runner and the `wormbench/1` JSON baselines.
 //!
-//! Criterion output is for humans watching a terminal; the committed
-//! baselines `BENCH_search.json` and `BENCH_sim.json` are for diffs:
-//! regenerate them with the `bench_report` binary after a performance
-//! change and the review shows exactly which scenario's state count,
-//! throughput, or symmetry reduction moved.
+//! The workspace's one benchmark harness. The committed baselines
+//! `BENCH_search.json` and `BENCH_sim.json` are for diffs: regenerate
+//! them with the `bench_report` binary after a performance change and
+//! the review shows exactly which scenario's state count, throughput,
+//! or symmetry reduction moved.
 //!
 //! Like `wormtrace/1` (the trace report schema), the serializer is
 //! hand-rolled — the workspace builds offline, so no serde — and all

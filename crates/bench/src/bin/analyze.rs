@@ -36,16 +36,42 @@ fn usage() -> ! {
     std::process::exit(2);
 }
 
+/// Print why the arguments describe nothing that can be built, then
+/// the usage, and exit 2.
+fn reject(reason: &str) -> ! {
+    eprintln!("analyze: {reason}");
+    usage();
+}
+
 fn parse<T: std::str::FromStr>(s: Option<&String>) -> T {
     s.and_then(|x| x.parse().ok()).unwrap_or_else(|| usage())
 }
 
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
+    // Each form takes exactly its own arguments: `mesh` three, `ring`
+    // two, and so on.
+    let arity = match args.first().map(String::as_str) {
+        Some("mesh" | "torus") => 4,
+        Some("ring" | "hypercube") => 3,
+        Some("g") => 2,
+        _ => 1,
+    };
+    if !args.is_empty() && args.len() != arity {
+        reject(&format!(
+            "`{}` takes {} argument(s), got {}",
+            args[0],
+            arity - 1,
+            args.len() - 1
+        ));
+    }
     let (net, table): (Network, TableRouting) = match args.first().map(String::as_str) {
         Some("mesh") => {
             let w: usize = parse(args.get(1));
             let h: usize = parse(args.get(2));
+            if w == 0 || h == 0 || w.saturating_mul(h) < 2 {
+                reject("a mesh needs positive extents and at least 2 nodes");
+            }
             let mesh = Mesh::new(&[w, h]);
             let table = match args.get(3).map(String::as_str) {
                 Some("xy") => xy_mesh(&mesh),
@@ -58,6 +84,9 @@ fn main() {
         }
         Some("ring") => {
             let n: usize = parse(args.get(1));
+            if n < 2 {
+                reject("a ring needs at least 2 nodes");
+            }
             match args.get(2).map(String::as_str) {
                 Some("clockwise") => {
                     let (net, nodes) = ring_unidirectional(n);
@@ -78,6 +107,9 @@ fn main() {
             if args.get(3).map(String::as_str) != Some("dateline") {
                 usage();
             }
+            if a < 3 || b < 3 {
+                reject("torus extents must be at least 3");
+            }
             let torus = Torus::new(&[a, b], 2);
             let table = dateline_torus(&torus).expect("torus routes");
             (torus.into_network(), table)
@@ -86,6 +118,9 @@ fn main() {
             let d: u32 = parse(args.get(1));
             if args.get(2).map(String::as_str) != Some("ecube") {
                 usage();
+            }
+            if !(1..=16).contains(&d) {
+                reject("a hypercube dimension must be 1 to 16");
             }
             let cube = Hypercube::new(d);
             let table = ecube(&cube).expect("cube routes");
@@ -112,6 +147,9 @@ fn main() {
         }
         Some("g") => {
             let k: usize = parse(args.get(1));
+            if k == 0 {
+                reject("`g` needs k >= 1");
+            }
             let c = generalized::generalized(k);
             print!("{}", c.describe());
             (c.net, c.table)

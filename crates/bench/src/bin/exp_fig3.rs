@@ -6,21 +6,19 @@
 //! verdict, and the paper's verdict.
 //!
 //! Run with: `cargo run --release -p wormbench --bin exp_fig3`
-//! (add `--threads N` to pin the search worker count; default: all
-//! cores, and `--trace <path>` to dump a wormtrace JSON report)
+//! (add `--trace <path>` to dump a wormtrace JSON report)
 
 use worm_core::conditions::eight_conditions;
 use worm_core::paper::fig3;
 use wormbench::report::{cell, header, row};
 use wormbench::{args, trace};
 use wormcdg::sharing;
-use wormsearch::{explore_parallel, SearchConfig};
+use wormsearch::{explore, SearchConfig};
 use wormsim::Sim;
 
 fn main() {
-    args::accept(&["--trace", "--threads"], &[]);
+    args::accept(&["--trace"], &[]);
     let _trace = trace::init("exp_fig3");
-    let threads = args::threads(0);
     println!("EXP-F3: Figure 3 / Theorem 5 — three messages sharing a channel\n");
     header(&[
         ("scenario", 8),
@@ -46,7 +44,7 @@ fn main() {
             eight_conditions(&c.net, &c.table, &cycle, &candidate, shared).expect("three sharers");
 
         let sim = Sim::new(&c.net, &c.table, s.message_specs(&c), Some(1)).expect("routed");
-        let search = explore_parallel(&sim, &SearchConfig::default(), threads);
+        let search = explore(&sim, &SearchConfig::default());
         search_lines.push(format!("({}) {}", s.name, search.metrics.summary()));
         let free = search.verdict.is_free();
 
@@ -83,7 +81,7 @@ fn main() {
         ]);
     }
     println!();
-    println!("search metrics (parallel engine):");
+    println!("search metrics:");
     for line in &search_lines {
         println!("  {line}");
     }

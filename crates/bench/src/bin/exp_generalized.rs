@@ -7,19 +7,17 @@
 //! occur".
 //!
 //! Run with: `cargo run --release -p wormbench --bin exp_generalized`
-//! (add `--threads N` to pin the search worker count; default: all
-//! cores, and `--trace <path>` to dump a wormtrace JSON report)
+//! (add `--trace <path>` to dump a wormtrace JSON report)
 
 use worm_core::paper::generalized;
 use wormbench::report::{cell, header, row};
 use wormbench::{args, trace};
-use wormsearch::{explore, min_stall_budget_parallel, SearchConfig};
+use wormsearch::{explore, min_stall_budget, SearchConfig};
 use wormsim::Sim;
 
 fn main() {
-    args::accept(&["--trace", "--threads"], &[]);
+    args::accept(&["--trace"], &[]);
     let _trace = trace::init("exp_generalized");
-    let threads = args::threads(0);
     println!("EXP-G1: Section 6 — G(k) requires >= k extra delay for deadlock\n");
     header(&[
         ("k", 4),
@@ -39,7 +37,7 @@ fn main() {
         )
         .expect("routed");
         let base = explore(&sim, &SearchConfig::default());
-        let (min, trail) = min_stall_budget_parallel(&sim, (k + 4) as u32, 8_000_000, threads);
+        let (min, trail) = min_stall_budget(&sim, (k + 4) as u32, 8_000_000);
         let last = trail.last().expect("at least one budget scanned");
         println!("  k={k} search: {}", last.metrics.summary());
         row(&[

@@ -12,41 +12,17 @@
 //! `(d_A, d_B)`, equal ring segments, minimum lengths.
 //!
 //! Run with: `cargo run --release -p wormbench --bin exp_multishare`
-//! (add `--threads N` to search with the parallel engine — default 1,
-//! the sequential oracle; 0 = all cores — and `--trace <path>` to
-//! dump a wormtrace JSON report)
+//! (add `--trace <path>` to dump a wormtrace JSON report)
 
 use worm_core::family::{CycleMessageSpec, SharedCycleSpec};
 use wormbench::report::{cell, header, row};
 use wormbench::{args, trace};
-use wormsearch::{
-    explore, explore_parallel, min_stall_budget, min_stall_budget_parallel, SearchConfig,
-    SearchResult,
-};
+use wormsearch::{explore, min_stall_budget, SearchConfig};
 use wormsim::{MessageSpec, Sim};
 
-/// Searches with the engine selected by `--threads` (1 = sequential).
-fn search(sim: &Sim, threads: usize) -> SearchResult {
-    if threads == 1 {
-        explore(sim, &SearchConfig::default())
-    } else {
-        explore_parallel(sim, &SearchConfig::default(), threads)
-    }
-}
-
-/// Minimum stall budget with the engine selected by `--threads`.
-fn budget(sim: &Sim, threads: usize) -> Option<u32> {
-    if threads == 1 {
-        min_stall_budget(sim, 6, 5_000_000).0
-    } else {
-        min_stall_budget_parallel(sim, 6, 5_000_000, threads).0
-    }
-}
-
 fn main() {
-    args::accept(&["--trace", "--threads"], &[]);
+    args::accept(&["--trace"], &[]);
     let _trace = trace::init("exp_multishare");
-    let threads = args::threads(1);
     println!("EXP-X1: two shared channels, two sharers each (paper: open problem)\n");
     println!("messages alternate between the channels: groups {{0,1,0,1}}, g = 4\n");
     header(&[
@@ -76,13 +52,14 @@ fn main() {
                 .map(|b| MessageSpec::new(b.pair.0, b.pair.1, b.spec.g))
                 .collect();
             let sim = Sim::new(&c.net, &c.table, specs, Some(1)).expect("routed");
-            let r = search(&sim, threads);
+            let r = explore(&sim, &SearchConfig::default());
             let free = r.verdict.is_free();
             if free {
                 unreachable_cases += 1;
             }
             let stalls = if free {
-                budget(&sim, threads)
+                min_stall_budget(&sim, 6, 5_000_000)
+                    .0
                     .map(|b| b.to_string())
                     .unwrap_or_else(|| ">6".into())
             } else {
@@ -130,13 +107,14 @@ fn main() {
             .map(|b| MessageSpec::new(b.pair.0, b.pair.1, b.spec.g))
             .collect();
         let sim = Sim::new(&c.net, &c.table, specs, Some(1)).expect("routed");
-        let r = search(&sim, threads);
+        let r = explore(&sim, &SearchConfig::default());
         let free = r.verdict.is_free();
         if free {
             unreachable_cases += 1;
         }
         let stalls = if free {
-            budget(&sim, threads)
+            min_stall_budget(&sim, 6, 5_000_000)
+                .0
                 .map(|b| b.to_string())
                 .unwrap_or_else(|| ">6".into())
         } else {

@@ -16,9 +16,7 @@
 //!   only deadlock-free *cyclic* one.
 //!
 //! Run with: `cargo run --release -p wormbench --bin exp_theorems`
-//! (add `--threads N` to run the classifier's search fallback on the
-//! parallel engine — default 1, sequential; 0 = all cores — and
-//! `--trace <path>` to dump a wormtrace JSON report)
+//! (add `--trace <path>` to dump a wormtrace JSON report)
 
 use rand::SeedableRng;
 use worm_core::classify::{classify_algorithm, AlgorithmVerdict, ClassifyOptions};
@@ -43,12 +41,9 @@ fn verdict_name(v: &AlgorithmVerdict) -> &'static str {
 }
 
 fn main() {
-    args::accept(&["--trace", "--threads"], &[]);
+    args::accept(&["--trace"], &[]);
     let _trace = trace::init("exp_theorems");
-    let opts = ClassifyOptions {
-        search_threads: args::threads(1),
-        ..ClassifyOptions::default()
-    };
+    let opts = ClassifyOptions::default();
 
     println!("EXP-T25 (1/4): baseline deadlock-free algorithms (Dally-Seitz)\n");
     header(&[

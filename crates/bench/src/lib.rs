@@ -1,17 +1,18 @@
 //! Benchmarks and experiment binaries for the reproduction. The
 //! library itself only hosts shared experiment helpers; see
-//! `src/bin/` for the per-figure experiment programs and `benches/`
-//! for the Criterion suites.
+//! `src/bin/` for the per-figure experiment programs and the
+//! `bench_report` harness.
 //!
 //! Shared helpers:
 //!
 //! * [`report`] — fixed-width table formatting for experiment output;
-//! * [`args`] — the `--threads` / flag-value scanners every binary
-//!   uses;
+//! * [`args`] — the flag scanners every binary uses (`--seed`,
+//!   `--trace`, and the check that rejects flags a binary does not
+//!   take);
 //! * [`trace`] — the `--trace <path>` machine-readable trace dump
 //!   (see `docs/TRACING.md` for the JSON schema);
-//! * [`scenarios`] — the named search/simulator workloads shared by
-//!   the Criterion suites and the `bench_report` harness;
+//! * [`scenarios`] — the named search/simulator workloads the
+//!   `bench_report` harness and the tests run;
 //! * [`bench_report`] — the headless runner behind the committed
 //!   `wormbench/1` baselines (see `docs/PERFORMANCE.md`);
 //! * [`lintcorpus`] — the named lint targets with expected verdicts

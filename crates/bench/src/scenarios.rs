@@ -1,16 +1,13 @@
-//! Named benchmark scenarios shared by the Criterion suites and the
-//! `bench_report` harness.
+//! Named benchmark scenarios behind the `bench_report` harness and its
+//! committed baselines (`BENCH_search.json`, `BENCH_sim.json`).
 //!
-//! Both consumers must measure *the same* workloads or the committed
-//! baselines (`BENCH_search.json`, `BENCH_sim.json`) drift away from
-//! what `cargo bench` exercises. This module is the single source of
-//! truth: a [`SearchScenario`] bundles a simulation with its search
+//! A [`SearchScenario`] bundles a simulation with its search
 //! parameters and (when the instance has one) the rotation-symmetry
 //! canonicalizer derived by
 //! [`worm_core::symmetry::family_canonicalizer`]; a [`SimScenario`]
 //! bundles a simulation with the runner policy, cycle budget and
 //! (optionally) fault plan to drive it with, and runs it
-//! ([`SimScenario::run`]) the one way both consumers time it.
+//! ([`SimScenario::run`]) the one way the harness times it.
 
 use std::sync::Arc;
 
@@ -31,8 +28,7 @@ use wormsim::{traffic, MessageSpec, Sim};
 /// One named exhaustive-search workload.
 #[derive(Clone, Debug)]
 pub struct SearchScenario {
-    /// Stable scenario name (used as the JSON baseline key and the
-    /// Criterion benchmark id).
+    /// Stable scenario name (used as the JSON baseline key).
     pub name: String,
     /// The simulation to search.
     pub sim: Sim,
@@ -125,8 +121,8 @@ pub fn search_scenarios() -> Vec<SearchScenario> {
 /// (`g{k}_stall{k}`, which must stay deadlock-free) and `k + 1`
 /// (`g{k}_stall{k+1}`, which must deadlock), for `k = 1..=5` — the
 /// searches the service's `paper_full` jobs spend most of their time
-/// in. Kept apart from [`search_scenarios`] so the Criterion suite and
-/// the lint cross-checks, which iterate that list, keep their cost.
+/// in. Kept apart from [`search_scenarios`] so the lint cross-checks,
+/// which iterate that list, keep their cost.
 pub fn stall_search_scenarios() -> Vec<SearchScenario> {
     let mut out = Vec::new();
     for k in 1..=5u32 {
@@ -280,8 +276,7 @@ pub fn exist_scenarios(smoke: bool) -> Vec<ExistScenario> {
 /// One named flit-level simulator workload.
 #[derive(Clone, Debug)]
 pub struct SimScenario {
-    /// Stable scenario name (used as the JSON baseline key and the
-    /// Criterion benchmark id).
+    /// Stable scenario name (used as the JSON baseline key).
     pub name: String,
     /// The simulation to run.
     pub sim: Sim,
@@ -297,6 +292,22 @@ pub struct SimScenario {
 }
 
 impl SimScenario {
+    /// A scenario run by the plain [`Runner`], with no fault plan.
+    fn plain(
+        name: impl Into<String>,
+        sim: Sim,
+        policy: ArbitrationPolicy,
+        max_cycles: u64,
+    ) -> Self {
+        SimScenario {
+            name: name.into(),
+            sim,
+            policy,
+            max_cycles,
+            faults: None,
+        }
+    }
+
     /// Run the scenario once for at most `max_cycles` cycles and hand the outcome's name (`delivered`, `deadlock`,
     /// `timeout`) and the run's statistics to `read`, returning what it
     /// returns. A timer started before the call stops first thing in
@@ -334,10 +345,19 @@ impl SimScenario {
 
 /// The standard simulator workloads: uniform random traffic on meshes
 /// (the throughput case), the Figure 1 construction under the
-/// adversarial arbiter (the contention case), and Figure 1 with its
+/// adversarial arbiter (the contention case), Figure 1 with its
 /// shared channel `c_s` down from cycle 0 (the starved case: no flit
-/// ever moves, and the run times out at its horizon). Mirrors
-/// `benches/sim_bench.rs`.
+/// ever moves, and the run times out at its horizon), and the three
+/// ablations of DESIGN.md's choices:
+///
+/// * `ablate_arb_<policy>` — one contended workload (the 5×5
+///   dimension-order mesh, seed 3, rate 0.15 over 60 injection cycles,
+///   lengths 4–8) under each arbitration policy;
+/// * `fig1_depth<d>` — Figure 1 under the adversary at buffer depths
+///   1, 2, 4 and 8 (wormhole through buffered wormhole towards virtual
+///   cut-through);
+/// * `pipeline_len<n>` — one worm of 2, 8, 32 or 128 flits down the
+///   8×1 line.
 pub fn sim_scenarios() -> Vec<SimScenario> {
     let mut out = Vec::new();
     // Injection rates taper with mesh size so each workload delivers
@@ -349,23 +369,21 @@ pub fn sim_scenarios() -> Vec<SimScenario> {
         let mut rng = rand::rngs::StdRng::seed_from_u64(1);
         let specs = traffic::uniform_random(mesh.network(), &table, &mut rng, rate, 100, (4, 8));
         let sim = Sim::new(mesh.network(), &table, specs, None).expect("routed");
-        out.push(SimScenario {
-            name: format!("mesh_uniform_{side}x{side}"),
+        out.push(SimScenario::plain(
+            format!("mesh_uniform_{side}x{side}"),
             sim,
-            policy: ArbitrationPolicy::OldestFirst,
-            max_cycles: 1_000_000,
-            faults: None,
-        });
+            ArbitrationPolicy::OldestFirst,
+            1_000_000,
+        ));
     }
     let con = fig1::cyclic_dependency();
     let sim = Sim::new(&con.net, &con.table, con.message_specs(), Some(1)).expect("routed");
-    out.push(SimScenario {
-        name: "fig1_adversarial".into(),
-        sim: sim.clone(),
-        policy: ArbitrationPolicy::Adversarial { favored: vec![] },
-        max_cycles: 10_000,
-        faults: None,
-    });
+    out.push(SimScenario::plain(
+        "fig1_adversarial",
+        sim.clone(),
+        ArbitrationPolicy::Adversarial { favored: vec![] },
+        10_000,
+    ));
     out.push(SimScenario {
         name: "fig1_cs_down".into(),
         sim,
@@ -373,6 +391,53 @@ pub fn sim_scenarios() -> Vec<SimScenario> {
         max_cycles: 10_000,
         faults: Some((con.net.clone(), FaultPlan::new().channel_down(con.cs, 0))),
     });
+
+    let mesh = Mesh::new(&[5, 5]);
+    let table = dimension_order(&mesh).expect("routes");
+    let mut rng = rand::rngs::StdRng::seed_from_u64(3);
+    let specs = traffic::uniform_random(mesh.network(), &table, &mut rng, 0.15, 60, (4, 8));
+    let sim = Sim::new(mesh.network(), &table, specs, None).expect("routed");
+    for (name, policy) in [
+        ("lowest_id", ArbitrationPolicy::LowestId),
+        ("round_robin", ArbitrationPolicy::RoundRobin),
+        ("oldest_first", ArbitrationPolicy::OldestFirst),
+        (
+            "adversarial",
+            ArbitrationPolicy::Adversarial { favored: vec![] },
+        ),
+    ] {
+        out.push(SimScenario::plain(
+            format!("ablate_arb_{name}"),
+            sim.clone(),
+            policy,
+            1_000_000,
+        ));
+    }
+    for depth in [1usize, 2, 4, 8] {
+        let sim = Sim::new(&con.net, &con.table, con.message_specs(), Some(depth)).expect("routed");
+        out.push(SimScenario::plain(
+            format!("fig1_depth{depth}"),
+            sim,
+            ArbitrationPolicy::Adversarial { favored: vec![] },
+            10_000,
+        ));
+    }
+    let line = Mesh::new(&[8, 1]);
+    let table = dimension_order(&line).expect("routes");
+    for len in [2usize, 8, 32, 128] {
+        let specs = vec![MessageSpec::new(
+            line.node(&[0, 0]),
+            line.node(&[7, 0]),
+            len,
+        )];
+        let sim = Sim::new(line.network(), &table, specs, None).expect("routed");
+        out.push(SimScenario::plain(
+            format!("pipeline_len{len}"),
+            sim,
+            ArbitrationPolicy::LowestId,
+            100_000,
+        ));
+    }
     out
 }
 
@@ -440,7 +505,18 @@ mod tests {
             assert!(!s.name.is_empty());
             assert!(s.max_cycles > 0);
         }
-        for name in ["mesh_uniform_16x16", "mesh_uniform_32x32", "fig1_cs_down"] {
+        let mut names: Vec<&str> = scenarios.iter().map(|s| s.name.as_str()).collect();
+        names.sort_unstable();
+        names.dedup();
+        assert_eq!(names.len(), scenarios.len(), "duplicate scenario name");
+        for name in [
+            "mesh_uniform_16x16",
+            "mesh_uniform_32x32",
+            "fig1_cs_down",
+            "ablate_arb_adversarial",
+            "fig1_depth8",
+            "pipeline_len128",
+        ] {
             assert!(
                 scenarios.iter().any(|s| s.name == name),
                 "{name} missing from the sim suite"

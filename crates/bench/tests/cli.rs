@@ -36,6 +36,9 @@ fn fig1_reports_false_resource_cycle() {
     assert!(out.contains("shared-channel cycle: ring of 14 channels"));
     assert!(out.contains("DEADLOCK-FREE WITH CYCLIC DEPENDENCIES"));
     assert!(out.contains("exhaustive search"));
+    // The search-decided candidate carries the states its search
+    // visited.
+    assert!(!out.contains("(0 states)"), "{out}");
 }
 
 #[test]
@@ -59,6 +62,25 @@ fn bad_usage_exits_nonzero() {
     assert!(!ok);
     let (_, ok) = analyze(&["mesh", "3"]);
     assert!(!ok);
+    // Extra arguments, and shapes the builders cannot make, are usage
+    // errors rather than ignored words or panics.
+    for args in [
+        &["fig1", "--bogus"][..],
+        &["mesh", "4", "4", "xy", "extra"],
+        &["g", "0"],
+        &["mesh", "1", "1", "xy"],
+        &["ring", "1", "clockwise"],
+        &["torus", "2", "2", "dateline"],
+        &["hypercube", "0", "ecube"],
+        &["hypercube", "17", "ecube"],
+        &["hypercube", "21", "ecube"],
+    ] {
+        assert_eq!(
+            exit_code(env!("CARGO_BIN_EXE_analyze"), args),
+            Some(2),
+            "{args:?}"
+        );
+    }
 }
 
 /// The exit status of a binary run with `args`.
@@ -77,10 +99,13 @@ fn binaries_reject_flags_they_do_not_take() {
     assert_eq!(exit_code(faults, &["--engine", "event"]), Some(2));
     assert_eq!(exit_code(faults, &["--seed"]), Some(2));
     assert_eq!(exit_code(faults, &["--seed", "7", "extra"]), Some(2));
-    assert_eq!(
-        exit_code(env!("CARGO_BIN_EXE_exp_skew"), &["--threads", "2"]),
-        Some(2)
-    );
+    for exe in [
+        env!("CARGO_BIN_EXE_exp_skew"),
+        env!("CARGO_BIN_EXE_exp_fig3"),
+        env!("CARGO_BIN_EXE_exp_generalized"),
+    ] {
+        assert_eq!(exit_code(exe, &["--threads", "2"]), Some(2), "{exe}");
+    }
     assert_eq!(
         exit_code(
             env!("CARGO_BIN_EXE_bench_report"),

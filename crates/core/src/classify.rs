@@ -15,7 +15,7 @@ use wormcdg::sharing::CycleIndex;
 use wormcdg::{enumerate_candidates, Cdg, CdgCycle, DeadlockCandidate, Witnesses};
 use wormnet::Network;
 use wormroute::{properties, TableRouting};
-use wormsearch::{explore, explore_parallel, explore_until, SearchConfig, Verdict};
+use wormsearch::{explore, explore_until, SearchConfig, Verdict};
 use wormsim::{MessageId, MessageSpec, Sim};
 
 use crate::analysis::{Analysis, CandidateAnalysis, StaticClass};
@@ -146,11 +146,6 @@ pub struct ClassifyOptions {
     pub use_search: bool,
     /// State budget per search.
     pub search_max_states: usize,
-    /// Worker threads for each fallback search: `1` (the default) runs
-    /// the sequential depth-first engine; any other value runs the
-    /// parallel work-stealing engine with that many workers (`0` = all
-    /// cores). Verdicts are identical either way.
-    pub search_threads: usize,
     /// Re-verify theorem-decided "reachable" candidates by exhaustive
     /// search before reporting them.
     ///
@@ -171,7 +166,6 @@ impl Default for ClassifyOptions {
             max_candidates: 10_000,
             use_search: true,
             search_max_states: 2_000_000,
-            search_threads: 1,
             verify_theorems_with_search: false,
         }
     }
@@ -229,17 +223,17 @@ fn decide(
     };
     // A theorem's "reachable", optionally confirmed by search.
     let confirm = |class: CycleClass| -> CandidateVerdict {
-        if opts.verify_theorems_with_search
-            && search_candidate(net, table, &ca.candidate, opts) == Some(false)
-        {
-            wormtrace::counter("classify.theorem_downgraded", 1);
-            return verdict(
-                CycleClass::DecidedBySearch {
-                    reachable: false,
-                    states: 0,
-                },
-                Some(false),
-            );
+        if opts.verify_theorems_with_search {
+            if let Some((false, states)) = search_candidate(net, table, &ca.candidate, opts) {
+                wormtrace::counter("classify.theorem_downgraded", 1);
+                return verdict(
+                    CycleClass::DecidedBySearch {
+                        reachable: false,
+                        states,
+                    },
+                    Some(false),
+                );
+            }
         }
         verdict(class, Some(true))
     };
@@ -256,15 +250,13 @@ fn decide(
         // their segments — Section 3's worst case).
         StaticClass::OutOfScope if opts.use_search => {
             wormtrace::counter("classify.search_fallback", 1);
-            let reachable = search_candidate(net, table, &ca.candidate, opts);
-            let class = match reachable {
-                Some(r) => CycleClass::DecidedBySearch {
-                    reachable: r,
-                    states: 0,
-                },
-                None => CycleClass::Unknown,
-            };
-            verdict(class, reachable)
+            match search_candidate(net, table, &ca.candidate, opts) {
+                Some((reachable, states)) => verdict(
+                    CycleClass::DecidedBySearch { reachable, states },
+                    Some(reachable),
+                ),
+                None => verdict(CycleClass::Unknown, None),
+            }
         }
         StaticClass::OutOfScope => verdict(CycleClass::Unknown, None),
     };
@@ -293,13 +285,14 @@ fn decide_until_reachable<C: Borrow<CandidateAnalysis>>(
 }
 
 /// Exhaustive search for any deadlock among the candidate's messages
-/// at minimum lengths; `None` = budget exhausted or unroutable.
+/// at minimum lengths: whether one is reachable, and the states the
+/// search visited; `None` = budget exhausted or unroutable.
 fn search_candidate(
     net: &Network,
     table: &TableRouting,
     candidate: &DeadlockCandidate,
     opts: &ClassifyOptions,
-) -> Option<bool> {
+) -> Option<(bool, usize)> {
     let specs: Vec<MessageSpec> = candidate
         .segments
         .iter()
@@ -312,16 +305,13 @@ fn search_candidate(
         dead_channels: Vec::new(),
         ..SearchConfig::default()
     };
-    let result = if opts.search_threads == 1 {
-        explore(&sim, &config)
-    } else {
-        explore_parallel(&sim, &config, opts.search_threads)
+    let result = explore(&sim, &config);
+    let reachable = match result.verdict {
+        Verdict::DeadlockReachable(_) => true,
+        Verdict::DeadlockFree => false,
+        Verdict::Inconclusive { .. } => return None,
     };
-    match result.verdict {
-        Verdict::DeadlockReachable(_) => Some(true),
-        Verdict::DeadlockFree => Some(false),
-        Verdict::Inconclusive { .. } => None,
-    }
+    Some((reachable, result.states_explored))
 }
 
 /// The literal Definition 5 question for one static candidate: can
@@ -663,32 +653,39 @@ mod tests {
     }
 
     #[test]
-    fn parallel_search_threads_give_identical_verdicts() {
-        // The fig-1-like 4-sharer construction is decided by the search
-        // fallback; the parallel engine must reach the same verdict.
-        let c = crate::family::SharedCycleSpec {
-            messages: vec![
-                crate::family::CycleMessageSpec::shared(2, 3, 1),
-                crate::family::CycleMessageSpec::shared(3, 4, 1),
-                crate::family::CycleMessageSpec::shared(2, 3, 1),
-                crate::family::CycleMessageSpec::shared(3, 4, 1),
-            ],
+    fn search_decided_candidates_carry_the_search_state_count() {
+        // Figure 1 has four sharers, outside the theorems: the search
+        // fallback decides its candidate and records how many states
+        // the search over the candidate's message set visited.
+        let c = crate::paper::fig1::cyclic_dependency();
+        let verdict = classify_algorithm(&c.net, &c.table, &ClassifyOptions::default());
+        let AlgorithmVerdict::DeadlockFreeWithCycles { cycles } = &verdict else {
+            panic!("Figure 1 must be free-with-cycles: {verdict:?}");
+        };
+        let decided: Vec<(&DeadlockCandidate, usize)> = cycles
+            .iter()
+            .flat_map(|cv| &cv.candidates)
+            .filter_map(|cand| match cand.class {
+                CycleClass::DecidedBySearch {
+                    reachable: false,
+                    states,
+                } => Some((&cand.candidate, states)),
+                _ => None,
+            })
+            .collect();
+        assert!(!decided.is_empty(), "the search fallback decides Figure 1");
+        for (candidate, states) in decided {
+            let specs: Vec<MessageSpec> = candidate
+                .segments
+                .iter()
+                .map(|s| MessageSpec::new(s.msg.0, s.msg.1, s.channels.len()))
+                .collect();
+            let sim = Sim::new(&c.net, &c.table, specs, Some(1)).unwrap();
+            let search = explore(&sim, &SearchConfig::default());
+            assert!(search.verdict.is_free());
+            assert!(states > 1);
+            assert_eq!(states, search.states_explored);
         }
-        .build();
-        let sequential = classify_algorithm(&c.net, &c.table, &ClassifyOptions::default());
-        let parallel = classify_algorithm(
-            &c.net,
-            &c.table,
-            &ClassifyOptions {
-                search_threads: 4,
-                ..ClassifyOptions::default()
-            },
-        );
-        assert_eq!(
-            sequential.is_deadlock_free(),
-            parallel.is_deadlock_free(),
-            "sequential {sequential:?} vs parallel {parallel:?}"
-        );
     }
 
     #[test]

@@ -33,10 +33,6 @@ pub fn options_from_spec(verify: Option<&Verify>) -> Result<ClassifyOptions, Spe
         opts.search_max_states = usize::try_from(m.value)
             .map_err(|_| SpecError::new(codes::RANGE, "`max_states` out of range", m.span))?;
     }
-    if let Some(t) = &v.threads {
-        opts.search_threads = usize::try_from(t.value)
-            .map_err(|_| SpecError::new(codes::RANGE, "`threads` out of range", t.span))?;
-    }
     if let Some(m) = &v.model_exact {
         opts.verify_theorems_with_search = m.value;
     }
@@ -63,7 +59,7 @@ mod tests {
     }
 
     #[test]
-    fn budgets_threads_and_exactness_resolve() {
+    fn budgets_and_exactness_resolve() {
         let o = resolve(
             "wormspec/1\n\
              topology { kind = ring nodes = 4 }\n\
@@ -73,14 +69,12 @@ mod tests {
                max_cycles = 100\n\
                max_candidates = 200\n\
                max_states = 5000\n\
-               threads = 2\n\
                model_exact = true\n\
              }\n",
         );
         assert_eq!(o.max_cycles, 100);
         assert_eq!(o.max_candidates, 200);
         assert_eq!(o.search_max_states, 5000);
-        assert_eq!(o.search_threads, 2);
         assert!(o.verify_theorems_with_search);
     }
 }

@@ -19,7 +19,6 @@ use std::time::Instant;
 use wormsim::adaptive::{AdaptiveDecisions, AdaptiveSim, AdaptiveState};
 use wormsim::MessageId;
 
-use crate::parallel::{search_parallel, ParallelVerdict, Space};
 use crate::verdict::SearchMetrics;
 
 /// Outcome of an adaptive exploration.
@@ -73,14 +72,11 @@ pub struct AdaptiveSearchResult {
 /// Exhaustively explore all route choices and timings of `sim`.
 pub fn explore_adaptive(sim: &AdaptiveSim, max_states: usize) -> AdaptiveSearchResult {
     let start = Instant::now();
-    let mut metrics = SearchMetrics {
-        threads: 1,
-        ..SearchMetrics::default()
-    };
+    let mut metrics = SearchMetrics::default();
     let finish = |metrics: &mut SearchMetrics, verdict: AdaptiveVerdict, states: usize| {
         metrics.elapsed = start.elapsed();
         metrics.finish(states);
-        metrics.publish("search.explore", states);
+        metrics.publish(states);
         AdaptiveSearchResult {
             verdict,
             states_explored: states,
@@ -161,84 +157,6 @@ pub fn explore_adaptive(sim: &AdaptiveSim, max_states: usize) -> AdaptiveSearchR
 
     let states = visited.len();
     finish(&mut metrics, AdaptiveVerdict::DeadlockFree, states)
-}
-
-/// The adaptive search space for the parallel engine: the full
-/// [`AdaptiveState`] doubles as its own key (it is small, hashable,
-/// and totally ordered).
-struct AdaptiveSpace<'a> {
-    sim: &'a AdaptiveSim,
-}
-
-impl Space for AdaptiveSpace<'_> {
-    type State = AdaptiveState;
-    type Key = AdaptiveState;
-    type Decision = AdaptiveDecisions;
-    // Adaptive states double as keys, so there is nothing to pool or
-    // canonicalize per worker.
-    type Scratch = ();
-
-    fn scratch(&self) {}
-
-    fn initial(&self) -> AdaptiveState {
-        self.sim.initial_state()
-    }
-
-    fn key(&self, state: &AdaptiveState, _scratch: &mut ()) -> AdaptiveState {
-        state.clone()
-    }
-
-    fn successors(
-        &self,
-        state: &AdaptiveState,
-        out: &mut Vec<(AdaptiveDecisions, AdaptiveState)>,
-        _scratch: &mut (),
-    ) {
-        for decision in decision_options(self.sim, state) {
-            let mut next = state.clone();
-            if !self.sim.step(&mut next, &decision) {
-                continue;
-            }
-            out.push((decision, next));
-        }
-    }
-
-    fn is_deadlock(&self, state: &AdaptiveState) -> bool {
-        self.sim.find_deadlock(state).is_some()
-    }
-
-    fn is_terminal(&self, state: &AdaptiveState) -> bool {
-        self.sim.all_delivered(state)
-    }
-}
-
-/// [`explore_adaptive`] on the parallel work-stealing engine
-/// ([`crate::explore_parallel`]): identical verdicts for every thread count, a
-/// shortest witness, and populated [`SearchMetrics`].
-///
-/// `threads = 0` uses all available cores.
-pub fn explore_adaptive_parallel(
-    sim: &AdaptiveSim,
-    max_states: usize,
-    threads: usize,
-) -> AdaptiveSearchResult {
-    let outcome = search_parallel(&AdaptiveSpace { sim }, max_states, threads);
-    let verdict = match outcome.verdict {
-        ParallelVerdict::Free => AdaptiveVerdict::DeadlockFree,
-        ParallelVerdict::Inconclusive => AdaptiveVerdict::Inconclusive {
-            states_visited: outcome.states,
-        },
-        ParallelVerdict::Deadlock(decisions) => {
-            let members = replay_adaptive(sim, &decisions)
-                .expect("parallel adaptive witness replays to a deadlock");
-            AdaptiveVerdict::DeadlockReachable { decisions, members }
-        }
-    };
-    AdaptiveSearchResult {
-        verdict,
-        states_explored: outcome.states,
-        metrics: outcome.metrics,
-    }
 }
 
 /// Replay an adaptive witness; returns the knot found at the end.
@@ -394,66 +312,5 @@ mod tests {
         // adversary cannot close a knot.
         let result = explore_adaptive(&sim, 5_000_000);
         assert!(result.verdict.is_free(), "{:?}", result.verdict);
-    }
-
-    #[test]
-    fn parallel_adaptive_matches_sequential_on_deadlock() {
-        let mesh = Mesh::new(&[2, 2]);
-        let routing = fully_adaptive_minimal(&mesh);
-        let sim = AdaptiveSim::new(
-            mesh.network(),
-            routing,
-            vec![
-                MessageSpec::new(mesh.node(&[0, 0]), mesh.node(&[1, 1]), 3),
-                MessageSpec::new(mesh.node(&[1, 0]), mesh.node(&[0, 1]), 3),
-                MessageSpec::new(mesh.node(&[1, 1]), mesh.node(&[0, 0]), 3),
-                MessageSpec::new(mesh.node(&[0, 1]), mesh.node(&[1, 0]), 3),
-            ],
-            Some(1),
-        )
-        .unwrap();
-        let seq = explore_adaptive(&sim, 5_000_000);
-        let par = explore_adaptive_parallel(&sim, 5_000_000, 4);
-        assert_eq!(seq.verdict.is_deadlock(), par.verdict.is_deadlock());
-        let AdaptiveVerdict::DeadlockReachable { decisions, members } = &par.verdict else {
-            panic!("parallel must find the deadlock: {:?}", par.verdict);
-        };
-        assert_eq!(members.len(), 4);
-        let replayed = replay_adaptive(&sim, decisions).expect("replays");
-        assert_eq!(&replayed, members);
-        // Thread-count independence of the witness.
-        let par1 = explore_adaptive_parallel(&sim, 5_000_000, 1);
-        let AdaptiveVerdict::DeadlockReachable {
-            decisions: decisions1,
-            ..
-        } = &par1.verdict
-        else {
-            panic!("1-thread run must find the deadlock");
-        };
-        assert_eq!(decisions1, decisions);
-        assert_eq!(par1.states_explored, par.states_explored);
-    }
-
-    #[test]
-    fn parallel_adaptive_matches_sequential_on_freedom() {
-        let mesh = Mesh::new(&[2, 2]);
-        let routing = fully_adaptive_minimal(&mesh);
-        let sim = AdaptiveSim::new(
-            mesh.network(),
-            routing,
-            vec![
-                MessageSpec::new(mesh.node(&[0, 0]), mesh.node(&[1, 1]), 3),
-                MessageSpec::new(mesh.node(&[1, 1]), mesh.node(&[0, 0]), 3),
-            ],
-            Some(1),
-        )
-        .unwrap();
-        let seq = explore_adaptive(&sim, 5_000_000);
-        let par = explore_adaptive_parallel(&sim, 5_000_000, 4);
-        assert!(par.verdict.is_free(), "{:?}", par.verdict);
-        // Same deduplicated reachable set ⇒ same state count.
-        assert_eq!(seq.states_explored, par.states_explored);
-        assert_eq!(par.metrics.threads, 4);
-        assert!(par.metrics.layers > 0);
     }
 }

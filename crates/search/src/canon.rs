@@ -28,10 +28,8 @@
 //!   space, orbit by orbit.
 //!
 //! What *does* change is the visited-state count (that is the point:
-//! `G(k)`'s order-2 rotation halves it) and, for the parallel engine,
-//! which orbit representative the witness passes through. Searches
-//! needing bit-identical legacy behaviour leave [`SearchConfig::canon`]
-//! unset.
+//! `G(k)`'s order-2 rotation halves it). Searches needing bit-identical
+//! legacy behaviour leave [`SearchConfig::canon`] unset.
 //!
 //! [`SearchConfig::canon`]: crate::SearchConfig#structfield.canon
 
@@ -41,7 +39,7 @@ use wormsim::{ChannelOcc, MessageId, Sim, SimState, StateCodec};
 
 /// Reusable buffers for canonical-key computation.
 ///
-/// Each search thread owns one; [`Canonicalizer::canonical_words`]
+/// Each search owns one; [`Canonicalizer::canonical_words`]
 /// implementations use it to avoid per-state allocation.
 #[derive(Debug)]
 pub struct CanonScratch {
@@ -82,7 +80,7 @@ pub trait Canonicalizer: fmt::Debug + Send + Sync {
     /// The words of the canonical packed key of `state`'s symmetry
     /// orbit, written into `scratch` and borrowed from it.
     ///
-    /// Must agree with `codec.pack(state, budget)` up to orbit choice:
+    /// Must agree with [`StateCodec::pack_words`] up to orbit choice:
     /// the returned words are the packed encoding of *some* orbit
     /// member at the same budget.
     fn canonical_words<'s>(
@@ -340,8 +338,8 @@ impl Canonicalizer for SymmetryCanonicalizer {
         for perm in &self.perms {
             perm.apply_into(state, permuted);
             codec.pack_words(permuted, budget, buf);
-            // All keys of one codec share a width, so the words compare
-            // exactly as the `PackedState` keys do.
+            // All keys of one codec share a width, so the smallest word
+            // sequence is a well-defined orbit representative.
             if buf < best {
                 std::mem::swap(buf, best);
             }
@@ -359,7 +357,7 @@ mod tests {
     use super::*;
     use wormnet::topology::ring_unidirectional;
     use wormroute::algorithms::clockwise_ring;
-    use wormsim::{Decisions, MessageSpec, PackedState};
+    use wormsim::{Decisions, MessageSpec};
 
     fn symmetric_ring() -> Sim {
         let (net, nodes) = ring_unidirectional(4);
@@ -432,15 +430,24 @@ mod tests {
         }
     }
 
-    /// The canonical key of `state` as a [`PackedState`].
+    /// The canonical key words of `state`.
     fn canonical_key(
         canon: &dyn Canonicalizer,
         codec: &StateCodec,
         state: &SimState,
         budget: u32,
-    ) -> PackedState {
+    ) -> Vec<u64> {
         let mut scratch = CanonScratch::new();
-        PackedState::from_words(canon.canonical_words(codec, state, budget, &mut scratch))
+        canon
+            .canonical_words(codec, state, budget, &mut scratch)
+            .to_vec()
+    }
+
+    /// The plain packed key words of `state`.
+    fn pack(codec: &StateCodec, state: &SimState, budget: u32) -> Vec<u64> {
+        let mut words = Vec::new();
+        codec.pack_words(state, budget, &mut words);
+        words
     }
 
     #[test]
@@ -461,21 +468,21 @@ mod tests {
         );
         let mut rotated = SimState::new(0, 0);
         rotation(1, 4).apply_into(&state, &mut rotated);
-        assert_ne!(codec.pack(&state, 0), codec.pack(&rotated, 0));
+        assert_ne!(pack(&codec, &state, 0), pack(&codec, &rotated, 0));
         assert_eq!(
             canonical_key(&canon, &codec, &state, 0),
             canonical_key(&canon, &codec, &rotated, 0),
         );
         // The canonical key is a genuine orbit member's packed key.
         let key = canonical_key(&canon, &codec, &state, 0);
-        let members: Vec<PackedState> = (0..4)
+        let members: Vec<Vec<u64>> = (0..4)
             .map(|r| {
                 if r == 0 {
-                    codec.pack(&state, 0)
+                    pack(&codec, &state, 0)
                 } else {
                     let mut img = SimState::new(0, 0);
                     rotation(r, 4).apply_into(&state, &mut img);
-                    codec.pack(&img, 0)
+                    pack(&codec, &img, 0)
                 }
             })
             .collect();
@@ -489,7 +496,7 @@ mod tests {
         let state = sim.initial_state();
         assert_eq!(
             canonical_key(&IdentityCanonicalizer, &codec, &state, 1),
-            codec.pack(&state, 1)
+            pack(&codec, &state, 1)
         );
         assert!(IdentityCanonicalizer.is_identity());
         let empty = SymmetryCanonicalizer::new(&sim, vec![]).unwrap();

@@ -10,7 +10,6 @@ use wormsim::{
 
 use crate::canon::{CanonScratch, Canonicalizer, IdentityCanonicalizer};
 use crate::options::{ChoiceBuf, Options};
-use crate::parallel::explore_parallel;
 use crate::verdict::{SearchMetrics, SearchResult, Verdict, Witness};
 use crate::visited::VisitedSet;
 
@@ -40,8 +39,7 @@ pub struct SearchConfig {
     /// (the default) keeps exact per-state keys and reproduces the
     /// uncanonicalized search bit for bit; with a canonicalizer the
     /// verdict is unchanged but the visited-state count shrinks by up
-    /// to the symmetry group's order, and a parallel witness may pass
-    /// through different (symmetric) representatives run to run.
+    /// to the symmetry group's order.
     pub canon: Option<Arc<dyn Canonicalizer>>,
 }
 
@@ -143,10 +141,7 @@ fn depth_first(
     let mut choice = ChoiceBuf::default();
     let mut arena = StateArena::new();
     let mut pool: Vec<Options> = Vec::new();
-    let mut metrics = SearchMetrics {
-        threads: 1,
-        ..SearchMetrics::default()
-    };
+    let mut metrics = SearchMetrics::default();
     let mut tally = StepTally::default();
 
     let initial = sim.initial_state();
@@ -240,7 +235,7 @@ pub fn explore(sim: &Sim, config: &SearchConfig) -> SearchResult {
     let mut metrics = dfs.metrics;
     metrics.elapsed = start.elapsed();
     metrics.finish(dfs.states);
-    metrics.publish("search.explore", dfs.states);
+    metrics.publish(dfs.states);
     SearchResult::new(dfs.verdict, dfs.states).with_metrics(metrics)
 }
 
@@ -359,41 +354,6 @@ pub fn min_stall_budget(
                 max_states,
                 ..SearchConfig::default()
             },
-        );
-        let found = result.verdict.is_deadlock();
-        trail.push(result);
-        if found {
-            return (Some(budget), trail);
-        }
-    }
-    (None, trail)
-}
-
-/// [`min_stall_budget`] with each per-budget search running on the
-/// parallel work-stealing engine ([`explore_parallel`], `threads`
-/// workers; 0 = all cores). Budgets are scanned in order and the scan
-/// stops at the first deadlock, so the trail matches the sequential
-/// version verdict-for-verdict. Deadlock-free budgets also visit the
-/// identical number of states (both engines exhaust the same
-/// deduplicated reachable set); on the deadlock budget the
-/// breadth-first engine may stop at a different state count than the
-/// depth-first one.
-pub fn min_stall_budget_parallel(
-    sim: &Sim,
-    max_budget: u32,
-    max_states: usize,
-    threads: usize,
-) -> (Option<u32>, Vec<SearchResult>) {
-    let mut trail = Vec::new();
-    for budget in 0..=max_budget {
-        let result = explore_parallel(
-            sim,
-            &SearchConfig {
-                stall_budget: budget,
-                max_states,
-                ..SearchConfig::default()
-            },
-            threads,
         );
         let found = result.verdict.is_deadlock();
         trail.push(result);
@@ -723,45 +683,6 @@ mod tests {
         assert!(explore_shortest(&sim, &SearchConfig::default())
             .verdict
             .is_free());
-    }
-
-    #[test]
-    fn parallel_budget_scan_matches_sequential() {
-        let (net, nodes) = ring_unidirectional(4);
-        let table = clockwise_ring(&net, &nodes).unwrap();
-        let specs: Vec<MessageSpec> = (0..4)
-            .map(|i| MessageSpec::new(nodes[i], nodes[(i + 2) % 4], 2))
-            .collect();
-        let sim = Sim::new(&net, &table, specs, None).unwrap();
-        let (seq_min, seq_trail) = min_stall_budget(&sim, 3, 1_000_000);
-        let (par_min, par_trail) = min_stall_budget_parallel(&sim, 3, 1_000_000, 4);
-        assert_eq!(seq_min, par_min);
-        assert_eq!(seq_trail.len(), par_trail.len());
-        for (a, b) in seq_trail.iter().zip(&par_trail) {
-            assert_eq!(a.verdict.is_deadlock(), b.verdict.is_deadlock());
-            if a.verdict.is_free() {
-                // Both engines exhaust the same deduplicated reachable
-                // set; on the deadlock budget their early-exit points
-                // legitimately differ (DFS vs layered BFS).
-                assert_eq!(a.states_explored, b.states_explored);
-            }
-        }
-    }
-
-    #[test]
-    fn parallel_scan_on_deadlock_free_network() {
-        use wormroute::algorithms::shortest_path_table;
-        let (net, _) = line(3);
-        let table = shortest_path_table(&net).unwrap();
-        let specs = vec![
-            MessageSpec::new(NodeId::from_index(0), NodeId::from_index(2), 2),
-            MessageSpec::new(NodeId::from_index(2), NodeId::from_index(0), 2),
-        ];
-        let sim = Sim::new(&net, &table, specs, None).unwrap();
-        let (min, trail) = min_stall_budget_parallel(&sim, 2, 1_000_000, 2);
-        assert_eq!(min, None);
-        assert_eq!(trail.len(), 3);
-        assert!(trail.iter().all(|r| r.metrics.threads == 2));
     }
 
     #[test]

@@ -26,24 +26,23 @@
 //!
 //! ## Engines
 //!
-//! Two engines share the same decision enumeration and the same
-//! bit-packed state keys ([`wormsim::StateCodec`]):
+//! One family of engines shares the decision enumeration, the stepping
+//! core and the bit-packed state keys ([`wormsim::StateCodec`]):
 //!
-//! * [`explore`] — sequential depth-first search. The oracle: simple,
-//!   deterministic, and memory-lean (no parent pointers).
-//! * [`explore_parallel`] — layer-synchronized breadth-first search
-//!   over work-stealing worker threads. Returns the **same verdict**
-//!   as [`explore`] on every input, and its witness is *shortest* and
-//!   *identical for every thread count* (layers complete before any
-//!   early exit; parent pointers min-merge; the smallest goal key
-//!   wins). Prefer it for large scenarios; `threads = 0` uses every
-//!   core. [`min_stall_budget_parallel`] scans stall budgets on top of
-//!   it, and [`adaptive::explore_adaptive_parallel`] runs adaptive
-//!   scenarios on the same core.
+//! * [`explore`] — depth-first search, the oracle: deterministic and
+//!   memory-lean (no parent pointers);
+//! * [`explore_until`] — the same search for one specific target
+//!   configuration (the literal Definition 5 question);
+//! * [`explore_shortest`] — breadth-first, so a witness is a shortest
+//!   deadlock schedule;
+//! * [`min_stall_budget`] — Section 6's stall-budget scan on top of
+//!   [`explore`];
+//! * [`adaptive::explore_adaptive`] — adaptive routing, where the
+//!   route choice is part of the adversary.
 //!
 //! Every result carries [`SearchMetrics`] — states/second, frontier
-//! peak, dedup hit-rate, per-worker steal counts — printed by the
-//! `exp_*` binaries via [`SearchMetrics::summary`]. The same numbers
+//! peak, dedup hit-rate — printed by the `exp_*` binaries via
+//! [`SearchMetrics::summary`]. The same numbers
 //! are published as structured `search.*` counters and spans through
 //! the re-exported [`wormtrace`] instrumentation layer (see
 //! `docs/TRACING.md`); `SearchMetrics` is the in-process
@@ -78,7 +77,6 @@
 
 mod explore;
 mod options;
-mod parallel;
 mod verdict;
 mod visited;
 
@@ -90,9 +88,8 @@ pub use canon::{
     CanonScratch, Canonicalizer, IdentityCanonicalizer, StatePermutation, SymmetryCanonicalizer,
 };
 pub use explore::{
-    explore, explore_shortest, explore_until, min_stall_budget, min_stall_budget_parallel,
-    render_witness, replay, SearchConfig,
+    explore, explore_shortest, explore_until, min_stall_budget, render_witness, replay,
+    SearchConfig,
 };
-pub use parallel::explore_parallel;
 pub use verdict::{SearchMetrics, SearchResult, Verdict, Witness};
 pub use wormtrace;

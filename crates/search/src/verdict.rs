@@ -61,10 +61,6 @@ impl Verdict {
 
 /// Throughput and memoization statistics of one exploration.
 ///
-/// Filled by every engine; the parallel engine additionally reports
-/// per-worker steal counts and the layer count of its breadth-first
-/// sweep.
-///
 /// This struct is the *compatibility view* of the search counters:
 /// the same numbers are published into the calling thread's
 /// [`wormtrace`] recorder (metric names `search.*`, see `docs/TRACING.md`) by
@@ -79,19 +75,13 @@ pub struct SearchMetrics {
     pub elapsed: Duration,
     /// Distinct states visited per second of wall clock.
     pub states_per_sec: f64,
-    /// Largest frontier observed (BFS layer width for the parallel
-    /// engine, deepest stack for the sequential one).
+    /// Largest frontier observed (the deepest stack of a depth-first
+    /// search).
     pub frontier_peak: usize,
     /// Successor states that were already memoized.
     pub dedup_hits: u64,
     /// Total successor-state lookups.
     pub dedup_lookups: u64,
-    /// Successful steals per worker (empty for sequential searches).
-    pub steals: Vec<u64>,
-    /// Worker threads used (1 for sequential searches).
-    pub threads: usize,
-    /// Completed BFS layers (0 for depth-first searches).
-    pub layers: usize,
 }
 
 impl SearchMetrics {
@@ -102,11 +92,6 @@ impl SearchMetrics {
         } else {
             self.dedup_hits as f64 / self.dedup_lookups as f64
         }
-    }
-
-    /// Total successful steals across workers.
-    pub fn total_steals(&self) -> u64 {
-        self.steals.iter().sum()
     }
 
     /// Derive `states_per_sec` from a state count and `elapsed`.
@@ -122,13 +107,13 @@ impl SearchMetrics {
     /// Publish these metrics into the calling thread's
     /// [`wormtrace`] recorder under the `search.*` names, recording
     /// the whole exploration as one observation of the span
-    /// `engine_span` (`"search.explore"` or `"search.parallel"` — the
-    /// span's observation count is the per-engine search count).
+    /// `search.explore` (the span's observation count is the search
+    /// count).
     ///
     /// Every engine calls this on completion; with no recorder
     /// installed it is a single relaxed atomic load. `states` is the
     /// number of distinct states the search visited.
-    pub fn publish(&self, engine_span: &'static str, states: usize) {
+    pub fn publish(&self, states: usize) {
         if !wormtrace::enabled() {
             return;
         }
@@ -136,24 +121,18 @@ impl SearchMetrics {
         wormtrace::counter("search.states", states as u64);
         wormtrace::counter("search.dedup_hits", self.dedup_hits);
         wormtrace::counter("search.dedup_lookups", self.dedup_lookups);
-        wormtrace::counter("search.steals", self.total_steals());
-        wormtrace::counter("search.layers", self.layers as u64);
         wormtrace::gauge_max("search.frontier_peak", self.frontier_peak as f64);
         wormtrace::gauge_max("search.states_per_sec", self.states_per_sec);
-        wormtrace::gauge("search.threads", self.threads as f64);
-        wormtrace::span_elapsed(engine_span, self.elapsed);
+        wormtrace::span_elapsed("search.explore", self.elapsed);
     }
 
     /// One-line human-readable summary (used by the `exp_*` binaries).
     pub fn summary(&self) -> String {
         format!(
-            "{:.0} states/s, {} layers, frontier peak {}, dedup {:.1}%, {} steals on {} threads, {:.3}s",
+            "{:.0} states/s, frontier peak {}, dedup {:.1}%, {:.3}s",
             self.states_per_sec,
-            self.layers,
             self.frontier_peak,
             self.dedup_hit_rate() * 100.0,
-            self.total_steals(),
-            self.threads,
             self.elapsed.as_secs_f64(),
         )
     }
@@ -237,21 +216,17 @@ mod tests {
             elapsed: Duration::from_millis(500),
             dedup_hits: 30,
             dedup_lookups: 120,
-            steals: vec![2, 3, 0, 5],
-            threads: 4,
             ..SearchMetrics::default()
         };
         m.finish(1000);
         assert!((m.states_per_sec - 2000.0).abs() < 1e-6);
         assert!((m.dedup_hit_rate() - 0.25).abs() < 1e-9);
-        assert_eq!(m.total_steals(), 10);
-        assert!(m.summary().contains("threads"));
+        assert!(m.summary().contains("dedup 25.0%"), "{}", m.summary());
     }
 
     #[test]
     fn empty_metrics_are_safe() {
         let m = SearchMetrics::default();
         assert_eq!(m.dedup_hit_rate(), 0.0);
-        assert_eq!(m.total_steals(), 0);
     }
 }

@@ -1,4 +1,4 @@
-//! The sequential engines' visited set.
+//! The oblivious search engines' visited set.
 //!
 //! Every key one search produces has the same number of `u64` words
 //! ([`wormsim::StateCodec::packed_words`]), so keys need no per-key

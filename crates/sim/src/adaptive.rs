@@ -40,7 +40,7 @@ pub struct AdaptiveSim {
 /// Dynamic state of an adaptive simulation. Unlike the oblivious
 /// [`crate::SimState`], the route each header has taken so far is part
 /// of the state.
-#[derive(Clone, Debug, PartialEq, Eq, PartialOrd, Ord, Hash)]
+#[derive(Clone, Debug, PartialEq, Eq, Hash)]
 pub struct AdaptiveState {
     /// Per-channel occupancy.
     pub channels: Vec<Option<ChannelOcc>>,
@@ -56,7 +56,7 @@ pub struct AdaptiveState {
 /// each header acquires (absent = the header holds still, either by
 /// choice or because it is blocked), and which messages an adversary
 /// stalls entirely.
-#[derive(Clone, Debug, Default, PartialEq, Eq, PartialOrd, Ord)]
+#[derive(Clone, Debug, Default, PartialEq, Eq)]
 pub struct AdaptiveDecisions {
     /// Header acquisitions this cycle. The target must be one of the
     /// message's currently *free* permitted options, and no two

@@ -27,7 +27,7 @@ use crate::state::{ChannelOcc, SimState};
 ///   per-router clock skew (a skewed router pauses every queue it
 ///   hosts, i.e. every channel whose destination it is) — the physical
 ///   phenomenon Section 6 of the paper is about.
-#[derive(Clone, Debug, Default, PartialEq, Eq, PartialOrd, Ord)]
+#[derive(Clone, Debug, Default, PartialEq, Eq)]
 pub struct Decisions {
     /// Messages attempting header injection this cycle.
     pub inject: Vec<MessageId>,

@@ -75,5 +75,5 @@ pub use arena::StateArena;
 pub use engine::{Decisions, Sim, StepChoice, StepReport, StepScratch, StepTally};
 pub use error::SimError;
 pub use message::{MessageId, MessageSpec};
-pub use packed::{PackedBuildHasher, PackedState, StateCodec};
+pub use packed::StateCodec;
 pub use state::{ChannelOcc, SimState};

@@ -16,68 +16,15 @@
 //! * the remaining stall budget.
 //!
 //! Every paper construction but Figure 2 and Figure 3 (e) packs to
-//! 4–10 words. The sequential searches never build a key value: they
-//! probe a flat visited set with the words [`StateCodec::pack_words`]
-//! writes into a reused buffer. A [`PackedState`] (the parallel
-//! engine's key) stores up to [`INLINE_WORDS`] words inline and spills
-//! to a boxed slice beyond that.
-//!
-//! Keys are [`Ord`]: the parallel search uses the lexicographic order
-//! on packed words to pick a canonical witness among equally-shallow
-//! deadlock states, independent of thread scheduling.
+//! 4–10 words. The searches never build a key value: they probe a flat
+//! visited set with the words [`StateCodec::pack_words`] writes into a
+//! reused buffer, hashed by [`hash_words`].
 
-use std::hash::{BuildHasher, Hasher};
+use std::hash::Hasher;
 
 use crate::engine::Sim;
 use crate::state::{ChannelOcc, SimState};
 use crate::MessageId;
-
-/// Words a [`PackedState`] can hold without heap allocation.
-pub const INLINE_WORDS: usize = 3;
-
-/// A packed `(state, budget)` key produced by a [`StateCodec`].
-///
-/// Cheap to clone, hash and compare; a given codec always produces
-/// keys of the same width, so the derived `Eq`/`Ord`/`Hash` are
-/// consistent within one search.
-#[derive(Clone, Debug, PartialEq, Eq, PartialOrd, Ord, Hash)]
-pub enum PackedState {
-    /// Fits in [`INLINE_WORDS`] words (the common case).
-    Inline {
-        /// Number of meaningful words (the rest are zero padding).
-        len: u8,
-        /// The packed words, unused tail zeroed.
-        words: [u64; INLINE_WORDS],
-    },
-    /// Wider states spill to the heap.
-    Heap(Box<[u64]>),
-}
-
-impl PackedState {
-    /// Build a key by copying from a word slice (the slice can be a
-    /// reused scratch buffer; only the spill case allocates), e.g. the
-    /// words [`StateCodec::pack_words`] wrote.
-    pub fn from_words(words: &[u64]) -> Self {
-        if words.len() <= INLINE_WORDS {
-            let mut inline = [0u64; INLINE_WORDS];
-            inline[..words.len()].copy_from_slice(words);
-            PackedState::Inline {
-                len: words.len() as u8,
-                words: inline,
-            }
-        } else {
-            PackedState::Heap(words.to_vec().into_boxed_slice())
-        }
-    }
-
-    /// The packed words.
-    pub fn words(&self) -> &[u64] {
-        match self {
-            PackedState::Inline { len, words } => &words[..*len as usize],
-            PackedState::Heap(words) => words,
-        }
-    }
-}
 
 /// Bits needed to distinguish `values` distinct values.
 fn bits_for(values: u64) -> u32 {
@@ -169,7 +116,7 @@ impl<'a> BitReader<'a> {
 /// Field-width plan for packing one scenario's states.
 ///
 /// Built once per search from the [`Sim`] (and the maximum stall
-/// budget that will ever be encoded); [`StateCodec::pack`] and
+/// budget that will ever be encoded); [`StateCodec::pack_words`] and
 /// [`StateCodec::unpack`] then convert states losslessly.
 #[derive(Clone, Debug)]
 pub struct StateCodec {
@@ -228,17 +175,10 @@ impl StateCodec {
         self.relevant.len()
     }
 
-    /// Pack `(state, budget)` into its canonical key.
-    pub fn pack(&self, state: &SimState, budget: u32) -> PackedState {
-        let mut buf = Vec::with_capacity(self.words);
-        self.pack_words(state, budget, &mut buf);
-        PackedState::from_words(&buf)
-    }
-
-    /// The words of [`StateCodec::pack`]'s key, written into `buf`
-    /// (cleared and refilled, so a caller packing millions of states
-    /// reuses one allocation) with no key built — what a visited set
-    /// probes with.
+    /// Pack `(state, budget)` into its canonical key words, written
+    /// into `buf` (cleared and refilled, so a caller packing millions
+    /// of states reuses one allocation) — what a visited set probes
+    /// with.
     ///
     /// The layout is LSB-first, so a channel's `owner`, `lo` and `hi`
     /// fields pushed as one value of their summed width land on the
@@ -268,12 +208,13 @@ impl StateCodec {
         }
     }
 
-    /// Invert [`StateCodec::pack`]: reconstruct the state and budget.
+    /// Invert [`StateCodec::pack_words`]: reconstruct the state and
+    /// budget from key `words`.
     ///
     /// Channels outside the relevant set come back `None`, which is
     /// exact — they can never be occupied.
-    pub fn unpack(&self, packed: &PackedState) -> (SimState, u32) {
-        let mut r = BitReader::new(packed.words());
+    pub fn unpack(&self, words: &[u64]) -> (SimState, u32) {
+        let mut r = BitReader::new(words);
         let budget = r.pull(self.budget_bits) as u32;
         let empty = self.message_count as u64;
         let mut state = SimState::new(self.channel_count, self.message_count);
@@ -301,7 +242,7 @@ impl StateCodec {
 /// with well-mixed bits.
 const FX_SEED: u64 = 0x51_7c_c1_b7_27_22_0a_95;
 
-/// A fast non-cryptographic [`Hasher`] tuned for [`PackedState`] keys.
+/// A fast non-cryptographic [`Hasher`] tuned for packed key words.
 ///
 /// Packed keys are already near-uniform bit soup (minimal-width fields
 /// densely concatenated), so the default SipHash's flooding resistance
@@ -366,7 +307,7 @@ impl Hasher for PackedHasher {
 }
 
 /// The [`PackedHasher`] hash of a key's words, for tables that store
-/// the words themselves rather than [`PackedState`] values.
+/// the words themselves.
 #[inline]
 pub fn hash_words(words: &[u64]) -> u64 {
     let mut h = PackedHasher::default();
@@ -374,20 +315,6 @@ pub fn hash_words(words: &[u64]) -> u64 {
         h.add(w);
     }
     h.hash
-}
-
-/// [`BuildHasher`] for [`PackedHasher`]; plug into `HashSet`/`HashMap`
-/// holding [`PackedState`] keys.
-#[derive(Clone, Copy, Debug, Default)]
-pub struct PackedBuildHasher;
-
-impl BuildHasher for PackedBuildHasher {
-    type Hasher = PackedHasher;
-
-    #[inline]
-    fn build_hasher(&self) -> PackedHasher {
-        PackedHasher::default()
-    }
 }
 
 #[cfg(test)]
@@ -404,6 +331,13 @@ mod tests {
             .map(|i| MessageSpec::new(nodes[i], nodes[(i + 2) % 4], 2))
             .collect();
         Sim::new(&net, &table, specs, None).unwrap()
+    }
+
+    /// The key words of `(state, budget)`.
+    fn key(codec: &StateCodec, state: &SimState, budget: u32) -> Vec<u64> {
+        let mut words = Vec::new();
+        codec.pack_words(state, budget, &mut words);
+        words
     }
 
     #[test]
@@ -454,7 +388,7 @@ mod tests {
     #[test]
     fn pack_words_match_the_field_by_field_layout_and_reuse_the_buffer() {
         // A ring whose words straddle field groups, and the 16-ring
-        // whose keys spill past the inline words.
+        // whose keys span more than three words.
         let (net, nodes) = ring_unidirectional(16);
         let table = clockwise_ring(&net, &nodes).unwrap();
         let specs: Vec<MessageSpec> = (0..8)
@@ -473,7 +407,6 @@ mod tests {
             for cycle in 0..8 {
                 codec.pack_words(&state, 2, &mut buf);
                 assert_eq!(buf, pack_field_by_field(&codec, &state, 2), "cycle {cycle}");
-                assert_eq!(PackedState::from_words(&buf), codec.pack(&state, 2));
                 sim.step(&mut state, if cycle == 0 { &inject_all } else { &idle });
             }
             assert_eq!(buf.len(), codec.packed_words());
@@ -484,17 +417,14 @@ mod tests {
     fn packed_hasher_agrees_with_itself_and_separates_keys() {
         let sim = ring_sim();
         let codec = StateCodec::new(&sim, 3);
-        let a = codec.pack(&sim.initial_state(), 3);
-        let b = codec.pack(&sim.initial_state(), 2);
-        let fx_hash = |k: &PackedState| PackedBuildHasher.hash_one(k);
-        assert_eq!(fx_hash(&a), fx_hash(&a));
-        assert_ne!(fx_hash(&a), fx_hash(&b), "distinct keys should separate");
-
-        use std::collections::HashSet;
-        let mut set: HashSet<PackedState, PackedBuildHasher> = HashSet::default();
-        set.insert(a.clone());
-        assert!(set.contains(&a));
-        assert!(!set.contains(&b));
+        let a = key(&codec, &sim.initial_state(), 3);
+        let b = key(&codec, &sim.initial_state(), 2);
+        assert_eq!(hash_words(&a), hash_words(&a));
+        assert_ne!(
+            hash_words(&a),
+            hash_words(&b),
+            "distinct keys should separate"
+        );
     }
 
     #[test]
@@ -509,15 +439,6 @@ mod tests {
     }
 
     #[test]
-    fn ring_key_fits_inline() {
-        let sim = ring_sim();
-        let codec = StateCodec::new(&sim, 3);
-        assert!(codec.packed_words() <= INLINE_WORDS);
-        let key = codec.pack(&sim.initial_state(), 3);
-        assert!(matches!(key, PackedState::Inline { .. }));
-    }
-
-    #[test]
     fn pack_round_trips_along_a_run() {
         let sim = ring_sim();
         let codec = StateCodec::new(&sim, 2);
@@ -528,7 +449,7 @@ mod tests {
         };
         let idle = Decisions::default();
         for cycle in 0..6 {
-            let (back, budget) = codec.unpack(&codec.pack(&state, 2));
+            let (back, budget) = codec.unpack(&key(&codec, &state, 2));
             assert_eq!(back, state, "cycle {cycle}");
             assert_eq!(budget, 2);
             sim.step(&mut state, if cycle == 0 { &inject_all } else { &idle });
@@ -548,7 +469,7 @@ mod tests {
                 ..Decisions::default()
             },
         );
-        assert_ne!(codec.pack(&empty, 0), codec.pack(&one_injected, 0));
+        assert_ne!(key(&codec, &empty, 0), key(&codec, &one_injected, 0));
     }
 
     #[test]
@@ -556,23 +477,12 @@ mod tests {
         let sim = ring_sim();
         let codec = StateCodec::new(&sim, 5);
         let s = sim.initial_state();
-        assert_ne!(codec.pack(&s, 5), codec.pack(&s, 4));
+        assert_ne!(key(&codec, &s, 5), key(&codec, &s, 4));
     }
 
     #[test]
-    fn keys_are_totally_ordered() {
-        let sim = ring_sim();
-        let codec = StateCodec::new(&sim, 1);
-        let a = codec.pack(&sim.initial_state(), 0);
-        let b = codec.pack(&sim.initial_state(), 1);
-        let (lo, hi) = if a < b { (a, b) } else { (b, a) };
-        assert!(lo < hi);
-        assert_eq!(lo.cmp(&lo), std::cmp::Ordering::Equal);
-    }
-
-    #[test]
-    fn heap_spill_round_trips() {
-        // Force > INLINE_WORDS words via a long ring and many messages.
+    fn wide_keys_round_trip() {
+        // Keys of several words: a long ring and many messages.
         let (net, nodes) = ring_unidirectional(16);
         let table = clockwise_ring(&net, &nodes).unwrap();
         let specs: Vec<MessageSpec> = (0..8)
@@ -580,7 +490,7 @@ mod tests {
             .collect();
         let sim = Sim::new(&net, &table, specs, None).unwrap();
         let codec = StateCodec::new(&sim, 7);
-        assert!(codec.packed_words() > INLINE_WORDS);
+        assert!(codec.packed_words() > 3);
         let mut state = sim.initial_state();
         sim.step(
             &mut state,
@@ -589,9 +499,7 @@ mod tests {
                 ..Decisions::default()
             },
         );
-        let key = codec.pack(&state, 7);
-        assert!(matches!(key, PackedState::Heap(_)));
-        let (back, budget) = codec.unpack(&key);
+        let (back, budget) = codec.unpack(&key(&codec, &state, 7));
         assert_eq!(back, state);
         assert_eq!(budget, 7);
     }

@@ -18,7 +18,7 @@ use crate::message::MessageId;
 /// The owner is retained while the window is empty if more of its
 /// flits are still to pass (atomic buffer allocation releases the
 /// queue only after the *tail* flit departs).
-#[derive(Clone, Copy, Debug, PartialEq, Eq, PartialOrd, Ord, Hash)]
+#[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
 pub struct ChannelOcc {
     /// Owning message.
     pub msg: MessageId,

@@ -561,8 +561,6 @@ pub struct Verify {
     pub max_candidates: Option<Spanned<u64>>,
     /// `max_states = N` — search state budget.
     pub max_states: Option<Spanned<u64>>,
-    /// `threads = N` — search worker threads.
-    pub threads: Option<Spanned<u64>>,
     /// `stall_budget = N cycles` — adversarial stalls for the search.
     pub stall_budget: Option<Spanned<Quantity>>,
     /// `model_exact = true` — re-verify theorem shortcuts by search.

@@ -762,7 +762,6 @@ impl<'a> Parser<'a> {
                 "max_cycles" => set!(v.max_cycles, self.int("the cycle budget")),
                 "max_candidates" => set!(v.max_candidates, self.int("the candidate budget")),
                 "max_states" => set!(v.max_states, self.int("the state budget")),
-                "threads" => set!(v.threads, self.int("the worker thread count")),
                 "stall_budget" => set!(v.stall_budget, self.quantity(Unit::Cycles)),
                 "model_exact" => set!(v.model_exact, self.bool_value()),
                 "deny_warnings" => set!(v.deny_warnings, self.bool_value()),
@@ -942,15 +941,19 @@ mod tests {
 
     #[test]
     fn the_retired_scc_key_is_an_unknown_verify_key() {
-        let src = "wormspec/1\n\
-                   topology { kind = ring nodes = 4 }\n\
-                   routing { engine = clockwise_ring }\n\
-                   verify { engine = full scc = hkmst }\n";
-        let err = parse(src).unwrap_err();
-        assert_eq!(err.code, codes::UNKNOWN_KEY);
-        assert_eq!(err.message, "unknown verify key `scc`");
-        let lo = src.find("scc").unwrap();
-        assert_eq!(err.span, Span::new(lo, lo + "scc".len()));
+        for (key, assignment) in [("scc", "scc = hkmst"), ("threads", "threads = 2")] {
+            let src = format!(
+                "wormspec/1\n\
+                 topology {{ kind = ring nodes = 4 }}\n\
+                 routing {{ engine = clockwise_ring }}\n\
+                 verify {{ engine = full {assignment} }}\n"
+            );
+            let err = parse(&src).unwrap_err();
+            assert_eq!(err.code, codes::UNKNOWN_KEY);
+            assert_eq!(err.message, format!("unknown verify key `{key}`"));
+            let lo = src.find(assignment).unwrap();
+            assert_eq!(err.span, Span::new(lo, lo + key.len()));
+        }
     }
 
     #[test]

@@ -299,7 +299,6 @@ fn print_verify(out: &mut Out, v: &Verify) {
     out.int_key("max_cycles", v.max_cycles.as_ref());
     out.int_key("max_candidates", v.max_candidates.as_ref());
     out.int_key("max_states", v.max_states.as_ref());
-    out.int_key("threads", v.threads.as_ref());
     out.quantity_key("stall_budget", v.stall_budget.as_ref());
     out.bool_key("model_exact", v.model_exact.as_ref());
     out.bool_key("deny_warnings", v.deny_warnings.as_ref());

@@ -1,10 +1,10 @@
 //! # wormtrace — unified observability for the cyclic-wormhole stack
 //!
 //! Every layer of the reproduction — the flit-level simulator, the
-//! sequential and parallel reachability engines, the classification
-//! pipeline — wants to explain *what it did*: how many cycles were
-//! simulated, how many arbitration conflicts arose, which theorem
-//! decided a verdict, how fast states were visited. Before this crate
+//! reachability engines, the classification pipeline — wants to
+//! explain *what it did*: how many cycles were simulated, how many
+//! arbitration conflicts arose, which theorem decided a verdict, how
+//! fast states were visited. Before this crate
 //! each subsystem printed its own ad-hoc numbers; `wormtrace` gives
 //! them one vocabulary:
 //!
@@ -13,15 +13,14 @@
 //! * **gauges** — last-value or high-water-mark `f64` measurements
 //!   ([`gauge`], [`gauge_max`]), e.g. `search.frontier_peak`;
 //! * **spans** — wall-clock durations of named regions measured by an
-//!   RAII guard ([`span`]), e.g. `search.parallel`.
+//!   RAII guard ([`span`]), e.g. `classify.algorithm`.
 //!
 //! All three go through the calling thread's [`Recorder`], installed
 //! with [`install`]: concurrent jobs and tests each record into their
-//! own, and a caller hands its recorder to the threads it spawns
-//! through [`current`]. While no thread holds a recorder (the default)
-//! every entry point is a single relaxed atomic load and an untaken
-//! branch — the instrumented hot paths of `wormsim` and `wormsearch`
-//! run at full speed. [`MemoryRecorder`] is the standard sink: thread-safe
+//! own. While no thread holds a recorder (the default) every entry
+//! point is a single relaxed atomic load and an untaken branch — the
+//! instrumented hot paths of `wormsim` and `wormsearch` run at full
+//! speed. [`MemoryRecorder`] is the standard sink: thread-safe
 //! in-memory accumulation, snapshot into a [`TraceReport`], and
 //! serialization to the `wormtrace/1` JSON schema documented in
 //! `docs/TRACING.md` (no serde — the writer is hand-rolled and
@@ -103,8 +102,8 @@ pub fn enabled() -> bool {
 /// previous one.
 ///
 /// Subsequent [`counter`]/[`gauge`]/[`gauge_max`]/[`span`] calls from
-/// this thread flow into it; other threads are unaffected. A caller
-/// that spawns workers hands them its recorder through [`current`].
+/// this thread flow into it; other threads, including threads it
+/// spawns, are unaffected.
 pub fn install(recorder: Arc<dyn Recorder>) {
     SLOT.with(|slot| {
         if slot.0.borrow_mut().replace(recorder).is_none() {
@@ -121,15 +120,6 @@ pub fn uninstall() {
             SCOPES.fetch_sub(1, Ordering::Relaxed);
         }
     });
-}
-
-/// The calling thread's recorder, if any: what a caller hands to the
-/// threads it spawns, each of which [`install`]s it.
-pub fn current() -> Option<Arc<dyn Recorder>> {
-    if SCOPES.load(Ordering::Relaxed) == 0 {
-        return None;
-    }
-    SLOT.try_with(|slot| slot.0.borrow().clone()).ok().flatten()
 }
 
 /// Run `f` with the calling thread's recorder, if any.
@@ -197,7 +187,6 @@ mod tests {
     fn disabled_calls_are_noops() {
         uninstall();
         assert!(!enabled());
-        assert!(current().is_none());
         counter("x", 1);
         gauge("y", 2.0);
         gauge_max("z", 3.0);
@@ -252,6 +241,7 @@ mod tests {
                 .map(|delta| {
                     let barrier = &barrier;
                     scope.spawn(move || {
+                        assert!(!enabled(), "a new thread starts without a recorder");
                         let rec = Arc::new(MemoryRecorder::new());
                         install(rec.clone());
                         barrier.wait();
@@ -267,27 +257,5 @@ mod tests {
             workers.into_iter().map(|w| w.join().unwrap()).collect()
         });
         assert_eq!(totals, [ROUNDS, 10 * ROUNDS]);
-    }
-
-    #[test]
-    fn a_spawned_thread_records_into_the_recorder_handed_to_it() {
-        let rec = Arc::new(MemoryRecorder::new());
-        install(rec.clone());
-        let handed = current().expect("installed on this thread");
-        std::thread::spawn(move || {
-            assert!(!enabled(), "a new thread starts without a recorder");
-            install(handed);
-            counter("worker", 7);
-            drop(span("worker.region"));
-            uninstall();
-        })
-        .join()
-        .unwrap();
-        counter("caller", 1);
-        uninstall();
-        let report = rec.snapshot();
-        assert_eq!(report.counters["worker"], 7);
-        assert_eq!(report.counters["caller"], 1);
-        assert_eq!(report.spans["worker.region"].count, 1);
     }
 }

@@ -8,9 +8,9 @@ use crate::report::{SpanStat, TraceReport};
 
 /// A sink for instrumentation events.
 ///
-/// Implementations must be cheap and thread-safe: the simulator and
-/// the parallel search workers call these methods concurrently from
-/// hot loops whenever tracing is enabled. Metric names are `'static`
+/// Implementations must be cheap and thread-safe: concurrent jobs may
+/// share one recorder, and the simulator and the searches call these
+/// methods from hot loops whenever tracing is enabled. Metric names are `'static`
 /// string literals by design — the workspace's metric catalog is
 /// fixed at compile time (see `docs/TRACING.md`), which keeps the
 /// recording path free of allocation.

@@ -236,7 +236,7 @@ mod tests {
             .into_iter()
             .collect(),
             spans: [(
-                "search.parallel".to_string(),
+                "search.explore".to_string(),
                 SpanStat {
                     count: 2,
                     total: Duration::from_micros(1500),

@@ -41,6 +41,23 @@ fn figure2_classified_deadlockable_by_theorem4() {
     assert!(decided_by_theorem, "Theorem 4 should decide Figure 2");
 }
 
+/// The classification pipeline reaches the paper's verdict on every
+/// Figure 3 scenario: (a), (b) deadlock-free, (c)–(f) deadlockable.
+#[test]
+fn figure3_classifier_matches_paper() {
+    for s in fig3::all_scenarios() {
+        let c = s.spec.build();
+        let verdict = classify_algorithm(&c.net, &c.table, &ClassifyOptions::default());
+        assert_eq!(
+            verdict.is_deadlock_free(),
+            Some(s.paper_unreachable),
+            "scenario ({}): classifier {:?}",
+            s.name,
+            verdict
+        );
+    }
+}
+
 /// The adversarial simulator and the exhaustive search agree on every
 /// Figure 3 scenario: scenarios the search calls deadlockable do
 /// deadlock under some run, and scenarios it calls free never do.

@@ -1,22 +1,22 @@
 //! Property-based determinism of the fault layer: the same seed and
 //! fault plan always reproduce the same trajectory, and dead channels
-//! never break the search's thread-count independence.
+//! mask every search alike.
 //!
 //! The two guarantees `wormfault` leans on:
 //!
 //! * a [`FaultPlan`] is pure data — replaying it over the same
 //!   simulation yields bit-identical outcomes, states, and fault
 //!   reports, whatever the plan contains;
-//! * the search's `dead_channels` masking composes with the parallel
-//!   engine's determinism contract: for any dead set, 1-, 2- and
-//!   4-thread sweeps return the identical [`Verdict`] *including the
-//!   witness* (min-merged parents make witnesses schedule-independent).
+//! * the search's `dead_channels` masking composes with the search
+//!   family: for any dead set, the depth-first and the breadth-first
+//!   search reach the same verdict over the same states, and each
+//!   witness, which freezes the dead channels, replays to its deadlock.
 
 use cyclic_wormhole::core::paper::fig1;
 use cyclic_wormhole::fault::{FaultPlan, FaultRunner, RetryPolicy};
 use cyclic_wormhole::net::topology::ring_unidirectional;
 use cyclic_wormhole::route::algorithms::clockwise_ring;
-use cyclic_wormhole::search::{explore, explore_parallel, SearchConfig};
+use cyclic_wormhole::search::{explore, explore_shortest, replay, SearchConfig, Verdict};
 use cyclic_wormhole::sim::runner::ArbitrationPolicy;
 use cyclic_wormhole::sim::{MessageSpec, Sim};
 use proptest::prelude::*;
@@ -56,10 +56,10 @@ proptest! {
     }
 
     /// For any dead-channel set on the deadlockable 4-ring, the
-    /// sequential engine and the parallel engine at 2 and 4 threads
-    /// agree on the verdict — witness included.
+    /// depth-first and the breadth-first search agree on the verdict,
+    /// and each witness replays to its deadlock.
     #[test]
-    fn dead_channel_verdicts_are_thread_count_independent(
+    fn dead_channel_verdicts_agree_across_the_search_family(
         dead_mask in 0u8..16,
         length in 2usize..5,
     ) {
@@ -80,14 +80,17 @@ proptest! {
         cfg.stall_budget = 0;
         cfg.max_states = 500_000;
 
-        let sequential = explore(&sim, &cfg);
-        for threads in [2usize, 4] {
-            let parallel = explore_parallel(&sim, &cfg, threads);
-            prop_assert_eq!(
-                &sequential.verdict,
-                &parallel.verdict,
-                "verdict diverged at {} threads", threads
-            );
+        let dfs = explore(&sim, &cfg);
+        let bfs = explore_shortest(&sim, &cfg);
+        prop_assert_eq!(dfs.verdict.is_deadlock(), bfs.verdict.is_deadlock());
+        prop_assert_eq!(dfs.verdict.is_free(), bfs.verdict.is_free());
+        if dfs.verdict.is_free() {
+            prop_assert_eq!(dfs.states_explored, bfs.states_explored);
+        }
+        for result in [&dfs, &bfs] {
+            if let Verdict::DeadlockReachable(witness) = &result.verdict {
+                prop_assert_eq!(replay(&sim, witness), Some(witness.members.clone()));
+            }
         }
     }
 
