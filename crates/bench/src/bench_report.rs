@@ -3,8 +3,8 @@
 //! The workspace's one benchmark harness. The committed baselines
 //! `BENCH_search.json` and `BENCH_sim.json` are for diffs: regenerate
 //! them with the `bench_report` binary after a performance change and
-//! the review shows exactly which scenario's state count, throughput,
-//! or symmetry reduction moved.
+//! the review shows exactly which scenario's state count or
+//! throughput moved.
 //!
 //! Like `wormtrace/1` (the trace report schema), the serializer is
 //! hand-rolled — the workspace builds offline, so no serde — and all
@@ -12,10 +12,10 @@
 //! identical measurements produce byte-identical files.
 //!
 //! Determinism caveat: per-entry *structural* values (`states`,
-//! `verdict`, `canon_states`, `reduction`, `delivered`) are exactly
-//! reproducible; timing values (`states_per_sec`, `cycles_per_sec`,
-//! `elapsed_ms`) are machine-dependent and only meaningful relative
-//! to other entries from the same run.
+//! `verdict`, `delivered`) are exactly reproducible; timing values
+//! (`states_per_sec`, `cycles_per_sec`, `elapsed_ms`) are
+//! machine-dependent and only meaningful relative to other entries
+//! from the same run.
 
 use std::collections::BTreeMap;
 use std::fmt;
@@ -147,72 +147,47 @@ fn verdict_label(v: &Verdict) -> &'static str {
     }
 }
 
-/// Record one engine run's measurements under `prefix`-ed keys.
-fn record_search(report: &mut BenchReport, entry: &str, prefix: &str, result: &SearchResult) {
-    let key = |k: &str| format!("{prefix}{k}");
+/// Record one search's measurements.
+fn record_search(report: &mut BenchReport, entry: &str, result: &SearchResult) {
     report.insert(
         entry,
-        &key("states"),
+        "states",
         BenchValue::Int(result.states_explored as u64),
     );
     report.insert(
         entry,
-        &key("states_per_sec"),
+        "states_per_sec",
         BenchValue::Float(result.metrics.states_per_sec.round()),
     );
     report.insert(
         entry,
-        &key("frontier_peak"),
+        "frontier_peak",
         BenchValue::Int(result.metrics.frontier_peak as u64),
     );
     report.insert(
         entry,
-        &key("dedup_hits"),
+        "dedup_hits",
         BenchValue::Int(result.metrics.dedup_hits),
     );
     report.insert(
         entry,
-        &key("dedup_lookups"),
+        "dedup_lookups",
         BenchValue::Int(result.metrics.dedup_lookups),
     );
     report.insert(
         entry,
-        &key("verdict"),
+        "verdict",
         BenchValue::Str(verdict_label(&result.verdict).into()),
     );
 }
 
-/// Run one search scenario (plain, then canonicalized when the
-/// instance has a symmetry group) into `report`.
+/// Run one search scenario into `report`.
 fn run_search_scenario(report: &mut BenchReport, s: &SearchScenario, smoke: bool) {
-    let mut config = s.plain_config();
+    let mut config = s.config();
     if smoke {
         config.max_states = config.max_states.min(20_000);
     }
-    let plain = explore(&s.sim, &config);
-    record_search(report, &s.name, "", &plain);
-    if let Some(mut canon_config) = s.canon_config() {
-        if smoke {
-            canon_config.max_states = canon_config.max_states.min(20_000);
-        }
-        let folded = explore(&s.sim, &canon_config);
-        record_search(report, &s.name, "canon_", &folded);
-        report.insert(
-            &s.name,
-            "canon_order",
-            BenchValue::Int(s.canon.as_ref().map_or(0, |c| c.order()) as u64),
-        );
-        if folded.states_explored > 0 {
-            report.insert(
-                &s.name,
-                "reduction",
-                BenchValue::Float(
-                    (plain.states_explored as f64 / folded.states_explored as f64 * 100.0).round()
-                        / 100.0,
-                ),
-            );
-        }
-    }
+    record_search(report, &s.name, &explore(&s.sim, &config));
 }
 
 /// Run the search suite headlessly: the stall-0 scenarios, then
@@ -544,8 +519,6 @@ mod tests {
         assert!(search.entries.contains_key("g5"));
         let fig1 = &search.entries["fig1"];
         assert!(fig1.contains_key("states"));
-        assert!(fig1.contains_key("canon_states"));
-        assert!(fig1.contains_key("reduction"));
         for k in 1..=5 {
             for name in [format!("g{k}_stall{k}"), format!("g{k}_stall{}", k + 1)] {
                 let entry = &search.entries[&name];

@@ -2,25 +2,19 @@
 //! committed baselines (`BENCH_search.json`, `BENCH_sim.json`).
 //!
 //! A [`SearchScenario`] bundles a simulation with its search
-//! parameters and (when the instance has one) the rotation-symmetry
-//! canonicalizer derived by
-//! [`worm_core::symmetry::family_canonicalizer`]; a [`SimScenario`]
-//! bundles a simulation with the runner policy, cycle budget and
-//! (optionally) fault plan to drive it with, and runs it
-//! ([`SimScenario::run`]) the one way the harness times it.
-
-use std::sync::Arc;
+//! parameters; a [`SimScenario`] bundles a simulation with the runner
+//! policy, cycle budget and (optionally) fault plan to drive it with,
+//! and runs it ([`SimScenario::run`]) the one way the harness times it.
 
 use rand::SeedableRng;
 use worm_core::paper::{fig1, fig2, fig3, generalized};
-use worm_core::symmetry::family_canonicalizer;
 use worm_core::CycleConstruction;
 use wormfault::{FaultOutcome, FaultPlan, FaultRunner, RetryPolicy};
 use wormnet::topology::{complete, Dragonfly, FatTree, Mesh};
 use wormnet::Network;
 use wormroute::algorithms::{dimension_order, dragonfly_minimal, fattree_updown, fullmesh_vcfree};
 use wormroute::TableRouting;
-use wormsearch::{SearchConfig, SymmetryCanonicalizer};
+use wormsearch::SearchConfig;
 use wormsim::runner::{ArbitrationPolicy, Outcome, Runner};
 use wormsim::stats::Stats;
 use wormsim::{traffic, MessageSpec, Sim};
@@ -36,9 +30,6 @@ pub struct SearchScenario {
     pub stall_budget: u32,
     /// State cap for the search.
     pub max_states: usize,
-    /// The instance's rotation-symmetry canonicalizer, when the
-    /// derived group is non-trivial.
-    pub canon: Option<Arc<SymmetryCanonicalizer>>,
 }
 
 impl SearchScenario {
@@ -49,30 +40,21 @@ impl SearchScenario {
         stall_budget: u32,
     ) -> Self {
         let sim = Sim::new(&c.net, &c.table, specs, Some(1)).expect("family instances route");
-        let canon = family_canonicalizer(c, &sim);
         SearchScenario {
             name: name.into(),
             sim,
             stall_budget,
             max_states: 20_000_000,
-            canon,
         }
     }
 
-    /// The plain (uncanonicalized) search configuration.
-    pub fn plain_config(&self) -> SearchConfig {
+    /// The search configuration.
+    pub fn config(&self) -> SearchConfig {
         SearchConfig {
             stall_budget: self.stall_budget,
             max_states: self.max_states,
             ..SearchConfig::default()
         }
-    }
-
-    /// The canonicalized configuration, when the instance has a
-    /// non-trivial symmetry group.
-    pub fn canon_config(&self) -> Option<SearchConfig> {
-        let canon = self.canon.clone()?;
-        Some(self.plain_config().canonicalized(canon))
     }
 }
 
@@ -465,22 +447,6 @@ mod tests {
         for k in 1..=5u32 {
             assert!(names.contains(&(format!("g{k}_stall{k}"), k)));
             assert!(names.contains(&(format!("g{k}_stall{}", k + 1), k + 1)));
-        }
-    }
-
-    #[test]
-    fn family_instances_carry_half_turn_canonicalizers() {
-        // Figure 1 and every G(k) have the [A, B, A, B] spec shape, so
-        // each must carry an order-1 (half-turn) canonicalizer.
-        for s in search_scenarios() {
-            if s.name == "fig1" || s.name.starts_with('g') {
-                let canon = s
-                    .canon
-                    .as_ref()
-                    .unwrap_or_else(|| panic!("{} should have a rotation symmetry", s.name));
-                assert_eq!(canon.order(), 1, "{}", s.name);
-                assert!(s.canon_config().is_some());
-            }
         }
     }
 

@@ -302,7 +302,6 @@ fn search_candidate(
     let config = SearchConfig {
         stall_budget: 0,
         max_states: opts.search_max_states,
-        dead_channels: Vec::new(),
         ..SearchConfig::default()
     };
     let result = explore(&sim, &config);
@@ -346,7 +345,6 @@ pub fn candidate_reachable(
         &SearchConfig {
             stall_budget: 0,
             max_states: opts.search_max_states,
-            dead_channels: Vec::new(),
             ..SearchConfig::default()
         },
         move |_, state| {

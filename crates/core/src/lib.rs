@@ -53,7 +53,6 @@ pub mod degraded;
 pub mod family;
 pub mod paper;
 pub mod spec;
-pub mod symmetry;
 pub mod validate;
 
 pub use analysis::{Analysis, CandidateAnalysis, CycleAnalysis, StaticClass};
@@ -62,4 +61,3 @@ pub use classify::{
 };
 pub use degraded::{classify_degraded, classify_degraded_from, DegradedClassification};
 pub use family::{CycleConstruction, CycleMessageSpec, SharedCycleSpec};
-pub use symmetry::{family_canonicalizer, invariant_rotations, rotation_permutations};

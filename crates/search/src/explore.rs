@@ -1,14 +1,10 @@
 //! The state-space exploration itself.
 
-use std::sync::Arc;
 use std::time::Instant;
 
 use wormnet::ChannelId;
-use wormsim::{
-    Decisions, MessageId, Sim, SimState, StateArena, StateCodec, StepScratch, StepTally,
-};
+use wormsim::{MessageId, Sim, SimState, StateArena, StateCodec, StepScratch, StepTally};
 
-use crate::canon::{CanonScratch, Canonicalizer, IdentityCanonicalizer};
 use crate::options::{ChoiceBuf, Options};
 use crate::verdict::{SearchMetrics, SearchResult, Verdict, Witness};
 use crate::visited::VisitedSet;
@@ -33,14 +29,6 @@ pub struct SearchConfig {
     /// wait-for cycle", not "all messages delivered". Empty (the
     /// default) reproduces the fault-free search bit for bit.
     pub dead_channels: Vec<ChannelId>,
-    /// Optional symmetry canonicalizer: visited-set keys become orbit
-    /// representatives, so symmetric states are explored once (see
-    /// [`crate::canon`] for the verdict-invariance argument). `None`
-    /// (the default) keeps exact per-state keys and reproduces the
-    /// uncanonicalized search bit for bit; with a canonicalizer the
-    /// verdict is unchanged but the visited-state count shrinks by up
-    /// to the symmetry group's order.
-    pub canon: Option<Arc<dyn Canonicalizer>>,
 }
 
 impl Default for SearchConfig {
@@ -49,7 +37,6 @@ impl Default for SearchConfig {
             stall_budget: 0,
             max_states: 8_000_000,
             dead_channels: Vec::new(),
-            canon: None,
         }
     }
 }
@@ -70,34 +57,6 @@ impl SearchConfig {
             ..SearchConfig::default()
         }
     }
-
-    /// Builder-style: attach a symmetry canonicalizer.
-    pub fn canonicalized(mut self, canon: Arc<dyn Canonicalizer>) -> Self {
-        self.canon = Some(canon);
-        self
-    }
-
-    /// The configured canonicalizer, with identity filtered out (the
-    /// engines treat an identity canonicalizer exactly like `None`).
-    pub(crate) fn effective_canon(&self) -> Option<&dyn Canonicalizer> {
-        self.canon.as_deref().filter(|c| !c.is_identity())
-    }
-}
-
-/// The visited-set key words of a state: its canonical orbit key when
-/// a canonicalizer is active, its plain packed key otherwise, written
-/// into `scratch` and borrowed from it.
-#[inline]
-pub(crate) fn key_words<'s>(
-    canon: Option<&dyn Canonicalizer>,
-    codec: &StateCodec,
-    state: &SimState,
-    budget: u32,
-    scratch: &'s mut CanonScratch,
-) -> &'s [u64] {
-    canon
-        .unwrap_or(&IdentityCanonicalizer)
-        .canonical_words(codec, state, budget, scratch)
 }
 
 /// A depth-first search's verdict plus its counts.
@@ -125,18 +84,18 @@ struct Frame {
 ///
 /// Per explored edge it copies the parent into a pooled state, steps
 /// it through [`Sim::step_with`] with the option's borrowed buffers,
-/// and probes the flat visited set with the key words in `keys`: once
-/// the pools are warm, only a new state's key copy and its options
-/// touch memory that grows.
+/// packs the state's key ([`StateCodec::pack_words`]) into one reused
+/// buffer and probes the flat visited set with it: once the pools are
+/// warm, only a new state's key copy and its options touch memory
+/// that grows.
 fn depth_first(
     sim: &Sim,
     config: &SearchConfig,
-    canon: Option<&dyn Canonicalizer>,
     mut goal: impl FnMut(&SimState, &mut StepScratch) -> Option<Vec<MessageId>>,
 ) -> Dfs {
     let codec = StateCodec::new(sim, config.stall_budget);
     let dead = sim.channel_mask(&config.dead_channels);
-    let mut keys = CanonScratch::new();
+    let mut words = Vec::new();
     let mut step = StepScratch::new();
     let mut choice = ChoiceBuf::default();
     let mut arena = StateArena::new();
@@ -145,9 +104,9 @@ fn depth_first(
     let mut tally = StepTally::default();
 
     let initial = sim.initial_state();
-    let root = key_words(canon, &codec, &initial, config.stall_budget, &mut keys);
-    let mut visited = VisitedSet::new(root.len());
-    visited.insert(root);
+    codec.pack_words(&initial, config.stall_budget, &mut words);
+    let mut visited = VisitedSet::new(words.len());
+    visited.insert(&words);
     let mut options = Options::default();
     options.fill(sim, &initial, config.stall_budget, &dead);
     let mut stack = vec![Frame {
@@ -180,7 +139,8 @@ fn depth_first(
         }
         let budget = frame.budget - frame.options.stall_count(i);
         metrics.dedup_lookups += 1;
-        if !visited.insert(key_words(canon, &codec, &state, budget, &mut keys)) {
+        codec.pack_words(&state, budget, &mut words);
+        if !visited.insert(&words) {
             metrics.dedup_hits += 1;
             arena.give(state);
             continue;
@@ -228,7 +188,7 @@ fn depth_first(
 /// for this message set.
 pub fn explore(sim: &Sim, config: &SearchConfig) -> SearchResult {
     let start = Instant::now();
-    let dfs = depth_first(sim, config, config.effective_canon(), |state, step| {
+    let dfs = depth_first(sim, config, |state, step| {
         sim.find_deadlock_with(state, step)
     });
     dfs.tally.publish();
@@ -246,12 +206,6 @@ pub fn explore(sim: &Sim, config: &SearchConfig) -> SearchResult {
 /// Used by `worm-core` to certify that a static deadlock candidate is
 /// an unreachable configuration in the paper's exact sense (not merely
 /// that no deadlock of any shape is reachable).
-///
-/// [`SearchConfig::canon`] is deliberately **ignored** here: the
-/// target predicate asks about one specific configuration, and an
-/// arbitrary predicate is not symmetry-invariant — quotienting the
-/// visited set could prune the exact state being asked about while
-/// keeping only its mirror.
 pub fn explore_until(
     sim: &Sim,
     config: &SearchConfig,
@@ -266,75 +220,11 @@ pub fn explore_until(
             1,
         );
     }
-    let dfs = depth_first(sim, config, None, |state, step| {
+    let dfs = depth_first(sim, config, |state, step| {
         target(sim, state).then(|| sim.find_deadlock_with(state, step).unwrap_or_default())
     });
     dfs.tally.publish();
     SearchResult::new(dfs.verdict, dfs.states)
-}
-
-/// Like [`explore`], but breadth-first, so a returned witness is a
-/// *shortest* deadlock schedule (fewest cycles). Costs more memory
-/// (parent pointers per state); use on small scenarios when the
-/// witness will be shown to a human.
-pub fn explore_shortest(sim: &Sim, config: &SearchConfig) -> SearchResult {
-    use std::collections::VecDeque;
-    let codec = StateCodec::new(sim, config.stall_budget);
-    let dead = sim.channel_mask(&config.dead_channels);
-    let mut words = Vec::new();
-    let mut step = StepScratch::new();
-    let mut choice = ChoiceBuf::default();
-    let mut options = Options::default();
-    let mut tally = StepTally::default();
-
-    let initial = sim.initial_state();
-    codec.pack_words(&initial, config.stall_budget, &mut words);
-    let mut visited = VisitedSet::new(words.len());
-    visited.insert(&words);
-
-    // Each queue entry keeps the decision history from the root; state
-    // spaces here are small enough that sharing via Vec clones is
-    // acceptable and keeps the code obvious.
-    let mut queue: VecDeque<(SimState, u32, Vec<Decisions>)> = VecDeque::new();
-    queue.push_back((initial, config.stall_budget, Vec::new()));
-
-    let verdict = 'search: loop {
-        let Some((state, budget, history)) = queue.pop_front() else {
-            break Verdict::DeadlockFree;
-        };
-        options.fill(sim, &state, budget, &dead);
-        for i in 0..options.len() {
-            let mut next = state.clone();
-            let option = options.choice(i, &mut choice, &dead);
-            tally.absorb(sim.step_with(&mut next, option, &mut step));
-            if !step.report().moved {
-                continue;
-            }
-            let next_budget = budget - options.stall_count(i);
-            codec.pack_words(&next, next_budget, &mut words);
-            if !visited.insert(&words) {
-                continue;
-            }
-            if visited.len() > config.max_states {
-                break 'search Verdict::Inconclusive {
-                    states_visited: visited.len(),
-                };
-            }
-            let mut next_history = history.clone();
-            next_history.push(options.decisions(i, &config.dead_channels));
-            if let Some(members) = sim.find_deadlock_with(&next, &mut step) {
-                break 'search Verdict::DeadlockReachable(Witness {
-                    decisions: next_history,
-                    members,
-                });
-            }
-            if !sim.all_delivered(&next) {
-                queue.push_back((next, next_budget, next_history));
-            }
-        }
-    };
-    tally.publish();
-    SearchResult::new(verdict, visited.len())
 }
 
 /// Smallest stall budget (up to `max_budget`) with which the adversary
@@ -396,7 +286,7 @@ mod tests {
     use wormnet::topology::{line, ring_unidirectional};
     use wormnet::NodeId;
     use wormroute::algorithms::{clockwise_ring, shortest_path_table};
-    use wormsim::MessageSpec;
+    use wormsim::{Decisions, MessageSpec};
 
     /// The enumeration [`Options`] replaced, kept as its oracle: all
     /// decision combinations worth exploring from `state`. `dead`
@@ -645,44 +535,6 @@ mod tests {
             matches!(state.channels[c.index()], Some(occ) if occ.msg == MessageId::from_index(1))
         });
         assert!(result.verdict.is_free());
-    }
-
-    #[test]
-    fn shortest_witness_is_no_longer_than_dfs() {
-        let (net, nodes) = ring_unidirectional(4);
-        let table = clockwise_ring(&net, &nodes).unwrap();
-        let specs: Vec<MessageSpec> = (0..4)
-            .map(|i| MessageSpec::new(nodes[i], nodes[(i + 2) % 4], 2))
-            .collect();
-        let sim = Sim::new(&net, &table, specs, None).unwrap();
-        let dfs = explore(&sim, &SearchConfig::default());
-        let bfs = explore_shortest(&sim, &SearchConfig::default());
-        let (Verdict::DeadlockReachable(wd), Verdict::DeadlockReachable(wb)) =
-            (&dfs.verdict, &bfs.verdict)
-        else {
-            panic!("both must find the deadlock");
-        };
-        assert!(wb.cycles() <= wd.cycles());
-        assert!(replay(&sim, wb).is_some(), "shortest witness replays");
-        // The fastest 4-ring deadlock: all four inject in one cycle,
-        // after which each header's next channel is already owned by
-        // its neighbour — the wait-for cycle exists immediately.
-        assert_eq!(wb.cycles(), 1);
-    }
-
-    #[test]
-    fn shortest_agrees_on_freedom() {
-        use wormroute::algorithms::shortest_path_table;
-        let (net, _) = line(3);
-        let table = shortest_path_table(&net).unwrap();
-        let specs = vec![
-            MessageSpec::new(NodeId::from_index(0), NodeId::from_index(2), 2),
-            MessageSpec::new(NodeId::from_index(2), NodeId::from_index(0), 2),
-        ];
-        let sim = Sim::new(&net, &table, specs, None).unwrap();
-        assert!(explore_shortest(&sim, &SearchConfig::default())
-            .verdict
-            .is_free());
     }
 
     #[test]

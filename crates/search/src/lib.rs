@@ -33,8 +33,6 @@
 //!   memory-lean (no parent pointers);
 //! * [`explore_until`] — the same search for one specific target
 //!   configuration (the literal Definition 5 question);
-//! * [`explore_shortest`] — breadth-first, so a witness is a shortest
-//!   deadlock schedule;
 //! * [`min_stall_budget`] — Section 6's stall-budget scan on top of
 //!   [`explore`];
 //! * [`adaptive::explore_adaptive`] — adaptive routing, where the
@@ -81,15 +79,8 @@ mod verdict;
 mod visited;
 
 pub mod adaptive;
-pub mod canon;
 pub mod spec;
 
-pub use canon::{
-    CanonScratch, Canonicalizer, IdentityCanonicalizer, StatePermutation, SymmetryCanonicalizer,
-};
-pub use explore::{
-    explore, explore_shortest, explore_until, min_stall_budget, render_witness, replay,
-    SearchConfig,
-};
+pub use explore::{explore, explore_until, min_stall_budget, render_witness, replay, SearchConfig};
 pub use verdict::{SearchMetrics, SearchResult, Verdict, Witness};
 pub use wormtrace;

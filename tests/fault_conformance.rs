@@ -171,7 +171,6 @@ fn empty_dead_channel_set_leaves_search_verdicts_identical() {
             &SearchConfig {
                 stall_budget: 0,
                 max_states: 300_000,
-                dead_channels: Vec::new(),
                 ..SearchConfig::default()
             },
         );

@@ -224,7 +224,7 @@ fn lint_verdicts_agree_with_search_on_scenarios() {
             continue;
         }
         let lint = verdicts[&s.name];
-        let result = explore(&s.sim, &s.plain_config());
+        let result = explore(&s.sim, &s.config());
         match lint {
             StaticVerdict::FreeAcyclic | StaticVerdict::FreeCyclic => {
                 assert!(

@@ -13,8 +13,7 @@
 //! - every construction at stall budget 0 with its shared channel
 //!   `c_s` dead (`SearchConfig::dead_channels`);
 //! - the Definition 5 target search (`explore_until`) on the canonical
-//!   candidates of Figure 1 and Figure 3 (a)–(f);
-//! - the breadth-first `explore_shortest` on Figure 2 and Figure 3 (c).
+//!   candidates of Figure 1 and Figure 3 (a)–(f).
 //!
 //! To regenerate after an intentional change to what a search
 //! explores:
@@ -31,9 +30,7 @@ use std::path::PathBuf;
 use cyclic_wormhole::core::paper::{fig1, fig2, fig3, generalized};
 use cyclic_wormhole::core::CycleConstruction;
 use cyclic_wormhole::net::ChannelId;
-use cyclic_wormhole::search::{
-    explore, explore_shortest, explore_until, SearchConfig, SearchResult, Verdict,
-};
+use cyclic_wormhole::search::{explore, explore_until, SearchConfig, SearchResult, Verdict};
 use cyclic_wormhole::sim::{MessageId, MessageSpec, Sim};
 
 fn snapshot_path() -> PathBuf {
@@ -170,14 +167,6 @@ fn snapshot() -> String {
                 render(
                     &format!("explore_until {name} candidate"),
                     &candidate_search(&c),
-                )
-            }));
-        }
-        if name == "fig2" || name == "fig3_c" {
-            jobs.push(Box::new(move || {
-                render(
-                    &format!("explore_shortest {name} stall=0"),
-                    &explore_shortest(&sim_for(&c, specs), &config(0, Vec::new())),
                 )
             }));
         }
