@@ -1,11 +1,12 @@
 //! Property-based tests for the simulator: the engine invariants hold
-//! under arbitrary topologies, workloads, and decision sequences.
+//! under arbitrary topologies, workloads, and decision sequences, and
+//! the packed key the search deduplicates by loses nothing.
 
 use cyclic_wormhole::net::topology::{line, ring_unidirectional, Mesh};
 use cyclic_wormhole::net::{Network, NodeId};
 use cyclic_wormhole::route::algorithms::{clockwise_ring, shortest_path_table};
 use cyclic_wormhole::route::TableRouting;
-use cyclic_wormhole::sim::{Decisions, MessageId, MessageSpec, Sim};
+use cyclic_wormhole::sim::{Decisions, MessageId, MessageSpec, Sim, SimState, StateCodec};
 use proptest::prelude::*;
 
 /// A deterministic pseudo-random decision source driven by proptest
@@ -38,6 +39,33 @@ impl DecisionDriver {
             .filter(|(i, _)| mask & (1 << (i % 32)) != 0)
             .map(|(_, &m)| m)
             .collect()
+    }
+}
+
+/// One cycle's decisions drawn from `driver`: a random subset of the
+/// pending messages injects, a random subset of those in flight
+/// stalls, and every contested channel goes to a random requester.
+fn arbitrary_decisions(sim: &Sim, state: &SimState, driver: &mut DecisionDriver) -> Decisions {
+    let pending = sim.pending(state);
+    let in_flight: Vec<MessageId> = sim
+        .messages()
+        .filter(|&m| state.is_started(m) && !state.is_delivered(m, sim.length(m)))
+        .collect();
+    let inject = driver.subset(&pending);
+    let stalls = driver.subset(&in_flight);
+    let requests = sim.header_requests(state, &inject, &stalls);
+    let mut winners = std::collections::BTreeMap::new();
+    for (chan, reqs) in requests {
+        if reqs.len() > 1 {
+            let pick = driver.next() as usize % reqs.len();
+            winners.insert(chan, reqs[pick]);
+        }
+    }
+    Decisions {
+        inject,
+        stalls,
+        winners,
+        ..Decisions::default()
     }
 }
 
@@ -94,30 +122,8 @@ proptest! {
         let mut state = sim.initial_state();
         let mut driver = DecisionDriver::new(words);
         for _ in 0..steps {
-            let pending = sim.pending(&state);
-            let in_flight: Vec<MessageId> = sim
-                .messages()
-                .filter(|&m| state.is_started(m) && !state.is_delivered(m, sim.length(m)))
-                .collect();
-            let inject = driver.subset(&pending);
-            let stalls = driver.subset(&in_flight);
-            let requests = sim.header_requests(&state, &inject, &stalls);
-            let mut winners = std::collections::BTreeMap::new();
-            for (chan, reqs) in requests {
-                if reqs.len() > 1 {
-                    let pick = driver.next() as usize % reqs.len();
-                    winners.insert(chan, reqs[pick]);
-                }
-            }
-            sim.step(
-                &mut state,
-                &Decisions {
-                    inject,
-                    stalls,
-                    winners,
-                    ..Decisions::default()
-                },
-            );
+            let decisions = arbitrary_decisions(&sim, &state, &mut driver);
+            sim.step(&mut state, &decisions);
             sim.check_invariants(&state);
         }
     }
@@ -198,5 +204,47 @@ proptest! {
         });
         prop_assert_eq!(&before, &state);
         prop_assert_eq!(deadlock_before, sim.find_deadlock(&state));
+    }
+
+    /// The search's one state key is lossless: along an arbitrary run,
+    /// every `(state, budget)` packs into the codec's word count and
+    /// unpacks to itself, so two states share a key only when they are
+    /// equal. One buffer is reused for every key, as the search does.
+    #[test]
+    fn packed_keys_round_trip_along_arbitrary_runs(
+        (net, nodes, table) in arb_topology(),
+        raw_messages in prop::collection::vec((0usize..36, 0usize..36, 1usize..6), 1..5),
+        words in prop::collection::vec(any::<u32>(), 1..64),
+        steps in 1usize..80,
+        capacity in 1usize..4,
+        max_budget in 0u32..4,
+    ) {
+        let specs: Vec<MessageSpec> = raw_messages
+            .iter()
+            .map(|&(s, d, len)| {
+                let src = nodes[s % nodes.len()];
+                let mut dst = nodes[d % nodes.len()];
+                if dst == src {
+                    dst = nodes[(d + 1) % nodes.len()];
+                }
+                MessageSpec::new(src, dst, len)
+            })
+            .filter(|m| table.path(m.src, m.dst).is_some())
+            .collect();
+        prop_assume!(!specs.is_empty());
+
+        let sim = Sim::new(&net, &table, specs, Some(capacity)).expect("routed");
+        let codec = StateCodec::new(&sim, max_budget);
+        let mut state = sim.initial_state();
+        let mut driver = DecisionDriver::new(words);
+        let mut key = Vec::new();
+        for _ in 0..steps {
+            let budget = driver.next() % (max_budget + 1);
+            codec.pack_words(&state, budget, &mut key);
+            prop_assert_eq!(key.len(), codec.packed_words());
+            prop_assert_eq!(codec.unpack(&key), (state.clone(), budget));
+            let decisions = arbitrary_decisions(&sim, &state, &mut driver);
+            sim.step(&mut state, &decisions);
+        }
     }
 }
