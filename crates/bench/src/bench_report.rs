@@ -13,9 +13,11 @@
 //!
 //! Determinism caveat: per-entry *structural* values (`states`,
 //! `verdict`, `delivered`) are exactly reproducible; timing values
-//! (`states_per_sec`, `cycles_per_sec`, `elapsed_ms`) are
+//! (`states_per_sec`, `cycles_per_sec` and the `*_ms` keys) are
 //! machine-dependent and only meaningful relative to other entries
-//! from the same run.
+//! from the same run. Each search and sim entry's rate is the best of
+//! up to five repetitions, which must all agree on its
+//! exact values.
 
 use std::collections::BTreeMap;
 use std::fmt;
@@ -29,6 +31,7 @@ use worm_core::classify::{classify_algorithm, AlgorithmVerdict, ClassifyOptions}
 use wormcdg::Cdg;
 use wormnet::graph::tarjan_scc;
 use wormsearch::{explore, SearchResult, Verdict};
+use wormtrace::escape_json;
 
 /// Schema identifier stamped into every baseline file.
 pub const SCHEMA: &str = "wormbench/1";
@@ -51,26 +54,9 @@ impl fmt::Display for BenchValue {
             BenchValue::Int(v) => write!(f, "{v}"),
             BenchValue::Float(v) if v.is_finite() => write!(f, "{v:?}"),
             BenchValue::Float(_) => write!(f, "null"),
-            BenchValue::Str(s) => write!(f, "\"{}\"", escape(s)),
+            BenchValue::Str(s) => write!(f, "\"{}\"", escape_json(s)),
         }
     }
-}
-
-/// Escape a string for inclusion in a JSON string literal.
-fn escape(s: &str) -> String {
-    let mut out = String::with_capacity(s.len());
-    for ch in s.chars() {
-        match ch {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
-            c => out.push(c),
-        }
-    }
-    out
 }
 
 /// One suite's measurements: scenario name → sorted key/value map.
@@ -116,19 +102,19 @@ impl BenchReport {
     pub fn to_json(&self) -> String {
         let mut out = String::new();
         out.push_str("{\n");
-        out.push_str(&format!("  \"schema\": \"{}\",\n", escape(SCHEMA)));
-        out.push_str(&format!("  \"suite\": \"{}\",\n", escape(&self.suite)));
+        out.push_str(&format!("  \"schema\": \"{}\",\n", escape_json(SCHEMA)));
+        out.push_str(&format!("  \"suite\": \"{}\",\n", escape_json(&self.suite)));
         out.push_str("  \"entries\": {");
         let mut first_entry = true;
         for (name, values) in &self.entries {
             out.push_str(if first_entry { "\n" } else { ",\n" });
             first_entry = false;
-            out.push_str(&format!("    \"{}\": {{", escape(name)));
+            out.push_str(&format!("    \"{}\": {{", escape_json(name)));
             let mut first_value = true;
             for (key, value) in values {
                 out.push_str(if first_value { "\n" } else { ",\n" });
                 first_value = false;
-                out.push_str(&format!("      \"{}\": {value}", escape(key)));
+                out.push_str(&format!("      \"{}\": {value}", escape_json(key)));
             }
             out.push_str(if first_value { "}" } else { "\n    }" });
         }
@@ -147,47 +133,48 @@ fn verdict_label(v: &Verdict) -> &'static str {
     }
 }
 
-/// Record one search's measurements.
-fn record_search(report: &mut BenchReport, entry: &str, result: &SearchResult) {
-    report.insert(
-        entry,
-        "states",
-        BenchValue::Int(result.states_explored as u64),
-    );
-    report.insert(
-        entry,
-        "states_per_sec",
-        BenchValue::Float(result.metrics.states_per_sec.round()),
-    );
-    report.insert(
-        entry,
-        "frontier_peak",
-        BenchValue::Int(result.metrics.frontier_peak as u64),
-    );
-    report.insert(
-        entry,
-        "dedup_hits",
-        BenchValue::Int(result.metrics.dedup_hits),
-    );
-    report.insert(
-        entry,
-        "dedup_lookups",
-        BenchValue::Int(result.metrics.dedup_lookups),
-    );
-    report.insert(
-        entry,
-        "verdict",
-        BenchValue::Str(verdict_label(&result.verdict).into()),
-    );
+/// The exact values of one search: its counts and verdict.
+#[derive(Debug, PartialEq)]
+struct SearchMeasure {
+    states: u64,
+    frontier_peak: u64,
+    dedup_hits: u64,
+    dedup_lookups: u64,
+    verdict: &'static str,
 }
 
-/// Run one search scenario into `report`.
+impl SearchMeasure {
+    fn of(result: &SearchResult) -> Self {
+        SearchMeasure {
+            states: result.states_explored as u64,
+            frontier_peak: result.metrics.frontier_peak as u64,
+            dedup_hits: result.metrics.dedup_hits,
+            dedup_lookups: result.metrics.dedup_lookups,
+            verdict: verdict_label(&result.verdict),
+        }
+    }
+}
+
+/// Run one search scenario into `report`: its counts and verdict, and
+/// the best measured `states_per_sec`.
 fn run_search_scenario(report: &mut BenchReport, s: &SearchScenario, smoke: bool) {
     let mut config = s.config();
     if smoke {
         config.max_states = config.max_states.min(20_000);
     }
-    record_search(report, &s.name, &explore(&s.sim, &config));
+    let (m, states_per_sec) = best_rate(&s.name, smoke, || {
+        let result = explore(&s.sim, &config);
+        let m = SearchMeasure::of(&result);
+        let states = m.states;
+        (m, states, result.metrics.elapsed.as_secs_f64())
+    });
+    let name = s.name.as_str();
+    report.insert(name, "states", BenchValue::Int(m.states));
+    report.insert(name, "states_per_sec", BenchValue::Float(states_per_sec));
+    report.insert(name, "frontier_peak", BenchValue::Int(m.frontier_peak));
+    report.insert(name, "dedup_hits", BenchValue::Int(m.dedup_hits));
+    report.insert(name, "dedup_lookups", BenchValue::Int(m.dedup_lookups));
+    report.insert(name, "verdict", BenchValue::Str(m.verdict.into()));
 }
 
 /// Run the search suite headlessly: the stall-0 scenarios, then
@@ -391,59 +378,53 @@ fn run_topo_scenario(report: &mut BenchReport, s: &TopologyScenario) {
     );
 }
 
-/// One measurement of a sim scenario: the structural values plus the
-/// timing.
+/// The exact values of one sim run: its cycles, flit moves,
+/// deliveries and outcome.
+#[derive(Debug, PartialEq)]
 struct SimMeasure {
     cycles: u64,
     flit_moves: u64,
     delivered: u64,
     outcome: &'static str,
-    cycles_per_sec: f64,
 }
 
-/// Repeat policy for timing runs: rerun the scenario until it has
+/// Repeat policy for timing runs: rerun a scenario until it has
 /// consumed [`MIN_TIMING_SECS`] of wall clock or hit
-/// [`MAX_TIMING_REPS`] repetitions, and keep the *best* per-cycle rate
-/// seen. Best-of-N filters out scheduler preemption and other
-/// one-off noise that a single run is exposed to; the structural
-/// values (cycles, flit moves, outcome) come from the first run and
-/// are deterministic anyway.
+/// [`MAX_TIMING_REPS`] repetitions (one under `--smoke`), and keep the
+/// *best* rate seen. Best-of-N filters out scheduler preemption and
+/// other one-off noise that a single run is exposed to.
 const MIN_TIMING_SECS: f64 = 0.25;
 /// Upper bound on timing repetitions per scenario.
 const MAX_TIMING_REPS: u32 = 5;
 
-fn measure_sim(s: &SimScenario, max_cycles: u64, smoke: bool) -> SimMeasure {
-    let mut best_rate = 0.0f64;
-    let mut first: Option<SimMeasure> = None;
+/// Time `rep` under the repeat policy. Each call runs the scenario
+/// once and returns its exact values, the work it did (states or
+/// cycles) and its wall-clock seconds. Returns the first run's exact
+/// values, which every later run must repeat, and the best work rate
+/// per second, rounded.
+fn best_rate<T: PartialEq + fmt::Debug>(
+    name: &str,
+    smoke: bool,
+    mut rep: impl FnMut() -> (T, u64, f64),
+) -> (T, f64) {
+    let mut first: Option<T> = None;
+    let mut best = 0.0f64;
     let mut spent = 0.0f64;
-    for rep in 0..if smoke { 1 } else { MAX_TIMING_REPS } {
-        if rep > 0 && spent >= MIN_TIMING_SECS {
+    for i in 0..if smoke { 1 } else { MAX_TIMING_REPS } {
+        if i > 0 && spent >= MIN_TIMING_SECS {
             break;
         }
-        let start = Instant::now();
-        let (secs, measure) = s.run(max_cycles, |outcome, stats| {
-            let secs = start.elapsed().as_secs_f64();
-            let measure = SimMeasure {
-                cycles: stats.cycles,
-                flit_moves: stats.flit_moves,
-                delivered: stats.delivered_count() as u64,
-                outcome,
-                cycles_per_sec: 0.0,
-            };
-            (secs, measure)
-        });
+        let (exact, work, secs) = rep();
         spent += secs;
-        let rate = if secs > 0.0 {
-            measure.cycles as f64 / secs
-        } else {
-            0.0
-        };
-        best_rate = best_rate.max(rate);
-        first.get_or_insert(measure);
+        if secs > 0.0 {
+            best = best.max(work as f64 / secs);
+        }
+        match &first {
+            None => first = Some(exact),
+            Some(f) => assert_eq!(f, &exact, "{name}: a repetition changed an exact value"),
+        }
     }
-    let mut m = first.expect("at least one timing rep runs");
-    m.cycles_per_sec = best_rate.round();
-    m
+    (first.expect("at least one timing rep runs"), best.round())
 }
 
 /// Run one simulator scenario into `report`: its cycles, flit moves,
@@ -454,16 +435,25 @@ fn run_sim_scenario(report: &mut BenchReport, s: &SimScenario, smoke: bool) {
     } else {
         s.max_cycles
     };
-    let m = measure_sim(s, max_cycles, smoke);
-    report.insert(&s.name, "cycles", BenchValue::Int(m.cycles));
-    report.insert(&s.name, "flit_moves", BenchValue::Int(m.flit_moves));
-    report.insert(&s.name, "delivered", BenchValue::Int(m.delivered));
-    report.insert(&s.name, "outcome", BenchValue::Str(m.outcome.into()));
-    report.insert(
-        &s.name,
-        "cycles_per_sec",
-        BenchValue::Float(m.cycles_per_sec),
-    );
+    let (m, cycles_per_sec) = best_rate(&s.name, smoke, || {
+        let start = Instant::now();
+        s.run(max_cycles, |outcome, stats| {
+            let secs = start.elapsed().as_secs_f64();
+            let m = SimMeasure {
+                cycles: stats.cycles,
+                flit_moves: stats.flit_moves,
+                delivered: stats.delivered_count() as u64,
+                outcome,
+            };
+            (m, stats.cycles, secs)
+        })
+    });
+    let name = s.name.as_str();
+    report.insert(name, "cycles", BenchValue::Int(m.cycles));
+    report.insert(name, "flit_moves", BenchValue::Int(m.flit_moves));
+    report.insert(name, "delivered", BenchValue::Int(m.delivered));
+    report.insert(name, "outcome", BenchValue::Str(m.outcome.into()));
+    report.insert(name, "cycles_per_sec", BenchValue::Float(cycles_per_sec));
 }
 
 /// Run the simulator suite headlessly. `smoke` caps every run at a few

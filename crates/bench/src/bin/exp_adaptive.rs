@@ -62,13 +62,8 @@ fn analyze(name: &str, mesh: &Mesh, routing: AdaptiveRouting) {
     } else {
         fully_adaptive_minimal(&small)
     };
-    let sim = AdaptiveSim::new(
-        small.network(),
-        small_routing,
-        corner_rotation(&small, 3),
-        Some(1),
-    )
-    .expect("routed");
+    let sim = AdaptiveSim::new(small.network(), small_routing, corner_rotation(&small, 3))
+        .expect("routed");
     let result = explore_adaptive(&sim, 30_000_000);
     let verdict = match &result.verdict {
         AdaptiveVerdict::DeadlockReachable { members, .. } => {

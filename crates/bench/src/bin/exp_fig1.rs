@@ -86,7 +86,6 @@ fn main() {
                 &SearchConfig {
                     stall_budget: 0,
                     max_states: 20_000_000,
-                    ..SearchConfig::default()
                 },
             );
             row(&[

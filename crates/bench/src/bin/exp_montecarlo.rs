@@ -99,10 +99,7 @@ fn main() {
         }
         for (pname, policy) in [
             ("oldest", ArbitrationPolicy::OldestFirst),
-            (
-                "adversarial",
-                ArbitrationPolicy::Adversarial { favored: vec![] },
-            ),
+            ("adversarial", ArbitrationPolicy::Adversarial),
         ] {
             let (rate, count) = deadlock_rate(&c.net, &c.table, &base, policy, 0xAB5E_u64);
             row(&[

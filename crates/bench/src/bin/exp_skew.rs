@@ -45,9 +45,7 @@ fn main() {
                 let sim = Sim::new(&c.net, &c.table, c.message_specs(), Some(1)).expect("routed");
                 let mut rng = rand::rngs::StdRng::seed_from_u64(seed);
                 let skew = SkewModel::uniform_random(&c.net, &mut rng, period);
-                let mut runner =
-                    Runner::new(&sim, ArbitrationPolicy::Adversarial { favored: vec![] })
-                        .with_skew(skew);
+                let mut runner = Runner::new(&sim, ArbitrationPolicy::Adversarial).with_skew(skew);
                 match runner.run(100_000) {
                     Outcome::Delivered { .. } => {
                         max_latency = max_latency.max(runner.stats().max_latency().unwrap_or(0));

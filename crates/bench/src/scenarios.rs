@@ -53,7 +53,6 @@ impl SearchScenario {
         SearchConfig {
             stall_budget: self.stall_budget,
             max_states: self.max_states,
-            ..SearchConfig::default()
         }
     }
 }
@@ -363,7 +362,7 @@ pub fn sim_scenarios() -> Vec<SimScenario> {
     out.push(SimScenario::plain(
         "fig1_adversarial",
         sim.clone(),
-        ArbitrationPolicy::Adversarial { favored: vec![] },
+        ArbitrationPolicy::Adversarial,
         10_000,
     ));
     out.push(SimScenario {
@@ -383,10 +382,7 @@ pub fn sim_scenarios() -> Vec<SimScenario> {
         ("lowest_id", ArbitrationPolicy::LowestId),
         ("round_robin", ArbitrationPolicy::RoundRobin),
         ("oldest_first", ArbitrationPolicy::OldestFirst),
-        (
-            "adversarial",
-            ArbitrationPolicy::Adversarial { favored: vec![] },
-        ),
+        ("adversarial", ArbitrationPolicy::Adversarial),
     ] {
         out.push(SimScenario::plain(
             format!("ablate_arb_{name}"),
@@ -400,7 +396,7 @@ pub fn sim_scenarios() -> Vec<SimScenario> {
         out.push(SimScenario::plain(
             format!("fig1_depth{depth}"),
             sim,
-            ArbitrationPolicy::Adversarial { favored: vec![] },
+            ArbitrationPolicy::Adversarial,
             10_000,
         ));
     }

@@ -80,12 +80,6 @@ impl AdaptiveCdg {
         graph::is_acyclic(self)
     }
 
-    /// Number of elementary cycles, bounded (`None` if more than
-    /// `max`).
-    pub fn cycle_count_bounded(&self, max: usize) -> Option<usize> {
-        graph::elementary_cycles_bounded(self, max).map(|v| v.len())
-    }
-
     /// The subgraph restricted to a set of channels (e.g. the escape
     /// lane) — used to check Duato's condition that the escape
     /// subnetwork alone is acyclic.
@@ -177,6 +171,5 @@ mod tests {
         let routing = fully_adaptive_minimal(&mesh);
         let cdg = AdaptiveCdg::build(mesh.network(), &routing);
         assert!(cdg.is_acyclic());
-        assert_eq!(cdg.cycle_count_bounded(10), Some(0));
     }
 }

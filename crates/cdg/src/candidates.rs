@@ -12,7 +12,7 @@
 use wormnet::{ChannelId, Network};
 use wormroute::TableRouting;
 
-use crate::graph::{Cdg, CdgCycle, MsgPair};
+use crate::graph::{CdgCycle, MsgPair};
 use crate::witnesses::Witnesses;
 
 /// A contiguous run of cycle channels held by one message.
@@ -40,15 +40,6 @@ impl DeadlockCandidate {
     /// The distinct messages of the configuration.
     pub fn messages(&self) -> Vec<MsgPair> {
         self.segments.iter().map(|s| s.msg).collect()
-    }
-
-    /// Minimum message length (in flits, one-flit buffers) each message
-    /// needs to hold its segment — Section 3's adversarial minimum.
-    pub fn min_lengths(&self) -> Vec<(MsgPair, usize)> {
-        self.segments
-            .iter()
-            .map(|s| (s.msg, s.channels.len()))
-            .collect()
     }
 
     /// Render for reports.
@@ -208,27 +199,10 @@ fn finalize(owners: &[MsgPair], cycle: &CdgCycle) -> Option<DeadlockCandidate> {
     Some(DeadlockCandidate { segments })
 }
 
-/// Convenience: all candidates across all cycles of a routing
-/// algorithm (bounded per cycle).
-pub fn all_candidates(
-    net: &Network,
-    table: &TableRouting,
-    max_per_cycle: usize,
-) -> Vec<(CdgCycle, Vec<DeadlockCandidate>)> {
-    let cycles = Cdg::build(net, table).cycles();
-    let witnesses = Witnesses::of_cycles(table, &cycles);
-    cycles
-        .into_iter()
-        .map(|cycle| {
-            let (cands, complete) = enumerate_candidates(&witnesses, &cycle, max_per_cycle);
-            (cycle, if complete { cands } else { Vec::new() })
-        })
-        .collect()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::Cdg;
     use wormnet::topology::ring_unidirectional;
     use wormroute::algorithms::clockwise_ring;
 
@@ -303,17 +277,6 @@ mod tests {
     }
 
     #[test]
-    fn min_lengths_match_segments() {
-        let (_net, table, _witnesses, cycle) = ring_cdg(5);
-        let cands = deadlock_candidates(&table, &cycle, 100_000).unwrap();
-        let c = &cands[0];
-        for ((m1, len), seg) in c.min_lengths().iter().zip(&c.segments) {
-            assert_eq!(*m1, seg.msg);
-            assert_eq!(*len, seg.channels.len());
-        }
-    }
-
-    #[test]
     fn budget_aborts() {
         let (_net, table, _witnesses, cycle) = ring_cdg(5);
         assert!(deadlock_candidates(&table, &cycle, 0).is_none());
@@ -333,24 +296,5 @@ mod tests {
         let (exact, complete) = enumerate_candidates(&witnesses, &cycle, all.len());
         assert!(complete);
         assert_eq!(exact, all);
-    }
-
-    #[test]
-    fn all_candidates_lists_cycles() {
-        let (net, nodes) = ring_unidirectional(3);
-        let table = clockwise_ring(&net, &nodes).unwrap();
-        let per_cycle = all_candidates(&net, &table, 1_000);
-        assert_eq!(per_cycle.len(), 1);
-        assert!(!per_cycle[0].1.is_empty());
-    }
-
-    #[test]
-    fn acyclic_algorithm_has_no_candidates() {
-        use wormnet::topology::Mesh;
-        use wormroute::algorithms::xy_mesh;
-        let mesh = Mesh::new(&[3, 3]);
-        let table = xy_mesh(&mesh).unwrap();
-        let per_cycle = all_candidates(mesh.network(), &table, 1_000);
-        assert!(per_cycle.is_empty());
     }
 }

@@ -162,66 +162,6 @@ impl Cdg {
             .collect();
         (cycles, complete)
     }
-
-    /// The CDG after the `down` channels fail: every edge incident to
-    /// a down channel is removed (a dead queue can neither be held nor
-    /// waited for, so it induces no dependencies).
-    ///
-    /// This is the *structural* degradation view used by the fault
-    /// layer's graceful-degradation reports. It is deliberately more
-    /// conservative than rebuilding from
-    /// `TableRouting::without_channels` (which also erases the
-    /// surviving-channel dependencies of messages that became
-    /// unroutable): masking answers "which dependencies could still be
-    /// exercised at all", the rebuild answers "which dependencies the
-    /// degraded traffic actually induces". The masked CDG is therefore
-    /// always a supergraph of the rebuilt one.
-    pub fn masked(&self, down: &[ChannelId]) -> Cdg {
-        if down.is_empty() {
-            return self.clone();
-        }
-        let mut rows = Vec::with_capacity(self.rows.len());
-        let mut succ = Vec::with_capacity(self.succ.len());
-        rows.push(0);
-        for i in 0..self.channel_count() {
-            let c = ChannelId::from_index(i);
-            if !down.contains(&c) {
-                succ.extend(self.row(c).iter().filter(|d| !down.contains(d)));
-            }
-            rows.push(offset(succ.len()));
-        }
-        Cdg { rows, succ }
-    }
-
-    /// Graphviz DOT rendering of the dependency graph: vertices are
-    /// channels, edges are dependencies; `highlight` channels (e.g. a
-    /// cycle) are drawn red.
-    pub fn to_dot(&self, net: &Network, highlight: &[ChannelId]) -> String {
-        use std::fmt::Write as _;
-        let mut out = String::from("digraph cdg {\n");
-        let _ = writeln!(out, "  node [shape=box, fontsize=9];");
-        for i in 0..self.channel_count() {
-            let c = ChannelId::from_index(i);
-            let color = if highlight.contains(&c) {
-                ", color=red, penwidth=2"
-            } else {
-                ""
-            };
-            let _ = writeln!(out, "  c{i} [label=\"{}\"{color}];", net.channel(c));
-        }
-        for (c1, c2) in self.edges() {
-            let hl = highlight.contains(&c1) && highlight.contains(&c2);
-            let _ = writeln!(
-                out,
-                "  c{} -> c{}{};",
-                c1.index(),
-                c2.index(),
-                if hl { " [color=red]" } else { "" }
-            );
-        }
-        out.push_str("}\n");
-        out
-    }
 }
 
 impl Digraph for Cdg {
@@ -441,56 +381,12 @@ mod tests {
     }
 
     #[test]
-    fn to_dot_renders_highlighted_cycle() {
-        let (net, nodes) = ring_unidirectional(3);
-        let table = clockwise_ring(&net, &nodes).unwrap();
-        let cdg = Cdg::build(&net, &table);
-        let cycle = cdg.cycles().remove(0);
-        let dot = cdg.to_dot(&net, &cycle.channels);
-        assert!(dot.starts_with("digraph cdg {"));
-        assert!(dot.contains("color=red"));
-        assert_eq!(
-            dot.matches("->").count(),
-            cdg.edge_count() + 3,
-            "3 edge labels inside channel names plus one line per dependency"
-        );
-        assert!(dot.trim_end().ends_with('}'));
-    }
-
-    #[test]
     fn cycle_describe_walks_the_channels() {
         let (net, nodes) = ring_unidirectional(3);
         let table = clockwise_ring(&net, &nodes).unwrap();
         let cdg = Cdg::build(&net, &table);
         let cycle_desc = cdg.cycles()[0].describe(&net);
         assert_eq!(cycle_desc.matches(" -> ").count(), 3);
-    }
-
-    #[test]
-    fn masking_a_cycle_channel_breaks_the_cycle() {
-        let (net, nodes) = ring_unidirectional(4);
-        let table = clockwise_ring(&net, &nodes).unwrap();
-        let cdg = Cdg::build(&net, &table);
-        assert!(!cdg.is_acyclic());
-        let c01 = net.find_channel(nodes[0], nodes[1]).unwrap();
-        let masked = cdg.masked(&[c01]);
-        // Both edges incident to c01 disappear; the ring cycle opens.
-        assert_eq!(masked.edge_count(), cdg.edge_count() - 2);
-        assert!(masked.is_acyclic());
-        assert!(masked.cycles().is_empty());
-        assert_eq!(masked.channel_count(), cdg.channel_count());
-        // Masking nothing is the identity.
-        let same = cdg.masked(&[]);
-        assert!(same.edges().eq(cdg.edges()));
-
-        // Masked CDG is a supergraph of the honest rebuild from the
-        // degraded table (which also loses the surviving dependencies
-        // of now-unroutable messages).
-        let rebuilt = Cdg::build(&net, &table.without_channels(&[c01]));
-        for (a, b) in rebuilt.edges() {
-            assert!(masked.has_edge(a, b), "rebuilt edge missing from mask");
-        }
-        assert!(rebuilt.edge_count() <= masked.edge_count());
     }
 
     #[test]

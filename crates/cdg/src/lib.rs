@@ -58,9 +58,7 @@ mod witnesses;
 pub mod adaptive;
 pub mod sharing;
 
-pub use candidates::{
-    all_candidates, deadlock_candidates, enumerate_candidates, DeadlockCandidate, Segment,
-};
+pub use candidates::{deadlock_candidates, enumerate_candidates, DeadlockCandidate, Segment};
 pub use graph::{Cdg, CdgCycle, MsgPair};
 pub use numbering::{check_numbering, NumberingError};
 pub use witnesses::Witnesses;

@@ -78,14 +78,6 @@ impl SharingAnalysis {
         self.shared.iter().filter(|s| s.inside_cycle)
     }
 
-    /// Whether the configuration requires no channel sharing at all.
-    /// By the paper (Schwiebert & Jayasimha's false-resource-cycle
-    /// result, restated in Section 2) such a cycle is always a
-    /// reachable deadlock.
-    pub fn is_sharing_free(&self) -> bool {
-        self.shared.is_empty()
-    }
-
     /// Render the shared channels for reports.
     pub fn describe(&self, net: &Network) -> String {
         if self.shared.is_empty() {
@@ -325,7 +317,6 @@ mod tests {
         // A 4-message cover of a 4-cycle: each owner's path continues
         // into the next owner's channel, so inside sharing exists.
         assert!(analysis.inside().count() >= 1);
-        assert!(!analysis.is_sharing_free());
     }
 
     #[test]
@@ -347,7 +338,6 @@ mod tests {
             })
             .expect("two 3-hop messages can cover a 4-cycle");
         let analysis = analyze(&net, &table, &cycle, two);
-        assert!(!analysis.is_sharing_free());
         assert!(analysis.inside().count() >= 1);
         for s in analysis.inside() {
             assert!(cycle.contains(s.channel));

@@ -302,7 +302,6 @@ fn search_candidate(
     let config = SearchConfig {
         stall_budget: 0,
         max_states: opts.search_max_states,
-        ..SearchConfig::default()
     };
     let result = explore(&sim, &config);
     let reachable = match result.verdict {
@@ -345,7 +344,6 @@ pub fn candidate_reachable(
         &SearchConfig {
             stall_budget: 0,
             max_states: opts.search_max_states,
-            ..SearchConfig::default()
         },
         move |_, state| {
             segments.iter().all(|(m, chans)| {

@@ -21,8 +21,8 @@
 //! [`classify_degraded`] runs the complete pipeline — CDG rebuild,
 //! Theorems 2–5, search fallback — on the degraded routing relation
 //! and reports the verdict next to enough provenance (unroutable
-//! pairs, edge deltas against [`wormcdg::Cdg::masked`]) to see *why*
-//! the verdict moved. `wormfault` uses this to answer the
+//! pairs, healthy and degraded CDG edge counts) to see *why* the
+//! verdict moved. `wormfault` uses this to answer the
 //! re-verification question per fault plan: does the unreachable-cycle
 //! argument survive this fault?
 
@@ -46,11 +46,6 @@ pub struct DegradedClassification {
     pub unroutable_pairs: usize,
     /// Edges of the healthy CDG.
     pub baseline_edges: usize,
-    /// Edges of the structural mask ([`Cdg::masked`]): healthy CDG
-    /// minus edges incident to a down channel. Always ≥
-    /// [`Self::degraded_edges`] — the mask keeps edges whose only
-    /// witnesses died with an unroutable pair.
-    pub masked_edges: usize,
     /// Edges of the CDG rebuilt from the degraded table.
     pub degraded_edges: usize,
     /// The pipeline's verdict on the degraded relation.
@@ -113,7 +108,6 @@ pub fn classify_degraded_from(
     down.sort_unstable();
     down.dedup();
 
-    let masked = healthy.masked(&down);
     let degraded_table = table.without_channels(&down);
     let unroutable_pairs = table.len() - degraded_table.len();
     wormtrace::counter("classify.degraded.runs", 1);
@@ -136,7 +130,6 @@ pub fn classify_degraded_from(
         table: degraded_table,
         unroutable_pairs,
         baseline_edges: healthy.edge_count(),
-        masked_edges: masked.edge_count(),
         degraded_edges,
         verdict,
         existence,
@@ -167,7 +160,6 @@ mod tests {
         let d = classify_degraded(&net, &table, &[c01], &ClassifyOptions::default());
         assert!(d.unroutable_pairs > 0);
         assert!(d.degraded_edges < d.baseline_edges);
-        assert!(d.masked_edges >= d.degraded_edges);
         // The ring cycle needed all four channels; the survivor CDG is
         // a path, hence acyclic, hence deadlock-free.
         assert_eq!(d.is_deadlock_free(), Some(true));

@@ -99,12 +99,6 @@ impl CycleMessageSpec {
         }
     }
 
-    /// Override the message length.
-    pub fn with_length(mut self, length: usize) -> Self {
-        self.length = Some(length);
-        self
-    }
-
     /// The paper's `a_i`: channels used within the cycle, entry to
     /// destination.
     pub fn a(&self) -> usize {
@@ -557,7 +551,10 @@ mod tests {
         assert_eq!(specs[1].length, 5);
         let spec2 = SharedCycleSpec {
             messages: vec![
-                CycleMessageSpec::shared(1, 2, 1).with_length(9),
+                CycleMessageSpec {
+                    length: Some(9),
+                    ..CycleMessageSpec::shared(1, 2, 1)
+                },
                 CycleMessageSpec::shared(1, 2, 1),
             ],
         };

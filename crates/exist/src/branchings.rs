@@ -61,20 +61,24 @@ fn bfs_tree(
     }
 }
 
+/// Roots tried for the disjoint-branchings certifier per component.
+const MAX_ROOTS: usize = 8;
+
 /// Try to certify the component via disjoint branchings, returning
 /// `(local root, channel order)` over the `2(n-1)` tree channels.
 ///
-/// Deterministic: roots are tried in local index order, adjacency is
-/// scanned in ascending channel order, and both claim orders
-/// (out-tree first, in-tree first) are attempted per root.
-pub(crate) fn hub_order(comp: &Component, max_roots: usize) -> Option<(usize, Vec<usize>)> {
+/// Deterministic: the first [`MAX_ROOTS`] roots are tried in local
+/// index order, adjacency is scanned in ascending channel order, and
+/// both claim orders (out-tree first, in-tree first) are attempted per
+/// root.
+pub(crate) fn hub_order(comp: &Component) -> Option<(usize, Vec<usize>)> {
     let n = comp.n();
     if n < 2 {
         return None;
     }
     let out_adj = comp.out_adj();
     let in_adj = comp.in_adj();
-    for root in 0..n.min(max_roots.max(1)) {
+    for root in 0..n.min(MAX_ROOTS) {
         for out_first in [true, false] {
             let mut used = vec![false; comp.m()];
             let (out_tree, in_tree) = if out_first {

@@ -16,32 +16,29 @@ use crate::report::{
 use crate::schedule::ExactOutcome;
 use crate::{branchings, obstruction, schedule};
 
-/// Certificate-search budgets. The defaults decide every topology in
-/// the repository's corpus and bench suite; raising them only widens
-/// the band where `Unknown` turns into a certificate.
+/// Certificate-search budget. The default decides every topology in
+/// the repository's corpus and bench suite; raising it only widens the
+/// band where `Unknown` turns into a certificate.
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub struct ExistOptions {
-    /// Roots tried for the disjoint-branchings certifier per
-    /// component.
-    pub max_roots: usize,
-    /// Largest component (in channels) the greedy scheduler attempts.
-    pub greedy_limit: usize,
-    /// Largest component (in channels) the exhaustive game decides.
-    pub exact_channels: usize,
-    /// Game-state budget for one exhaustive decision.
+    /// Game-state budget for one exhaustive decision (the spec's
+    /// `max_states`).
     pub exact_states: u64,
 }
 
 impl Default for ExistOptions {
     fn default() -> Self {
         ExistOptions {
-            max_roots: 8,
-            greedy_limit: 1500,
-            exact_channels: 14,
             exact_states: 2_000_000,
         }
     }
 }
+
+/// Largest component (in channels) the greedy scheduler attempts.
+const GREEDY_LIMIT: usize = 1_500;
+
+/// Largest component (in channels) the exhaustive game decides.
+const EXACT_CHANNELS: usize = 14;
 
 /// One strongly connected component of the live node graph, with its
 /// internal live channels re-indexed to dense local ids.
@@ -210,7 +207,7 @@ fn decide(comp: &Component, opts: &ExistOptions) -> Outcome {
         let cycle = cycle.iter().map(|&e| comp.channels[e]).collect();
         return Outcome::No(obstruct(comp, ObstructionKind::PrecedenceCycle { cycle }));
     }
-    if let Some((root, prefix)) = branchings::hub_order(comp, opts.max_roots) {
+    if let Some((root, prefix)) = branchings::hub_order(comp) {
         if let Outcome::Win { kind, order } = win(
             WitnessKind::Branchings {
                 root: NodeId::from_index(comp.nodes[root]),
@@ -221,7 +218,7 @@ fn decide(comp: &Component, opts: &ExistOptions) -> Outcome {
             return Outcome::Win { kind, order };
         }
     }
-    if m <= opts.greedy_limit {
+    if m <= GREEDY_LIMIT {
         if let Some(prefix) = schedule::greedy_order(comp) {
             if let Outcome::Win { kind, order } = win(WitnessKind::Schedule, prefix) {
                 wormtrace::counter("exist.greedy", 1);
@@ -229,7 +226,7 @@ fn decide(comp: &Component, opts: &ExistOptions) -> Outcome {
             }
         }
     }
-    if m <= opts.exact_channels.min(32) && n <= 16 {
+    if m <= EXACT_CHANNELS && n <= 16 {
         match schedule::exact_order(comp, opts.exact_states) {
             ExactOutcome::Win(prefix) => {
                 if let Outcome::Win { kind, order } = win(WitnessKind::Exact, prefix) {

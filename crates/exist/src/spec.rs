@@ -41,6 +41,5 @@ mod tests {
         let ast = parse(src).expect("spec parses");
         let opts = options_from_spec(ast.verify.as_ref()).unwrap();
         assert_eq!(opts.exact_states, 12345);
-        assert_eq!(opts.max_roots, ExistOptions::default().max_roots);
     }
 }

@@ -216,22 +216,6 @@ impl FaultPlan {
         down
     }
 
-    /// Every channel that is down at any point, revived or not.
-    /// Sorted, deduplicated.
-    pub fn ever_down(&self) -> Vec<ChannelId> {
-        let mut down: Vec<ChannelId> = self
-            .events
-            .iter()
-            .filter_map(|e| match e {
-                FaultEvent::ChannelDown { channel, .. } => Some(*channel),
-                _ => None,
-            })
-            .collect();
-        down.sort_unstable();
-        down.dedup();
-        down
-    }
-
     /// One-line human summary, e.g. `"3 events: c2 down @5; c2 up @9;
     /// n1 stall @3+2"`.
     pub fn describe(&self) -> String {
@@ -256,7 +240,6 @@ mod tests {
             .channel_outage(c0, 2, 6)
             .channel_down(c1, 3);
         assert_eq!(plan.permanent_down(), vec![c1]);
-        assert_eq!(plan.ever_down(), vec![c0, c1]);
         assert_eq!(plan.len(), 3);
     }
 

@@ -46,16 +46,6 @@ pub enum FaultOutcome {
     },
 }
 
-impl FaultOutcome {
-    /// Whether every non-abandoned message arrived.
-    pub fn is_success(&self) -> bool {
-        matches!(
-            self,
-            FaultOutcome::Delivered { .. } | FaultOutcome::DeliveredPartial { .. }
-        )
-    }
-}
-
 /// A [`Runner`] with a [`FaultInjector`] attached, plus fault-aware
 /// termination.
 pub struct FaultRunner<'a> {

@@ -31,26 +31,12 @@
 //! }
 //! ```
 
+use wormtrace::escape_json;
+
 use crate::registry::LintReport;
 
 /// The schema identifier stamped into every JSON report.
 pub const SCHEMA: &str = "wormlint/1";
-
-fn escape(s: &str) -> String {
-    let mut out = String::with_capacity(s.len());
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
-            c => out.push(c),
-        }
-    }
-    out
-}
 
 fn push_report(out: &mut String, report: &LintReport, indent: &str) {
     let pad = format!("{indent}  ");
@@ -61,19 +47,25 @@ fn push_report(out: &mut String, report: &LintReport, indent: &str) {
         out.push_str(if first { "\n" } else { ",\n" });
         first = false;
         out.push_str(&format!("{pad}  {{\n"));
-        out.push_str(&format!("{pad}    \"code\": \"{}\",\n", escape(d.code)));
+        out.push_str(&format!(
+            "{pad}    \"code\": \"{}\",\n",
+            escape_json(d.code)
+        ));
         out.push_str(&format!("{pad}    \"entities\": ["));
         for (i, e) in d.entities.iter().enumerate() {
             if i > 0 {
                 out.push_str(", ");
             }
-            out.push_str(&format!("\"{}\"", escape(e)));
+            out.push_str(&format!("\"{}\"", escape_json(e)));
         }
         out.push_str("],\n");
-        out.push_str(&format!("{pad}    \"lint\": \"{}\",\n", escape(d.lint)));
+        out.push_str(&format!(
+            "{pad}    \"lint\": \"{}\",\n",
+            escape_json(d.lint)
+        ));
         out.push_str(&format!(
             "{pad}    \"message\": \"{}\",\n",
-            escape(&d.message)
+            escape_json(&d.message)
         ));
         out.push_str(&format!(
             "{pad}    \"severity\": \"{}\",\n",
@@ -84,7 +76,11 @@ fn push_report(out: &mut String, report: &LintReport, indent: &str) {
         for (k, v) in &d.witness {
             out.push_str(if wfirst { "\n" } else { ",\n" });
             wfirst = false;
-            out.push_str(&format!("{pad}      \"{}\": \"{}\"", escape(k), escape(v)));
+            out.push_str(&format!(
+                "{pad}      \"{}\": \"{}\"",
+                escape_json(k),
+                escape_json(v)
+            ));
         }
         if wfirst {
             out.push_str("}\n");
@@ -123,13 +119,13 @@ pub fn reports_to_json(reports: &[(&str, &LintReport)]) -> String {
     );
     let mut out = String::new();
     out.push_str("{\n");
-    out.push_str(&format!("  \"schema\": \"{}\",\n", escape(SCHEMA)));
+    out.push_str(&format!("  \"schema\": \"{}\",\n", escape_json(SCHEMA)));
     out.push_str("  \"targets\": {");
     let mut first = true;
     for (name, report) in reports {
         out.push_str(if first { "\n" } else { ",\n" });
         first = false;
-        out.push_str(&format!("    \"{}\": ", escape(name)));
+        out.push_str(&format!("    \"{}\": ", escape_json(name)));
         push_report(&mut out, report, "    ");
     }
     out.push_str(if first { "}\n" } else { "\n  }\n" });

@@ -206,11 +206,6 @@ pub struct Registry {
 }
 
 impl Registry {
-    /// An empty registry.
-    pub fn new() -> Self {
-        Registry { lints: Vec::new() }
-    }
-
     /// A registry holding every built-in lint.
     pub fn with_default_lints() -> Self {
         Registry {
@@ -218,18 +213,7 @@ impl Registry {
         }
     }
 
-    /// Register a lint. Panics on a duplicate code: codes are the
-    /// stable public identity of a lint.
-    pub fn register(&mut self, lint: Box<dyn Lint>) {
-        assert!(
-            self.lints.iter().all(|l| l.code() != lint.code()),
-            "duplicate lint code {}",
-            lint.code()
-        );
-        self.lints.push(lint);
-    }
-
-    /// The registered lints, in registration (= code) order.
+    /// The lints, in code order.
     pub fn lints(&self) -> &[Box<dyn Lint>] {
         &self.lints
     }
@@ -299,12 +283,6 @@ impl Registry {
         }
         publish(&summary);
         summary
-    }
-}
-
-impl Default for Registry {
-    fn default() -> Self {
-        Registry::with_default_lints()
     }
 }
 
@@ -408,14 +386,5 @@ mod tests {
             report.counts_by_code().values().sum::<usize>(),
             report.diagnostics.len()
         );
-    }
-
-    #[test]
-    fn duplicate_code_panics() {
-        let mut registry = Registry::with_default_lints();
-        let result = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-            registry.register(Box::new(crate::lints::structure::SelfLoopChannel));
-        }));
-        assert!(result.is_err());
     }
 }

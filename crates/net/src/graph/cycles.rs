@@ -15,7 +15,7 @@ use super::{tarjan_scc, AdjList, Digraph};
 /// edges `v0→v1→...→vk→v0`; the smallest vertex of the cycle comes
 /// first, so output is canonical. Cycles are unique up to rotation.
 ///
-/// Use [`elementary_cycles_bounded`] when the graph may contain an
+/// Use [`elementary_cycles_prefix`] when the graph may contain an
 /// exponential number of cycles, or [`elementary_cycles_visit`] to
 /// stream cycles without materializing them.
 pub fn elementary_cycles(g: &impl Digraph) -> Vec<Vec<usize>> {
@@ -26,17 +26,6 @@ pub fn elementary_cycles(g: &impl Digraph) -> Vec<Vec<usize>> {
     });
     canonicalize(&mut cycles);
     cycles
-}
-
-/// Enumerate elementary cycles, aborting with `None` if more than
-/// `max_cycles` are found (protects analyses against pathological
-/// dependency graphs).
-///
-/// Prefer [`elementary_cycles_prefix`] when a truncated-but-usable
-/// prefix is better than an all-or-nothing answer.
-pub fn elementary_cycles_bounded(g: &impl Digraph, max_cycles: usize) -> Option<Vec<Vec<usize>>> {
-    let (cycles, complete) = elementary_cycles_prefix(g, max_cycles);
-    complete.then_some(cycles)
 }
 
 /// Enumerate up to `max_cycles` elementary cycles, reporting whether
@@ -293,21 +282,6 @@ mod tests {
         // cycles are unique here even with duplicated edges.
         let g = AdjList::from_edges(2, &[(0, 1), (0, 1), (1, 0)]);
         assert_eq!(elementary_cycles(&g).len(), 1);
-    }
-
-    #[test]
-    fn bounded_enumeration_aborts() {
-        let mut edges = Vec::new();
-        for u in 0..6 {
-            for v in 0..6 {
-                if u != v {
-                    edges.push((u, v));
-                }
-            }
-        }
-        let g = AdjList::from_edges(6, &edges);
-        assert!(elementary_cycles_bounded(&g, 5).is_none());
-        assert!(elementary_cycles_bounded(&g, 100_000).is_some());
     }
 
     #[test]

@@ -16,9 +16,7 @@ mod paths;
 mod scc;
 mod topo;
 
-pub use cycles::{
-    elementary_cycles, elementary_cycles_bounded, elementary_cycles_prefix, elementary_cycles_visit,
-};
+pub use cycles::{elementary_cycles, elementary_cycles_prefix, elementary_cycles_visit};
 pub use paths::{bfs_distances, bfs_path, reachable_from};
 pub use scc::tarjan_scc;
 pub use topo::{is_acyclic, topological_order};

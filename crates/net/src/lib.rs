@@ -50,7 +50,6 @@
 #![deny(missing_docs)]
 
 mod channel;
-mod dot;
 mod error;
 mod liveness;
 mod network;
@@ -61,7 +60,6 @@ pub mod spec;
 pub mod topology;
 
 pub use channel::{Channel, ChannelId};
-pub use dot::network_to_dot;
 pub use error::NetError;
 pub use liveness::ChannelLiveness;
 pub use network::Network;

@@ -113,12 +113,6 @@ impl CompiledRouting {
             .copied()
             .map(RoutingStep::Forward)
     }
-
-    /// Number of distinct forwarding entries (a size metric used in
-    /// benchmarks).
-    pub fn forward_entries(&self) -> usize {
-        self.forward.len()
-    }
 }
 
 #[cfg(test)]
@@ -154,7 +148,6 @@ mod tests {
             RoutingStep::Forward(c12)
         );
         assert_eq!(compiled.next(&net, c12, nodes[2]), RoutingStep::Consume);
-        assert!(compiled.forward_entries() > 0);
     }
 
     #[test]

@@ -232,7 +232,6 @@ mod tests {
                 MessageSpec::new(mesh.node(&[1, 1]), mesh.node(&[0, 0]), 3),
                 MessageSpec::new(mesh.node(&[0, 1]), mesh.node(&[1, 0]), 3),
             ],
-            Some(1),
         )
         .unwrap();
         let result = explore_adaptive(&sim, 5_000_000);
@@ -262,7 +261,6 @@ mod tests {
                 MessageSpec::new(mesh.node(&[1, 1]), mesh.node(&[0, 0]), 3),
                 MessageSpec::new(mesh.node(&[0, 1]), mesh.node(&[1, 0]), 3),
             ],
-            Some(1),
         )
         .unwrap();
         let result = explore_adaptive(&sim, 20_000_000);
@@ -287,7 +285,6 @@ mod tests {
                 MessageSpec::new(mesh.node(&[1, 1]), mesh.node(&[0, 0]), 3),
                 MessageSpec::new(mesh.node(&[0, 1]), mesh.node(&[1, 0]), 3),
             ],
-            Some(1),
         )
         .unwrap();
         let result = explore_adaptive(&sim, 20_000_000);
@@ -305,7 +302,6 @@ mod tests {
                 MessageSpec::new(mesh.node(&[0, 0]), mesh.node(&[1, 1]), 3),
                 MessageSpec::new(mesh.node(&[1, 1]), mesh.node(&[0, 0]), 3),
             ],
-            Some(1),
         )
         .unwrap();
         // Two messages with two disjoint minimal routes each: the

@@ -2,7 +2,6 @@
 
 use std::time::Instant;
 
-use wormnet::ChannelId;
 use wormsim::{MessageId, Sim, SimState, StateArena, StateCodec, StepScratch, StepTally};
 
 use crate::options::{ChoiceBuf, Options};
@@ -19,16 +18,6 @@ pub struct SearchConfig {
     /// Maximum distinct states to visit before giving up with
     /// [`Verdict::Inconclusive`].
     pub max_states: usize,
-    /// Channels that are permanently faulted: they never transmit,
-    /// never accept a flit, and are never acquirable by a header — the
-    /// search explores the degraded network's dynamics. A message
-    /// blocked on a dead channel *starves* (it stops generating
-    /// successor states) but does not deadlock: deadlock detection
-    /// still requires a wait-for cycle through *owned* channels, so a
-    /// [`Verdict::DeadlockFree`] on a faulted network certifies "no
-    /// wait-for cycle", not "all messages delivered". Empty (the
-    /// default) reproduces the fault-free search bit for bit.
-    pub dead_channels: Vec<ChannelId>,
 }
 
 impl Default for SearchConfig {
@@ -36,7 +25,6 @@ impl Default for SearchConfig {
         SearchConfig {
             stall_budget: 0,
             max_states: 8_000_000,
-            dead_channels: Vec::new(),
         }
     }
 }
@@ -46,14 +34,6 @@ impl SearchConfig {
     pub fn with_stalls(budget: u32) -> Self {
         SearchConfig {
             stall_budget: budget,
-            ..SearchConfig::default()
-        }
-    }
-
-    /// Config with permanently-dead channels.
-    pub fn with_dead_channels(dead: Vec<ChannelId>) -> Self {
-        SearchConfig {
-            dead_channels: dead,
             ..SearchConfig::default()
         }
     }
@@ -94,7 +74,6 @@ fn depth_first(
     mut goal: impl FnMut(&SimState, &mut StepScratch) -> Option<Vec<MessageId>>,
 ) -> Dfs {
     let codec = StateCodec::new(sim, config.stall_budget);
-    let dead = sim.channel_mask(&config.dead_channels);
     let mut words = Vec::new();
     let mut step = StepScratch::new();
     let mut choice = ChoiceBuf::default();
@@ -108,7 +87,7 @@ fn depth_first(
     let mut visited = VisitedSet::new(words.len());
     visited.insert(&words);
     let mut options = Options::default();
-    options.fill(sim, &initial, config.stall_budget, &dead);
+    options.fill(sim, &initial, config.stall_budget);
     let mut stack = vec![Frame {
         state: initial,
         budget: config.stall_budget,
@@ -129,7 +108,7 @@ fn depth_first(
         let i = frame.next;
         frame.next += 1;
         let mut state = arena.take_clone(&frame.state);
-        let option = frame.options.choice(i, &mut choice, &dead);
+        let option = frame.options.choice(i, &mut choice);
         tally.absorb(sim.step_with(&mut state, option, &mut step));
         if !step.report().moved {
             // Nothing happened: a pure self-loop (possibly burning
@@ -153,7 +132,7 @@ fn depth_first(
         if let Some(members) = goal(&state, &mut step) {
             let decisions = stack
                 .iter()
-                .map(|f| f.options.decisions(f.next - 1, &config.dead_channels))
+                .map(|f| f.options.decisions(f.next - 1))
                 .collect();
             break Verdict::DeadlockReachable(Witness { decisions, members });
         }
@@ -163,7 +142,7 @@ fn depth_first(
             continue;
         }
         let mut options = pool.pop().unwrap_or_default();
-        options.fill(sim, &state, budget, &dead);
+        options.fill(sim, &state, budget);
         stack.push(Frame {
             state,
             budget,
@@ -242,7 +221,6 @@ pub fn min_stall_budget(
             &SearchConfig {
                 stall_budget: budget,
                 max_states,
-                ..SearchConfig::default()
             },
         );
         let found = result.verdict.is_deadlock();
@@ -284,30 +262,19 @@ mod tests {
     use super::*;
     use std::collections::BTreeMap;
     use wormnet::topology::{line, ring_unidirectional};
-    use wormnet::NodeId;
+    use wormnet::{ChannelId, NodeId};
     use wormroute::algorithms::{clockwise_ring, shortest_path_table};
     use wormsim::{Decisions, MessageSpec};
 
     /// The enumeration [`Options`] replaced, kept as its oracle: all
-    /// decision combinations worth exploring from `state`. `dead`
-    /// channels are never acquirable and are frozen in every emitted
-    /// decision.
-    fn decision_options(
-        sim: &Sim,
-        state: &SimState,
-        budget: u32,
-        dead: &[ChannelId],
-    ) -> Vec<Decisions> {
+    /// decision combinations worth exploring from `state`.
+    fn decision_options(sim: &Sim, state: &SimState, budget: u32) -> Vec<Decisions> {
         // Messages that could actually inject now: pending, and their
-        // first channel is empty, unowned, and alive (others are no-ops —
-        // a dead first channel means the message can never start).
+        // first channel is empty and unowned (others are no-ops).
         let injectable: Vec<MessageId> = sim
             .pending(state)
             .into_iter()
-            .filter(|&m| {
-                let c0 = sim.path(m)[0];
-                state.channels[c0.index()].is_none() && !dead.contains(&c0)
-            })
+            .filter(|&m| state.channels[sim.path(m)[0].index()].is_none())
             .collect();
         // Messages an adversary could usefully stall: in flight.
         let stallable: Vec<MessageId> = sim
@@ -331,7 +298,7 @@ mod tests {
                     .collect()
             };
             for stalls in stall_subsets {
-                let requests = sim.header_requests_frozen(state, &inject, &stalls, dead);
+                let requests = sim.header_requests(state, &inject, &stalls);
                 let conflicts: Vec<(ChannelId, Vec<MessageId>)> = requests
                     .into_iter()
                     .filter(|(_, reqs)| reqs.len() >= 2)
@@ -340,7 +307,6 @@ mod tests {
                     conflicts: &conflicts,
                     inject: &inject,
                     stalls: &stalls,
-                    dead,
                 }
                 .expand(0, &mut BTreeMap::new(), &mut out);
             }
@@ -349,14 +315,13 @@ mod tests {
     }
 
     /// The fixed inputs of one winner-assignment expansion: the conflicted
-    /// channels plus the inject/stall/frozen sets every emitted
-    /// [`Decisions`] copies verbatim. Bundling them keeps the recursion
+    /// channels plus the inject/stall sets every emitted [`Decisions`]
+    /// copies verbatim. Bundling them keeps the recursion
     /// signature down to what actually varies per call.
     struct WinnerExpansion<'a> {
         conflicts: &'a [(ChannelId, Vec<MessageId>)],
         inject: &'a [MessageId],
         stalls: &'a [MessageId],
-        dead: &'a [ChannelId],
     }
 
     impl WinnerExpansion<'_> {
@@ -375,10 +340,8 @@ mod tests {
                     stalls: self.stalls.to_vec(),
                     winners: chosen.clone(),
                     // Channel-level skew is subsumed by message stalls for
-                    // reachability purposes, so the search only freezes the
-                    // permanently-dead channels of a degraded network (the
-                    // set is constant, so state deduplication is unaffected).
-                    frozen: self.dead.to_vec(),
+                    // reachability purposes: the search freezes nothing.
+                    frozen: Vec::new(),
                 });
                 return;
             }
@@ -498,7 +461,6 @@ mod tests {
             &SearchConfig {
                 stall_budget: 0,
                 max_states: 1,
-                ..SearchConfig::default()
             },
         );
         // With a 1-state budget we either found the deadlock very
@@ -550,9 +512,8 @@ mod tests {
     /// at each, that [`Options`] lists exactly the oracle's decisions in
     /// the oracle's order, and that stepping each option through its
     /// borrowed [`StepChoice`] lands where [`Sim::step`] lands.
-    fn options_match_oracle(sim: &Sim, budget: u32, dead: &[ChannelId]) -> usize {
+    fn options_match_oracle(sim: &Sim, budget: u32) -> usize {
         use std::collections::HashSet;
-        let mask = sim.channel_mask(dead);
         let (mut options, mut choice, mut step) =
             (Options::default(), ChoiceBuf::default(), StepScratch::new());
         let mut seen = HashSet::new();
@@ -561,16 +522,16 @@ mod tests {
             if !seen.insert((state.clone(), budget)) || seen.len() > 3_000 {
                 continue;
             }
-            let oracle = decision_options(sim, &state, budget, dead);
-            options.fill(sim, &state, budget, &mask);
+            let oracle = decision_options(sim, &state, budget);
+            options.fill(sim, &state, budget);
             assert_eq!(options.len(), oracle.len());
             for (i, d) in oracle.iter().enumerate() {
-                assert_eq!(&options.decisions(i, dead), d, "option {i}");
+                assert_eq!(&options.decisions(i), d, "option {i}");
                 assert_eq!(options.stall_count(i) as usize, d.stalls.len());
                 let mut want = state.clone();
                 let report = sim.step(&mut want, d);
                 let mut got = state.clone();
-                sim.step_with(&mut got, options.choice(i, &mut choice, &mask), &mut step);
+                sim.step_with(&mut got, options.choice(i, &mut choice), &mut step);
                 assert_eq!((&got, step.report()), (&want, &report), "option {i}");
                 if report.moved && !sim.all_delivered(&want) {
                     queue.push((want, budget - d.stalls.len() as u32));
@@ -588,9 +549,7 @@ mod tests {
             .map(|i| MessageSpec::new(nodes[i], nodes[(i + 2) % 4], 2))
             .collect();
         let sim = Sim::new(&net, &table, specs, None).unwrap();
-        assert!(options_match_oracle(&sim, 2, &[]) > 100);
-        let dead = vec![sim.path(MessageId::from_index(1))[1]];
-        assert!(options_match_oracle(&sim, 1, &dead) > 10);
+        assert!(options_match_oracle(&sim, 2) > 100);
 
         // Two messages contending for every channel of a line.
         let (net, _) = line(4);
@@ -601,7 +560,7 @@ mod tests {
             MessageSpec::new(NodeId::from_index(1), NodeId::from_index(3), 2),
         ];
         let sim = Sim::new(&net, &table, specs, None).unwrap();
-        assert!(options_match_oracle(&sim, 1, &[]) > 10);
+        assert!(options_match_oracle(&sim, 1) > 10);
     }
 
     #[test]
@@ -614,7 +573,7 @@ mod tests {
             .collect();
         let sim = Sim::new(&net, &table, specs, None).unwrap();
         let search = explore(&sim, &SearchConfig::default());
-        let mut runner = Runner::new(&sim, ArbitrationPolicy::Adversarial { favored: vec![] });
+        let mut runner = Runner::new(&sim, ArbitrationPolicy::Adversarial);
         let run = runner.run(1_000);
         assert_eq!(search.verdict.is_deadlock(), run.is_deadlock());
     }

@@ -76,17 +76,14 @@ fn select(list: &[MessageId], mask: u32, out: &mut Vec<MessageId>) {
 
 impl Options {
     /// Enumerate the options of `state` with `budget` stalls left.
-    /// `dead` is the per-channel mask of permanently dead channels
-    /// (empty when none): they are never requested, and a message whose
-    /// first channel is dead is never injectable.
-    pub(crate) fn fill(&mut self, sim: &Sim, state: &SimState, budget: u32, dead: &[bool]) {
+    pub(crate) fn fill(&mut self, sim: &Sim, state: &SimState, budget: u32) {
         self.injectable.clear();
         self.stallable.clear();
         self.opts.clear();
         self.winners.clear();
         self.want.clear();
         for m in sim.messages() {
-            let want = sim.request_of(state, m, dead);
+            let want = sim.request_of(state, m, &[]);
             self.want.push(want);
             if !state.is_started(m) {
                 // Pending: injectable when its first channel is free.
@@ -186,12 +183,7 @@ impl Options {
 
     /// Option `i` as a [`StepChoice`], its inject and stall lists
     /// written into `buf`.
-    pub(crate) fn choice<'a>(
-        &'a self,
-        i: usize,
-        buf: &'a mut ChoiceBuf,
-        frozen: &'a [bool],
-    ) -> StepChoice<'a> {
+    pub(crate) fn choice<'a>(&'a self, i: usize, buf: &'a mut ChoiceBuf) -> StepChoice<'a> {
         let opt = self.opts[i];
         select(&self.injectable, opt.inject, &mut buf.inject);
         select(&self.stallable, opt.stalls, &mut buf.stalls);
@@ -200,13 +192,13 @@ impl Options {
             inject: &buf.inject,
             stalls: &buf.stalls,
             winners: &self.winners[opt.winners_start as usize..opt.winners_end as usize],
-            frozen,
+            frozen: &[],
         }
     }
 
     /// Option `i` as the [`Decisions`] value a witness records: winners
-    /// only for its conflicted channels, and `dead` as the frozen set.
-    pub(crate) fn decisions(&self, i: usize, dead: &[ChannelId]) -> Decisions {
+    /// only for its conflicted channels, and nothing frozen.
+    pub(crate) fn decisions(&self, i: usize) -> Decisions {
         let opt = self.opts[i];
         let mut inject = Vec::new();
         let mut stalls = Vec::new();
@@ -222,10 +214,8 @@ impl Options {
             stalls,
             winners,
             // Channel-level skew is subsumed by message stalls for
-            // reachability purposes, so the search only freezes the
-            // permanently-dead channels of a degraded network (the set
-            // is constant, so state deduplication is unaffected).
-            frozen: dead.to_vec(),
+            // reachability purposes: the search freezes nothing.
+            frozen: Vec::new(),
         }
     }
 }

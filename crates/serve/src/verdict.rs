@@ -33,28 +33,12 @@ use wormsearch::{explore, Verdict as SearchVerdict};
 use wormsim::runner::{ArbitrationPolicy, Outcome, Runner};
 use wormsim::Sim;
 use wormspec::ast::VerifyEngine;
+use wormtrace::escape_json;
 
 use crate::compile::CompiledJob;
 
 /// The schema identifier stamped into every verdict document.
 pub const SCHEMA: &str = "wormserve/1";
-
-/// Escape a string for a JSON literal.
-fn esc(s: &str) -> String {
-    let mut out = String::with_capacity(s.len() + 2);
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\t' => out.push_str("\\t"),
-            '\r' => out.push_str("\\r"),
-            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
-            c => out.push(c),
-        }
-    }
-    out
-}
 
 /// Render an object from pre-rendered `(key, value)` fields, checking
 /// the sorted-keys invariant the schema promises.
@@ -121,7 +105,7 @@ fn classifier_block(verdict: &AlgorithmVerdict) -> String {
 }
 
 fn skipped(reason: &str) -> String {
-    obj(&[("skipped", format!("\"{}\"", esc(reason)))])
+    obj(&[("skipped", format!("\"{}\"", escape_json(reason)))])
 }
 
 /// The exhaustive search enumerates subsets of injectable and
@@ -147,7 +131,7 @@ fn search_block(job: &CompiledJob) -> String {
         job.capacity,
     ) {
         Ok(sim) => sim,
-        Err(e) => return obj(&[("error", format!("\"{}\"", esc(&e.to_string())))]),
+        Err(e) => return obj(&[("error", format!("\"{}\"", escape_json(&e.to_string())))]),
     };
     let result = explore(&sim, &job.search_config);
     let verdict = match result.verdict {
@@ -172,7 +156,7 @@ fn sim_block(job: &CompiledJob) -> String {
         job.capacity,
     ) {
         Ok(sim) => sim,
-        Err(e) => return obj(&[("error", format!("\"{}\"", esc(&e.to_string())))]),
+        Err(e) => return obj(&[("error", format!("\"{}\"", escape_json(&e.to_string())))]),
     };
     if job.plan.is_empty() {
         let outcome = Runner::new(&sim, ArbitrationPolicy::LowestId)

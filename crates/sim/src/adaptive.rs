@@ -54,25 +54,22 @@ pub struct AdaptiveState {
 
 /// Externalized nondeterminism for one adaptive cycle: which channel
 /// each header acquires (absent = the header holds still, either by
-/// choice or because it is blocked), and which messages an adversary
-/// stalls entirely.
+/// choice or because it is blocked).
 #[derive(Clone, Debug, Default, PartialEq, Eq)]
 pub struct AdaptiveDecisions {
     /// Header acquisitions this cycle. The target must be one of the
     /// message's currently *free* permitted options, and no two
     /// messages may claim the same channel (callers arbitrate first).
     pub moves: BTreeMap<MessageId, ChannelId>,
-    /// Messages frozen this cycle.
-    pub stalls: Vec<MessageId>,
 }
 
 impl AdaptiveSim {
-    /// Set up an adaptive simulation.
+    /// Set up an adaptive simulation; each channel's queue holds the
+    /// network's capacity for it.
     pub fn new(
         net: &Network,
         routing: AdaptiveRouting,
         specs: Vec<MessageSpec>,
-        capacity_override: Option<usize>,
     ) -> Result<Self, SimError> {
         let mut lengths = Vec::with_capacity(specs.len());
         for spec in &specs {
@@ -87,10 +84,7 @@ impl AdaptiveSim {
         }
         Ok(AdaptiveSim {
             lengths,
-            capacities: net
-                .channels()
-                .map(|c| capacity_override.unwrap_or(c.capacity()))
-                .collect(),
+            capacities: net.channels().map(|c| c.capacity()).collect(),
             channel_count: net.channel_count(),
             channel_dst: net.channels().map(|c| c.dst()).collect(),
             routing,
@@ -199,10 +193,6 @@ impl AdaptiveSim {
             let mut claimed: Vec<ChannelId> = Vec::new();
             let free = self.free_options(state);
             for (&m, &c) in &decisions.moves {
-                assert!(
-                    !decisions.stalls.contains(&m),
-                    "{m} cannot move while stalled"
-                );
                 let opts = free
                     .get(&m)
                     .unwrap_or_else(|| panic!("{m} has no free options"));
@@ -214,7 +204,7 @@ impl AdaptiveSim {
 
         let mut moved = false;
         for m in self.messages() {
-            if decisions.stalls.contains(&m) || self.is_delivered(state, m) {
+            if self.is_delivered(state, m) {
                 continue;
             }
             moved |= self.advance_message(state, m, decisions.moves.get(&m).copied());
@@ -497,13 +487,7 @@ impl<'a> AdaptiveRunner<'a> {
             .map(|m| self.state.injected[m.index()] > 0)
             .collect();
         let before_consumed: Vec<u16> = self.state.consumed.clone();
-        sim.step(
-            &mut self.state,
-            &AdaptiveDecisions {
-                moves,
-                stalls: vec![],
-            },
-        );
+        sim.step(&mut self.state, &AdaptiveDecisions { moves });
         self.time += 1;
         self.stats.cycles = self.time;
         for m in sim.messages() {
@@ -559,10 +543,7 @@ mod tests {
                 moves.insert(m, c);
             }
         }
-        AdaptiveDecisions {
-            moves,
-            stalls: vec![],
-        }
+        AdaptiveDecisions { moves }
     }
 
     fn drain(sim: &AdaptiveSim, state: &mut AdaptiveState, max: usize) -> bool {
@@ -585,7 +566,6 @@ mod tests {
             mesh.network(),
             routing,
             vec![MessageSpec::new(mesh.node(&[0, 0]), mesh.node(&[2, 2]), 3)],
-            Some(1),
         )
         .unwrap();
         let mut state = sim.initial_state();
@@ -609,7 +589,6 @@ mod tests {
                 MessageSpec::new(mesh.node(&[0, 0]), mesh.node(&[1, 1]), 6),
                 MessageSpec::new(mesh.node(&[0, 0]), mesh.node(&[1, 1]), 6),
             ],
-            Some(1),
         )
         .unwrap();
         let mut state = sim.initial_state();
@@ -632,7 +611,7 @@ mod tests {
             })
             .map(|(s, d)| MessageSpec::new(mesh.node(&s), mesh.node(&d), 4))
             .collect();
-        let sim = AdaptiveSim::new(mesh.network(), routing, specs, Some(1)).unwrap();
+        let sim = AdaptiveSim::new(mesh.network(), routing, specs).unwrap();
         let mut state = sim.initial_state();
         assert!(drain(&sim, &mut state, 2000), "bit-complement must deliver");
         assert!(sim.find_deadlock(&state).is_none());
@@ -662,7 +641,6 @@ mod tests {
                 MessageSpec::new(c, a, 4),
                 MessageSpec::new(d, b, 4),
             ],
-            Some(1),
         )
         .unwrap();
         let mut state = sim.initial_state();
@@ -689,13 +667,7 @@ mod tests {
                     }
                 }
             }
-            sim.step(
-                &mut state,
-                &AdaptiveDecisions {
-                    moves,
-                    stalls: vec![],
-                },
-            );
+            sim.step(&mut state, &AdaptiveDecisions { moves });
             sim.check_invariants(&state);
             if let Some(knot) = sim.find_deadlock(&state) {
                 assert_eq!(knot.len(), 4);
@@ -720,7 +692,7 @@ mod tests {
                 (mesh.coords(n) != d).then(|| MessageSpec::new(n, mesh.node(&d), 5))
             })
             .collect();
-        let sim = AdaptiveSim::new(mesh.network(), routing, specs, Some(1)).unwrap();
+        let sim = AdaptiveSim::new(mesh.network(), routing, specs).unwrap();
         for policy in [
             AdaptivePolicy::FirstFree,
             AdaptivePolicy::LastFree,
@@ -745,7 +717,7 @@ mod tests {
             MessageSpec::new(mesh.node(&[0, 0]), mesh.node(&[2, 2]), 4),
             MessageSpec::new(mesh.node(&[2, 0]), mesh.node(&[0, 2]), 4),
         ];
-        let sim = AdaptiveSim::new(mesh.network(), routing, specs, Some(1)).unwrap();
+        let sim = AdaptiveSim::new(mesh.network(), routing, specs).unwrap();
         let run = |seed| {
             let mut r = AdaptiveRunner::new(&sim, AdaptivePolicy::Seeded(seed));
             let o = r.run(10_000);
@@ -762,8 +734,7 @@ mod tests {
             AdaptiveSim::new(
                 mesh.network(),
                 routing,
-                vec![MessageSpec::new(mesh.node(&[0, 0]), mesh.node(&[1, 1]), 0)],
-                None
+                vec![MessageSpec::new(mesh.node(&[0, 0]), mesh.node(&[1, 1]), 0)]
             )
             .unwrap_err(),
             SimError::ZeroLength
@@ -779,7 +750,6 @@ mod tests {
             mesh.network(),
             routing,
             vec![MessageSpec::new(mesh.node(&[0, 0]), mesh.node(&[1, 1]), 2)],
-            None,
         )
         .unwrap();
         let mut state = sim.initial_state();
@@ -791,7 +761,6 @@ mod tests {
             .unwrap();
         let d = AdaptiveDecisions {
             moves: [(MessageId::from_index(0), bogus)].into_iter().collect(),
-            stalls: vec![],
         };
         sim.step(&mut state, &d);
     }

@@ -341,27 +341,12 @@ impl Sim {
         inject: &[MessageId],
         stalls: &[MessageId],
     ) -> BTreeMap<ChannelId, Vec<MessageId>> {
-        self.header_requests_frozen(state, inject, stalls, &[])
-    }
-
-    /// [`Sim::header_requests`] with clock-skew awareness: requests
-    /// into frozen channels are suppressed (an inactive queue accepts
-    /// nothing this cycle).
-    pub fn header_requests_frozen(
-        &self,
-        state: &SimState,
-        inject: &[MessageId],
-        stalls: &[MessageId],
-        frozen: &[ChannelId],
-    ) -> BTreeMap<ChannelId, Vec<MessageId>> {
-        let mask = self.channel_mask(frozen);
         let mut pairs = Vec::new();
         self.collect_requests(
             state,
             &StepChoice {
                 inject,
                 stalls,
-                frozen: &mask,
                 ..StepChoice::default()
             },
             &mut pairs,
@@ -1196,8 +1181,15 @@ mod tests {
         let c0 = sim.path(m0)[0];
         let mut state = sim.initial_state();
         // Injection attempt into a frozen first channel: no request.
-        let reqs = sim.header_requests_frozen(&state, &[m0], &[], &[c0]);
-        assert!(reqs.is_empty());
+        let frozen = sim.channel_mask(&[c0]);
+        let mut scratch = StepScratch::new();
+        let choice = StepChoice {
+            inject: &[m0],
+            frozen: &frozen,
+            ..StepChoice::default()
+        };
+        sim.resolve_requests(&state, &choice, &mut scratch);
+        assert!(scratch.requests().is_empty());
         let r = sim.step(
             &mut state,
             &Decisions {

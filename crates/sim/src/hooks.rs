@@ -3,7 +3,7 @@
 //!
 //! The simulator externalizes nondeterminism through [`Decisions`];
 //! the [`crate::runner::Runner`] computes a concrete decision vector
-//! each cycle from its policy, stall plan, and skew model. A
+//! each cycle from its policy and skew model. A
 //! [`DecisionHook`] slots in between: after the runner assembles the
 //! cycle's tentative `inject`/`stalls`/`frozen` sets but *before*
 //! header requests are evaluated and arbitration winners are chosen,
@@ -15,7 +15,8 @@
 //! This is the seam the `wormfault` crate uses to apply fault plans —
 //! channel outages extend `frozen`, flit drops extend `stalls`,
 //! injection jitter and retry backoff prune `inject` — without the
-//! engine or the runner knowing anything about faults. A hook that
+//! engine or the runner knowing anything about faults. It is also the
+//! runner's only way to stall a message. A hook that
 //! never mutates anything leaves the runner's behaviour bit-identical
 //! to the hook-free path (`tests/fault_conformance.rs` holds this
 //! contract down to trace reports).
@@ -170,6 +171,50 @@ mod tests {
                 assert!(cycles > baseline, "freeze must cost cycles");
                 assert_eq!(hook.observed_steps, cycles);
             }
+            o => panic!("{o:?}"),
+        }
+    }
+
+    /// A hook that stalls one message on the listed cycles.
+    struct StallOn {
+        msg: MessageId,
+        cycles: Vec<u64>,
+    }
+
+    impl DecisionHook for StallOn {
+        fn adjust(&mut self, _: &Sim, _: &SimState, time: u64, d: &mut Decisions) {
+            if self.cycles.contains(&time) {
+                d.stalls.push(self.msg);
+            }
+        }
+    }
+
+    #[test]
+    fn stalling_hook_delays_delivery_by_the_stalled_cycles() {
+        let (net, _) = line(3);
+        let table = shortest_path_table(&net).unwrap();
+        let sim = Sim::new(
+            &net,
+            &table,
+            vec![MessageSpec::new(
+                NodeId::from_index(0),
+                NodeId::from_index(2),
+                2,
+            )],
+            None,
+        )
+        .unwrap();
+        let baseline = match Runner::new(&sim, ArbitrationPolicy::LowestId).run(100) {
+            Outcome::Delivered { cycles } => cycles,
+            o => panic!("{o:?}"),
+        };
+        let mut hook = StallOn {
+            msg: MessageId::from_index(0),
+            cycles: vec![1, 2, 3],
+        };
+        let mut r = Runner::new(&sim, ArbitrationPolicy::LowestId);
+        match r.run_hooked(100, &mut hook) {
+            Outcome::Delivered { cycles } => assert_eq!(cycles, baseline + 3),
             o => panic!("{o:?}"),
         }
     }

@@ -20,8 +20,6 @@
 //! visited set with the words [`StateCodec::pack_words`] writes into a
 //! reused buffer, hashed by [`hash_words`].
 
-use std::hash::Hasher;
-
 use crate::engine::Sim;
 use crate::state::{ChannelOcc, SimState};
 use crate::MessageId;
@@ -170,11 +168,6 @@ impl StateCodec {
         self.words
     }
 
-    /// Number of channels that can ever be occupied.
-    pub fn relevant_channels(&self) -> usize {
-        self.relevant.len()
-    }
-
     /// Pack `(state, budget)` into its canonical key words, written
     /// into `buf` (cleared and refilled, so a caller packing millions
     /// of states reuses one allocation) — what a visited set probes
@@ -242,79 +235,18 @@ impl StateCodec {
 /// with well-mixed bits.
 const FX_SEED: u64 = 0x51_7c_c1_b7_27_22_0a_95;
 
-/// A fast non-cryptographic [`Hasher`] tuned for packed key words.
+/// The hash of a key's words, for tables that store the words
+/// themselves.
 ///
 /// Packed keys are already near-uniform bit soup (minimal-width fields
-/// densely concatenated), so the default SipHash's flooding resistance
-/// buys nothing here while costing most of a visited-set probe. This
-/// is the rustc "fx" construction: rotate, xor, multiply per word.
-#[derive(Clone, Debug, Default)]
-pub struct PackedHasher {
-    hash: u64,
-}
-
-impl PackedHasher {
-    #[inline]
-    fn add(&mut self, word: u64) {
-        self.hash = (self.hash.rotate_left(5) ^ word).wrapping_mul(FX_SEED);
-    }
-}
-
-impl Hasher for PackedHasher {
-    #[inline]
-    fn finish(&self) -> u64 {
-        self.hash
-    }
-
-    #[inline]
-    fn write(&mut self, bytes: &[u8]) {
-        let mut chunks = bytes.chunks_exact(8);
-        for chunk in &mut chunks {
-            self.add(u64::from_le_bytes(chunk.try_into().expect("8-byte chunk")));
-        }
-        let rest = chunks.remainder();
-        if !rest.is_empty() {
-            let mut tail = [0u8; 8];
-            tail[..rest.len()].copy_from_slice(rest);
-            self.add(u64::from_le_bytes(tail));
-        }
-    }
-
-    #[inline]
-    fn write_u8(&mut self, i: u8) {
-        self.add(i as u64);
-    }
-
-    #[inline]
-    fn write_u16(&mut self, i: u16) {
-        self.add(i as u64);
-    }
-
-    #[inline]
-    fn write_u32(&mut self, i: u32) {
-        self.add(i as u64);
-    }
-
-    #[inline]
-    fn write_u64(&mut self, i: u64) {
-        self.add(i);
-    }
-
-    #[inline]
-    fn write_usize(&mut self, i: usize) {
-        self.add(i as u64);
-    }
-}
-
-/// The [`PackedHasher`] hash of a key's words, for tables that store
-/// the words themselves.
+/// densely concatenated), so SipHash's flooding resistance would buy
+/// nothing here while costing most of a visited-set probe. This is the
+/// rustc "fx" construction: rotate, xor, multiply per word.
 #[inline]
 pub fn hash_words(words: &[u64]) -> u64 {
-    let mut h = PackedHasher::default();
-    for &w in words {
-        h.add(w);
-    }
-    h.hash
+    words.iter().fold(0, |hash: u64, &word| {
+        (hash.rotate_left(5) ^ word).wrapping_mul(FX_SEED)
+    })
 }
 
 #[cfg(test)]
@@ -414,7 +346,7 @@ mod tests {
     }
 
     #[test]
-    fn packed_hasher_agrees_with_itself_and_separates_keys() {
+    fn hash_words_agrees_with_itself_and_separates_keys() {
         let sim = ring_sim();
         let codec = StateCodec::new(&sim, 3);
         let a = key(&codec, &sim.initial_state(), 3);

@@ -1,7 +1,7 @@
 //! Policy-driven simulation runner.
 //!
 //! [`Runner`] drives the engine with concrete arbitration policies and
-//! an optional stall plan, collecting [`crate::stats::Stats`]. The
+//! an optional skew model, collecting [`crate::stats::Stats`]. The
 //! adversarial policy implements the paper's Section 3 assumption:
 //! "when multiple messages arrive simultaneously and request the same
 //! output channel, and one of these messages can lead to a deadlock,
@@ -14,15 +14,14 @@
 //! the state nor the arbitration memory, so every following cycle
 //! repeats it until an input differs. The loop jumps straight to the
 //! earliest such cycle: the next `inject_at`, the hook's
-//! [`DecisionHook::quiet_until`], or the horizon. A pausing skew model
-//! freezes a different set every period, and a stall plan freezes
-//! messages at cycles of its own; either blocks the skip. The skipped
-//! cycles are added to [`Stats`] (cycles, busy channels) and to the `sim.*` counters in one step, so outcomes,
+//! [`DecisionHook::quiet_until`], or the horizon. Only a pausing skew
+//! model blocks the skip: it freezes a different set every period.
+//! Messages are stalled through a hook, which names its next stall
+//! cycle in `quiet_until`. The skipped cycles are added to [`Stats`]
+//! (cycles, busy channels) and to the `sim.*` counters in one step, so outcomes,
 //! final states, statistics and trace counters are those of stepping
 //! every cycle. [`Runner::step`] and [`Runner::step_hooked`] never skip:
 //! they are the oracle `tests/sim_skip.rs` holds the loop to.
-
-use std::collections::BTreeMap;
 
 use wormnet::ChannelId;
 
@@ -45,13 +44,9 @@ pub enum ArbitrationPolicy {
     /// wins (FIFO-like; ties to lowest id).
     OldestFirst,
     /// The paper's adversarial policy: the message most likely to
-    /// complete a deadlock wins. Heuristic: most remaining hops; an
-    /// explicit priority list (e.g. the messages of a deadlock
-    /// candidate) takes precedence when supplied.
-    Adversarial {
-        /// Messages to favour unconditionally, in priority order.
-        favored: Vec<MessageId>,
-    },
+    /// complete a deadlock wins. Heuristic: most remaining hops, ties
+    /// to the lowest id.
+    Adversarial,
 }
 
 /// Terminal result of a run.
@@ -83,17 +78,13 @@ impl Outcome {
     }
 }
 
-/// A plan of adversarial stalls: message → cycles at which it is
-/// frozen.
-pub type StallPlan = BTreeMap<MessageId, Vec<u64>>;
-
-/// Drives a [`Sim`] with a policy, stall plan, and statistics.
+/// Drives a [`Sim`] with a policy, an optional skew model, and
+/// statistics.
 pub struct Runner<'a> {
     sim: &'a Sim,
     state: SimState,
     time: u64,
     policy: ArbitrationPolicy,
-    stall_plan: StallPlan,
     /// Every message's `inject_at`, ascending and deduplicated.
     inject_times: Vec<u64>,
     /// A skew model in which some router pauses (see
@@ -140,7 +131,6 @@ impl<'a> Runner<'a> {
             state: sim.initial_state(),
             time: 0,
             policy,
-            stall_plan: StallPlan::new(),
             inject_times,
             skew: None,
             stats: Stats::new(sim.message_count(), sim.channel_count()),
@@ -152,13 +142,6 @@ impl<'a> Runner<'a> {
             },
             sim,
         }
-    }
-
-    /// Attach a stall plan. A non-empty plan blocks the run loop's
-    /// skip (see the module docs).
-    pub fn with_stalls(mut self, plan: StallPlan) -> Self {
-        self.stall_plan = plan;
-        self
     }
 
     /// Attach a clock-skew model: each cycle, queues hosted by paused
@@ -250,10 +233,9 @@ impl<'a> Runner<'a> {
     /// After the quiet cycle `self.time - 1`: the first cycle at which
     /// one of its inputs can differ — the next `inject_at` or the
     /// hook's [`DecisionHook::quiet_until`]. A pausing skew model
-    /// freezes a different set every period, and only tests attach a
-    /// stall plan, so either allows no skip.
+    /// freezes a different set every period, so it allows no skip.
     fn next_change(&self, hook: Option<&dyn DecisionHook>) -> u64 {
-        if self.skew.is_some() || !self.stall_plan.is_empty() {
+        if self.skew.is_some() {
             return self.time;
         }
         let next = |times: &[u64]| {
@@ -304,7 +286,6 @@ impl<'a> Runner<'a> {
             state,
             stats,
             policy,
-            stall_plan,
             skew,
             waiting_since,
             last_winner,
@@ -321,19 +302,13 @@ impl<'a> Runner<'a> {
         } = buf;
 
         // Tentative decisions: the released pending messages (id
-        // order), the plan's stalls, the skew model's freezes.
+        // order) and the skew model's freezes.
         decisions.inject.clear();
         decisions.inject.extend(
             sim.messages()
                 .filter(|&m| !state.is_started(m) && sim.spec(m).inject_at <= cycle),
         );
         decisions.stalls.clear();
-        decisions.stalls.extend(
-            stall_plan
-                .iter()
-                .filter(|(_, cycles)| cycles.contains(&cycle))
-                .map(|(&m, _)| m),
-        );
         decisions.frozen.clear();
         if let Some(skew) = skew {
             skew.extend_frozen(cycle, &mut decisions.frozen);
@@ -475,22 +450,18 @@ fn pick_winner(
                 (since, m)
             })
             .expect("non-empty requests"),
-        ArbitrationPolicy::Adversarial { favored } => {
-            if let Some(&m) = favored.iter().find(|m| reqs.contains(m)) {
-                return m;
-            }
-            // Most remaining hops wins.
-            reqs.iter()
-                .copied()
-                .max_by_key(|&m| {
-                    let remaining = match sim.head_index(state, m) {
-                        Some(h) => sim.path(m).len() - h,
-                        None => sim.path(m).len() + 1,
-                    };
-                    (remaining, std::cmp::Reverse(m))
-                })
-                .expect("non-empty requests")
-        }
+        // Most remaining hops wins.
+        ArbitrationPolicy::Adversarial => reqs
+            .iter()
+            .copied()
+            .max_by_key(|&m| {
+                let remaining = match sim.head_index(state, m) {
+                    Some(h) => sim.path(m).len() - h,
+                    None => sim.path(m).len() + 1,
+                };
+                (remaining, std::cmp::Reverse(m))
+            })
+            .expect("non-empty requests"),
     }
 }
 
@@ -538,40 +509,9 @@ mod tests {
             .map(|i| MessageSpec::new(nodes[i], nodes[(i + 2) % 4], 4))
             .collect();
         let sim = Sim::new(&net, &table, specs, None).unwrap();
-        let mut runner = Runner::new(&sim, ArbitrationPolicy::Adversarial { favored: vec![] });
+        let mut runner = Runner::new(&sim, ArbitrationPolicy::Adversarial);
         let outcome = runner.run(1000);
         assert!(outcome.is_deadlock(), "got {outcome:?}");
-    }
-
-    #[test]
-    fn stall_plan_freezes_messages() {
-        let (net, _) = line(3);
-        let table = shortest_path_table(&net).unwrap();
-        let sim = Sim::new(
-            &net,
-            &table,
-            vec![MessageSpec::new(
-                NodeId::from_index(0),
-                NodeId::from_index(2),
-                2,
-            )],
-            None,
-        )
-        .unwrap();
-        let baseline = {
-            let mut r = Runner::new(&sim, ArbitrationPolicy::LowestId);
-            match r.run(100) {
-                Outcome::Delivered { cycles } => cycles,
-                o => panic!("{o:?}"),
-            }
-        };
-        let mut plan = StallPlan::new();
-        plan.insert(MessageId::from_index(0), vec![1, 2, 3]);
-        let mut r = Runner::new(&sim, ArbitrationPolicy::LowestId).with_stalls(plan);
-        match r.run(100) {
-            Outcome::Delivered { cycles } => assert_eq!(cycles, baseline + 3),
-            o => panic!("{o:?}"),
-        }
     }
 
     #[test]
@@ -593,36 +533,12 @@ mod tests {
             None,
         )
         .unwrap();
-        let mut r = Runner::new(&sim, ArbitrationPolicy::Adversarial { favored: vec![] });
+        let mut r = Runner::new(&sim, ArbitrationPolicy::Adversarial);
         r.step();
         assert!(r.state().is_started(MessageId::from_index(1)));
         assert!(!r.state().is_started(MessageId::from_index(0)));
 
         let mut r = Runner::new(&sim, ArbitrationPolicy::LowestId);
-        r.step();
-        assert!(r.state().is_started(MessageId::from_index(0)));
-    }
-
-    #[test]
-    fn favored_list_overrides_heuristic() {
-        let (net, _) = line(4);
-        let table = shortest_path_table(&net).unwrap();
-        let sim = Sim::new(
-            &net,
-            &table,
-            vec![
-                MessageSpec::new(NodeId::from_index(0), NodeId::from_index(1), 1),
-                MessageSpec::new(NodeId::from_index(0), NodeId::from_index(3), 1),
-            ],
-            None,
-        )
-        .unwrap();
-        let mut r = Runner::new(
-            &sim,
-            ArbitrationPolicy::Adversarial {
-                favored: vec![MessageId::from_index(0)],
-            },
-        );
         r.step();
         assert!(r.state().is_started(MessageId::from_index(0)));
     }
@@ -712,7 +628,7 @@ mod tests {
             .map(|i| MessageSpec::new(nodes[i], nodes[(i + 2) % 4], 4))
             .collect();
         let sim = Sim::new(&net, &table, specs, None).unwrap();
-        let mut r = Runner::new(&sim, ArbitrationPolicy::Adversarial { favored: vec![] });
+        let mut r = Runner::new(&sim, ArbitrationPolicy::Adversarial);
         assert!(r.run(1_000).is_deadlock());
         // All injected, none delivered; utilization nonzero.
         let stats = r.stats();

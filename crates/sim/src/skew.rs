@@ -100,17 +100,6 @@ impl SkewModel {
             }
         }
     }
-
-    /// Upper bound on pauses any single router takes in a window of
-    /// `window` cycles — the "bounded skew" the paper reasons about.
-    pub fn max_pauses_in_window(&self, window: u64) -> u64 {
-        self.schedule
-            .iter()
-            .flatten()
-            .map(|(period, _)| window.div_ceil(*period))
-            .max()
-            .unwrap_or(0)
-    }
 }
 
 #[cfg(test)]
@@ -132,7 +121,6 @@ mod tests {
         for t in 0..10 {
             assert!(frozen_at(&skew, t).is_empty());
         }
-        assert_eq!(skew.max_pauses_in_window(100), 0);
         assert!(!skew.pauses());
         assert!(skew.with_pause(NodeId::from_index(1), 4, 1).pauses());
     }
@@ -150,7 +138,6 @@ mod tests {
         }
         assert!(skew.is_paused(nodes[1], 5));
         assert!(!skew.is_paused(nodes[1], 6));
-        assert_eq!(skew.max_pauses_in_window(8), 2);
     }
 
     #[test]

@@ -63,21 +63,6 @@ impl Stats {
             .max()
     }
 
-    /// Latency percentile over delivered messages (`q` in `[0, 1]`,
-    /// nearest-rank). `None` if nothing was delivered.
-    pub fn latency_percentile(&self, q: f64) -> Option<u64> {
-        assert!((0.0..=1.0).contains(&q), "quantile out of range");
-        let mut lats: Vec<u64> = (0..self.injected_at.len())
-            .filter_map(|i| self.latency(MessageId::from_index(i)))
-            .collect();
-        if lats.is_empty() {
-            return None;
-        }
-        lats.sort_unstable();
-        let rank = ((q * lats.len() as f64).ceil() as usize).clamp(1, lats.len());
-        Some(lats[rank - 1])
-    }
-
     /// Aggregate throughput in flits per cycle.
     pub fn throughput(&self) -> f64 {
         if self.cycles == 0 {
@@ -110,26 +95,6 @@ mod tests {
         assert_eq!(s.delivered_count(), 1);
         assert_eq!(s.mean_latency(), Some(8.0));
         assert_eq!(s.max_latency(), Some(8));
-    }
-
-    #[test]
-    fn percentiles_nearest_rank() {
-        let mut s = Stats::new(4, 1);
-        for (i, lat) in [10u64, 20, 30, 40].iter().enumerate() {
-            s.injected_at[i] = Some(0);
-            s.delivered_at[i] = Some(*lat);
-        }
-        assert_eq!(s.latency_percentile(0.0), Some(10));
-        assert_eq!(s.latency_percentile(0.5), Some(20));
-        assert_eq!(s.latency_percentile(0.75), Some(30));
-        assert_eq!(s.latency_percentile(1.0), Some(40));
-        assert_eq!(Stats::new(1, 1).latency_percentile(0.5), None);
-    }
-
-    #[test]
-    #[should_panic(expected = "quantile")]
-    fn percentile_range_checked() {
-        Stats::new(1, 1).latency_percentile(1.5);
     }
 
     #[test]

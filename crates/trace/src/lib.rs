@@ -10,8 +10,8 @@
 //!
 //! * **counters** — monotonically accumulated `u64` event counts
 //!   ([`counter`]), e.g. `sim.cycles` or `classify.theorem5`;
-//! * **gauges** — last-value or high-water-mark `f64` measurements
-//!   ([`gauge`], [`gauge_max`]), e.g. `search.frontier_peak`;
+//! * **gauges** — high-water-mark `f64` measurements ([`gauge_max`]),
+//!   e.g. `search.frontier_peak`;
 //! * **spans** — wall-clock durations of named regions measured by an
 //!   RAII guard ([`span`]), e.g. `classify.algorithm`.
 //!
@@ -55,8 +55,8 @@ mod recorder;
 mod report;
 mod span;
 
-pub use recorder::{MemoryRecorder, NoopRecorder, Recorder};
-pub use report::{summarize, SpanStat, TraceReport, SCHEMA, SUMMARY_SCHEMA};
+pub use recorder::{MemoryRecorder, Recorder};
+pub use report::{escape_json, summarize, SpanStat, TraceReport, SCHEMA, SUMMARY_SCHEMA};
 pub use span::Span;
 
 use std::cell::RefCell;
@@ -101,7 +101,7 @@ pub fn enabled() -> bool {
 /// Install `recorder` as the calling thread's sink, replacing any
 /// previous one.
 ///
-/// Subsequent [`counter`]/[`gauge`]/[`gauge_max`]/[`span`] calls from
+/// Subsequent [`counter`]/[`gauge_max`]/[`span`] calls from
 /// this thread flow into it; other threads, including threads it
 /// spawns, are unaffected.
 pub fn install(recorder: Arc<dyn Recorder>) {
@@ -137,15 +137,6 @@ fn with_recorder(f: impl FnOnce(&dyn Recorder)) {
 pub fn counter(name: &'static str, delta: u64) {
     if enabled() {
         with_recorder(|r| r.add(name, delta));
-    }
-}
-
-/// Set the gauge `name` to `value` (last write wins). No-op unless a
-/// recorder is installed.
-#[inline]
-pub fn gauge(name: &'static str, value: f64) {
-    if enabled() {
-        with_recorder(|r| r.gauge(name, value));
     }
 }
 
@@ -188,7 +179,6 @@ mod tests {
         uninstall();
         assert!(!enabled());
         counter("x", 1);
-        gauge("y", 2.0);
         gauge_max("z", 3.0);
         drop(span("s"));
         // Nothing to observe: the point is that none of the above
@@ -202,7 +192,6 @@ mod tests {
         assert!(enabled());
         counter("c", 2);
         counter("c", 3);
-        gauge("g", 1.5);
         gauge_max("m", 4.0);
         gauge_max("m", 2.0); // lower: ignored
         {
@@ -213,7 +202,6 @@ mod tests {
         counter("c", 100); // after uninstall: dropped
         let report = rec.snapshot();
         assert_eq!(report.counters["c"], 5);
-        assert_eq!(report.gauges["g"], 1.5);
         assert_eq!(report.gauges["m"], 4.0);
         assert_eq!(report.spans["region"].count, 2);
     }

@@ -1,4 +1,4 @@
-//! The [`Recorder`] trait and its two standard implementations.
+//! The [`Recorder`] trait and its standard implementation.
 
 use std::collections::BTreeMap;
 use std::sync::Mutex;
@@ -17,29 +17,10 @@ use crate::report::{SpanStat, TraceReport};
 pub trait Recorder: Send + Sync {
     /// Add `delta` to the counter `name` (creating it at zero).
     fn add(&self, name: &'static str, delta: u64);
-    /// Set the gauge `name` to `value` (last write wins).
-    fn gauge(&self, name: &'static str, value: f64);
     /// Raise the gauge `name` to `value` if larger (high-water mark).
     fn gauge_max(&self, name: &'static str, value: f64);
     /// Record one observation of the span `name` lasting `elapsed`.
     fn span(&self, name: &'static str, elapsed: Duration);
-}
-
-/// The do-nothing recorder: every method is an empty body the
-/// optimizer removes entirely.
-///
-/// Installing it is equivalent to (but slightly slower than) calling
-/// [`crate::uninstall`], which also clears the enabled fast-path flag;
-/// its real use is as a stand-in where a `&dyn Recorder` is required
-/// unconditionally.
-#[derive(Clone, Copy, Debug, Default)]
-pub struct NoopRecorder;
-
-impl Recorder for NoopRecorder {
-    fn add(&self, _name: &'static str, _delta: u64) {}
-    fn gauge(&self, _name: &'static str, _value: f64) {}
-    fn gauge_max(&self, _name: &'static str, _value: f64) {}
-    fn span(&self, _name: &'static str, _elapsed: Duration) {}
 }
 
 /// Thread-safe in-memory accumulation, snapshotted into a
@@ -99,10 +80,6 @@ impl Recorder for MemoryRecorder {
             .or_insert(0) += delta;
     }
 
-    fn gauge(&self, name: &'static str, value: f64) {
-        self.gauges.lock().expect("gauge lock").insert(name, value);
-    }
-
     fn gauge_max(&self, name: &'static str, value: f64) {
         let mut gauges = self.gauges.lock().expect("gauge lock");
         let slot = gauges.entry(name).or_insert(f64::NEG_INFINITY);
@@ -129,8 +106,6 @@ mod tests {
         rec.add("a", 1);
         rec.add("a", 4);
         rec.add("b", 7);
-        rec.gauge("g", 2.0);
-        rec.gauge("g", 1.0); // last write wins
         rec.gauge_max("h", 1.0);
         rec.gauge_max("h", 9.0);
         rec.gauge_max("h", 3.0);
@@ -139,7 +114,6 @@ mod tests {
         let r = rec.snapshot();
         assert_eq!(r.counters["a"], 5);
         assert_eq!(r.counters["b"], 7);
-        assert_eq!(r.gauges["g"], 1.0);
         assert_eq!(r.gauges["h"], 9.0);
         assert_eq!(r.spans["s"].count, 2);
         assert_eq!(r.spans["s"].total, Duration::from_millis(5));
@@ -159,16 +133,5 @@ mod tests {
             }
         });
         assert_eq!(rec.snapshot().counters["hits"], 4000);
-    }
-
-    #[test]
-    fn noop_recorder_records_nothing() {
-        let rec = NoopRecorder;
-        rec.add("a", 1);
-        rec.gauge("g", 1.0);
-        rec.gauge_max("h", 1.0);
-        rec.span("s", Duration::from_millis(1));
-        // NoopRecorder has no state; this test documents that the
-        // calls are valid and side-effect free.
     }
 }

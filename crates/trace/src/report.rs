@@ -38,8 +38,11 @@ pub struct TraceReport {
     pub spans: BTreeMap<String, SpanStat>,
 }
 
-/// Escape a string for inclusion in a JSON string literal.
-fn escape(s: &str) -> String {
+/// Escape a string for inclusion in a JSON string literal: quotes,
+/// backslashes and control characters (`\n`, `\r` and `\t` by name,
+/// the rest as `\u00XX`). Every hand-rolled JSON writer of the
+/// workspace escapes with it.
+pub fn escape_json(s: &str) -> String {
     let mut out = String::with_capacity(s.len());
     for ch in s.chars() {
         match ch {
@@ -74,15 +77,18 @@ impl TraceReport {
     pub fn to_json(&self, experiment: &str) -> String {
         let mut out = String::new();
         out.push_str("{\n");
-        out.push_str(&format!("  \"schema\": \"{}\",\n", escape(SCHEMA)));
-        out.push_str(&format!("  \"experiment\": \"{}\",\n", escape(experiment)));
+        out.push_str(&format!("  \"schema\": \"{}\",\n", escape_json(SCHEMA)));
+        out.push_str(&format!(
+            "  \"experiment\": \"{}\",\n",
+            escape_json(experiment)
+        ));
 
         out.push_str("  \"counters\": {");
         let mut first = true;
         for (k, v) in &self.counters {
             out.push_str(if first { "\n" } else { ",\n" });
             first = false;
-            out.push_str(&format!("    \"{}\": {v}", escape(k)));
+            out.push_str(&format!("    \"{}\": {v}", escape_json(k)));
         }
         out.push_str(if first { "},\n" } else { "\n  },\n" });
 
@@ -91,7 +97,7 @@ impl TraceReport {
         for (k, v) in &self.gauges {
             out.push_str(if first { "\n" } else { ",\n" });
             first = false;
-            out.push_str(&format!("    \"{}\": {}", escape(k), json_f64(*v)));
+            out.push_str(&format!("    \"{}\": {}", escape_json(k), json_f64(*v)));
         }
         out.push_str(if first { "},\n" } else { "\n  },\n" });
 
@@ -102,7 +108,7 @@ impl TraceReport {
             first = false;
             out.push_str(&format!(
                 "    \"{}\": {{\"count\": {}, \"total_ns\": {}}}",
-                escape(k),
+                escape_json(k),
                 s.count,
                 s.total.as_nanos()
             ));
@@ -125,13 +131,16 @@ impl TraceReport {
 pub fn summarize<'a>(entries: impl IntoIterator<Item = (&'a str, &'a str)>) -> String {
     let mut out = String::new();
     out.push_str("{\n");
-    out.push_str(&format!("  \"schema\": \"{}\",\n", escape(SUMMARY_SCHEMA)));
+    out.push_str(&format!(
+        "  \"schema\": \"{}\",\n",
+        escape_json(SUMMARY_SCHEMA)
+    ));
     out.push_str("  \"experiments\": {");
     let mut first = true;
     for (name, raw) in entries {
         out.push_str(if first { "\n" } else { ",\n" });
         first = false;
-        out.push_str(&format!("    \"{}\": ", escape(name)));
+        out.push_str(&format!("    \"{}\": ", escape_json(name)));
         // Re-indent the embedded document so the summary stays
         // readable; JSON itself is whitespace-insensitive.
         let mut lines = raw.trim_end().lines();

@@ -34,7 +34,7 @@ fn main() {
         cdg.edge_count(),
         cdg.is_acyclic()
     );
-    let sim = AdaptiveSim::new(mesh.network(), routing, rotation(&mesh), Some(1)).expect("routed");
+    let sim = AdaptiveSim::new(mesh.network(), routing, rotation(&mesh)).expect("routed");
     match explore_adaptive(&sim, 10_000_000).verdict {
         AdaptiveVerdict::DeadlockReachable { members, decisions } => println!(
             "search: DEADLOCK — knot of {} messages after {} cycles\n",
@@ -56,8 +56,7 @@ fn main() {
         cdg2.is_acyclic(),
         escape.is_acyclic()
     );
-    let sim2 =
-        AdaptiveSim::new(mesh2.network(), routing2, rotation(&mesh2), Some(1)).expect("routed");
+    let sim2 = AdaptiveSim::new(mesh2.network(), routing2, rotation(&mesh2)).expect("routed");
     let result = explore_adaptive(&sim2, 30_000_000);
     match result.verdict {
         AdaptiveVerdict::DeadlockFree => println!(

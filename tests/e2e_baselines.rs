@@ -19,7 +19,7 @@ fn assert_never_deadlocks(net: &cyclic_wormhole::net::Network, table: &TableRout
     assert!(!specs.is_empty());
     // One-flit buffers, adversarial arbitration: the harshest setting.
     let sim = Sim::new(net, table, specs, Some(1)).expect("routed");
-    let mut runner = Runner::new(&sim, ArbitrationPolicy::Adversarial { favored: vec![] });
+    let mut runner = Runner::new(&sim, ArbitrationPolicy::Adversarial);
     let outcome = runner.run(2_000_000);
     assert!(
         matches!(outcome, Outcome::Delivered { .. }),
@@ -75,7 +75,7 @@ fn clockwise_ring_fails_everywhere() {
         .map(|i| cyclic_wormhole::sim::MessageSpec::new(nodes[i], nodes[(i + 3) % 5], 6))
         .collect();
     let sim = Sim::new(&net, &table, specs, Some(1)).unwrap();
-    let mut runner = Runner::new(&sim, ArbitrationPolicy::Adversarial { favored: vec![] });
+    let mut runner = Runner::new(&sim, ArbitrationPolicy::Adversarial);
     assert!(runner.run(10_000).is_deadlock());
 }
 

@@ -76,7 +76,7 @@ fn figure3_search_and_simulation_agree() {
                 ArbitrationPolicy::LowestId,
                 ArbitrationPolicy::RoundRobin,
                 ArbitrationPolicy::OldestFirst,
-                ArbitrationPolicy::Adversarial { favored: vec![] },
+                ArbitrationPolicy::Adversarial,
             ] {
                 let mut runner = Runner::new(&sim, policy);
                 let outcome = runner.run(10_000);

@@ -17,8 +17,7 @@ fn fig1_tolerates_random_bounded_skew() {
         let sim = Sim::new(&c.net, &c.table, c.message_specs(), Some(1)).unwrap();
         let mut rng = rand::rngs::StdRng::seed_from_u64(seed);
         let skew = SkewModel::uniform_random(&c.net, &mut rng, 4);
-        let mut runner =
-            Runner::new(&sim, ArbitrationPolicy::Adversarial { favored: vec![] }).with_skew(skew);
+        let mut runner = Runner::new(&sim, ArbitrationPolicy::Adversarial).with_skew(skew);
         let outcome = runner.run(50_000);
         assert!(
             matches!(outcome, Outcome::Delivered { .. }),
@@ -45,8 +44,7 @@ fn generalized_family_tolerates_tight_skew() {
         // duty-cycled routers, not a deadlock). At period >= 3 any two
         // routers are jointly active at least one cycle in three.
         let skew = SkewModel::uniform_random(&c.net, &mut rng, 3);
-        let mut runner =
-            Runner::new(&sim, ArbitrationPolicy::Adversarial { favored: vec![] }).with_skew(skew);
+        let mut runner = Runner::new(&sim, ArbitrationPolicy::Adversarial).with_skew(skew);
         let outcome = runner.run(100_000);
         assert!(
             matches!(outcome, Outcome::Delivered { .. }),

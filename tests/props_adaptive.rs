@@ -49,7 +49,7 @@ proptest! {
         // Adaptive run over the singleton relation, greedy first-free
         // (identical tie-breaking: lowest message id claims first).
         let relation = from_table(mesh.network(), &table).expect("compiles");
-        let asim = AdaptiveSim::new(mesh.network(), relation, specs, Some(1)).expect("routed");
+        let asim = AdaptiveSim::new(mesh.network(), relation, specs).expect("routed");
         let mut arunner = AdaptiveRunner::new(&asim, AdaptivePolicy::FirstFree);
         let adaptive = arunner.run(100_000);
 
@@ -82,7 +82,7 @@ proptest! {
         let routing = fully_adaptive_minimal(&mesh);
         let specs = mesh_messages(&mesh, &raw);
         prop_assume!(!specs.is_empty());
-        let sim = AdaptiveSim::new(mesh.network(), routing, specs, Some(1)).expect("routed");
+        let sim = AdaptiveSim::new(mesh.network(), routing, specs).expect("routed");
         let mut state = sim.initial_state();
         let mut pos = 0usize;
         let mut next = || {
@@ -109,7 +109,7 @@ proptest! {
                 claimed.push(pick);
                 moves.insert(m, pick);
             }
-            sim.step(&mut state, &AdaptiveDecisions { moves, stalls: vec![] });
+            sim.step(&mut state, &AdaptiveDecisions { moves });
             sim.check_invariants(&state);
         }
         // Taken prefixes never exceed a minimal path's length on a
@@ -132,7 +132,7 @@ proptest! {
             MessageSpec::new(mesh.node(&[0, 0]), mesh.node(&[2, 1]), 3),
             MessageSpec::new(mesh.node(&[2, 2]), mesh.node(&[0, 1]), 3),
         ];
-        let sim = AdaptiveSim::new(mesh.network(), routing, specs, Some(1)).expect("routed");
+        let sim = AdaptiveSim::new(mesh.network(), routing, specs).expect("routed");
         let mut runner = AdaptiveRunner::new(&sim, AdaptivePolicy::Seeded(seed));
         let outcome = runner.run(10_000);
         let delivered = matches!(outcome, Outcome::Delivered { .. });

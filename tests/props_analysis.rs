@@ -101,7 +101,7 @@ proptest! {
         if result.verdict.is_free() {
             for policy in [
                 ArbitrationPolicy::LowestId,
-                ArbitrationPolicy::Adversarial { favored: vec![] },
+                ArbitrationPolicy::Adversarial,
             ] {
                 let mut runner = Runner::new(&sim, policy);
                 let outcome = runner.run(50_000);

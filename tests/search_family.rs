@@ -74,7 +74,6 @@ fn config(stall_budget: u32) -> SearchConfig {
     SearchConfig {
         stall_budget,
         max_states: 200_000,
-        ..SearchConfig::default()
     }
 }
 

@@ -10,8 +10,6 @@
 //! - Figure 1, Figure 2 and Figure 3 (a)–(f) at stall budget 0;
 //! - `G(1)`–`G(5)` at stall budgets 0, `k` and `k + 1` (Section 6:
 //!   `k` stalls are not enough, `k + 1` are);
-//! - every construction at stall budget 0 with its shared channel
-//!   `c_s` dead (`SearchConfig::dead_channels`);
 //! - the Definition 5 target search (`explore_until`) on the canonical
 //!   candidates of Figure 1 and Figure 3 (a)–(f).
 //!
@@ -98,14 +96,6 @@ fn sim_for(c: &CycleConstruction, specs: Vec<MessageSpec>) -> Sim {
     Sim::new(&c.net, &c.table, specs, Some(1)).expect("paper constructions route")
 }
 
-fn config(stall_budget: u32, dead_channels: Vec<ChannelId>) -> SearchConfig {
-    SearchConfig {
-        stall_budget,
-        dead_channels,
-        ..SearchConfig::default()
-    }
-}
-
 /// The Definition 5 search `worm_core::candidate_reachable` runs: can
 /// the construction's canonical candidate configuration be reached?
 fn candidate_search(c: &CycleConstruction) -> SearchResult {
@@ -122,7 +112,7 @@ fn candidate_search(c: &CycleConstruction) -> SearchResult {
         .enumerate()
         .map(|(i, s)| (MessageId::from_index(i), s.channels.clone()))
         .collect();
-    explore_until(&sim, &config(0, Vec::new()), move |_, state| {
+    explore_until(&sim, &SearchConfig::default(), move |_, state| {
         segments.iter().all(|(m, chans)| {
             chans
                 .iter()
@@ -149,17 +139,10 @@ fn snapshot() -> String {
             jobs.push(Box::new(move || {
                 render(
                     &format!("explore {name} stall={budget}"),
-                    &explore(&sim, &config(budget, Vec::new())),
+                    &explore(&sim, &SearchConfig::with_stalls(budget)),
                 )
             }));
         }
-        let (name_cs, sim, cs) = (name.clone(), sim_for(&c, specs.clone()), c.cs);
-        jobs.push(Box::new(move || {
-            render(
-                &format!("explore {name_cs} stall=0 dead=[{cs}]"),
-                &explore(&sim, &config(0, vec![cs])),
-            )
-        }));
         if name == "fig1" || name.starts_with("fig3_") {
             let c = c.clone();
             let name = name.clone();

@@ -7,7 +7,7 @@
 //! inputs both ways and requires the same outcome, final state,
 //! `Stats`, `FaultReport` and `sim.*`/`fault.*` trace counters. The
 //! inputs: the healthy Figures 1–3 and seeded 4×4 mesh traffic under
-//! every arbitration policy, with deeper queues, a stall comb, a
+//! every arbitration policy, with deeper queues, stall combs, a
 //! pausing skew model and a hook that prunes injections, stalls worms
 //! and freezes a channel; clockwise and dateline rings; runs stopped
 //! and resumed at many horizons; the 13 paper constructions with `c_s`
@@ -15,7 +15,9 @@
 //! outages, router stalls, flit drops, corruption and injection
 //! jitter) under both retry policies; far-future `inject_at` times;
 //! and proptest-generated topologies, traffic, stall combs, skew and
-//! hook decisions.
+//! hook decisions. Stall combs reach the runner as the fault layer's
+//! flit drops do, through a hook ([`Combs`]) that names its next stall
+//! cycle, so the skipping loop jumps from stall to stall.
 //!
 //! Each test records into a recorder installed on its own thread, so
 //! the tests run side by side without mixing counters;
@@ -34,7 +36,7 @@ use cyclic_wormhole::route::algorithms::{
 };
 use cyclic_wormhole::route::TableRouting;
 use cyclic_wormhole::sim::hooks::DecisionHook;
-use cyclic_wormhole::sim::runner::{ArbitrationPolicy, Outcome, Runner, StallPlan};
+use cyclic_wormhole::sim::runner::{ArbitrationPolicy, Outcome, Runner};
 use cyclic_wormhole::sim::skew::SkewModel;
 use cyclic_wormhole::sim::stats::Stats;
 use cyclic_wormhole::sim::{traffic, Decisions, MessageId, MessageSpec, Sim, SimState, StepReport};
@@ -68,11 +70,52 @@ struct Run<O> {
     counters: BTreeMap<String, u64>,
 }
 
+/// Stall combs applied through the hook seam: each message is stalled
+/// on the cycles listed for it. A message that does not exist may be
+/// listed too; the engine counts its stall. The next listed cycle is
+/// the hook's `quiet_until`.
+#[derive(Clone, Debug, Default)]
+struct Combs(BTreeMap<MessageId, Vec<u64>>);
+
+impl DecisionHook for Combs {
+    fn adjust(&mut self, _: &Sim, _: &SimState, time: u64, d: &mut Decisions) {
+        d.stalls.extend(
+            self.0
+                .iter()
+                .filter(|(_, cycles)| cycles.contains(&time))
+                .map(|(&m, _)| m),
+        );
+    }
+
+    fn quiet_until(&self, time: u64) -> u64 {
+        let later = self.0.values().flatten().filter(|&&t| t > time);
+        later.copied().min().unwrap_or(u64::MAX)
+    }
+}
+
+/// `hook`, or else `combs` (a copy of the run's stall combs) when
+/// they stall anything.
+fn hook_or<'h>(
+    hook: Option<&'h mut (dyn DecisionHook + '_)>,
+    combs: &'h mut Combs,
+) -> Option<&'h mut dyn DecisionHook> {
+    assert!(
+        hook.is_none() || combs.0.is_empty(),
+        "a run takes stall combs or a hook, not both"
+    );
+    match hook {
+        Some(h) => Some(h as &mut dyn DecisionHook),
+        None if combs.0.is_empty() => None,
+        None => Some(combs),
+    }
+}
+
 /// One plain run's inputs.
 struct Plain<'a> {
     sim: &'a Sim,
     policy: ArbitrationPolicy,
-    stalls: StallPlan,
+    /// Stall combs, applied as the run's hook when it is given none.
+    stalls: Combs,
     skew: Option<SkewModel>,
 }
 
@@ -81,13 +124,13 @@ impl<'a> Plain<'a> {
         Plain {
             sim,
             policy,
-            stalls: StallPlan::new(),
+            stalls: Combs::default(),
             skew: None,
         }
     }
 
     fn runner(&self) -> Runner<'a> {
-        let mut r = Runner::new(self.sim, self.policy.clone()).with_stalls(self.stalls.clone());
+        let mut r = Runner::new(self.sim, self.policy.clone());
         if let Some(skew) = &self.skew {
             r = r.with_skew(skew.clone());
         }
@@ -97,6 +140,8 @@ impl<'a> Plain<'a> {
     /// `Runner::run` / `run_hooked`.
     fn skipping(&self, max: u64, hook: Option<&mut dyn DecisionHook>) -> Run<Outcome> {
         let mut r = self.runner();
+        let mut combs = self.stalls.clone();
+        let hook = hook_or(hook, &mut combs);
         let (outcome, counters) = recorded(|| match hook {
             Some(h) => r.run_hooked(max, h),
             None => r.run(max),
@@ -106,9 +151,11 @@ impl<'a> Plain<'a> {
 
     /// One `step` / `step_hooked` per cycle, with the full deadlock
     /// walk after each.
-    fn stepped(&self, max: u64, mut hook: Option<&mut dyn DecisionHook>) -> Run<Outcome> {
+    fn stepped(&self, max: u64, hook: Option<&mut dyn DecisionHook>) -> Run<Outcome> {
         let sim = self.sim;
         let mut r = self.runner();
+        let mut combs = self.stalls.clone();
+        let mut hook = hook_or(hook, &mut combs);
         let (outcome, counters) = recorded(|| {
             while r.time() < max {
                 if sim.all_delivered(r.state()) {
@@ -254,15 +301,6 @@ fn retry_policies() -> [RetryPolicy; 2] {
     ]
 }
 
-/// The four policies, plus an adversarial one that favours the first
-/// two of `sim`'s messages.
-fn every_policy(sim: &Sim) -> Vec<ArbitrationPolicy> {
-    let favored = ArbitrationPolicy::Adversarial {
-        favored: sim.messages().take(2).collect(),
-    };
-    policies().into_iter().chain([favored]).collect()
-}
-
 /// The healthy Figures 1–3 and 4×4 mesh traffic.
 fn healthy() -> Vec<(String, Network, TableRouting, Vec<MessageSpec>)> {
     workloads(4, &[3, 11, 42], 0.3, 30)
@@ -272,7 +310,7 @@ fn healthy() -> Vec<(String, Network, TableRouting, Vec<MessageSpec>)> {
 fn healthy_workloads_match_the_stepped_loop_under_every_policy() {
     for (name, net, table, specs) in healthy() {
         let sim = Sim::new(&net, &table, specs, Some(1)).expect("routed");
-        for policy in every_policy(&sim) {
+        for policy in policies() {
             Plain::new(&sim, policy).assert_skip_matches(&name, 10_000);
         }
     }
@@ -304,7 +342,7 @@ fn clockwise_and_dateline_rings_match_the_stepped_loop() {
         let (net, nodes) = ring_unidirectional(n);
         let table = clockwise_ring(&net, &nodes).expect("ring routes");
         let sim = Sim::new(&net, &table, all_around(&nodes), Some(1)).expect("routed");
-        for policy in every_policy(&sim) {
+        for policy in policies() {
             Plain::new(&sim, policy).assert_skip_matches(&format!("clockwise ring {n}"), 10_000);
         }
     }
@@ -313,7 +351,7 @@ fn clockwise_and_dateline_rings_match_the_stepped_loop() {
         let (net, nodes) = ring_with_vcs(n, 2);
         let table = dateline_ring(&net, &nodes).expect("dateline routes");
         let sim = Sim::new(&net, &table, all_around(&nodes), Some(1)).expect("routed");
-        for policy in every_policy(&sim) {
+        for policy in policies() {
             let run = Plain::new(&sim, policy.clone());
             run.assert_skip_matches(&format!("dateline ring {n}"), 10_000);
             let outcome = run.skipping(10_000, None).outcome;
@@ -330,12 +368,12 @@ fn stall_combs_match_the_stepped_loop_on_every_healthy_workload() {
     for (name, net, table, specs) in healthy() {
         let sim = Sim::new(&net, &table, specs, Some(1)).expect("routed");
         // Stall each message on a deterministic comb of cycles.
-        let mut stalls = StallPlan::new();
+        let mut stalls = Combs::default();
         for (i, m) in sim.messages().enumerate() {
             let phase = (i as u64) % 5;
-            stalls.insert(m, (0..8).map(|k| phase + 3 * k).collect());
+            stalls.0.insert(m, (0..8).map(|k| phase + 3 * k).collect());
         }
-        for policy in every_policy(&sim) {
+        for policy in policies() {
             let mut run = Plain::new(&sim, policy);
             run.stalls = stalls.clone();
             run.assert_skip_matches(&format!("{name} stall comb"), 10_000);
@@ -354,7 +392,7 @@ fn pausing_skew_matches_the_stepped_loop_on_every_healthy_workload() {
                 skew = skew.with_pause(node, period, i as u64 % period);
             }
         }
-        for policy in every_policy(&sim) {
+        for policy in policies() {
             let mut run = Plain::new(&sim, policy);
             run.skew = Some(skew.clone());
             run.assert_skip_matches(&format!("{name} skew"), 10_000);
@@ -397,7 +435,7 @@ fn chaos_hooks_match_the_stepped_loop() {
     for (name, net, table, specs) in healthy() {
         let sim = Sim::new(&net, &table, specs, Some(1)).expect("routed");
         let victim = ChannelId::from_index(net.channel_count() / 2);
-        for policy in every_policy(&sim) {
+        for policy in policies() {
             let run = Plain::new(&sim, policy.clone());
             let stepped = run.stepped(10_000, Some(&mut Chaos { victim }));
             let skipping = run.skipping(10_000, Some(&mut Chaos { victim }));
@@ -671,7 +709,7 @@ fn policies() -> [ArbitrationPolicy; 4] {
         ArbitrationPolicy::LowestId,
         ArbitrationPolicy::RoundRobin,
         ArbitrationPolicy::OldestFirst,
-        ArbitrationPolicy::Adversarial { favored: vec![] },
+        ArbitrationPolicy::Adversarial,
     ]
 }
 
@@ -696,17 +734,63 @@ fn far_future_injections_match_the_stepped_loop() {
 #[test]
 fn stall_plans_match_the_stepped_loop() {
     let (_, sim) = line_sim(4, &[(0, 3, 3, 0), (1, 3, 2, 200), (0, 2, 2, 205)]);
-    let mut stalls = StallPlan::new();
-    stalls.insert(MessageId::from_index(0), vec![1, 2, 50, 2]);
-    stalls.insert(MessageId::from_index(1), vec![150, 201, 203, 700]);
-    // A stall on a message that does not exist is counted, as the
-    // engines tolerate it.
-    stalls.insert(MessageId::from_index(7), vec![400]);
+    let stalls = Combs(BTreeMap::from([
+        (MessageId::from_index(0), vec![1, 2, 50, 2]),
+        (MessageId::from_index(1), vec![150, 201, 203, 700]),
+        // A stall on a message that does not exist is counted, as the
+        // engines tolerate it.
+        (MessageId::from_index(7), vec![400]),
+    ]));
     for policy in policies() {
         let mut run = Plain::new(&sim, policy);
         run.stalls = stalls.clone();
         run.assert_skip_matches("stall plan", 1_000);
     }
+}
+
+/// A stall comb does not block the skip: the loop jumps from one
+/// stall to the next and asks the hook only about the cycles it steps.
+#[test]
+fn a_stall_comb_skips_between_its_stalls() {
+    let (_, sim) = line_sim(4, &[(0, 3, 3, 0), (1, 3, 2, 900)]);
+    let combs = Combs(BTreeMap::from([
+        (MessageId::from_index(0), vec![1, 2, 300]),
+        (MessageId::from_index(7), vec![600]),
+    ]));
+    let mut run = Plain::new(&sim, ArbitrationPolicy::LowestId);
+    run.stalls = combs.clone();
+    run.assert_skip_matches("sparse stalls", 2_000);
+
+    /// Counts the cycles the runner actually steps.
+    struct Counted {
+        inner: Combs,
+        adjusted: u64,
+    }
+    impl DecisionHook for Counted {
+        fn adjust(&mut self, sim: &Sim, state: &SimState, time: u64, d: &mut Decisions) {
+            self.adjusted += 1;
+            self.inner.adjust(sim, state, time, d);
+        }
+        fn quiet_until(&self, time: u64) -> u64 {
+            self.inner.quiet_until(time)
+        }
+    }
+    let mut hook = Counted {
+        inner: combs,
+        adjusted: 0,
+    };
+    let mut r = Runner::new(&sim, ArbitrationPolicy::LowestId);
+    let outcome = r.run_hooked(2_000, &mut hook);
+    assert!(
+        matches!(outcome, Outcome::Delivered { cycles } if cycles > 900),
+        "{outcome:?}"
+    );
+    assert!(
+        hook.adjusted < 50,
+        "stepped {} of {} cycles",
+        hook.adjusted,
+        r.time()
+    );
 }
 
 #[test]
@@ -852,7 +936,7 @@ fn arb_policy() -> impl Strategy<Value = ArbitrationPolicy> {
         Just(ArbitrationPolicy::LowestId),
         Just(ArbitrationPolicy::RoundRobin),
         Just(ArbitrationPolicy::OldestFirst),
-        Just(ArbitrationPolicy::Adversarial { favored: vec![] }),
+        Just(ArbitrationPolicy::Adversarial),
     ]
 }
 
@@ -924,7 +1008,7 @@ proptest! {
             x = x.wrapping_mul(2654435761).wrapping_add(12345);
             if x.is_multiple_of(3) {
                 let phase = u64::from(x % 7);
-                run.stalls.insert(m, (0..6).map(|k| phase + 2 * k).collect());
+                run.stalls.0.insert(m, (0..6).map(|k| phase + 2 * k).collect());
             }
         }
         if let Some(period) = skew_period {

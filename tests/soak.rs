@@ -44,7 +44,7 @@ fn torus_6x6_dateline_under_bit_complement_like_load() {
         })
         .collect();
     let sim = Sim::new(torus.network(), &table, specs, Some(1)).unwrap();
-    let mut runner = Runner::new(&sim, ArbitrationPolicy::Adversarial { favored: vec![] });
+    let mut runner = Runner::new(&sim, ArbitrationPolicy::Adversarial);
     let outcome = runner.run(1_000_000);
     assert!(
         matches!(outcome, Outcome::Delivered { .. }),
