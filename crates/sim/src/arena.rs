@@ -3,8 +3,8 @@
 //! The reachability searches clone a parent state once per enumerated
 //! decision, and in the steady state most of those children are
 //! immediately discarded as duplicates of already-visited states. With
-//! plain `clone`/`drop` every child costs three heap allocations and
-//! three frees; a [`StateArena`] instead keeps discarded states and
+//! plain `clone`/`drop` every child costs four heap allocations and
+//! four frees; a [`StateArena`] instead keeps discarded states and
 //! overwrites them in place via [`SimState::copy_from`], so the hot
 //! loop touches the allocator only while the pool is still warming up.
 //!
@@ -70,7 +70,7 @@ impl StateArena {
 mod tests {
     use super::*;
     use crate::message::MessageId;
-    use crate::state::ChannelOcc;
+    use crate::state::{ChannelOcc, Worm};
 
     #[test]
     fn take_clone_matches_plain_clone() {
@@ -82,6 +82,7 @@ mod tests {
             hi: 2,
         });
         src.injected[1] = 2;
+        src.worms[1] = Worm { tail: 2, head: 2 };
 
         let a = arena.take_clone(&src);
         assert_eq!(a, src);
@@ -90,6 +91,7 @@ mod tests {
         // contents must be fully overwritten.
         let mut other = SimState::new(3, 2);
         other.injected[0] = 7;
+        other.worms[0] = Worm { tail: 1, head: 3 };
         other.channels[0] = Some(ChannelOcc {
             msg: MessageId::from_index(0),
             lo: 1,

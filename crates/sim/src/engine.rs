@@ -7,7 +7,7 @@ use wormroute::TableRouting;
 
 use crate::error::SimError;
 use crate::message::{MessageId, MessageSpec};
-use crate::state::{ChannelOcc, SimState};
+use crate::state::{ChannelOcc, SimState, Worm};
 
 /// Externalized nondeterminism for one simulation cycle.
 ///
@@ -280,11 +280,10 @@ impl Sim {
     }
 
     /// The path index of the furthest channel owned by `m`, if any.
+    #[inline]
     pub fn head_index(&self, state: &SimState, m: MessageId) -> Option<usize> {
-        let path = &self.paths[m.index()];
-        (0..path.len())
-            .rev()
-            .find(|&i| matches!(state.channels[path[i].index()], Some(occ) if occ.msg == m))
+        let head = state.worms[m.index()].head;
+        head.checked_sub(1).map(|h| h as usize)
     }
 
     /// The channel `m`'s header needs next: `Some` while the header is
@@ -296,15 +295,6 @@ impl Sim {
         let h = self.head_index(state, m)?;
         let path = &self.paths[m.index()];
         (h + 1 < path.len()).then(|| path[h + 1])
-    }
-
-    /// Channels currently owned by `m`, in path order.
-    pub fn holds(&self, state: &SimState, m: MessageId) -> Vec<ChannelId> {
-        self.paths[m.index()]
-            .iter()
-            .copied()
-            .filter(|c| matches!(state.channels[c.index()], Some(occ) if occ.msg == m))
-            .collect()
     }
 
     /// The channel `m`'s header would acquire this cycle if it asked:
@@ -551,6 +541,7 @@ impl Sim {
                     hi: 1,
                 });
                 state.injected[mi] = 1;
+                state.worms[mi] = Worm { tail: 1, head: 1 };
                 report.moved = true;
                 report.flits_moved += 1;
                 // A one-flit message may have just fully injected; it
@@ -560,19 +551,16 @@ impl Sim {
             return;
         }
 
+        let worm = state.worms[mi];
         let head = self
             .head_index(state, m)
             // Injected and not delivered implies flits in the network.
             .expect("in-flight message owns no channel");
-        // Lowest owned index (tail end of the worm).
-        let tail = (0..=head)
-            .find(|&i| matches!(state.channels[path[i].index()], Some(occ) if occ.msg == m))
-            .expect("head exists, so some channel is owned");
 
         // Process owned channels from head to tail so chained advance
         // sees whether the channel ahead freed a slot this cycle.
         let mut flits = 0;
-        for i in (tail..=head).rev() {
+        for i in worm.positions().rev() {
             let c = path[i];
             let occ = state.channels[c.index()].expect("owned channel");
             debug_assert_eq!(occ.msg, m);
@@ -599,6 +587,7 @@ impl Sim {
                         lo: departing_flit,
                         hi: departing_flit + 1,
                     });
+                    state.worms[mi].head += 1;
                     true
                 } else {
                     false
@@ -627,8 +616,17 @@ impl Sim {
                 let mut occ = occ;
                 occ.lo += 1;
                 if occ.is_empty() && departing_flit == length - 1 {
-                    // Tail passed: release the queue.
+                    // Tail passed: release the queue. The worm now
+                    // starts one channel further on, or is gone once
+                    // its tail flit has sunk.
                     state.channels[c.index()] = None;
+                    let worm = &mut state.worms[mi];
+                    debug_assert_eq!(worm.tail as usize, i + 1, "only the tail releases");
+                    if i + 1 == path.len() {
+                        *worm = Worm::default();
+                    } else {
+                        worm.tail += 1;
+                    }
                 } else {
                     state.channels[c.index()] = Some(occ);
                 }
@@ -696,8 +694,8 @@ impl Sim {
     }
 
     /// Debug invariant checker used by tests and property tests:
-    /// flit conservation, window contiguity along each worm, and
-    /// capacity bounds.
+    /// flit conservation, window contiguity along each worm, capacity
+    /// bounds, and the cached worm ends against a scan of the path.
     pub fn check_invariants(&self, state: &SimState) {
         for (ci, occ) in state.channels.iter().enumerate() {
             if let Some(occ) = occ {
@@ -726,13 +724,30 @@ impl Sim {
                 (injected - consumed) as usize,
                 "{m}: flit conservation"
             );
+            // The worm is one run of path positions, and its cached
+            // ends are that run's first and last position.
+            let positions: Vec<usize> = (0..self.paths[mi].len())
+                .filter(|&i| {
+                    matches!(state.channels[self.paths[mi][i].index()], Some(occ) if occ.msg == m)
+                })
+                .collect();
+            let scanned = match (positions.first(), positions.last()) {
+                (Some(&tail), Some(&head)) => {
+                    assert_eq!(positions.len(), head - tail + 1, "{m}: worm has a gap");
+                    Worm {
+                        tail: tail as u32 + 1,
+                        head: head as u32 + 1,
+                    }
+                }
+                _ => Worm::default(),
+            };
+            assert_eq!(state.worms[mi], scanned, "{m}: cached worm ends");
             // Windows are contiguous along the path: walking from the
             // head toward the tail, each owned channel's hi equals the
             // previous channel's lo.
-            let owned: Vec<ChannelOcc> = self.paths[mi]
+            let owned: Vec<ChannelOcc> = positions
                 .iter()
-                .filter_map(|c| state.channels[c.index()])
-                .filter(|occ| occ.msg == m)
+                .filter_map(|&i| state.channels[self.paths[mi][i].index()])
                 .collect();
             for w in owned.windows(2) {
                 assert_eq!(w[1].hi, w[0].lo, "{m}: window contiguity");
@@ -1031,7 +1046,7 @@ mod tests {
             };
             sim.step(&mut state, &d);
         }
-        assert_eq!(sim.holds(&state, m0).len(), 2);
+        assert_eq!(state.worms[m0.index()], Worm { tail: 1, head: 2 });
         // m1 requests injection into channel 1->2, which m0 owns: no
         // request is even generated (atomic allocation).
         let reqs = sim.header_requests(&state, &[m1], &[]);

@@ -2,26 +2,44 @@
 //!
 //! The reachability search memoizes every visited `(state, budget)`
 //! pair, so the key encoding dominates both the memory footprint and
-//! the hash cost of a run. The byte encoding this replaces spent a
-//! full byte (or two) per field; here a [`StateCodec`] derives the
-//! minimal field widths once per scenario — ⌈log₂⌉ of each field's
-//! value count — and packs the whole configuration into a handful of
-//! `u64` words:
+//! the hash cost of a run. A [`StateCodec`] derives minimal field
+//! widths once per scenario — ⌈log₂⌉ of each field's value count — and
+//! packs the configuration message by message into a handful of `u64`
+//! words:
 //!
-//! * one *owner* field per **relevant** channel (a channel on some
-//!   message's path; all others can never be occupied), with an extra
-//!   sentinel value for "empty";
-//! * `lo`/`hi` flit-window fields per relevant channel;
-//! * `injected`/`consumed` counters per message;
-//! * the remaining stall budget.
+//! * the remaining stall budget;
+//! * then, per message, its `consumed` count, its worm's tail and head
+//!   (path positions plus one, `0` for no worm), and one occupancy
+//!   field per position of its path, zero outside the worm.
 //!
-//! Every paper construction but Figure 2 and Figure 3 (e) packs to
-//! 4–10 words. The searches never build a key value: they probe a flat
-//! visited set with the words [`StateCodec::pack_words`] writes into a
-//! reused buffer, hashed by [`hash_words`].
+//! Packing reads only the channels each worm occupies, found through
+//! the state's cached worm ends, never the rest of the network. The
+//! key is lossless: a worm is one run of path positions, its head
+//! channel's window starts at the next flit to consume and each channel
+//! behind starts where the one ahead ends, and `injected` is `consumed`
+//! plus the occupancies, so [`StateCodec::unpack`] rebuilds the full
+//! state.
+//!
+//! Words per key at queue depth 1, this layout against the
+//! channel-major one it replaced (an owner, `lo` and `hi` field per
+//! channel on some path, then `injected` and `consumed` per message):
+//!
+//! | construction | channel-major | message-major |
+//! |---|---:|---:|
+//! | Figure 1 | 4 | 2 |
+//! | Figure 2 | 2 | 1 |
+//! | Figure 3 (a)–(f) | 4, 5, 4, 5, 3, 5 | 1, 2, 2, 2, 1, 2 |
+//! | `G(1)`–`G(5)` | 5, 6, 6, 7, 10 | 2 each |
+//!
+//! (The same at every stall budget the searches use: the budget field
+//! is at most three bits.)
+//!
+//! The searches never build a key value: they probe a flat visited set
+//! with the words [`StateCodec::pack_words`] writes into a reused
+//! buffer, hashed by [`hash_words`].
 
 use crate::engine::Sim;
-use crate::state::{ChannelOcc, SimState};
+use crate::state::{ChannelOcc, SimState, Worm};
 use crate::MessageId;
 
 /// Bits needed to distinguish `values` distinct values.
@@ -33,82 +51,53 @@ fn bits_for(values: u64) -> u32 {
     }
 }
 
-/// Bit-level writer into a caller-owned word buffer, so the hot path
-/// can reuse one allocation across millions of packs.
-struct BitWriter<'a> {
-    words: &'a mut Vec<u64>,
-    bits_used: u32,
-}
-
-impl<'a> BitWriter<'a> {
-    fn new(words: &'a mut Vec<u64>) -> Self {
-        words.clear();
-        BitWriter {
-            words,
-            bits_used: 64,
-        }
+/// OR the `bits`-wide `value` into `words` at bit offset `at`
+/// (LSB-first; the field may straddle two words). The words must be
+/// zero there beforehand.
+#[inline]
+fn put(words: &mut [u64], at: usize, value: u64, bits: u32) {
+    debug_assert!(bits == 64 || value < (1u64 << bits));
+    if bits == 0 {
+        return;
     }
-
-    fn push(&mut self, value: u64, bits: u32) {
-        debug_assert!(bits == 64 || value < (1u64 << bits));
-        if bits == 0 {
-            return;
-        }
-        if self.bits_used == 64 {
-            self.words.push(0);
-            self.bits_used = 0;
-        }
-        let room = 64 - self.bits_used;
-        let word = self.words.last_mut().expect("word pushed above");
-        *word |= value << self.bits_used;
-        if bits <= room {
-            self.bits_used += bits;
-        } else {
-            // Spill the high part into a fresh word.
-            self.words.push(value >> room);
-            self.bits_used = bits - room;
-        }
+    let (word, shift) = (at / 64, (at % 64) as u32);
+    words[word] |= value << shift;
+    if shift + bits > 64 {
+        words[word + 1] |= value >> (64 - shift);
     }
 }
 
-struct BitReader<'a> {
-    words: &'a [u64],
-    cursor: usize,
-    bits_used: u32,
+/// The `bits`-wide field at bit offset `at` of `words`.
+#[inline]
+fn get(words: &[u64], at: usize, bits: u32) -> u64 {
+    if bits == 0 {
+        return 0;
+    }
+    let (word, shift) = (at / 64, (at % 64) as u32);
+    let mut value = words[word] >> shift;
+    if shift + bits > 64 {
+        value |= words[word + 1] << (64 - shift);
+    }
+    if bits == 64 {
+        value
+    } else {
+        value & ((1u64 << bits) - 1)
+    }
 }
 
-impl<'a> BitReader<'a> {
-    fn new(words: &'a [u64]) -> Self {
-        BitReader {
-            words,
-            cursor: 0,
-            bits_used: 0,
-        }
-    }
-
-    fn pull(&mut self, bits: u32) -> u64 {
-        if bits == 0 {
-            return 0;
-        }
-        let room = 64 - self.bits_used;
-        let mut value = self.words[self.cursor] >> self.bits_used;
-        if bits <= room {
-            self.bits_used += bits;
-        } else {
-            self.cursor += 1;
-            value |= self.words[self.cursor] << room;
-            self.bits_used = bits - room;
-        }
-        if self.bits_used == 64 {
-            self.cursor += 1;
-            self.bits_used = 0;
-        }
-        if bits == 64 {
-            value
-        } else {
-            value & ((1u64 << bits) - 1)
-        }
-    }
+/// Where one message's fields sit in a key.
+#[derive(Clone, Debug)]
+struct Layout {
+    /// The message's path, as channel indices.
+    path: Vec<u32>,
+    /// Bit offset of its `consumed` field; the tail and head fields
+    /// follow it.
+    at: usize,
+    consumed_bits: u32,
+    /// Width of the tail and head fields.
+    end_bits: u32,
+    /// Bit offset of the occupancy field of path position 0.
+    occ_at: usize,
 }
 
 /// Field-width plan for packing one scenario's states.
@@ -118,12 +107,10 @@ impl<'a> BitReader<'a> {
 /// [`StateCodec::unpack`] then convert states losslessly.
 #[derive(Clone, Debug)]
 pub struct StateCodec {
-    /// Channel indices that can ever be occupied, sorted.
-    relevant: Vec<u32>,
+    layouts: Vec<Layout>,
     channel_count: usize,
-    message_count: usize,
-    msg_bits: u32,
-    flit_bits: u32,
+    /// Width of every occupancy field.
+    occ_bits: u32,
     budget_bits: u32,
     words: usize,
 }
@@ -132,34 +119,44 @@ impl StateCodec {
     /// Derive the packing plan for `sim`, with budgets up to
     /// `max_budget` encodable.
     pub fn new(sim: &Sim, max_budget: u32) -> Self {
-        let mut relevant: Vec<u32> = sim
+        // A queue holds at most its capacity, and a header always fits.
+        let max_capacity = sim
             .messages()
-            .flat_map(|m| sim.path(m).iter().map(|c| c.index() as u32))
-            .collect();
-        relevant.sort_unstable();
-        relevant.dedup();
-
-        let message_count = sim.message_count();
-        let max_len = sim.messages().map(|m| sim.length(m)).max().unwrap_or(0) as u64;
-        // Owner field: message ids plus one sentinel for "empty".
-        let msg_bits = bits_for(message_count as u64 + 1);
-        // lo/hi/injected/consumed all range over 0..=max_len.
-        let flit_bits = bits_for(max_len + 1);
+            .flat_map(|m| sim.path(m).iter().map(|&c| sim.capacity(c)))
+            .max()
+            .unwrap_or(0)
+            .max(1);
+        let occ_bits = bits_for(max_capacity as u64 + 1);
         let budget_bits = bits_for(max_budget as u64 + 1);
-
-        let total_bits = budget_bits as usize
-            + relevant.len() * (msg_bits + 2 * flit_bits) as usize
-            + message_count * 2 * flit_bits as usize;
-        let words = total_bits.div_ceil(64).max(1);
-
+        let mut at = budget_bits as usize;
+        let layouts: Vec<Layout> = sim
+            .messages()
+            .map(|m| {
+                let path: Vec<u32> = sim.path(m).iter().map(|c| c.index() as u32).collect();
+                let consumed_bits = bits_for(sim.length(m) as u64 + 1);
+                let end_bits = bits_for(path.len() as u64 + 1);
+                assert!(
+                    consumed_bits + 2 * end_bits <= 64,
+                    "{m}: the path is too long to pack"
+                );
+                let occ_at = at + (consumed_bits + 2 * end_bits) as usize;
+                let layout = Layout {
+                    at,
+                    consumed_bits,
+                    end_bits,
+                    occ_at,
+                    path,
+                };
+                at = occ_at + layout.path.len() * occ_bits as usize;
+                layout
+            })
+            .collect();
         StateCodec {
-            relevant,
+            layouts,
             channel_count: sim.channel_count(),
-            message_count,
-            msg_bits,
-            flit_bits,
+            occ_bits,
             budget_bits,
-            words,
+            words: at.div_ceil(64).max(1),
         }
     }
 
@@ -173,59 +170,58 @@ impl StateCodec {
     /// of states reuses one allocation) — what a visited set probes
     /// with.
     ///
-    /// The layout is LSB-first, so a channel's `owner`, `lo` and `hi`
-    /// fields pushed as one value of their summed width land on the
-    /// same bits as three separate pushes; likewise a message's
-    /// `injected` and `consumed`.
+    /// A message's `consumed`, tail and head fields are written as one
+    /// value of their summed width; the layout is LSB-first, so these
+    /// are the bits three separate fields would take. Occupancy fields
+    /// are written only for the worm's positions: the rest stay zero.
     pub fn pack_words(&self, state: &SimState, budget: u32, buf: &mut Vec<u64>) {
-        let empty = self.message_count as u64;
-        let (msg, flit) = (self.msg_bits, self.flit_bits);
-        let mut w = BitWriter::new(buf);
-        w.push(budget as u64, self.budget_bits);
-        for &ci in &self.relevant {
-            let group = match state.channels[ci as usize] {
-                None => empty,
-                Some(occ) => {
-                    occ.msg.index() as u64
-                        | (occ.lo as u64) << msg
-                        | (occ.hi as u64) << (msg + flit)
-                }
-            };
-            w.push(group, msg + 2 * flit);
-        }
-        for i in 0..self.message_count {
-            w.push(
-                state.injected[i] as u64 | (state.consumed[i] as u64) << flit,
-                2 * flit,
-            );
+        buf.clear();
+        buf.resize(self.words, 0);
+        put(buf, 0, budget as u64, self.budget_bits);
+        for (mi, layout) in self.layouts.iter().enumerate() {
+            let worm = state.worms[mi];
+            let (cb, eb) = (layout.consumed_bits, layout.end_bits);
+            let ends = state.consumed[mi] as u64
+                | (worm.tail as u64) << cb
+                | (worm.head as u64) << (cb + eb);
+            put(buf, layout.at, ends, cb + 2 * eb);
+            for p in worm.positions() {
+                let occ =
+                    state.channels[layout.path[p] as usize].expect("a worm owns its channels");
+                let at = layout.occ_at + p * self.occ_bits as usize;
+                put(buf, at, occ.occupancy() as u64, self.occ_bits);
+            }
         }
     }
 
     /// Invert [`StateCodec::pack_words`]: reconstruct the state and
     /// budget from key `words`.
     ///
-    /// Channels outside the relevant set come back `None`, which is
-    /// exact — they can never be occupied.
+    /// Each worm is rebuilt from its head: the head channel's window
+    /// starts at the next flit to consume, each channel behind starts
+    /// where the one ahead ends, and the source-nearest window's end is
+    /// the next flit to inject.
     pub fn unpack(&self, words: &[u64]) -> (SimState, u32) {
-        let mut r = BitReader::new(words);
-        let budget = r.pull(self.budget_bits) as u32;
-        let empty = self.message_count as u64;
-        let mut state = SimState::new(self.channel_count, self.message_count);
-        for &ci in &self.relevant {
-            let owner = r.pull(self.msg_bits);
-            let lo = r.pull(self.flit_bits) as u16;
-            let hi = r.pull(self.flit_bits) as u16;
-            if owner != empty {
-                state.channels[ci as usize] = Some(ChannelOcc {
-                    msg: MessageId::from_index(owner as usize),
-                    lo,
-                    hi,
-                });
+        let budget = get(words, 0, self.budget_bits) as u32;
+        let mut state = SimState::new(self.channel_count, self.layouts.len());
+        for (mi, layout) in self.layouts.iter().enumerate() {
+            let msg = MessageId::from_index(mi);
+            let (cb, eb) = (layout.consumed_bits, layout.end_bits);
+            let consumed = get(words, layout.at, cb) as u16;
+            let worm = Worm {
+                tail: get(words, layout.at + cb as usize, eb) as u32,
+                head: get(words, layout.at + (cb + eb) as usize, eb) as u32,
+            };
+            let mut lo = consumed;
+            for p in worm.positions().rev() {
+                let at = layout.occ_at + p * self.occ_bits as usize;
+                let hi = lo + get(words, at, self.occ_bits) as u16;
+                state.channels[layout.path[p] as usize] = Some(ChannelOcc { msg, lo, hi });
+                lo = hi;
             }
-        }
-        for i in 0..self.message_count {
-            state.injected[i] = r.pull(self.flit_bits) as u16;
-            state.consumed[i] = r.pull(self.flit_bits) as u16;
+            state.consumed[mi] = consumed;
+            state.injected[mi] = lo;
+            state.worms[mi] = worm;
         }
         (state, budget)
     }
@@ -254,6 +250,7 @@ mod tests {
     use super::*;
     use crate::{Decisions, MessageSpec, Sim};
     use wormnet::topology::ring_unidirectional;
+    use wormnet::ChannelId;
     use wormroute::algorithms::clockwise_ring;
 
     fn ring_sim() -> Sim {
@@ -273,9 +270,7 @@ mod tests {
     }
 
     #[test]
-    fn bit_writer_reader_round_trip() {
-        let mut buf = Vec::new();
-        let mut w = BitWriter::new(&mut buf);
+    fn put_get_round_trip() {
         let fields: Vec<(u64, u32)> = vec![
             (3, 2),
             (0, 0),
@@ -285,61 +280,99 @@ mod tests {
             ((1 << 33) - 5, 33),
             (7, 3),
         ];
+        let total: u32 = fields.iter().map(|&(_, b)| b).sum();
+        let mut words = vec![0; total.div_ceil(64) as usize];
+        let mut at = 0;
         for &(v, b) in &fields {
-            w.push(v, b);
+            put(&mut words, at, v, b);
+            at += b as usize;
         }
-        let mut r = BitReader::new(&buf);
+        at = 0;
         for &(v, b) in &fields {
-            assert_eq!(r.pull(b), v, "field width {b}");
+            assert_eq!(get(&words, at, b), v, "field width {b}");
+            at += b as usize;
         }
     }
 
-    /// The field-at-a-time layout grouped packing must reproduce: one
-    /// push per field, owner/`lo`/`hi` per relevant channel, then
-    /// `injected`/`consumed` per message.
-    fn pack_field_by_field(codec: &StateCodec, state: &SimState, budget: u32) -> Vec<u64> {
-        let mut buf = Vec::new();
-        let mut w = BitWriter::new(&mut buf);
-        w.push(budget as u64, codec.budget_bits);
-        for &ci in &codec.relevant {
-            let (owner, lo, hi) = match state.channels[ci as usize] {
-                None => (codec.message_count as u64, 0, 0),
-                Some(occ) => (occ.msg.index() as u64, occ.lo as u64, occ.hi as u64),
-            };
-            w.push(owner, codec.msg_bits);
-            w.push(lo, codec.flit_bits);
-            w.push(hi, codec.flit_bits);
-        }
-        for i in 0..codec.message_count {
-            w.push(state.injected[i] as u64, codec.flit_bits);
-            w.push(state.consumed[i] as u64, codec.flit_bits);
-        }
-        buf
-    }
-
-    #[test]
-    fn pack_words_match_the_field_by_field_layout_and_reuse_the_buffer() {
-        // A ring whose words straddle field groups, and the 16-ring
-        // whose keys span more than three words.
+    /// The 16-ring with eight 7-hop messages of 9 flits and queues of
+    /// depth 3, whose keys span more than three words.
+    fn wide_sim() -> Sim {
         let (net, nodes) = ring_unidirectional(16);
         let table = clockwise_ring(&net, &nodes).unwrap();
         let specs: Vec<MessageSpec> = (0..8)
             .map(|i| MessageSpec::new(nodes[2 * i], nodes[(2 * i + 7) % 16], 9))
             .collect();
-        let wide = Sim::new(&net, &table, specs, None).unwrap();
-        for sim in [ring_sim(), wide] {
+        Sim::new(&net, &table, specs, Some(3)).unwrap()
+    }
+
+    /// The layout one field at a time, read off a scan of each path
+    /// rather than the cached worm ends: the budget, then per message
+    /// `consumed`, tail, head and an occupancy per path position (zero
+    /// where the message owns nothing), each pushed bit by bit.
+    fn pack_field_by_field(
+        sim: &Sim,
+        codec: &StateCodec,
+        state: &SimState,
+        budget: u32,
+    ) -> Vec<u64> {
+        let mut bits: Vec<bool> = Vec::new();
+        let mut push =
+            |value: u64, width: u32| bits.extend((0..width).map(|b| value >> b & 1 == 1));
+        push(budget as u64, codec.budget_bits);
+        for (m, layout) in sim.messages().zip(&codec.layouts) {
+            let path = sim.path(m);
+            let owned =
+                |c: &ChannelId| matches!(state.channels[c.index()], Some(occ) if occ.msg == m);
+            let tail = path.iter().position(owned).map_or(0, |p| p + 1);
+            let head = path.iter().rposition(owned).map_or(0, |p| p + 1);
+            push(state.consumed[m.index()] as u64, layout.consumed_bits);
+            push(tail as u64, layout.end_bits);
+            push(head as u64, layout.end_bits);
+            for c in path {
+                let occ = match state.channels[c.index()] {
+                    Some(occ) if occ.msg == m => occ.occupancy() as u64,
+                    _ => 0,
+                };
+                push(occ, codec.occ_bits);
+            }
+        }
+        let mut words: Vec<u64> = bits
+            .chunks(64)
+            .map(|chunk| chunk.iter().rev().fold(0, |w, &bit| w << 1 | bit as u64))
+            .collect();
+        words.resize(words.len().max(1), 0);
+        words
+    }
+
+    #[test]
+    fn pack_words_match_the_field_by_field_layout_and_reuse_the_buffer() {
+        // A ring whose words straddle field groups, and the 16-ring
+        // with deep queues whose keys span more than three words.
+        for sim in [ring_sim(), wide_sim()] {
             let codec = StateCodec::new(&sim, 2);
             let mut state = sim.initial_state();
-            let inject_all = Decisions {
-                inject: sim.messages().collect(),
-                ..Decisions::default()
-            };
-            let idle = Decisions::default();
             let mut buf = Vec::new();
-            for cycle in 0..8 {
-                codec.pack_words(&state, 2, &mut buf);
-                assert_eq!(buf, pack_field_by_field(&codec, &state, 2), "cycle {cycle}");
-                sim.step(&mut state, if cycle == 0 { &inject_all } else { &idle });
+            for cycle in 0..24 {
+                let budget = cycle % 3;
+                codec.pack_words(&state, budget, &mut buf);
+                assert_eq!(
+                    buf,
+                    pack_field_by_field(&sim, &codec, &state, budget),
+                    "cycle {cycle}"
+                );
+                // Inject everything, stall one worm now and then, so
+                // worms stretch, bubble and drain.
+                let stalled = MessageId::from_index(cycle as usize % sim.message_count());
+                let decisions = Decisions {
+                    inject: sim.pending(&state),
+                    stalls: if cycle % 4 == 3 {
+                        vec![stalled]
+                    } else {
+                        Vec::new()
+                    },
+                    ..Decisions::default()
+                };
+                sim.step(&mut state, &decisions);
             }
             assert_eq!(buf.len(), codec.packed_words());
         }
@@ -414,25 +447,21 @@ mod tests {
 
     #[test]
     fn wide_keys_round_trip() {
-        // Keys of several words: a long ring and many messages.
-        let (net, nodes) = ring_unidirectional(16);
-        let table = clockwise_ring(&net, &nodes).unwrap();
-        let specs: Vec<MessageSpec> = (0..8)
-            .map(|i| MessageSpec::new(nodes[2 * i], nodes[(2 * i + 7) % 16], 9))
-            .collect();
-        let sim = Sim::new(&net, &table, specs, None).unwrap();
+        // Keys of several words: a long ring, many messages, deep
+        // queues.
+        let sim = wide_sim();
         let codec = StateCodec::new(&sim, 7);
         assert!(codec.packed_words() > 3);
         let mut state = sim.initial_state();
-        sim.step(
-            &mut state,
-            &Decisions {
-                inject: sim.messages().collect(),
+        for _ in 0..6 {
+            let inject = Decisions {
+                inject: sim.pending(&state),
                 ..Decisions::default()
-            },
-        );
-        let (back, budget) = codec.unpack(&key(&codec, &state, 7));
-        assert_eq!(back, state);
-        assert_eq!(budget, 7);
+            };
+            sim.step(&mut state, &inject);
+            let (back, budget) = codec.unpack(&key(&codec, &state, 7));
+            assert_eq!(back, state);
+            assert_eq!(budget, 7);
+        }
     }
 }

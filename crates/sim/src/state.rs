@@ -8,6 +8,12 @@
 //! flit indices of its single owner (atomic buffer allocation), with
 //! `lo` the next flit to depart.
 //!
+//! The state also caches where each worm sits on its path (its
+//! [`Worm`] ends), so the stepping core and the packed search key read
+//! a worm's channels without scanning its path. The ends follow from
+//! the occupancy windows; the engine keeps them in step, and
+//! `Sim::check_invariants` compares them with a path scan.
+//!
 //! The state is deliberately tiny and `Hash`/`Eq` so the search engine
 //! can memoize visited configurations.
 
@@ -42,6 +48,27 @@ impl ChannelOcc {
     }
 }
 
+/// The ends of one message's worm, as path positions plus one: `tail`
+/// is the source-nearest channel it owns, `head` the furthest. Both
+/// are `0` while the message owns no channel (pending or delivered).
+#[derive(Clone, Copy, Debug, Default, PartialEq, Eq, Hash)]
+pub(crate) struct Worm {
+    pub(crate) tail: u32,
+    pub(crate) head: u32,
+}
+
+impl Worm {
+    /// The owned path positions, tail to head (empty for no worm).
+    #[inline]
+    pub(crate) fn positions(self) -> std::ops::Range<usize> {
+        if self.head == 0 {
+            0..0
+        } else {
+            self.tail as usize - 1..self.head as usize
+        }
+    }
+}
+
 /// Complete dynamic state of a simulation.
 ///
 /// Time is *not* part of the state: two configurations reached at
@@ -55,6 +82,8 @@ pub struct SimState {
     pub injected: Vec<u16>,
     /// Per-message count of flits consumed at the destination.
     pub consumed: Vec<u16>,
+    /// Per-message worm ends, kept by the stepping core.
+    pub(crate) worms: Vec<Worm>,
 }
 
 impl SimState {
@@ -64,12 +93,13 @@ impl SimState {
             channels: vec![None; channel_count],
             injected: vec![0; message_count],
             consumed: vec![0; message_count],
+            worms: vec![Worm::default(); message_count],
         }
     }
 
     /// Overwrite `self` with `src`, reusing the existing allocations.
     ///
-    /// Equivalent to `*self = src.clone()` but keeps the three vector
+    /// Equivalent to `*self = src.clone()` but keeps the vector
     /// buffers (the derived `Clone` has no specialized `clone_from`,
     /// so plain cloning reallocates). Within one search every state
     /// has the same dimensions, so this never reallocates after the
@@ -79,6 +109,7 @@ impl SimState {
         self.channels.clone_from(&src.channels);
         self.injected.clone_from(&src.injected);
         self.consumed.clone_from(&src.consumed);
+        self.worms.clone_from(&src.worms);
     }
 
     /// Whether message `m` has started injecting.

@@ -3,7 +3,7 @@
 //! the packed key the search deduplicates by loses nothing.
 
 use cyclic_wormhole::net::topology::{line, ring_unidirectional, Mesh};
-use cyclic_wormhole::net::{Network, NodeId};
+use cyclic_wormhole::net::{ChannelId, Network, NodeId};
 use cyclic_wormhole::route::algorithms::{clockwise_ring, shortest_path_table};
 use cyclic_wormhole::route::TableRouting;
 use cyclic_wormhole::sim::{Decisions, MessageId, MessageSpec, Sim, SimState, StateCodec};
@@ -40,11 +40,24 @@ impl DecisionDriver {
             .map(|(_, &m)| m)
             .collect()
     }
+
+    /// Random sparse set of `count` channels: each drawn with
+    /// probability 1/4.
+    fn channels(&mut self, count: usize) -> Vec<ChannelId> {
+        let mask = self.next() & self.next();
+        (0..count)
+            .filter(|i| mask & (1 << (i % 32)) != 0)
+            .map(ChannelId::from_index)
+            .collect()
+    }
 }
 
 /// One cycle's decisions drawn from `driver`: a random subset of the
 /// pending messages injects, a random subset of those in flight
-/// stalls, and every contested channel goes to a random requester.
+/// stalls, every contested channel goes to a random requester, and a
+/// sparse random set of channels is frozen, as a skewed router or a
+/// fault outage freezes them. (A frozen channel draws no request, so
+/// its winner entry, if any, goes unread.)
 fn arbitrary_decisions(sim: &Sim, state: &SimState, driver: &mut DecisionDriver) -> Decisions {
     let pending = sim.pending(state);
     let in_flight: Vec<MessageId> = sim
@@ -65,7 +78,7 @@ fn arbitrary_decisions(sim: &Sim, state: &SimState, driver: &mut DecisionDriver)
         inject,
         stalls,
         winners,
-        ..Decisions::default()
+        frozen: driver.channels(sim.channel_count()),
     }
 }
 
@@ -93,9 +106,10 @@ fn arb_topology() -> impl Strategy<Value = (Network, Vec<NodeId>, TableRouting)>
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(64))]
 
-    /// Whatever the decisions, every engine step preserves flit
-    /// conservation, worm contiguity, capacity bounds, and atomic
-    /// buffer allocation (all encoded in `check_invariants`).
+    /// Whatever the decisions, frozen channels included, every engine
+    /// step preserves flit conservation, worm contiguity, capacity
+    /// bounds, atomic buffer allocation and the cached worm ends (all
+    /// encoded in `check_invariants`).
     #[test]
     fn engine_invariants_hold_under_arbitrary_decisions(
         (net, nodes, table) in arb_topology(),
@@ -207,9 +221,10 @@ proptest! {
     }
 
     /// The search's one state key is lossless: along an arbitrary run,
-    /// every `(state, budget)` packs into the codec's word count and
-    /// unpacks to itself, so two states share a key only when they are
-    /// equal. One buffer is reused for every key, as the search does.
+    /// frozen channels included, every `(state, budget)` packs into the
+    /// codec's word count and unpacks to itself, worm ends and all, so
+    /// two states share a key only when they are equal. One buffer is
+    /// reused for every key, as the search does.
     #[test]
     fn packed_keys_round_trip_along_arbitrary_runs(
         (net, nodes, table) in arb_topology(),

@@ -11,7 +11,8 @@
 //! - `G(1)`–`G(5)` at stall budgets 0, `k` and `k + 1` (Section 6:
 //!   `k` stalls are not enough, `k + 1` are);
 //! - the Definition 5 target search (`explore_until`) on the canonical
-//!   candidates of Figure 1 and Figure 3 (a)–(f).
+//!   candidates of Figure 1 and Figure 3 (a)–(f);
+//! - and the width of each construction's search key.
 //!
 //! To regenerate after an intentional change to what a search
 //! explores:
@@ -29,7 +30,7 @@ use cyclic_wormhole::core::paper::{fig1, fig2, fig3, generalized};
 use cyclic_wormhole::core::CycleConstruction;
 use cyclic_wormhole::net::ChannelId;
 use cyclic_wormhole::search::{explore, explore_until, SearchConfig, SearchResult, Verdict};
-use cyclic_wormhole::sim::{MessageId, MessageSpec, Sim};
+use cyclic_wormhole::sim::{MessageId, MessageSpec, Sim, StateCodec};
 
 fn snapshot_path() -> PathBuf {
     PathBuf::from(env!("CARGO_MANIFEST_DIR")).join("tests/snapshots/search_golden.txt")
@@ -201,4 +202,39 @@ fn searches_match_the_golden_snapshot() {
         );
     }
     assert_eq!(golden.lines().count(), text.lines().count(), "line count");
+}
+
+/// The search key's width (`StateCodec::packed_words`) for each
+/// construction at the largest stall budget it is searched with: at
+/// most two words, so a layout change that widens the keys every
+/// visited state stores shows here.
+#[test]
+fn keys_pack_into_at_most_two_words() {
+    let widths: Vec<(String, usize)> = constructions()
+        .into_iter()
+        .map(|(name, c, specs)| {
+            let budget = name
+                .strip_prefix('g')
+                .map_or(0, |k| k.parse::<u32>().expect("g<k>") + 1);
+            let words = StateCodec::new(&sim_for(&c, specs), budget).packed_words();
+            (name, words)
+        })
+        .collect();
+    let want = [
+        ("fig1", 2),
+        ("fig2", 1),
+        ("fig3_a", 1),
+        ("fig3_b", 2),
+        ("fig3_c", 2),
+        ("fig3_d", 2),
+        ("fig3_e", 1),
+        ("fig3_f", 2),
+        ("g1", 2),
+        ("g2", 2),
+        ("g3", 2),
+        ("g4", 2),
+        ("g5", 2),
+    ];
+    let want: Vec<(String, usize)> = want.iter().map(|&(n, w)| (n.to_string(), w)).collect();
+    assert_eq!(widths, want);
 }

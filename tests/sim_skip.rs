@@ -7,7 +7,8 @@
 //! inputs both ways and requires the same outcome, final state,
 //! `Stats`, `FaultReport` and `sim.*`/`fault.*` trace counters. The
 //! inputs: the healthy Figures 1–3 and seeded 4×4 mesh traffic under
-//! every arbitration policy, with deeper queues, stall combs, a
+//! every arbitration policy, as given and released one message at a
+//! time (runs that must skip), with deeper queues, stall combs, a
 //! pausing skew model and a hook that prunes injections, stalls worms
 //! and freezes a channel; clockwise and dateline rings; runs stopped
 //! and resumed at many horizons; the 13 paper constructions with `c_s`
@@ -90,6 +91,26 @@ impl DecisionHook for Combs {
     fn quiet_until(&self, time: u64) -> u64 {
         let later = self.0.values().flatten().filter(|&&t| t > time);
         later.copied().min().unwrap_or(u64::MAX)
+    }
+}
+
+/// Stall combs that also count the cycles a run steps: the runner
+/// calls `adjust` once per stepped cycle and never for a skipped one.
+/// `quiet_until` is the combs' own, `u64::MAX` when they stall
+/// nothing, so counting never blocks the skip.
+struct Counted {
+    combs: Combs,
+    stepped: u64,
+}
+
+impl DecisionHook for Counted {
+    fn adjust(&mut self, sim: &Sim, state: &SimState, time: u64, d: &mut Decisions) {
+        self.stepped += 1;
+        self.combs.adjust(sim, state, time, d);
+    }
+
+    fn quiet_until(&self, time: u64) -> u64 {
+        self.combs.quiet_until(time)
     }
 }
 
@@ -187,6 +208,23 @@ impl<'a> Plain<'a> {
             self.skipping(max, None),
             "{label}/{:?}: the skipping run diverged from the stepped one",
             self.policy
+        );
+    }
+
+    /// The skipping run (its stall combs counted through [`Counted`])
+    /// steps fewer cycles than it simulates.
+    fn assert_skips(&self, label: &str, max: u64) {
+        let mut counted = Counted {
+            combs: self.stalls.clone(),
+            stepped: 0,
+        };
+        let mut r = self.runner();
+        r.run_hooked(max, &mut counted);
+        assert!(
+            counted.stepped < r.time(),
+            "{label}/{:?}: stepped all {} cycles, skipped none",
+            self.policy,
+            r.time()
         );
     }
 }
@@ -306,12 +344,45 @@ fn healthy() -> Vec<(String, Network, TableRouting, Vec<MessageSpec>)> {
     workloads(4, &[3, 11, 42], 0.3, 30)
 }
 
+/// [`healthy`] with its messages released one at a time. The release
+/// gap outlasts any one message's trip through an empty network by
+/// more than the eight stalls a comb deals it, so the network drains
+/// between releases and every run has quiet cycles to skip (at queue
+/// depth 1 the workloads as given have none).
+fn staggered() -> Vec<(String, Network, TableRouting, Vec<MessageSpec>)> {
+    healthy()
+        .into_iter()
+        .map(|(name, net, table, specs)| {
+            let trip = specs
+                .iter()
+                .map(|s| table.path(s.src, s.dst).expect("routed").len() + s.length)
+                .max()
+                .unwrap_or(0) as u64;
+            let gap = trip + 16;
+            let specs = specs
+                .into_iter()
+                .enumerate()
+                .map(|(i, s)| s.at(i as u64 * gap))
+                .collect();
+            (format!("{name} staggered"), net, table, specs)
+        })
+        .collect()
+}
+
 #[test]
 fn healthy_workloads_match_the_stepped_loop_under_every_policy() {
     for (name, net, table, specs) in healthy() {
         let sim = Sim::new(&net, &table, specs, Some(1)).expect("routed");
         for policy in policies() {
             Plain::new(&sim, policy).assert_skip_matches(&name, 10_000);
+        }
+    }
+    for (name, net, table, specs) in staggered() {
+        let sim = Sim::new(&net, &table, specs, Some(1)).expect("routed");
+        for policy in policies() {
+            let run = Plain::new(&sim, policy);
+            run.assert_skip_matches(&name, 10_000);
+            run.assert_skips(&name, 10_000);
         }
     }
 }
@@ -363,9 +434,14 @@ fn clockwise_and_dateline_rings_match_the_stepped_loop() {
     }
 }
 
+/// The staggered workloads' combs stall messages that are still
+/// pending while the network is empty: a skip that ignored the combs'
+/// `quiet_until` would jump over those stalls.
 #[test]
 fn stall_combs_match_the_stepped_loop_on_every_healthy_workload() {
-    for (name, net, table, specs) in healthy() {
+    let staggered: Vec<_> = staggered().into_iter().map(|w| (w, true)).collect();
+    let workloads = healthy().into_iter().map(|w| (w, false)).chain(staggered);
+    for ((name, net, table, specs), skips) in workloads {
         let sim = Sim::new(&net, &table, specs, Some(1)).expect("routed");
         // Stall each message on a deterministic comb of cycles.
         let mut stalls = Combs::default();
@@ -376,7 +452,11 @@ fn stall_combs_match_the_stepped_loop_on_every_healthy_workload() {
         for policy in policies() {
             let mut run = Plain::new(&sim, policy);
             run.stalls = stalls.clone();
-            run.assert_skip_matches(&format!("{name} stall comb"), 10_000);
+            let label = format!("{name} stall comb");
+            run.assert_skip_matches(&label, 10_000);
+            if skips {
+                run.assert_skips(&label, 10_000);
+            }
         }
     }
 }
