@@ -16,8 +16,7 @@
 //! (`states_per_sec`, `cycles_per_sec` and the `*_ms` keys) are
 //! machine-dependent and only meaningful relative to other entries
 //! from the same run. Each search and sim entry's rate is the best of
-//! up to five repetitions, which must all agree on its
-//! exact values.
+//! five repetitions, which must all agree on its exact values.
 
 use std::collections::BTreeMap;
 use std::fmt;
@@ -388,13 +387,12 @@ struct SimMeasure {
     outcome: &'static str,
 }
 
-/// Repeat policy for timing runs: rerun a scenario until it has
-/// consumed [`MIN_TIMING_SECS`] of wall clock or hit
-/// [`MAX_TIMING_REPS`] repetitions (one under `--smoke`), and keep the
-/// *best* rate seen. Best-of-N filters out scheduler preemption and
-/// other one-off noise that a single run is exposed to.
-const MIN_TIMING_SECS: f64 = 0.25;
-/// Upper bound on timing repetitions per scenario.
+/// Repeat policy for timing runs: every scenario runs
+/// [`MAX_TIMING_REPS`] times (once under `--smoke`), and the *best*
+/// rate seen is kept. Best-of-N filters out scheduler preemption and
+/// other one-off noise that a single run is exposed to, and the same N
+/// for every entry, long or short, keeps two baseline files
+/// comparable entry by entry.
 const MAX_TIMING_REPS: u32 = 5;
 
 /// Time `rep` under the repeat policy. Each call runs the scenario
@@ -409,13 +407,8 @@ fn best_rate<T: PartialEq + fmt::Debug>(
 ) -> (T, f64) {
     let mut first: Option<T> = None;
     let mut best = 0.0f64;
-    let mut spent = 0.0f64;
-    for i in 0..if smoke { 1 } else { MAX_TIMING_REPS } {
-        if i > 0 && spent >= MIN_TIMING_SECS {
-            break;
-        }
+    for _ in 0..if smoke { 1 } else { MAX_TIMING_REPS } {
         let (exact, work, secs) = rep();
-        spent += secs;
         if secs > 0.0 {
             best = best.max(work as f64 / secs);
         }

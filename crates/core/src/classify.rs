@@ -284,6 +284,20 @@ fn decide_until_reachable<C: Borrow<CandidateAnalysis>>(
     verdicts
 }
 
+/// The messages the search fallback explores for `candidate`: one per
+/// segment, in segment order, each at its adversarial minimum length
+/// (just long enough to hold its segment — Section 3's worst case).
+/// The fallback searches them with one-flit queues and no stalls, so a
+/// [`CycleClass::DecidedBySearch`] answers `explore` over exactly
+/// these messages at `capacity = 1` and stall budget 0.
+pub fn candidate_messages(candidate: &DeadlockCandidate) -> Vec<MessageSpec> {
+    candidate
+        .segments
+        .iter()
+        .map(|s| MessageSpec::new(s.msg.0, s.msg.1, s.channels.len()))
+        .collect()
+}
+
 /// Exhaustive search for any deadlock among the candidate's messages
 /// at minimum lengths: whether one is reachable, and the states the
 /// search visited; `None` = budget exhausted or unroutable.
@@ -293,12 +307,7 @@ fn search_candidate(
     candidate: &DeadlockCandidate,
     opts: &ClassifyOptions,
 ) -> Option<(bool, usize)> {
-    let specs: Vec<MessageSpec> = candidate
-        .segments
-        .iter()
-        .map(|s| MessageSpec::new(s.msg.0, s.msg.1, s.channels.len()))
-        .collect();
-    let sim = Sim::new(net, table, specs, Some(1)).ok()?;
+    let sim = Sim::new(net, table, candidate_messages(candidate), Some(1)).ok()?;
     let config = SearchConfig {
         stall_budget: 0,
         max_states: opts.search_max_states,
@@ -327,12 +336,7 @@ pub fn candidate_reachable(
     candidate: &DeadlockCandidate,
     opts: &ClassifyOptions,
 ) -> Option<bool> {
-    let specs: Vec<MessageSpec> = candidate
-        .segments
-        .iter()
-        .map(|s| MessageSpec::new(s.msg.0, s.msg.1, s.channels.len()))
-        .collect();
-    let sim = Sim::new(net, table, specs, Some(1)).ok()?;
+    let sim = Sim::new(net, table, candidate_messages(candidate), Some(1)).ok()?;
     let segments: Vec<(MessageId, Vec<wormnet::ChannelId>)> = candidate
         .segments
         .iter()

@@ -4,7 +4,7 @@ use std::time::Instant;
 
 use wormsim::{MessageId, Sim, SimState, StateArena, StateCodec, StepScratch, StepTally};
 
-use crate::options::{ChoiceBuf, Options};
+use crate::options::Options;
 use crate::verdict::{SearchMetrics, SearchResult, Verdict, Witness};
 use crate::visited::VisitedSet;
 
@@ -63,11 +63,13 @@ struct Frame {
 /// members when it is one.
 ///
 /// Per explored edge it copies the parent into a pooled state, steps
-/// it through [`Sim::step_with`] with the option's borrowed buffers,
-/// packs the state's key ([`StateCodec::pack_words`]) into one reused
-/// buffer and probes the flat visited set with it: once the pools are
-/// warm, only a new state's key copy and its options touch memory
-/// that grows.
+/// it by the grants the option resolved when it was enumerated
+/// ([`Options::step`]), packs the state's key
+/// ([`StateCodec::pack_words`]) into one reused buffer and probes the
+/// flat visited set with it: once the pools are warm, only a new
+/// state's key copy and its options touch memory that grows. Debug
+/// builds also step every edge through [`Sim::step_with`] and check
+/// that both land on the same state, report and tally.
 fn depth_first(
     sim: &Sim,
     config: &SearchConfig,
@@ -76,7 +78,6 @@ fn depth_first(
     let codec = StateCodec::new(sim, config.stall_budget);
     let mut words = Vec::new();
     let mut step = StepScratch::new();
-    let mut choice = ChoiceBuf::default();
     let mut arena = StateArena::new();
     let mut pool: Vec<Options> = Vec::new();
     let mut metrics = SearchMetrics::default();
@@ -108,8 +109,17 @@ fn depth_first(
         let i = frame.next;
         frame.next += 1;
         let mut state = arena.take_clone(&frame.state);
-        let option = frame.options.choice(i, &mut choice);
-        tally.absorb(sim.step_with(&mut state, option, &mut step));
+        let edge = frame.options.step(sim, i, &mut state, &mut step);
+        #[cfg(debug_assertions)]
+        check_edge(
+            sim,
+            &frame.state,
+            &frame.options.decisions(i),
+            &state,
+            &step,
+            edge,
+        );
+        tally.absorb(edge);
         if !step.report().moved {
             // Nothing happened: a pure self-loop (possibly burning
             // stall budget) — always dominated, skip.
@@ -157,6 +167,39 @@ fn depth_first(
         metrics,
         tally,
     }
+}
+
+/// Step `parent` by `decisions` through [`Sim::step_with`], the
+/// stepping core that collects and arbitrates the requests itself, and
+/// assert that it lands where the grant-stepped edge did: the same
+/// state in `child`, the report in `step` and the tally `edge`.
+#[cfg(debug_assertions)]
+fn check_edge(
+    sim: &Sim,
+    parent: &SimState,
+    decisions: &wormsim::Decisions,
+    child: &SimState,
+    step: &StepScratch,
+    edge: StepTally,
+) {
+    let winners: Vec<_> = decisions.winners.iter().map(|(&c, &m)| (c, m)).collect();
+    let mut want = parent.clone();
+    let mut scratch = StepScratch::new();
+    let tally = sim.step_with(
+        &mut want,
+        wormsim::StepChoice {
+            inject: &decisions.inject,
+            stalls: &decisions.stalls,
+            winners: &winners,
+            frozen: &[],
+        },
+        &mut scratch,
+    );
+    assert_eq!(
+        (child, step.report(), edge),
+        (&want, scratch.report(), tally),
+        "grant-stepped edge {decisions:?}"
+    );
 }
 
 /// Exhaustively explore all adversary behaviours of `sim`.
@@ -261,10 +304,12 @@ pub fn render_witness(sim: &Sim, net: &wormnet::Network, witness: &Witness) -> S
 mod tests {
     use super::*;
     use std::collections::BTreeMap;
+    use std::sync::Arc;
     use wormnet::topology::{line, ring_unidirectional};
     use wormnet::{ChannelId, NodeId};
     use wormroute::algorithms::{clockwise_ring, shortest_path_table};
-    use wormsim::{Decisions, MessageSpec};
+    use wormsim::{Decisions, MessageSpec, StepReport};
+    use wormtrace::MemoryRecorder;
 
     /// The enumeration [`Options`] replaced, kept as its oracle: all
     /// decision combinations worth exploring from `state`.
@@ -508,15 +553,41 @@ mod tests {
         assert!(subs.iter().any(|s| s.len() == 3));
     }
 
+    /// [`Sim::step`]'s successor of `state` under `d`, its report, and
+    /// the `sim.*` tally it publishes.
+    fn oracle_step(
+        sim: &Sim,
+        state: &SimState,
+        d: &Decisions,
+    ) -> (SimState, StepReport, StepTally) {
+        let recorder = Arc::new(MemoryRecorder::new());
+        wormtrace::install(recorder.clone());
+        let mut next = state.clone();
+        let report = sim.step(&mut next, d);
+        wormtrace::uninstall();
+        let counters = recorder.snapshot().counters;
+        let count = |name: &str| counters.get(name).copied().unwrap_or(0);
+        let tally = StepTally {
+            cycles: count("sim.cycles"),
+            flits_moved: count("sim.flits_moved"),
+            delivered: count("sim.delivered"),
+            stall_injections: count("sim.stall_injections"),
+            arb_conflicts: count("sim.arb_conflicts"),
+        };
+        (next, report, tally)
+    }
+
     /// Sweep the reachable `(state, budget)` pairs of `sim` and check,
     /// at each, that [`Options`] lists exactly the oracle's decisions in
-    /// the oracle's order, and that stepping each option through its
-    /// borrowed [`StepChoice`] lands where [`Sim::step`] lands.
-    fn options_match_oracle(sim: &Sim, budget: u32) -> usize {
+    /// the oracle's order, and that stepping each option by the grants
+    /// it resolved lands where [`Sim::step`] lands on its decisions:
+    /// the same successor, report and `sim.*` tally. Returns the pairs
+    /// checked and how many options had a conflicted channel.
+    fn options_match_oracle(sim: &Sim, budget: u32) -> (usize, usize) {
         use std::collections::HashSet;
-        let (mut options, mut choice, mut step) =
-            (Options::default(), ChoiceBuf::default(), StepScratch::new());
+        let (mut options, mut step) = (Options::default(), StepScratch::new());
         let mut seen = HashSet::new();
+        let mut contested = 0;
         let mut queue = vec![(sim.initial_state(), budget)];
         while let Some((state, budget)) = queue.pop() {
             if !seen.insert((state.clone(), budget)) || seen.len() > 3_000 {
@@ -528,30 +599,37 @@ mod tests {
             for (i, d) in oracle.iter().enumerate() {
                 assert_eq!(&options.decisions(i), d, "option {i}");
                 assert_eq!(options.stall_count(i) as usize, d.stalls.len());
-                let mut want = state.clone();
-                let report = sim.step(&mut want, d);
+                let (want, report, tally) = oracle_step(sim, &state, d);
                 let mut got = state.clone();
-                sim.step_with(&mut got, options.choice(i, &mut choice), &mut step);
-                assert_eq!((&got, step.report()), (&want, &report), "option {i}");
+                let edge = options.step(sim, i, &mut got, &mut step);
+                assert_eq!(
+                    (&got, step.report(), edge),
+                    (&want, &report, tally),
+                    "option {i}: {d:?}"
+                );
+                contested += usize::from(tally.arb_conflicts > 0);
                 if report.moved && !sim.all_delivered(&want) {
                     queue.push((want, budget - d.stalls.len() as u32));
                 }
             }
         }
-        seen.len()
+        (seen.len(), contested)
     }
 
     #[test]
     fn options_enumerate_the_oracle_decisions_in_order() {
+        // The 4-ring with two stalls to spend.
         let (net, nodes) = ring_unidirectional(4);
         let table = clockwise_ring(&net, &nodes).unwrap();
         let specs: Vec<MessageSpec> = (0..4)
             .map(|i| MessageSpec::new(nodes[i], nodes[(i + 2) % 4], 2))
             .collect();
         let sim = Sim::new(&net, &table, specs, None).unwrap();
-        assert!(options_match_oracle(&sim, 2) > 100);
+        let (pairs, _) = options_match_oracle(&sim, 2);
+        assert!(pairs > 100);
 
-        // Two messages contending for every channel of a line.
+        // A line where messages race to inject into the same first
+        // channel and contend for every channel after it.
         let (net, _) = line(4);
         let table = shortest_path_table(&net).unwrap();
         let specs = vec![
@@ -560,7 +638,19 @@ mod tests {
             MessageSpec::new(NodeId::from_index(1), NodeId::from_index(3), 2),
         ];
         let sim = Sim::new(&net, &table, specs, None).unwrap();
-        assert!(options_match_oracle(&sim, 1) > 10);
+        let (pairs, contested) = options_match_oracle(&sim, 1);
+        assert!(pairs > 10 && contested > 0);
+
+        // Two-flit queues: worms compress behind a blocked header and
+        // a tail can leave while its header is still waiting.
+        let (net, nodes) = ring_unidirectional(4);
+        let table = clockwise_ring(&net, &nodes).unwrap();
+        let specs: Vec<MessageSpec> = (0..3)
+            .map(|i| MessageSpec::new(nodes[i], nodes[(i + 3) % 4], 4))
+            .collect();
+        let sim = Sim::new(&net, &table, specs, Some(2)).unwrap();
+        let (pairs, contested) = options_match_oracle(&sim, 1);
+        assert!(pairs > 100 && contested > 0);
     }
 
     #[test]

@@ -22,16 +22,18 @@
 //! verdict for the fabric itself) and a `faults` block whenever the
 //! spec has a `faults` section. `search` and `sim` need messages to
 //! run over; with an empty resolved traffic list they degrade to
-//! `{"skipped":"no messages"}`.
+//! `{"skipped":"no messages"}`. A `search` block whose question the
+//! classifier's search fallback already explored renders that answer
+//! instead of searching again (see `fallback_answer`).
 
 use worm_core::analysis::Analysis;
-use worm_core::classify::AlgorithmVerdict;
+use worm_core::classify::{candidate_messages, AlgorithmVerdict, CycleClass};
 use wormexist::ExistenceReport;
 use wormfault::{reverify_from, FaultOutcome, FaultRunner, RetryPolicy};
 use wormlint::{LintSummary, Registry};
 use wormsearch::{explore, Verdict as SearchVerdict};
 use wormsim::runner::{ArbitrationPolicy, Outcome, Runner};
-use wormsim::Sim;
+use wormsim::{MessageSpec, Sim};
 use wormspec::ast::VerifyEngine;
 use wormtrace::escape_json;
 
@@ -114,7 +116,50 @@ fn skipped(reason: &str) -> String {
 /// `search` block reports itself skipped instead of blowing up.
 pub const MAX_SEARCH_MESSAGES: usize = 10;
 
-fn search_block(job: &CompiledJob) -> String {
+/// The classifier's answer to the question the job's `search` block
+/// asks, when its search fallback already explored it: whether a
+/// deadlock is reachable, and the states the search visited.
+///
+/// The fallback explores a candidate's [`candidate_messages`] with
+/// one-flit queues and no stalls, so it asked the job's question when
+/// the job has stall budget 0 and `capacity = 1` and its messages are
+/// the candidate's, `(src, dst, length)` in the same order (the search
+/// does not read `inject_at`). The depth-first order is fixed, so a
+/// fallback that finished within `states` finishes the same way under
+/// any `max_states` of at least `states`; a smaller budget searches
+/// afresh and gives up.
+fn fallback_answer(job: &CompiledJob, classifier: &AlgorithmVerdict) -> Option<(bool, usize)> {
+    if job.search_config.stall_budget != 0 || job.capacity != Some(1) {
+        return None;
+    }
+    let cycles = match classifier {
+        AlgorithmVerdict::DeadlockFreeAcyclic { .. } => return None,
+        AlgorithmVerdict::DeadlockFreeWithCycles { cycles }
+        | AlgorithmVerdict::Deadlockable { cycles }
+        | AlgorithmVerdict::Unknown { cycles } => cycles,
+    };
+    let key = |m: &MessageSpec| (m.src, m.dst, m.length);
+    cycles
+        .iter()
+        .flat_map(|c| &c.candidates)
+        .find_map(|v| match v.class {
+            CycleClass::DecidedBySearch { reachable, states }
+                if states <= job.search_config.max_states
+                    && candidate_messages(&v.candidate)
+                        .iter()
+                        .map(key)
+                        .eq(job.messages.iter().map(key)) =>
+            {
+                Some((reachable, states))
+            }
+            _ => None,
+        })
+}
+
+/// The `search` block: the classifier's `answer` when its fallback
+/// already searched the job's question (counted as `search.reused`),
+/// else one [`explore`] of the job's messages.
+fn search_block(job: &CompiledJob, answer: Option<(bool, usize)>) -> String {
     if job.messages.is_empty() {
         return skipped("no messages");
     }
@@ -124,23 +169,37 @@ fn search_block(job: &CompiledJob) -> String {
             job.messages.len()
         ));
     }
-    let sim = match Sim::new(
-        job.network(),
-        &job.table,
-        job.messages.clone(),
-        job.capacity,
-    ) {
-        Ok(sim) => sim,
-        Err(e) => return obj(&[("error", format!("\"{}\"", escape_json(&e.to_string())))]),
-    };
-    let result = explore(&sim, &job.search_config);
-    let verdict = match result.verdict {
-        SearchVerdict::DeadlockReachable(_) => "deadlock-reachable",
-        SearchVerdict::DeadlockFree => "deadlock-free",
-        SearchVerdict::Inconclusive { .. } => "inconclusive",
+    let (verdict, states) = match answer {
+        Some((reachable, states)) => {
+            wormtrace::counter("search.reused", 1);
+            let verdict = if reachable {
+                "deadlock-reachable"
+            } else {
+                "deadlock-free"
+            };
+            (verdict, states)
+        }
+        None => {
+            let sim = match Sim::new(
+                job.network(),
+                &job.table,
+                job.messages.clone(),
+                job.capacity,
+            ) {
+                Ok(sim) => sim,
+                Err(e) => return obj(&[("error", format!("\"{}\"", escape_json(&e.to_string())))]),
+            };
+            let result = explore(&sim, &job.search_config);
+            let verdict = match result.verdict {
+                SearchVerdict::DeadlockReachable(_) => "deadlock-reachable",
+                SearchVerdict::DeadlockFree => "deadlock-free",
+                SearchVerdict::Inconclusive { .. } => "inconclusive",
+            };
+            (verdict, result.states_explored)
+        }
     };
     obj(&[
-        ("states", result.states_explored.to_string()),
+        ("states", states.to_string()),
         ("verdict", format!("\"{verdict}\"")),
     ])
 }
@@ -288,6 +347,11 @@ pub fn verdict_json(job: &CompiledJob) -> String {
     );
     let lint = Registry::with_default_lints().summarize(&analysis, &job.lint_config);
     let classifier = analysis.classify(&job.classify_options);
+    let searches = matches!(job.engine, VerifyEngine::Search | VerifyEngine::Full);
+    // Read before the faults block takes the classifier's verdict.
+    let answer = searches
+        .then(|| fallback_answer(job, &classifier))
+        .flatten();
 
     let mut fields: Vec<(&str, String)> = vec![
         ("classifier", classifier_block(&classifier)),
@@ -299,8 +363,8 @@ pub fn verdict_json(job: &CompiledJob) -> String {
     }
     fields.push(("lint", lint_block(&lint)));
     fields.push(("schema", format!("\"{SCHEMA}\"")));
-    if matches!(job.engine, VerifyEngine::Search | VerifyEngine::Full) {
-        fields.push(("search", search_block(job)));
+    if searches {
+        fields.push(("search", search_block(job, answer)));
     }
     if matches!(job.engine, VerifyEngine::Sim | VerifyEngine::Full) {
         fields.push(("sim", sim_block(job)));

@@ -53,8 +53,8 @@ pub struct StepReport {
 
 /// One cycle's decisions in the borrowed form the stepping core
 /// consumes ([`Sim::step_with`]). [`Sim::step`] lends a [`Decisions`]
-/// this way; the exhaustive search lends each enumerated option
-/// straight from its own buffers, so stepping allocates nothing.
+/// this way and the runner lends its reused per-cycle buffers, so the
+/// core itself allocates nothing.
 #[derive(Clone, Copy, Debug, Default)]
 pub struct StepChoice<'a> {
     /// Pending messages attempting header injection.
@@ -71,7 +71,7 @@ pub struct StepChoice<'a> {
 /// The `sim.*` trace counters of one or more steps.
 ///
 /// [`Sim::step`] publishes each step's tally as it goes. A search
-/// steps through [`Sim::step_with`] once per explored edge, so it sums
+/// steps once per explored edge ([`Sim::step_granted`]), so it sums
 /// the tallies instead and publishes them once when it finishes: the
 /// totals are the same, without five recorder calls per edge.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
@@ -89,6 +89,20 @@ pub struct StepTally {
 }
 
 impl StepTally {
+    /// The tally of one step that `report` describes, in which
+    /// `stalls` messages were stalled and `conflicts` channels were
+    /// requested by two or more headers.
+    #[inline]
+    pub fn of_step(report: &StepReport, stalls: usize, conflicts: usize) -> StepTally {
+        StepTally {
+            cycles: 1,
+            flits_moved: report.flits_moved as u64,
+            delivered: report.delivered.len() as u64,
+            stall_injections: stalls as u64,
+            arb_conflicts: conflicts as u64,
+        }
+    }
+
     /// Add another tally (usually one step's) to this one.
     #[inline]
     pub fn absorb(&mut self, other: StepTally) {
@@ -138,7 +152,8 @@ impl StepScratch {
         StepScratch::default()
     }
 
-    /// The report of the last [`Sim::step_with`] call.
+    /// The report of the last step ([`Sim::step_with`] or
+    /// [`Sim::step_granted`]).
     pub fn report(&self) -> &StepReport {
         &self.report
     }
@@ -481,37 +496,61 @@ impl Sim {
         }
 
         let report = &mut scratch.report;
-        report.moved = false;
-        report.flits_moved = 0;
-        report.delivered.clear();
+        let movers = self
+            .messages()
+            .filter(|m| !choice.stalls.contains(m))
+            .map(|m| (m, grants[m.index()]));
         if choice.frozen.is_empty() {
-            self.advance_all(state, choice.stalls, grants, NoFreeze, report);
+            self.advance(state, movers, NoFreeze, report);
         } else {
-            self.advance_all(state, choice.stalls, grants, choice.frozen, report);
+            self.advance(state, movers, choice.frozen, report);
         }
-        StepTally {
-            cycles: 1,
-            flits_moved: report.flits_moved as u64,
-            delivered: report.delivered.len() as u64,
-            stall_injections: choice.stalls.len() as u64,
-            arb_conflicts: conflicts,
-        }
+        StepTally::of_step(report, choice.stalls.len(), conflicts)
     }
 
-    /// Advance every message that is neither stalled nor delivered.
-    fn advance_all<F: FrozenQ + Copy>(
+    /// Advance one cycle whose header requests the caller has already
+    /// collected and arbitrated, as the exhaustive search does for every
+    /// option when it enumerates a state's options: each of `movers`
+    /// advances, its header acquiring the channel paired with it
+    /// (`None`: none), and every other message stands still. The report
+    /// lands in [`StepScratch::report`]; nothing is frozen.
+    ///
+    /// Each mover appears once. Every in-flight message the cycle does
+    /// not stall must be a mover; a pending one without a grant, or a
+    /// delivered one, does nothing either way. A grant must be what
+    /// [`Sim::step_with`] would grant: the message's
+    /// [`Sim::request_of`] channel, won against every other requester
+    /// of it. Debug builds check that each grant is the message's next
+    /// channel and free, and the search holds every edge it steps to
+    /// `step_with` there.
+    pub fn step_granted<'s>(
         &self,
         state: &mut SimState,
-        stalls: &[MessageId],
-        grants: &[Option<ChannelId>],
+        movers: impl IntoIterator<Item = (MessageId, Option<ChannelId>)>,
+        scratch: &'s mut StepScratch,
+    ) -> &'s StepReport {
+        self.advance(state, movers, NoFreeze, &mut scratch.report);
+        &scratch.report
+    }
+
+    /// Advance each of `movers` that is not delivered under its grant,
+    /// and report the cycle's moves: the one advance routine behind
+    /// [`Sim::step_resolved`] and [`Sim::step_granted`].
+    #[inline]
+    fn advance<F: FrozenQ + Copy>(
+        &self,
+        state: &mut SimState,
+        movers: impl IntoIterator<Item = (MessageId, Option<ChannelId>)>,
         frozen: F,
         report: &mut StepReport,
     ) {
-        for m in self.messages() {
-            if stalls.contains(&m) || state.is_delivered(m, self.length(m)) {
-                continue;
+        report.moved = false;
+        report.flits_moved = 0;
+        report.delivered.clear();
+        for (m, grant) in movers {
+            if !state.is_delivered(m, self.length(m)) {
+                self.advance_message(state, m, grant, frozen, report);
             }
-            self.advance_message(state, m, grants[m.index()], frozen, report);
         }
     }
 
@@ -535,6 +574,7 @@ impl Sim {
         if state.injected[mi] == 0 {
             if let Some(c) = grant {
                 debug_assert_eq!(c, path[0]);
+                debug_assert!(state.channels[c.index()].is_none());
                 state.channels[c.index()] = Some(ChannelOcc {
                     msg: m,
                     lo: 0,

@@ -6,7 +6,9 @@ use cyclic_wormhole::net::topology::{line, ring_unidirectional, Mesh};
 use cyclic_wormhole::net::{ChannelId, Network, NodeId};
 use cyclic_wormhole::route::algorithms::{clockwise_ring, shortest_path_table};
 use cyclic_wormhole::route::TableRouting;
-use cyclic_wormhole::sim::{Decisions, MessageId, MessageSpec, Sim, SimState, StateCodec};
+use cyclic_wormhole::sim::{
+    Decisions, MessageId, MessageSpec, Sim, SimState, StateCodec, StepReport, StepScratch,
+};
 use proptest::prelude::*;
 
 /// A deterministic pseudo-random decision source driven by proptest
@@ -82,6 +84,40 @@ fn arbitrary_decisions(sim: &Sim, state: &SimState, driver: &mut DecisionDriver)
     }
 }
 
+/// The successor of `state` under `decisions` (which must freeze
+/// nothing) stepped the way the exhaustive search steps an option:
+/// arbitrate the header requests first (a contended channel without a
+/// winner entry goes to its lowest requesting id), then hand every
+/// message the cycle does not stall its grant through
+/// `Sim::step_granted`.
+fn step_by_grants(
+    sim: &Sim,
+    state: &SimState,
+    decisions: &Decisions,
+    scratch: &mut StepScratch,
+) -> (SimState, StepReport) {
+    assert!(
+        decisions.frozen.is_empty(),
+        "grant stepping freezes nothing"
+    );
+    let mut grants = vec![None; sim.message_count()];
+    for (chan, requesters) in sim.header_requests(state, &decisions.inject, &decisions.stalls) {
+        let winner = decisions
+            .winners
+            .get(&chan)
+            .copied()
+            .unwrap_or(requesters[0]);
+        grants[winner.index()] = Some(chan);
+    }
+    let movers = sim
+        .messages()
+        .filter(|m| !decisions.stalls.contains(m))
+        .map(|m| (m, grants[m.index()]));
+    let mut next = state.clone();
+    let report = sim.step_granted(&mut next, movers, scratch).clone();
+    (next, report)
+}
+
 fn arb_topology() -> impl Strategy<Value = (Network, Vec<NodeId>, TableRouting)> {
     prop_oneof![
         (2usize..6).prop_map(|n| {
@@ -109,7 +145,10 @@ proptest! {
     /// Whatever the decisions, frozen channels included, every engine
     /// step preserves flit conservation, worm contiguity, capacity
     /// bounds, atomic buffer allocation and the cached worm ends (all
-    /// encoded in `check_invariants`).
+    /// encoded in `check_invariants`). At every state of the run, the
+    /// same decisions without their frozen channels step to the same
+    /// successor and report by grants (`Sim::step_granted`, as the
+    /// search steps) as through `Sim::step`.
     #[test]
     fn engine_invariants_hold_under_arbitrary_decisions(
         (net, nodes, table) in arb_topology(),
@@ -135,8 +174,17 @@ proptest! {
         let sim = Sim::new(&net, &table, specs, Some(capacity)).expect("routed");
         let mut state = sim.initial_state();
         let mut driver = DecisionDriver::new(words);
+        let mut scratch = StepScratch::new();
         for _ in 0..steps {
             let decisions = arbitrary_decisions(&sim, &state, &mut driver);
+            let unfrozen = Decisions {
+                frozen: Vec::new(),
+                ..decisions.clone()
+            };
+            let mut want = state.clone();
+            let report = sim.step(&mut want, &unfrozen);
+            let (got, got_report) = step_by_grants(&sim, &state, &unfrozen, &mut scratch);
+            prop_assert_eq!((&got, &got_report), (&want, &report));
             sim.step(&mut state, &decisions);
             sim.check_invariants(&state);
         }
