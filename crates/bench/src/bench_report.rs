@@ -1,10 +1,10 @@
 //! Headless benchmark runner and the `wormbench/1` JSON baselines.
 //!
 //! The workspace's one benchmark harness. The committed baselines
-//! `BENCH_search.json` and `BENCH_sim.json` are for diffs: regenerate
-//! them with the `bench_report` binary after a performance change and
-//! the review shows exactly which scenario's state count or
-//! throughput moved.
+//! `BENCH_search.json`, `BENCH_sim.json` and `BENCH_serve.json` are for
+//! diffs: regenerate them with the `bench_report` binary after a
+//! performance change and the review shows exactly which scenario's
+//! state count or throughput moved.
 //!
 //! Like `wormtrace/1` (the trace report schema), the serializer is
 //! hand-rolled — the workspace builds offline, so no serde — and all
@@ -15,11 +15,12 @@
 //! `verdict`, `delivered`) are exactly reproducible; timing values
 //! (`states_per_sec`, `cycles_per_sec` and the `*_ms` keys) are
 //! machine-dependent and only meaningful relative to other entries
-//! from the same run. Each search and sim entry's rate is the best of
-//! five repetitions, which must all agree on its exact values.
+//! from the same run. Each search, sim and serve entry's timing is the
+//! best of five repetitions, which must all agree on its exact values.
 
 use std::collections::BTreeMap;
 use std::fmt;
+use std::path::Path;
 use std::time::Instant;
 
 use crate::scenarios::{
@@ -73,7 +74,8 @@ impl fmt::Display for BenchValue {
 /// ```
 #[derive(Clone, Debug, Default, PartialEq)]
 pub struct BenchReport {
-    /// Which suite produced this report (`"search"` or `"sim"`).
+    /// Which suite produced this report (`"search"`, `"sim"` or
+    /// `"serve"`).
     pub suite: String,
     /// Scenario name → measurement key → value, both levels sorted.
     pub entries: BTreeMap<String, BTreeMap<String, BenchValue>>,
@@ -459,6 +461,133 @@ pub fn run_sim_suite(smoke: bool) -> BenchReport {
     report
 }
 
+/// The committed `wormspec/1` corpus (`corpus/*.wspec`): file stem and
+/// source, sorted by stem.
+fn corpus_sources() -> Vec<(String, String)> {
+    let dir = Path::new(env!("CARGO_MANIFEST_DIR")).join("../../corpus");
+    let mut sources: Vec<(String, String)> = std::fs::read_dir(&dir)
+        .unwrap_or_else(|e| panic!("{}: {e}", dir.display()))
+        .map(|entry| entry.expect("corpus entry reads").path())
+        .filter(|p| p.extension().is_some_and(|x| x == "wspec"))
+        .map(|p| {
+            let stem = p.file_stem().expect("a .wspec file has a stem");
+            let source = std::fs::read_to_string(&p).expect("corpus spec reads");
+            (stem.to_string_lossy().into_owned(), source)
+        })
+        .collect();
+    sources.sort();
+    sources
+}
+
+/// A resubmission of `source` in other surface syntax with the same
+/// canonical text: a comment first, and every line re-indented, some
+/// with a trailing comment.
+fn rewrite(source: &str) -> String {
+    let mut out = String::from("# resubmitted\n");
+    for (i, line) in source.lines().enumerate() {
+        out.push_str(["", "\t", "    "][i % 3]);
+        out.push_str(line.trim_start());
+        out.push_str(if i % 4 == 0 { "   # kept\n" } else { "\n" });
+    }
+    out
+}
+
+/// Run the serve suite: what a `wormserve` cache hit costs. One
+/// `key_<spec>` entry per corpus spec times `wormserve::key` (parse and
+/// hash) on its source; `corpus_hot` serves the whole corpus, rewritten,
+/// from a primed cache. `smoke` runs each timing once.
+pub fn run_serve_suite(smoke: bool) -> BenchReport {
+    let mut report = BenchReport::new("serve");
+    let corpus = corpus_sources();
+    for (stem, source) in &corpus {
+        run_key_scenario(&mut report, stem, source, smoke);
+    }
+    run_corpus_hot(&mut report, &corpus, smoke);
+    report
+}
+
+/// Measure one spec's key: its size as written and as canonical text,
+/// its `path` declarations (exact), and `key_ms`, the best time of
+/// `wormserve::key` on its source.
+fn run_key_scenario(report: &mut BenchReport, stem: &str, source: &str, smoke: bool) {
+    let name = format!("key_{stem}");
+    let (_hash, keys_per_sec) = best_rate(&name, smoke, || {
+        let start = Instant::now();
+        let key = wormserve::key(source).expect("corpus specs parse");
+        (key.hash, 1, start.elapsed().as_secs_f64())
+    });
+    let spec = wormspec::parse(source).expect("corpus specs parse");
+    report.insert(&name, "source_bytes", BenchValue::Int(source.len() as u64));
+    report.insert(
+        &name,
+        "canonical_bytes",
+        BenchValue::Int(wormspec::canonical(&spec).len() as u64),
+    );
+    report.insert(
+        &name,
+        "path_decls",
+        BenchValue::Int(spec.routing.paths().len() as u64),
+    );
+    // To the microsecond: the corpus keys take from ~1 µs to ~1 ms.
+    let key_ms = (1e6 / keys_per_sec).round() / 1e3;
+    report.insert(&name, "key_ms", BenchValue::Float(key_ms));
+}
+
+/// Serve `sources` through a one-worker `Server` on the cache at `dir`,
+/// with a queue deep enough that submitting never waits. Returns each
+/// job's result, in submission order, and the seconds from the
+/// server's start to its drain.
+fn serve(dir: &Path, sources: &[(String, String)]) -> (Vec<wormserve::JobResult>, f64) {
+    let start = Instant::now();
+    let server = wormserve::Server::start(wormserve::ServerConfig {
+        workers: 1,
+        queue_depth: sources.len().max(1),
+        cache_dir: Some(dir.to_path_buf()),
+        attach_traces: false,
+    })
+    .expect("the cache directory opens");
+    for (name, source) in sources {
+        assert!(server.submit(name.clone(), source.clone()));
+    }
+    let results = server.shutdown();
+    (results, start.elapsed().as_secs_f64())
+}
+
+/// Measure the corpus served hot: prime a fresh cache with every
+/// corpus spec, then serve a rewrite of each through a one-worker
+/// server. `jobs` and `hits` are exact (every rewrite must hit and
+/// replay the primed document); `hot_jobs_per_sec` is the best rate.
+fn run_corpus_hot(report: &mut BenchReport, corpus: &[(String, String)], smoke: bool) {
+    let dir = std::env::temp_dir().join(format!("wormbench-serve-{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&dir);
+    let (primed, _) = serve(&dir, corpus);
+    assert!(primed.iter().all(|r| !r.cached && r.verdict.is_ok()));
+    let rewrites: Vec<(String, String)> = corpus
+        .iter()
+        .map(|(stem, source)| (stem.clone(), rewrite(source)))
+        .collect();
+    let (counts, hot_jobs_per_sec) = best_rate("corpus_hot", smoke, || {
+        let (hot, secs) = serve(&dir, &rewrites);
+        for (computed, hit) in primed.iter().zip(&hot) {
+            assert_eq!(
+                hit.verdict, computed.verdict,
+                "{}: replay differs",
+                hit.name
+            );
+        }
+        let hits = hot.iter().filter(|r| r.cached).count() as u64;
+        ((hot.len() as u64, hits), hot.len() as u64, secs)
+    });
+    let _ = std::fs::remove_dir_all(&dir);
+    report.insert("corpus_hot", "jobs", BenchValue::Int(counts.0));
+    report.insert("corpus_hot", "hits", BenchValue::Int(counts.1));
+    report.insert(
+        "corpus_hot",
+        "hot_jobs_per_sec",
+        BenchValue::Float(hot_jobs_per_sec),
+    );
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -566,5 +695,30 @@ mod tests {
         assert_eq!(starved["cycles"], BenchValue::Int(200));
         assert_eq!(starved["flit_moves"], BenchValue::Int(0));
         assert_eq!(starved["outcome"], BenchValue::Str("timeout".into()));
+    }
+
+    #[test]
+    fn the_serve_suite_keys_every_corpus_spec_and_serves_it_hot() {
+        let serve = run_serve_suite(true);
+        assert_eq!(serve.suite, "serve");
+        let keys: Vec<&String> = serve
+            .entries
+            .keys()
+            .filter(|n| n.starts_with("key_"))
+            .collect();
+        assert_eq!(keys.len(), 20);
+        for name in keys {
+            let entry = &serve.entries[name];
+            let set: Vec<&str> = entry.keys().map(String::as_str).collect();
+            assert_eq!(
+                set,
+                ["canonical_bytes", "key_ms", "path_decls", "source_bytes"]
+            );
+        }
+        assert_eq!(serve.entries["key_g5"]["path_decls"], BenchValue::Int(2256));
+        let hot = &serve.entries["corpus_hot"];
+        assert_eq!(hot["jobs"], BenchValue::Int(20));
+        assert_eq!(hot["hits"], BenchValue::Int(20));
+        assert!(hot.contains_key("hot_jobs_per_sec"));
     }
 }

@@ -2,7 +2,7 @@
 //! writes the committed `wormbench/1` baselines.
 //!
 //! ```text
-//! bench_report [--suite search|sim|all] [--smoke] [--out-dir DIR]
+//! bench_report [--suite search|sim|serve|all] [--smoke] [--out-dir DIR]
 //! ```
 //!
 //! * `--suite` — which suite(s) to run (default `all`).
@@ -10,15 +10,16 @@
 //!   finishes in seconds; used by CI to validate the harness. Smoke
 //!   results are printed but **not** written unless `--out-dir` is
 //!   given explicitly (smoke numbers must never overwrite baselines).
-//! * `--out-dir` — where to write `BENCH_search.json` /
-//!   `BENCH_sim.json` (default: the current directory; full runs
-//!   regenerate the repo-root baselines when run from the repo root).
+//! * `--out-dir` — where to write `BENCH_search.json`,
+//!   `BENCH_sim.json` and `BENCH_serve.json` (default: the current
+//!   directory; full runs regenerate the repo-root baselines when run
+//!   from the repo root).
 //!
 //! See `docs/PERFORMANCE.md` for the schema and the regeneration
 //! workflow.
 
 use wormbench::args;
-use wormbench::bench_report::{run_search_suite, run_sim_suite, BenchReport};
+use wormbench::bench_report::{run_search_suite, run_serve_suite, run_sim_suite, BenchReport};
 
 fn write_or_print(report: &BenchReport, out_dir: Option<&str>, smoke: bool) {
     let json = report.to_json();
@@ -49,8 +50,8 @@ fn main() {
     let suite = args::value_of("--suite").unwrap_or_else(|| "all".into());
     let out_dir = args::value_of("--out-dir");
     let out_dir = out_dir.as_deref();
-    if !matches!(suite.as_str(), "search" | "sim" | "all") {
-        eprintln!("bench_report: unknown suite {suite:?} (expected search, sim, or all)");
+    if !matches!(suite.as_str(), "search" | "sim" | "serve" | "all") {
+        eprintln!("bench_report: unknown suite {suite:?} (expected search, sim, serve, or all)");
         std::process::exit(2);
     }
     if suite == "search" || suite == "all" {
@@ -58,5 +59,8 @@ fn main() {
     }
     if suite == "sim" || suite == "all" {
         write_or_print(&run_sim_suite(smoke), out_dir, smoke);
+    }
+    if suite == "serve" || suite == "all" {
+        write_or_print(&run_serve_suite(smoke), out_dir, smoke);
     }
 }

@@ -8,7 +8,7 @@
 
 use wormnet::spec::BuiltTopology;
 use wormnet::{ChannelId, Network};
-use wormspec::ast::{PathDecl, Routing};
+use wormspec::ast::{PathRef, Routing};
 use wormspec::diag::{codes, Span, SpecError};
 
 use crate::algorithms;
@@ -45,7 +45,7 @@ pub fn table_from_spec(routing: &Routing, topo: &BuiltTopology) -> Result<TableR
     let engine = routing.engine.value.as_str();
     let at = routing.engine.span;
     if engine != "table" {
-        if let Some(p) = routing.paths.first() {
+        if let Some(p) = routing.paths().next() {
             return Err(err(
                 codes::CONFLICT,
                 format!(
@@ -173,10 +173,10 @@ fn explicit_table(routing: &Routing, topo: &BuiltTopology) -> Result<TableRoutin
     let net = topo.network();
     let mut table = TableBuilder::new(net);
     let duplicate = |d: Duplicate| {
-        let p = &routing.paths[d.index];
+        let p = routing.path(d.index);
         route_err(d.into(), p.src.span.to(p.dst.span))
     };
-    for p in &routing.paths {
+    for p in routing.paths() {
         if let Err(e) = declare(net, &mut table, p) {
             return Err(table.finish().err().map_or(e, duplicate));
         }
@@ -185,15 +185,15 @@ fn explicit_table(routing: &Routing, topo: &BuiltTopology) -> Result<TableRoutin
 }
 
 /// Resolve one `path` declaration and register it in `table`.
-fn declare(net: &Network, table: &mut TableBuilder<'_>, p: &PathDecl) -> Result<(), SpecError> {
-    let src = net.node_by_name(&p.src.value).ok_or_else(|| {
+fn declare(net: &Network, table: &mut TableBuilder<'_>, p: PathRef<'_>) -> Result<(), SpecError> {
+    let src = net.node_by_name(p.src.value).ok_or_else(|| {
         err(
             codes::RESOLVE,
             format!("unknown node \"{}\"", p.src.value),
             p.src.span,
         )
     })?;
-    let dst = net.node_by_name(&p.dst.value).ok_or_else(|| {
+    let dst = net.node_by_name(p.dst.value).ok_or_else(|| {
         err(
             codes::RESOLVE,
             format!("unknown node \"{}\"", p.dst.value),
@@ -201,7 +201,7 @@ fn declare(net: &Network, table: &mut TableBuilder<'_>, p: &PathDecl) -> Result<
         )
     })?;
     let mut channels = Vec::with_capacity(p.channels.value.len());
-    for &c in &p.channels.value {
+    for &c in p.channels.value {
         let idx = usize::try_from(c)
             .map_err(|_| err(codes::RANGE, "channel index out of range", p.channels.span))?;
         if idx >= net.channel_count() {

@@ -3,8 +3,8 @@
 //! Compilation has two steps, so that a cache hit pays only for the
 //! first:
 //!
-//! 1. [`key`] parses the source, renders its canonical text once and
-//!    hashes it. The [`SpecKey`] is everything a cache lookup needs.
+//! 1. [`key`] parses the source and hashes its canonical text as it is
+//!    printed. The [`SpecKey`] is everything a cache lookup needs.
 //! 2. [`resolve`] chains the per-crate resolution seams in dependency
 //!    order — topology, routing, traffic, faults, then the verify
 //!    configuration objects — so a [`CompiledJob`] holds everything the
@@ -101,10 +101,11 @@ pub fn compile(source: &str) -> Result<CompiledJob, SpecError> {
     resolve(key(source)?)
 }
 
-/// Parse `source` and hash its canonical text, rendered once.
+/// Parse `source` and hash its canonical text as it is printed (no
+/// text is kept).
 pub fn key(source: &str) -> Result<SpecKey, SpecError> {
     let spec = wormspec::parse(source)?;
-    let hash = wormspec::hash_hex(&wormspec::canonical(&spec));
+    let hash = wormspec::content_hash_hex(&spec);
     Ok(SpecKey { spec, hash })
 }
 

@@ -6,8 +6,8 @@
 //!
 //! The pieces, in data-flow order:
 //!
-//! - [`key`] — parse a source, render its canonical text once and hash
-//!   it into a [`SpecKey`]: all a cache lookup needs;
+//! - [`key`] — parse a source and hash its canonical text as it is
+//!   printed into a [`SpecKey`]: all a cache lookup needs;
 //! - [`resolve`] — resolve a key through every per-crate seam
 //!   (`wormnet::spec`, `wormroute::spec`, `wormsim::spec`,
 //!   `wormfault::spec`, `wormlint::spec`, `worm_core::spec`,

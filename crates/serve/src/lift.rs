@@ -13,8 +13,7 @@
 use wormnet::Network;
 use wormroute::TableRouting;
 use wormspec::ast::{
-    ChannelDecl, Decl, NodeDecl, PathDecl, Quantity, Routing, Spanned, Spec, Topology,
-    TopologyKind, Unit,
+    ChannelDecl, Decl, NodeDecl, Quantity, Routing, Spanned, Spec, Topology, TopologyKind, Unit,
 };
 
 fn dummy_str(s: &str) -> Spanned<String> {
@@ -40,24 +39,24 @@ pub fn lift(net: &Network, table: &TableRouting) -> Spec {
         }));
     }
     // The table iterates in `(src, dst)` order.
-    let paths = table
-        .iter()
-        .map(|((src, dst), path)| PathDecl {
-            src: dummy_str(net.node_name(src)),
-            dst: dummy_str(net.node_name(dst)),
-            channels: Spanned::dummy(path.channels().iter().map(|c| c.index() as u64).collect()),
-        })
-        .collect();
+    let mut routing = Routing::new(dummy_str("table"));
+    let mut hops = Vec::new();
+    for ((src, dst), path) in table.iter() {
+        hops.clear();
+        hops.extend(path.channels().iter().map(|c| c.index() as u64));
+        routing.push_path(
+            Spanned::dummy(net.node_name(src)),
+            Spanned::dummy(net.node_name(dst)),
+            Spanned::dummy(&hops),
+        );
+    }
     Spec {
         topology: Topology {
             kind: Spanned::dummy(TopologyKind::Explicit),
             decls,
             ..Topology::default()
         },
-        routing: Routing {
-            engine: dummy_str("table"),
-            paths,
-        },
+        routing,
         traffic: None,
         faults: None,
         verify: None,

@@ -12,6 +12,8 @@
 //! the syntax level, so resolution code never sees a bare number where
 //! a duration belongs.
 
+use std::ops::Range;
+
 use crate::diag::Span;
 
 /// A value plus the source span it was parsed from.
@@ -272,24 +274,99 @@ pub struct ChannelDecl {
 }
 
 /// The `routing` section.
-#[derive(Clone, Debug, PartialEq, Default)]
+///
+/// An explicit table runs to thousands of `path` declarations, so the
+/// section stores them flat: every path's channel ids in one hop
+/// vector, every endpoint name in one name buffer, and per path only
+/// ranges into both plus its spans. Paths are added with
+/// [`Routing::push_path`] and read back as [`PathRef`] views.
+/// Equality is by value: two routings with the same engine and the
+/// same paths in the same order compare equal however they were built.
+#[derive(Clone, Debug, Default)]
 pub struct Routing {
     /// `engine = ...` — a named engine from `wormroute::algorithms`,
     /// or `table` for explicit paths (required).
     pub engine: Spanned<String>,
-    /// Explicit `path` declarations (`engine = table`).
-    pub paths: Vec<PathDecl>,
+    /// Explicit `path` declarations (`engine = table`), in order.
+    paths: Vec<PathDecl>,
+    /// Every path's channel ids, path after path.
+    hops: Vec<u64>,
+    /// Every path's endpoint names, source then destination.
+    names: String,
 }
 
-/// One explicit routing path: `path "SRC" -> "DST" = [c0, c4, c7]`.
-#[derive(Clone, Debug, PartialEq)]
-pub struct PathDecl {
+/// One stored `path` declaration: ranges into its [`Routing`]'s name
+/// buffer and hop vector, each with the span it was written at.
+#[derive(Clone, Debug)]
+struct PathDecl {
+    src: Spanned<Range<usize>>,
+    dst: Spanned<Range<usize>>,
+    channels: Spanned<Range<usize>>,
+}
+
+/// One explicit routing path, `path "SRC" -> "DST" = [c0, c4, c7]`,
+/// as read from a [`Routing`]. Equality ignores the spans.
+#[derive(Clone, Copy, Debug, PartialEq)]
+pub struct PathRef<'a> {
     /// Source node name.
-    pub src: Spanned<String>,
+    pub src: Spanned<&'a str>,
     /// Destination node name.
-    pub dst: Spanned<String>,
-    /// Channel ids (`cN` references) in hop order.
-    pub channels: Spanned<Vec<u64>>,
+    pub dst: Spanned<&'a str>,
+    /// Channel ids (`cN` references) in hop order; the span covers the
+    /// bracketed list.
+    pub channels: Spanned<&'a [u64]>,
+}
+
+impl Routing {
+    /// A routing section naming `engine`, with no paths yet.
+    pub fn new(engine: Spanned<String>) -> Self {
+        Routing {
+            engine,
+            ..Routing::default()
+        }
+    }
+
+    /// Append one `path` declaration.
+    pub fn push_path(&mut self, src: Spanned<&str>, dst: Spanned<&str>, channels: Spanned<&[u64]>) {
+        let src = Spanned::new(push_range(&mut self.names, src.value), src.span);
+        let dst = Spanned::new(push_range(&mut self.names, dst.value), dst.span);
+        let start = self.hops.len();
+        self.hops.extend_from_slice(channels.value);
+        let channels = Spanned::new(start..self.hops.len(), channels.span);
+        self.paths.push(PathDecl { src, dst, channels });
+    }
+
+    /// The `i`-th path declaration.
+    ///
+    /// # Panics
+    ///
+    /// If there are not more than `i` paths.
+    pub fn path(&self, i: usize) -> PathRef<'_> {
+        let p = &self.paths[i];
+        PathRef {
+            src: Spanned::new(&self.names[p.src.value.clone()], p.src.span),
+            dst: Spanned::new(&self.names[p.dst.value.clone()], p.dst.span),
+            channels: Spanned::new(&self.hops[p.channels.value.clone()], p.channels.span),
+        }
+    }
+
+    /// The path declarations, in order.
+    pub fn paths(&self) -> impl ExactSizeIterator<Item = PathRef<'_>> + '_ {
+        (0..self.paths.len()).map(|i| self.path(i))
+    }
+}
+
+impl PartialEq for Routing {
+    fn eq(&self, other: &Self) -> bool {
+        self.engine == other.engine && self.paths().eq(other.paths())
+    }
+}
+
+/// Append `s` to `buf` and return the range it occupies.
+fn push_range(buf: &mut String, s: &str) -> Range<usize> {
+    let start = buf.len();
+    buf.push_str(s);
+    start..buf.len()
 }
 
 /// Synthetic traffic patterns.

@@ -10,22 +10,40 @@
 //! The **content hash** is FNV-1a (64-bit) over those bytes. It keys
 //! the `wormserve` result cache: a resubmitted spec that differs only
 //! in formatting hits the cache and is answered with the stored
-//! verdict, bit for bit.
+//! verdict, bit for bit. The hash is taken as the text is printed: the
+//! printer writes into an FNV-1a state instead of a buffer, so hashing
+//! a spec renders no text.
 
 use crate::ast::Spec;
-use crate::print::to_spec;
+use crate::print::{to_spec, write_spec, Sink};
 
 const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
 const FNV_PRIME: u64 = 0x0000_0100_0000_01b3;
 
 /// FNV-1a (64-bit) over arbitrary bytes.
 pub fn fnv1a(bytes: &[u8]) -> u64 {
-    let mut h = FNV_OFFSET;
-    for &b in bytes {
-        h ^= b as u64;
-        h = h.wrapping_mul(FNV_PRIME);
+    let mut h = Fnv1a(FNV_OFFSET);
+    h.update(bytes);
+    h.0
+}
+
+/// An FNV-1a state. Updating it piece by piece gives what [`fnv1a`]
+/// gives over the pieces joined.
+struct Fnv1a(u64);
+
+impl Fnv1a {
+    fn update(&mut self, bytes: &[u8]) {
+        for &b in bytes {
+            self.0 ^= b as u64;
+            self.0 = self.0.wrapping_mul(FNV_PRIME);
+        }
     }
-    h
+}
+
+impl Sink for Fnv1a {
+    fn write(&mut self, s: &str) {
+        self.update(s.as_bytes());
+    }
 }
 
 /// The canonical text of a spec (the pretty-printer's output).
@@ -33,22 +51,18 @@ pub fn canonical(spec: &Spec) -> String {
     to_spec(spec)
 }
 
-/// 64-bit content hash of the canonical form.
+/// 64-bit content hash of the canonical form: [`fnv1a`] over
+/// [`canonical`]'s bytes, taken as they are printed.
 pub fn content_hash(spec: &Spec) -> u64 {
-    fnv1a(canonical(spec).as_bytes())
+    let mut h = Fnv1a(FNV_OFFSET);
+    write_spec(&mut h, spec);
+    h.0
 }
 
 /// The content hash as 16 lowercase hex digits (cache file names,
 /// verdict identity).
 pub fn content_hash_hex(spec: &Spec) -> String {
-    hash_hex(&canonical(spec))
-}
-
-/// The content hash of an already rendered canonical text, as 16
-/// lowercase hex digits: FNV-1a over its bytes. A caller that needs
-/// the text too renders it once and hashes it here.
-pub fn hash_hex(canonical: &str) -> String {
-    format!("{:016x}", fnv1a(canonical.as_bytes()))
+    format!("{:016x}", content_hash(spec))
 }
 
 #[cfg(test)]
@@ -108,7 +122,7 @@ mod tests {
         )
         .unwrap();
         let hex = content_hash_hex(&a);
-        assert_eq!(hex, hash_hex(&canonical(&a)));
+        assert_eq!(hex, format!("{:016x}", fnv1a(canonical(&a).as_bytes())));
         assert_eq!(hex.len(), 16);
         assert!(hex
             .chars()

@@ -33,15 +33,20 @@
 //! * [`parser`] — recursive descent into the typed [`ast`]. Quantities
 //!   carry units (`cycles`, `flits`, `lanes`) checked at parse time;
 //!   enumerations, references (`c3`, `m0`, `W101`), duplicate keys and
-//!   sections are all validated with stable error codes.
+//!   sections are all validated with stable error codes. A routing
+//!   section's `path` declarations are stored flat (one hop vector and
+//!   one name buffer per section, see [`ast::Routing`]), so a table of
+//!   thousands of paths costs a few allocations, not three per path.
 //! * [`diag`] — [`diag::SpecError`] with stable `E`-codes and rendered
 //!   line/column + caret-snippet diagnostics.
-//! * [`print`](mod@print) — the `to_spec` pretty-printer, writing into one
-//!   buffer; its output is the **canonical form**, with
-//!   `parse(print(ast)) == ast`.
+//! * [`print`](mod@print) — the `to_spec` pretty-printer; its output is
+//!   the **canonical form**, with `parse(print(ast)) == ast`. It writes
+//!   piece by piece into a sink: a `String` for [`to_spec`] and
+//!   [`canonical`], an FNV-1a state for the hash.
 //! * [`canon`] — the FNV-1a 64-bit [`content_hash`] over the canonical
-//!   form, keying the `wormserve` result cache; [`hash_hex`] hashes a
-//!   canonical text already rendered.
+//!   form, keying the `wormserve` result cache. It is taken as the text
+//!   is printed, so hashing renders no text; [`fnv1a`] is its
+//!   definition over bytes.
 //!
 //! Resolution — turning an AST into a live `Network`, `TableRouting`,
 //! `FaultPlan`, and so on — deliberately lives *downstream*: each
@@ -63,7 +68,7 @@ pub mod parser;
 pub mod print;
 
 pub use ast::Spec;
-pub use canon::{canonical, content_hash, content_hash_hex, fnv1a, hash_hex};
+pub use canon::{canonical, content_hash, content_hash_hex, fnv1a};
 pub use diag::{Span, SpecError};
 pub use parser::parse;
 pub use print::to_spec;

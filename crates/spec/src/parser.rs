@@ -6,6 +6,8 @@
 //! right unit, enumerations must name a known keyword — so resolution
 //! code downstream starts from a well-typed AST.
 
+use std::borrow::Cow;
+
 use crate::ast::*;
 use crate::diag::{codes, Span, SpecError};
 use crate::lexer::{lex, Tok, Token};
@@ -84,14 +86,22 @@ impl<'a> Parser<'a> {
         }
     }
 
-    fn string(&mut self, expected: &str) -> Result<Spanned<String>, SpecError> {
+    /// A string literal, still borrowed from the source unless it held
+    /// an escape.
+    fn str_lit(&mut self, expected: &str) -> Result<Spanned<Cow<'a, str>>, SpecError> {
         match &mut self.cur.tok {
             Tok::Str(s) => {
-                let s = std::mem::take(s).into_owned();
+                let s = std::mem::take(s);
                 Ok(Spanned::new(s, self.next().span))
             }
             _ => Err(self.unexpected(expected)),
         }
+    }
+
+    /// A string literal copied out for the AST.
+    fn string(&mut self, expected: &str) -> Result<Spanned<String>, SpecError> {
+        let s = self.str_lit(expected)?;
+        Ok(Spanned::new(s.value.into_owned(), s.span))
     }
 
     fn int(&mut self, expected: &str) -> Result<Spanned<u64>, SpecError> {
@@ -191,26 +201,6 @@ impl<'a> Parser<'a> {
             )
         })?;
         Ok(Spanned::new(n, span))
-    }
-
-    /// `[c0, c4, c7]`
-    fn channel_list(&mut self) -> Result<Spanned<Vec<u64>>, SpecError> {
-        let lo = self.expect_tok(Tok::LBracket, "`[`")?;
-        let mut items = Vec::new();
-        loop {
-            match self.peek().tok {
-                Tok::RBracket => break,
-                Tok::Ident(_) => {
-                    items.push(self.reference('c', "channel")?.value);
-                    if self.peek().tok == Tok::Comma {
-                        self.next();
-                    }
-                }
-                _ => return Err(self.unexpected("a channel reference or `]`")),
-            }
-        }
-        let hi = self.next().span; // RBracket
-        Ok(Spanned::new(items, lo.to(hi)))
     }
 
     fn spec(&mut self) -> Result<Spec, SpecError> {
@@ -419,7 +409,9 @@ impl<'a> Parser<'a> {
 
     fn routing(&mut self) -> Result<Routing, SpecError> {
         let mut engine: Option<Spanned<String>> = None;
-        let mut paths = Vec::new();
+        let mut routing = Routing::default();
+        // One path's channel ids, reused from path to path.
+        let mut hops = Vec::new();
         loop {
             let key = match &self.peek().tok {
                 Tok::RBrace => {
@@ -443,12 +435,31 @@ impl<'a> Parser<'a> {
                     engine = Some(Spanned::new(id.value.to_string(), id.span));
                 }
                 "path" => {
-                    let src = self.string("the source node name")?;
+                    let src = self.str_lit("the source node name")?;
                     self.expect_tok(Tok::Arrow, "`->` between path endpoints")?;
-                    let dst = self.string("the destination node name")?;
+                    let dst = self.str_lit("the destination node name")?;
                     self.expect_tok(Tok::Eq, "`=` before the channel list")?;
-                    let channels = self.channel_list()?;
-                    paths.push(PathDecl { src, dst, channels });
+                    // `[c0, c4, c7]`
+                    let lo = self.expect_tok(Tok::LBracket, "`[`")?;
+                    hops.clear();
+                    loop {
+                        match self.peek().tok {
+                            Tok::RBracket => break,
+                            Tok::Ident(_) => {
+                                hops.push(self.reference('c', "channel")?.value);
+                                if self.peek().tok == Tok::Comma {
+                                    self.next();
+                                }
+                            }
+                            _ => return Err(self.unexpected("a channel reference or `]`")),
+                        }
+                    }
+                    let hi = self.next().span; // RBracket
+                    routing.push_path(
+                        Spanned::new(&*src.value, src.span),
+                        Spanned::new(&*dst.value, dst.span),
+                        Spanned::new(&hops[..], lo.to(hi)),
+                    );
                 }
                 other => {
                     return Err(self.error(
@@ -459,14 +470,14 @@ impl<'a> Parser<'a> {
                 }
             }
         }
-        let engine = engine.ok_or_else(|| {
+        routing.engine = engine.ok_or_else(|| {
             SpecError::new(
                 codes::MISSING,
                 "the routing section needs `engine = ...` (use `engine = table` for explicit paths)",
                 self.peek().span,
             )
         })?;
-        Ok(Routing { engine, paths })
+        Ok(routing)
     }
 
     fn traffic(&mut self) -> Result<Traffic, SpecError> {
@@ -892,8 +903,10 @@ mod tests {
             }
             other => panic!("expected channel, got {other:?}"),
         }
-        assert_eq!(spec.routing.paths.len(), 2);
-        assert_eq!(spec.routing.paths[0].channels.value, vec![0]);
+        assert_eq!(spec.routing.paths().len(), 2);
+        let p = spec.routing.path(1);
+        assert_eq!((p.src.value, p.dst.value), ("B", "A"));
+        assert_eq!(p.channels.value, [1]);
     }
 
     #[test]

@@ -5,7 +5,10 @@
 //! indentation, defaults elided. Because the parser discards comments,
 //! whitespace, and key order, `print(parse(text))` maps every
 //! formatting of a spec to the same bytes — and the content hash
-//! ([`crate::canon`]) is defined over exactly those bytes.
+//! ([`crate::canon`]) is defined over exactly those bytes. The printer
+//! writes them piece by piece into a sink: [`to_spec`] collects them in
+//! a `String`, and the content hash folds them into an FNV-1a state
+//! without rendering any text.
 //!
 //! The inverse guarantee, `parse(print(ast)) == ast`, holds for every
 //! AST the parser can produce (spans are ignored by AST equality) and
@@ -13,31 +16,50 @@
 
 use crate::ast::*;
 
-/// Render a spec in canonical `wormspec/1` form.
-pub fn to_spec(spec: &Spec) -> String {
-    let mut out = Out(String::new());
-    out.str("wormspec/1\n");
-    print_topology(&mut out, &spec.topology);
-    print_routing(&mut out, &spec.routing);
-    if let Some(t) = &spec.traffic {
-        print_traffic(&mut out, t);
-    }
-    if let Some(f) = &spec.faults {
-        print_faults(&mut out, f);
-    }
-    if let Some(v) = &spec.verify {
-        print_verify(&mut out, v);
-    }
-    out.0
+/// Where printed text goes: a text buffer, or a hash state that takes
+/// the text as it is printed.
+pub(crate) trait Sink {
+    /// Take the next piece of text.
+    fn write(&mut self, s: &str);
 }
 
-/// The canonical text under construction. Every piece is appended in
-/// place, so printing allocates nothing but this one buffer.
-struct Out(String);
+impl Sink for String {
+    fn write(&mut self, s: &str) {
+        self.push_str(s);
+    }
+}
 
-impl Out {
+/// Render a spec in canonical `wormspec/1` form.
+pub fn to_spec(spec: &Spec) -> String {
+    let mut text = String::new();
+    write_spec(&mut text, spec);
+    text
+}
+
+/// Write the canonical form of `spec` into `sink`, piece by piece.
+pub(crate) fn write_spec(sink: &mut impl Sink, spec: &Spec) {
+    let out = &mut Out(sink);
+    out.str("wormspec/1\n");
+    print_topology(out, &spec.topology);
+    print_routing(out, &spec.routing);
+    if let Some(t) = &spec.traffic {
+        print_traffic(out, t);
+    }
+    if let Some(f) = &spec.faults {
+        print_faults(out, f);
+    }
+    if let Some(v) = &spec.verify {
+        print_verify(out, v);
+    }
+}
+
+/// The canonical text under construction, written straight into the
+/// sink: printing allocates nothing of its own.
+struct Out<'s, S>(&'s mut S);
+
+impl<S: Sink> Out<'_, S> {
     fn str(&mut self, s: &str) -> &mut Self {
-        self.0.push_str(s);
+        self.0.write(s);
         self
     }
 
@@ -58,7 +80,7 @@ impl Out {
 
     /// A string quoted with the lexer's escape set.
     fn quoted(&mut self, s: &str) -> &mut Self {
-        self.0.push('"');
+        self.str("\"");
         let mut from = 0;
         for (i, b) in s.bytes().enumerate() {
             let escape = match b {
@@ -68,13 +90,10 @@ impl Out {
                 b'\t' => "\\t",
                 _ => continue,
             };
-            self.0.push_str(&s[from..i]);
-            self.0.push_str(escape);
+            self.str(&s[from..i]).str(escape);
             from = i + 1;
         }
-        self.0.push_str(&s[from..]);
-        self.0.push('"');
-        self
+        self.str(&s[from..]).str("\"")
     }
 
     /// `N unit`.
@@ -128,7 +147,7 @@ impl Out {
     }
 }
 
-fn print_topology(out: &mut Out, t: &Topology) {
+fn print_topology(out: &mut Out<'_, impl Sink>, t: &Topology) {
     out.str("topology {\n");
     out.word_key("kind", Some(t.kind.value.keyword()));
     out.list_key("dims", t.dims.as_ref());
@@ -171,22 +190,22 @@ fn print_topology(out: &mut Out, t: &Topology) {
     out.str("}\n");
 }
 
-fn print_routing(out: &mut Out, r: &Routing) {
+fn print_routing(out: &mut Out<'_, impl Sink>, r: &Routing) {
     out.str("routing {\n");
     out.word_key("engine", Some(&r.engine.value));
-    for p in &r.paths {
+    for p in r.paths() {
         out.str("  path ")
-            .quoted(&p.src.value)
+            .quoted(p.src.value)
             .str(" -> ")
-            .quoted(&p.dst.value)
+            .quoted(p.dst.value)
             .str(" = ")
-            .list("c", &p.channels.value)
+            .list("c", p.channels.value)
             .str("\n");
     }
     out.str("}\n");
 }
 
-fn print_traffic(out: &mut Out, t: &Traffic) {
+fn print_traffic(out: &mut Out<'_, impl Sink>, t: &Traffic) {
     out.str("traffic {\n");
     out.word_key("pattern", Some(t.pattern.value.keyword()));
     out.word_key("rate", t.rate.as_ref().map(|r| r.value.0.as_str()));
@@ -221,7 +240,7 @@ fn print_traffic(out: &mut Out, t: &Traffic) {
     out.str("}\n");
 }
 
-fn print_faults(out: &mut Out, f: &Faults) {
+fn print_faults(out: &mut Out<'_, impl Sink>, f: &Faults) {
     out.str("faults {\n");
     for e in &f.events {
         match e {
@@ -293,7 +312,7 @@ fn print_faults(out: &mut Out, f: &Faults) {
     out.str("}\n");
 }
 
-fn print_verify(out: &mut Out, v: &Verify) {
+fn print_verify(out: &mut Out<'_, impl Sink>, v: &Verify) {
     out.str("verify {\n");
     out.word_key("engine", v.engine.as_ref().map(|e| e.value.keyword()));
     out.int_key("max_cycles", v.max_cycles.as_ref());

@@ -15,12 +15,18 @@
 //!
 //! Random specs come from `wormserve::specgen` (seeded, deterministic)
 //! so the properties range over every topology family and section the
-//! generator can emit.
+//! generator can emit. `specgen` emits no `path` declarations, so
+//! `explicit_spec` draws explicit topologies and routing tables
+//! directly as ASTs, with node names that need every escape the lexer
+//! resolves.
 
 use std::path::PathBuf;
 
-use cyclic_wormhole::serve::compile;
 use cyclic_wormhole::serve::specgen::generate;
+use cyclic_wormhole::serve::{compile, key};
+use cyclic_wormhole::spec::ast::{
+    ChannelDecl, Decl, NodeDecl, Quantity, Routing, Spanned, Spec, Topology, TopologyKind, Unit,
+};
 use proptest::prelude::*;
 
 /// Deterministically sprinkle comments, blank lines, and trailing
@@ -54,7 +60,97 @@ fn perturb(source: &str, seed: u64) -> String {
     out
 }
 
+/// Pieces of node names: plain text, each character the lexer reads
+/// from an escape (`\"`, `\\`, `\n`, `\t`), and non-ASCII text.
+const NAME_PIECES: [&str; 10] = ["r", "n7", "Src", "\"", "\\", "\n", "\t", "ö", "節点", "🦀"];
+
+/// A node name of one to four pieces.
+fn node_name() -> impl Strategy<Value = String> {
+    prop::collection::vec(0..NAME_PIECES.len(), 1..5)
+        .prop_map(|pieces| pieces.into_iter().map(|i| NAME_PIECES[i]).collect())
+}
+
+/// A random explicit spec: up to five node names (repeats allowed),
+/// channels between them, and up to twelve `path` declarations of 0–20
+/// channels each whose endpoints repeat freely. Paths are built through
+/// `Routing::push_path`, as the parser builds them. The spec need not
+/// resolve: the properties here are the language's.
+fn explicit_spec() -> impl Strategy<Value = Spec> {
+    let channel = (0usize..5, 0usize..5, 0u64..3, 1u64..3, any::<bool>());
+    let path = (
+        0usize..5,
+        0usize..5,
+        prop::collection::vec(0u64..300, 0..21),
+    );
+    (
+        prop::collection::vec(node_name(), 1..6),
+        prop::collection::vec(channel, 0..8),
+        prop::collection::vec(path, 0..13),
+    )
+        .prop_map(|(names, channels, paths)| {
+            let name = |i: usize| names[i % names.len()].as_str();
+            let mut decls: Vec<Decl> = names
+                .iter()
+                .map(|n| {
+                    Decl::Node(NodeDecl {
+                        name: Spanned::dummy(n.clone()),
+                    })
+                })
+                .collect();
+            for (src, dst, lane, cap, labelled) in channels {
+                decls.push(Decl::Channel(ChannelDecl {
+                    src: Spanned::dummy(name(src).to_string()),
+                    dst: Spanned::dummy(name(dst).to_string()),
+                    lane: Spanned::dummy(lane),
+                    cap: Spanned::dummy(Quantity::new(cap, Unit::Flits)),
+                    label: labelled.then(|| Spanned::dummy(name(src + dst).to_string())),
+                }));
+            }
+            let mut routing = Routing::new(Spanned::dummy("table".to_string()));
+            for (src, dst, hops) in &paths {
+                routing.push_path(
+                    Spanned::dummy(name(*src)),
+                    Spanned::dummy(name(*dst)),
+                    Spanned::dummy(hops),
+                );
+            }
+            Spec {
+                topology: Topology {
+                    kind: Spanned::dummy(TopologyKind::Explicit),
+                    decls,
+                    ..Topology::default()
+                },
+                routing,
+                traffic: None,
+                faults: None,
+                verify: None,
+            }
+        })
+}
+
+/// FNV-1a over the canonical text, as printed to a string.
+fn printed_hash(spec: &Spec) -> String {
+    format!(
+        "{:016x}",
+        wormspec::fnv1a(wormspec::to_spec(spec).as_bytes())
+    )
+}
+
 proptest! {
+    #[test]
+    fn explicit_tables_round_trip_and_hash_stably(spec in explicit_spec(), noise in 0u64..1000) {
+        let printed = wormspec::to_spec(&spec);
+        let reparsed = wormspec::parse(&printed)
+            .unwrap_or_else(|e| panic!("{}", e.render(&printed, "printed")));
+        prop_assert_eq!(&reparsed, &spec, "parse(print(ast)) != ast:\n{}", printed);
+        prop_assert_eq!(wormspec::to_spec(&reparsed), printed.clone(), "printing is not idempotent");
+        let perturbed = perturb(&printed, noise);
+        let perturbed_ast = wormspec::parse(&perturbed)
+            .unwrap_or_else(|e| panic!("{}", e.render(&perturbed, "perturbed")));
+        prop_assert_eq!(wormspec::content_hash_hex(&perturbed_ast), wormspec::content_hash_hex(&spec));
+        prop_assert_eq!(key(&perturbed).expect("parses").hash, printed_hash(&spec));
+    }
+
     #[test]
     fn parse_print_is_identity_and_idempotent(seed in 0u64..500) {
         let source = generate(seed);
@@ -83,6 +179,37 @@ proptest! {
             "hash moved under perturbation (seed {}, noise {})",
             seed,
             noise
+        );
+    }
+}
+
+/// The committed corpus, sorted by file name.
+fn corpus_sources() -> Vec<(String, String)> {
+    let corpus = PathBuf::from(env!("CARGO_MANIFEST_DIR")).join("corpus");
+    let mut sources: Vec<(String, String)> = std::fs::read_dir(&corpus)
+        .expect("corpus/ exists")
+        .map(|e| e.expect("dir entry").path())
+        .filter(|p| p.extension().is_some_and(|x| x == "wspec"))
+        .map(|p| {
+            let source = std::fs::read_to_string(&p).expect("corpus spec reads");
+            (p.display().to_string(), source)
+        })
+        .collect();
+    sources.sort();
+    assert_eq!(sources.len(), 20, "corpus size");
+    sources
+}
+
+#[test]
+fn the_key_hashes_the_printed_canonical_text() {
+    let mut sources = corpus_sources();
+    sources.extend((0..500).map(|seed| (format!("specgen seed {seed}"), generate(seed))));
+    for (name, source) in &sources {
+        let spec = wormspec::parse(source).unwrap_or_else(|e| panic!("{}", e.render(source, name)));
+        assert_eq!(
+            key(source).expect("parses").hash,
+            printed_hash(&spec),
+            "{name}"
         );
     }
 }
@@ -144,17 +271,7 @@ fn outcome(source: &str) -> Result<String, (&'static str, String)> {
 
 #[test]
 fn compiling_the_canonical_text_decides_the_same() {
-    let corpus = PathBuf::from(env!("CARGO_MANIFEST_DIR")).join("corpus");
-    let mut sources: Vec<(String, String)> = std::fs::read_dir(&corpus)
-        .expect("corpus/ exists")
-        .map(|e| e.expect("dir entry").path())
-        .filter(|p| p.extension().is_some_and(|x| x == "wspec"))
-        .map(|p| {
-            let source = std::fs::read_to_string(&p).expect("corpus spec reads");
-            (p.display().to_string(), source)
-        })
-        .collect();
-    assert_eq!(sources.len(), 20, "corpus size");
+    let mut sources = corpus_sources();
     sources.extend((0..500).map(|seed| (format!("specgen seed {seed}"), generate(seed))));
     // Specs that parse but fail in a resolution seam, formatted unlike
     // their canonical text.
