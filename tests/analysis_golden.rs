@@ -15,7 +15,9 @@
 //!   the Kahn numbering or the list of enumerated cycles;
 //! - per cycle, a digest of the witness lists of its edges, its
 //!   candidate count and completeness, and one digest over its
-//!   candidates' segments, sharing analyses and theorem classes;
+//!   candidates: per segment its message and channels, per shared
+//!   channel its users and whether it lies inside the cycle, and the
+//!   theorem class;
 //! - a digest of the rendered `Registry::run` report;
 //! - for the fabrics, the full `wormserve/1` document.
 //!
@@ -382,8 +384,23 @@ fn record(out: &mut String, input: &Input) {
         cycle_line(out, i, &cy.cycle, &witnesses);
         let mut d = Digest::new();
         for ca in &cy.candidates {
-            d.text(&format!("{:?}", ca.candidate));
-            d.text(&format!("{:?}", ca.sharing));
+            d.num(ca.candidate.segments.len());
+            for seg in &ca.candidate.segments {
+                pair(&mut d, seg.msg);
+                d.num(seg.channels.len());
+                for c in &seg.channels {
+                    d.num(c.index());
+                }
+            }
+            d.num(ca.sharing.shared.len());
+            for s in &ca.sharing.shared {
+                d.num(s.channel.index());
+                d.num(s.users.len());
+                for &m in &s.users {
+                    pair(&mut d, m);
+                }
+                d.num(usize::from(s.inside_cycle));
+            }
             d.text(&format!("{:?}", ca.class));
         }
         let _ = writeln!(
