@@ -27,6 +27,7 @@ use crate::scenarios::{
     exist_scenarios, large_topology_scenarios, search_scenarios, sim_scenarios,
     stall_search_scenarios, ExistScenario, SearchScenario, SimScenario, TopologyScenario,
 };
+use worm_core::analysis::analyze_cycles;
 use worm_core::classify::{classify_algorithm, AlgorithmVerdict, ClassifyOptions};
 use wormcdg::Cdg;
 use wormnet::graph::tarjan_scc;
@@ -194,7 +195,7 @@ pub fn run_search_suite(smoke: bool) -> BenchReport {
         run_exist_scenario(&mut report, &s);
     }
     for s in large_topology_scenarios(smoke) {
-        run_topo_scenario(&mut report, &s);
+        run_topo_scenario(&mut report, &s, smoke);
     }
     report
 }
@@ -253,7 +254,7 @@ fn run_exist_scenario(report: &mut BenchReport, s: &ExistScenario) {
 pub fn run_topo_suite(smoke: bool) -> BenchReport {
     let mut report = BenchReport::new("search");
     for s in large_topology_scenarios(smoke) {
-        run_topo_scenario(&mut report, &s);
+        run_topo_scenario(&mut report, &s, smoke);
     }
     report
 }
@@ -284,12 +285,16 @@ fn algorithm_verdict_label(v: &AlgorithmVerdict) -> &'static str {
 /// build time (`table_build_ms`) and data size (`table_bytes`), the
 /// routing-property pass (`properties_ms`), batch CDG build and its data size (`cdg_bytes`), the Kahn acyclicity
 /// decision (`acyclic_ms`), the largest strongly connected component
-/// (`cdg_largest_scc`, from Tarjan), bounded cycle streaming,
-/// whole-algorithm classification, and the wormlint static verdict.
-/// Structural keys (`channels`, `table_bytes`, `cdg_edges`,
-/// `cdg_bytes`, `cdg_largest_scc`, `cycles_found`, both verdicts) are
-/// exactly reproducible; `*_ms` keys are timings.
-fn run_topo_scenario(report: &mut BenchReport, s: &TopologyScenario) {
+/// (`cdg_largest_scc`, from Tarjan), bounded cycle streaming, the
+/// candidate phase over the streamed cycles (`candidates`, and
+/// `candidates_ms` for enumeration, sharing and theorem classes, best
+/// of [`MAX_TIMING_REPS`]), whole-algorithm classification, and the
+/// wormlint static verdict. Structural keys (`channels`,
+/// `table_bytes`, `cdg_edges`, `cdg_bytes`, `cdg_largest_scc`,
+/// `cycles_found`, `candidates`, both verdicts) are exactly
+/// reproducible; `*_ms` keys are timings, single runs except
+/// `candidates_ms`.
+fn run_topo_scenario(report: &mut BenchReport, s: &TopologyScenario, smoke: bool) {
     let name = s.name.as_str();
     report.insert(
         name,
@@ -341,6 +346,22 @@ fn run_topo_scenario(report: &mut BenchReport, s: &TopologyScenario) {
 
     let (cycles, _complete) = cdg.cycles_streamed(TOPO_MAX_CYCLES);
     report.insert(name, "cycles_found", BenchValue::Int(cycles.len() as u64));
+
+    let minimal = wormroute::properties::is_minimal(&s.net, &s.table);
+    let (candidates, candidates_secs) = best_secs(name, smoke, || {
+        let cycles = cycles.clone();
+        let start = Instant::now();
+        let analyzed = analyze_cycles(&s.net, &s.table, cycles, TOPO_MAX_CANDIDATES, minimal);
+        let count: usize = analyzed.iter().map(|cy| cy.candidates.len()).sum();
+        drop(analyzed);
+        (count, start.elapsed().as_secs_f64())
+    });
+    report.insert(name, "candidates", BenchValue::Int(candidates as u64));
+    report.insert(
+        name,
+        "candidates_ms",
+        BenchValue::Float((candidates_secs * 1e3).round()),
+    );
 
     let opts = ClassifyOptions {
         max_cycles: TOPO_MAX_CYCLES,
@@ -407,19 +428,33 @@ fn best_rate<T: PartialEq + fmt::Debug>(
     smoke: bool,
     mut rep: impl FnMut() -> (T, u64, f64),
 ) -> (T, f64) {
-    let mut first: Option<T> = None;
-    let mut best = 0.0f64;
-    for _ in 0..if smoke { 1 } else { MAX_TIMING_REPS } {
+    let ((exact, work), secs) = best_secs(name, smoke, || {
         let (exact, work, secs) = rep();
-        if secs > 0.0 {
-            best = best.max(work as f64 / secs);
-        }
+        ((exact, work), secs)
+    });
+    let rate = if secs > 0.0 { work as f64 / secs } else { 0.0 };
+    (exact, rate.round())
+}
+
+/// Time `rep` under the repeat policy, as [`best_rate`] does, and
+/// return the first run's exact values and the fewest seconds a run
+/// took.
+fn best_secs<T: PartialEq + fmt::Debug>(
+    name: &str,
+    smoke: bool,
+    mut rep: impl FnMut() -> (T, f64),
+) -> (T, f64) {
+    let mut first: Option<T> = None;
+    let mut best = f64::INFINITY;
+    for _ in 0..if smoke { 1 } else { MAX_TIMING_REPS } {
+        let (exact, secs) = rep();
+        best = best.min(secs);
         match &first {
             None => first = Some(exact),
             Some(f) => assert_eq!(f, &exact, "{name}: a repetition changed an exact value"),
         }
     }
-    (first.expect("at least one timing rep runs"), best.round())
+    (first.expect("at least one timing rep runs"), best)
 }
 
 /// Run one simulator scenario into `report`: its cycles, flit moves,
@@ -654,6 +689,8 @@ mod tests {
                 "cdg_edges",
                 "cdg_bytes",
                 "cycles_found",
+                "candidates",
+                "candidates_ms",
                 "verdict",
                 "lint_verdict",
             ] {

@@ -151,6 +151,42 @@ pub struct CycleAnalysis {
     pub enumeration_complete: bool,
 }
 
+/// The candidate phase of [`Analysis::build`]: each cycle's
+/// Definition 6 candidates (every one when there are at most
+/// `max_candidates`, else the first `max_candidates + 1`), with their
+/// sharing analyses and theorem classes. `minimal` is the table's
+/// minimality.
+pub fn analyze_cycles(
+    net: &Network,
+    table: &TableRouting,
+    cycles: Vec<CdgCycle>,
+    max_candidates: usize,
+    minimal: bool,
+) -> Vec<CycleAnalysis> {
+    if cycles.is_empty() {
+        return Vec::new();
+    }
+    let witnesses = Witnesses::of_cycles(table, &cycles);
+    let mut index = CycleIndex::new(net);
+    cycles
+        .into_iter()
+        .map(|cycle| {
+            let (candidates, enumeration_complete) =
+                enumerate_candidates(&witnesses, &cycle, max_candidates);
+            index.set(&cycle);
+            let candidates = candidates
+                .into_iter()
+                .map(|c| CandidateAnalysis::new(table, &mut index, c, minimal))
+                .collect();
+            CycleAnalysis {
+                cycle,
+                candidates,
+                enumeration_complete,
+            }
+        })
+        .collect()
+}
+
 /// The static analysis of one `(network, table)`.
 pub struct Analysis<'a> {
     /// The network under analysis.
@@ -206,26 +242,10 @@ impl<'a> Analysis<'a> {
             (Vec::new(), true)
         } else {
             let (raw, complete) = cdg.cycles_streamed(max_cycles);
-            let witnesses = Witnesses::of_cycles(table, &raw);
-            let mut index = CycleIndex::new(net);
-            let analyzed = raw
-                .into_iter()
-                .map(|cycle| {
-                    let (candidates, enumeration_complete) =
-                        enumerate_candidates(&witnesses, &cycle, max_candidates);
-                    index.set(&cycle);
-                    let candidates = candidates
-                        .into_iter()
-                        .map(|c| CandidateAnalysis::new(table, &mut index, c, properties.minimal))
-                        .collect();
-                    CycleAnalysis {
-                        cycle,
-                        candidates,
-                        enumeration_complete,
-                    }
-                })
-                .collect();
-            (analyzed, complete)
+            (
+                analyze_cycles(net, table, raw, max_candidates, properties.minimal),
+                complete,
+            )
         };
         let existence = wormexist::analyze(net, exist);
         Analysis {
