@@ -17,7 +17,7 @@
 
 use worm_core::classify::{classify_algorithm, AlgorithmVerdict, ClassifyOptions, CycleClass};
 use worm_core::paper::{fig1, fig2, fig3, generalized};
-use wormcdg::Cdg;
+use wormcdg::{describe_candidate, Cdg};
 use wormnet::topology::{ring_unidirectional, ring_with_vcs, Hypercube, Mesh, Torus};
 use wormnet::Network;
 use wormroute::algorithms::{
@@ -199,7 +199,7 @@ fn main() {
                 for cand in &cv.candidates {
                     println!(
                         "    candidate [{}] unreachable ({})",
-                        cand.candidate.describe(&net),
+                        describe_candidate(&net, &cv.cycle, &cand.candidate.segments),
                         class_name(&cand.class)
                     );
                 }

@@ -32,11 +32,7 @@ fn main() {
     println!(
         "static deadlock candidates on the cycle: {} (segments hold {:?} channels)",
         cands.len(),
-        cands[0]
-            .segments
-            .iter()
-            .map(|s| s.channels.len())
-            .collect::<Vec<_>>()
+        cands[0].iter().map(|s| s.len).collect::<Vec<_>>()
     );
     println!();
 

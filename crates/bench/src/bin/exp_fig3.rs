@@ -34,14 +34,15 @@ fn main() {
     for s in fig3::all_scenarios() {
         let c = s.spec.build();
         let cycle = c.cycle();
-        let candidate = c.canonical_candidate();
-        let analysis = sharing::analyze(&c.net, &c.table, &cycle, &candidate);
+        let segments = c.canonical_candidate().segments;
+        let analysis = sharing::analyze(&c.net, &c.table, &cycle, &segments);
         let shared = analysis
+            .shared()
             .outside()
             .find(|sc| sc.channel == c.cs)
             .expect("cs shared outside");
         let ec =
-            eight_conditions(&c.net, &c.table, &cycle, &candidate, shared).expect("three sharers");
+            eight_conditions(&c.net, &c.table, &cycle, &segments, shared).expect("three sharers");
 
         let sim = Sim::new(&c.net, &c.table, s.message_specs(&c), Some(1)).expect("routed");
         let search = explore(&sim, &SearchConfig::default());

@@ -9,57 +9,122 @@
 //! is *reachable* — the paper's false resource cycle, decided
 //! dynamically by `wormsearch`.
 
+use std::ops::Index;
+
 use wormnet::{ChannelId, Network};
 use wormroute::TableRouting;
 
 use crate::graph::{CdgCycle, MsgPair};
 use crate::witnesses::Witnesses;
 
-/// A contiguous run of cycle channels held by one message.
-#[derive(Clone, Debug, PartialEq, Eq)]
+/// A contiguous run of cycle channels held by one message: the `len`
+/// channels of the cycle from position `first` on, wrapping past the
+/// cycle's end. Read them with [`Segment::channels`].
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct Segment {
     /// The holding message.
     pub msg: MsgPair,
-    /// The channels it holds, in cycle order. Consecutive on the
-    /// message's path by construction.
-    pub channels: Vec<ChannelId>,
+    /// Position in `cycle.channels` of the first channel held.
+    pub first: u32,
+    /// How many channels it holds.
+    pub len: u32,
 }
 
-/// One complete static deadlock configuration over a cycle: an
-/// assignment of ≥ 2 messages to contiguous segments covering every
-/// cycle channel, where each message's next required channel is the
-/// head of the following segment.
+impl Segment {
+    /// The channels held, in cycle order. Consecutive on the message's
+    /// path by construction.
+    pub fn channels<'c>(
+        &self,
+        cycle: &'c CdgCycle,
+    ) -> impl Iterator<Item = ChannelId> + Clone + 'c {
+        let (first, end) = (self.first as usize, (self.first + self.len) as usize);
+        let chans = &cycle.channels[..];
+        let (head, tail) = if end <= chans.len() {
+            (&chans[first..end], &chans[..0])
+        } else {
+            (&chans[first..], &chans[..end - chans.len()])
+        };
+        head.iter().chain(tail).copied()
+    }
+}
+
+/// One static deadlock configuration over a cycle, owned apart from
+/// the store it was enumerated into: an assignment of ≥ 2 messages to
+/// contiguous segments covering every cycle channel, where each
+/// message's next required channel is the head of the following
+/// segment.
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub struct DeadlockCandidate {
-    /// Segments in cycle order, starting from the segment containing
-    /// the cycle's first channel.
+    /// Segments in cycle order, as [`Candidates`] stores them.
     pub segments: Vec<Segment>,
 }
 
-impl DeadlockCandidate {
-    /// The distinct messages of the configuration.
-    pub fn messages(&self) -> Vec<MsgPair> {
-        self.segments.iter().map(|s| s.msg).collect()
+/// Render the candidate `segments` of `cycle` for reports.
+pub fn describe_candidate(net: &Network, cycle: &CdgCycle, segments: &[Segment]) -> String {
+    segments
+        .iter()
+        .map(|s| {
+            format!(
+                "{}->{} holds [{}]",
+                net.node_name(s.msg.0),
+                net.node_name(s.msg.1),
+                s.channels(cycle)
+                    .map(|c| net.channel(c).to_string())
+                    .collect::<Vec<_>>()
+                    .join(", ")
+            )
+        })
+        .collect::<Vec<_>>()
+        .join("; ")
+}
+
+/// The static deadlock candidates of one cycle, stored flat: candidate
+/// `i` is `segments[starts[i]..starts[i + 1]]`, so enumerating one
+/// allocates nothing of its own.
+///
+/// A candidate's segments are in cycle order, starting from the first
+/// position whose owner differs from its predecessor's: the cycle's
+/// first channel when that one starts a segment, else the segment
+/// after the one that wraps past the cycle's end.
+#[derive(Clone, Debug, PartialEq, Eq)]
+pub struct Candidates {
+    segments: Vec<Segment>,
+    starts: Vec<u32>,
+}
+
+impl Default for Candidates {
+    fn default() -> Self {
+        Candidates {
+            segments: Vec::new(),
+            starts: vec![0],
+        }
+    }
+}
+
+impl Candidates {
+    /// How many candidates are stored.
+    pub fn len(&self) -> usize {
+        self.starts.len() - 1
     }
 
-    /// Render for reports.
-    pub fn describe(&self, net: &Network) -> String {
-        self.segments
-            .iter()
-            .map(|s| {
-                format!(
-                    "{}->{} holds [{}]",
-                    net.node_name(s.msg.0),
-                    net.node_name(s.msg.1),
-                    s.channels
-                        .iter()
-                        .map(|&c| net.channel(c).to_string())
-                        .collect::<Vec<_>>()
-                        .join(", ")
-                )
-            })
-            .collect::<Vec<_>>()
-            .join("; ")
+    /// Whether no candidate is stored.
+    pub fn is_empty(&self) -> bool {
+        self.len() == 0
+    }
+
+    /// Every candidate's segments, in enumeration order.
+    pub fn iter(&self) -> impl ExactSizeIterator<Item = &[Segment]> + Clone + '_ {
+        self.starts
+            .windows(2)
+            .map(|w| &self.segments[w[0] as usize..w[1] as usize])
+    }
+}
+
+impl Index<usize> for Candidates {
+    type Output = [Segment];
+
+    fn index(&self, i: usize) -> &[Segment] {
+        &self.segments[self.starts[i] as usize..self.starts[i + 1] as usize]
     }
 }
 
@@ -73,7 +138,7 @@ pub fn deadlock_candidates(
     table: &TableRouting,
     cycle: &CdgCycle,
     max_candidates: usize,
-) -> Option<Vec<DeadlockCandidate>> {
+) -> Option<Candidates> {
     let witnesses = Witnesses::of_cycles(table, [cycle]);
     let (candidates, complete) = enumerate_candidates(&witnesses, cycle, max_candidates);
     complete.then_some(candidates)
@@ -93,110 +158,98 @@ pub fn enumerate_candidates(
     witnesses: &Witnesses,
     cycle: &CdgCycle,
     max_candidates: usize,
-) -> (Vec<DeadlockCandidate>, bool) {
+) -> (Candidates, bool) {
     let l = cycle.len();
     let witness_sets: Vec<&[MsgPair]> = cycle
         .edge_pairs()
         .map(|(a, b)| witnesses.get(a, b))
         .collect();
+    let mut out = Candidates::default();
     if witness_sets.iter().any(|w| w.is_empty()) {
         // A cycle edge with no witness cannot occur for a CDG-built
         // cycle, but guard anyway: no candidate can cover it.
-        return (Vec::new(), true);
+        return (out, true);
     }
-
-    let mut out: Vec<DeadlockCandidate> = Vec::new();
     let mut owners: Vec<MsgPair> = Vec::with_capacity(l);
-    let complete = enumerate(&witness_sets, &mut owners, cycle, &mut out, max_candidates).is_some();
+    let complete = enumerate(&witness_sets, &mut owners, &mut out, max_candidates).is_some();
     (out, complete)
 }
 
+/// Assign an owner to each cycle position in turn, depth first, and
+/// store every complete assignment that is a candidate; `None` once
+/// the store holds more than `max_candidates`.
 fn enumerate(
     witness_sets: &[&[MsgPair]],
     owners: &mut Vec<MsgPair>,
-    cycle: &CdgCycle,
-    out: &mut Vec<DeadlockCandidate>,
+    out: &mut Candidates,
     max_candidates: usize,
 ) -> Option<()> {
-    let l = witness_sets.len();
     let i = owners.len();
-    if i == l {
-        if let Some(cand) = finalize(owners, cycle) {
-            out.push(cand);
-            if out.len() > max_candidates {
-                return None;
-            }
+    if i == witness_sets.len() {
+        if finalize(owners, out) && out.len() > max_candidates {
+            return None;
         }
         return Some(());
     }
     for &m in witness_sets[i] {
-        // Linear contiguity pruning: if m appeared before but is not
-        // the immediately preceding owner, its run would be split —
-        // unless the earlier run touches position 0 and could merge
-        // cyclically with a final run; to keep pruning sound we only
-        // reject when m appeared and was followed by a different owner
-        // and m is not owners[0] (cyclic merge impossible).
-        if i > 0 && owners[i - 1] != m {
-            let appeared = owners.contains(&m);
-            if appeared && owners[0] != m {
-                continue;
-            }
-            // If m == owners[0], a second run at the tail can merge
-            // with the head run only if it extends to the end; allow
-            // and let finalize() verify.
+        // Linear contiguity pruning: a message that held an earlier
+        // run and was followed by another owner would be split, unless
+        // it is the first position's owner, whose run at position 0 a
+        // final run may still join cyclically (finalize() decides).
+        if i > 0 && owners[i - 1] != m && owners[0] != m && owners.contains(&m) {
+            continue;
         }
         owners.push(m);
-        enumerate(witness_sets, owners, cycle, out, max_candidates)?;
+        enumerate(witness_sets, owners, out, max_candidates)?;
         owners.pop();
     }
     Some(())
 }
 
-/// Validate cyclic contiguity and build the candidate.
-fn finalize(owners: &[MsgPair], cycle: &CdgCycle) -> Option<DeadlockCandidate> {
+/// Store the candidate `owners` assigns, if it is one: every message
+/// must hold one cyclically contiguous run, and at least two messages
+/// must hold one. The pruning keeps every message except `owners[0]`
+/// in one linear run, so only that message's runs are counted: its run
+/// at position 0 and at most one more, which must reach the last
+/// position to join the first cyclically; with none, the last position
+/// must belong to another message.
+fn finalize(owners: &[MsgPair], out: &mut Candidates) -> bool {
     let l = owners.len();
-    // Each message must own exactly one cyclically contiguous run.
-    // Count boundaries: positions where owner changes from previous
-    // (cyclically). Each message contributes exactly one boundary if
-    // contiguous.
-    let mut boundary_msgs: Vec<MsgPair> = Vec::new();
-    for i in 0..l {
-        let prev = owners[(i + l - 1) % l];
-        if owners[i] != prev {
-            boundary_msgs.push(owners[i]);
+    let head = owners[0];
+    let wraps = owners[l - 1] == head;
+    let later_runs = (1..l)
+        .filter(|&i| owners[i] == head && owners[i - 1] != head)
+        .count();
+    if later_runs != usize::from(wraps) {
+        return false;
+    }
+    // Segments start at the first position whose owner differs from
+    // its cyclic predecessor's.
+    let start = if wraps {
+        owners
+            .iter()
+            .position(|&m| m != head)
+            .expect("another message holds a run")
+    } else {
+        0
+    };
+    let mut at = 0;
+    while at < l {
+        let first = (start + at) % l;
+        let msg = owners[first];
+        let mut len = 1;
+        while at + len < l && owners[(first + len) % l] == msg {
+            len += 1;
         }
+        out.segments.push(Segment {
+            msg,
+            first: first as u32,
+            len: len as u32,
+        });
+        at += len;
     }
-    if boundary_msgs.is_empty() {
-        return None; // single message owns everything: not a deadlock
-    }
-    // Duplicate boundary message = split run.
-    let mut sorted = boundary_msgs.clone();
-    sorted.sort_unstable();
-    if sorted.windows(2).any(|w| w[0] == w[1]) {
-        return None;
-    }
-    if boundary_msgs.len() < 2 {
-        return None;
-    }
-
-    // Build segments starting from the first boundary.
-    let first_boundary = (0..l)
-        .find(|&i| owners[i] != owners[(i + l - 1) % l])
-        .expect("boundaries exist");
-    let mut segments: Vec<Segment> = Vec::new();
-    let mut idx = first_boundary;
-    for _ in 0..l {
-        let m = owners[idx];
-        match segments.last_mut() {
-            Some(seg) if seg.msg == m => seg.channels.push(cycle.channels[idx]),
-            _ => segments.push(Segment {
-                msg: m,
-                channels: vec![cycle.channels[idx]],
-            }),
-        }
-        idx = (idx + 1) % l;
-    }
-    Some(DeadlockCandidate { segments })
+    out.starts.push(out.segments.len() as u32);
+    true
 }
 
 #[cfg(test)]
@@ -222,16 +275,16 @@ mod tests {
             !cands.is_empty(),
             "clockwise ring must have static deadlocks"
         );
-        for c in &cands {
+        for c in cands.iter() {
             // Segments cover the cycle exactly.
-            let total: usize = c.segments.iter().map(|s| s.channels.len()).sum();
-            assert_eq!(total, cycle.len());
-            assert!(c.segments.len() >= 2);
+            let total: u32 = c.iter().map(|s| s.len).sum();
+            assert_eq!(total as usize, cycle.len());
+            assert!(c.len() >= 2);
             // Each message appears once.
-            let mut msgs = c.messages();
+            let mut msgs: Vec<MsgPair> = c.iter().map(|s| s.msg).collect();
             msgs.sort_unstable();
             msgs.dedup();
-            assert_eq!(msgs.len(), c.segments.len());
+            assert_eq!(msgs.len(), c.len());
         }
     }
 
@@ -239,13 +292,13 @@ mod tests {
     fn candidate_blocking_chain_is_witnessed() {
         let (_net, table, witnesses, cycle) = ring_cdg(4);
         let cands = deadlock_candidates(&table, &cycle, 10_000).unwrap();
-        for cand in &cands {
-            let k = cand.segments.len();
+        for cand in cands.iter() {
+            let k = cand.len();
             for i in 0..k {
-                let cur = &cand.segments[i];
-                let next = &cand.segments[(i + 1) % k];
-                let last = *cur.channels.last().unwrap();
-                let want = next.channels[0];
+                let cur = &cand[i];
+                let next = &cand[(i + 1) % k];
+                let last = cur.channels(&cycle).last().unwrap();
+                let want = next.channels(&cycle).next().unwrap();
                 assert!(
                     witnesses.get(last, want).contains(&cur.msg),
                     "segment owner must want the next segment's head"
@@ -262,18 +315,36 @@ mod tests {
         // channel.
         let (net, table, _witnesses, cycle) = ring_cdg(4);
         let cands = deadlock_candidates(&table, &cycle, 100_000).unwrap();
-        let four_msg = cands.iter().find(|c| c.segments.len() == 4);
+        let four_msg = cands.iter().find(|c| c.len() == 4);
         assert!(four_msg.is_some(), "4 single-channel segments expected");
         let c = four_msg.unwrap();
-        let desc = c.describe(&net);
+        let desc = describe_candidate(&net, &cycle, c);
         assert!(desc.contains("holds"));
         // Each single-channel owner wants the next channel: the owner
         // of channel i must be a message whose path continues past
         // node i+1; e.g. (i, i+2) or longer.
-        for seg in &c.segments {
-            assert_eq!(seg.channels.len(), 1);
+        for seg in c {
+            assert_eq!(seg.len, 1);
             assert_ne!(seg.msg.0, seg.msg.1);
         }
+    }
+
+    #[test]
+    fn a_segment_reads_its_channels_across_the_cycle_end() {
+        let (_net, _table, _witnesses, cycle) = ring_cdg(5);
+        let c = &cycle.channels;
+        let seg = |first, len| Segment {
+            msg: (
+                wormnet::NodeId::from_index(0),
+                wormnet::NodeId::from_index(1),
+            ),
+            first,
+            len,
+        };
+        let read = |s: Segment| s.channels(&cycle).collect::<Vec<_>>();
+        assert_eq!(read(seg(1, 3)), c[1..4]);
+        assert_eq!(read(seg(3, 2)), c[3..5]);
+        assert_eq!(read(seg(3, 4)), [c[3], c[4], c[0], c[1]]);
     }
 
     #[test]
@@ -291,7 +362,7 @@ mod tests {
             let (prefix, complete) = enumerate_candidates(&witnesses, &cycle, budget);
             assert!(!complete, "budget {budget} of {}", all.len());
             assert_eq!(prefix.len(), budget + 1);
-            assert_eq!(prefix[..], all[..budget + 1]);
+            assert!(prefix.iter().eq(all.iter().take(budget + 1)));
         }
         let (exact, complete) = enumerate_candidates(&witnesses, &cycle, all.len());
         assert!(complete);

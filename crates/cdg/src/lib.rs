@@ -26,13 +26,16 @@
 //!   configuration candidate (Definition 6): an assignment of
 //!   messages to contiguous channel segments of the cycle such that
 //!   each message's next required channel is the head of the next
-//!   segment. Whether a candidate is *reachable* is a dynamic question
+//!   segment. A cycle's candidates are stored flat ([`Candidates`]),
+//!   each segment a run of the cycle's own channels ([`Segment`]).
+//!   Whether a candidate is *reachable* is a dynamic question
 //!   answered by `wormsearch`; a candidate that exists statically but
 //!   is unreachable is exactly the paper's *false resource cycle*.
 //! * [`sharing`] — shared-channel analysis over a candidate: which
 //!   channels more than one configuration message needs, whether they
 //!   lie inside or outside the cycle, and the per-message geometry
-//!   (`d_i`, `a_i`) that Theorems 3–5 reason about.
+//!   (`d_i`, `a_i`) that Theorems 3–5 reason about, written into flat
+//!   buffers.
 
 //! ```
 //! use wormnet::topology::ring_unidirectional;
@@ -58,7 +61,10 @@ mod witnesses;
 pub mod adaptive;
 pub mod sharing;
 
-pub use candidates::{deadlock_candidates, enumerate_candidates, DeadlockCandidate, Segment};
+pub use candidates::{
+    deadlock_candidates, describe_candidate, enumerate_candidates, Candidates, DeadlockCandidate,
+    Segment,
+};
 pub use graph::{Cdg, CdgCycle, MsgPair};
 pub use numbering::{check_numbering, NumberingError};
 pub use witnesses::Witnesses;

@@ -15,21 +15,27 @@
 //!   uses from its entry until its destination.
 //!
 //! Both test cycle membership through a [`CycleIndex`], a stamp per
-//! channel that one analysis refills for each of its cycles.
+//! channel that one analysis refills for each of its cycles; the
+//! sharing analysis counts channel uses with a second stamp per
+//! channel and writes its shared channels into the flat buffers of a
+//! [`SharingAnalysis`].
 
-use wormnet::{ChannelId, Network};
+use std::ops::Range;
+
+use wormnet::{ChannelId, Network, NodeId};
 use wormroute::TableRouting;
 
-use crate::candidates::DeadlockCandidate;
+use crate::candidates::Segment;
 use crate::graph::{CdgCycle, MsgPair};
 
-/// A channel needed by more than one message of a configuration.
-#[derive(Clone, Debug, PartialEq, Eq)]
-pub struct SharedChannel {
+/// A channel needed by more than one message of a configuration, read
+/// from a [`SharingAnalysis`].
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub struct SharedChannel<'a> {
     /// The shared channel.
     pub channel: ChannelId,
     /// The configuration messages whose paths use it, in segment order.
-    pub users: Vec<MsgPair>,
+    pub users: &'a [MsgPair],
     /// Whether the channel is within the cycle for all of its users
     /// (paper convention). Theorem 2: an unreachable cycle cannot have
     /// its shared channels within the cycle.
@@ -60,31 +66,103 @@ pub struct MessageGeometry {
     pub path_len: usize,
 }
 
-/// Complete sharing analysis of a candidate.
-#[derive(Clone, Debug, PartialEq, Eq)]
+/// One shared channel of a [`SharingAnalysis`]: its users are
+/// `users[start..end]`.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+struct Entry {
+    channel: ChannelId,
+    start: u32,
+    end: u32,
+    inside_cycle: bool,
+}
+
+/// Shared channels stored flat: one record per shared channel and one
+/// buffer of all their users. It holds one candidate's analysis, or
+/// several candidates' one after another, each a range of records
+/// ([`CycleIndex::analyze_into`] returns it).
+#[derive(Clone, Debug, Default, PartialEq, Eq)]
 pub struct SharingAnalysis {
-    /// All shared channels in channel order.
-    pub shared: Vec<SharedChannel>,
+    entries: Vec<Entry>,
+    users: Vec<MsgPair>,
 }
 
 impl SharingAnalysis {
+    /// Every shared channel held, in the order analysed: channel order
+    /// for one candidate.
+    pub fn shared(&self) -> Sharing<'_> {
+        self.range(0..self.entries.len())
+    }
+
+    /// The shared channels of the records in `range`.
+    pub fn range(&self, range: Range<usize>) -> Sharing<'_> {
+        Sharing {
+            entries: &self.entries[range],
+            users: &self.users,
+        }
+    }
+
+    /// How many shared-channel records are held.
+    pub fn len(&self) -> usize {
+        self.entries.len()
+    }
+
+    /// Whether no shared channel is held.
+    pub fn is_empty(&self) -> bool {
+        self.entries.is_empty()
+    }
+
+    /// Drop every record, keeping the buffers.
+    pub fn clear(&mut self) {
+        self.entries.clear();
+        self.users.clear();
+    }
+}
+
+/// A run of shared channels of one candidate, in channel order, read
+/// from a [`SharingAnalysis`].
+#[derive(Clone, Copy, Debug)]
+pub struct Sharing<'a> {
+    entries: &'a [Entry],
+    users: &'a [MsgPair],
+}
+
+impl<'a> Sharing<'a> {
+    /// How many shared channels the run holds.
+    pub fn len(&self) -> usize {
+        self.entries.len()
+    }
+
+    /// Whether the run holds no shared channel.
+    pub fn is_empty(&self) -> bool {
+        self.entries.is_empty()
+    }
+
+    /// Every shared channel of the run.
+    pub fn iter(&self) -> impl ExactSizeIterator<Item = SharedChannel<'a>> + Clone + 'a {
+        let users = self.users;
+        self.entries.iter().map(move |e| SharedChannel {
+            channel: e.channel,
+            users: &users[e.start as usize..e.end as usize],
+            inside_cycle: e.inside_cycle,
+        })
+    }
+
     /// Shared channels lying outside the cycle.
-    pub fn outside(&self) -> impl Iterator<Item = &SharedChannel> {
-        self.shared.iter().filter(|s| !s.inside_cycle)
+    pub fn outside(&self) -> impl Iterator<Item = SharedChannel<'a>> + Clone + 'a {
+        self.iter().filter(|s| !s.inside_cycle)
     }
 
     /// Shared channels lying inside the cycle.
-    pub fn inside(&self) -> impl Iterator<Item = &SharedChannel> {
-        self.shared.iter().filter(|s| s.inside_cycle)
+    pub fn inside(&self) -> impl Iterator<Item = SharedChannel<'a>> + Clone + 'a {
+        self.iter().filter(|s| s.inside_cycle)
     }
 
     /// Render the shared channels for reports.
     pub fn describe(&self, net: &Network) -> String {
-        if self.shared.is_empty() {
+        if self.is_empty() {
             return "no shared channels".to_string();
         }
-        self.shared
-            .iter()
+        self.iter()
             .map(|s| {
                 format!(
                     "{} [{}] shared by {} message(s): {}",
@@ -106,24 +184,44 @@ impl SharingAnalysis {
 /// The channels of one cycle, as a stamp per network channel, so that
 /// membership is one array read. An analysis keeps one index and
 /// [`CycleIndex::set`]s it to each cycle in turn; it also keeps the
-/// sharing analysis's buffer.
+/// sharing analysis's per-channel use counts. Both arrays are
+/// allocated on first use, so an index that is never set costs
+/// nothing.
 #[derive(Clone, Debug)]
 pub struct CycleIndex {
+    /// Channels of the network.
+    channels: usize,
     stamp: Vec<u32>,
     /// The stamp of the current cycle's channels.
     mark: u32,
-    /// The channel uses of one candidate, reused by
-    /// [`CycleIndex::analyze`].
-    uses: Vec<u64>,
+    /// Per channel, its uses by the candidate under analysis.
+    uses: Vec<Uses>,
+    /// The stamp of the current candidate's channels in `uses`; one
+    /// above it marks the ones it keeps.
+    pass: u32,
+    /// The channels the current candidate uses.
+    touched: Vec<ChannelId>,
+}
+
+/// One channel's uses by the candidate under analysis: how many
+/// messages use it while counting, then the next free slot of its
+/// users once it is kept.
+#[derive(Clone, Copy, Debug, Default)]
+struct Uses {
+    pass: u32,
+    count: u32,
 }
 
 impl CycleIndex {
     /// An index over `net`'s channels holding no cycle.
     pub fn new(net: &Network) -> Self {
         CycleIndex {
-            stamp: vec![0; net.channel_count()],
-            mark: 1,
+            channels: net.channel_count(),
+            stamp: Vec::new(),
+            mark: 0,
             uses: Vec::new(),
+            pass: 0,
+            touched: Vec::new(),
         }
     }
 
@@ -136,9 +234,12 @@ impl CycleIndex {
 
     /// Hold `cycle` instead of the previous cycle.
     pub fn set(&mut self, cycle: &CdgCycle) {
+        if self.stamp.is_empty() {
+            self.stamp = vec![0; self.channels];
+        }
         if self.mark == u32::MAX {
             self.stamp.fill(0);
-            self.mark = 1;
+            self.mark = 0;
         }
         self.mark += 1;
         for c in &cycle.channels {
@@ -157,52 +258,94 @@ impl CycleIndex {
         chans.iter().position(|&c| self.contains(c))
     }
 
-    /// The sharing analysis of `candidate` over the held cycle.
+    /// The sharing analysis of the candidate `segments` over the held
+    /// cycle.
+    pub fn analyze(&mut self, table: &TableRouting, segments: &[Segment]) -> SharingAnalysis {
+        let mut out = SharingAnalysis::default();
+        self.analyze_into(table, segments, false, &mut out);
+        out
+    }
+
+    /// Append the shared channels of the candidate `segments` over the
+    /// held cycle to `out` — all of them, or with `outside_only` those
+    /// outside the cycle — and return the range of records they take:
+    /// in channel order, each with its users in segment order.
     ///
-    /// Every channel use of every configuration message becomes one
-    /// `(channel, segment, at or after the message's entry)` key; the
-    /// keys are sorted, and each channel's group of two or more is a
-    /// shared channel, its users in segment order.
-    pub fn analyze(
+    /// One pass counts every channel use under a fresh stamp; the
+    /// channels used twice or more are sorted and given their users'
+    /// slots; a second pass writes each message into the slots of the
+    /// channels it uses. A path's first cycle channel is its entry, so
+    /// every use of a cycle channel is at or after its user's entry: a
+    /// shared channel is inside the cycle exactly when it lies on it.
+    pub fn analyze_into(
         &mut self,
         table: &TableRouting,
-        candidate: &DeadlockCandidate,
-    ) -> SharingAnalysis {
-        let mut uses = std::mem::take(&mut self.uses);
-        uses.clear();
-        for (k, seg) in candidate.segments.iter().enumerate() {
-            let chans = table
-                .path(seg.msg.0, seg.msg.1)
+        segments: &[Segment],
+        outside_only: bool,
+        out: &mut SharingAnalysis,
+    ) -> Range<usize> {
+        let path = |s: &Segment| {
+            table
+                .path(s.msg.0, s.msg.1)
                 .expect("configuration messages are routed")
-                .channels();
-            // A message never on the cycle has no use at or after entry.
-            let entry = self.entry(chans).unwrap_or(chans.len());
-            uses.extend(
-                chans
-                    .iter()
-                    .enumerate()
-                    .map(|(i, &c)| Use::pack(c, k, i >= entry)),
-            );
+                .channels()
+        };
+        if self.uses.is_empty() {
+            self.uses = vec![Uses::default(); self.channels];
         }
-        uses.sort_unstable();
-        let mut shared = Vec::new();
-        for group in uses.chunk_by(|&a, &b| Use::channel(a) == Use::channel(b)) {
-            if group.len() < 2 {
-                continue;
+        if self.pass >= u32::MAX - 2 {
+            self.uses.fill(Uses::default());
+            self.pass = 0;
+        }
+        self.pass += 2;
+        let (counting, kept) = (self.pass, self.pass + 1);
+        let mut touched = std::mem::take(&mut self.touched);
+        touched.clear();
+        for seg in segments {
+            for &c in path(seg) {
+                let u = &mut self.uses[c.index()];
+                if u.pass != counting {
+                    *u = Uses {
+                        pass: counting,
+                        count: 0,
+                    };
+                    touched.push(c);
+                }
+                u.count += 1;
             }
-            let channel = Use::channel(group[0]);
-            shared.push(SharedChannel {
-                channel,
-                users: group
-                    .iter()
-                    .map(|&u| candidate.segments[Use::segment(u)].msg)
-                    .collect(),
-                inside_cycle: self.contains(channel)
-                    && group.iter().all(|&u| Use::at_or_after_entry(u)),
+        }
+        touched.retain(|&c| self.uses[c.index()].count >= 2 && !(outside_only && self.contains(c)));
+        touched.sort_unstable();
+        let first = out.entries.len();
+        let mut end = out.users.len() as u32;
+        for &c in &touched {
+            let u = &mut self.uses[c.index()];
+            let start = end;
+            end += u.count;
+            *u = Uses {
+                pass: kept,
+                count: start,
+            };
+            out.entries.push(Entry {
+                channel: c,
+                start,
+                end,
+                inside_cycle: self.contains(c),
             });
         }
-        self.uses = uses;
-        SharingAnalysis { shared }
+        let unset = (NodeId::from_index(0), NodeId::from_index(0));
+        out.users.resize(end as usize, unset);
+        for seg in segments {
+            for &c in path(seg) {
+                let u = &mut self.uses[c.index()];
+                if u.pass == kept {
+                    out.users[u.count as usize] = seg.msg;
+                    u.count += 1;
+                }
+            }
+        }
+        self.touched = touched;
+        first..out.entries.len()
     }
 
     /// Geometry of one message relative to the held cycle and
@@ -239,39 +382,15 @@ impl CycleIndex {
     }
 }
 
-/// One channel use of a configuration message, packed into a word that
-/// sorts by channel, then segment: `channel << 32 | segment << 1 |
-/// at_or_after_entry`.
-struct Use;
-
-impl Use {
-    fn pack(channel: ChannelId, segment: usize, at_or_after_entry: bool) -> u64 {
-        debug_assert!(segment < 1 << 31, "segment index fits 31 bits");
-        (channel.index() as u64) << 32 | (segment as u64) << 1 | u64::from(at_or_after_entry)
-    }
-
-    fn channel(u: u64) -> ChannelId {
-        ChannelId::from_index((u >> 32) as usize)
-    }
-
-    fn segment(u: u64) -> usize {
-        ((u & 0xffff_ffff) >> 1) as usize
-    }
-
-    fn at_or_after_entry(u: u64) -> bool {
-        u & 1 == 1
-    }
-}
-
-/// Compute the sharing analysis for `candidate` over `cycle`
-/// ([`CycleIndex::analyze`] over a fresh index).
+/// Compute the sharing analysis of the candidate `segments` over
+/// `cycle` ([`CycleIndex::analyze`] over a fresh index).
 pub fn analyze(
     net: &Network,
     table: &TableRouting,
     cycle: &CdgCycle,
-    candidate: &DeadlockCandidate,
+    segments: &[Segment],
 ) -> SharingAnalysis {
-    CycleIndex::of(net, cycle).analyze(table, candidate)
+    CycleIndex::of(net, cycle).analyze(table, segments)
 }
 
 /// Geometry of one message relative to `cycle` and (optionally) a
@@ -307,16 +426,16 @@ mod tests {
         let table = clockwise_ring(&net, &nodes).unwrap();
         let cycle = Cdg::build(&net, &table).cycles().remove(0);
         let cands = deadlock_candidates(&table, &cycle, 100_000).unwrap();
-        let four = cands.iter().find(|c| c.segments.len() == 4).unwrap();
+        let four = cands.iter().find(|c| c.len() == 4).unwrap();
         let analysis = analyze(&net, &table, &cycle, four);
         assert_eq!(
-            analysis.outside().count(),
+            analysis.shared().outside().count(),
             0,
             "ring messages never share outside the cycle"
         );
         // A 4-message cover of a 4-cycle: each owner's path continues
         // into the next owner's channel, so inside sharing exists.
-        assert!(analysis.inside().count() >= 1);
+        assert!(analysis.shared().inside().count() >= 1);
     }
 
     #[test]
@@ -331,15 +450,14 @@ mod tests {
         let two = cands
             .iter()
             .find(|c| {
-                c.segments.len() == 2
-                    && c.messages()
-                        .iter()
-                        .all(|&(s, d)| table.path(s, d).unwrap().len() == 3)
+                c.len() == 2
+                    && c.iter()
+                        .all(|s| table.path(s.msg.0, s.msg.1).unwrap().len() == 3)
             })
             .expect("two 3-hop messages can cover a 4-cycle");
         let analysis = analyze(&net, &table, &cycle, two);
-        assert!(analysis.inside().count() >= 1);
-        for s in analysis.inside() {
+        assert!(analysis.shared().inside().count() >= 1);
+        for s in analysis.shared().inside() {
             assert!(cycle.contains(s.channel));
             assert_eq!(s.users.len(), 2);
         }
@@ -351,14 +469,14 @@ mod tests {
         let table = clockwise_ring(&net, &nodes).unwrap();
         let cycle = Cdg::build(&net, &table).cycles().remove(0);
         let cands = deadlock_candidates(&table, &cycle, 100_000).unwrap();
-        let four = cands.iter().find(|c| c.segments.len() == 4).unwrap();
+        let four = cands.iter().find(|c| c.len() == 4).unwrap();
         let analysis = analyze(&net, &table, &cycle, four);
-        let d = analysis.describe(&net);
+        let d = analysis.shared().describe(&net);
         assert!(d.contains("[inside]"));
         assert!(d.contains("shared by 2"));
         // Empty analysis.
-        let empty = SharingAnalysis { shared: vec![] };
-        assert_eq!(empty.describe(&net), "no shared channels");
+        let empty = SharingAnalysis::default();
+        assert_eq!(empty.shared().describe(&net), "no shared channels");
     }
 
     #[test]
@@ -423,21 +541,27 @@ mod tests {
         assert_eq!(g.d, None);
     }
 
+    /// A shared channel as plain values: channel, users, inside.
+    type Owned = (ChannelId, Vec<MsgPair>, bool);
+
+    fn owned(sharing: Sharing<'_>) -> Vec<Owned> {
+        sharing
+            .iter()
+            .map(|s| (s.channel, s.users.to_vec(), s.inside_cycle))
+            .collect()
+    }
+
     /// The per-candidate ordered-map analysis this module used to run:
     /// users per channel in segment order, inside when on the cycle and
     /// at or after every user's entry.
-    fn map_oracle(
-        table: &TableRouting,
-        cycle: &CdgCycle,
-        candidate: &DeadlockCandidate,
-    ) -> SharingAnalysis {
+    fn map_oracle(table: &TableRouting, cycle: &CdgCycle, segments: &[Segment]) -> Vec<Owned> {
         let mut users: std::collections::BTreeMap<ChannelId, Vec<MsgPair>> = Default::default();
-        for m in candidate.messages() {
+        for m in segments.iter().map(|s| s.msg) {
             for &c in table.path(m.0, m.1).unwrap().channels() {
                 users.entry(c).or_default().push(m);
             }
         }
-        let shared = users
+        users
             .into_iter()
             .filter(|(_, u)| u.len() >= 2)
             .map(|(channel, u)| {
@@ -447,14 +571,9 @@ mod tests {
                         let entry = chans.iter().position(|&c| cycle.contains(c)).unwrap();
                         chans.iter().position(|&c| c == channel).unwrap() >= entry
                     });
-                SharedChannel {
-                    channel,
-                    users: u,
-                    inside_cycle: inside,
-                }
+                (channel, u, inside)
             })
-            .collect();
-        SharingAnalysis { shared }
+            .collect()
     }
 
     #[test]
@@ -480,12 +599,19 @@ mod tests {
         assert!(cycles.len() >= 2);
         let witnesses = crate::Witnesses::of_cycles(&table, &cycles);
         let mut index = CycleIndex::new(&net);
+        let mut outside = SharingAnalysis::default();
         let mut seen = 0;
         for cycle in &cycles {
             index.set(cycle);
             let (cands, _) = crate::enumerate_candidates(&witnesses, cycle, 2_000);
-            for cand in &cands {
-                assert_eq!(index.analyze(&table, cand), map_oracle(&table, cycle, cand));
+            for cand in cands.iter() {
+                let want = map_oracle(&table, cycle, cand);
+                assert_eq!(owned(index.analyze(&table, cand).shared()), want);
+                // The outside-only records of many candidates, appended
+                // to one buffer, are the outside part of each analysis.
+                let range = index.analyze_into(&table, cand, true, &mut outside);
+                let want_outside: Vec<Owned> = want.into_iter().filter(|s| !s.2).collect();
+                assert_eq!(owned(outside.range(range)), want_outside);
                 seen += 1;
             }
         }

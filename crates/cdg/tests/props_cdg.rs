@@ -80,19 +80,20 @@ proptest! {
         prop_assert!(!cands.is_empty());
         let (again, _) = enumerate_candidates(&witnesses, &cycle, 1_000_000);
         prop_assert_eq!(&cands, &again, "deterministic enumeration");
-        for cand in &cands {
-            let total: usize = cand.segments.iter().map(|s| s.channels.len()).sum();
-            prop_assert_eq!(total, cycle.len());
-            let k = cand.segments.len();
+        for cand in cands.iter() {
+            let total: u32 = cand.iter().map(|s| s.len).sum();
+            prop_assert_eq!(total as usize, cycle.len());
+            let k = cand.len();
             prop_assert!(k >= 2);
             for i in 0..k {
-                let cur = &cand.segments[i];
-                let next = &cand.segments[(i + 1) % k];
-                let last = *cur.channels.last().unwrap();
-                prop_assert!(witnesses.get(last, next.channels[0]).contains(&cur.msg));
+                let cur = &cand[i];
+                let next = &cand[(i + 1) % k];
+                let last = cur.channels(&cycle).last().unwrap();
+                let head = next.channels(&cycle).next().unwrap();
+                prop_assert!(witnesses.get(last, head).contains(&cur.msg));
             }
             // Each message owns exactly one segment.
-            let mut msgs: Vec<_> = cand.messages();
+            let mut msgs: Vec<_> = cand.iter().map(|s| s.msg).collect();
             msgs.sort_unstable();
             msgs.dedup();
             prop_assert_eq!(msgs.len(), k);

@@ -12,13 +12,21 @@
 //! [`AlgorithmVerdict`](crate::classify::AlgorithmVerdict), and
 //! `wormserve` reads both from one build per job.
 //!
+//! Each cycle's candidates are stored flat ([`wormcdg::Candidates`]),
+//! and of each candidate's sharing analysis only the shared channels
+//! outside the cycle are kept, also flat: they are all a theorem class
+//! reads. [`Analysis::sharing`] recomputes one candidate's whole
+//! analysis for a report.
+//!
 //! `static_class` is the one place a candidate's theorem class is
-//! decided; `classify_algorithm` reaches it through
-//! [`CandidateAnalysis`] too, one candidate at a time, so it never
-//! analyses a candidate past the first reachable one.
+//! decided; `classify_algorithm` reaches it too, one candidate at a
+//! time, so it never analyses a candidate past the first reachable
+//! one.
 
-use wormcdg::sharing::{CycleIndex, SharingAnalysis};
-use wormcdg::{enumerate_candidates, Cdg, CdgCycle, DeadlockCandidate, Witnesses};
+use std::cell::RefCell;
+
+use wormcdg::sharing::{CycleIndex, Sharing, SharingAnalysis};
+use wormcdg::{enumerate_candidates, Candidates, Cdg, CdgCycle, MsgPair, Segment, Witnesses};
 use wormexist::{ExistOptions, ExistenceReport};
 use wormnet::Network;
 use wormroute::properties::{self, PropertyReport};
@@ -64,34 +72,35 @@ impl StaticClass {
     }
 }
 
-/// Apply Theorems 2–5 to one candidate, in the order the paper's
+/// Apply Theorems 2–5 to the candidate `segments`, whose shared
+/// channels outside the cycle are `outside`, in the order the paper's
 /// scopes nest: no outside sharing (Theorem 2), then a single outside
 /// channel with two sharers (Theorem 4), every message sharing under
 /// minimal routing (Theorem 3), or three sharers (Theorem 5).
-fn static_class(
+pub(crate) fn static_class(
     table: &TableRouting,
     cycle: &CycleIndex,
-    candidate: &DeadlockCandidate,
-    sharing: &SharingAnalysis,
+    segments: &[Segment],
+    outside: Sharing<'_>,
     minimal: bool,
 ) -> StaticClass {
-    let mut outside = sharing.outside();
+    let mut outside = outside.outside();
     let Some(shared) = outside.next() else {
         return StaticClass::NoOutsideSharing;
     };
     if outside.next().is_none() {
         // A candidate's messages are distinct and a path never repeats
         // a channel, so no message uses a channel twice.
-        debug_assert!(distinct(&shared.users));
+        debug_assert!(distinct(shared.users));
         let users = shared.users.len();
         if users == 2 {
             return StaticClass::TwoSharers;
         }
-        if minimal && users == candidate.segments.len() {
+        if minimal && users == segments.len() {
             return StaticClass::MinimalAllShare;
         }
         if users == 3 {
-            if let Ok(ec) = eight_conditions_in(table, cycle, candidate, shared) {
+            if let Ok(ec) = eight_conditions_in(table, cycle, segments, shared) {
                 return StaticClass::ThreeSharers(ec);
             }
         }
@@ -100,42 +109,25 @@ fn static_class(
 }
 
 /// Whether `users` holds no message twice.
-fn distinct(users: &[wormcdg::MsgPair]) -> bool {
+fn distinct(users: &[MsgPair]) -> bool {
     let mut sorted = users.to_vec();
     sorted.sort_unstable();
     sorted.windows(2).all(|w| w[0] != w[1])
 }
 
-/// One static deadlock candidate with its sharing analysis and
-/// theorem classification.
-#[derive(Clone, Debug)]
-pub struct CandidateAnalysis {
-    /// The candidate configuration.
-    pub candidate: DeadlockCandidate,
-    /// Its shared channels (inside/outside the cycle).
-    pub sharing: SharingAnalysis,
+/// One static deadlock candidate with its shared channels outside the
+/// cycle and its theorem classification, read from its cycle's flat
+/// stores.
+#[derive(Clone, Copy, Debug)]
+pub struct CandidateAnalysis<'a> {
+    /// The candidate's segments, in cycle order.
+    pub segments: &'a [Segment],
+    /// Its shared channels outside the cycle, in channel order: all a
+    /// theorem class reads. [`Analysis::sharing`] recomputes the whole
+    /// analysis, inside channels included.
+    pub outside: Sharing<'a>,
     /// What the theorems conclude.
-    pub class: StaticClass,
-}
-
-impl CandidateAnalysis {
-    /// Analyse `candidate` of the cycle `cycle` holds: its shared
-    /// channels, then its theorem class. `minimal` is the table's
-    /// minimality.
-    pub(crate) fn new(
-        table: &TableRouting,
-        cycle: &mut CycleIndex,
-        candidate: DeadlockCandidate,
-        minimal: bool,
-    ) -> Self {
-        let sharing = cycle.analyze(table, &candidate);
-        let class = static_class(table, cycle, &candidate, &sharing, minimal);
-        CandidateAnalysis {
-            candidate,
-            sharing,
-            class,
-        }
-    }
+    pub class: &'a StaticClass,
 }
 
 /// One CDG cycle with its (bounded) candidate enumeration.
@@ -143,19 +135,80 @@ impl CandidateAnalysis {
 pub struct CycleAnalysis {
     /// The cycle.
     pub cycle: CdgCycle,
-    /// Analyses of its static candidates, in enumeration order.
-    pub candidates: Vec<CandidateAnalysis>,
+    /// Its static candidates, in enumeration order.
+    pub candidates: Candidates,
+    /// Each candidate's theorem class, in the same order.
+    classes: Vec<StaticClass>,
+    /// The shared channels outside the cycle of every candidate, one
+    /// candidate after another; candidate `i` holds the records
+    /// `outside_starts[i]..outside_starts[i + 1]`.
+    outside: SharingAnalysis,
+    outside_starts: Vec<u32>,
     /// Whether enumeration covered every candidate. False when more
     /// than `max_candidates` exist: `candidates` then holds the first
     /// `max_candidates + 1`, and the cycle can never be certified free.
     pub enumeration_complete: bool,
 }
 
+impl CycleAnalysis {
+    /// Enumerate `cycle`'s candidates over `witnesses` (every one when
+    /// there are at most `max_candidates`, else the first
+    /// `max_candidates + 1`) and analyse each over `index`, which is
+    /// set to the cycle here. `minimal` is the table's minimality.
+    fn build(
+        table: &TableRouting,
+        witnesses: &Witnesses,
+        index: &mut CycleIndex,
+        cycle: CdgCycle,
+        max_candidates: usize,
+        minimal: bool,
+    ) -> Self {
+        let (candidates, enumeration_complete) =
+            enumerate_candidates(witnesses, &cycle, max_candidates);
+        index.set(&cycle);
+        let mut outside = SharingAnalysis::default();
+        let mut outside_starts = Vec::with_capacity(candidates.len() + 1);
+        outside_starts.push(0);
+        let classes = candidates
+            .iter()
+            .map(|segments| {
+                let range = index.analyze_into(table, segments, true, &mut outside);
+                outside_starts.push(range.end as u32);
+                static_class(table, index, segments, outside.range(range), minimal)
+            })
+            .collect();
+        CycleAnalysis {
+            cycle,
+            candidates,
+            classes,
+            outside,
+            outside_starts,
+            enumeration_complete,
+        }
+    }
+
+    /// Candidate `i`, analysed.
+    pub fn candidate(&self, i: usize) -> CandidateAnalysis<'_> {
+        CandidateAnalysis {
+            segments: &self.candidates[i],
+            outside: self
+                .outside
+                .range(self.outside_starts[i] as usize..self.outside_starts[i + 1] as usize),
+            class: &self.classes[i],
+        }
+    }
+
+    /// Every candidate, analysed, in enumeration order.
+    pub fn analyses(&self) -> impl ExactSizeIterator<Item = CandidateAnalysis<'_>> + '_ {
+        (0..self.candidates.len()).map(|i| self.candidate(i))
+    }
+}
+
 /// The candidate phase of [`Analysis::build`]: each cycle's
 /// Definition 6 candidates (every one when there are at most
 /// `max_candidates`, else the first `max_candidates + 1`), with their
-/// sharing analyses and theorem classes. `minimal` is the table's
-/// minimality.
+/// outside shared channels and theorem classes. `minimal` is the
+/// table's minimality.
 pub fn analyze_cycles(
     net: &Network,
     table: &TableRouting,
@@ -171,18 +224,14 @@ pub fn analyze_cycles(
     cycles
         .into_iter()
         .map(|cycle| {
-            let (candidates, enumeration_complete) =
-                enumerate_candidates(&witnesses, &cycle, max_candidates);
-            index.set(&cycle);
-            let candidates = candidates
-                .into_iter()
-                .map(|c| CandidateAnalysis::new(table, &mut index, c, minimal))
-                .collect();
-            CycleAnalysis {
+            CycleAnalysis::build(
+                table,
+                &witnesses,
+                &mut index,
                 cycle,
-                candidates,
-                enumeration_complete,
-            }
+                max_candidates,
+                minimal,
+            )
         })
         .collect()
 }
@@ -216,6 +265,9 @@ pub struct Analysis<'a> {
     pub existence: ExistenceReport,
     /// The `(max_cycles, max_candidates)` enumeration budgets.
     pub(crate) budgets: (usize, usize),
+    /// The index [`Analysis::with_index`] lends out; its arrays are
+    /// allocated on first use.
+    index: RefCell<CycleIndex>,
 }
 
 impl<'a> Analysis<'a> {
@@ -258,6 +310,7 @@ impl<'a> Analysis<'a> {
             cycles_complete,
             existence,
             budgets: (max_cycles, max_candidates),
+            index: RefCell::new(CycleIndex::new(net)),
         }
     }
 
@@ -267,10 +320,27 @@ impl<'a> Analysis<'a> {
     }
 
     /// Iterate every candidate analysis across all enumerated cycles.
-    pub fn candidates(&self) -> impl Iterator<Item = (&CycleAnalysis, &CandidateAnalysis)> {
+    pub fn candidates(&self) -> impl Iterator<Item = (&CycleAnalysis, CandidateAnalysis<'_>)> {
         self.cycles
             .iter()
-            .flat_map(|cy| cy.candidates.iter().map(move |ca| (cy, ca)))
+            .flat_map(|cy| cy.analyses().map(move |ca| (cy, ca)))
+    }
+
+    /// Run `f` over a cycle index holding `cycle`, reusing one index
+    /// across calls: the geometry and sharing questions a report asks
+    /// about a candidate after the analysis is built.
+    pub fn with_index<R>(&self, cycle: &CdgCycle, f: impl FnOnce(&mut CycleIndex) -> R) -> R {
+        let mut index = self.index.borrow_mut();
+        index.set(cycle);
+        f(&mut index)
+    }
+
+    /// The whole sharing analysis of candidate `i` of `cy`, inside
+    /// shared channels included.
+    pub fn sharing(&self, cy: &CycleAnalysis, i: usize) -> SharingAnalysis {
+        self.with_index(&cy.cycle, |index| {
+            index.analyze(self.table, &cy.candidates[i])
+        })
     }
 }
 
@@ -294,7 +364,7 @@ mod tests {
         assert!(a.cycles_complete);
         assert_eq!(a.cycles.len(), 1);
         assert!(!a.cycles[0].candidates.is_empty());
-        for ca in &a.cycles[0].candidates {
+        for ca in a.cycles[0].analyses() {
             assert!(matches!(ca.class, StaticClass::NoOutsideSharing));
             assert_eq!(ca.class.reachable(), Some(true));
         }

@@ -9,16 +9,14 @@
 //! unreachable is deadlock-free *despite* its cyclic dependencies —
 //! the paper's headline phenomenon.
 
-use std::borrow::Borrow;
-
-use wormcdg::sharing::CycleIndex;
-use wormcdg::{enumerate_candidates, Cdg, CdgCycle, DeadlockCandidate, Witnesses};
+use wormcdg::sharing::{CycleIndex, SharingAnalysis};
+use wormcdg::{enumerate_candidates, Cdg, CdgCycle, DeadlockCandidate, Segment, Witnesses};
 use wormnet::Network;
 use wormroute::{properties, TableRouting};
 use wormsearch::{explore, explore_until, SearchConfig, Verdict};
 use wormsim::{MessageId, MessageSpec, Sim};
 
-use crate::analysis::{Analysis, CandidateAnalysis, StaticClass};
+use crate::analysis::{static_class, Analysis, CandidateAnalysis, StaticClass};
 use crate::conditions::EightConditions;
 
 /// Why a candidate was classified the way it was.
@@ -51,7 +49,7 @@ pub enum CycleClass {
 /// Verdict for one static deadlock candidate.
 #[derive(Clone, Debug)]
 pub struct CandidateVerdict {
-    /// The candidate configuration.
+    /// The candidate configuration, over its cycle's channels.
     pub candidate: DeadlockCandidate,
     /// How it was decided.
     pub class: CycleClass,
@@ -213,18 +211,20 @@ fn record_provenance(verdict: &CandidateVerdict) {
 fn decide(
     net: &Network,
     table: &TableRouting,
-    ca: &CandidateAnalysis,
+    ca: &CandidateAnalysis<'_>,
     opts: &ClassifyOptions,
 ) -> CandidateVerdict {
     let verdict = |class: CycleClass, reachable: Option<bool>| CandidateVerdict {
-        candidate: ca.candidate.clone(),
+        candidate: DeadlockCandidate {
+            segments: ca.segments.to_vec(),
+        },
         class,
         reachable,
     };
     // A theorem's "reachable", optionally confirmed by search.
     let confirm = |class: CycleClass| -> CandidateVerdict {
         if opts.verify_theorems_with_search {
-            if let Some((false, states)) = search_candidate(net, table, &ca.candidate, opts) {
+            if let Some((false, states)) = search_candidate(net, table, ca.segments, opts) {
                 wormtrace::counter("classify.theorem_downgraded", 1);
                 return verdict(
                     CycleClass::DecidedBySearch {
@@ -237,7 +237,7 @@ fn decide(
         }
         verdict(class, Some(true))
     };
-    let decided = match &ca.class {
+    let decided = match ca.class {
         StaticClass::NoOutsideSharing => confirm(CycleClass::NoOutsideSharing),
         StaticClass::TwoSharers => confirm(CycleClass::TwoSharers),
         StaticClass::MinimalAllShare => confirm(CycleClass::MinimalAllShare),
@@ -250,7 +250,7 @@ fn decide(
         // their segments — Section 3's worst case).
         StaticClass::OutOfScope if opts.use_search => {
             wormtrace::counter("classify.search_fallback", 1);
-            match search_candidate(net, table, &ca.candidate, opts) {
+            match search_candidate(net, table, ca.segments, opts) {
                 Some((reachable, states)) => verdict(
                     CycleClass::DecidedBySearch { reachable, states },
                     Some(reachable),
@@ -264,37 +264,33 @@ fn decide(
     decided
 }
 
-/// Decide a cycle's candidates in enumeration order, stopping at the
-/// first reachable one: one reachable deadlock settles the cycle.
-fn decide_until_reachable<C: Borrow<CandidateAnalysis>>(
+/// Decide `ca` into `verdicts`; whether it was reachable, which
+/// settles its cycle: a cycle's candidates are decided in enumeration
+/// order up to the first reachable one.
+fn decide_into(
+    verdicts: &mut Vec<CandidateVerdict>,
     net: &Network,
     table: &TableRouting,
-    candidates: impl IntoIterator<Item = C>,
+    ca: &CandidateAnalysis<'_>,
     opts: &ClassifyOptions,
-) -> Vec<CandidateVerdict> {
-    let mut verdicts = Vec::new();
-    for ca in candidates {
-        let v = decide(net, table, ca.borrow(), opts);
-        let reachable = v.reachable == Some(true);
-        verdicts.push(v);
-        if reachable {
-            break;
-        }
-    }
-    verdicts
+) -> bool {
+    let v = decide(net, table, ca, opts);
+    let reachable = v.reachable == Some(true);
+    verdicts.push(v);
+    reachable
 }
 
-/// The messages the search fallback explores for `candidate`: one per
-/// segment, in segment order, each at its adversarial minimum length
-/// (just long enough to hold its segment — Section 3's worst case).
-/// The fallback searches them with one-flit queues and no stalls, so a
-/// [`CycleClass::DecidedBySearch`] answers `explore` over exactly
-/// these messages at `capacity = 1` and stall budget 0.
-pub fn candidate_messages(candidate: &DeadlockCandidate) -> Vec<MessageSpec> {
-    candidate
-        .segments
+/// The messages the search fallback explores for the candidate
+/// `segments`: one per segment, in segment order, each at its
+/// adversarial minimum length (just long enough to hold its segment —
+/// Section 3's worst case). The fallback searches them with one-flit
+/// queues and no stalls, so a [`CycleClass::DecidedBySearch`] answers
+/// `explore` over exactly these messages at `capacity = 1` and stall
+/// budget 0.
+pub fn candidate_messages(segments: &[Segment]) -> Vec<MessageSpec> {
+    segments
         .iter()
-        .map(|s| MessageSpec::new(s.msg.0, s.msg.1, s.channels.len()))
+        .map(|s| MessageSpec::new(s.msg.0, s.msg.1, s.len as usize))
         .collect()
 }
 
@@ -304,10 +300,10 @@ pub fn candidate_messages(candidate: &DeadlockCandidate) -> Vec<MessageSpec> {
 fn search_candidate(
     net: &Network,
     table: &TableRouting,
-    candidate: &DeadlockCandidate,
+    segments: &[Segment],
     opts: &ClassifyOptions,
 ) -> Option<(bool, usize)> {
-    let sim = Sim::new(net, table, candidate_messages(candidate), Some(1)).ok()?;
+    let sim = Sim::new(net, table, candidate_messages(segments), Some(1)).ok()?;
     let config = SearchConfig {
         stall_budget: 0,
         max_states: opts.search_max_states,
@@ -321,9 +317,10 @@ fn search_candidate(
     Some((reachable, result.states_explored))
 }
 
-/// The literal Definition 5 question for one static candidate: can
-/// routing messages from an empty network produce **exactly this
-/// configuration** (every segment's channels owned by its message)?
+/// The literal Definition 5 question for the static candidate
+/// `segments` of `cycle`: can routing messages from an empty network
+/// produce **exactly this configuration** (every segment's channels
+/// owned by its message)?
 ///
 /// This is stricter than [`classify_algorithm`]'s search fallback,
 /// which asks whether *any* deadlock is reachable with the candidate's
@@ -333,27 +330,22 @@ fn search_candidate(
 pub fn candidate_reachable(
     net: &Network,
     table: &TableRouting,
-    candidate: &DeadlockCandidate,
+    cycle: &CdgCycle,
+    segments: &[Segment],
     opts: &ClassifyOptions,
 ) -> Option<bool> {
-    let sim = Sim::new(net, table, candidate_messages(candidate), Some(1)).ok()?;
-    let segments: Vec<(MessageId, Vec<wormnet::ChannelId>)> = candidate
-        .segments
-        .iter()
-        .enumerate()
-        .map(|(i, s)| (MessageId::from_index(i), s.channels.clone()))
-        .collect();
+    let sim = Sim::new(net, table, candidate_messages(segments), Some(1)).ok()?;
     let result = explore_until(
         &sim,
         &SearchConfig {
             stall_budget: 0,
             max_states: opts.search_max_states,
         },
-        move |_, state| {
-            segments.iter().all(|(m, chans)| {
-                chans
-                    .iter()
-                    .all(|c| matches!(state.channels[c.index()], Some(occ) if occ.msg == *m))
+        |_, state| {
+            segments.iter().enumerate().all(|(i, s)| {
+                let m = MessageId::from_index(i);
+                s.channels(cycle)
+                    .all(|c| matches!(state.channels[c.index()], Some(occ) if occ.msg == m))
             })
         },
     );
@@ -366,14 +358,18 @@ pub fn candidate_reachable(
 
 /// Classify one CDG cycle by classifying its candidates in
 /// enumeration order. `minimal` is the table's minimality, hoisted out
-/// of the per-cycle loop; `witnesses` covers the cycle's edges, and
-/// `index` is set to the cycle here. Candidates are analysed one at a
-/// time, so none past the first reachable one is analysed at all.
+/// of the per-cycle loop; `witnesses` covers the cycle's edges,
+/// `index` is set to the cycle here, and `outside` is a buffer each
+/// candidate's outside shared channels are analysed into. Candidates
+/// are analysed one at a time, so none past the first reachable one is
+/// analysed at all.
+#[allow(clippy::too_many_arguments)]
 fn classify_cycle(
     net: &Network,
     table: &TableRouting,
     witnesses: &Witnesses,
     index: &mut CycleIndex,
+    outside: &mut SharingAnalysis,
     cycle: CdgCycle,
     minimal: bool,
     opts: &ClassifyOptions,
@@ -381,13 +377,23 @@ fn classify_cycle(
     let (candidates, enumeration_complete) =
         enumerate_candidates(witnesses, &cycle, opts.max_candidates);
     index.set(&cycle);
-    let analyses = candidates
-        .into_iter()
-        .map(|c| CandidateAnalysis::new(table, index, c, minimal));
-    let candidates = decide_until_reachable(net, table, analyses, opts);
+    let mut verdicts = Vec::new();
+    for segments in candidates.iter() {
+        outside.clear();
+        index.analyze_into(table, segments, true, outside);
+        let class = static_class(table, index, segments, outside.shared(), minimal);
+        let ca = CandidateAnalysis {
+            segments,
+            outside: outside.shared(),
+            class: &class,
+        };
+        if decide_into(&mut verdicts, net, table, &ca, opts) {
+            break;
+        }
+    }
     CycleVerdict {
         cycle,
-        candidates,
+        candidates: verdicts,
         enumeration_complete,
     }
 }
@@ -441,9 +447,21 @@ pub(crate) fn classify_cdg(
     let minimal = properties::is_minimal(net, table);
     let witnesses = Witnesses::of_cycles(table, &cycles);
     let mut index = CycleIndex::new(net);
+    let mut outside = SharingAnalysis::default();
     let verdicts = cycles
         .into_iter()
-        .map(|cycle| classify_cycle(net, table, &witnesses, &mut index, cycle, minimal, opts))
+        .map(|cycle| {
+            classify_cycle(
+                net,
+                table,
+                &witnesses,
+                &mut index,
+                &mut outside,
+                cycle,
+                minimal,
+                opts,
+            )
+        })
         .collect();
     fold(verdicts, enumeration_complete)
 }
@@ -474,10 +492,18 @@ impl Analysis<'_> {
         let verdicts = self
             .cycles
             .iter()
-            .map(|cy| CycleVerdict {
-                cycle: cy.cycle.clone(),
-                candidates: decide_until_reachable(self.net, self.table, &cy.candidates, opts),
-                enumeration_complete: cy.enumeration_complete,
+            .map(|cy| {
+                let mut candidates = Vec::new();
+                for ca in cy.analyses() {
+                    if decide_into(&mut candidates, self.net, self.table, &ca, opts) {
+                        break;
+                    }
+                }
+                CycleVerdict {
+                    cycle: cy.cycle.clone(),
+                    candidates,
+                    enumeration_complete: cy.enumeration_complete,
+                }
             })
             .collect();
         fold(verdicts, self.cycles_complete)
@@ -527,7 +553,13 @@ mod tests {
         let c = crate::paper::fig1::cyclic_dependency();
         let candidate = c.canonical_candidate();
         assert_eq!(
-            candidate_reachable(&c.net, &c.table, &candidate, &ClassifyOptions::default()),
+            candidate_reachable(
+                &c.net,
+                &c.table,
+                &c.cycle(),
+                &candidate.segments,
+                &ClassifyOptions::default()
+            ),
             Some(false),
             "Figure 1's configuration must be unreachable (Definition 5)"
         );
@@ -536,9 +568,9 @@ mod tests {
         let table = clockwise_ring(&net, &nodes).unwrap();
         let cycle = wormcdg::Cdg::build(&net, &table).cycles().remove(0);
         let cands = wormcdg::deadlock_candidates(&table, &cycle, 100_000).unwrap();
-        let four = cands.iter().find(|c| c.segments.len() == 4).unwrap();
+        let four = cands.iter().find(|c| c.len() == 4).unwrap();
         assert_eq!(
-            candidate_reachable(&net, &table, four, &ClassifyOptions::default()),
+            candidate_reachable(&net, &table, &cycle, four, &ClassifyOptions::default()),
             Some(true),
             "the ring's configuration is reachable"
         );
@@ -675,11 +707,7 @@ mod tests {
             .collect();
         assert!(!decided.is_empty(), "the search fallback decides Figure 1");
         for (candidate, states) in decided {
-            let specs: Vec<MessageSpec> = candidate
-                .segments
-                .iter()
-                .map(|s| MessageSpec::new(s.msg.0, s.msg.1, s.channels.len()))
-                .collect();
+            let specs = candidate_messages(&candidate.segments);
             let sim = Sim::new(&c.net, &c.table, specs, Some(1)).unwrap();
             let search = explore(&sim, &SearchConfig::default());
             assert!(search.verdict.is_free());

@@ -36,7 +36,7 @@
 //! matches the exhaustive search, which is ground truth.
 
 use wormcdg::sharing::{CycleIndex, MessageGeometry, SharedChannel};
-use wormcdg::{CdgCycle, DeadlockCandidate, MsgPair};
+use wormcdg::{CdgCycle, MsgPair, Segment};
 use wormnet::Network;
 use wormroute::TableRouting;
 
@@ -103,7 +103,8 @@ impl std::fmt::Display for ConditionsError {
 
 impl std::error::Error for ConditionsError {}
 
-/// Evaluate the eight conditions for `shared` over `candidate`.
+/// Evaluate the eight conditions for `shared` over the candidate
+/// `segments` of `cycle`.
 ///
 /// `shared.users` must contain exactly three messages; other
 /// configuration messages (non-sharers) contribute only through the
@@ -113,28 +114,27 @@ pub fn eight_conditions(
     net: &Network,
     table: &TableRouting,
     cycle: &CdgCycle,
-    candidate: &DeadlockCandidate,
-    shared: &SharedChannel,
+    segments: &[Segment],
+    shared: SharedChannel<'_>,
 ) -> Result<EightConditions, ConditionsError> {
-    eight_conditions_in(table, &CycleIndex::of(net, cycle), candidate, shared)
+    eight_conditions_in(table, &CycleIndex::of(net, cycle), segments, shared)
 }
 
 /// [`eight_conditions`] over the cycle `cycle` holds.
 pub(crate) fn eight_conditions_in(
     table: &TableRouting,
     cycle: &CycleIndex,
-    candidate: &DeadlockCandidate,
-    shared: &SharedChannel,
+    segments: &[Segment],
+    shared: SharedChannel<'_>,
 ) -> Result<EightConditions, ConditionsError> {
     // The users of a shared channel are distinct candidate messages.
-    let sharers: &[MsgPair] = &shared.users;
+    let sharers: &[MsgPair] = shared.users;
     if sharers.len() != 3 {
         return Err(ConditionsError::NotThreeSharers(sharers.len()));
     }
 
     // Geometry of every configuration message.
-    let geoms: Vec<(MsgPair, MessageGeometry)> = candidate
-        .segments
+    let geoms: Vec<(MsgPair, MessageGeometry)> = segments
         .iter()
         .map(|s| (s.msg, cycle.geometry(table, s.msg, Some(shared.channel))))
         .collect();
@@ -167,7 +167,7 @@ pub(crate) fn eight_conditions_in(
     let a_z = geom(z).a;
 
     // Segment order helpers.
-    let order: Vec<MsgPair> = candidate.segments.iter().map(|s| s.msg).collect();
+    let order: Vec<MsgPair> = segments.iter().map(|s| s.msg).collect();
     let pos = |m: MsgPair| order.iter().position(|&o| o == m).expect("config message");
     let k = order.len();
     // Channels held by the segments strictly between a and b, walking
@@ -177,7 +177,7 @@ pub(crate) fn eight_conditions_in(
         let mut total = 0;
         let mut i = (pa + 1) % k;
         while i != pb {
-            total += candidate.segments[i].channels.len();
+            total += segments[i].len as usize;
             i = (i + 1) % k;
         }
         total
@@ -217,13 +217,11 @@ pub(crate) fn eight_conditions_in(
     // d_x + between(x, z) < d_z + g_y + 2, with g_y = M_y's minimum
     // sustaining length (its ring segment).
     let g_of = |m: MsgPair| -> usize {
-        candidate
-            .segments
+        segments
             .iter()
             .find(|s| s.msg == m)
             .expect("config message")
-            .channels
-            .len()
+            .len as usize
     };
     let cond7 = d_x + between(x, z) < d_z + g_of(y) + 2;
     // Condition 8 (reconstructed escape): unreachable requires
@@ -265,12 +263,13 @@ mod tests {
         let c = spec.build();
         let cycle = c.cycle();
         let candidate = c.canonical_candidate();
-        let analysis = wormcdg::sharing::analyze(&c.net, &c.table, &cycle, &candidate);
+        let analysis = wormcdg::sharing::analyze(&c.net, &c.table, &cycle, &candidate.segments);
         let shared = analysis
+            .shared()
             .outside()
             .find(|s| s.channel == c.cs)
             .expect("cs shared outside");
-        eight_conditions(&c.net, &c.table, &cycle, &candidate, shared).unwrap()
+        eight_conditions(&c.net, &c.table, &cycle, &candidate.segments, shared).unwrap()
     }
 
     #[test]
@@ -392,9 +391,10 @@ mod tests {
         .build();
         let cycle = c.cycle();
         let candidate = c.canonical_candidate();
-        let analysis = wormcdg::sharing::analyze(&c.net, &c.table, &cycle, &candidate);
-        let shared = analysis.outside().next().unwrap();
-        let err = eight_conditions(&c.net, &c.table, &cycle, &candidate, shared).unwrap_err();
+        let analysis = wormcdg::sharing::analyze(&c.net, &c.table, &cycle, &candidate.segments);
+        let shared = analysis.shared().outside().next().unwrap();
+        let err =
+            eight_conditions(&c.net, &c.table, &cycle, &candidate.segments, shared).unwrap_err();
         assert_eq!(err, ConditionsError::NotThreeSharers(4));
         assert!(err.to_string().contains('4'));
     }

@@ -333,27 +333,33 @@ impl CycleConstruction {
     /// [`Cdg::cycles`] returns).
     pub fn cycle(&self) -> CdgCycle {
         let mut channels = self.ring.clone();
-        let min_pos = channels
+        channels.rotate_left(self.rotation());
+        CdgCycle { channels }
+    }
+
+    /// The ring position of [`Self::cycle`]'s first channel, the
+    /// ring's minimum.
+    fn rotation(&self) -> usize {
+        self.ring
             .iter()
             .enumerate()
             .min_by_key(|&(_, c)| *c)
             .map(|(i, _)| i)
-            .expect("ring non-empty");
-        channels.rotate_left(min_pos);
-        CdgCycle { channels }
+            .expect("ring non-empty")
     }
 
-    /// The canonical static deadlock candidate: message `i` holds its
-    /// segment.
+    /// The canonical static deadlock candidate over [`Self::cycle`]:
+    /// message `i` holds its segment.
     pub fn canonical_candidate(&self) -> DeadlockCandidate {
+        let n = self.ring.len();
+        let rotation = self.rotation();
         let segments = self
             .built
             .iter()
             .map(|b| Segment {
                 msg: b.pair,
-                channels: (0..b.spec.g)
-                    .map(|j| self.ring[(b.entry_pos + j) % self.ring.len()])
-                    .collect(),
+                first: ((b.entry_pos + n - rotation) % n) as u32,
+                len: b.spec.g as u32,
             })
             .collect();
         DeadlockCandidate { segments }
@@ -491,7 +497,7 @@ mod tests {
         // order).
         assert_eq!(cands.len(), 1);
         let canonical = c.canonical_candidate();
-        let mut a: Vec<_> = cands[0].segments.clone();
+        let mut a: Vec<_> = cands[0].to_vec();
         let mut b: Vec<_> = canonical.segments.clone();
         a.sort_by_key(|s| s.msg);
         b.sort_by_key(|s| s.msg);
@@ -503,8 +509,8 @@ mod tests {
         let c = fig1_spec().build();
         let cycle = c.cycle();
         let candidate = c.canonical_candidate();
-        let analysis = wormcdg::sharing::analyze(&c.net, &c.table, &cycle, &candidate);
-        let outside: Vec<_> = analysis.outside().collect();
+        let analysis = wormcdg::sharing::analyze(&c.net, &c.table, &cycle, &candidate.segments);
+        let outside: Vec<_> = analysis.shared().outside().collect();
         assert_eq!(outside.len(), 1);
         assert_eq!(outside[0].channel, c.cs);
         assert_eq!(outside[0].users.len(), 4);
@@ -614,8 +620,8 @@ mod tests {
         // users each.
         let cycle = c.cycle();
         let candidate = c.canonical_candidate();
-        let analysis = wormcdg::sharing::analyze(&c.net, &c.table, &cycle, &candidate);
-        let outside: Vec<_> = analysis.outside().collect();
+        let analysis = wormcdg::sharing::analyze(&c.net, &c.table, &cycle, &candidate.segments);
+        let outside: Vec<_> = analysis.shared().outside().collect();
         assert_eq!(outside.len(), 2);
         assert!(outside.iter().all(|s| s.users.len() == 2));
     }

@@ -61,8 +61,8 @@ mod tests {
         let c = cyclic_dependency();
         let cands = wormcdg::deadlock_candidates(&c.table, &c.cycle(), 1000).unwrap();
         assert_eq!(cands.len(), 1, "the canonical configuration");
-        assert_eq!(cands[0].segments.len(), 4);
-        let mut held: Vec<usize> = cands[0].segments.iter().map(|s| s.channels.len()).collect();
+        assert_eq!(cands[0].len(), 4);
+        let mut held: Vec<u32> = cands[0].iter().map(|s| s.len).collect();
         held.sort_unstable();
         assert_eq!(held, vec![3, 3, 4, 4], "paper: M1/M3 hold 3, M2/M4 hold 4");
     }

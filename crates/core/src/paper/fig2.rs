@@ -59,8 +59,8 @@ mod tests {
         let c = two_message_deadlock();
         let cycle = c.cycle();
         let candidate = c.canonical_candidate();
-        let analysis = wormcdg::sharing::analyze(&c.net, &c.table, &cycle, &candidate);
-        let outside: Vec<_> = analysis.outside().collect();
+        let analysis = wormcdg::sharing::analyze(&c.net, &c.table, &cycle, &candidate.segments);
+        let outside: Vec<_> = analysis.shared().outside().collect();
         assert_eq!(outside.len(), 1);
         assert_eq!(outside[0].channel, c.cs);
         assert_eq!(outside[0].users.len(), 2);

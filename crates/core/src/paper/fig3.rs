@@ -217,13 +217,14 @@ mod tests {
     fn checker_verdict(s: &Scenario) -> (bool, Vec<usize>) {
         let c = s.spec.build();
         let cycle = c.cycle();
-        let candidate = c.canonical_candidate();
-        let analysis = wormcdg::sharing::analyze(&c.net, &c.table, &cycle, &candidate);
+        let segments = c.canonical_candidate().segments;
+        let analysis = wormcdg::sharing::analyze(&c.net, &c.table, &cycle, &segments);
         let shared = analysis
+            .shared()
             .outside()
             .find(|sc| sc.channel == c.cs)
             .expect("cs shared outside");
-        let ec = eight_conditions(&c.net, &c.table, &cycle, &candidate, shared).unwrap();
+        let ec = eight_conditions(&c.net, &c.table, &cycle, &segments, shared).unwrap();
         (ec.unreachable(), ec.failing())
     }
 

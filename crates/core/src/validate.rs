@@ -81,7 +81,8 @@ pub fn validate_all(thorough: bool) -> Vec<ClaimResult> {
     let d5 = candidate_reachable(
         &c.net,
         &c.table,
-        &c.canonical_candidate(),
+        &c.cycle(),
+        &c.canonical_candidate().segments,
         &ClassifyOptions::default(),
     );
     out.push(ClaimResult {
@@ -112,14 +113,15 @@ pub fn validate_all(thorough: bool) -> Vec<ClaimResult> {
     for s in fig3::all_scenarios() {
         let cc = s.spec.build();
         let cycle = cc.cycle();
-        let candidate = cc.canonical_candidate();
-        let analysis = wormcdg::sharing::analyze(&cc.net, &cc.table, &cycle, &candidate);
+        let segments = cc.canonical_candidate().segments;
+        let analysis = wormcdg::sharing::analyze(&cc.net, &cc.table, &cycle, &segments);
         let shared = analysis
+            .shared()
             .outside()
             .find(|sc| sc.channel == cc.cs)
             .expect("cs shared outside");
-        let ec = eight_conditions(&cc.net, &cc.table, &cycle, &candidate, shared)
-            .expect("three sharers");
+        let ec =
+            eight_conditions(&cc.net, &cc.table, &cycle, &segments, shared).expect("three sharers");
         let sim = Sim::new(&cc.net, &cc.table, s.message_specs(&cc), Some(1)).expect("routed");
         let free = explore(&sim, &SearchConfig::default()).verdict.is_free();
         let ok = ec.unreachable() == s.paper_unreachable && free == s.paper_unreachable;

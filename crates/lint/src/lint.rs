@@ -1,6 +1,6 @@
 //! The [`Lint`] trait and the [`Finding`]s it selects.
 
-use worm_core::analysis::{CandidateAnalysis, CycleAnalysis};
+use worm_core::analysis::CycleAnalysis;
 use wormnet::ChannelId;
 use wormroute::properties::DeadTail;
 
@@ -27,8 +27,9 @@ pub enum Finding<'a> {
     DeadTail(&'a DeadTail),
     /// One elementary CDG cycle.
     Cycle(&'a CycleAnalysis),
-    /// One static deadlock candidate of one cycle.
-    Candidate(&'a CycleAnalysis, &'a CandidateAnalysis),
+    /// One static deadlock candidate of one cycle, by its index
+    /// ([`CycleAnalysis::candidate`]).
+    Candidate(&'a CycleAnalysis, usize),
 }
 
 /// One named check over a routing specification.

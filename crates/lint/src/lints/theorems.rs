@@ -11,8 +11,8 @@ use crate::diagnostic::{Diagnostic, Severity};
 use crate::lint::{Finding, Lint};
 use crate::lints::pair_ref;
 use crate::{CandidateAnalysis, CycleAnalysis, LintContext, StaticClass};
-use wormcdg::sharing::{CycleIndex, SharedChannel};
-use wormcdg::CdgCycle;
+use wormcdg::sharing::SharedChannel;
+use wormcdg::{describe_candidate, CdgCycle};
 
 /// Render a cycle as a `cycle:` entity (`c4->c5->c6`).
 fn cycle_ref(cycle: &CdgCycle) -> String {
@@ -26,8 +26,8 @@ fn cycle_ref(cycle: &CdgCycle) -> String {
 
 /// The single outside shared channel of a candidate, when there is
 /// exactly one (the geometry Theorems 3–5 are stated over).
-fn single_outside(ca: &CandidateAnalysis) -> Option<&SharedChannel> {
-    let mut it = ca.sharing.outside();
+fn single_outside<'a>(ca: &CandidateAnalysis<'a>) -> Option<SharedChannel<'a>> {
+    let mut it = ca.outside.iter();
     let first = it.next()?;
     it.next().is_none().then_some(first)
 }
@@ -37,19 +37,23 @@ fn single_outside(ca: &CandidateAnalysis) -> Option<&SharedChannel> {
 fn sharer_facts(
     ctx: &LintContext<'_>,
     cycle: &CdgCycle,
-    shared: &SharedChannel,
+    shared: SharedChannel<'_>,
     mut d: Diagnostic,
 ) -> Diagnostic {
     // The users are distinct; the facts list them in pair order.
-    let mut users = shared.users.clone();
+    let mut users = shared.users.to_vec();
     users.sort_unstable();
     d = d
         .entity("channel", ctx.net.channel(shared.channel))
         .fact("shared_channel", ctx.net.channel(shared.channel))
         .fact("sharers", users.len());
-    let index = CycleIndex::of(ctx.net, cycle);
-    for (i, &m) in users.iter().enumerate() {
-        let g = index.geometry(ctx.table, m, Some(shared.channel));
+    let geometries: Vec<_> = ctx.with_index(cycle, |index| {
+        users
+            .iter()
+            .map(|&m| index.geometry(ctx.table, m, Some(shared.channel)))
+            .collect()
+    });
+    for (i, (&m, g)) in users.iter().zip(geometries).enumerate() {
         d = d.fact(
             format!("sharer_{i}"),
             format!(
@@ -70,16 +74,21 @@ fn candidates_where<'c>(
     ctx: &'c LintContext<'_>,
     keep: impl Fn(&StaticClass) -> bool,
 ) -> Vec<Finding<'c>> {
-    ctx.candidates()
-        .filter(|(_, ca)| keep(&ca.class))
-        .map(|(cy, ca)| Finding::Candidate(cy, ca))
+    ctx.cycles
+        .iter()
+        .flat_map(|cy| {
+            cy.analyses()
+                .enumerate()
+                .filter(|(_, ca)| keep(ca.class))
+                .map(move |(i, _)| Finding::Candidate(cy, i))
+        })
         .collect()
 }
 
 /// The cycle and candidate of a candidate finding.
-fn candidate<'f>(finding: &Finding<'f>) -> (&'f CycleAnalysis, &'f CandidateAnalysis) {
+fn candidate<'f>(finding: &Finding<'f>) -> (&'f CycleAnalysis, CandidateAnalysis<'f>) {
     match *finding {
-        Finding::Candidate(cy, ca) => (cy, ca),
+        Finding::Candidate(cy, i) => (cy, cy.candidate(i)),
         _ => unreachable!("a candidate lint renders candidate findings"),
     }
 }
@@ -89,14 +98,17 @@ fn candidate_diag(
     lint: &dyn Lint,
     ctx: &LintContext<'_>,
     cy: &CycleAnalysis,
-    ca: &CandidateAnalysis,
+    ca: &CandidateAnalysis<'_>,
     severity: Severity,
     message: String,
 ) -> Diagnostic {
     Diagnostic::new(lint.code(), lint.name(), severity, message)
         .entity("cycle", cycle_ref(&cy.cycle))
-        .fact("configuration", ca.candidate.describe(ctx.net))
-        .fact("messages", ca.candidate.segments.len())
+        .fact(
+            "configuration",
+            describe_candidate(ctx.net, &cy.cycle, ca.segments),
+        )
+        .fact("messages", ca.segments.len())
 }
 
 /// `W201`: one census line per elementary CDG cycle.
@@ -128,18 +140,15 @@ impl Lint for CdgCycleCensus {
         let mut reachable = 0usize;
         let mut unreachable = 0usize;
         let mut open = 0usize;
-        for ca in &cy.candidates {
+        let mut inside_only = 0usize;
+        for ca in cy.analyses() {
             match ca.class.reachable() {
                 Some(true) => reachable += 1,
                 Some(false) => unreachable += 1,
                 None => open += 1,
             }
+            inside_only += usize::from(ca.outside.is_empty());
         }
-        let inside_only = cy
-            .candidates
-            .iter()
-            .filter(|ca| ca.sharing.outside().count() == 0)
-            .count();
         Diagnostic::new(
             self.code(),
             self.name(),
@@ -189,9 +198,15 @@ impl Lint for Theorem2NoOutsideSharing {
         finding: &Finding<'_>,
         severity: Severity,
     ) -> Diagnostic {
-        let (cy, ca) = candidate(finding);
-        let inside: Vec<String> = ca
-            .sharing
+        let Finding::Candidate(cy, i) = *finding else {
+            unreachable!("W202 selects candidates")
+        };
+        let ca = cy.candidate(i);
+        // Only outside sharing is kept; the whole analysis is redone
+        // for the inside channels this certificate lists.
+        let inside: Vec<String> = ctx
+            .sharing(cy, i)
+            .shared()
             .inside()
             .map(|s| ctx.net.channel(s.channel).to_string())
             .collect();
@@ -199,11 +214,11 @@ impl Lint for Theorem2NoOutsideSharing {
             self,
             ctx,
             cy,
-            ca,
+            &ca,
             severity,
             format!(
                 "reachable deadlock (Theorem 2): {}-message configuration shares no channel outside the cycle",
-                ca.candidate.segments.len(),
+                ca.segments.len(),
             ),
         )
         .fact(
@@ -246,12 +261,12 @@ impl Lint for Theorem4TwoSharers {
         severity: Severity,
     ) -> Diagnostic {
         let (cy, ca) = candidate(finding);
-        let shared = single_outside(ca).expect("TwoSharers has one outside channel");
+        let shared = single_outside(&ca).expect("TwoSharers has one outside channel");
         let d = candidate_diag(
             self,
             ctx,
             cy,
-            ca,
+            &ca,
             severity,
             format!(
                 "reachable deadlock (Theorem 4): two messages share outside channel {}",
@@ -343,10 +358,10 @@ fn scorecard(
     severity: Severity,
 ) -> Diagnostic {
     let (cy, ca) = candidate(finding);
-    let StaticClass::ThreeSharers(ec) = &ca.class else {
+    let StaticClass::ThreeSharers(ec) = ca.class else {
         unreachable!("{} selects Theorem 5 candidates", lint.code())
     };
-    let shared = single_outside(ca).expect("ThreeSharers has one outside channel");
+    let shared = single_outside(&ca).expect("ThreeSharers has one outside channel");
     let message = if ec.unreachable() {
         "false resource cycle (Theorem 5): all eight conditions hold, the configuration is unreachable".to_string()
     } else {
@@ -359,7 +374,7 @@ fn scorecard(
                 .join(","),
         )
     };
-    let mut d = candidate_diag(lint, ctx, cy, ca, severity, message);
+    let mut d = candidate_diag(lint, ctx, cy, &ca, severity, message);
     d = sharer_facts(ctx, &cy.cycle, shared, d);
     d = d
         .fact("m_x", pair_ref(ctx.net, ec.x))
@@ -403,16 +418,16 @@ impl Lint for Theorem3MinimalAllShare {
         severity: Severity,
     ) -> Diagnostic {
         let (cy, ca) = candidate(finding);
-        let shared = single_outside(ca).expect("MinimalAllShare has one outside channel");
+        let shared = single_outside(&ca).expect("MinimalAllShare has one outside channel");
         let d = candidate_diag(
             self,
             ctx,
             cy,
-            ca,
+            &ca,
             severity,
             format!(
                 "reachable deadlock (Theorem 3): minimal routing, all {} messages share {}",
-                ca.candidate.segments.len(),
+                ca.segments.len(),
                 ctx.net.channel(shared.channel),
             ),
         );
@@ -451,9 +466,9 @@ impl Lint for OutOfScopeCycle {
             if !cy.enumeration_complete {
                 out.push(Finding::Cycle(cy));
             }
-            for ca in &cy.candidates {
+            for (i, ca) in cy.analyses().enumerate() {
                 if matches!(ca.class, StaticClass::OutOfScope) {
-                    out.push(Finding::Candidate(cy, ca));
+                    out.push(Finding::Candidate(cy, i));
                 }
             }
         }
@@ -484,12 +499,13 @@ impl Lint for OutOfScopeCycle {
                     .to_string(),
             )
             .entity("cycle", cycle_ref(&cy.cycle)),
-            Finding::Candidate(cy, ca) => {
-                let outside: Vec<_> = ca.sharing.outside().collect();
+            Finding::Candidate(cy, i) => {
+                let ca = cy.candidate(i);
+                let outside = ca.outside;
                 let sharers = outside
                     .iter()
                     .map(|s| {
-                        let mut u = s.users.clone();
+                        let mut u = s.users.to_vec();
                         u.sort_unstable();
                         u.dedup();
                         u.len()
@@ -500,7 +516,7 @@ impl Lint for OutOfScopeCycle {
                     self,
                     ctx,
                     cy,
-                    ca,
+                    &ca,
                     severity,
                     format!(
                         "Theorems 2-5 do not apply ({} outside shared channel(s), up to {sharers} sharers): verdict requires exhaustive search",

@@ -145,7 +145,7 @@ fn fallback_answer(job: &CompiledJob, classifier: &AlgorithmVerdict) -> Option<(
         .find_map(|v| match v.class {
             CycleClass::DecidedBySearch { reachable, states }
                 if states <= job.search_config.max_states
-                    && candidate_messages(&v.candidate)
+                    && candidate_messages(&v.candidate.segments)
                         .iter()
                         .map(key)
                         .eq(job.messages.iter().map(key)) =>

@@ -5,7 +5,7 @@
 //!
 //! Run with: `cargo run --release --example cyclic_dependency`
 
-use cyclic_wormhole::cdg::{deadlock_candidates, sharing};
+use cyclic_wormhole::cdg::{deadlock_candidates, describe_candidate, sharing};
 use cyclic_wormhole::core::paper::fig1;
 use cyclic_wormhole::route::properties;
 use cyclic_wormhole::search::{explore, min_stall_budget, SearchConfig};
@@ -54,10 +54,10 @@ fn main() {
     println!("cycle: {}", cycle.describe(&c.net));
     let cands = deadlock_candidates(&c.table, &cycle, 1000).expect("bounded");
     println!("\nstatic deadlock configuration (Definition 6):");
-    println!("  {}", cands[0].describe(&c.net));
+    println!("  {}", describe_candidate(&c.net, &cycle, &cands[0]));
 
     let analysis = sharing::analyze(&c.net, &c.table, &cycle, &cands[0]);
-    for s in analysis.outside() {
+    for s in analysis.shared().outside() {
         println!(
             "  shared OUTSIDE the cycle: {} used by {} messages",
             c.net.channel(s.channel),

@@ -383,20 +383,21 @@ fn record(out: &mut String, input: &Input) {
     for (i, cy) in analysis.cycles.iter().enumerate() {
         cycle_line(out, i, &cy.cycle, &witnesses);
         let mut d = Digest::new();
-        for ca in &cy.candidates {
-            d.num(ca.candidate.segments.len());
-            for seg in &ca.candidate.segments {
+        for (i, ca) in cy.analyses().enumerate() {
+            d.num(ca.segments.len());
+            for seg in ca.segments {
                 pair(&mut d, seg.msg);
-                d.num(seg.channels.len());
-                for c in &seg.channels {
+                d.num(seg.len as usize);
+                for c in seg.channels(&cy.cycle) {
                     d.num(c.index());
                 }
             }
-            d.num(ca.sharing.shared.len());
-            for s in &ca.sharing.shared {
+            let sharing = analysis.sharing(cy, i);
+            d.num(sharing.len());
+            for s in sharing.shared().iter() {
                 d.num(s.channel.index());
                 d.num(s.users.len());
-                for &m in &s.users {
+                for &m in s.users {
                     pair(&mut d, m);
                 }
                 d.num(usize::from(s.inside_cycle));

@@ -51,27 +51,29 @@ proptest! {
 
         for cycle in cdg.cycles_bounded(200).into_iter().flatten() {
             let (candidates, _) = enumerate_candidates(&witnesses, &cycle, 200);
-            for cand in candidates {
+            for cand in candidates.iter() {
                 // Segments tile the cycle.
-                let total: usize = cand.segments.iter().map(|s| s.channels.len()).sum();
-                prop_assert_eq!(total, cycle.len());
-                prop_assert!(cand.segments.len() >= 2);
+                let total: u32 = cand.iter().map(|s| s.len).sum();
+                prop_assert_eq!(total as usize, cycle.len());
+                prop_assert!(cand.len() >= 2);
                 // Each owner holds consecutive channels of its path and
                 // wants the next segment's head.
-                let k = cand.segments.len();
+                let k = cand.len();
                 for i in 0..k {
-                    let cur = &cand.segments[i];
-                    let next = &cand.segments[(i + 1) % k];
+                    let cur = &cand[i];
+                    let next = &cand[(i + 1) % k];
+                    let held: Vec<_> = cur.channels(&cycle).collect();
                     let path = table.path(cur.msg.0, cur.msg.1).expect("routed");
                     let chans = path.channels();
                     let start = chans
                         .iter()
-                        .position(|&c| c == cur.channels[0])
+                        .position(|&c| c == held[0])
                         .expect("held channels on path");
-                    for (j, &held) in cur.channels.iter().enumerate() {
-                        prop_assert_eq!(chans[start + j], held);
-                    }
-                    prop_assert_eq!(chans[start + cur.channels.len()], next.channels[0]);
+                    prop_assert_eq!(&chans[start..start + held.len()], &held[..]);
+                    prop_assert_eq!(
+                        chans[start + held.len()],
+                        next.channels(&cycle).next().unwrap()
+                    );
                 }
             }
         }

@@ -61,14 +61,15 @@ proptest! {
     ) {
         let c = spec.build();
         let cycle = c.cycle();
-        let candidate = c.canonical_candidate();
+        let segments = c.canonical_candidate().segments;
         let analysis =
-            cyclic_wormhole::cdg::sharing::analyze(&c.net, &c.table, &cycle, &candidate);
+            cyclic_wormhole::cdg::sharing::analyze(&c.net, &c.table, &cycle, &segments);
         let shared = analysis
+            .shared()
             .outside()
             .find(|s| s.channel == c.cs)
             .expect("cs shared outside");
-        let ec = eight_conditions(&c.net, &c.table, &cycle, &candidate, shared)
+        let ec = eight_conditions(&c.net, &c.table, &cycle, &segments, shared)
             .expect("three sharers");
         // This generator keeps the parking conditions satisfied.
         prop_assert!(ec.conditions[3], "condition 4 must hold by construction");

@@ -53,7 +53,7 @@ proptest! {
         prop_assert!(complete);
         prop_assert_eq!(cands.len(), 1, "reach-1 constructions have one candidate");
         let canonical = c.canonical_candidate();
-        let mut a = cands[0].segments.clone();
+        let mut a = cands[0].to_vec();
         let mut b = canonical.segments.clone();
         a.sort_by_key(|s| s.msg);
         b.sort_by_key(|s| s.msg);
@@ -68,7 +68,7 @@ proptest! {
         let c = spec.build();
         let cycle = c.cycle();
         let candidate = c.canonical_candidate();
-        let analysis = sharing::analyze(&c.net, &c.table, &cycle, &candidate);
+        let analysis = sharing::analyze(&c.net, &c.table, &cycle, &candidate.segments);
 
         // Expected: for each group, count sharing members.
         let mut group_counts = std::collections::BTreeMap::new();
@@ -81,6 +81,7 @@ proptest! {
             group_counts.values().filter(|&&n| n >= 2).count();
         let shared_chans = c.shared_channels();
         let outside: Vec<_> = analysis
+            .shared()
             .outside()
             .filter(|s| shared_chans.contains(&s.channel))
             .collect();
@@ -99,7 +100,8 @@ proptest! {
         let candidate = c.canonical_candidate();
         for (seg, b) in candidate.segments.iter().zip(&c.built) {
             prop_assert_eq!(seg.msg, b.pair);
-            prop_assert_eq!(seg.channels.len(), b.spec.g);
+            prop_assert_eq!(seg.len as usize, b.spec.g);
+            prop_assert_eq!(seg.channels(&cycle).next(), Some(c.ring[b.entry_pos]));
         }
         // `c.cs` is the channel of the *first group in use* (builder
         // convention), not necessarily group 0.
@@ -155,10 +157,11 @@ fn regression_single_sharer_in_nonzero_group() {
 
     // And with a single sharer the channel is not outside-shared.
     let candidate = c.canonical_candidate();
-    let analysis = sharing::analyze(&c.net, &c.table, &cycle, &candidate);
+    let analysis = sharing::analyze(&c.net, &c.table, &cycle, &candidate.segments);
     let shared = c.shared_channels();
     assert_eq!(
         analysis
+            .shared()
             .outside()
             .filter(|s| shared.contains(&s.channel))
             .count(),

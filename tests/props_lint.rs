@@ -27,6 +27,7 @@
 //! cycle stops — under the static options, with the search fallback,
 //! and in model-exact mode.
 
+use cyclic_wormhole::cdg::describe_candidate;
 use cyclic_wormhole::core::classify::{classify_algorithm, AlgorithmVerdict, ClassifyOptions};
 use cyclic_wormhole::exist::ExistOptions;
 use cyclic_wormhole::net::topology::Mesh;
@@ -113,13 +114,12 @@ fn assert_fast_path_matches_oracle(
 fn certificate_confirmed(
     net: &Network,
     table: &TableRouting,
-    ctx_candidate: &wormlint::CandidateAnalysis,
+    ctx_candidate: &wormlint::CandidateAnalysis<'_>,
 ) -> bool {
     let specs: Vec<MessageSpec> = ctx_candidate
-        .candidate
         .segments
         .iter()
-        .map(|s| MessageSpec::new(s.msg.0, s.msg.1, s.channels.len()))
+        .map(|s| MessageSpec::new(s.msg.0, s.msg.1, s.len as usize))
         .collect();
     let Ok(sim) = Sim::new(net, table, specs, Some(1)) else {
         return false;
@@ -254,15 +254,15 @@ fn deadlock_certificates_are_search_confirmed() {
     let mut confirmed = 0;
     for t in corpus() {
         let ctx = LintContext::build(&t.net, &t.table, 10_000, 10_000, &ExistOptions::default());
-        for (_, ca) in ctx.candidates() {
+        for (cy, ca) in ctx.candidates() {
             if ca.class.reachable() != Some(true) {
                 continue;
             }
             assert!(
-                certificate_confirmed(&t.net, &t.table, ca),
+                certificate_confirmed(&t.net, &t.table, &ca),
                 "{}: certificate {:?} not search-confirmed",
                 t.name,
-                ca.candidate.describe(&t.net)
+                describe_candidate(&t.net, &cy.cycle, ca.segments)
             );
             confirmed += 1;
         }

@@ -101,17 +101,18 @@ fn sim_for(c: &CycleConstruction, specs: Vec<MessageSpec>) -> Sim {
 /// the construction's canonical candidate configuration be reached?
 fn candidate_search(c: &CycleConstruction) -> SearchResult {
     let candidate = c.canonical_candidate();
+    let cycle = c.cycle();
     let specs: Vec<MessageSpec> = candidate
         .segments
         .iter()
-        .map(|s| MessageSpec::new(s.msg.0, s.msg.1, s.channels.len()))
+        .map(|s| MessageSpec::new(s.msg.0, s.msg.1, s.len as usize))
         .collect();
     let sim = sim_for(c, specs);
     let segments: Vec<(MessageId, Vec<ChannelId>)> = candidate
         .segments
         .iter()
         .enumerate()
-        .map(|(i, s)| (MessageId::from_index(i), s.channels.clone()))
+        .map(|(i, s)| (MessageId::from_index(i), s.channels(&cycle).collect()))
         .collect();
     explore_until(&sim, &SearchConfig::default(), move |_, state| {
         segments.iter().all(|(m, chans)| {

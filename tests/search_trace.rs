@@ -39,6 +39,7 @@ fn searches_publish_the_per_step_totals() {
     let c = fig1::cyclic_dependency();
     let fig1_sim = Sim::new(&c.net, &c.table, c.message_specs(), Some(1)).unwrap();
     let fig1_candidate = c.canonical_candidate();
+    let fig1_cycle = c.cycle();
     let c = generalized::generalized(1);
     let g1_sim = Sim::new(
         &c.net,
@@ -84,7 +85,7 @@ fn searches_publish_the_per_step_totals() {
         .segments
         .iter()
         .enumerate()
-        .map(|(i, s)| (MessageId::from_index(i), s.channels.clone()))
+        .map(|(i, s)| (MessageId::from_index(i), s.channels(&fig1_cycle).collect()))
         .collect();
     expect(
         counters(|| {

@@ -237,10 +237,9 @@ fn downscaled_search_agrees_with_static_verdicts() {
             continue;
         }
         let specs: Vec<MessageSpec> = ca
-            .candidate
             .segments
             .iter()
-            .map(|seg| MessageSpec::new(seg.msg.0, seg.msg.1, seg.channels.len()))
+            .map(|seg| MessageSpec::new(seg.msg.0, seg.msg.1, seg.len as usize))
             .collect();
         let sim = Sim::new(&novc.net, &novc.table, specs, Some(1)).expect("certificate routes");
         let result = explore(&sim, &SearchConfig::default());
