@@ -9,27 +9,14 @@ use std::collections::HashSet;
 
 use super::{tarjan_scc, AdjList, Digraph};
 
-/// Enumerate all elementary cycles of `g`.
+/// Enumerate up to `max_cycles` elementary cycles, reporting whether
+/// the enumeration ran to completion.
 ///
 /// Each cycle is returned as a vertex list `[v0, v1, ..., vk]` meaning
 /// edges `v0→v1→...→vk→v0`; the smallest vertex of the cycle comes
-/// first, so output is canonical. Cycles are unique up to rotation.
-///
-/// Use [`elementary_cycles_prefix`] when the graph may contain an
-/// exponential number of cycles, or [`elementary_cycles_visit`] to
-/// stream cycles without materializing them.
-pub fn elementary_cycles(g: &impl Digraph) -> Vec<Vec<usize>> {
-    let mut cycles = Vec::new();
-    elementary_cycles_visit(g, |c| {
-        cycles.push(c.to_vec());
-        true
-    });
-    canonicalize(&mut cycles);
-    cycles
-}
-
-/// Enumerate up to `max_cycles` elementary cycles, reporting whether
-/// the enumeration ran to completion.
+/// first, and the list is sorted, so output is canonical. Cycles are
+/// unique up to rotation. Use [`elementary_cycles_visit`] to stream
+/// cycles without materializing them.
 ///
 /// Returns `(cycles, complete)`: when `complete` is `true` the list is
 /// *every* elementary cycle of `g` (at most `max_cycles` of them);
@@ -229,6 +216,14 @@ fn unblock(v: usize, blocked: &mut [bool], b_sets: &mut [HashSet<usize>]) {
 mod tests {
     use super::super::AdjList;
     use super::*;
+
+    /// Every elementary cycle of `g`: an unbounded prefix, which must
+    /// complete.
+    fn elementary_cycles(g: &impl Digraph) -> Vec<Vec<usize>> {
+        let (cycles, complete) = elementary_cycles_prefix(g, usize::MAX);
+        assert!(complete, "an unbounded enumeration completes");
+        cycles
+    }
 
     #[test]
     fn triangle_has_one_cycle() {

@@ -6,7 +6,7 @@
 
 use proptest::prelude::*;
 use wormnet::graph::{
-    bfs_distances, bfs_path, elementary_cycles, is_acyclic, reachable_from, tarjan_scc,
+    bfs_distances, bfs_path, elementary_cycles_prefix, is_acyclic, reachable_from, tarjan_scc,
     topological_order, AdjList, Digraph,
 };
 use wormnet::topology::{
@@ -14,6 +14,14 @@ use wormnet::topology::{
     FatTree, Hypercube, KaryTree, Mesh, Torus,
 };
 use wormnet::{ChannelId, Network, NodeId};
+
+/// Every elementary cycle of `g`: an unbounded prefix, which must
+/// complete.
+fn elementary_cycles(g: &AdjList) -> Vec<Vec<usize>> {
+    let (cycles, complete) = elementary_cycles_prefix(g, usize::MAX);
+    assert!(complete, "an unbounded enumeration completes");
+    cycles
+}
 
 /// The first channel in `src`'s out-list that runs to `dst` on lane
 /// `vc`: the scan `Network::find_channel_vc` must reproduce.
