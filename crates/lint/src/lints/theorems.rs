@@ -47,25 +47,22 @@ fn sharer_facts(
         .entity("channel", ctx.net.channel(shared.channel))
         .fact("shared_channel", ctx.net.channel(shared.channel))
         .fact("sharers", users.len());
-    let geometries: Vec<_> = ctx.with_index(cycle, |index| {
-        users
-            .iter()
-            .map(|&m| index.geometry(ctx.table, m, Some(shared.channel)))
-            .collect()
-    });
-    for (i, (&m, g)) in users.iter().zip(geometries).enumerate() {
-        d = d.fact(
-            format!("sharer_{i}"),
-            format!(
-                "{} (d={}, a={})",
-                pair_ref(ctx.net, m),
-                g.d.map(|v| v.to_string())
-                    .unwrap_or_else(|| "-".to_string()),
-                g.a
-            ),
-        );
-    }
-    d
+    ctx.with_index(cycle, |index| {
+        for (i, &m) in users.iter().enumerate() {
+            let g = index.geometry(ctx.table, m, Some(shared.channel));
+            d = d.fact(
+                format!("sharer_{i}"),
+                format!(
+                    "{} (d={}, a={})",
+                    pair_ref(ctx.net, m),
+                    g.d.map(|v| v.to_string())
+                        .unwrap_or_else(|| "-".to_string()),
+                    g.a
+                ),
+            );
+        }
+        d
+    })
 }
 
 /// Every candidate whose theorem class satisfies `keep`, in cycle and
