@@ -101,16 +101,6 @@ impl SharingAnalysis {
         }
     }
 
-    /// How many shared-channel records are held.
-    pub fn len(&self) -> usize {
-        self.entries.len()
-    }
-
-    /// Whether no shared channel is held.
-    pub fn is_empty(&self) -> bool {
-        self.entries.is_empty()
-    }
-
     /// Drop every record, keeping the buffers.
     pub fn clear(&mut self) {
         self.entries.clear();

@@ -393,7 +393,7 @@ fn record(out: &mut String, input: &Input) {
                 }
             }
             let sharing = analysis.sharing(cy, i);
-            d.num(sharing.len());
+            d.num(sharing.shared().len());
             for s in sharing.shared().iter() {
                 d.num(s.channel.index());
                 d.num(s.users.len());
